@@ -761,7 +761,9 @@ fn generate_row(
 ) -> Vec<String> {
     let sessions = prompts.iter().map(|_| DecodeSession::new(model)).collect();
     let mut engine = BatchEngine::new(sessions);
-    let generated = engine.generate_greedy(prompts, steps);
+    let generated = engine
+        .generate_greedy(prompts, steps)
+        .expect("one prompt per session");
 
     // Serial replay of the first rollout captures the final step's logits.
     let mut session = DecodeSession::new(model);
@@ -1040,7 +1042,9 @@ pub fn kv_page() -> Vec<Table> {
     template.prefill(&prompt);
     let seeds: Vec<usize> = (0..forks).map(|i| (i * 7 + 1) % shape.vocab).collect();
     let mut engine = BatchEngine::forked(&template, forks);
-    let rollouts = engine.resume_greedy(&seeds, decode_steps);
+    let rollouts = engine
+        .resume_greedy(&seeds, decode_steps)
+        .expect("one seed per fork");
     assert_eq!(rollouts.len(), forks);
     drop(engine);
     let per_session_paged = arena.allocated_bytes() as f64 / forks as f64;
@@ -1276,7 +1280,9 @@ pub fn kv_page() -> Vec<Table> {
         let mut template = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
         template.prefill(&prompt);
         let mut engine = BatchEngine::forked(&template, forks);
-        let outs = engine.resume_greedy(&seeds, shared_steps);
+        let outs = engine
+            .resume_greedy(&seeds, shared_steps)
+            .expect("one seed per fork");
         let st = arena.stats();
         (
             outs,
@@ -1379,7 +1385,7 @@ pub fn serve() -> Vec<Table> {
     // The shared arena itself is capped at an eighth of that — one full
     // decode window shared by every resident session — with the boundary
     // drain demoting cold int8 pages at a 0.25 watermark, so the capped
-    // shared-budget regime (DESIGN.md §15) runs in the catalog transcript,
+    // shared-budget regime (DESIGN.md §9.4) runs in the catalog transcript,
     // byte-diffed across thread counts and GEMM backends by CI.
     cfg.kv_arena_bytes = cfg.kv_budget_bytes / 8;
     cfg.kv_watermark = 0.25;

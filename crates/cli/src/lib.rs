@@ -145,6 +145,55 @@ pub fn cmd_schemes() -> String {
     )
 }
 
+/// `--model` / `--fast` / `--seed`: the eval-scale shape and experiment
+/// options every model-running command starts from.
+fn eval_setup(flags: &Flags) -> Result<(ModelShape, ExperimentOptions), CliError> {
+    let model_name = flags
+        .get("model")
+        .ok_or_else(|| err("--model is required"))?;
+    let base_shape = model_by_name(model_name)?;
+    let (shape, opts) = if flag_parse(flags, "fast", false)? {
+        (base_shape.scaled_for_eval(32, 2), ExperimentOptions::fast())
+    } else {
+        (base_shape.eval_preset(), ExperimentOptions::standard())
+    };
+    let seed = flag_parse(flags, "seed", opts.seed)?;
+    Ok((shape, opts.with_seed(seed)))
+}
+
+/// The KV-cache flags `generate` and `serve` share.
+struct KvFlags {
+    /// `--kv-cache`.
+    mode: KvCacheMode,
+    /// `--kv-page-rows`.
+    page_rows: usize,
+    /// `--kv-arena-bytes` (`u64::MAX` = unbounded).
+    arena_bytes: u64,
+    /// `--kv-watermark`.
+    watermark: f64,
+}
+
+fn kv_flags(flags: &Flags) -> Result<KvFlags, CliError> {
+    let name = flags.get("kv-cache").map(String::as_str).unwrap_or("f32");
+    let kv = KvFlags {
+        mode: KvCacheMode::parse(name).ok_or_else(|| {
+            err(format!(
+                "unknown --kv-cache mode '{name}' (f32, int8, int4)"
+            ))
+        })?,
+        page_rows: flag_parse(flags, "kv-page-rows", DEFAULT_PAGE_ROWS)?,
+        arena_bytes: flag_parse(flags, "kv-arena-bytes", u64::MAX)?,
+        watermark: flag_parse(flags, "kv-watermark", 1.0)?,
+    };
+    if kv.page_rows == 0 {
+        return Err(err("--kv-page-rows must be at least 1"));
+    }
+    if !(kv.watermark > 0.0 && kv.watermark <= 1.0) {
+        return Err(err("--kv-watermark must be in (0, 1]"));
+    }
+    Ok(kv)
+}
+
 /// `tender-cli ppl --model M --scheme S [--seq N] [--seed N] [--fast true]`
 /// — proxy perplexity of a scheme on a scaled synthetic model.
 ///
@@ -152,26 +201,11 @@ pub fn cmd_schemes() -> String {
 ///
 /// Returns [`CliError`] on unknown model/scheme or bad flags.
 pub fn cmd_ppl(flags: &Flags) -> Result<String, CliError> {
-    let model_name = flags
-        .get("model")
-        .ok_or_else(|| err("--model is required"))?;
+    let (shape, mut opts) = eval_setup(flags)?;
     let scheme_name = flags
         .get("scheme")
         .ok_or_else(|| err("--scheme is required"))?;
-    let base_shape = model_by_name(model_name)?;
-    let fast: bool = flag_parse(flags, "fast", false)?;
-    let shape = if fast {
-        base_shape.scaled_for_eval(32, 2)
-    } else {
-        base_shape.eval_preset()
-    };
-    let mut opts = if fast {
-        ExperimentOptions::fast()
-    } else {
-        ExperimentOptions::standard()
-    };
     opts.seq_len = flag_parse(flags, "seq", opts.seq_len)?;
-    opts = opts.with_seed(flag_parse(flags, "seed", opts.seed)?);
 
     let scheme = scheme_by_name(scheme_name)
         .ok_or_else(|| err(format!("unknown scheme '{scheme_name}'")))?;
@@ -304,10 +338,9 @@ pub fn cmd_decode(flags: &Flags) -> Result<String, CliError> {
 /// Cache storage is paged: `--kv-page-rows` sets the rows per page, and
 /// `--kv-arena-bytes` caps the arena. Past `--kv-watermark × capacity`,
 /// cold sealed pages are demoted f32→int8→int4 before any hard eviction.
-/// By default the whole batch shares **one** arena under a single byte
-/// budget (demotion deferred to deterministic iteration boundaries, so
-/// output stays byte-identical at any thread count);
-/// `--kv-shared-arena false` restores one private arena per session.
+/// The whole batch shares **one** arena under a single byte budget
+/// (demotion deferred to deterministic iteration boundaries, so output
+/// stays byte-identical at any thread count).
 /// When the arena is bounded or the watermark is below 1, a `kv tiers:`
 /// line reports the per-tier page/byte split and the demotion counters.
 ///
@@ -317,22 +350,7 @@ pub fn cmd_decode(flags: &Flags) -> Result<String, CliError> {
 /// `--prompt`, `--batch`, or `--kv-page-rows`, a `--kv-watermark` outside
 /// `(0, 1]`, or a rollout longer than the model's context window.
 pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
-    let model_name = flags
-        .get("model")
-        .ok_or_else(|| err("--model is required"))?;
-    let base_shape = model_by_name(model_name)?;
-    let fast: bool = flag_parse(flags, "fast", false)?;
-    let shape = if fast {
-        base_shape.scaled_for_eval(32, 2)
-    } else {
-        base_shape.eval_preset()
-    };
-    let opts = if fast {
-        ExperimentOptions::fast()
-    } else {
-        ExperimentOptions::standard()
-    };
-    let opts = opts.with_seed(flag_parse(flags, "seed", opts.seed)?);
+    let (shape, opts) = eval_setup(flags)?;
     let prompt_len: usize = flag_parse(flags, "prompt", 8)?;
     let steps: usize = flag_parse(flags, "generate", 8)?;
     let batch: usize = flag_parse(flags, "batch", 1)?;
@@ -350,29 +368,20 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
     }
 
     let scheme_name = flags.get("scheme").map(String::as_str).unwrap_or("FP32");
-    let kv_name = flags.get("kv-cache").map(String::as_str).unwrap_or("f32");
-    let kv_mode = KvCacheMode::parse(kv_name).ok_or_else(|| {
-        err(format!(
-            "unknown --kv-cache mode '{kv_name}' (f32, int8, int4)"
-        ))
-    })?;
-    let page_rows: usize = flag_parse(flags, "kv-page-rows", DEFAULT_PAGE_ROWS)?;
-    let arena_bytes: u64 = flag_parse(flags, "kv-arena-bytes", u64::MAX)?;
-    let watermark: f64 = flag_parse(flags, "kv-watermark", 1.0)?;
-    if page_rows == 0 {
-        return Err(err("--kv-page-rows must be at least 1"));
-    }
-    if !(watermark > 0.0 && watermark <= 1.0) {
-        return Err(err("--kv-watermark must be in (0, 1]"));
-    }
-    let shared_arena_flag: bool = flag_parse(flags, "kv-shared-arena", true)?;
+    let kv = kv_flags(flags)?;
+    let kv_mode = kv.mode;
+    // Every session shares one arena under a single byte budget.
+    // Demotion is deferred to engine iteration boundaries (drained in
+    // clock order), so the shared budget cannot make demotion order
+    // depend on cross-session allocation interleaving under par_map.
     let arena_cfg = ArenaConfig {
-        page_rows,
-        capacity_bytes: (arena_bytes != u64::MAX).then_some(arena_bytes),
-        watermark,
+        page_rows: kv.page_rows,
+        capacity_bytes: (kv.arena_bytes != u64::MAX).then_some(kv.arena_bytes),
+        watermark: kv.watermark,
+        deferred_demotion: true,
         ..ArenaConfig::default()
     };
-    let bounded_arena = arena_cfg.capacity_bytes.is_some() || watermark < 1.0;
+    let bounded_arena = arena_cfg.capacity_bytes.is_some() || kv.watermark < 1.0;
     let exp = Experiment::new(&shape, opts);
     let seed = exp.options().seed;
     let prompts = token_batches(
@@ -405,32 +414,22 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
         let mut s = DecodeSession::with_arena(model, kv_mode, &probe);
         if let Err(e) = s.try_prefill(&prompts[0]) {
             return Err(err(format!(
-                "--kv-arena-bytes {arena_bytes} cannot hold the \
-                 {prompt_len}-token prompt even fully demoted: {e}"
+                "--kv-arena-bytes {} cannot hold the \
+                 {prompt_len}-token prompt even fully demoted: {e}",
+                kv.arena_bytes
             )));
         }
     }
 
-    // Default: every session shares one arena under a single byte budget.
-    // Demotion is deferred to engine iteration boundaries (drained in
-    // clock order), so the shared budget cannot make demotion order
-    // depend on cross-session allocation interleaving under par_map.
-    // `--kv-shared-arena false` restores one private arena per session.
-    let shared_arena = shared_arena_flag.then(|| {
-        KvArena::new(ArenaConfig {
-            deferred_demotion: true,
-            ..arena_cfg
-        })
-    });
+    let arena = KvArena::new(arena_cfg);
     let sessions = prompts
         .iter()
-        .map(|_| match &shared_arena {
-            Some(a) => DecodeSession::with_arena(model, kv_mode, a),
-            None => DecodeSession::with_arena(model, kv_mode, &KvArena::new(arena_cfg)),
-        })
+        .map(|_| DecodeSession::with_arena(model, kv_mode, &arena))
         .collect();
     let mut engine = BatchEngine::new(sessions);
-    let generated = engine.generate_greedy(&prompts, steps);
+    let generated = engine
+        .generate_greedy(&prompts, steps)
+        .map_err(|e| err(e.to_string()))?;
     let sessions = engine.into_sessions();
 
     let mut out = format!(
@@ -480,17 +479,14 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
             ));
         }
     }
-    if let Some(a) = &shared_arena {
-        if bounded_arena {
-            let st = a.stats();
-            out.push_str(&format!(
-                "kv shared arena: {batch} sessions under one budget, {} bytes allocated; \
-                 alloc retries {}, demotion queue {}\n",
-                a.allocated_bytes(),
-                st.alloc_retries,
-                a.demotion_queue_len(),
-            ));
-        }
+    if bounded_arena {
+        out.push_str(&format!(
+            "kv shared arena: {batch} sessions under one budget, {} bytes allocated; \
+             alloc retries {}, demotion queue {}\n",
+            arena.allocated_bytes(),
+            arena.stats().alloc_retries,
+            arena.demotion_queue_len(),
+        ));
     }
     Ok(out)
 }
@@ -524,22 +520,8 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
 /// Returns [`CliError`] on unknown model/scheme/cache mode or a zero
 /// `--requests`, `--queue-cap`, `--batch`, or `--prefill-chunk`.
 pub fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
-    let model_name = flags
-        .get("model")
-        .ok_or_else(|| err("--model is required"))?;
-    let base_shape = model_by_name(model_name)?;
-    let fast: bool = flag_parse(flags, "fast", false)?;
-    let shape = if fast {
-        base_shape.scaled_for_eval(32, 2)
-    } else {
-        base_shape.eval_preset()
-    };
-    let opts = if fast {
-        ExperimentOptions::fast()
-    } else {
-        ExperimentOptions::standard()
-    };
-    let opts = opts.with_seed(flag_parse(flags, "seed", opts.seed)?);
+    let (shape, opts) = eval_setup(flags)?;
+    let kv = kv_flags(flags)?;
 
     let mut cfg = ServeConfig::new(
         flag_parse(flags, "requests", 16)?,
@@ -548,36 +530,23 @@ pub fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     cfg.deadline_steps = flag_parse(flags, "deadline-steps", cfg.deadline_steps)?;
     cfg.queue_cap = flag_parse(flags, "queue-cap", cfg.queue_cap)?;
     cfg.kv_budget_bytes = flag_parse(flags, "kv-budget-bytes", cfg.kv_budget_bytes)?;
-    cfg.page_rows = flag_parse(flags, "kv-page-rows", cfg.page_rows)?;
-    cfg.kv_arena_bytes = flag_parse(flags, "kv-arena-bytes", cfg.kv_arena_bytes)?;
-    cfg.kv_watermark = flag_parse(flags, "kv-watermark", cfg.kv_watermark)?;
-    if !(cfg.kv_watermark > 0.0 && cfg.kv_watermark <= 1.0) {
-        return Err(err("--kv-watermark must be in (0, 1]"));
-    }
+    cfg.kv_mode = kv.mode;
+    cfg.page_rows = kv.page_rows;
+    cfg.kv_arena_bytes = kv.arena_bytes;
+    cfg.kv_watermark = kv.watermark;
     cfg.shared_prefix = flag_parse(flags, "shared-prefix", cfg.shared_prefix)?;
     cfg.max_batch = flag_parse(flags, "batch", cfg.max_batch)?;
     cfg.prefill_chunk = flag_parse(flags, "prefill-chunk", cfg.prefill_chunk)?;
-    if cfg.requests == 0 {
-        return Err(err("--requests must be at least 1"));
+    for (flag, value) in [
+        ("requests", cfg.requests),
+        ("queue-cap", cfg.queue_cap),
+        ("batch", cfg.max_batch),
+        ("prefill-chunk", cfg.prefill_chunk),
+    ] {
+        if value == 0 {
+            return Err(err(format!("--{flag} must be at least 1")));
+        }
     }
-    if cfg.page_rows == 0 {
-        return Err(err("--kv-page-rows must be at least 1"));
-    }
-    if cfg.queue_cap == 0 {
-        return Err(err("--queue-cap must be at least 1"));
-    }
-    if cfg.max_batch == 0 {
-        return Err(err("--batch must be at least 1"));
-    }
-    if cfg.prefill_chunk == 0 {
-        return Err(err("--prefill-chunk must be at least 1"));
-    }
-    let kv_name = flags.get("kv-cache").map(String::as_str).unwrap_or("f32");
-    cfg.kv_mode = KvCacheMode::parse(kv_name).ok_or_else(|| {
-        err(format!(
-            "unknown --kv-cache mode '{kv_name}' (f32, int8, int4)"
-        ))
-    })?;
 
     let scheme_name = flags.get("scheme").map(String::as_str).unwrap_or("FP32");
     let exp = Experiment::new(&shape, opts);
@@ -655,9 +624,6 @@ pub fn usage() -> String {
      \x20          [--kv-arena-bytes N]    arena capacity; cold pages\n\
      \x20          [--kv-watermark F]      demote f32->int8->int4 past\n\
      \x20                                  F x capacity (default 1.0)\n\
-     \x20          [--kv-shared-arena B]   one arena shared by the batch\n\
-     \x20                                  (default true; false = private\n\
-     \x20                                  per-session arenas)\n\
      \x20          [--generate N] [--batch B] [--seed N] [--fast true]\n\
      \x20 serve    --model M [--scheme S]  continuous-batching scheduler over\n\
      \x20          [--requests N]          seeded synthetic traffic: admission\n\
@@ -1017,7 +983,7 @@ mod tests {
 
     #[test]
     fn generate_shared_arena_is_deterministic_and_reports_budget() {
-        // One capped arena for the whole batch: lockstep decode with
+        // One capped arena for the whole batch: the batch iteration with
         // boundary-drained demotion must be byte-identical across runs,
         // and the shared-budget report line must appear.
         let base = [
@@ -1047,12 +1013,6 @@ mod tests {
             "{a}"
         );
         assert!(a.contains("evict failures 0"), "{a}");
-        // The escape hatch restores private per-session arenas (and
-        // drops the shared-budget line).
-        let mut private: Vec<&str> = base.to_vec();
-        private.extend_from_slice(&["--kv-shared-arena", "false"]);
-        let p = cmd_generate(&parse_flags(&args(&private)).unwrap()).expect("runs");
-        assert!(!p.contains("kv shared arena:"), "{p}");
     }
 
     #[test]

@@ -1,0 +1,732 @@
+//! [`KvCache`]: per-layer, per-head K/V page lists over a [`KvArena`] —
+//! append, copy-on-write fork, own-page demotion, and the two read paths.
+
+use tender_metrics::engine as metrics;
+use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, PageId, PagePayload, PageTier};
+
+use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
+use super::quant::{
+    combine_groups, decode_rows, demote_if_smaller, quantize_act, record_dot_metrics, PlaneQuant,
+};
+use crate::shape::ModelShape;
+
+/// One head's K or V plane: an ordered page list plus (for quantized
+/// modes) the append-time quantization state.
+#[derive(Debug, Clone)]
+struct Plane {
+    /// Arena pages in position order; all full except possibly the last.
+    pages: Vec<PageId>,
+    /// Cached positions across the pages.
+    len: usize,
+    /// Append-time quantization state (`None` for f32 planes).
+    quant: Option<PlaneQuant>,
+}
+
+impl Plane {
+    fn new(mode: KvCacheMode) -> Self {
+        Self {
+            pages: Vec::new(),
+            len: 0,
+            quant: (mode != KvCacheMode::F32).then(PlaneQuant::default),
+        }
+    }
+
+    /// The tail page, if it still has room for a row.
+    fn open_tail(&self, page_rows: usize) -> Option<PageId> {
+        let tail = *self.pages.last()?;
+        (self.len < self.pages.len() * page_rows).then_some(tail)
+    }
+}
+
+/// Session-local per-tier page accounting (this cache's own view: a page
+/// shared with forked sessions is counted here by every owner, unlike the
+/// arena's global stats, which count it once).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KvTierStats {
+    /// Pages this cache references per tier (`PageTier::index` order:
+    /// f32, int8, int4).
+    pub pages: [u64; 3],
+    /// Resident bytes of those pages per tier.
+    pub resident: [u64; 3],
+    /// Allocated (full-page) bytes of those pages per tier.
+    pub allocated: [u64; 3],
+}
+
+impl KvTierStats {
+    /// Total pages across tiers.
+    pub fn pages_total(&self) -> u64 {
+        self.pages.iter().sum()
+    }
+
+    /// Total resident bytes across tiers.
+    pub fn resident_total(&self) -> u64 {
+        self.resident.iter().sum()
+    }
+
+    /// Total allocated bytes across tiers.
+    pub fn allocated_total(&self) -> u64 {
+        self.allocated.iter().sum()
+    }
+}
+
+/// Per-layer, per-head K/V row storage, paged out of a [`KvArena`].
+///
+/// Each (layer, head) pair owns two page-list planes built by row appends;
+/// all `layers × heads` pairs always hold the same number of positions.
+/// Storage precision is chosen by [`KvCacheMode`]; quantized planes
+/// quantize at append and are read either in the integer domain or by
+/// gathering a dequantized matrix.
+///
+/// **Growth policy.** The cache grows page by page with no sequence limit
+/// of its own — the *model's* positional limit (`max_seq` rows of
+/// positional embeddings) is enforced one level up by
+/// `DecodeSession::step`, which returns `StepError::SequenceFull`
+/// instead of appending past it. What can stop an append is the arena's
+/// byte cap: [`KvCache::append`] demotes this cache's cold pages down the
+/// f32 → int8 → int4 ladder to make room and returns [`EvictError`] only
+/// at the floor.
+///
+/// **Sharing.** `clone()` retains every page (copy-on-write fork): the
+/// clone shares the prefix physically and copies a page only when one
+/// owner appends to it. The arena's gauges count shared pages once;
+/// [`KvCache::bytes`] is this cache's own (session-local) view.
+#[derive(Debug)]
+pub struct KvCache {
+    layers: usize,
+    heads: usize,
+    head_dim: usize,
+    mode: KvCacheMode,
+    /// How quantized planes are read during decode attention.
+    read_path: KvReadPath,
+    /// The arena every page is allocated from.
+    arena: KvArena,
+    /// This cache's owner id within the arena — a component of the
+    /// demotion clock key, registered from single-threaded construction
+    /// code so it is reproducible at any thread count.
+    owner: u64,
+    /// `layers × heads` K planes, indexed `li * heads + head`, then as
+    /// many V planes in the same order. A plane's index is its
+    /// demotion-queue key and arena shard stripe; K before V, layer/head
+    /// ascending is also [`KvCache::demote_one`]'s scan order, so the
+    /// boundary drain prefers the same "coldest" pages.
+    planes: Vec<Plane>,
+}
+
+impl KvCache {
+    /// An empty cache in `mode` over a private, unbounded arena with the
+    /// default page size.
+    pub fn with_mode(shape: &ModelShape, mode: KvCacheMode) -> Self {
+        Self::with_arena(shape, mode, &KvArena::default())
+    }
+
+    /// An empty cache in `mode` drawing pages from `arena` (shared with
+    /// every other cache holding a handle to it).
+    pub fn with_arena(shape: &ModelShape, mode: KvCacheMode, arena: &KvArena) -> Self {
+        let planes = 2 * shape.layers * shape.heads;
+        let cache = Self {
+            layers: shape.layers,
+            heads: shape.heads,
+            head_dim: shape.head_dim(),
+            mode,
+            read_path: KvReadPath::default(),
+            arena: arena.clone(),
+            owner: arena.register_owner(),
+            planes: (0..planes).map(|_| Plane::new(mode)).collect(),
+        };
+        cache.publish_overhead(true);
+        cache
+    }
+
+    /// Index of `(li, head)`'s K plane; see [`KvCache::v_plane`].
+    fn k_plane(&self, li: usize, head: usize) -> usize {
+        li * self.heads + head
+    }
+
+    /// Index of `(li, head)`'s V plane.
+    fn v_plane(&self, li: usize, head: usize) -> usize {
+        self.layers * self.heads + self.k_plane(li, head)
+    }
+
+    /// The tier rows are appended at in this cache's mode.
+    fn append_tier(&self) -> PageTier {
+        match self.mode {
+            KvCacheMode::F32 => PageTier::F32,
+            KvCacheMode::Int8 => PageTier::Int8,
+            KvCacheMode::Int4 => PageTier::Int4,
+        }
+    }
+
+    /// The storage precision this cache was built with.
+    pub fn mode(&self) -> KvCacheMode {
+        self.mode
+    }
+
+    /// The arena this cache draws pages from.
+    pub fn arena(&self) -> &KvArena {
+        &self.arena
+    }
+
+    /// Cached positions per page.
+    pub fn page_rows(&self) -> usize {
+        self.arena.page_rows()
+    }
+
+    /// Cached sequence positions (identical across layers and heads).
+    pub fn len(&self) -> usize {
+        self.planes.first().map_or(0, |p| p.len)
+    }
+
+    /// Whether the cache holds no positions yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Positions each head's current page list can hold before another
+    /// page is allocated.
+    pub fn capacity(&self) -> usize {
+        self.planes
+            .first()
+            .map_or(0, |p| p.pages.len() * self.arena.page_rows())
+    }
+
+    /// Per-plane constant bytes this cache publishes outside the arena
+    /// (quantization metadata: bias + `TMax` per plane in quantized modes).
+    fn overhead_bytes(&self) -> u64 {
+        2 * (self.layers * self.heads) as u64 * self.mode.head_overhead_bytes(self.head_dim)
+    }
+
+    /// Adds or removes the plane-constant overhead from the aggregate
+    /// gauges (page bytes are accounted by the arena itself).
+    fn publish_overhead(&self, add: bool) {
+        let b = self.overhead_bytes();
+        if b == 0 {
+            return;
+        }
+        if add {
+            metrics::KV_CACHE_BYTES.add(b);
+            metrics::KV_CACHE_ALLOCATED_BYTES.add(b);
+            metrics::KV_CACHE_PEAK_BYTES.observe(metrics::KV_CACHE_BYTES.get());
+        } else {
+            metrics::KV_CACHE_BYTES.sub(b);
+            metrics::KV_CACHE_ALLOCATED_BYTES.sub(b);
+        }
+    }
+
+    /// Every page this cache references, in plane order.
+    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
+        self.planes
+            .iter()
+            .flat_map(|plane| plane.pages.iter().copied())
+    }
+
+    /// **Resident** K+V bytes, session-local view: what this cache's pages
+    /// occupy (pages shared with forks counted in full), plus per-plane
+    /// quantization constants. Preallocated-but-unwritten page tails are
+    /// *not* counted — see [`KvCache::allocated_bytes`].
+    pub fn bytes(&self) -> u64 {
+        self.tier_stats().resident_total() + self.overhead_bytes()
+    }
+
+    /// **Allocated** K+V bytes, session-local view: the full-page
+    /// footprint of every page this cache references, plus per-plane
+    /// constants. Always ≥ [`KvCache::bytes`].
+    pub fn allocated_bytes(&self) -> u64 {
+        self.tier_stats().allocated_total() + self.overhead_bytes()
+    }
+
+    /// Session-local per-tier page accounting (pages shared with forks are
+    /// counted by every owner; the arena's [`KvArena::stats`] count each
+    /// page once).
+    pub fn tier_stats(&self) -> KvTierStats {
+        let page_rows = self.arena.page_rows();
+        let mut out = KvTierStats::default();
+        for pid in self.page_ids() {
+            let p = self.arena.payload(pid);
+            let t = p.tier().index();
+            out.pages[t] += 1;
+            out.resident[t] += p.resident_bytes();
+            out.allocated[t] += p.allocated_bytes(page_rows);
+        }
+        out
+    }
+
+    /// Runtime requantization events summed across every plane.
+    pub fn requants(&self) -> u64 {
+        self.planes
+            .iter()
+            .filter_map(|p| p.quant.as_ref())
+            .map(|q| q.requants)
+            .sum()
+    }
+
+    /// Appends layer `li`'s freshly projected K/V rows (`n × d_model`
+    /// each), splitting the model dimension across heads. In quantized
+    /// modes the rows are quantized here, against each plane's running
+    /// `TMax` (first append also fixes the plane's per-channel bias).
+    /// On an arena without deferred demotion, cold pages are then demoted
+    /// down the tier ladder while the arena sits above its high-watermark.
+    ///
+    /// # Errors
+    ///
+    /// [`EvictError`] when the arena is at its byte cap and every page of
+    /// this cache is already at the int4 floor (or shared/unsealed, hence
+    /// not demotable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` is out of range, the shapes disagree with the cache
+    /// geometry, or `k` and `v` have different row counts.
+    pub fn append(&mut self, li: usize, k: &Matrix, v: &Matrix) -> Result<(), EvictError> {
+        assert!(li < self.layers, "layer {li} out of cache range");
+        assert_eq!(k.shape(), v.shape(), "K/V row mismatch");
+        assert_eq!(k.cols(), self.heads * self.head_dim, "d_model mismatch");
+        for head in 0..self.heads {
+            let c0 = head * self.head_dim;
+            let c1 = c0 + self.head_dim;
+            let k_rows: Vec<&[f32]> = (0..k.rows()).map(|r| &k.row(r)[c0..c1]).collect();
+            let v_rows: Vec<&[f32]> = (0..v.rows()).map(|r| &v.row(r)[c0..c1]).collect();
+            self.append_plane(self.k_plane(li, head), &k_rows)?;
+            self.append_plane(self.v_plane(li, head), &v_rows)?;
+        }
+        // Deferred arenas move this work off the appending thread: pages
+        // were enqueued as demotion candidates when they sealed, and the
+        // engine drains the queue at the next iteration boundary.
+        if !self.arena.deferred_demotion() {
+            while self.arena.over_watermark() && self.demote_one() {}
+        }
+        Ok(())
+    }
+
+    fn append_plane(&mut self, idx: usize, rows: &[&[f32]]) -> Result<(), EvictError> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        if let Some(q) = &mut self.planes[idx].quant {
+            q.fix_bias(rows, self.head_dim);
+        }
+        for row in rows {
+            self.push_row(idx, row)?;
+        }
+        Ok(())
+    }
+
+    fn push_row(&mut self, idx: usize, row: &[f32]) -> Result<(), EvictError> {
+        let page_rows = self.arena.page_rows();
+        let tail = match self.planes[idx].open_tail(page_rows) {
+            Some(tail) if self.arena.refs(tail) == 1 => tail,
+            // A fork still shares the partial tail: copy-on-write.
+            Some(shared) => {
+                let copy = self.retry_demoting(|| self.arena.cow_clone(shared))?;
+                *self.planes[idx].pages.last_mut().expect("partial tail") = copy;
+                copy
+            }
+            // Every page is full (or there are none): open a new tail page.
+            None => {
+                let id = self
+                    .retry_demoting(|| self.arena.alloc_on(idx as u64, self.fresh_payload(idx)))?;
+                self.planes[idx].pages.push(id);
+                id
+            }
+        };
+        let mode = self.mode;
+        let plane = &mut self.planes[idx];
+        self.arena
+            .with_page_mut(tail, |p| match (p, &mut plane.quant) {
+                (PagePayload::F32(m), None) => m.push_row(row),
+                (PagePayload::Quant(page), Some(q)) => q.push_into(page, row, mode),
+                _ => panic!("tail page tier does not match its plane"),
+            });
+        plane.len += 1;
+        let sealed = plane.len.is_multiple_of(page_rows);
+        let tier = self.append_tier();
+        if sealed && self.arena.deferred_demotion() && tier != PageTier::Int4 {
+            // The page just sealed: it becomes a demotion candidate under
+            // a structural clock key, so concurrent enqueues from pool
+            // workers drain in the same order at any thread count.
+            let key = DemoteKey {
+                clock: self.arena.clock(),
+                owner: self.owner,
+                plane: idx as u32,
+                page_idx: (self.planes[idx].pages.len() - 1) as u32,
+            };
+            self.arena.enqueue_demotion(key, tail, tier);
+        }
+        Ok(())
+    }
+
+    /// Exact allocated bytes the next single-position append will newly
+    /// reserve from the arena: a fresh page for every plane whose pages
+    /// are all full, plus a copy-on-write clone of any shared partial
+    /// tail (an unsealed tail is always at the append tier, so both cost
+    /// one append-tier page). Zero when the next row lands entirely in
+    /// exclusive partial tails. The batch iteration prices every live
+    /// session with this so the boundary drain can make room before any
+    /// worker appends.
+    pub fn next_append_alloc_bytes(&self) -> u64 {
+        let page_rows = self.arena.page_rows();
+        let opens = self
+            .planes
+            .iter()
+            .filter(|plane| {
+                plane
+                    .open_tail(page_rows)
+                    .is_none_or(|tail| self.arena.refs(tail) > 1)
+            })
+            .count();
+        opens as u64 * self.mode.page_alloc_bytes(self.head_dim, page_rows)
+    }
+
+    /// An empty page payload at this plane's append tier.
+    fn fresh_payload(&self, idx: usize) -> PagePayload {
+        let page_rows = self.arena.page_rows();
+        match &self.planes[idx].quant {
+            None => PagePayload::F32(Matrix::with_row_capacity(self.head_dim, page_rows)),
+            Some(q) => PagePayload::Quant(q.fresh_page(self.mode, self.head_dim, page_rows)),
+        }
+    }
+
+    /// The demote-and-retry wrapper: runs `attempt` until it succeeds,
+    /// demoting one of this cache's own pages after every refusal.
+    /// Interim cap refusals are counted by the arena as `alloc_retries`;
+    /// only the terminal refusal — demotion ladder at its floor — is an
+    /// `evict_failure`.
+    fn retry_demoting<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, EvictError>,
+    ) -> Result<T, EvictError> {
+        loop {
+            match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) => {
+                    if !self.demote_one() {
+                        self.arena.note_evict_failure();
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reserves the next append at an iteration boundary: demotes this
+    /// cache's own pages until the arena has headroom for `need` bytes on
+    /// top of the `committed` bytes earlier sessions of the same boundary
+    /// were already promised.
+    ///
+    /// # Errors
+    ///
+    /// [`EvictError`] when the headroom is still short with this cache's
+    /// ladder at its floor.
+    pub(crate) fn reserve_next_append(&self, need: u64, committed: u64) -> Result<(), EvictError> {
+        self.retry_demoting(|| {
+            if committed + need <= self.arena.headroom_bytes() {
+                return Ok(());
+            }
+            Err(EvictError {
+                needed: need,
+                allocated: self.arena.allocated_bytes(),
+                capacity: self.arena.config().capacity_bytes.unwrap_or(u64::MAX),
+            })
+        })
+    }
+
+    /// Demotes this cache's coldest eligible page one tier down the
+    /// f32 → int8 → int4 ladder, in place. Eligible pages are *sealed*
+    /// (full — the live tail is still being written under plane scales)
+    /// and *exclusively owned* (a fork sharing the page may still need its
+    /// exact bytes). Scan order is deterministic: tier-major (all f32
+    /// candidates before any int8), then K planes before V, layer/head
+    /// ascending, oldest page first — so the coldest exact page goes
+    /// first. Returns `false` when nothing is demotable (the floor).
+    fn demote_one(&self) -> bool {
+        let page_rows = self.arena.page_rows();
+        for tier in [PageTier::F32, PageTier::Int8] {
+            for plane in &self.planes {
+                let sealed = plane.len / page_rows;
+                for &pid in &plane.pages[..sealed] {
+                    if self.arena.refs(pid) > 1 || self.arena.payload(pid).tier() != tier {
+                        continue; // shared with a fork, or not this rung's turn
+                    }
+                    let shrank = self.arena.with_page_mut(pid, |p| {
+                        demote_if_smaller(p, page_rows).map(|d| *p = d).is_some()
+                    });
+                    if shrank {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Selects how quantized planes are read (the integer path by
+    /// default; [`KvReadPath::Dequant`] gathers the dequantized plane and
+    /// runs f32 attention). No-op for `f32` caches, which have a single
+    /// exact path.
+    pub fn set_read_path(&mut self, path: KvReadPath) {
+        self.read_path = path;
+    }
+
+    /// Gathers one plane's pages into a `len × head_dim` matrix: f32 pages
+    /// are copied row-for-row (bit-identical to the appended rows),
+    /// quantized pages are dequantized under their own frozen snapshot.
+    fn gather(&self, plane: &Plane) -> Matrix {
+        let mut out = Matrix::with_row_capacity(self.head_dim, plane.len);
+        for &pid in &plane.pages {
+            decode_rows(&self.arena.payload(pid), |row| out.push_row(row));
+        }
+        out
+    }
+
+    /// Cached keys for `(li, head)`: a `len × head_dim` matrix gathered
+    /// from the plane's page list (exact rows in `f32` mode; dequantized
+    /// under each page's frozen snapshot otherwise — the
+    /// [`KvReadPath::Dequant`] read: integer-path decode attention uses
+    /// [`KvCache::attn_scores_quant`] instead).
+    pub fn head_k(&self, li: usize, head: usize) -> Matrix {
+        self.gather(&self.planes[self.k_plane(li, head)])
+    }
+
+    /// Cached values for `(li, head)`: a `len × head_dim` matrix gathered
+    /// from the plane's page list. Same contract as [`KvCache::head_k`].
+    pub fn head_v(&self, li: usize, head: usize) -> Matrix {
+        self.gather(&self.planes[self.v_plane(li, head)])
+    }
+
+    /// Integer-domain attention scores of the (already scaled) query row
+    /// `qh` against the cached K plane of `(li, head)`: a `1 × len` row,
+    /// computed directly on the packed codes page by page. Each page's dot
+    /// accumulates per power-of-two group in i64; the α = 2 shift-combine
+    /// applies the page's own frozen scales once per dot, and the page's
+    /// bias dot (`Σ_c qh[c]·bias[c]`, full f32 precision) is added per
+    /// row. The accumulation chain is fixed (pages ascending, columns
+    /// ascending, zero-skip on the query code) and integer sums are exact,
+    /// so the result is bit-identical across GEMM backends and thread
+    /// counts.
+    ///
+    /// Returns `None` when the cache mode is `f32` or the read path is
+    /// [`KvReadPath::Dequant`] — the caller then falls back to the f32
+    /// product over the gathered plane.
+    pub fn attn_scores_quant(&self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
+        if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
+            return None;
+        }
+        let plane = &self.planes[self.k_plane(li, head)];
+        let dh = self.head_dim;
+        debug_assert_eq!(qh.len(), dh);
+        let (xq, x_scale) = quantize_act(qh);
+        let mut out = Vec::with_capacity(plane.len);
+        for &pid in &plane.pages {
+            let payload = self.arena.payload(pid);
+            let PagePayload::Quant(qp) = &*payload else {
+                unreachable!("quantized plane holds an f32 page");
+            };
+            let plen = qp.rows.rows();
+            if plen == 0 {
+                continue;
+            }
+            let groups = qp.scales.len();
+            let bits = qp.rows.bits();
+            let mut bias_dot = 0.0f32;
+            for (x, b) in qh.iter().zip(qp.bias.iter()) {
+                bias_dot += x * b;
+            }
+            let check = !gemm::kv_dot_cannot_overflow(dh, KV_ACT_BITS, bits, groups);
+            let mut acc = vec![0i64; plen * groups];
+            let mut events =
+                gemm::active_backend().kv_score_block(&qp.rows, &xq, groups, check, &mut acc);
+            let s_last = *qp.scales.last().expect("page scale snapshot");
+            let factor = x_scale * s_last;
+            for j in 0..plen {
+                let combined =
+                    combine_groups(&acc[j * groups..(j + 1) * groups], check, &mut events);
+                out.push(combined as f32 * factor + bias_dot);
+            }
+            record_dot_metrics(plen, check, events);
+        }
+        metrics::KV_INT_DOTS.add(out.len() as u64);
+        metrics::KV_INT_DOT_MACS.add((out.len() * dh) as u64);
+        let len = out.len();
+        Some(Matrix::from_vec(1, len, out).expect("score row shape"))
+    }
+
+    /// Integer-domain attention-value product of the probability row
+    /// `probs` (length `len`) against the cached V plane of `(li, head)`:
+    /// a `1 × head_dim` row computed directly on the packed codes page by
+    /// page (each page contributes its slice of the probability row under
+    /// its own frozen scales; contributions sum in page order). Same
+    /// `None` contract and determinism argument as
+    /// [`KvCache::attn_scores_quant`].
+    pub fn attn_values_quant(&self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
+        if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
+            return None;
+        }
+        let plane = &self.planes[self.v_plane(li, head)];
+        let dh = self.head_dim;
+        debug_assert_eq!(probs.len(), plane.len);
+        let mut out = vec![0.0f32; dh];
+        if plane.len > 0 {
+            let (pq, p_scale) = quantize_act(probs);
+            let mut off = 0usize;
+            for &pid in &plane.pages {
+                let payload = self.arena.payload(pid);
+                let PagePayload::Quant(qp) = &*payload else {
+                    unreachable!("quantized plane holds an f32 page");
+                };
+                let plen = qp.rows.rows();
+                if plen == 0 {
+                    continue;
+                }
+                let groups = qp.scales.len();
+                let bits = qp.rows.bits();
+                let mut psum = 0.0f32;
+                for &p in &probs[off..off + plen] {
+                    psum += p;
+                }
+                let check = !gemm::kv_dot_cannot_overflow(plen, KV_ACT_BITS, bits, groups);
+                let mut acc = vec![0i64; groups * dh];
+                let mut events = gemm::active_backend().kv_attn_block(
+                    &qp.rows,
+                    &pq[off..off + plen],
+                    groups,
+                    check,
+                    &mut acc,
+                );
+                let s_last = *qp.scales.last().expect("page scale snapshot");
+                let factor = p_scale * s_last;
+                let mut col_accs = vec![0i64; groups];
+                for (c, o) in out.iter_mut().enumerate() {
+                    for (g, ca) in col_accs.iter_mut().enumerate() {
+                        *ca = acc[g * dh + c];
+                    }
+                    let combined = combine_groups(&col_accs, check, &mut events);
+                    *o += combined as f32 * factor + qp.bias[c] * psum;
+                }
+                record_dot_metrics(dh, check, events);
+                off += plen;
+            }
+        }
+        metrics::KV_INT_DOTS.add(dh as u64);
+        metrics::KV_INT_DOT_MACS.add((probs.len() * dh) as u64);
+        Some(Matrix::from_vec(1, dh, out).expect("attn row shape"))
+    }
+}
+
+impl Clone for KvCache {
+    /// Copy-on-write fork: retains every page (the fork shares the prefix
+    /// physically) and re-publishes only the plane-constant overhead. The
+    /// first divergent append onto a shared page copies it.
+    fn clone(&self) -> Self {
+        for pid in self.page_ids() {
+            self.arena.retain(pid);
+        }
+        let cache = Self {
+            layers: self.layers,
+            heads: self.heads,
+            head_dim: self.head_dim,
+            mode: self.mode,
+            read_path: self.read_path,
+            arena: self.arena.clone(),
+            owner: self.arena.register_owner(),
+            planes: self.planes.clone(),
+        };
+        cache.publish_overhead(true);
+        cache
+    }
+}
+
+impl Drop for KvCache {
+    fn drop(&mut self) {
+        for pid in self.page_ids() {
+            self.arena.release(pid);
+        }
+        self.publish_overhead(false);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::{paged_arena, tiny};
+
+    #[test]
+    fn kv_cache_grows_by_pages_past_initial_allocation() {
+        // Growth policy: storage is paged, allocated on demand from the
+        // arena; the max_seq limit is the *session's* concern (see
+        // `step_past_max_seq_is_sequence_full`).
+        let (shape, _) = tiny();
+        let arena = paged_arena(2, None, 1.0);
+        let mut cache = KvCache::with_arena(&shape, KvCacheMode::F32, &arena);
+        assert_eq!(cache.capacity(), 0, "no pages before the first append");
+        assert!(cache.is_empty());
+        let k = Matrix::filled(3, shape.d_model, 1.0);
+        let v = Matrix::filled(3, shape.d_model, 2.0);
+        for li in 0..shape.layers {
+            cache.append(li, &k, &v).expect("uncapped arena");
+        }
+        assert_eq!(cache.len(), 3);
+        // 3 rows on 2-row pages: two pages per plane, capacity 4.
+        assert_eq!(cache.capacity(), 4, "pages are allocated on demand");
+        assert_eq!(
+            cache.bytes(),
+            (2 * 3 * shape.d_model * shape.layers * 4) as u64
+        );
+        // Resident counts rows; allocated counts whole pages.
+        assert_eq!(
+            cache.allocated_bytes(),
+            (2 * 4 * shape.d_model * shape.layers * 4) as u64
+        );
+        assert!(cache.allocated_bytes() >= cache.bytes());
+    }
+
+    #[test]
+    fn kv_cache_splits_rows_per_head() {
+        let (shape, _) = tiny();
+        let dh = shape.head_dim();
+        let mut cache = KvCache::with_mode(&shape, KvCacheMode::F32);
+        // Column c carries value c so each head slice is recognizable.
+        let k = Matrix::from_fn(1, shape.d_model, |_, c| c as f32);
+        let v = Matrix::from_fn(1, shape.d_model, |_, c| -(c as f32));
+        cache.append(0, &k, &v).expect("uncapped arena");
+        for head in 0..shape.heads {
+            let hk = cache.head_k(0, head);
+            let hv = cache.head_v(0, head);
+            assert_eq!(hk.shape(), (1, dh));
+            for c in 0..dh {
+                assert_eq!(hk[(0, c)], (head * dh + c) as f32);
+                assert_eq!(hv[(0, c)], -((head * dh + c) as f32));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "d_model mismatch")]
+    fn kv_cache_rejects_wrong_width() {
+        let (shape, _) = tiny();
+        let mut cache = KvCache::with_mode(&shape, KvCacheMode::F32);
+        let bad = Matrix::zeros(1, shape.d_model + 1);
+        let _ = cache.append(0, &bad, &bad);
+    }
+
+    #[test]
+    fn runtime_requantization_fires_on_growing_magnitudes() {
+        let (shape, _) = tiny();
+        let mut cache = KvCache::with_mode(&shape, KvCacheMode::Int4);
+        // Rows with doubling magnitude force TMax past its first estimate.
+        for step in 0..4 {
+            let mag = (step as f32 + 1.0) * (1 << step) as f32;
+            let k = Matrix::filled(1, shape.d_model, mag);
+            let v = Matrix::filled(1, shape.d_model, -mag);
+            for li in 0..shape.layers {
+                cache.append(li, &k, &v).expect("uncapped arena");
+            }
+        }
+        assert!(
+            cache.requants() > 0,
+            "growing rows never triggered runtime requantization"
+        );
+        // The dequantized view still approximates the stored magnitudes.
+        let hk = cache.head_k(0, 0);
+        assert_eq!(hk.rows(), 4);
+        assert!(hk.is_finite());
+    }
+}

@@ -37,14 +37,19 @@
 
 #![warn(missing_docs)]
 
+mod batch;
 pub mod calibration;
 pub mod engine;
 pub mod eval;
 pub mod forward;
 pub mod glue;
+mod kv;
 mod pipeline;
+mod session;
 pub mod shape;
 pub mod synthetic;
+#[cfg(test)]
+mod test_support;
 pub mod weights;
 pub mod zeroshot;
 

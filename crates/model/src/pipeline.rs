@@ -23,8 +23,8 @@ use tender_metrics::model as metrics;
 use tender_quant::scheme::{QuantMatmul, Scheme};
 use tender_tensor::{ops, EvictError, Matrix};
 
-use crate::engine::KvCache;
 use crate::forward::Site;
+use crate::kv::KvCache;
 use crate::shape::{Activation, ModelKind, NormKind};
 use crate::weights::{LayerWeights, TransformerWeights};
 

@@ -1,0 +1,228 @@
+//! The one batch iteration: every `BatchEngine` decode entry point runs
+//! the same clock → price → drain → reserve boundary before its parallel
+//! step, so a hand-written `try_step_all` loop *is* `resume_greedy`, a
+//! session refused at the floor does not cost its neighbours their
+//! logits, and the boundary's pricing is exact.
+
+use std::process::Command;
+
+use tender_model::engine::{BatchEngine, DecodeSession, KvCacheMode, StepError};
+use tender_model::{greedy_token, ModelShape, SyntheticLlm};
+use tender_tensor::{ArenaConfig, KvArena};
+
+fn prompt(n: usize, vocab: usize, salt: usize) -> Vec<usize> {
+    (0..n).map(|i| (i * 7 + salt * 11 + 3) % vocab).collect()
+}
+
+/// Tokens, allocated bytes and (int8, int4) demotion counts of one rollout.
+type Rollout = (Vec<Vec<usize>>, u64, (u64, u64));
+
+/// The pressured shared-capped configuration of `kv_shared_arena.rs`:
+/// four forks of an 8-token prefix on one arena (page rows 4, watermark
+/// 0.5), decoded 12 steps by `decode`.
+fn pressured_rollout(
+    cap: Option<u64>,
+    decode: impl Fn(&mut BatchEngine<'_>, &[usize], usize, usize) -> Vec<Vec<usize>>,
+) -> Rollout {
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 73);
+    let reference = model.reference();
+    let prefix = prompt(8, shape.vocab, 9);
+    let seeds: Vec<usize> = (0..4).map(|i| (i * 13 + 2) % shape.vocab).collect();
+    let arena = KvArena::new(ArenaConfig {
+        page_rows: 4,
+        capacity_bytes: cap,
+        watermark: 0.5,
+        deferred_demotion: true,
+        ..ArenaConfig::default()
+    });
+    let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
+    template.prefill(&prefix);
+    let mut engine = BatchEngine::forked(&template, seeds.len());
+    let outs = decode(&mut engine, &seeds, 12, prefix.len());
+    let st = arena.stats();
+    assert_eq!(st.evict_failures, 0, "a feasible cap must not refuse");
+    (
+        outs,
+        arena.allocated_bytes(),
+        (st.demoted_int8, st.demoted_int4),
+    )
+}
+
+fn resume(
+    engine: &mut BatchEngine<'_>,
+    seeds: &[usize],
+    steps: usize,
+    _: usize,
+) -> Vec<Vec<usize>> {
+    engine
+        .resume_greedy(seeds, steps)
+        .expect("one seed per session")
+}
+
+/// `resume_greedy` spelled out by a caller: `try_step_all` + `greedy_token`.
+fn hand_loop(
+    engine: &mut BatchEngine<'_>,
+    seeds: &[usize],
+    steps: usize,
+    prefix_len: usize,
+) -> Vec<Vec<usize>> {
+    let vocab = ModelShape::tiny_test().vocab;
+    let mut next = seeds.to_vec();
+    let mut outs = vec![Vec::new(); seeds.len()];
+    for _ in 0..steps {
+        let results = engine.try_step_all(&next).expect("one token per session");
+        for (i, result) in results.into_iter().enumerate() {
+            outs[i].push(next[i]);
+            let logits = result.expect("a feasible cap refuses nobody");
+            next[i] = greedy_token(&logits, 0, prefix_len + outs[i].len(), vocab);
+        }
+    }
+    outs
+}
+
+/// At the pool's current size: the hand-written loop reproduces
+/// `resume_greedy` token for token, with the same demotions. Prints a
+/// digest so the test below can compare pool sizes across processes.
+#[test]
+fn hand_loop_reproduces_resume_greedy() {
+    let (_, f32_footprint, _) = pressured_rollout(None, resume);
+    let want = pressured_rollout(Some(f32_footprint), resume);
+    let got = pressured_rollout(Some(f32_footprint), hand_loop);
+    assert!(
+        want.2 .0 > 0,
+        "cap at the f32 footprint must force demotion"
+    );
+    assert!(want.1 <= f32_footprint, "budget overshoot");
+    assert_eq!(got, want, "try_step_all skipped the iteration boundary");
+    println!("digest {want:?}");
+}
+
+/// The global pool is sized once per process, so each size is a child run
+/// of the test above.
+#[test]
+fn hand_loop_reproduces_resume_greedy_at_1_and_4_threads() {
+    let digest = |threads: &str| -> String {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = Command::new(exe)
+            .args([
+                "--exact",
+                "hand_loop_reproduces_resume_greedy",
+                "--nocapture",
+            ])
+            .env("TENDER_THREADS", threads)
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "TENDER_THREADS={threads} failed:\n{stdout}"
+        );
+        stdout
+            .lines()
+            .find_map(|l| l.find("digest ").map(|at| l[at..].to_string()))
+            .unwrap_or_else(|| panic!("no digest at TENDER_THREADS={threads}:\n{stdout}"))
+    };
+    assert_eq!(digest("1"), digest("4"));
+}
+
+/// Int4 is the ladder's floor, so a cap two pages short of the batch's
+/// next step leaves the last session in order nothing to demote: it comes
+/// back `KvExhausted`, unstepped, and the others keep their logits.
+#[test]
+fn session_refused_at_the_floor_spares_its_neighbours() {
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 73);
+    let reference = model.reference();
+    let mode = KvCacheMode::Int4;
+    let page_rows = 4usize;
+    let planes = 2 * (shape.layers * shape.heads) as u64;
+    let session_page = planes * mode.page_alloc_bytes(shape.head_dim(), page_rows);
+    // Three page-aligned prompts, then room for two of the three next pages.
+    let arena = KvArena::new(ArenaConfig {
+        page_rows,
+        capacity_bytes: Some(5 * session_page),
+        deferred_demotion: true,
+        ..ArenaConfig::default()
+    });
+    let prompts: Vec<Vec<usize>> = (0..3).map(|s| prompt(page_rows, shape.vocab, s)).collect();
+    let sessions: Vec<_> = prompts
+        .iter()
+        .map(|p| {
+            let mut s = DecodeSession::with_arena(&reference, mode, &arena);
+            s.try_prefill(p).expect("three prompt pages fit");
+            s
+        })
+        .collect();
+    assert_eq!(arena.allocated_bytes(), 3 * session_page);
+
+    let mut engine = BatchEngine::new(sessions);
+    let results = engine
+        .try_step_all(&[1, 2, 3])
+        .expect("one token per session");
+    for (i, (p, tok)) in prompts.iter().zip([1, 2]).enumerate() {
+        let uncapped = KvArena::new(ArenaConfig {
+            page_rows,
+            ..ArenaConfig::default()
+        });
+        let mut solo = DecodeSession::with_arena(&reference, mode, &uncapped);
+        solo.prefill(p);
+        let want = solo.step(tok).expect("uncapped step");
+        assert_eq!(
+            results[i].as_ref(),
+            Ok(&want),
+            "session {i} lost its logits"
+        );
+    }
+    assert!(matches!(results[2], Err(StepError::KvExhausted(_))));
+    assert_eq!(arena.stats().evict_failures, 1);
+    assert!(arena.allocated_bytes() <= 5 * session_page);
+    let lens: Vec<usize> = engine.into_sessions().iter().map(|s| s.len()).collect();
+    assert_eq!(lens, [page_rows + 1, page_rows + 1, page_rows]);
+}
+
+/// `next_append_alloc_bytes` is what the next append reserves — on an
+/// empty cache, on a page boundary, mid-page, and on a shared (CoW) tail.
+#[test]
+fn next_append_is_priced_exactly_in_every_mode() {
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 73);
+    let reference = model.reference();
+    let page_rows = 4usize;
+    let planes = 2 * (shape.layers * shape.heads) as u64;
+    for mode in KvCacheMode::ALL {
+        let page = planes * mode.page_alloc_bytes(shape.head_dim(), page_rows);
+        let arena = KvArena::new(ArenaConfig {
+            page_rows,
+            ..ArenaConfig::default()
+        });
+        let mut s = DecodeSession::with_arena(&reference, mode, &arena);
+        // (what the append is, the bytes it must be priced at)
+        let check = |s: &mut DecodeSession<'_>, what: &str, want: u64| {
+            let priced = s.cache().next_append_alloc_bytes();
+            let before = arena.allocated_bytes();
+            if s.is_empty() {
+                s.prefill(&[1]);
+            } else {
+                s.step(1).expect("uncapped step");
+            }
+            let reserved = arena.allocated_bytes() - before;
+            assert_eq!(
+                priced,
+                reserved,
+                "{} {what}: priced != reserved",
+                mode.label()
+            );
+            assert_eq!(priced, want, "{} {what}", mode.label());
+        };
+        check(&mut s, "empty cache", page);
+        for _ in 1..page_rows {
+            check(&mut s, "mid-page", 0);
+        }
+        check(&mut s, "page boundary", page);
+        let mut fork = s.fork();
+        check(&mut fork, "shared tail", page);
+        check(&mut fork, "own tail after the copy", 0);
+        check(&mut s, "tail the fork let go of", 0);
+    }
+}

@@ -154,7 +154,9 @@ fn all_nan_logits_fall_back_to_a_deterministic_greedy_token() {
     let run = || {
         let sessions = vec![tender_model::engine::DecodeSession::new(&reference)];
         let mut engine = tender_model::engine::BatchEngine::new(sessions);
-        engine.generate_greedy(&prompts, steps)
+        engine
+            .generate_greedy(&prompts, steps)
+            .expect("one prompt per session")
     };
 
     let before = metrics::faults::DECODE_ARGMAX_SANITIZED.get();
