@@ -174,8 +174,13 @@ impl TenderCalibration {
     ///
     /// Rows beyond the calibrated range reuse the final chunk's metadata.
     pub fn chunk_for_row(&self, row: usize) -> &ChunkCalibration {
-        let idx = (row / self.chunk_rows).min(self.chunks.len() - 1);
-        &self.chunks[idx]
+        &self.chunks[self.chunk_index_for_row(row)]
+    }
+
+    /// Index into [`chunks`](Self::chunks) of the chunk
+    /// [`chunk_for_row`](Self::chunk_for_row) returns.
+    pub fn chunk_index_for_row(&self, row: usize) -> usize {
+        (row / self.chunk_rows).min(self.chunks.len() - 1)
     }
 
     /// All chunk calibrations.

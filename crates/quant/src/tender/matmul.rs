@@ -12,33 +12,44 @@
 //!   once, with the smallest scale. This is what the Multi-Scale Systolic
 //!   Array executes, and this module is its arithmetic reference model.
 //!
-//! The implicit path accumulates in `i64` and *reports* (rather than clips)
-//! values that would not fit the hardware's 32-bit accumulator, so the
-//! paper's "sufficiently large bit width" claim is checkable.
+//! # Accumulator width
 //!
-//! # Overflow semantics (hardware-faithful)
+//! The paper's PE accumulator is 32 bits wide (§IV-B). Before a chunk runs,
+//! [`chunk_accumulator_bound`] computes a sound worst-case bound on
+//! `|accumulator|` from the group sizes and operand bit widths. When the
+//! bound fits in `i32` — true for all paper-scale shapes — the chunk is
+//! *licensed* and runs on that 32-bit accumulator as **one** plain integer
+//! GEMM: each activation code is pre-multiplied by its group's
+//! `α^(G−1−g)`, which is the [`accumulate_chunk_explicit_shifted`] order.
+//! Shift-accumulate is linear, so `Σ_g α^(G−1−g) · P_g` is the same integer
+//! in whichever order its terms are added, and the bound (which is exactly
+//! `Σ |term|` at worst-case operands) keeps every partial sum of every
+//! order inside `i32`: a licensed chunk's overflow count is exactly zero,
+//! and its result is byte-identical to the per-step loop below at any
+//! thread count and under either GEMM backend.
 //!
-//! The paper's PE accumulator is 32 bits wide (§IV-B); an excursion past
-//! `i32` range at **any** accumulation step would clip on silicon, even if
-//! later steps of opposite sign bring the value back in range. The software
-//! model therefore checks after *every* accumulator mutation — each MAC and
-//! each α-shift — and counts every observation outside `[i32::MIN,
-//! i32::MAX]` as one overflow event. (An earlier revision only sampled the
-//! accumulator at group boundaries, silently missing exactly the mid-chunk
-//! excursions the hardware would corrupt.)
+//! Chunks the bound does not license run the per-step `i64` loop, which is
+//! also the semantic definition and test oracle
+//! ([`accumulate_chunk_implicit`]).
 //!
-//! Per-step checking is free for every workload the paper models: before a
-//! chunk runs, [`chunk_accumulator_bound`] computes a sound worst-case bound
-//! on `|accumulator|` from the group sizes and operand bit widths. When the
-//! bound fits in `i32` — true for all paper-scale shapes — no step can
-//! overflow, the checks are skipped entirely, and the count is exactly zero.
-//! Only chunks whose bound exceeds `i32` pay one compare per step.
+//! # Overflow semantics of the checked loop (hardware-faithful)
+//!
+//! An excursion past `i32` range at **any** accumulation step would clip on
+//! silicon, even if later steps of opposite sign bring the value back in
+//! range. The checked loop therefore tests the `i64` accumulator after
+//! *every* mutation — each MAC and each α-shift — and counts every
+//! observation outside `[i32::MIN, i32::MAX]` as one overflow event, so the
+//! paper's "sufficiently large bit width" claim is checkable. (An earlier
+//! revision only sampled the accumulator at group boundaries, silently
+//! missing exactly the mid-chunk excursions the hardware would corrupt.)
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tender_metrics::gemm as gemm_metrics;
 use tender_metrics::kernel as metrics;
-use tender_tensor::gemm::{self, BackendKind, NR};
+use tender_tensor::gemm::{self, BackendKind, MR, NR};
 use tender_tensor::pool;
 use tender_tensor::{stats, IMatrix, Matrix};
 
@@ -46,10 +57,20 @@ use super::calib::{ChunkCalibration, TenderCalibration};
 use super::config::TenderConfig;
 use crate::quantizer::{qmax, quantize_value, quantize_value_saturating, symmetric_scale};
 
+/// The weight codes transposed (`n × k`, each output column's `k` codes
+/// contiguous) at the narrowest width that holds them: the right-hand
+/// operand of [`gemm::narrow_dot_block`].
+#[derive(Debug, Clone)]
+enum PackedCodes {
+    I16(Vec<i16>),
+    I32(Vec<i32>),
+}
+
 /// A weight quantized per output column, ready for the integer pipeline.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeight {
     q: IMatrix,
+    qt: PackedCodes,
     scales: Vec<f32>,
     deq: Matrix,
     bits: u32,
@@ -64,8 +85,16 @@ impl QuantizedWeight {
             quantize_value(w[(r, c)], scales[c], bits)
         });
         let deq = Matrix::from_fn(w.rows(), w.cols(), |r, c| q[(r, c)] as f32 * scales[c]);
+        let qt = q.transpose();
+        let qt = if bits <= 16 {
+            let narrow = |&v| i16::try_from(v).expect("|code| ≤ qmax(16) = i16::MAX");
+            PackedCodes::I16(qt.as_slice().iter().map(narrow).collect())
+        } else {
+            PackedCodes::I32(qt.as_slice().to_vec())
+        };
         Self {
             q,
+            qt,
             scales,
             deq,
             bits,
@@ -104,6 +133,9 @@ pub struct MatmulStats {
     /// chunk ends (see the module docs). Zero for every workload the paper
     /// models.
     pub overflow_events: usize,
+    /// Number of `(row, channel)` activations the quantizer clipped to
+    /// `±qmax`.
+    pub saturated_values: usize,
     /// Number of row chunks processed.
     pub chunks_processed: usize,
 }
@@ -137,11 +169,20 @@ pub fn chunk_accumulator_bound(cc: &ChunkCalibration, w_bits: u32, config: &Tend
     bound
 }
 
-/// Whether a chunk with this calibration can be proven overflow-free, in
-/// which case the kernels skip per-step checks (the documented fast path).
+/// Whether a chunk with this calibration can be proven overflow-free, which
+/// licenses it for the 32-bit-accumulator kernel (the documented fast path).
 #[doc(hidden)]
 pub fn chunk_cannot_overflow(cc: &ChunkCalibration, w_bits: u32, config: &TenderConfig) -> bool {
     chunk_accumulator_bound(cc, w_bits, config) <= i32::MAX as u128
+}
+
+/// Whether every pre-scaled activation code `xq · α^(G−1−g)` of this
+/// configuration fits `i16`: `qmax(bits) · α^(G−1) ≤ i16::MAX`. Licensed
+/// chunks then feed the kernel 16-bit codes, otherwise 32-bit ones.
+#[doc(hidden)]
+pub fn codes_fit_i16(config: &TenderConfig) -> bool {
+    let top = (config.alpha as u128).saturating_pow(config.num_groups.saturating_sub(1) as u32);
+    (qmax(config.bits) as u128).saturating_mul(top) <= i16::MAX as u128
 }
 
 /// Bias-correction row: `bias · W_deq`, added to every output row of a chunk
@@ -152,16 +193,85 @@ fn bias_correction(bias: &[f32], w_deq: &Matrix) -> Vec<f32> {
         if b == 0.0 {
             continue;
         }
-        for (c, corr_c) in corr.iter_mut().enumerate() {
-            *corr_c += b * w_deq[(j, c)];
+        for (corr_c, &wd) in corr.iter_mut().zip(w_deq.row(j)) {
+            *corr_c += b * wd;
         }
     }
     corr
 }
 
+/// The bias-correction row of every calibration chunk, in chunk order.
+/// Static per (site, chunk), so [`super::TenderMatmul`] computes them once
+/// at prepare time; the free functions build the rows they touch per call.
+pub(super) fn bias_rows(w: &QuantizedWeight, calib: &TenderCalibration) -> Vec<Vec<f32>> {
+    calib
+        .chunks()
+        .iter()
+        .map(|cc| bias_correction(&cc.bias, &w.deq))
+        .collect()
+}
+
+/// Chunk `ci`'s bias-correction row: the prepared one, or built on the fly.
+fn bias_row<'a>(
+    prepared: Option<&'a [Vec<f32>]>,
+    ci: usize,
+    cc: &ChunkCalibration,
+    w: &QuantizedWeight,
+) -> Cow<'a, [f32]> {
+    match prepared {
+        Some(rows) => Cow::Borrowed(&rows[ci]),
+        None => Cow::Owned(bias_correction(&cc.bias, &w.deq)),
+    }
+}
+
+/// The single dequantization of the implicit path: the integer accumulator
+/// times the last group's scale and the column's weight scale, plus the
+/// bias-correction entry.
+#[inline(always)]
+fn dequant(acc: f32, s_last: f32, w_scale: f32, corr: f32) -> f32 {
+    acc * s_last * w_scale + corr
+}
+
+/// Records one implicit chunk of `m` rows in the kernel and (shape-derived)
+/// GEMM tile counters. Every (row, channel) pair is quantized exactly once
+/// per chunk on either path.
+fn record_implicit_chunk(
+    m: usize,
+    n: usize,
+    cc: &ChunkCalibration,
+    licensed: bool,
+    kind: BackendKind,
+) {
+    if licensed {
+        metrics::CHUNKS_FAST_PATH.incr();
+    } else {
+        metrics::CHUNKS_CHECKED.incr();
+    }
+    if kind == BackendKind::Blocked && n > 0 {
+        // One register tile per (row, NR-wide column band); the chunk's
+        // overflow bound decides fast vs checked for every tile at once.
+        let tiles = (m * n.div_ceil(NR)) as u64;
+        gemm_metrics::TILES_DISPATCHED.add(tiles);
+        if licensed {
+            gemm_metrics::TILES_FAST_PATH.add(tiles);
+        } else {
+            gemm_metrics::TILES_CHECKED.add(tiles);
+        }
+    }
+    record_quantized(m, cc);
+}
+
+/// Records the `m × channels` activations one chunk quantizes, per group.
+fn record_quantized(m: usize, cc: &ChunkCalibration) {
+    for (g, chans) in cc.order.iter().enumerate() {
+        metrics::GROUP_QUANTIZED.add(g, (m * chans.len()) as u64);
+    }
+    metrics::QUANTIZED_VALUES.add((m * cc.num_channels()) as u64);
+}
+
 /// Integer accumulation of one chunk with *implicit* requantization:
 /// groups in ascending index (descending scale), accumulator multiplied by
-/// α between groups. Runs through the process-wide GEMM backend.
+/// α between groups — the per-step `i64` definition, whatever the bound.
 #[doc(hidden)]
 pub fn accumulate_chunk_implicit(
     x_chunk: &Matrix,
@@ -169,91 +279,57 @@ pub fn accumulate_chunk_implicit(
     w: &QuantizedWeight,
     config: &TenderConfig,
 ) -> (Vec<i64>, usize) {
-    accumulate_chunk_recorded(x_chunk, cc, w, config, gemm::current())
-}
-
-/// [`accumulate_chunk_implicit`] plus metrics recording, for an explicit
-/// backend choice.
-fn accumulate_chunk_recorded(
-    x_chunk: &Matrix,
-    cc: &super::calib::ChunkCalibration,
-    w: &QuantizedWeight,
-    config: &TenderConfig,
-    kind: BackendKind,
-) -> (Vec<i64>, usize) {
-    let m = x_chunk.rows();
-    let n = w.q.cols();
-    let check_steps = !chunk_cannot_overflow(cc, w.bits, config);
-    if check_steps {
-        metrics::CHUNKS_CHECKED.incr();
-    } else {
-        metrics::CHUNKS_FAST_PATH.incr();
-    }
-    if kind == BackendKind::Blocked && n > 0 {
-        // One register tile per (row, NR-wide column band); the chunk's
-        // overflow bound gates the check-free path for every tile of the
-        // chunk at once.
-        let tiles = (m * n.div_ceil(NR)) as u64;
-        gemm_metrics::TILES_DISPATCHED.add(tiles);
-        if check_steps {
-            gemm_metrics::TILES_CHECKED.add(tiles);
-        } else {
-            gemm_metrics::TILES_FAST_PATH.add(tiles);
-        }
-    }
-    let (acc, overflow, saturated) = accumulate_chunk_implicit_with(x_chunk, cc, w, config, kind);
-    // Every (row, channel) pair is quantized exactly once per chunk — on
-    // both backends (the blocked kernel pre-quantizes each row once and
-    // re-reads the buffer per tile).
-    for (g, chans) in cc.order.iter().enumerate() {
-        metrics::GROUP_QUANTIZED.add(g, (m * chans.len()) as u64);
-    }
-    metrics::QUANTIZED_VALUES.add((m * cc.num_channels()) as u64);
+    let licensed = chunk_cannot_overflow(cc, w.bits, config);
+    record_implicit_chunk(x_chunk.rows(), w.q.cols(), cc, licensed, gemm::current());
+    let (acc, overflow, saturated) =
+        accumulate_rows_checked(x_chunk, 0..x_chunk.rows(), cc, w, config);
     metrics::SATURATED_VALUES.add(saturated as u64);
     metrics::OVERFLOW_EVENTS.add(overflow as u64);
     (acc, overflow)
 }
 
-/// Metrics-free implicit accumulation through an explicit backend; returns
-/// `(accumulator, overflow events, saturation events)`. Exposed for the
-/// cross-backend differential tests, which compare the counts directly
-/// without racing on the process-global metric statics.
+/// Metrics-free [`accumulate_chunk_implicit`]; returns `(accumulator,
+/// overflow events, saturation events)`. Exposed for the differential
+/// tests, which compare the counts directly without racing on the
+/// process-global metric statics. The loop is integer and backend-
+/// independent; `_kind` keeps the call shape of the other `*_with` oracles.
 #[doc(hidden)]
 pub fn accumulate_chunk_implicit_with(
     x_chunk: &Matrix,
     cc: &super::calib::ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
-    kind: BackendKind,
+    _kind: BackendKind,
 ) -> (Vec<i64>, usize, usize) {
-    let m = x_chunk.rows();
+    accumulate_rows_checked(x_chunk, 0..x_chunk.rows(), cc, w, config)
+}
+
+/// The checked path: `rows` of `x` against one chunk's calibration through
+/// the per-step `i64` loop; returns `(accumulator, overflow events,
+/// saturation events)`.
+fn accumulate_rows_checked(
+    x: &Matrix,
+    rows: Range<usize>,
+    cc: &ChunkCalibration,
+    w: &QuantizedWeight,
+    config: &TenderConfig,
+) -> (Vec<i64>, usize, usize) {
+    let m = rows.len();
     let n = w.q.cols();
     let mut acc = vec![0_i64; m * n];
     let overflow = AtomicUsize::new(0);
     let saturated = AtomicUsize::new(0);
-    // Fast path: when the worst-case accumulator bound fits the hardware's
-    // 32 bits, no step can overflow and per-step checks are skipped — the
-    // count of zero is then *exact*, not unsampled.
-    let check_steps = !chunk_cannot_overflow(cc, w.bits, config);
-    // Each accumulator row depends only on its own activation row, so the
-    // computation is expressed as a per-row kernel: group ascending, α-shift
-    // between groups, channels in Index-Buffer order. Row partitioning plus
-    // commutative integer overflow/saturation sums keeps the result
-    // (accumulator bits *and* the counts) identical at any thread count —
-    // and across backends, which only re-tile the per-row work.
+    // Each accumulator row depends only on its own activation row. Row
+    // partitioning plus commutative integer overflow/saturation sums keeps
+    // the result (accumulator bits *and* the counts) identical at any
+    // thread count.
     let row_kernel = |r: usize, a_row: &mut [i64]| {
-        let (row_overflow, row_saturated) = match kind {
-            BackendKind::Reference => {
-                implicit_row_reference(x_chunk, cc, w, config, check_steps, r, a_row)
-            }
-            BackendKind::Blocked => {
-                implicit_row_blocked(x_chunk, cc, w, config, check_steps, r, a_row)
-            }
-        };
+        let (row_overflow, row_saturated) =
+            implicit_row_checked(x, rows.start + r, cc, w, config, a_row);
         overflow.fetch_add(row_overflow, Ordering::Relaxed);
         saturated.fetch_add(row_saturated, Ordering::Relaxed);
     };
-    if m * x_chunk.cols() * n < pool::PAR_THRESHOLD || m < 2 {
+    if m * x.cols() * n < pool::PAR_THRESHOLD || m < 2 {
         for r in 0..m {
             row_kernel(r, &mut acc[r * n..(r + 1) * n]);
         }
@@ -263,15 +339,15 @@ pub fn accumulate_chunk_implicit_with(
     (acc, overflow.into_inner(), saturated.into_inner())
 }
 
-/// Reference order for one accumulator row: the original loops, verbatim.
-/// Returns `(overflow events, saturation events)` for the row.
-fn implicit_row_reference(
-    x_chunk: &Matrix,
+/// One accumulator row of the per-step loop: group ascending, α-shift
+/// between groups, channels in Index-Buffer order, the `i32` range tested
+/// after every mutation. Returns `(overflow events, saturation events)`.
+fn implicit_row_checked(
+    x: &Matrix,
+    r: usize,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
-    check_steps: bool,
-    r: usize,
     a_row: &mut [i64],
 ) -> (usize, usize) {
     let alpha = config.alpha as i64;
@@ -279,153 +355,125 @@ fn implicit_row_reference(
     let mut row_saturated = 0_usize;
     for g in 0..config.num_groups {
         if g > 0 {
-            if check_steps {
-                for a in a_row.iter_mut() {
-                    *a *= alpha;
-                    row_overflow += outside_i32(*a) as usize;
-                }
-            } else {
-                for a in a_row.iter_mut() {
-                    *a *= alpha;
-                }
+            for a in a_row.iter_mut() {
+                *a *= alpha;
+                row_overflow += outside_i32(*a) as usize;
             }
         }
         let s_g = cc.scales[g];
         for &ch in &cc.order[g] {
             let b = cc.bias[ch];
             let w_row = w.q.row(ch);
-            let (xq, sat) = quantize_value_saturating(x_chunk[(r, ch)] - b, s_g, config.bits);
+            let (xq, sat) = quantize_value_saturating(x[(r, ch)] - b, s_g, config.bits);
             row_saturated += sat as usize;
             let xq = xq as i64;
             if xq == 0 {
                 continue;
             }
-            if check_steps {
-                for (a, &wv) in a_row.iter_mut().zip(w_row) {
-                    *a += xq * wv as i64;
-                    row_overflow += outside_i32(*a) as usize;
-                }
-            } else {
-                for (a, &wv) in a_row.iter_mut().zip(w_row) {
-                    *a += xq * wv as i64;
-                }
+            for (a, &wv) in a_row.iter_mut().zip(w_row) {
+                *a += xq * wv as i64;
+                row_overflow += outside_i32(*a) as usize;
             }
         }
     }
     (row_overflow, row_saturated)
 }
 
-/// Blocked order for one accumulator row: the activation row is quantized
-/// once per channel into a buffer, then each `NR`-column register tile
-/// replays the full group walk — `k` order, α-shift points, zero-skips and
-/// overflow checks exactly as the reference executes them per element, just
-/// restricted to the tile's columns. Overflow/saturation totals are
-/// commutative sums over the same (element, step) events, so they match the
-/// reference exactly.
-fn implicit_row_blocked(
-    x_chunk: &Matrix,
+/// The licensed path: `rows` of `x` against one chunk's calibration on the
+/// 32-bit accumulator, dequantized straight into `out_chunk`. Picks the
+/// operand widths ([`codes_fit_i16`] for the activation codes, the packed
+/// weight's own width) and returns the saturation-event count.
+fn licensed_chunk(
+    x: &Matrix,
+    rows: Range<usize>,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
-    check_steps: bool,
-    r: usize,
-    a_row: &mut [i64],
-) -> (usize, usize) {
-    let n = a_row.len();
-    let alpha = config.alpha as i64;
-    let mut row_overflow = 0_usize;
-    let mut row_saturated = 0_usize;
-    // Quantize each (row, channel) exactly once, in group walk order.
-    let total: usize = cc.order.iter().map(|chans| chans.len()).sum();
-    let mut xq_row = Vec::with_capacity(total);
-    for g in 0..config.num_groups {
-        let s_g = cc.scales[g];
-        for &ch in &cc.order[g] {
-            let (xq, sat) =
-                quantize_value_saturating(x_chunk[(r, ch)] - cc.bias[ch], s_g, config.bits);
-            row_saturated += sat as usize;
-            xq_row.push(xq as i64);
+    corr: &[f32],
+    out_chunk: &mut [f32],
+) -> usize {
+    match (codes_fit_i16(config), &w.qt) {
+        (true, PackedCodes::I16(bt)) => {
+            licensed_rows::<i16, i16>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+        }
+        (true, PackedCodes::I32(bt)) => {
+            licensed_rows::<i16, i32>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+        }
+        (false, PackedCodes::I16(bt)) => {
+            licensed_rows::<i32, i16>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+        }
+        (false, PackedCodes::I32(bt)) => {
+            licensed_rows::<i32, i32>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
         }
     }
-    let full = n - n % NR;
-    let mut j0 = 0;
-    while j0 < full {
-        let mut regs = [0_i64; NR];
-        let mut pos = 0;
-        for g in 0..config.num_groups {
-            if g > 0 {
-                for a in regs.iter_mut() {
-                    *a *= alpha;
-                }
-                if check_steps {
-                    for &a in regs.iter() {
-                        row_overflow += outside_i32(a) as usize;
-                    }
-                }
-            }
-            for &ch in &cc.order[g] {
-                let xq = xq_row[pos];
-                pos += 1;
-                if xq == 0 {
-                    continue;
-                }
-                let wp: &[i32; NR] = (&w.q.row(ch)[j0..j0 + NR])
-                    .try_into()
-                    .expect("panel width NR");
-                regs[0] += xq * wp[0] as i64;
-                regs[1] += xq * wp[1] as i64;
-                regs[2] += xq * wp[2] as i64;
-                regs[3] += xq * wp[3] as i64;
-                regs[4] += xq * wp[4] as i64;
-                regs[5] += xq * wp[5] as i64;
-                regs[6] += xq * wp[6] as i64;
-                regs[7] += xq * wp[7] as i64;
-                if check_steps {
-                    for &a in regs.iter() {
-                        row_overflow += outside_i32(a) as usize;
-                    }
-                }
-            }
-        }
-        a_row[j0..j0 + NR].copy_from_slice(&regs);
-        j0 += NR;
+}
+
+/// [`licensed_chunk`] at fixed operand widths. Each [`MR`]-row block
+/// quantizes its activations once into codes pre-multiplied by
+/// `α^(G−1−g)` — which collapses the group walk into one integer GEMM —
+/// and multiplies them against the transposed weight codes `bt`. Blocks fan
+/// out over the pool above [`pool::PAR_THRESHOLD`]; a decode row stays
+/// inline.
+#[allow(clippy::too_many_arguments)]
+fn licensed_rows<A, B>(
+    x: &Matrix,
+    rows: Range<usize>,
+    cc: &ChunkCalibration,
+    bt: &[B],
+    w_scales: &[f32],
+    config: &TenderConfig,
+    corr: &[f32],
+    out_chunk: &mut [f32],
+) -> usize
+where
+    A: Copy + Default + Into<i32> + TryFrom<i32>,
+    B: Copy + Into<i32> + Sync,
+{
+    let k = x.cols();
+    let n = corr.len();
+    let groups = config.num_groups;
+    // α^(G−1−g) per group. A nonempty group's factor is at most the chunk
+    // bound, hence an `i32`; an empty group's is never read.
+    let alpha = i32::try_from(config.alpha).unwrap_or(i32::MAX);
+    let mut factor = vec![1_i32; groups];
+    for g in (1..groups).rev() {
+        factor[g - 1] = factor[g].saturating_mul(alpha);
     }
-    if j0 < n {
-        // Edge tile (n % NR columns): scalar bank, identical step order.
-        let jw = n - j0;
-        let mut regs = [0_i64; NR];
-        let mut pos = 0;
-        for g in 0..config.num_groups {
-            if g > 0 {
-                for a in regs[..jw].iter_mut() {
-                    *a *= alpha;
-                }
-                if check_steps {
-                    for &a in regs[..jw].iter() {
-                        row_overflow += outside_i32(a) as usize;
-                    }
-                }
-            }
-            for &ch in &cc.order[g] {
-                let xq = xq_row[pos];
-                pos += 1;
-                if xq == 0 {
-                    continue;
-                }
-                let wp = &w.q.row(ch)[j0..j0 + jw];
-                for (a, &wv) in regs[..jw].iter_mut().zip(wp) {
-                    *a += xq * wv as i64;
-                }
-                if check_steps {
-                    for &a in regs[..jw].iter() {
-                        row_overflow += outside_i32(a) as usize;
-                    }
+    let s_last = cc.scales[groups - 1];
+    let saturated = AtomicUsize::new(0);
+    let block = |bi: usize, out_block: &mut [f32]| {
+        let r0 = rows.start + bi * MR;
+        let mut codes = vec![A::default(); out_block.len() / n * k];
+        let mut block_saturated = 0_usize;
+        for (r, code_row) in codes.chunks_exact_mut(k).enumerate() {
+            let x_row = x.row(r0 + r);
+            let per_group = cc.order[..groups].iter().zip(&cc.scales[..groups]);
+            for ((chans, &s_g), &f_g) in per_group.zip(&factor) {
+                for &ch in chans {
+                    // Saturation is counted once per (row, channel), as in
+                    // the per-step loop.
+                    let (xq, sat) =
+                        quantize_value_saturating(x_row[ch] - cc.bias[ch], s_g, config.bits);
+                    block_saturated += sat as usize;
+                    code_row[ch] = A::try_from(xq * f_g)
+                        .ok()
+                        .expect("licensed code fits its operand width");
                 }
             }
         }
-        a_row[j0..j0 + jw].copy_from_slice(&regs[..jw]);
+        saturated.fetch_add(block_saturated, Ordering::Relaxed);
+        gemm::narrow_dot_block(&codes, bt, k, n, out_block, |j, acc| {
+            dequant(acc as f32, s_last, w_scales[j], corr[j])
+        });
+    };
+    if rows.len() * k * n < pool::PAR_THRESHOLD || rows.len() < 2 {
+        for (bi, out_block) in out_chunk.chunks_mut(MR * n).enumerate() {
+            block(bi, out_block);
+        }
+    } else {
+        pool::par_chunks_mut(out_chunk, MR * n, block);
     }
-    (row_overflow, row_saturated)
+    saturated.into_inner()
 }
 
 /// Integer accumulation of one chunk with *explicit* shifted accumulation:
@@ -525,10 +573,11 @@ pub fn implicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_requant_matmul_with(x, w, calib, config, gemm::current())
+    implicit_runs(x, 0, w, calib, config, gemm::current(), None)
 }
 
-/// [`implicit_requant_matmul`] through an explicit backend. Exposed for the
+/// [`implicit_requant_matmul`] recording its GEMM tile counters as `kind`.
+/// The kernel itself is integer and backend-independent; exposed for the
 /// cross-backend differential tests.
 #[doc(hidden)]
 pub fn implicit_requant_matmul_with(
@@ -538,62 +587,105 @@ pub fn implicit_requant_matmul_with(
     config: &TenderConfig,
     kind: BackendKind,
 ) -> MatmulStats {
+    implicit_runs(x, 0, w, calib, config, kind, None)
+}
+
+/// [`implicit_requant_matmul`] for activation rows starting at absolute
+/// sequence position `row0` — the decode-path entry point.
+///
+/// Each row is quantized against the calibration chunk that covered its
+/// *absolute* row index during prefill (`calib.chunk_for_row(row0 + r)`),
+/// and integer sums do not depend on which rows share a call, so a single
+/// decoded row is bit-identical to the same row of the full-sequence
+/// product.
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as [`implicit_requant_matmul`].
+pub fn implicit_requant_matmul_at(
+    x: &Matrix,
+    row0: usize,
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+) -> MatmulStats {
+    implicit_runs(x, row0, w, calib, config, gemm::current(), None)
+}
+
+/// Body of every implicit entry point: each run of rows sharing a
+/// calibration chunk goes to the 32-bit kernel when the chunk's bound
+/// licenses it, otherwise through the checked `i64` loop. `prepared` holds
+/// [`bias_rows`] when the caller computed them ahead of time.
+pub(super) fn implicit_runs(
+    x: &Matrix,
+    row0: usize,
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+    kind: BackendKind,
+    prepared: Option<&[Vec<f32>]>,
+) -> MatmulStats {
     check_shapes(x, w, calib);
     metrics::IMPLICIT_MATMULS.incr();
     let n = w.q.cols();
-    let chunk_rows = calib.chunk_rows();
     let mut result = Matrix::zeros(x.rows(), n);
-    let chunks_processed = x.rows().div_ceil(chunk_rows);
-    let overflow_events = AtomicUsize::new(0);
-    // Row chunks are independent (each owns its result rows; the overflow
-    // total is a commutative integer sum), so they fan out across the pool.
-    let chunk_kernel = |ci: usize, out_chunk: &mut [f32]| {
-        let r0 = ci * chunk_rows;
-        let m = out_chunk.len() / n;
-        let cc = calib.chunk_for_row(r0);
-        let x_chunk = x.slice_rows(r0, r0 + m);
-        let (acc, overflow) = accumulate_chunk_recorded(&x_chunk, cc, w, config, kind);
-        overflow_events.fetch_add(overflow, Ordering::Relaxed);
-        dequant_chunk(&acc, cc, w, config, out_chunk);
-    };
-    if chunks_processed < 2 || x.rows() * x.cols() * n < pool::PAR_THRESHOLD {
-        for ci in 0..chunks_processed {
-            let r0 = ci * chunk_rows;
-            let r1 = (r0 + chunk_rows).min(x.rows());
-            chunk_kernel(ci, &mut result.as_mut_slice()[r0 * n..r1 * n]);
-        }
-    } else {
-        pool::par_chunks_mut(result.as_mut_slice(), chunk_rows * n, chunk_kernel);
+    let mut overflow_events = 0;
+    let mut saturated_values = 0;
+    let mut chunks_processed = 0;
+    // Runs execute in turn; each fans its rows out over the pool when it is
+    // large enough to pay for that.
+    for (r0, r1) in chunk_runs(x.rows(), row0, calib.chunk_rows()) {
+        let ci = calib.chunk_index_for_row(row0 + r0);
+        let cc = &calib.chunks()[ci];
+        let corr = bias_row(prepared, ci, cc, w);
+        let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
+        let licensed = chunk_cannot_overflow(cc, w.bits, config);
+        record_implicit_chunk(r1 - r0, n, cc, licensed, kind);
+        saturated_values += if licensed {
+            licensed_chunk(x, r0..r1, cc, w, config, &corr, out_chunk)
+        } else {
+            let (acc, overflow, saturated) = accumulate_rows_checked(x, r0..r1, cc, w, config);
+            overflow_events += overflow;
+            let s_last = cc.scales[config.num_groups - 1];
+            for (out_row, acc_row) in out_chunk.chunks_exact_mut(n).zip(acc.chunks_exact(n)) {
+                for (((o, &a), &ws), &c) in
+                    out_row.iter_mut().zip(acc_row).zip(&w.scales).zip(&*corr)
+                {
+                    *o = dequant(a as f32, s_last, ws, c);
+                }
+            }
+            saturated
+        };
+        chunks_processed += 1;
     }
+    metrics::SATURATED_VALUES.add(saturated_values as u64);
+    metrics::OVERFLOW_EVENTS.add(overflow_events as u64);
     MatmulStats {
         result,
-        overflow_events: overflow_events.into_inner(),
+        overflow_events,
+        saturated_values,
         chunks_processed,
     }
 }
 
 /// One chunk of the explicit (Eq. 1) path: group partial products are
 /// dequantized to `f32` per channel and summed into `out_chunk`, then the
-/// bias-correction row is added. Returns the saturation-event count; the
-/// caller folds it into `SATURATED_VALUES`.
+/// bias-correction row `corr` is added. Returns the saturation-event count.
+#[allow(clippy::too_many_arguments)]
 fn explicit_chunk(
-    x_chunk: &Matrix,
+    x: &Matrix,
+    rows: Range<usize>,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
+    corr: &[f32],
     out_chunk: &mut [f32],
     kind: BackendKind,
 ) -> usize {
-    let m = x_chunk.rows();
-    let n = w.q.cols();
-    for (g, chans) in cc.order.iter().enumerate() {
-        metrics::GROUP_QUANTIZED.add(g, (m * chans.len()) as u64);
+    match kind {
+        BackendKind::Reference => explicit_chunk_reference(x, rows, cc, w, config, corr, out_chunk),
+        BackendKind::Blocked => explicit_chunk_blocked(x, rows, cc, w, config, corr, out_chunk),
     }
-    metrics::QUANTIZED_VALUES.add((m * cc.num_channels()) as u64);
-    if kind == BackendKind::Blocked && n > 0 {
-        gemm_metrics::TILES_DISPATCHED.add((m * n.div_ceil(NR)) as u64);
-    }
-    explicit_chunk_with(x_chunk, cc, w, config, out_chunk, kind)
 }
 
 /// Metrics-free explicit chunk through an explicit backend; `out_chunk`
@@ -609,46 +701,43 @@ pub fn explicit_chunk_with(
     out_chunk: &mut [f32],
     kind: BackendKind,
 ) -> usize {
-    match kind {
-        BackendKind::Reference => explicit_chunk_reference(x_chunk, cc, w, config, out_chunk),
-        BackendKind::Blocked => explicit_chunk_blocked(x_chunk, cc, w, config, out_chunk),
-    }
+    let corr = bias_correction(&cc.bias, &w.deq);
+    let rows = 0..x_chunk.rows();
+    explicit_chunk(x_chunk, rows, cc, w, config, &corr, out_chunk, kind)
 }
 
 /// Reference order for one explicit chunk: the original loops, verbatim.
 fn explicit_chunk_reference(
-    x_chunk: &Matrix,
+    x: &Matrix,
+    rows: Range<usize>,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
+    corr: &[f32],
     out_chunk: &mut [f32],
 ) -> usize {
-    let m = x_chunk.rows();
     let n = w.q.cols();
-    let corr = bias_correction(&cc.bias, &w.deq);
     let mut chunk_saturated = 0_usize;
     for g in 0..config.num_groups {
         let s_g = cc.scales[g];
         for &ch in &cc.order[g] {
             let b = cc.bias[ch];
-            for r in 0..m {
-                let (xq, sat) = quantize_value_saturating(x_chunk[(r, ch)] - b, s_g, config.bits);
+            for (r, out_row) in rows.clone().zip(out_chunk.chunks_exact_mut(n)) {
+                let (xq, sat) = quantize_value_saturating(x[(r, ch)] - b, s_g, config.bits);
                 chunk_saturated += sat as usize;
                 if xq == 0 {
                     continue;
                 }
                 // Dequantized activation value for this channel.
                 let xf = xq as f32 * s_g;
-                let out_row = &mut out_chunk[r * n..(r + 1) * n];
                 for (o, &wd) in out_row.iter_mut().zip(w.deq.row(ch)) {
                     *o += xf * wd;
                 }
             }
         }
     }
-    for r in 0..m {
-        let out_row = &mut out_chunk[r * n..(r + 1) * n];
-        for (o, &c) in out_row.iter_mut().zip(&corr) {
+    for out_row in out_chunk.chunks_exact_mut(n) {
+        for (o, &c) in out_row.iter_mut().zip(corr) {
             *o += c;
         }
     }
@@ -662,17 +751,19 @@ fn explicit_chunk_reference(
 /// bias-correction entries before storing. Per output element the f32
 /// addition chain is exactly the reference chain (`+0.0`, the channel terms
 /// in group-walk order, then the correction), so the result is
-/// byte-identical.
+/// byte-identical. (Unlike the integer implicit kernel, an f32 chain is not
+/// order-free, which is why this path still has a twin per backend.)
 fn explicit_chunk_blocked(
-    x_chunk: &Matrix,
+    x: &Matrix,
+    rows: Range<usize>,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
+    corr: &[f32],
     out_chunk: &mut [f32],
 ) -> usize {
-    let m = x_chunk.rows();
+    let m = rows.len();
     let n = w.q.cols();
-    let corr = bias_correction(&cc.bias, &w.deq);
     let mut chunk_saturated = 0_usize;
     let chans_flat: Vec<usize> = cc.order.iter().flatten().copied().collect();
     let total = chans_flat.len();
@@ -686,7 +777,8 @@ fn explicit_chunk_blocked(
         for &ch in &cc.order[g] {
             let b = cc.bias[ch];
             for r in 0..m {
-                let (xq, sat) = quantize_value_saturating(x_chunk[(r, ch)] - b, s_g, config.bits);
+                let (xq, sat) =
+                    quantize_value_saturating(x[(rows.start + r, ch)] - b, s_g, config.bits);
                 chunk_saturated += sat as usize;
                 xq_all[r * total + pos] = xq;
                 xf_all[r * total + pos] = xq as f32 * s_g;
@@ -747,139 +839,21 @@ fn explicit_chunk_blocked(
     chunk_saturated
 }
 
-/// Maximal consecutive runs of `rows` activation rows that share one
-/// nominal calibration chunk when row 0 sits at absolute sequence position
-/// `row0`. Run boundaries fall on the same `chunk_rows` grid the
-/// full-sequence kernels use, so a run starting mid-chunk (decode) ends at
-/// the same absolute boundary prefill's chunk did.
-fn chunk_runs(rows: usize, row0: usize, calib: &TenderCalibration) -> Vec<(usize, usize)> {
-    let chunk_rows = calib.chunk_rows();
-    let mut runs = Vec::new();
+/// Maximal consecutive runs `(start, end)` of `rows` activation rows that
+/// share one nominal calibration chunk when row 0 sits at absolute sequence
+/// position `row0`. Run boundaries fall on the absolute `chunk_rows` grid,
+/// so a run starting mid-chunk (decode) ends at the same absolute boundary
+/// prefill's chunk did.
+fn chunk_runs(rows: usize, row0: usize, chunk_rows: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut r = 0;
-    while r < rows {
-        let ci = (row0 + r) / chunk_rows;
-        let end = ((ci + 1) * chunk_rows - row0).min(rows);
-        runs.push((r, end));
-        r = end;
-    }
-    runs
-}
-
-/// Dequantizes one chunk's integer accumulator into `out_chunk` exactly as
-/// the full-sequence implicit kernel does: one multiply by the last group's
-/// scale and the per-column weight scale, plus the bias-correction row.
-fn dequant_chunk(
-    acc: &[i64],
-    cc: &ChunkCalibration,
-    w: &QuantizedWeight,
-    config: &TenderConfig,
-    out_chunk: &mut [f32],
-) {
-    let n = w.q.cols();
-    let corr = bias_correction(&cc.bias, &w.deq);
-    let s_last = cc.scales[config.num_groups - 1];
-    for (i, o) in out_chunk.iter_mut().enumerate() {
-        let c = i % n;
-        *o = acc[i] as f32 * s_last * w.scales[c] + corr[c];
-    }
-}
-
-/// [`implicit_requant_matmul`] for activation rows starting at absolute
-/// sequence position `row0` — the decode-path entry point.
-///
-/// Each row is quantized against the calibration chunk that covered its
-/// *absolute* row index during prefill (`calib.chunk_for_row(row0 + r)`),
-/// and runs through the identical per-row integer kernel and dequantization,
-/// so a single decoded row is bit-identical to the same row of the
-/// full-sequence product. `row0 == 0` delegates to the plain kernel.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`implicit_requant_matmul`].
-pub fn implicit_requant_matmul_at(
-    x: &Matrix,
-    row0: usize,
-    w: &QuantizedWeight,
-    calib: &TenderCalibration,
-    config: &TenderConfig,
-) -> MatmulStats {
-    let kind = gemm::current();
-    if row0 == 0 {
-        return implicit_requant_matmul_with(x, w, calib, config, kind);
-    }
-    check_shapes(x, w, calib);
-    metrics::IMPLICIT_MATMULS.incr();
-    let n = w.q.cols();
-    let mut result = Matrix::zeros(x.rows(), n);
-    let mut overflow_events = 0;
-    let mut chunks_processed = 0;
-    // Decode steps carry one (or a few) rows, so the runs execute serially;
-    // parallelism comes from running whole sessions across the pool.
-    for (r0, r1) in chunk_runs(x.rows(), row0, calib) {
-        let cc = calib.chunk_for_row(row0 + r0);
-        let x_chunk = x.slice_rows(r0, r1);
-        let (acc, overflow) = accumulate_chunk_recorded(&x_chunk, cc, w, config, kind);
-        overflow_events += overflow;
-        chunks_processed += 1;
-        dequant_chunk(
-            &acc,
-            cc,
-            w,
-            config,
-            &mut result.as_mut_slice()[r0 * n..r1 * n],
-        );
-    }
-    MatmulStats {
-        result,
-        overflow_events,
-        chunks_processed,
-    }
-}
-
-/// [`explicit_requant_matmul`] for activation rows starting at absolute
-/// sequence position `row0`; see [`implicit_requant_matmul_at`] for the
-/// chunk-selection rule and parity contract. `row0 == 0` delegates to the
-/// plain kernel.
-///
-/// # Panics
-///
-/// Panics on the same shape mismatches as [`explicit_requant_matmul`].
-pub fn explicit_requant_matmul_at(
-    x: &Matrix,
-    row0: usize,
-    w: &QuantizedWeight,
-    calib: &TenderCalibration,
-    config: &TenderConfig,
-) -> MatmulStats {
-    let kind = gemm::current();
-    if row0 == 0 {
-        return explicit_requant_matmul_with(x, w, calib, config, kind);
-    }
-    check_shapes(x, w, calib);
-    metrics::EXPLICIT_MATMULS.incr();
-    let n = w.q.cols();
-    let mut result = Matrix::zeros(x.rows(), n);
-    let mut saturated = 0_usize;
-    let mut chunks_processed = 0;
-    for (r0, r1) in chunk_runs(x.rows(), row0, calib) {
-        let cc = calib.chunk_for_row(row0 + r0);
-        let x_chunk = x.slice_rows(r0, r1);
-        saturated += explicit_chunk(
-            &x_chunk,
-            cc,
-            w,
-            config,
-            &mut result.as_mut_slice()[r0 * n..r1 * n],
-            kind,
-        );
-        chunks_processed += 1;
-    }
-    metrics::SATURATED_VALUES.add(saturated as u64);
-    MatmulStats {
-        result,
-        overflow_events: 0,
-        chunks_processed,
-    }
+    std::iter::from_fn(move || {
+        (r < rows).then(|| {
+            let boundary = ((row0 + r) / chunk_rows + 1) * chunk_rows;
+            let run = (r, (boundary - row0).min(rows));
+            r = run.1;
+            run
+        })
+    })
 }
 
 /// Tender matmul via **explicit requantization** (Eq. 1 / Fig. 5(a)): each
@@ -900,7 +874,7 @@ pub fn explicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_requant_matmul_with(x, w, calib, config, gemm::current())
+    explicit_runs(x, 0, w, calib, config, gemm::current(), None)
 }
 
 /// [`explicit_requant_matmul`] through an explicit backend. Exposed for the
@@ -913,38 +887,62 @@ pub fn explicit_requant_matmul_with(
     config: &TenderConfig,
     kind: BackendKind,
 ) -> MatmulStats {
+    explicit_runs(x, 0, w, calib, config, kind, None)
+}
+
+/// [`explicit_requant_matmul`] for activation rows starting at absolute
+/// sequence position `row0`; see [`implicit_requant_matmul_at`] for the
+/// chunk-selection rule. Each output row's f32 chain depends only on its
+/// own activation row, so the parity contract holds here too.
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as [`explicit_requant_matmul`].
+pub fn explicit_requant_matmul_at(
+    x: &Matrix,
+    row0: usize,
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+) -> MatmulStats {
+    explicit_runs(x, row0, w, calib, config, gemm::current(), None)
+}
+
+/// Body of every explicit entry point; `prepared` as in [`implicit_runs`].
+pub(super) fn explicit_runs(
+    x: &Matrix,
+    row0: usize,
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+    kind: BackendKind,
+    prepared: Option<&[Vec<f32>]>,
+) -> MatmulStats {
     check_shapes(x, w, calib);
     metrics::EXPLICIT_MATMULS.incr();
     let n = w.q.cols();
-    let chunk_rows = calib.chunk_rows();
     let mut result = Matrix::zeros(x.rows(), n);
-    let chunks_processed = x.rows().div_ceil(chunk_rows);
-    let saturated = AtomicUsize::new(0);
-    // Chunks write disjoint result rows with the serial op order inside each
-    // chunk, so fanning them across the pool keeps the output bit-identical.
-    let chunk_kernel = |ci: usize, out_chunk: &mut [f32]| {
-        let r0 = ci * chunk_rows;
-        let m = out_chunk.len() / n;
-        let cc = calib.chunk_for_row(r0);
-        let x_chunk = x.slice_rows(r0, r0 + m);
-        let chunk_saturated = explicit_chunk(&x_chunk, cc, w, config, out_chunk, kind);
-        saturated.fetch_add(chunk_saturated, Ordering::Relaxed);
-    };
-    if chunks_processed < 2 || x.rows() * x.cols() * n < pool::PAR_THRESHOLD {
-        for ci in 0..chunks_processed {
-            let r0 = ci * chunk_rows;
-            let r1 = (r0 + chunk_rows).min(x.rows());
-            chunk_kernel(ci, &mut result.as_mut_slice()[r0 * n..r1 * n]);
+    let mut saturated_values = 0;
+    let mut chunks_processed = 0;
+    for (r0, r1) in chunk_runs(x.rows(), row0, calib.chunk_rows()) {
+        let ci = calib.chunk_index_for_row(row0 + r0);
+        let cc = &calib.chunks()[ci];
+        let corr = bias_row(prepared, ci, cc, w);
+        record_quantized(r1 - r0, cc);
+        if kind == BackendKind::Blocked && n > 0 {
+            gemm_metrics::TILES_DISPATCHED.add(((r1 - r0) * n.div_ceil(NR)) as u64);
         }
-    } else {
-        pool::par_chunks_mut(result.as_mut_slice(), chunk_rows * n, chunk_kernel);
+        let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
+        saturated_values += explicit_chunk(x, r0..r1, cc, w, config, &corr, out_chunk, kind);
+        chunks_processed += 1;
     }
-    metrics::SATURATED_VALUES.add(saturated.into_inner() as u64);
+    metrics::SATURATED_VALUES.add(saturated_values as u64);
     MatmulStats {
         result,
         // Group partial products are dequantized to f32 before summation in
         // this path, so there is no integer accumulator to overflow.
         overflow_events: 0,
+        saturated_values,
         chunks_processed,
     }
 }
@@ -1111,14 +1109,14 @@ mod tests {
 
     #[test]
     fn chunk_runs_cover_rows_on_absolute_boundaries() {
-        let (x, _, calib, _) = setup(71, 8, 4); // chunk_rows = 8
-        let _ = x;
-        assert_eq!(chunk_runs(16, 0, &calib), vec![(0, 8), (8, 16)]);
-        assert_eq!(chunk_runs(1, 13, &calib), vec![(0, 1)]);
-        assert_eq!(chunk_runs(10, 6, &calib), vec![(0, 2), (2, 10)]);
+        let runs = |rows, row0| chunk_runs(rows, row0, 8).collect::<Vec<_>>();
+        assert_eq!(runs(16, 0), vec![(0, 8), (8, 16)]);
+        assert_eq!(runs(1, 13), vec![(0, 1)]);
+        assert_eq!(runs(10, 6), vec![(0, 2), (2, 10)]);
         // Past the calibrated range the nominal grid still applies; the
         // clamped chunk metadata is identical so results do not change.
-        assert_eq!(chunk_runs(4, 30, &calib), vec![(0, 2), (2, 4)]);
+        assert_eq!(runs(4, 30), vec![(0, 2), (2, 4)]);
+        assert_eq!(runs(0, 5), vec![]);
     }
 
     #[test]
@@ -1177,6 +1175,197 @@ mod tests {
         // group, same channel order).
         let (_, explicit_overflow) = accumulate_chunk_explicit_shifted(&x, cc, &w, &config);
         assert_eq!(explicit_overflow, 1);
+    }
+
+    /// What `implicit_requant_matmul` must return for a single-chunk `x`:
+    /// the per-step `i64` accumulator through the defining dequantization.
+    fn oracle_result(
+        x: &Matrix,
+        w: &QuantizedWeight,
+        cc: &ChunkCalibration,
+        config: &TenderConfig,
+    ) -> Vec<f32> {
+        let (acc, _, _) = accumulate_chunk_implicit_with(x, cc, w, config, BackendKind::Reference);
+        let corr = bias_correction(&cc.bias, &w.deq);
+        let s_last = cc.scales[config.num_groups - 1];
+        acc.iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let c = i % corr.len();
+                dequant(a as f32, s_last, w.scales[c], corr[c])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn operand_width_flips_exactly_at_i16_max() {
+        // Largest pre-scaled code qmax(bits) · α^(G−1): 32767 must still
+        // ride in i16 operands, 32768 (and 7 · 4682) must not, and both
+        // widths must reproduce the oracle bit for bit.
+        for (bits, groups, alpha, top_code, fits) in [
+            (16, 1, 2, 32767, true),
+            (4, 2, 4681, 32767, true),
+            (2, 16, 2, 32768, false),
+            (4, 2, 4682, 32774, false),
+        ] {
+            let config = TenderConfig {
+                bits,
+                num_groups: groups,
+                alpha,
+                row_chunk: 0,
+                quant_act_act: false,
+                subtract_bias: false,
+            };
+            // Channel 0 carries ±TMax, so its code is ±qmax in group 0; the
+            // rest fall into the last group.
+            let x = Matrix::from_fn(3, 6, |r, c| match (r, c) {
+                (0, 0) => 1000.0,
+                (1, 0) => -1000.0,
+                (_, 0) => 250.0,
+                _ => 1e-3 * (r + c) as f32,
+            });
+            let calib = TenderCalibration::from_samples(std::slice::from_ref(&x), &config);
+            let cc = calib.chunk_for_row(0);
+            let wf = Matrix::from_fn(6, 3, |r, c| (r as f32 - 2.5) * (c as f32 + 1.0));
+            let w = QuantizedWeight::per_col(&wf, 3);
+            assert!(chunk_cannot_overflow(cc, w.bits, &config), "bits={bits}");
+            assert_eq!(
+                codes_fit_i16(&config),
+                fits,
+                "bits={bits} G={groups} α={alpha}"
+            );
+            let group0 = &quantized_group_operands(&x, cc, &w, &config)[0].0;
+            let factor = (alpha as i64).pow(groups as u32 - 1);
+            assert_eq!(group0[(0, 0)] as i64 * factor, top_code);
+            assert_eq!(group0[(1, 0)] as i64 * factor, -top_code);
+            let got = implicit_requant_matmul(&x, &w, &calib, &config);
+            assert_eq!(got.overflow_events, 0);
+            assert_eq!(
+                got.result.as_slice(),
+                &oracle_result(&x, &w, cc, &config)[..],
+                "bits={bits} G={groups} α={alpha}"
+            );
+        }
+    }
+
+    /// `channels` one-bit-wide channels (codes and weights in {−1, 0, 1}),
+    /// one per group for the first 31 and the rest in the last group, with
+    /// every activation at `sign` times its group scale — so every code is
+    /// `sign · qmax` and every weight `+qmax`: the worst case of a chunk
+    /// whose bound is `2^31 − 1 + (channels − 31)`.
+    fn unit_code_chunk(
+        channels: usize,
+        sign: f32,
+    ) -> (Matrix, QuantizedWeight, TenderCalibration, TenderConfig) {
+        let groups = 31;
+        let config = TenderConfig {
+            bits: 2,
+            num_groups: groups,
+            alpha: 2,
+            row_chunk: 0,
+            quant_act_act: false,
+            subtract_bias: false,
+        };
+        let tmax = (1_u32 << 30) as f32;
+        let group_of: Vec<usize> = (0..channels).map(|ch| ch.min(groups - 1)).collect();
+        let mut order = vec![Vec::new(); groups];
+        for (ch, &g) in group_of.iter().enumerate() {
+            order[g].push(ch);
+        }
+        let cc = ChunkCalibration {
+            bias: vec![0.0; channels],
+            scales: super::super::decompose::group_scales(tmax, groups, 2, 2),
+            group_of,
+            order,
+            tmax,
+        };
+        let x = Matrix::from_fn(2, channels, |_, ch| sign * cc.scales[cc.group_of[ch]]);
+        let w = QuantizedWeight::per_col(&Matrix::filled(channels, 3, 1.0), 2);
+        let calib = TenderCalibration::from_parts(vec![cc], 2);
+        (x, w, calib, config)
+    }
+
+    #[test]
+    fn license_flips_exactly_at_i32_max() {
+        // Bound exactly i32::MAX: licensed, and the worst-case operands
+        // drive the 32-bit accumulator to ±i32::MAX without tripping the
+        // debug-build overflow check.
+        for sign in [1.0, -1.0] {
+            let (x, w, calib, config) = unit_code_chunk(31, sign);
+            let cc = calib.chunk_for_row(0);
+            assert_eq!(
+                chunk_accumulator_bound(cc, w.bits, &config),
+                i32::MAX as u128
+            );
+            assert!(chunk_cannot_overflow(cc, w.bits, &config));
+            let (acc, overflow, _) =
+                accumulate_chunk_implicit_with(&x, cc, &w, &config, BackendKind::Reference);
+            assert!(acc.iter().all(|&a| a == sign as i64 * i32::MAX as i64));
+            assert_eq!(overflow, 0);
+            let got = implicit_requant_matmul(&x, &w, &calib, &config);
+            assert_eq!(got.overflow_events, 0);
+            assert_eq!(
+                got.result.as_slice(),
+                &oracle_result(&x, &w, cc, &config)[..]
+            );
+        }
+        // One more unit channel: bound i32::MAX + 1, so the chunk must take
+        // the checked i64 loop, which sees the last MAC of every output
+        // element (2 rows × 3 columns) step out of range.
+        let (x, w, calib, config) = unit_code_chunk(32, 1.0);
+        let cc = calib.chunk_for_row(0);
+        assert_eq!(
+            chunk_accumulator_bound(cc, w.bits, &config),
+            i32::MAX as u128 + 1
+        );
+        assert!(!chunk_cannot_overflow(cc, w.bits, &config));
+        let got = implicit_requant_matmul(&x, &w, &calib, &config);
+        assert_eq!(got.overflow_events, 6);
+        assert_eq!(
+            got.result.as_slice(),
+            &oracle_result(&x, &w, cc, &config)[..]
+        );
+        // The crafted mid-chunk excursion is unlicensed too and still
+        // reports exactly its one event.
+        let (x, w, calib, config) = mid_chunk_excursion_setup();
+        assert!(!chunk_cannot_overflow(
+            calib.chunk_for_row(0),
+            w.bits,
+            &config
+        ));
+        assert_eq!(
+            implicit_requant_matmul(&x, &w, &calib, &config).overflow_events,
+            1
+        );
+    }
+
+    #[test]
+    fn worst_case_int8_operands_fill_a_licensed_i16_chunk() {
+        // The i16-operand twin of the test above: ±qmax activations against
+        // ±qmax weights over as many INT8/G1 channels as the bound admits
+        // (16129 · K ≤ i32::MAX), in a debug build, without an overflow
+        // panic and equal to the i64 loop.
+        let config = TenderConfig::int8()
+            .with_groups(1)
+            .with_row_chunk(0)
+            .with_bias(false);
+        let k = (i32::MAX / (127 * 127)) as usize;
+        let x = Matrix::from_fn(2, k, |r, _| if r == 0 { 9.0 } else { -9.0 });
+        let wf = Matrix::from_fn(k, 2, |_, c| if c == 0 { 0.5 } else { -0.5 });
+        let calib = TenderCalibration::from_samples(std::slice::from_ref(&x), &config);
+        let cc = calib.chunk_for_row(0);
+        let w = QuantizedWeight::per_col(&wf, 8);
+        assert!(chunk_cannot_overflow(cc, w.bits, &config) && codes_fit_i16(&config));
+        let (acc, _, _) =
+            accumulate_chunk_implicit_with(&x, cc, &w, &config, BackendKind::Reference);
+        let peak = 127 * 127 * k as i64;
+        assert_eq!(acc, vec![peak, -peak, -peak, peak]);
+        assert!(i32::MAX as i64 - peak < 127 * 127);
+        let got = implicit_requant_matmul(&x, &w, &calib, &config);
+        assert_eq!(
+            got.result.as_slice(),
+            &oracle_result(&x, &w, cc, &config)[..]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use decompose::{classify_channels, group_scales, DecompositionError};
 #[doc(hidden)]
 pub use matmul::{
     accumulate_chunk_explicit_shifted, accumulate_chunk_implicit, accumulate_chunk_implicit_with,
-    chunk_accumulator_bound, chunk_cannot_overflow, explicit_chunk_with,
+    chunk_accumulator_bound, chunk_cannot_overflow, codes_fit_i16, explicit_chunk_with,
     explicit_requant_matmul_with, implicit_requant_matmul_with,
 };
 pub use matmul::{
@@ -40,7 +40,7 @@ pub use matmul::{
 pub use serialize::{decode_calibration, encode_calibration, DecodeError};
 
 use tender_metrics as metrics;
-use tender_tensor::Matrix;
+use tender_tensor::{gemm, Matrix};
 
 use crate::quantizer::round_to_f16;
 use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
@@ -112,9 +112,11 @@ impl TenderScheme {
 
     /// Builds the runtime operator from an already-computed calibration.
     fn build_op(&self, calibration: TenderCalibration, w: &Matrix) -> Box<dyn QuantMatmul> {
+        let weight = QuantizedWeight::per_col(w, self.config.bits);
         Box::new(TenderMatmul {
+            bias_rows: matmul::bias_rows(&weight, &calibration),
             calibration,
-            weight: QuantizedWeight::per_col(w, self.config.bits),
+            weight,
             config: self.config.clone(),
             overflow_fallback: self
                 .overflow_fallback
@@ -129,6 +131,9 @@ pub struct TenderMatmul {
     calibration: TenderCalibration,
     /// Per-column quantized weight (integer values + scales).
     weight: QuantizedWeight,
+    /// `bias · W_deq` of every calibration chunk — static per site, so
+    /// computed here once instead of per forward call.
+    bias_rows: Vec<Vec<f32>>,
     config: TenderConfig,
     /// `(events_per_chunk threshold, FP16-rounded weight)` when the runtime
     /// overflow fallback is enabled; see [`TenderScheme::with_overflow_fallback`].
@@ -153,11 +158,20 @@ impl TenderMatmul {
     /// Shared forward body: pick the kernel, then apply the optional
     /// overflow-rate reroute to the stats it reports.
     fn run_at(&self, x: &Matrix, row0: usize) -> Matrix {
-        let stats = if self.explicit {
-            explicit_requant_matmul_at(x, row0, &self.weight, &self.calibration, &self.config)
+        let run = if self.explicit {
+            matmul::explicit_runs
         } else {
-            implicit_requant_matmul_at(x, row0, &self.weight, &self.calibration, &self.config)
+            matmul::implicit_runs
         };
+        let stats = run(
+            x,
+            row0,
+            &self.weight,
+            &self.calibration,
+            &self.config,
+            gemm::current(),
+            Some(&self.bias_rows),
+        );
         if let Some((threshold, fallback_w)) = &self.overflow_fallback {
             let chunks = stats.chunks_processed.max(1) as f64;
             if stats.overflow_events as f64 / chunks > *threshold {

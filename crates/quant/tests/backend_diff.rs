@@ -1,17 +1,18 @@
 //! Cross-backend differential tests at the quantized-kernel level: the
-//! `Blocked` backend's Tender kernels (implicit runtime-requantization and
-//! explicit dequantize-per-group) must be **byte-identical** to `Reference`
-//! — same `i64` accumulators, same `f32` output bits, *and* the same
-//! overflow/saturation event counts — for arbitrary shapes, bit widths,
+//! Tender kernels must be **byte-identical** under `Blocked` and
+//! `Reference` — same `i64` accumulators, same `f32` output bits, *and* the
+//! same overflow/saturation event counts — for arbitrary shapes, bit widths,
 //! group counts, and chunk-edge configurations.
 //!
-//! Counter equality is the sharp edge here: the blocked kernel quantizes
-//! each (row, channel) activation exactly once into a panel buffer and
-//! re-reads it per tile, so `saturated` events are counted once per value,
-//! exactly like the reference. Its per-step overflow checks scan the `NR`
-//! register accumulators after each channel's MACs and after each α-shift —
-//! the same (element, step) event set the reference walks, just grouped by
-//! tile. Both totals are commutative sums over identical event sets.
+//! Only the explicit (dequantize-per-group) kernel still has a blocked twin:
+//! its `f32` chains are order-sensitive, so the blocked tile walk has to
+//! replay the reference chain per element, and it quantizes each (row,
+//! channel) activation exactly once into a panel buffer so `saturated`
+//! events are counted once per value, exactly like the reference. The
+//! implicit kernel is integer — exact and order-free under its overflow
+//! bound, per-step `i64` loop otherwise — and backend-independent; the
+//! backend argument only labels its tile counters, and the implicit
+//! assertions below pin that it stays unobservable in the results.
 //!
 //! These tests use the metrics-free `*_with` entry points, which *return*
 //! their counts instead of recording them, so concurrent test binaries
@@ -154,8 +155,7 @@ proptest! {
         let x = overflow_prone_activation(&mut rng, rows, chans);
         let wf = rng.normal_matrix(chans, n, 0.0, 0.5);
         // 16-bit activations × 26-bit weights: single MACs can leave i32
-        // range, so every chunk takes the per-step-checked path — the
-        // blocked kernel's register-scan checks get real work.
+        // range, so every chunk takes the per-step-checked path.
         let config = TenderConfig {
             bits: 16,
             num_groups: 2,

@@ -8,8 +8,9 @@
 //!
 //! The equality also proves two subtler properties:
 //!
-//! * **Fast-path soundness** — when `chunk_cannot_overflow` lets the kernel
-//!   skip per-step checks, the naive reference (which always checks) must
+//! * **Fast-path soundness** — when `chunk_cannot_overflow` licenses a
+//!   chunk for the 32-bit-accumulator kernel (which reports zero events
+//!   without looking), the naive reference (which always checks) must
 //!   still find zero events; any unsound bound shows up as a mismatch.
 //! * **Thread parity** — the pool here is pinned to 4 threads, while the
 //!   naive reference is single-threaded by construction and small shapes

@@ -1,0 +1,238 @@
+//! Differential tests for the 32-bit-accumulator kernel behind
+//! `implicit_requant_matmul{,_at}`: its `f32` output bits, saturation count
+//! and overflow count must equal what the per-step `i64` oracle
+//! (`accumulate_chunk_implicit_with`) gives when its accumulator is
+//! dequantized by the defining expression `acc · s_last · w_scale + bias ·
+//! W_deq` — and that accumulator must equal the explicit-shifted order
+//! (`accumulate_chunk_explicit_shifted`, Eq. 1), the order the kernel's
+//! pre-scaled codes actually realise.
+//!
+//! Shapes cover the kernel's seams: 1–9 rows (inline, row-tile remainders)
+//! and 150–170 rows (pooled blocks, a short last block), K and N off every
+//! tile width (N = 1 included), activation/weight widths 2–8 and 16 bits,
+//! α ∈ {2, 3}, 1–16 groups (both operand widths, licensed and unlicensed
+//! chunks), and `row0 > 0` runs that straddle a calibration-chunk boundary.
+//! CI runs this under both `TENDER_BACKEND`s and thread counts; the pool is
+//! pinned to 4 threads here so the pooled path is real.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use tender_quant::tender::{
+    accumulate_chunk_explicit_shifted, accumulate_chunk_implicit_with, chunk_cannot_overflow,
+    implicit_requant_matmul, implicit_requant_matmul_at, QuantizedWeight, TenderCalibration,
+    TenderConfig,
+};
+use tender_tensor::gemm::BackendKind;
+use tender_tensor::pool;
+use tender_tensor::rng::DetRng;
+use tender_tensor::Matrix;
+
+/// Pins the global pool to 4 threads before its first use in this binary.
+fn init_pool() {
+    static INIT: std::sync::Once = std::sync::Once::new();
+    INIT.call_once(|| pool::set_threads(4));
+}
+
+const BITS: [u32; 8] = [2, 3, 4, 5, 6, 7, 8, 16];
+
+/// One drawn case; see [`check`].
+#[derive(Debug, Clone, Copy)]
+struct Case {
+    m: usize,
+    k: usize,
+    n: usize,
+    act_bits: u32,
+    w_bits: u32,
+    alpha: u32,
+    groups: usize,
+    row_chunk: usize,
+    row0: usize,
+    seed: u64,
+}
+
+/// Activations with two outlier channels (so the groups spread) whose
+/// runtime rows overshoot the calibration sample (so the quantizer
+/// saturates).
+fn activations(rng: &mut DetRng, rows: usize, cols: usize, gain: f32) -> Matrix {
+    let mut x = rng.normal_matrix(rows, cols, 0.0, gain);
+    for r in 0..rows {
+        x[(r, 0)] = rng.normal(0.5, 30.0 * gain);
+        x[(r, cols / 2)] = rng.normal(-1.0, 6.0 * gain);
+    }
+    x
+}
+
+/// `bias · W_deq` by its definition (zero biases skipped, channels
+/// ascending).
+fn bias_row(bias: &[f32], w: &QuantizedWeight) -> Vec<f32> {
+    let deq = w.dequantized();
+    let mut corr = vec![0.0_f32; deq.cols()];
+    for (j, &b) in bias.iter().enumerate() {
+        if b == 0.0 {
+            continue;
+        }
+        for (c, corr_c) in corr.iter_mut().enumerate() {
+            *corr_c += b * deq[(j, c)];
+        }
+    }
+    corr
+}
+
+/// Runs one case through the kernel and through the oracle, run by run.
+/// Returns how many of its runs the overflow bound licensed.
+fn check(case: Case) -> Result<usize, TestCaseError> {
+    init_pool();
+    let Case { m, k, n, row0, .. } = case;
+    let config = TenderConfig {
+        bits: case.act_bits,
+        num_groups: case.groups,
+        alpha: case.alpha,
+        row_chunk: case.row_chunk,
+        quant_act_act: false,
+        subtract_bias: true,
+    };
+    let mut rng = DetRng::new(case.seed);
+    // Calibrate on fewer rows than the run reaches, so late rows reuse the
+    // last chunk, and at a smaller gain than the runtime rows.
+    let sample = activations(&mut rng, (row0 + m).div_ceil(2).max(2), k, 1.0);
+    let x = activations(&mut rng, m, k, 1.3);
+    let wf = rng.normal_matrix(k, n, 0.0, 0.5);
+    let calib = TenderCalibration::from_samples(std::slice::from_ref(&sample), &config);
+    let w = QuantizedWeight::per_col(&wf, case.w_bits);
+
+    let got = implicit_requant_matmul_at(&x, row0, &w, &calib, &config);
+    if row0 == 0 {
+        let plain = implicit_requant_matmul(&x, &w, &calib, &config);
+        prop_assert_eq!(plain.result.as_slice(), got.result.as_slice());
+    }
+
+    let chunk_rows = calib.chunk_rows();
+    let (mut runs, mut licensed, mut overflow, mut saturated) = (0, 0, 0, 0);
+    let mut r0 = 0;
+    while r0 < m {
+        let r1 = (((row0 + r0) / chunk_rows + 1) * chunk_rows - row0).min(m);
+        let cc = calib.chunk_for_row(row0 + r0);
+        let x_run = x.slice_rows(r0, r1);
+        let (acc, run_overflow, run_saturated) =
+            accumulate_chunk_implicit_with(&x_run, cc, &w, &config, BackendKind::Reference);
+        let (shifted, _) = accumulate_chunk_explicit_shifted(&x_run, cc, &w, &config);
+        prop_assert_eq!(&acc, &shifted, "Eq. 2 ≡ Eq. 1 on rows {}..{}", r0, r1);
+        if chunk_cannot_overflow(cc, w.bits(), &config) {
+            prop_assert_eq!(run_overflow, 0, "licensed chunk overflowed");
+            licensed += 1;
+        }
+        let corr = bias_row(&cc.bias, &w);
+        let s_last = cc.scales[config.num_groups - 1];
+        for (i, &a) in acc.iter().enumerate() {
+            let c = i % n;
+            let want = a as f32 * s_last * w.scales()[c] + corr[c];
+            let have = got.result[(r0 + i / n, c)];
+            prop_assert_eq!(
+                want.to_bits(),
+                have.to_bits(),
+                "row {} col {}: oracle {} vs kernel {} ({:?})",
+                r0 + i / n,
+                c,
+                want,
+                have,
+                case
+            );
+        }
+        overflow += run_overflow;
+        saturated += run_saturated;
+        runs += 1;
+        r0 = r1;
+    }
+    prop_assert_eq!(got.chunks_processed, runs);
+    prop_assert_eq!(got.overflow_events, overflow);
+    prop_assert_eq!(got.saturated_values, saturated);
+    Ok(licensed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Decode-sized calls: 1–9 rows, inline, every row-tile remainder.
+    #[test]
+    fn kernel_matches_oracle_on_few_rows(
+        m in 1_usize..=9,
+        k in 1_usize..=70,
+        n in 1_usize..=21,
+        widths in (0_usize..8, 0_usize..8),
+        decomposition in (2_u32..=3, 1_usize..=16),
+        chunking in (0_usize..=6, 0_usize..=11),
+        seed in any::<u64>(),
+    ) {
+        let (act_sel, w_sel) = widths;
+        let (alpha, groups) = decomposition;
+        let (row_chunk, row0) = chunking;
+        check(Case {
+            m, k, n, alpha, groups, row_chunk, row0, seed,
+            act_bits: BITS[act_sel],
+            w_bits: BITS[w_sel],
+        })?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Prefill-sized chunks at the paper's widths, straddling the pool's
+    /// dispatch threshold: every run must be licensed, so this is the
+    /// 32-bit kernel itself, pooled (4 threads) and inline.
+    #[test]
+    fn kernel_matches_oracle_on_prefill_chunks(
+        m in 150_usize..=170,
+        k in 100_usize..=139,
+        n in 97_usize..=131,
+        int4 in any::<bool>(),
+        alpha in 2_u32..=3,
+        row0 in 0_usize..=200,
+        seed in any::<u64>(),
+    ) {
+        let (bits, groups) = if int4 { (4, 12) } else { (8, 4) };
+        let case = Case {
+            m, k, n, alpha, groups, row0, seed,
+            act_bits: bits,
+            w_bits: bits,
+            row_chunk: 256,
+        };
+        let licensed = check(case)?;
+        prop_assert!(licensed > 0, "paper-scale chunk was not licensed: {:?}", case);
+    }
+}
+
+#[test]
+fn few_row_cases_reach_both_paths_and_both_operand_widths() {
+    // The random sweep above is only a differential test of the new kernel
+    // if a good share of its cases are licensed; pin that for its corners.
+    let base = Case {
+        m: 7,
+        k: 37,
+        n: 5,
+        act_bits: 8,
+        w_bits: 8,
+        alpha: 2,
+        groups: 4,
+        row_chunk: 4,
+        row0: 3,
+        seed: 11,
+    };
+    // i16 codes, i16 weights; rows 3..4, 4..8, 8..10 → three licensed runs.
+    assert_eq!(check(base).unwrap(), 3);
+    // i32 codes (7 · 2^15 > i16::MAX), still licensed.
+    let wide_codes = Case {
+        act_bits: 4,
+        w_bits: 4,
+        groups: 16,
+        ..base
+    };
+    assert_eq!(check(wide_codes).unwrap(), 3);
+    // 16 × 16 bits: a single MAC can leave i32, so every run is checked.
+    let unlicensed = Case {
+        act_bits: 16,
+        w_bits: 16,
+        ..base
+    };
+    assert_eq!(check(unlicensed).unwrap(), 0);
+}

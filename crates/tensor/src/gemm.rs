@@ -22,6 +22,15 @@
 //! differential harness (`tests/backend_diff.rs` and its quant-level twin)
 //! pins this property over random shapes.
 //!
+//! # Narrow integer products
+//!
+//! [`narrow_dot_block`] stands outside the backend trait: it multiplies
+//! `i16`/`i32` codes against a transposed, K-contiguous right operand on a
+//! 32-bit accumulator, for callers that can prove the accumulator bound.
+//! Integer sums under that bound are exact and order-free, so one kernel is
+//! byte-identical to the `i64` definition under either backend and needs no
+//! twin.
+//!
 //! # Selection
 //!
 //! The process-wide backend starts unresolved; the first [`current`] call
@@ -219,6 +228,126 @@ pub fn kv_dot_cannot_overflow(terms: usize, x_bits: u32, kv_bits: u32, groups: u
 #[inline]
 fn outside_i32(v: i64) -> bool {
     v > i32::MAX as i64 || v < i32::MIN as i64
+}
+
+/// Left-operand rows that share one walk of each right-operand column in
+/// [`narrow_dot_block`]; divides [`MR`], the row count callers hand it per
+/// pooled work item.
+const DOT_ROWS: usize = 4;
+
+/// Operands per fixed-size partial dot product of [`narrow_dot_block`]: a
+/// sum of this many adjacent `i16 × i16` products is the shape the
+/// vectorizer lowers to packed multiply-add pairs (four `pmaddwd` on
+/// baseline x86-64) followed by one horizontal add.
+const DOT_LANES: usize = 32;
+
+/// `Σ a[l] · b[l]` over one [`DOT_LANES`]-wide chunk.
+#[inline(always)]
+fn dot_chunk<A, B>(a: &[A; DOT_LANES], b: &[B; DOT_LANES]) -> i32
+where
+    A: Copy + Into<i32>,
+    B: Copy + Into<i32>,
+{
+    let mut sum = 0_i32;
+    for (&av, &bv) in a.iter().zip(b) {
+        sum += av.into() * bv.into();
+    }
+    sum
+}
+
+/// `R` dot products of length `b.len()` against one shared right-hand
+/// column, accumulated in `i32`: `a` holds `R` rows of `b.len()` elements
+/// back to back.
+#[inline(always)]
+fn dot_rows<const R: usize, A, B>(a: &[A], b: &[B]) -> [i32; R]
+where
+    A: Copy + Into<i32>,
+    B: Copy + Into<i32>,
+{
+    let k = b.len();
+    let (b_chunks, b_rest) = b.as_chunks::<DOT_LANES>();
+    let rows: [(&[[A; DOT_LANES]], &[A]); R] =
+        std::array::from_fn(|r| a[r * k..(r + 1) * k].as_chunks::<DOT_LANES>());
+    let mut acc = [0_i32; R];
+    for (i, b_chunk) in b_chunks.iter().enumerate() {
+        for (sum, (a_chunks, _)) in acc.iter_mut().zip(&rows) {
+            *sum += dot_chunk(&a_chunks[i], b_chunk);
+        }
+    }
+    for (i, &bv) in b_rest.iter().enumerate() {
+        let bv: i32 = bv.into();
+        for (sum, (_, a_rest)) in acc.iter_mut().zip(&rows) {
+            *sum += a_rest[i].into() * bv;
+        }
+    }
+    acc
+}
+
+/// Narrow integer GEMM with the hardware's **32-bit accumulator**:
+/// `out[r·n + j] = finish(j, Σ_kk a[r·k + kk] · bt[j·k + kk])`.
+///
+/// `a` is `rows × k` row-major; `bt` is the right-hand operand **transposed**
+/// (`n × k` row-major, so each output column's `k` operands are contiguous),
+/// typically packed once and reused across calls. Operands are `i16` or
+/// `i32` codes in any combination; two 16-bit operands are what the
+/// vectorizer turns into packed multiply-adds. Four rows at a time advance
+/// through each `bt` column together, so a column is read once per row
+/// tile.
+///
+/// The caller certifies that `Σ_kk |a·bt| ≤ i32::MAX` for every output
+/// element (e.g. [`kv_dot_cannot_overflow`], or the Tender chunk bound).
+/// Under that bound every partial sum fits, integer addition is exact and
+/// order-free, and the result equals the `i64` definition bit for bit at
+/// any tile shape or thread split; the plain `+`/`*` make a debug build
+/// panic if a caller's bound is wrong instead of wrapping silently.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are inconsistent with `k` and `n`.
+pub fn narrow_dot_block<A, B, O>(
+    a: &[A],
+    bt: &[B],
+    k: usize,
+    n: usize,
+    out: &mut [O],
+    finish: impl Fn(usize, i32) -> O,
+) where
+    A: Copy + Into<i32>,
+    B: Copy + Into<i32>,
+{
+    assert_eq!(bt.len(), n * k, "transposed operand must be n × k");
+    if n == 0 {
+        return;
+    }
+    let rows = out.len() / n;
+    assert_eq!(out.len(), rows * n, "output must be rows × n");
+    assert_eq!(a.len(), rows * k, "left operand must be rows × k");
+    if k == 0 {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = finish(i % n, 0);
+        }
+        return;
+    }
+    let tiled = rows - rows % DOT_ROWS;
+    let (a_tiled, a_rest) = a.split_at(tiled * k);
+    let (out_tiled, out_rest) = out.split_at_mut(tiled * n);
+    for (a_tile, out_tile) in a_tiled
+        .chunks_exact(DOT_ROWS * k)
+        .zip(out_tiled.chunks_exact_mut(DOT_ROWS * n))
+    {
+        for (j, b_col) in bt.chunks_exact(k).enumerate() {
+            let acc = dot_rows::<DOT_ROWS, A, B>(a_tile, b_col);
+            for (r, &s) in acc.iter().enumerate() {
+                out_tile[r * n + j] = finish(j, s);
+            }
+        }
+    }
+    for (a_row, out_row) in a_rest.chunks_exact(k).zip(out_rest.chunks_exact_mut(n)) {
+        for ((j, b_col), o) in bt.chunks_exact(k).enumerate().zip(out_row) {
+            let [s] = dot_rows::<1, A, B>(a_row, b_col);
+            *o = finish(j, s);
+        }
+    }
 }
 
 /// Panel-major packing of `b`'s full-width tiles: panel `t` holds columns
@@ -1060,6 +1189,53 @@ mod tests {
         let eb = blocked_backend().kv_attn_block(&kv, &pq, 1, true, &mut blk);
         assert_eq!(acc, blk);
         assert_eq!(events, eb);
+    }
+
+    #[test]
+    fn narrow_dot_matches_i64_definition_at_every_width_and_edge() {
+        // Rows off the DOT_ROWS tile, k off (and under) the DOT_LANES chunk,
+        // n = 1, and every i16/i32 operand pairing.
+        for (rows, k, n) in [(1, 5, 1), (3, 31, 2), (4, 32, 3), (9, 77, 5), (6, 0, 2)] {
+            let a: Vec<i16> = (0..rows * k).map(|i| (i * 37 % 401) as i16 - 200).collect();
+            let bt: Vec<i16> = (0..n * k).map(|i| (i * 53 % 255) as i16 - 127).collect();
+            let a32: Vec<i32> = a.iter().map(|&v| v as i32).collect();
+            let bt32: Vec<i32> = bt.iter().map(|&v| v as i32).collect();
+            let want: Vec<i64> = (0..rows * n)
+                .map(|i| {
+                    let (r, j) = (i / n, i % n);
+                    (0..k)
+                        .map(|kk| a[r * k + kk] as i64 * bt[j * k + kk] as i64)
+                        .sum::<i64>()
+                        + j as i64
+                })
+                .collect();
+            let finish = |j: usize, acc: i32| acc as i64 + j as i64;
+            let mut out = vec![0_i64; rows * n];
+            narrow_dot_block(&a, &bt, k, n, &mut out, finish);
+            assert_eq!(out, want, "i16×i16 {rows}×{k}×{n}");
+            narrow_dot_block(&a32, &bt, k, n, &mut out, finish);
+            assert_eq!(out, want, "i32×i16 {rows}×{k}×{n}");
+            narrow_dot_block(&a, &bt32, k, n, &mut out, finish);
+            assert_eq!(out, want, "i16×i32 {rows}×{k}×{n}");
+            narrow_dot_block(&a32, &bt32, k, n, &mut out, finish);
+            assert_eq!(out, want, "i32×i32 {rows}×{k}×{n}");
+        }
+    }
+
+    #[test]
+    fn narrow_dot_reaches_i32_max_without_overflow() {
+        // Worst-case operands summing to exactly i32::MAX: the plain `+`
+        // must not trip the debug-build overflow check anywhere on the way.
+        let k = 64;
+        let a = vec![i16::MAX; k];
+        let mut bt = vec![1024_i16; k]; // 64 · 32767 · 1024 = 2^31 − 2^16
+        bt[0] += 2; // + 2 · 32767 = 2^31 − 2
+        let mut out = [0_i32; 1];
+        narrow_dot_block(&a, &bt, k, 1, &mut out, |_, acc| acc);
+        assert_eq!(out[0], i32::MAX - 1);
+        let neg: Vec<i16> = a.iter().map(|&v| -v).collect();
+        narrow_dot_block(&neg, &bt, k, 1, &mut out, |_, acc| acc);
+        assert_eq!(out[0], -(i32::MAX - 1));
     }
 
     #[test]
