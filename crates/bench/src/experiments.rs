@@ -1386,7 +1386,7 @@ pub fn serve() -> Vec<Table> {
     // decode window shared by every resident session — with the boundary
     // drain demoting cold int8 pages at a 0.25 watermark, so the capped
     // shared-budget regime (DESIGN.md §9.4) runs in the catalog transcript,
-    // byte-diffed across thread counts and GEMM backends by CI.
+    // byte-diffed across thread counts by CI.
     cfg.kv_arena_bytes = cfg.kv_budget_bytes / 8;
     cfg.kv_watermark = 0.25;
     let report = Scheduler::new(model, cfg).run();

@@ -5,84 +5,41 @@
 //! by exactly one thread in the same operation order as the serial path, and
 //! cross-task aggregation is either index-ordered folding or exact integer
 //! sums. This test pins that contract end to end: the full experiment suite
-//! must print byte-identical stdout whether the pool has one thread (fully
-//! inline) or four.
-//!
-//! The GEMM backend carries the same contract one axis further: the
-//! `blocked` register-tiled kernels reorder *which elements* are computed
-//! when, but never an element's own accumulation chain, so the suite's
-//! stdout (including the kernel-overflow-event totals it prints) must be
-//! byte-identical to the `reference` backend's at any thread count. The
-//! backend name itself goes only to the metrics JSON report, never stdout —
-//! by design, so this diff stays meaningful.
+//! must print byte-identical stdout (including the kernel-overflow-event
+//! totals it prints) whether the pool has one thread (fully inline) or four.
 //!
 //! Timing goes to stderr in `all_experiments`, so stdout is stable by
-//! construction; any nondeterminism introduced by parallel scheduling or
-//! tile traversal would show up here as a byte diff.
+//! construction; any nondeterminism introduced by parallel scheduling would
+//! show up here as a byte diff.
 
 use std::process::Command;
-use std::sync::OnceLock;
 
-/// Runs the `all_experiments` binary with the given pool size and GEMM
-/// backend and returns its stdout bytes.
-fn run_suite(threads: &str, backend: &str) -> Vec<u8> {
+/// Runs the `all_experiments` binary with the given pool size and returns
+/// its stdout bytes.
+fn run_suite(threads: &str) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_all_experiments"))
         .env("TENDER_FAST", "1")
         .env("TENDER_THREADS", threads)
-        .env("TENDER_BACKEND", backend)
         .output()
         .expect("spawn all_experiments");
     assert!(
         out.status.success(),
-        "all_experiments (TENDER_THREADS={threads}, TENDER_BACKEND={backend}) failed:\n{}",
+        "all_experiments (TENDER_THREADS={threads}) failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!out.stdout.is_empty(), "suite printed nothing");
     out.stdout
 }
 
-/// Asserts byte equality with a readable string diff on failure.
-fn assert_same_stdout(a: &[u8], b: &[u8], what: &str) {
-    assert_eq!(
-        String::from_utf8_lossy(a),
-        String::from_utf8_lossy(b),
-        "suite output must not depend on {what}"
-    );
-    assert_eq!(a, b);
-}
-
-/// The 4-thread reference run both tests compare against. Computed once —
-/// each suite subprocess is the expensive part of this file (minutes in an
-/// unoptimized build), so the anchor is shared rather than rerun per test.
-fn reference_pooled() -> &'static [u8] {
-    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
-    REFERENCE.get_or_init(|| run_suite("4", "reference"))
-}
-
 #[test]
 fn all_experiments_stdout_is_identical_across_thread_counts() {
-    let serial = run_suite("1", "reference");
-    assert_same_stdout(&serial, reference_pooled(), "the thread count");
-}
-
-#[test]
-fn all_experiments_stdout_is_identical_across_backends() {
-    // Reference vs blocked at the pooled thread count, plus blocked
-    // serial-vs-pooled: the shared 4-thread reference run anchors all
-    // three (threads × backend) corners byte-for-byte.
-    let blocked = run_suite("4", "blocked");
-    assert_same_stdout(reference_pooled(), &blocked, "the GEMM backend");
-    if cfg!(debug_assertions) {
-        // The blocked serial corner is redundant with CI's decode-smoke
-        // 1-vs-4-thread diffs under TENDER_BACKEND=blocked; skip the extra
-        // minutes-long unoptimized subprocess run in plain `cargo test`.
-        eprintln!("debug build: skipping blocked serial suite run");
-        return;
-    }
-    let blocked_serial = run_suite("1", "blocked");
-    assert_same_stdout(
-        &blocked,
-        &blocked_serial,
-        "the thread count (blocked backend)",
+    let serial = run_suite("1");
+    let pooled = run_suite("4");
+    // Readable string diff first, then the byte-exact check.
+    assert_eq!(
+        String::from_utf8_lossy(&serial),
+        String::from_utf8_lossy(&pooled),
+        "suite output must not depend on the thread count"
     );
+    assert_eq!(serial, pooled);
 }

@@ -586,15 +586,12 @@ pub fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 pub fn usage() -> String {
     "tender-cli — Tender (ISCA 2024) reproduction toolkit\n\
      \n\
-     USAGE: tender-cli [--threads N] [--backend B] <command> [--flag value ...]\n\
+     USAGE: tender-cli [--threads N] <command> [--flag value ...]\n\
      \n\
      GLOBAL FLAGS:\n\
      \x20 --threads N                     size the shared worker pool (default:\n\
      \x20                                 TENDER_THREADS env or all cores);\n\
      \x20                                 results are identical at any N\n\
-     \x20 --backend reference|blocked     GEMM kernel backend (default:\n\
-     \x20                                 TENDER_BACKEND env or reference);\n\
-     \x20                                 outputs are byte-identical either way\n\
      \x20 --metrics-json PATH             write a structured metrics report\n\
      \x20                                 (counters + timings) after the run\n\
      \x20 --fault-seed N                  install the default deterministic\n\
@@ -671,35 +668,6 @@ pub fn extract_threads(args: &[String]) -> Result<(Vec<String>, Option<usize>), 
     Ok((rest, threads))
 }
 
-/// Strips a global `--backend B` flag (valid anywhere in `args`) and
-/// returns the remaining arguments plus the requested GEMM backend, if any.
-///
-/// # Errors
-///
-/// Returns [`CliError`] when the value is missing or names no backend.
-pub fn extract_backend(
-    args: &[String],
-) -> Result<(Vec<String>, Option<tender::gemm::BackendKind>), CliError> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut backend = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--backend" {
-            let v = it
-                .next()
-                .ok_or_else(|| err("flag --backend needs a value"))?;
-            backend = Some(tender::gemm::BackendKind::parse(v).ok_or_else(|| {
-                err(format!(
-                    "invalid value for --backend: '{v}' (expected reference or blocked)"
-                ))
-            })?);
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, backend))
-}
-
 /// Strips a global `--metrics-json PATH` flag (valid anywhere in `args`)
 /// and returns the remaining arguments plus the report path, if any.
 ///
@@ -772,6 +740,100 @@ pub fn extract_fault_plan(
     Ok((rest, plan))
 }
 
+/// A subcommand: its name, the `--flag`s it reads, and its body.
+type Command = (
+    &'static str,
+    &'static [&'static str],
+    fn(&Flags) -> Result<String, CliError>,
+);
+
+/// Every subcommand [`run`] dispatches. The flag lists are what
+/// [`reject_unknown_flags`] enforces and what [`usage`] documents (a test
+/// keeps the two equal).
+const COMMANDS: &[Command] = &[
+    ("models", &[], |_| Ok(cmd_models())),
+    ("schemes", &[], |_| Ok(cmd_schemes())),
+    ("ppl", &["model", "scheme", "seq", "seed", "fast"], cmd_ppl),
+    (
+        "simulate",
+        &[
+            "model",
+            "seq",
+            "groups",
+            "sa-dim",
+            "vpu-lanes",
+            "hbm-channels",
+            "hbm-banks",
+            "hbm-row-bytes",
+            "hbm-burst-bytes",
+            "hbm-bus-bytes",
+            "hbm-trp",
+            "hbm-trcd",
+            "hbm-tcas",
+            "hbm-trefi",
+            "hbm-trfc",
+        ],
+        cmd_simulate,
+    ),
+    ("decode", &["model", "cache", "batch"], cmd_decode),
+    (
+        "generate",
+        &[
+            "model",
+            "scheme",
+            "prompt",
+            "kv-cache",
+            "kv-page-rows",
+            "kv-arena-bytes",
+            "kv-watermark",
+            "generate",
+            "batch",
+            "seed",
+            "fast",
+        ],
+        cmd_generate,
+    ),
+    (
+        "serve",
+        &[
+            "model",
+            "scheme",
+            "requests",
+            "arrival-seed",
+            "deadline-steps",
+            "queue-cap",
+            "kv-budget-bytes",
+            "kv-page-rows",
+            "kv-arena-bytes",
+            "kv-watermark",
+            "shared-prefix",
+            "batch",
+            "prefill-chunk",
+            "kv-cache",
+            "seed",
+            "fast",
+        ],
+        cmd_serve,
+    ),
+    ("help", &[], |_| Ok(usage())),
+];
+
+/// Rejects any parsed flag `cmd` does not read — a typo such as
+/// `--kv-cahce int8` would otherwise run with the default silently.
+fn reject_unknown_flags(cmd: &str, known: &[&str], flags: &Flags) -> Result<(), CliError> {
+    let Some(unknown) = flags.keys().filter(|k| !known.contains(&k.as_str())).min() else {
+        return Ok(());
+    };
+    Err(err(if known.is_empty() {
+        format!("unknown flag --{unknown}: '{cmd}' takes no flags")
+    } else {
+        format!(
+            "unknown flag --{unknown} for '{cmd}'; accepted: --{}",
+            known.join(", --")
+        )
+    }))
+}
+
 /// Dispatches a full argument vector (without the program name).
 ///
 /// When `--metrics-json PATH` is given, one structured report of every
@@ -784,16 +846,10 @@ pub fn extract_fault_plan(
 /// unwritable metrics path.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (args, threads) = extract_threads(args)?;
-    let (args, backend) = extract_backend(&args)?;
     let (args, metrics_path) = extract_metrics_json(&args)?;
     let (args, fault_plan) = extract_fault_plan(&args)?;
     if let Some(n) = threads {
         tender::pool::set_threads(n);
-    }
-    // Like the pool size, the GEMM backend is process-lifetime state; every
-    // kernel behind the pipeline and decode engine consults it at call time.
-    if let Some(kind) = backend {
-        tender::gemm::set_backend(kind);
     }
     // Installed before dispatch so every injection site sees the plan for
     // the whole command; like the pool size, it is process-lifetime state.
@@ -801,18 +857,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         tender::faults::install(plan);
     }
     let (cmd, rest) = args.split_first().ok_or_else(|| err(usage()))?;
+    let name = match cmd.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let (_, known, body) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| err(format!("unknown command '{cmd}'\n\n{}", usage())))?;
     let flags = parse_flags(rest)?;
-    let out = match cmd.as_str() {
-        "models" => Ok(cmd_models()),
-        "schemes" => Ok(cmd_schemes()),
-        "ppl" => cmd_ppl(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "decode" => cmd_decode(&flags),
-        "generate" => cmd_generate(&flags),
-        "serve" => cmd_serve(&flags),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(err(format!("unknown command '{other}'\n\n{}", usage()))),
-    }?;
+    reject_unknown_flags(name, known, &flags)?;
+    let out = body(&flags)?;
     if let Some(path) = metrics_path {
         let json = tender::metrics::report().to_json();
         std::fs::write(&path, json)
@@ -1400,39 +1455,60 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_is_extracted_anywhere() {
-        use tender::gemm::BackendKind;
-        let (rest, b) = extract_backend(&args(&["--backend", "blocked", "models"])).unwrap();
-        assert_eq!(rest, args(&["models"]));
-        assert_eq!(b, Some(BackendKind::Blocked));
-        let (rest, b) = extract_backend(&args(&[
-            "simulate",
-            "--backend",
-            "Reference",
-            "--seq",
-            "512",
-        ]))
-        .unwrap();
-        assert_eq!(rest, args(&["simulate", "--seq", "512"]));
-        assert_eq!(b, Some(BackendKind::Reference));
-        let (rest, b) = extract_backend(&args(&["models"])).unwrap();
-        assert_eq!(rest, args(&["models"]));
-        assert_eq!(b, None);
+    fn unknown_flags_are_rejected_by_name() {
+        // A typo must not silently run with the default cache mode.
+        let generate = ["generate", "--model", "OPT-6.7B", "--fast", "true"];
+        let typo = [&generate[..], &["--kv-cahce", "int8"]].concat();
+        let e = run(&args(&typo)).unwrap_err();
+        assert!(
+            e.0.contains("unknown flag --kv-cahce for 'generate'"),
+            "{e}"
+        );
+        assert!(
+            e.0.contains("--kv-cache, "),
+            "lists the accepted flags: {e}"
+        );
+        // Retired flags are not swallowed either.
+        for retired in [["--backend", "blocked"], ["--kv-shared-arena", "true"]] {
+            let e = run(&args(&[&generate[..], &retired].concat())).unwrap_err();
+            assert!(e.0.contains(&format!("unknown flag {}", retired[0])), "{e}");
+        }
+        assert!(run(&args(&["--backend", "blocked", "models"])).is_err());
+        let e = run(&args(&["models", "--backend", "blocked"])).unwrap_err();
+        assert!(e.0.contains("'models' takes no flags"), "{e}");
     }
 
     #[test]
-    fn backend_flag_rejects_bad_values() {
-        assert!(extract_backend(&args(&["--backend"])).is_err());
-        let e = extract_backend(&args(&["--backend", "simd"])).unwrap_err();
-        assert!(e.0.contains("invalid value for --backend"), "{e}");
-    }
-
-    #[test]
-    fn backend_flag_dispatches() {
-        // `models` never runs a GEMM, so selecting a backend here only
-        // exercises the flag plumbing without perturbing other tests'
-        // kernels (both backends are byte-identical regardless).
-        assert!(run(&args(&["--backend", "reference", "models"])).is_ok());
-        assert!(run(&args(&["--backend", "warp", "models"])).is_err());
+    fn usage_documents_exactly_the_flags_each_command_accepts() {
+        let text = usage();
+        let commands = text.split("COMMANDS:\n").nth(1).expect("COMMANDS section");
+        let global = ["threads", "metrics-json", "fault-seed", "fault-plan"];
+        let mut documented: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut current = "";
+        for line in commands.lines() {
+            // A command's first line names it at two-space indent.
+            if !line.starts_with("   ") {
+                current = line.split_whitespace().next().expect("command name");
+            }
+            documented.entry(current).or_default().extend(
+                line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter_map(|t| t.strip_prefix("--"))
+                    .filter(|t| !global.contains(t)),
+            );
+        }
+        for (name, known, _) in COMMANDS.iter().filter(|c| c.0 != "help") {
+            let mut got = documented.remove(name).unwrap_or_default();
+            got.sort_unstable();
+            got.dedup();
+            let mut want = known.to_vec();
+            want.sort_unstable();
+            assert_eq!(got, want, "usage() and COMMANDS disagree on '{name}'");
+            let all = known.iter().map(|k| (k.to_string(), "x".to_string()));
+            assert!(reject_unknown_flags(name, known, &all.collect()).is_ok());
+        }
+        assert!(
+            documented.is_empty(),
+            "undispatched commands: {documented:?}"
+        );
     }
 }

@@ -58,8 +58,9 @@ pub use tender_serve as serve;
 pub use tender_sim as sim;
 pub use tender_tensor as tensor;
 
-/// GEMM kernel backends (re-exported so embedders and the CLI can select one
-/// via [`gemm::set_backend`] without depending on `tender-tensor` directly).
+/// The GEMM kernels (re-exported so embedders can reach them, and the
+/// benchmark can stamp `gemm::current().label()`, without depending on
+/// `tender-tensor` directly).
 pub use tender_tensor::gemm;
 /// The shared worker pool (re-exported so embedders and the CLI can size it
 /// via [`pool::set_threads`] without depending on `tender-tensor` directly).

@@ -387,23 +387,18 @@ pub mod kernel {
     pub static CHUNKS_CHECKED: Counter = Counter::new();
 }
 
-/// GEMM backend metrics (`tender_tensor::gemm` and the blocked Tender
-/// kernels in `tender_quant::tender`). Tile counts are pure functions of
-/// the operand shapes, so they are identical at any thread count.
+/// GEMM metrics (`tender_tensor::gemm`).
 pub mod gemm {
     use super::*;
 
-    /// Matmuls dispatched through the `Reference` backend.
+    /// `Matrix`/`IMatrix` products dispatched (the kernels are the reference
+    /// loops, hence the name the benchmark reads).
     pub static REFERENCE_GEMMS: Counter = Counter::new();
-    /// Matmuls dispatched through the `Blocked` backend.
+    /// Never incremented; read only by the frozen `benchmark/` crate.
     pub static BLOCKED_GEMMS: Counter = Counter::new();
-    /// Register tiles (one row × `NR` output columns) executed by the
-    /// blocked kernels, edge tiles included.
-    pub static TILES_DISPATCHED: Counter = Counter::new();
-    /// Blocked requantization tiles whose chunk bound proved overflow
-    /// impossible (per-step checks skipped).
+    /// Never incremented; read only by the frozen `benchmark/` crate.
     pub static TILES_FAST_PATH: Counter = Counter::new();
-    /// Blocked requantization tiles run with per-step overflow checks.
+    /// Never incremented; read only by the frozen `benchmark/` crate.
     pub static TILES_CHECKED: Counter = Counter::new();
 }
 
@@ -672,10 +667,6 @@ pub fn reset_all() {
     kernel::CHUNKS_FAST_PATH.reset();
     kernel::CHUNKS_CHECKED.reset();
     gemm::REFERENCE_GEMMS.reset();
-    gemm::BLOCKED_GEMMS.reset();
-    gemm::TILES_DISPATCHED.reset();
-    gemm::TILES_FAST_PATH.reset();
-    gemm::TILES_CHECKED.reset();
     model::FORWARD_PASSES.reset();
     model::LAYER_FORWARD.reset();
     engine::PREFILLS.reset();

@@ -201,28 +201,10 @@ pub(crate) fn build() -> Report {
     };
     let gemm_section = Section {
         name: "gemm",
-        fields: vec![
-            (
-                "reference_gemms".into(),
-                Value::U64(gemm::REFERENCE_GEMMS.get()),
-            ),
-            (
-                "blocked_gemms".into(),
-                Value::U64(gemm::BLOCKED_GEMMS.get()),
-            ),
-            (
-                "tiles_dispatched".into(),
-                Value::U64(gemm::TILES_DISPATCHED.get()),
-            ),
-            (
-                "tiles_fast_path".into(),
-                Value::U64(gemm::TILES_FAST_PATH.get()),
-            ),
-            (
-                "tiles_checked".into(),
-                Value::U64(gemm::TILES_CHECKED.get()),
-            ),
-        ],
+        fields: vec![(
+            "reference_gemms".into(),
+            Value::U64(gemm::REFERENCE_GEMMS.get()),
+        )],
     };
     // Per-layer timers: export only layers that actually ran, as an array of
     // {layer, count, total_ns, mean_ns, max_ns} objects.

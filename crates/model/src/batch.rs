@@ -154,8 +154,8 @@ impl<'m> BatchEngine<'m> {
     ///
     /// Every decision in 1–4 depends only on session order, queue keys,
     /// and byte arithmetic, so results are byte-identical at any thread
-    /// count and under any GEMM backend. On an uncapped arena every need
-    /// fits and the drain has no deficit: the boundary decides nothing.
+    /// count. On an uncapped arena every need fits and the drain has no
+    /// deficit: the boundary decides nothing.
     fn iterate(&self, tokens: &[Option<usize>]) -> Vec<Option<Result<Matrix, StepError>>> {
         let mut refused: Vec<Option<EvictError>> = vec![None; self.slots.len()];
         for (arena, members) in &self.arenas {

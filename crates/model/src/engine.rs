@@ -45,9 +45,9 @@
 //! shift-combine — never materializing an f32 plane. The
 //! [`KvReadPath::Dequant`] path (gather the dequantized plane, then run f32
 //! attention) is the f32 read and the oracle the integer path is tested
-//! against. Either way decode stays bit-deterministic at any thread count
-//! and GEMM backend; the two read paths are numerically close but not
-//! bit-equal (the integer path rounds the query/probability rows).
+//! against. Either way decode stays bit-deterministic at any thread count;
+//! the two read paths are numerically close but not bit-equal (the integer
+//! path rounds the query/probability rows).
 //!
 //! **Parity guarantee.** In `f32` mode with an unbounded arena,
 //! `prefill(&t[..n]); step(t[n]); …; step(t[m-1])` produces logits

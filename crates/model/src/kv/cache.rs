@@ -500,8 +500,7 @@ impl KvCache {
     /// bias dot (`Σ_c qh[c]·bias[c]`, full f32 precision) is added per
     /// row. The accumulation chain is fixed (pages ascending, columns
     /// ascending, zero-skip on the query code) and integer sums are exact,
-    /// so the result is bit-identical across GEMM backends and thread
-    /// counts.
+    /// so the result is bit-identical across thread counts.
     ///
     /// Returns `None` when the cache mode is `f32` or the read path is
     /// [`KvReadPath::Dequant`] — the caller then falls back to the f32
@@ -532,8 +531,7 @@ impl KvCache {
             }
             let check = !gemm::kv_dot_cannot_overflow(dh, KV_ACT_BITS, bits, groups);
             let mut acc = vec![0i64; plen * groups];
-            let mut events =
-                gemm::active_backend().kv_score_block(&qp.rows, &xq, groups, check, &mut acc);
+            let mut events = gemm::kv_score_block(&qp.rows, &xq, groups, check, &mut acc);
             let s_last = *qp.scales.last().expect("page scale snapshot");
             let factor = x_scale * s_last;
             for j in 0..plen {
@@ -584,13 +582,8 @@ impl KvCache {
                 }
                 let check = !gemm::kv_dot_cannot_overflow(plen, KV_ACT_BITS, bits, groups);
                 let mut acc = vec![0i64; groups * dh];
-                let mut events = gemm::active_backend().kv_attn_block(
-                    &qp.rows,
-                    &pq[off..off + plen],
-                    groups,
-                    check,
-                    &mut acc,
-                );
+                let mut events =
+                    gemm::kv_attn_block(&qp.rows, &pq[off..off + plen], groups, check, &mut acc);
                 let s_last = *qp.scales.last().expect("page scale snapshot");
                 let factor = p_scale * s_last;
                 let mut col_accs = vec![0i64; groups];

@@ -13,7 +13,6 @@ use tender_model::{ModelShape, QuantizedModel, SyntheticLlm};
 use tender_quant::granularity::{Granularity, GranularityScheme};
 use tender_quant::scheme::{ExactScheme, Fp16Scheme, Scheme};
 use tender_quant::tender::{TenderConfig, TenderScheme};
-use tender_tensor::gemm::{self, BackendKind};
 
 fn tokens(n: usize, vocab: usize, salt: usize) -> Vec<usize> {
     (0..n).map(|i| (i * 29 + salt * 13 + 7) % vocab).collect()
@@ -119,22 +118,15 @@ fn step_logits(mut session: DecodeSession<'_>, t: &[usize], split: usize) -> Vec
         .collect()
 }
 
-/// The parity guarantee holds under **both GEMM backends**, for all three
-/// KV-cache modes.
+/// The parity guarantee across all three KV-cache modes.
 ///
-/// * `--kv-cache f32` is full-forward parity: under either backend the
-///   decode logits must equal the full forward's last row bit-for-bit
-///   (and the full forwards themselves are backend-invariant).
+/// * `--kv-cache f32` is full-forward parity: the decode logits must equal
+///   the full forward's last row bit-for-bit.
 /// * `int8`/`int4` quantize cached K/V, so they are *not* full-forward
-///   parity by design — there the pinned property is that every decode
-///   step's logits are bit-identical **across backends**.
-///
-/// `gemm::set_backend` flips process-global state while sibling tests run;
-/// that is benign precisely because of the property under test — both
-/// backends produce byte-identical results everywhere, so no concurrent
-/// test can observe the flip.
+///   parity by design — there the pinned property is that a rerun of the
+///   same decode reproduces every step's logits bit-for-bit.
 #[test]
-fn decode_parity_holds_under_both_backends_and_cache_modes() {
+fn decode_parity_holds_under_every_cache_mode() {
     let shape = ModelShape::tiny_test();
     let model = SyntheticLlm::generate(&shape, 31);
     let calib = vec![tokens(24, shape.vocab, 2)];
@@ -147,31 +139,23 @@ fn decode_parity_holds_under_both_backends_and_cache_modes() {
     );
 
     for mode in KvCacheMode::ALL {
-        let mut per_backend = Vec::new();
-        for kind in [BackendKind::Reference, BackendKind::Blocked] {
-            gemm::set_backend(kind);
-            let full = qm.forward(&t);
-            let steps = step_logits(DecodeSession::with_cache_mode(&qm, mode), &t, split);
-            if mode == KvCacheMode::F32 {
-                assert_eq!(
-                    steps.last().expect("at least one decode step").as_slice(),
-                    full.row(t.len() - 1),
-                    "f32-cache decode diverges from full forward under {:?}",
-                    kind,
-                );
-            }
-            per_backend.push(steps);
-        }
-        gemm::set_backend(BackendKind::Reference);
-        let (reference, blocked) = (&per_backend[0], &per_backend[1]);
-        assert_eq!(reference.len(), blocked.len());
-        for (i, (r, b)) in reference.iter().zip(blocked).enumerate() {
-            let bits_r: Vec<u32> = r.iter().map(|v| v.to_bits()).collect();
-            let bits_b: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
+        let steps = step_logits(DecodeSession::with_cache_mode(&qm, mode), &t, split);
+        if mode == KvCacheMode::F32 {
             assert_eq!(
-                bits_r,
-                bits_b,
-                "step {i} logits diverge across backends ({} cache)",
+                steps.last().expect("at least one decode step").as_slice(),
+                qm.forward(&t).row(t.len() - 1),
+                "f32-cache decode diverges from full forward",
+            );
+        }
+        let rerun = step_logits(DecodeSession::with_cache_mode(&qm, mode), &t, split);
+        assert_eq!(steps.len(), rerun.len());
+        for (i, (first, second)) in steps.iter().zip(&rerun).enumerate() {
+            let bits_first: Vec<u32> = first.iter().map(|v| v.to_bits()).collect();
+            let bits_second: Vec<u32> = second.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                bits_first,
+                bits_second,
+                "step {i} logits diverge on rerun ({} cache)",
                 mode.label(),
             );
         }

@@ -2,8 +2,8 @@
 //! path must track the legacy dequantize-on-read path within a pinned
 //! L2 bound (the only daylight between them is the one-shot 8-bit
 //! quantization of the query and probability rows), and it must be
-//! bit-deterministic — same inputs → byte-identical logits on a rerun
-//! and across both GEMM backends, for INT8 and INT4 caches alike.
+//! bit-deterministic — same inputs → byte-identical logits on a rerun,
+//! for INT8 and INT4 caches alike.
 //!
 //! Thread-count invariance is enforced separately by the CI subprocess
 //! byte-diff; these tests pin the numeric and determinism halves.
@@ -11,7 +11,6 @@
 use proptest::prelude::*;
 use tender_model::engine::{DecodeSession, KvCacheMode, KvReadPath};
 use tender_model::{ModelShape, SyntheticLlm};
-use tender_tensor::gemm::{self, BackendKind};
 use tender_tensor::Matrix;
 
 /// Final-step logits of a prefill + decode rollout under `mode`/`path`.
@@ -56,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Integer-domain attention tracks dequantize-on-read within a pinned
-    /// bound and is byte-identical on rerun and across GEMM backends.
+    /// bound and is byte-identical on rerun.
     #[test]
     fn integer_path_tracks_dequant_and_is_bit_deterministic(
         seed in any::<u64>(),
@@ -81,22 +80,15 @@ proptest! {
                  ({} cache, seed {}, heads {}, len {})",
                 err, mode.label(), seed, heads, raw.len()
             );
-            // Rerun bit-identity under both backends: the integer path is
-            // approximate relative to f32, never nondeterministic. Exact
-            // integer partials make backend invariance structural; this
-            // pins it.
-            let reference_bits = bits(&int);
-            for kind in [BackendKind::Reference, BackendKind::Blocked] {
-                gemm::set_backend(kind);
-                let rerun = decode_logits(&shape, seed, &raw, mode, KvReadPath::Integer);
-                gemm::set_backend(BackendKind::Reference);
-                prop_assert_eq!(
-                    &reference_bits,
-                    &bits(&rerun),
-                    "integer-path logits diverge under {:?} ({} cache)",
-                    kind, mode.label()
-                );
-            }
+            // Rerun bit-identity: the integer path is approximate relative
+            // to f32, never nondeterministic.
+            let rerun = decode_logits(&shape, seed, &raw, mode, KvReadPath::Integer);
+            prop_assert_eq!(
+                bits(&int),
+                bits(&rerun),
+                "integer-path logits diverge on rerun ({} cache)",
+                mode.label()
+            );
         }
     }
 }

@@ -26,7 +26,7 @@
 //! `Σ |term|` at worst-case operands) keeps every partial sum of every
 //! order inside `i32`: a licensed chunk's overflow count is exactly zero,
 //! and its result is byte-identical to the per-step loop below at any
-//! thread count and under either GEMM backend.
+//! thread count.
 //!
 //! Chunks the bound does not license run the per-step `i64` loop, which is
 //! also the semantic definition and test oracle
@@ -47,9 +47,8 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tender_metrics::gemm as gemm_metrics;
 use tender_metrics::kernel as metrics;
-use tender_tensor::gemm::{self, BackendKind, MR, NR};
+use tender_tensor::gemm;
 use tender_tensor::pool;
 use tender_tensor::{stats, IMatrix, Matrix};
 
@@ -232,31 +231,13 @@ fn dequant(acc: f32, s_last: f32, w_scale: f32, corr: f32) -> f32 {
     acc * s_last * w_scale + corr
 }
 
-/// Records one implicit chunk of `m` rows in the kernel and (shape-derived)
-/// GEMM tile counters. Every (row, channel) pair is quantized exactly once
-/// per chunk on either path.
-fn record_implicit_chunk(
-    m: usize,
-    n: usize,
-    cc: &ChunkCalibration,
-    licensed: bool,
-    kind: BackendKind,
-) {
+/// Records one implicit chunk of `m` rows in the kernel counters. Every
+/// (row, channel) pair is quantized exactly once per chunk on either path.
+fn record_implicit_chunk(m: usize, cc: &ChunkCalibration, licensed: bool) {
     if licensed {
         metrics::CHUNKS_FAST_PATH.incr();
     } else {
         metrics::CHUNKS_CHECKED.incr();
-    }
-    if kind == BackendKind::Blocked && n > 0 {
-        // One register tile per (row, NR-wide column band); the chunk's
-        // overflow bound decides fast vs checked for every tile at once.
-        let tiles = (m * n.div_ceil(NR)) as u64;
-        gemm_metrics::TILES_DISPATCHED.add(tiles);
-        if licensed {
-            gemm_metrics::TILES_FAST_PATH.add(tiles);
-        } else {
-            gemm_metrics::TILES_CHECKED.add(tiles);
-        }
     }
     record_quantized(m, cc);
 }
@@ -280,7 +261,7 @@ pub fn accumulate_chunk_implicit(
     config: &TenderConfig,
 ) -> (Vec<i64>, usize) {
     let licensed = chunk_cannot_overflow(cc, w.bits, config);
-    record_implicit_chunk(x_chunk.rows(), w.q.cols(), cc, licensed, gemm::current());
+    record_implicit_chunk(x_chunk.rows(), cc, licensed);
     let (acc, overflow, saturated) =
         accumulate_rows_checked(x_chunk, 0..x_chunk.rows(), cc, w, config);
     metrics::SATURATED_VALUES.add(saturated as u64);
@@ -291,15 +272,13 @@ pub fn accumulate_chunk_implicit(
 /// Metrics-free [`accumulate_chunk_implicit`]; returns `(accumulator,
 /// overflow events, saturation events)`. Exposed for the differential
 /// tests, which compare the counts directly without racing on the
-/// process-global metric statics. The loop is integer and backend-
-/// independent; `_kind` keeps the call shape of the other `*_with` oracles.
+/// process-global metric statics.
 #[doc(hidden)]
 pub fn accumulate_chunk_implicit_with(
     x_chunk: &Matrix,
     cc: &super::calib::ChunkCalibration,
     w: &QuantizedWeight,
     config: &TenderConfig,
-    _kind: BackendKind,
 ) -> (Vec<i64>, usize, usize) {
     accumulate_rows_checked(x_chunk, 0..x_chunk.rows(), cc, w, config)
 }
@@ -407,6 +386,11 @@ fn licensed_chunk(
         }
     }
 }
+
+/// Rows per pooled work item of [`licensed_rows`]: one worker quantizes
+/// `MR` activation rows and multiplies them against the weight codes
+/// together.
+const MR: usize = 16;
 
 /// [`licensed_chunk`] at fixed operand widths. Each [`MR`]-row block
 /// quantizes its activations once into codes pre-multiplied by
@@ -573,21 +557,7 @@ pub fn implicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_runs(x, 0, w, calib, config, gemm::current(), None)
-}
-
-/// [`implicit_requant_matmul`] recording its GEMM tile counters as `kind`.
-/// The kernel itself is integer and backend-independent; exposed for the
-/// cross-backend differential tests.
-#[doc(hidden)]
-pub fn implicit_requant_matmul_with(
-    x: &Matrix,
-    w: &QuantizedWeight,
-    calib: &TenderCalibration,
-    config: &TenderConfig,
-    kind: BackendKind,
-) -> MatmulStats {
-    implicit_runs(x, 0, w, calib, config, kind, None)
+    implicit_runs(x, 0, w, calib, config, None)
 }
 
 /// [`implicit_requant_matmul`] for activation rows starting at absolute
@@ -609,7 +579,7 @@ pub fn implicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_runs(x, row0, w, calib, config, gemm::current(), None)
+    implicit_runs(x, row0, w, calib, config, None)
 }
 
 /// Body of every implicit entry point: each run of rows sharing a
@@ -622,7 +592,6 @@ pub(super) fn implicit_runs(
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
-    kind: BackendKind,
     prepared: Option<&[Vec<f32>]>,
 ) -> MatmulStats {
     check_shapes(x, w, calib);
@@ -640,7 +609,7 @@ pub(super) fn implicit_runs(
         let corr = bias_row(prepared, ci, cc, w);
         let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
         let licensed = chunk_cannot_overflow(cc, w.bits, config);
-        record_implicit_chunk(r1 - r0, n, cc, licensed, kind);
+        record_implicit_chunk(r1 - r0, cc, licensed);
         saturated_values += if licensed {
             licensed_chunk(x, r0..r1, cc, w, config, &corr, out_chunk)
         } else {
@@ -671,43 +640,7 @@ pub(super) fn implicit_runs(
 /// One chunk of the explicit (Eq. 1) path: group partial products are
 /// dequantized to `f32` per channel and summed into `out_chunk`, then the
 /// bias-correction row `corr` is added. Returns the saturation-event count.
-#[allow(clippy::too_many_arguments)]
 fn explicit_chunk(
-    x: &Matrix,
-    rows: Range<usize>,
-    cc: &ChunkCalibration,
-    w: &QuantizedWeight,
-    config: &TenderConfig,
-    corr: &[f32],
-    out_chunk: &mut [f32],
-    kind: BackendKind,
-) -> usize {
-    match kind {
-        BackendKind::Reference => explicit_chunk_reference(x, rows, cc, w, config, corr, out_chunk),
-        BackendKind::Blocked => explicit_chunk_blocked(x, rows, cc, w, config, corr, out_chunk),
-    }
-}
-
-/// Metrics-free explicit chunk through an explicit backend; `out_chunk`
-/// must be zero-initialized (both backends build each element's f32
-/// accumulation chain from `+0.0`, so a pre-existing value would break the
-/// cross-backend bit-identity contract). Exposed for the differential tests.
-#[doc(hidden)]
-pub fn explicit_chunk_with(
-    x_chunk: &Matrix,
-    cc: &ChunkCalibration,
-    w: &QuantizedWeight,
-    config: &TenderConfig,
-    out_chunk: &mut [f32],
-    kind: BackendKind,
-) -> usize {
-    let corr = bias_correction(&cc.bias, &w.deq);
-    let rows = 0..x_chunk.rows();
-    explicit_chunk(x_chunk, rows, cc, w, config, &corr, out_chunk, kind)
-}
-
-/// Reference order for one explicit chunk: the original loops, verbatim.
-fn explicit_chunk_reference(
     x: &Matrix,
     rows: Range<usize>,
     cc: &ChunkCalibration,
@@ -739,101 +672,6 @@ fn explicit_chunk_reference(
     for out_row in out_chunk.chunks_exact_mut(n) {
         for (o, &c) in out_row.iter_mut().zip(corr) {
             *o += c;
-        }
-    }
-    chunk_saturated
-}
-
-/// Blocked order for one explicit chunk: activations are quantized once per
-/// (row, channel) into a buffer — keeping the saturation count identical to
-/// the reference — then each `NR`-column register tile replays one row's
-/// full (group, channel) walk with the same zero-skip, and adds the
-/// bias-correction entries before storing. Per output element the f32
-/// addition chain is exactly the reference chain (`+0.0`, the channel terms
-/// in group-walk order, then the correction), so the result is
-/// byte-identical. (Unlike the integer implicit kernel, an f32 chain is not
-/// order-free, which is why this path still has a twin per backend.)
-fn explicit_chunk_blocked(
-    x: &Matrix,
-    rows: Range<usize>,
-    cc: &ChunkCalibration,
-    w: &QuantizedWeight,
-    config: &TenderConfig,
-    corr: &[f32],
-    out_chunk: &mut [f32],
-) -> usize {
-    let m = rows.len();
-    let n = w.q.cols();
-    let mut chunk_saturated = 0_usize;
-    let chans_flat: Vec<usize> = cc.order.iter().flatten().copied().collect();
-    let total = chans_flat.len();
-    // xf[(r, pos)]: dequantized activation; zero entries are skipped below
-    // via the quantized value, matching the reference's `xq == 0` skip.
-    let mut xq_all = vec![0_i32; m * total];
-    let mut xf_all = vec![0.0_f32; m * total];
-    let mut pos = 0;
-    for g in 0..config.num_groups {
-        let s_g = cc.scales[g];
-        for &ch in &cc.order[g] {
-            let b = cc.bias[ch];
-            for r in 0..m {
-                let (xq, sat) =
-                    quantize_value_saturating(x[(rows.start + r, ch)] - b, s_g, config.bits);
-                chunk_saturated += sat as usize;
-                xq_all[r * total + pos] = xq;
-                xf_all[r * total + pos] = xq as f32 * s_g;
-            }
-            pos += 1;
-        }
-    }
-    let full = n - n % NR;
-    for r in 0..m {
-        let xq_row = &xq_all[r * total..(r + 1) * total];
-        let xf_row = &xf_all[r * total..(r + 1) * total];
-        let out_row = &mut out_chunk[r * n..(r + 1) * n];
-        let mut j0 = 0;
-        while j0 < full {
-            let mut regs = [0.0_f32; NR];
-            for (pos, (&xq, &xf)) in xq_row.iter().zip(xf_row).enumerate() {
-                if xq == 0 {
-                    continue;
-                }
-                let ch = chans_flat[pos];
-                let wp: &[f32; NR] = (&w.deq.row(ch)[j0..j0 + NR])
-                    .try_into()
-                    .expect("panel width NR");
-                regs[0] += xf * wp[0];
-                regs[1] += xf * wp[1];
-                regs[2] += xf * wp[2];
-                regs[3] += xf * wp[3];
-                regs[4] += xf * wp[4];
-                regs[5] += xf * wp[5];
-                regs[6] += xf * wp[6];
-                regs[7] += xf * wp[7];
-            }
-            for (a, &c) in regs.iter_mut().zip(&corr[j0..j0 + NR]) {
-                *a += c;
-            }
-            out_row[j0..j0 + NR].copy_from_slice(&regs);
-            j0 += NR;
-        }
-        if j0 < n {
-            let jw = n - j0;
-            let mut regs = [0.0_f32; NR];
-            for (pos, (&xq, &xf)) in xq_row.iter().zip(xf_row).enumerate() {
-                if xq == 0 {
-                    continue;
-                }
-                let ch = chans_flat[pos];
-                let wp = &w.deq.row(ch)[j0..j0 + jw];
-                for (a, &wd) in regs[..jw].iter_mut().zip(wp) {
-                    *a += xf * wd;
-                }
-            }
-            for (a, &c) in regs[..jw].iter_mut().zip(&corr[j0..j0 + jw]) {
-                *a += c;
-            }
-            out_row[j0..j0 + jw].copy_from_slice(&regs[..jw]);
         }
     }
     chunk_saturated
@@ -874,20 +712,7 @@ pub fn explicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_runs(x, 0, w, calib, config, gemm::current(), None)
-}
-
-/// [`explicit_requant_matmul`] through an explicit backend. Exposed for the
-/// cross-backend differential tests.
-#[doc(hidden)]
-pub fn explicit_requant_matmul_with(
-    x: &Matrix,
-    w: &QuantizedWeight,
-    calib: &TenderCalibration,
-    config: &TenderConfig,
-    kind: BackendKind,
-) -> MatmulStats {
-    explicit_runs(x, 0, w, calib, config, kind, None)
+    explicit_runs(x, 0, w, calib, config, None)
 }
 
 /// [`explicit_requant_matmul`] for activation rows starting at absolute
@@ -905,7 +730,7 @@ pub fn explicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_runs(x, row0, w, calib, config, gemm::current(), None)
+    explicit_runs(x, row0, w, calib, config, None)
 }
 
 /// Body of every explicit entry point; `prepared` as in [`implicit_runs`].
@@ -915,7 +740,6 @@ pub(super) fn explicit_runs(
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
-    kind: BackendKind,
     prepared: Option<&[Vec<f32>]>,
 ) -> MatmulStats {
     check_shapes(x, w, calib);
@@ -929,11 +753,8 @@ pub(super) fn explicit_runs(
         let cc = &calib.chunks()[ci];
         let corr = bias_row(prepared, ci, cc, w);
         record_quantized(r1 - r0, cc);
-        if kind == BackendKind::Blocked && n > 0 {
-            gemm_metrics::TILES_DISPATCHED.add(((r1 - r0) * n.div_ceil(NR)) as u64);
-        }
         let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
-        saturated_values += explicit_chunk(x, r0..r1, cc, w, config, &corr, out_chunk, kind);
+        saturated_values += explicit_chunk(x, r0..r1, cc, w, config, &corr, out_chunk);
         chunks_processed += 1;
     }
     metrics::SATURATED_VALUES.add(saturated_values as u64);
@@ -1185,7 +1006,7 @@ mod tests {
         cc: &ChunkCalibration,
         config: &TenderConfig,
     ) -> Vec<f32> {
-        let (acc, _, _) = accumulate_chunk_implicit_with(x, cc, w, config, BackendKind::Reference);
+        let (acc, _, _) = accumulate_chunk_implicit_with(x, cc, w, config);
         let corr = bias_correction(&cc.bias, &w.deq);
         let s_last = cc.scales[config.num_groups - 1];
         acc.iter()
@@ -1298,8 +1119,7 @@ mod tests {
                 i32::MAX as u128
             );
             assert!(chunk_cannot_overflow(cc, w.bits, &config));
-            let (acc, overflow, _) =
-                accumulate_chunk_implicit_with(&x, cc, &w, &config, BackendKind::Reference);
+            let (acc, overflow, _) = accumulate_chunk_implicit_with(&x, cc, &w, &config);
             assert!(acc.iter().all(|&a| a == sign as i64 * i32::MAX as i64));
             assert_eq!(overflow, 0);
             let got = implicit_requant_matmul(&x, &w, &calib, &config);
@@ -1356,8 +1176,7 @@ mod tests {
         let cc = calib.chunk_for_row(0);
         let w = QuantizedWeight::per_col(&wf, 8);
         assert!(chunk_cannot_overflow(cc, w.bits, &config) && codes_fit_i16(&config));
-        let (acc, _, _) =
-            accumulate_chunk_implicit_with(&x, cc, &w, &config, BackendKind::Reference);
+        let (acc, _, _) = accumulate_chunk_implicit_with(&x, cc, &w, &config);
         let peak = 127 * 127 * k as i64;
         assert_eq!(acc, vec![peak, -peak, -peak, peak]);
         assert!(i32::MAX as i64 - peak < 127 * 127);

@@ -29,8 +29,7 @@ pub use decompose::{classify_channels, group_scales, DecompositionError};
 #[doc(hidden)]
 pub use matmul::{
     accumulate_chunk_explicit_shifted, accumulate_chunk_implicit, accumulate_chunk_implicit_with,
-    chunk_accumulator_bound, chunk_cannot_overflow, codes_fit_i16, explicit_chunk_with,
-    explicit_requant_matmul_with, implicit_requant_matmul_with,
+    chunk_accumulator_bound, chunk_cannot_overflow, codes_fit_i16,
 };
 pub use matmul::{
     explicit_requant_matmul, explicit_requant_matmul_at, implicit_requant_matmul,
@@ -40,7 +39,7 @@ pub use matmul::{
 pub use serialize::{decode_calibration, encode_calibration, DecodeError};
 
 use tender_metrics as metrics;
-use tender_tensor::{gemm, Matrix};
+use tender_tensor::Matrix;
 
 use crate::quantizer::round_to_f16;
 use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
@@ -169,7 +168,6 @@ impl TenderMatmul {
             &self.weight,
             &self.calibration,
             &self.config,
-            gemm::current(),
             Some(&self.bias_rows),
         );
         if let Some((threshold, fallback_w)) = &self.overflow_fallback {

@@ -8,12 +8,15 @@
 //! pre-scaled codes actually realise.
 //!
 //! Shapes cover the kernel's seams: 1–9 rows (inline, row-tile remainders)
-//! and 150–170 rows (pooled blocks, a short last block), K and N off every
-//! tile width (N = 1 included), activation/weight widths 2–8 and 16 bits,
-//! α ∈ {2, 3}, 1–16 groups (both operand widths, licensed and unlicensed
+//! and 150–280 rows (pooled blocks, a short last block), K and N off every
+//! tile width (N = 1 included), activation widths 2–8 and 16 bits, weight
+//! widths up to 28 bits (past 16 the packed weight codes are `i32`), α ∈
+//! {2, 3}, 1–16 groups (both operand widths, licensed and unlicensed
 //! chunks), and `row0 > 0` runs that straddle a calibration-chunk boundary.
-//! CI runs this under both `TENDER_BACKEND`s and thread counts; the pool is
-//! pinned to 4 threads here so the pooled path is real.
+//! The prefill-sized sweep also drives the per-step checked loop itself
+//! through the pool, at widths where single MACs leave `i32`. CI runs this
+//! at both thread counts; the pool is pinned to 4 threads here so the
+//! pooled path is real.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -22,7 +25,6 @@ use tender_quant::tender::{
     implicit_requant_matmul, implicit_requant_matmul_at, QuantizedWeight, TenderCalibration,
     TenderConfig,
 };
-use tender_tensor::gemm::BackendKind;
 use tender_tensor::pool;
 use tender_tensor::rng::DetRng;
 use tender_tensor::Matrix;
@@ -34,6 +36,8 @@ fn init_pool() {
 }
 
 const BITS: [u32; 8] = [2, 3, 4, 5, 6, 7, 8, 16];
+/// Weight widths: [`BITS`] plus widths whose codes no longer fit `i16`.
+const W_BITS: [u32; 12] = [2, 3, 4, 5, 6, 7, 8, 16, 17, 20, 26, 28];
 
 /// One drawn case; see [`check`].
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +51,9 @@ struct Case {
     groups: usize,
     row_chunk: usize,
     row0: usize,
+    /// Calibrate on the runtime tensor itself ([`overflow_prone_activation`])
+    /// rather than on a shorter, quieter sample.
+    self_calibrated: bool,
     seed: u64,
 }
 
@@ -58,6 +65,16 @@ fn activations(rng: &mut DetRng, rows: usize, cols: usize, gain: f32) -> Matrix 
     for r in 0..rows {
         x[(r, 0)] = rng.normal(0.5, 30.0 * gain);
         x[(r, cols / 2)] = rng.normal(-1.0, 6.0 * gain);
+    }
+    x
+}
+
+/// An activation with one heavy outlier column, so group scales spread and
+/// (at high bit widths) accumulators overflow.
+fn overflow_prone_activation(rng: &mut DetRng, rows: usize, cols: usize) -> Matrix {
+    let mut x = rng.normal_matrix(rows, cols, 0.0, 1.0);
+    for r in 0..rows {
+        x[(r, 0)] = rng.normal(0.0, 30.0);
     }
     x
 }
@@ -79,8 +96,9 @@ fn bias_row(bias: &[f32], w: &QuantizedWeight) -> Vec<f32> {
 }
 
 /// Runs one case through the kernel and through the oracle, run by run.
-/// Returns how many of its runs the overflow bound licensed.
-fn check(case: Case) -> Result<usize, TestCaseError> {
+/// Returns how many of its runs the overflow bound licensed, and the
+/// overflow-event total.
+fn check(case: Case) -> Result<(usize, usize), TestCaseError> {
     init_pool();
     let Case { m, k, n, row0, .. } = case;
     let config = TenderConfig {
@@ -92,10 +110,15 @@ fn check(case: Case) -> Result<usize, TestCaseError> {
         subtract_bias: true,
     };
     let mut rng = DetRng::new(case.seed);
-    // Calibrate on fewer rows than the run reaches, so late rows reuse the
-    // last chunk, and at a smaller gain than the runtime rows.
-    let sample = activations(&mut rng, (row0 + m).div_ceil(2).max(2), k, 1.0);
-    let x = activations(&mut rng, m, k, 1.3);
+    let (sample, x) = if case.self_calibrated {
+        let x = overflow_prone_activation(&mut rng, m, k);
+        (x.clone(), x)
+    } else {
+        // Calibrate on fewer rows than the run reaches, so late rows reuse
+        // the last chunk, and at a smaller gain than the runtime rows.
+        let sample = activations(&mut rng, (row0 + m).div_ceil(2).max(2), k, 1.0);
+        (sample, activations(&mut rng, m, k, 1.3))
+    };
     let wf = rng.normal_matrix(k, n, 0.0, 0.5);
     let calib = TenderCalibration::from_samples(std::slice::from_ref(&sample), &config);
     let w = QuantizedWeight::per_col(&wf, case.w_bits);
@@ -114,7 +137,7 @@ fn check(case: Case) -> Result<usize, TestCaseError> {
         let cc = calib.chunk_for_row(row0 + r0);
         let x_run = x.slice_rows(r0, r1);
         let (acc, run_overflow, run_saturated) =
-            accumulate_chunk_implicit_with(&x_run, cc, &w, &config, BackendKind::Reference);
+            accumulate_chunk_implicit_with(&x_run, cc, &w, &config);
         let (shifted, _) = accumulate_chunk_explicit_shifted(&x_run, cc, &w, &config);
         prop_assert_eq!(&acc, &shifted, "Eq. 2 ≡ Eq. 1 on rows {}..{}", r0, r1);
         if chunk_cannot_overflow(cc, w.bits(), &config) {
@@ -146,7 +169,7 @@ fn check(case: Case) -> Result<usize, TestCaseError> {
     prop_assert_eq!(got.chunks_processed, runs);
     prop_assert_eq!(got.overflow_events, overflow);
     prop_assert_eq!(got.saturated_values, saturated);
-    Ok(licensed)
+    Ok((licensed, overflow))
 }
 
 proptest! {
@@ -158,18 +181,19 @@ proptest! {
         m in 1_usize..=9,
         k in 1_usize..=70,
         n in 1_usize..=21,
-        widths in (0_usize..8, 0_usize..8),
+        widths in (0_usize..8, 0_usize..12),
         decomposition in (2_u32..=3, 1_usize..=16),
         chunking in (0_usize..=6, 0_usize..=11),
+        self_calibrated in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let (act_sel, w_sel) = widths;
         let (alpha, groups) = decomposition;
         let (row_chunk, row0) = chunking;
         check(Case {
-            m, k, n, alpha, groups, row_chunk, row0, seed,
+            m, k, n, alpha, groups, row_chunk, row0, self_calibrated, seed,
             act_bits: BITS[act_sel],
-            w_bits: BITS[w_sel],
+            w_bits: W_BITS[w_sel],
         })?;
     }
 }
@@ -177,28 +201,35 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Prefill-sized chunks at the paper's widths, straddling the pool's
-    /// dispatch threshold: every run must be licensed, so this is the
-    /// 32-bit kernel itself, pooled (4 threads) and inline.
+    /// Prefill-sized chunks straddling the pool's dispatch threshold. At
+    /// the paper's widths every run must be licensed, so this is the 32-bit
+    /// kernel itself, pooled (4 threads) and inline; at 16-bit activations ×
+    /// 26-bit weights single MACs can leave `i32`, so no run is and the
+    /// pooled per-step loop must report the oracle's (nonzero) overflow
+    /// total.
     #[test]
     fn kernel_matches_oracle_on_prefill_chunks(
-        m in 150_usize..=170,
+        m in 150_usize..=280,
         k in 100_usize..=139,
         n in 97_usize..=131,
-        int4 in any::<bool>(),
+        widths in 0_usize..3,
         alpha in 2_u32..=3,
         row0 in 0_usize..=200,
         seed in any::<u64>(),
     ) {
-        let (bits, groups) = if int4 { (4, 12) } else { (8, 4) };
+        let (act_bits, w_bits, groups) = [(4, 4, 12), (8, 8, 4), (16, 26, 2)][widths];
         let case = Case {
-            m, k, n, alpha, groups, row0, seed,
-            act_bits: bits,
-            w_bits: bits,
+            m, k, n, alpha, groups, row0, seed, act_bits, w_bits,
             row_chunk: 256,
+            self_calibrated: widths == 2,
         };
-        let licensed = check(case)?;
-        prop_assert!(licensed > 0, "paper-scale chunk was not licensed: {:?}", case);
+        let (licensed, overflow) = check(case)?;
+        if widths == 2 {
+            prop_assert_eq!(licensed, 0, "16 × 26 bits cannot be licensed: {:?}", case);
+            prop_assert!(overflow > 0, "bit widths chosen to overflow: {:?}", case);
+        } else {
+            prop_assert!(licensed > 0, "paper-scale chunk was not licensed: {:?}", case);
+        }
     }
 }
 
@@ -216,10 +247,11 @@ fn few_row_cases_reach_both_paths_and_both_operand_widths() {
         groups: 4,
         row_chunk: 4,
         row0: 3,
+        self_calibrated: false,
         seed: 11,
     };
     // i16 codes, i16 weights; rows 3..4, 4..8, 8..10 → three licensed runs.
-    assert_eq!(check(base).unwrap(), 3);
+    assert_eq!(check(base).unwrap().0, 3);
     // i32 codes (7 · 2^15 > i16::MAX), still licensed.
     let wide_codes = Case {
         act_bits: 4,
@@ -227,12 +259,20 @@ fn few_row_cases_reach_both_paths_and_both_operand_widths() {
         groups: 16,
         ..base
     };
-    assert_eq!(check(wide_codes).unwrap(), 3);
+    assert_eq!(check(wide_codes).unwrap().0, 3);
+    // 17-bit weights: the packed codes are i32, still licensed at 4-bit
+    // activations.
+    let wide_weights = Case {
+        act_bits: 4,
+        w_bits: 17,
+        ..base
+    };
+    assert_eq!(check(wide_weights).unwrap().0, 3);
     // 16 × 16 bits: a single MAC can leave i32, so every run is checked.
     let unlicensed = Case {
         act_bits: 16,
         w_bits: 16,
         ..base
     };
-    assert_eq!(check(unlicensed).unwrap(), 0);
+    assert_eq!(check(unlicensed).unwrap().0, 0);
 }

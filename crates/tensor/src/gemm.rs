@@ -1,203 +1,55 @@
-//! Pluggable GEMM kernel backends with a strict bit-identity contract.
+//! The GEMM kernels: one plain loop per product, under a fixed
+//! accumulation-chain rule.
 //!
-//! Every matrix product in the workspace runs through a [`GemmBackend`].
-//! Two implementations exist:
-//!
-//! * [`ReferenceBackend`] — the original row-at-a-time i-k-j loops, kept
-//!   verbatim as the semantic definition.
-//! * [`BlockedBackend`] — a cache-blocked, register-tiled kernel: each
-//!   output row is produced `NR` columns at a time in a bank of register
-//!   accumulators, and pooled dispatch hands each worker [`MR`] rows so the
-//!   `k × NR` panel of the right-hand operand stays cache-resident across
-//!   the block.
+//! Every dense product in the workspace is one of the free functions here:
+//! [`f32_block`], [`i32_block`] and [`i64_block`] (the row-at-a-time i-k-j
+//! loops behind `Matrix::matmul` / `IMatrix::matmul{,_wide}`), the two
+//! integer-domain KV-attention kernels [`kv_score_block`] and
+//! [`kv_attn_block`], and [`narrow_dot_block`].
 //!
 //! # Determinism contract
 //!
-//! Backends may reorder *which* output elements are computed when, but not
-//! the accumulation chain *within* one output element. Both backends visit
-//! `k` in ascending order per element, apply the identical zero-skip on the
-//! left operand, and keep a single accumulator per element (f32 register
-//! values round-trip exactly through memory), so `Blocked` output is
-//! byte-identical to `Reference` at any thread count. The cross-backend
-//! differential harness (`tests/backend_diff.rs` and its quant-level twin)
-//! pins this property over random shapes.
+//! Callers may split a product row-wise across threads — *which* output
+//! elements are computed when — but the accumulation chain *within* one
+//! output element is fixed: `k` ascending, the zero-skip on the left
+//! operand, and a single accumulator per element. That is what makes every
+//! result byte-identical at any thread count (`tests/prop_parallel.rs` pins
+//! each pooled kernel against a naive triple loop).
 //!
 //! # Narrow integer products
 //!
-//! [`narrow_dot_block`] stands outside the backend trait: it multiplies
+//! [`narrow_dot_block`] is the only specialised kernel: it multiplies
 //! `i16`/`i32` codes against a transposed, K-contiguous right operand on a
 //! 32-bit accumulator, for callers that can prove the accumulator bound.
-//! Integer sums under that bound are exact and order-free, so one kernel is
-//! byte-identical to the `i64` definition under either backend and needs no
-//! twin.
+//! Integer sums under that bound are exact and order-free, so it is
+//! byte-identical to the `i64` definition by construction and needs no twin.
 //!
-//! # Selection
-//!
-//! The process-wide backend starts unresolved; the first [`current`] call
-//! resolves the `TENDER_BACKEND` environment variable (`reference` or
-//! `blocked`, defaulting to `reference`). [`set_backend`] — reached from the
-//! CLI `--backend` flag — overrides the selection at any time. Kernels that
-//! must compare backends directly (the differential tests) bypass the global
-//! via [`backend`].
+//! There is deliberately no tiled/packed variant of the `*_block` loops; see
+//! DESIGN.md §10 for the measurements.
 
 use crate::pool;
 use crate::qrows::QuantRows;
-use std::sync::atomic::{AtomicU8, Ordering};
-use tender_metrics::gemm as metrics;
 
-/// Output columns per register tile of the blocked kernel.
-pub const NR: usize = 8;
-
-/// Rows per pooled work item for the blocked kernel: one worker computes
-/// `MR` output rows against the same `k × NR` panels, so panel loads from
-/// the right-hand operand amortize across the block.
-pub const MR: usize = 16;
-
-/// Identifies a GEMM backend implementation.
+/// Names the GEMM kernel family. One variant: the kernels in this module
+/// *are* the reference loops. Kept, with the stateless [`current`], because
+/// the frozen repository benchmark stamps its reports with
+/// `gemm::current().label()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// The original row-partitioned i-k-j loops (semantic definition).
+    /// The row-partitioned i-k-j loops.
     Reference,
-    /// Cache-blocked, register-tiled kernel (bit-identical, faster).
-    Blocked,
 }
 
 impl BackendKind {
-    /// Parses a backend name as accepted by `TENDER_BACKEND` and the CLI
-    /// `--backend` flag (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" | "ref" => Some(Self::Reference),
-            "blocked" => Some(Self::Blocked),
-            _ => None,
-        }
-    }
-
     /// Canonical lower-case name.
     pub fn label(self) -> &'static str {
-        match self {
-            Self::Reference => "reference",
-            Self::Blocked => "blocked",
-        }
+        "reference"
     }
 }
 
-/// 0 = unresolved, 1 = Reference, 2 = Blocked.
-static SELECTED: AtomicU8 = AtomicU8::new(0);
-
-fn encode(kind: BackendKind) -> u8 {
-    match kind {
-        BackendKind::Reference => 1,
-        BackendKind::Blocked => 2,
-    }
-}
-
-/// Selects the process-wide GEMM backend (overrides `TENDER_BACKEND`).
-pub fn set_backend(kind: BackendKind) {
-    SELECTED.store(encode(kind), Ordering::Relaxed);
-}
-
-/// The currently selected process-wide backend.
-///
-/// Unresolved state reads `TENDER_BACKEND` (unknown values fall back to
-/// `Reference`); afterwards the choice is sticky until [`set_backend`].
+/// The kernel family every product runs on (see [`BackendKind`]).
 pub fn current() -> BackendKind {
-    match SELECTED.load(Ordering::Relaxed) {
-        1 => BackendKind::Reference,
-        2 => BackendKind::Blocked,
-        _ => {
-            let kind = std::env::var("TENDER_BACKEND")
-                .ok()
-                .and_then(|s| BackendKind::parse(&s))
-                .unwrap_or(BackendKind::Reference);
-            // Resolve exactly once; a concurrent set_backend still wins.
-            let _ =
-                SELECTED.compare_exchange(0, encode(kind), Ordering::Relaxed, Ordering::Relaxed);
-            match SELECTED.load(Ordering::Relaxed) {
-                2 => BackendKind::Blocked,
-                _ => BackendKind::Reference,
-            }
-        }
-    }
-}
-
-/// A GEMM kernel implementation.
-///
-/// Each `*_block` method computes `out = a · b` for a block of output rows:
-/// `a` is `rows × k` row-major (with `rows = a.len() / k`), `b` is `k × n`
-/// row-major, and `out` (`rows × n`, zero-initialized by the caller) receives
-/// the product. Implementations must preserve the per-element accumulation
-/// order documented at the module level.
-pub trait GemmBackend: Sync {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Output rows per pooled work item when a matmul partitions rows.
-    fn rows_per_block(&self) -> usize;
-
-    /// Packs the full-width tiles of `b` into this backend's panel layout,
-    /// or returns an empty `Vec` when the backend consumes `b` in place.
-    /// Entry points call this **once per matmul** and hand the result to
-    /// every `*_block` call, so pooled workers share one packing pass.
-    fn pack_f32(&self, _b: &[f32], _k: usize, _n: usize) -> Vec<f32> {
-        Vec::new()
-    }
-
-    /// Integer twin of [`Self::pack_f32`] (shared by the i32 and i64
-    /// kernels, whose right-hand operand is `i32` either way).
-    fn pack_i32(&self, _b: &[i32], _k: usize, _n: usize) -> Vec<i32> {
-        Vec::new()
-    }
-
-    /// f32 block product. `packed` is this backend's [`Self::pack_f32`]
-    /// output for `b` (pass `&[]` to let the backend pack privately).
-    fn f32_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, packed: &[f32], out: &mut [f32]);
-
-    /// i32 block product (i32 accumulation, hardware datapath semantics).
-    fn i32_block(&self, a: &[i32], k: usize, b: &[i32], n: usize, packed: &[i32], out: &mut [i32]);
-
-    /// i32 operands with i64 accumulation (overflow-safety analysis).
-    fn i64_block(&self, a: &[i32], k: usize, b: &[i32], n: usize, packed: &[i32], out: &mut [i64]);
-
-    /// Integer-domain KV **score** kernel: the quantized query row `xq`
-    /// (length `kv.cols()`) dotted against every packed row of `kv`
-    /// without dequantizing, keeping one i64 partial sum per
-    /// `(row, group)`: `acc[j * groups + g] += Σ_{c ∈ group g} xq[c] ·
-    /// code(j, c)`. `acc` must be zeroed, `kv.rows() * groups` long; the
-    /// caller applies the α-shift combine across groups and the f32
-    /// scales/bias afterwards. Columns walk ascending. With `check` true
-    /// each MAC's accumulator is tested against the i32 range (the
-    /// hardware datapath width), left-operand zeros are skipped (the
-    /// fixed-chain discipline shared with the f32 kernels), and the
-    /// excursion count is returned. The fast path gated by
-    /// [`kv_dot_cannot_overflow`] returns 0 and is free to accumulate
-    /// densely in i32 — the bound certifies every partial stays in range,
-    /// and integer addition is exact, so skipping nothing and narrowing
-    /// the accumulator both leave the sums bit-identical across backends
-    /// and check modes.
-    fn kv_score_block(
-        &self,
-        kv: &QuantRows,
-        xq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64;
-
-    /// Integer-domain KV **value** kernel: the quantized probability row
-    /// `pq` (length `kv.rows()`) against the packed rows of `kv`,
-    /// accumulating per `(group, column)`: `acc[g * kv.cols() + c] +=
-    /// Σ_j pq[j] · code(j, c)`. `acc` must be zeroed, `groups * kv.cols()`
-    /// long. Rows walk ascending; check-mode and fast-path semantics match
-    /// [`kv_score_block`](GemmBackend::kv_score_block).
-    fn kv_attn_block(
-        &self,
-        kv: &QuantRows,
-        pq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64;
+    BackendKind::Reference
 }
 
 /// Largest quantized magnitude representable at `bits` (the push-row
@@ -231,8 +83,8 @@ fn outside_i32(v: i64) -> bool {
 }
 
 /// Left-operand rows that share one walk of each right-operand column in
-/// [`narrow_dot_block`]; divides [`MR`], the row count callers hand it per
-/// pooled work item.
+/// [`narrow_dot_block`]; the Tender kernel's 16-row work items are a
+/// multiple of it.
 const DOT_ROWS: usize = 4;
 
 /// Operands per fixed-size partial dot product of [`narrow_dot_block`]: a
@@ -350,698 +202,225 @@ pub fn narrow_dot_block<A, B, O>(
     }
 }
 
-/// Panel-major packing of `b`'s full-width tiles: panel `t` holds columns
-/// `t*NR..t*NR+NR` as `k` consecutive NR-wide rows. A pure copy — packing
-/// cannot perturb a single bit of the arithmetic. The kk-outer loop reads
-/// `b` sequentially; the strided writes land in at most `n/NR` cache lines
-/// at a time.
-fn pack_panels<T: Copy>(b: &[T], k: usize, n: usize, zero: T) -> Vec<T> {
-    let full = n - n % NR;
-    let mut packed = vec![zero; k * full];
-    for kk in 0..k {
-        for (t, chunk) in b[kk * n..kk * n + full].chunks_exact(NR).enumerate() {
-            packed[t * k * NR + kk * NR..][..NR].copy_from_slice(chunk);
-        }
+/// The i-k-j loop behind [`f32_block`], [`i32_block`] and [`i64_block`]
+/// (shapes as documented on [`f32_block`]). `mac(o, av, bv)` performs
+/// `*o += av · bv` at the element's accumulator width; zero left operands
+/// are skipped, so each element's chain is the module-level one.
+#[inline(always)]
+fn ikj_block<A: Copy + Default + PartialEq, O>(
+    a: &[A],
+    k: usize,
+    b: &[A],
+    n: usize,
+    out: &mut [O],
+    mac: impl Fn(&mut O, A, A),
+) {
+    if k == 0 || n == 0 {
+        return;
     }
-    packed
-}
-
-/// The original row-at-a-time i-k-j loops, unchanged semantics.
-pub struct ReferenceBackend;
-
-impl GemmBackend for ReferenceBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Reference
-    }
-
-    fn rows_per_block(&self) -> usize {
-        1
-    }
-
-    fn f32_block(
-        &self,
-        a: &[f32],
-        k: usize,
-        b: &[f32],
-        n: usize,
-        _packed: &[f32],
-        out: &mut [f32],
-    ) {
-        if k == 0 || n == 0 {
-            return;
-        }
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    fn i32_block(
-        &self,
-        a: &[i32],
-        k: usize,
-        b: &[i32],
-        n: usize,
-        _packed: &[i32],
-        out: &mut [i32],
-    ) {
-        if k == 0 || n == 0 {
-            return;
-        }
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0 {
-                    continue;
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    fn i64_block(
-        &self,
-        a: &[i32],
-        k: usize,
-        b: &[i32],
-        n: usize,
-        _packed: &[i32],
-        out: &mut [i64],
-    ) {
-        if k == 0 || n == 0 {
-            return;
-        }
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0 {
-                    continue;
-                }
-                let av = av as i64;
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv as i64;
-                }
-            }
-        }
-    }
-
-    fn kv_score_block(
-        &self,
-        kv: &QuantRows,
-        xq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64 {
-        assert_eq!(xq.len(), kv.cols(), "query width mismatch");
-        assert_eq!(acc.len(), kv.rows() * groups, "accumulator bank mismatch");
-        let mut events = 0u64;
-        if check {
-            for j in 0..kv.rows() {
-                let accs = &mut acc[j * groups..(j + 1) * groups];
-                for (&xv, (q, g)) in xq.iter().zip(kv.row_iter(j)) {
-                    if xv == 0 {
-                        continue;
-                    }
-                    let a = &mut accs[g];
-                    *a += xv as i64 * q as i64;
-                    if outside_i32(*a) {
-                        events += 1;
-                    }
-                }
-            }
-            return events;
-        }
-        // Check-free: the caller's bound certifies i32 partials, so
-        // accumulate densely in i32 (no zero-skip — exact integer sums
-        // are identical either way). Rows are only `head_dim` wide, so
-        // per-row fixed costs matter: INT8 ungrouped dots the
-        // sign-extended bytes in place; other shapes bulk-decode each row
-        // once.
-        if groups == 1 && kv.bits() == 8 {
-            for (j, a) in acc.iter_mut().enumerate() {
-                let mut s = 0i32;
-                for (&xv, &b) in xq.iter().zip(kv.row_vals(j)) {
-                    s += xv * (b as i8 as i32);
-                }
-                *a += s as i64;
-            }
-            return 0;
-        }
-        let cols = kv.cols();
-        let mut qs = vec![0i32; cols];
-        let mut gs = vec![0u8; cols];
-        if groups == 4 {
-            // Four-group (Tender INT4) rows: a register bank indexed by
-            // the 2-bit group code (`g & 3` proves the index in range).
-            for j in 0..kv.rows() {
-                kv.decode_row_into(j, &mut qs, &mut gs);
-                let mut local = [0i32; 4];
-                for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                    local[(g & 3) as usize] += xv * q;
-                }
-                for (a, &l) in acc[j * 4..(j + 1) * 4].iter_mut().zip(&local) {
-                    *a += l as i64;
-                }
-            }
-            return 0;
-        }
-        let mut local = vec![0i32; groups];
-        for j in 0..kv.rows() {
-            kv.decode_row_into(j, &mut qs, &mut gs);
-            let accs = &mut acc[j * groups..(j + 1) * groups];
-            local.fill(0);
-            for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                local[g as usize] += xv * q;
-            }
-            for (a, &l) in accs.iter_mut().zip(&local) {
-                *a += l as i64;
-            }
-        }
-        events
-    }
-
-    fn kv_attn_block(
-        &self,
-        kv: &QuantRows,
-        pq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64 {
-        assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
-        assert_eq!(acc.len(), groups * kv.cols(), "accumulator bank mismatch");
-        let cols = kv.cols();
-        let mut events = 0u64;
-        if check {
-            for (j, &pv) in pq.iter().enumerate() {
-                if pv == 0 {
-                    continue;
-                }
-                let pv = pv as i64;
-                for (c, (q, g)) in kv.row_iter(j).enumerate() {
-                    let a = &mut acc[g * cols + c];
-                    *a += pv * q as i64;
-                    if outside_i32(*a) {
-                        events += 1;
-                    }
-                }
-            }
-        } else if groups == 1 && kv.bits() == 8 {
-            // Check-free INT8 ungrouped: dense i32 column bank swept
-            // directly over the sign-extended bytes, widened once.
-            let mut local = vec![0i32; cols];
-            for (j, &pv) in pq.iter().enumerate() {
-                for (l, &b) in local.iter_mut().zip(kv.row_vals(j)) {
-                    *l += pv * (b as i8 as i32);
-                }
-            }
-            for (a, &l) in acc.iter_mut().zip(&local) {
-                *a += l as i64;
-            }
-        } else {
-            // Check-free: bulk-decode each row once and sweep dense i32
-            // banks, widened once at the end (the caller's bound certifies
-            // every partial stays in i32 range).
-            let mut qs = vec![0i32; cols];
-            let mut gs = vec![0u8; cols];
-            let mut local = vec![0i32; groups * cols];
-            for (j, &pv) in pq.iter().enumerate() {
-                if pv == 0 {
-                    continue;
-                }
-                kv.decode_row_into(j, &mut qs, &mut gs);
-                for (c, (&q, &g)) in qs.iter().zip(&gs).enumerate() {
-                    local[g as usize * cols + c] += pv * q;
-                }
-            }
-            for (a, &l) in acc.iter_mut().zip(&local) {
-                *a += l as i64;
-            }
-        }
-        events
-    }
-}
-
-/// Cache-blocked, register-tiled kernel.
-///
-/// Operates on `b` **packed** into panel-major layout — tile `t` becomes a
-/// contiguous `k × NR` panel, packed once per matmul via [`pack_panels`]
-/// and shared by every pooled worker — and produces each output row `NR`
-/// columns at a time: a bank of `NR` register accumulators runs the full
-/// `k` loop (ascending, with the reference zero-skip) against one
-/// sequential panel, then stores once. Packing is a pure copy, so it
-/// cannot perturb a single bit of the arithmetic.
-///
-/// The speedup has two sources. The reference kernel re-streams all of `b`
-/// (n-wide rows) for every output row and rewrites the n-wide output row on
-/// every `k` step; the blocked kernel touches `b` once to pack, walks L1-hot
-/// panels for the rest of the block (panels are revisited row after row
-/// within an [`MR`]-row work item), and writes each output element exactly
-/// once. Without packing the tile walk would stride `4·n` bytes per `k`
-/// step — a page per access at large `n`, defeating the prefetchers — which
-/// measures *slower* than the reference streams.
-pub struct BlockedBackend;
-
-/// One register tile: `NR` columns of one output row against one packed
-/// `k × NR` panel, `k` ascending, manually unrolled over the accumulator
-/// bank.
-macro_rules! blocked_tile {
-    ($a_row:expr, $panel:expr, $j0:expr, $out_row:expr,
-     $acc_ty:ty, $zero:expr, $skip:expr, $mac:expr) => {{
-        let mut acc: [$acc_ty; NR] = [$zero; NR];
-        for (&av, bp) in $a_row.iter().zip($panel.chunks_exact(NR)) {
-            if $skip(av) {
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (kk, &av) in a_row.iter().enumerate() {
+            if av == A::default() {
                 continue;
             }
-            let bp: &[_; NR] = bp.try_into().expect("panel width NR");
-            acc[0] = $mac(acc[0], av, bp[0]);
-            acc[1] = $mac(acc[1], av, bp[1]);
-            acc[2] = $mac(acc[2], av, bp[2]);
-            acc[3] = $mac(acc[3], av, bp[3]);
-            acc[4] = $mac(acc[4], av, bp[4]);
-            acc[5] = $mac(acc[5], av, bp[5]);
-            acc[6] = $mac(acc[6], av, bp[6]);
-            acc[7] = $mac(acc[7], av, bp[7]);
-        }
-        $out_row[$j0..$j0 + NR].copy_from_slice(&acc);
-    }};
-}
-
-/// Two register tiles sharing one panel walk: `NR` columns of **two**
-/// output rows advance through the packed panel in lockstep, so every
-/// panel line loaded from cache feeds two accumulator banks. Each row
-/// keeps its own bank and its own zero-skip, so each output element's
-/// accumulation chain is exactly the single-row chain.
-macro_rules! blocked_tile2 {
-    ($a0:expr, $a1:expr, $panel:expr, $j0:expr, $o0:expr, $o1:expr,
-     $acc_ty:ty, $zero:expr, $skip:expr, $mac:expr) => {{
-        let mut acc0: [$acc_ty; NR] = [$zero; NR];
-        let mut acc1: [$acc_ty; NR] = [$zero; NR];
-        for (kk, bp) in $panel.chunks_exact(NR).enumerate() {
-            let bp: &[_; NR] = bp.try_into().expect("panel width NR");
-            let av0 = $a0[kk];
-            if !$skip(av0) {
-                acc0[0] = $mac(acc0[0], av0, bp[0]);
-                acc0[1] = $mac(acc0[1], av0, bp[1]);
-                acc0[2] = $mac(acc0[2], av0, bp[2]);
-                acc0[3] = $mac(acc0[3], av0, bp[3]);
-                acc0[4] = $mac(acc0[4], av0, bp[4]);
-                acc0[5] = $mac(acc0[5], av0, bp[5]);
-                acc0[6] = $mac(acc0[6], av0, bp[6]);
-                acc0[7] = $mac(acc0[7], av0, bp[7]);
-            }
-            let av1 = $a1[kk];
-            if !$skip(av1) {
-                acc1[0] = $mac(acc1[0], av1, bp[0]);
-                acc1[1] = $mac(acc1[1], av1, bp[1]);
-                acc1[2] = $mac(acc1[2], av1, bp[2]);
-                acc1[3] = $mac(acc1[3], av1, bp[3]);
-                acc1[4] = $mac(acc1[4], av1, bp[4]);
-                acc1[5] = $mac(acc1[5], av1, bp[5]);
-                acc1[6] = $mac(acc1[6], av1, bp[6]);
-                acc1[7] = $mac(acc1[7], av1, bp[7]);
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                mac(o, av, bv);
             }
         }
-        $o0[$j0..$j0 + NR].copy_from_slice(&acc0);
-        $o1[$j0..$j0 + NR].copy_from_slice(&acc1);
-    }};
+    }
 }
 
-/// Edge columns (`n % NR`): scalar accumulators over the unpacked operand,
-/// identical k order. Edge tiles are never zero-padded to `NR` — an
-/// `acc + av·0.0` pad step could turn a `-0.0` accumulator into `+0.0`.
-macro_rules! blocked_edge {
-    ($a_row:expr, $b:expr, $n:expr, $j0:expr, $jw:expr, $out_row:expr,
-     $acc_ty:ty, $zero:expr, $skip:expr, $mac:expr) => {{
-        for jj in 0..$jw {
-            let mut acc: $acc_ty = $zero;
-            for (kk, &av) in $a_row.iter().enumerate() {
-                if $skip(av) {
+/// f32 block product `out = a · b` for a block of output rows: `a` is
+/// `rows × k` row-major (`rows = a.len() / k`), `b` is `k × n` row-major and
+/// `out` (`rows × n`, zero-initialized by the caller) receives the product,
+/// under the module-level accumulation-chain rule.
+pub fn f32_block(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    ikj_block(a, k, b, n, out, |o, av, bv| *o += av * bv);
+}
+
+/// i32 block product (i32 accumulation, hardware datapath semantics); shapes
+/// as in [`f32_block`].
+pub fn i32_block(a: &[i32], k: usize, b: &[i32], n: usize, out: &mut [i32]) {
+    ikj_block(a, k, b, n, out, |o, av, bv| *o += av * bv);
+}
+
+/// i32 operands with i64 accumulation (overflow-safety analysis); shapes as
+/// in [`f32_block`].
+pub fn i64_block(a: &[i32], k: usize, b: &[i32], n: usize, out: &mut [i64]) {
+    ikj_block(a, k, b, n, out, |o, av, bv| *o += av as i64 * bv as i64);
+}
+
+/// Integer-domain KV **score** kernel: the quantized query row `xq`
+/// (length `kv.cols()`) dotted against every packed row of `kv` without
+/// dequantizing, keeping one i64 partial sum per `(row, group)`:
+/// `acc[j * groups + g] += Σ_{c ∈ group g} xq[c] · code(j, c)`. `acc` must
+/// be zeroed, `kv.rows() * groups` long; the caller applies the α-shift
+/// combine across groups and the f32 scales/bias afterwards. Columns walk
+/// ascending. With `check` true each MAC's accumulator is tested against the
+/// i32 range (the hardware datapath width), left-operand zeros are skipped
+/// (the fixed-chain discipline shared with the f32 kernels), and the
+/// excursion count is returned. The fast path gated by
+/// [`kv_dot_cannot_overflow`] returns 0 and is free to accumulate densely in
+/// i32 — the bound certifies every partial stays in range, and integer
+/// addition is exact, so skipping nothing and narrowing the accumulator both
+/// leave the sums bit-identical to the checked path.
+pub fn kv_score_block(
+    kv: &QuantRows,
+    xq: &[i32],
+    groups: usize,
+    check: bool,
+    acc: &mut [i64],
+) -> u64 {
+    assert_eq!(xq.len(), kv.cols(), "query width mismatch");
+    assert_eq!(acc.len(), kv.rows() * groups, "accumulator bank mismatch");
+    let mut events = 0u64;
+    if check {
+        for j in 0..kv.rows() {
+            let accs = &mut acc[j * groups..(j + 1) * groups];
+            for (&xv, (q, g)) in xq.iter().zip(kv.row_iter(j)) {
+                if xv == 0 {
                     continue;
                 }
-                acc = $mac(acc, av, $b[kk * $n + $j0 + jj]);
-            }
-            $out_row[$j0 + jj] = acc;
-        }
-    }};
-}
-
-macro_rules! blocked_block {
-    ($a:expr, $k:expr, $b:expr, $n:expr, $packed:expr, $out:expr, $pair:expr,
-     $b_zero:expr, $acc_ty:ty, $zero:expr, $skip:expr, $mac:expr) => {{
-        if $k == 0 || $n == 0 {
-            return;
-        }
-        let full = $n - $n % NR;
-        let rows = $a.len() / $k;
-        metrics::TILES_DISPATCHED.add(($n.div_ceil(NR) * rows) as u64);
-        // Entry points pack once per matmul and share the panels across all
-        // pooled blocks; a direct call with `&[]` packs privately here.
-        let owned;
-        let packed = if $packed.is_empty() && full > 0 {
-            owned = pack_panels($b, $k, $n, $b_zero);
-            &owned[..]
-        } else {
-            $packed
-        };
-        debug_assert_eq!(packed.len(), $k * full, "packed panels for wrong shape");
-        for (t, panel) in packed.chunks_exact($k * NR).enumerate() {
-            let j0 = t * NR;
-            // Row pairs share each panel walk where the datapath profits
-            // from it (f32 FMA ports keep up with two banks; the integer
-            // multipliers do not). Chains per element are identical either
-            // way, so `$pair` is purely a tuning knob.
-            let even = if $pair { rows - rows % 2 } else { 0 };
-            let mut r = 0;
-            while r < even {
-                let (lo, hi) = $out.split_at_mut((r + 1) * $n);
-                blocked_tile2!(
-                    &$a[r * $k..(r + 1) * $k],
-                    &$a[(r + 1) * $k..(r + 2) * $k],
-                    panel,
-                    j0,
-                    &mut lo[r * $n..],
-                    hi,
-                    $acc_ty,
-                    $zero,
-                    $skip,
-                    $mac
-                );
-                r += 2;
-            }
-            while r < rows {
-                blocked_tile!(
-                    &$a[r * $k..(r + 1) * $k],
-                    panel,
-                    j0,
-                    &mut $out[r * $n..],
-                    $acc_ty,
-                    $zero,
-                    $skip,
-                    $mac
-                );
-                r += 1;
-            }
-        }
-        if full < $n {
-            for (a_row, out_row) in $a.chunks_exact($k).zip($out.chunks_exact_mut($n)) {
-                blocked_edge!(
-                    a_row,
-                    $b,
-                    $n,
-                    full,
-                    $n - full,
-                    out_row,
-                    $acc_ty,
-                    $zero,
-                    $skip,
-                    $mac
-                );
-            }
-        }
-    }};
-}
-
-impl GemmBackend for BlockedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Blocked
-    }
-
-    fn rows_per_block(&self) -> usize {
-        MR
-    }
-
-    fn pack_f32(&self, b: &[f32], k: usize, n: usize) -> Vec<f32> {
-        pack_panels(b, k, n, 0.0_f32)
-    }
-
-    fn pack_i32(&self, b: &[i32], k: usize, n: usize) -> Vec<i32> {
-        pack_panels(b, k, n, 0_i32)
-    }
-
-    fn f32_block(&self, a: &[f32], k: usize, b: &[f32], n: usize, packed: &[f32], out: &mut [f32]) {
-        blocked_block!(
-            a,
-            k,
-            b,
-            n,
-            packed,
-            out,
-            true,
-            0.0_f32,
-            f32,
-            0.0_f32,
-            |av: f32| av == 0.0,
-            |acc: f32, av: f32, bv: f32| acc + av * bv
-        );
-    }
-
-    fn i32_block(&self, a: &[i32], k: usize, b: &[i32], n: usize, packed: &[i32], out: &mut [i32]) {
-        blocked_block!(
-            a,
-            k,
-            b,
-            n,
-            packed,
-            out,
-            false,
-            0_i32,
-            i32,
-            0_i32,
-            |av: i32| av == 0,
-            |acc: i32, av: i32, bv: i32| acc + av * bv
-        );
-    }
-
-    fn i64_block(&self, a: &[i32], k: usize, b: &[i32], n: usize, packed: &[i32], out: &mut [i64]) {
-        blocked_block!(
-            a,
-            k,
-            b,
-            n,
-            packed,
-            out,
-            false,
-            0_i32,
-            i64,
-            0_i64,
-            |av: i32| av == 0,
-            |acc: i64, av: i32, bv: i32| acc + av as i64 * bv as i64
-        );
-    }
-
-    /// The blocked KV kernels avoid per-MAC bit extraction: INT8 ungrouped
-    /// check-free dots run directly over the sign-extended code bytes with
-    /// dense i32 accumulators (the caller's bound certifies i32 partials);
-    /// every other shape bulk-decodes each packed row into scratch once and
-    /// runs dense loops over the decoded values. The checked path keeps the
-    /// reference chain exactly (left-operand zero-skip, per-MAC i32-range
-    /// test on the i64 accumulator). Integer arithmetic is exact, so the
-    /// sums — and the overflow-event counts, which test the same
-    /// accumulator values at the same points — are bit-identical to
-    /// [`ReferenceBackend`] by construction.
-    fn kv_score_block(
-        &self,
-        kv: &QuantRows,
-        xq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64 {
-        assert_eq!(xq.len(), kv.cols(), "query width mismatch");
-        assert_eq!(acc.len(), kv.rows() * groups, "accumulator bank mismatch");
-        let cols = kv.cols();
-        if !check && groups == 1 && kv.bits() == 8 {
-            // INT8 ungrouped fast path: dot the sign-extended bytes in
-            // place — no scratch, one dense i32 register accumulator per
-            // row (the caller's bound certifies i32 partials; dense vs
-            // zero-skip cannot change an exact integer sum).
-            for (j, a) in acc.iter_mut().enumerate() {
-                let vals = kv.row_vals(j);
-                let mut s = 0i32;
-                for (&xv, &b) in xq.iter().zip(vals) {
-                    s += xv * (b as i8 as i32);
+                let a = &mut accs[g];
+                *a += xv as i64 * q as i64;
+                if outside_i32(*a) {
+                    events += 1;
                 }
-                *a += s as i64;
             }
-            return 0;
         }
-        let mut qs = vec![0i32; cols];
-        let mut gs = vec![0u8; cols];
-        let mut local = vec![0i32; groups];
-        let mut events = 0u64;
+        return events;
+    }
+    // Check-free: the caller's bound certifies i32 partials, so
+    // accumulate densely in i32 (no zero-skip — exact integer sums
+    // are identical either way). Rows are only `head_dim` wide, so
+    // per-row fixed costs matter: INT8 ungrouped dots the
+    // sign-extended bytes in place; other shapes bulk-decode each row
+    // once.
+    if groups == 1 && kv.bits() == 8 {
+        for (j, a) in acc.iter_mut().enumerate() {
+            let mut s = 0i32;
+            for (&xv, &b) in xq.iter().zip(kv.row_vals(j)) {
+                s += xv * (b as i8 as i32);
+            }
+            *a += s as i64;
+        }
+        return 0;
+    }
+    let cols = kv.cols();
+    let mut qs = vec![0i32; cols];
+    let mut gs = vec![0u8; cols];
+    if groups == 4 {
+        // Four-group (Tender INT4) rows: a register bank indexed by
+        // the 2-bit group code (`g & 3` proves the index in range).
         for j in 0..kv.rows() {
             kv.decode_row_into(j, &mut qs, &mut gs);
-            let accs = &mut acc[j * groups..(j + 1) * groups];
-            if check {
-                for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                    if xv == 0 {
-                        continue;
-                    }
-                    let a = &mut accs[g as usize];
-                    *a += xv as i64 * q as i64;
-                    if outside_i32(*a) {
-                        events += 1;
-                    }
-                }
-            } else if groups == 4 {
-                // Four-group (Tender INT4) rows: a register bank indexed
-                // by the 2-bit group code (`g & 3` proves the index in
-                // range).
-                let mut bank = [0i32; 4];
-                for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                    bank[(g & 3) as usize] += xv * q;
-                }
-                for (a, &l) in accs.iter_mut().zip(&bank) {
-                    *a += l as i64;
-                }
-            } else {
-                // Grouped check-free path: dense i32 group accumulators,
-                // widened once per row.
-                local.fill(0);
-                for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                    local[g as usize] += xv * q;
-                }
-                for (a, &l) in accs.iter_mut().zip(&local) {
-                    *a += l as i64;
-                }
+            let mut local = [0i32; 4];
+            for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
+                local[(g & 3) as usize] += xv * q;
             }
-        }
-        events
-    }
-
-    fn kv_attn_block(
-        &self,
-        kv: &QuantRows,
-        pq: &[i32],
-        groups: usize,
-        check: bool,
-        acc: &mut [i64],
-    ) -> u64 {
-        assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
-        assert_eq!(acc.len(), groups * kv.cols(), "accumulator bank mismatch");
-        let cols = kv.cols();
-        if !check && groups == 1 && kv.bits() == 8 {
-            // INT8 ungrouped fast path: dense i32 column bank swept
-            // directly over the sign-extended bytes, widened once.
-            let mut local = vec![0i32; cols];
-            for (j, &pv) in pq.iter().enumerate() {
-                let vals = kv.row_vals(j);
-                for (l, &b) in local.iter_mut().zip(vals) {
-                    *l += pv * (b as i8 as i32);
-                }
-            }
-            for (a, &l) in acc.iter_mut().zip(&local) {
+            for (a, &l) in acc[j * 4..(j + 1) * 4].iter_mut().zip(&local) {
                 *a += l as i64;
             }
-            return 0;
         }
+        return 0;
+    }
+    let mut local = vec![0i32; groups];
+    for j in 0..kv.rows() {
+        kv.decode_row_into(j, &mut qs, &mut gs);
+        let accs = &mut acc[j * groups..(j + 1) * groups];
+        local.fill(0);
+        for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
+            local[g as usize] += xv * q;
+        }
+        for (a, &l) in accs.iter_mut().zip(&local) {
+            *a += l as i64;
+        }
+    }
+    events
+}
+
+/// Integer-domain KV **value** kernel: the quantized probability row `pq`
+/// (length `kv.rows()`) against the packed rows of `kv`, accumulating per
+/// `(group, column)`: `acc[g * kv.cols() + c] += Σ_j pq[j] · code(j, c)`.
+/// `acc` must be zeroed, `groups * kv.cols()` long. Rows walk ascending;
+/// check-mode and fast-path semantics match [`kv_score_block`].
+pub fn kv_attn_block(
+    kv: &QuantRows,
+    pq: &[i32],
+    groups: usize,
+    check: bool,
+    acc: &mut [i64],
+) -> u64 {
+    assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
+    assert_eq!(acc.len(), groups * kv.cols(), "accumulator bank mismatch");
+    let cols = kv.cols();
+    let mut events = 0u64;
+    if check {
+        for (j, &pv) in pq.iter().enumerate() {
+            if pv == 0 {
+                continue;
+            }
+            let pv = pv as i64;
+            for (c, (q, g)) in kv.row_iter(j).enumerate() {
+                let a = &mut acc[g * cols + c];
+                *a += pv * q as i64;
+                if outside_i32(*a) {
+                    events += 1;
+                }
+            }
+        }
+    } else if groups == 1 && kv.bits() == 8 {
+        // Check-free INT8 ungrouped: dense i32 column bank swept
+        // directly over the sign-extended bytes, widened once.
+        let mut local = vec![0i32; cols];
+        for (j, &pv) in pq.iter().enumerate() {
+            for (l, &b) in local.iter_mut().zip(kv.row_vals(j)) {
+                *l += pv * (b as i8 as i32);
+            }
+        }
+        for (a, &l) in acc.iter_mut().zip(&local) {
+            *a += l as i64;
+        }
+    } else {
+        // Check-free: bulk-decode each row once and sweep dense i32
+        // banks, widened once at the end (the caller's bound certifies
+        // every partial stays in i32 range).
         let mut qs = vec![0i32; cols];
         let mut gs = vec![0u8; cols];
-        let mut events = 0u64;
-        if check {
-            for (j, &pv) in pq.iter().enumerate() {
-                if pv == 0 {
-                    continue;
-                }
-                kv.decode_row_into(j, &mut qs, &mut gs);
-                let pv = pv as i64;
-                for (c, (&q, &g)) in qs.iter().zip(&gs).enumerate() {
-                    let a = &mut acc[g as usize * cols + c];
-                    *a += pv * q as i64;
-                    if outside_i32(*a) {
-                        events += 1;
-                    }
-                }
+        let mut local = vec![0i32; groups * cols];
+        for (j, &pv) in pq.iter().enumerate() {
+            if pv == 0 {
+                continue;
             }
-        } else {
-            // Grouped check-free path: dense i32 banks over the bulk-decoded
-            // row, widened once at the end.
-            let mut local = vec![0i32; groups * cols];
-            for (j, &pv) in pq.iter().enumerate() {
-                if pv == 0 {
-                    continue;
-                }
-                kv.decode_row_into(j, &mut qs, &mut gs);
-                for (c, (&q, &g)) in qs.iter().zip(&gs).enumerate() {
-                    local[g as usize * cols + c] += pv * q;
-                }
-            }
-            for (a, &l) in acc.iter_mut().zip(&local) {
-                *a += l as i64;
+            kv.decode_row_into(j, &mut qs, &mut gs);
+            for (c, (&q, &g)) in qs.iter().zip(&gs).enumerate() {
+                local[g as usize * cols + c] += pv * q;
             }
         }
-        events
+        for (a, &l) in acc.iter_mut().zip(&local) {
+            *a += l as i64;
+        }
     }
+    events
 }
 
-static REFERENCE: ReferenceBackend = ReferenceBackend;
-static BLOCKED: BlockedBackend = BlockedBackend;
-
-/// The backend implementation for `kind`.
-pub fn backend(kind: BackendKind) -> &'static dyn GemmBackend {
-    match kind {
-        BackendKind::Reference => &REFERENCE,
-        BackendKind::Blocked => &BLOCKED,
-    }
-}
-
-/// The implementation for the process-wide selection ([`current`]).
-pub fn active_backend() -> &'static dyn GemmBackend {
-    backend(current())
-}
-
-/// The reference implementation, independent of the global selection.
-pub fn reference_backend() -> &'static dyn GemmBackend {
-    &REFERENCE
-}
-
-/// The blocked implementation, independent of the global selection.
-pub fn blocked_backend() -> &'static dyn GemmBackend {
-    &BLOCKED
-}
-
-/// Records one matmul dispatch in the per-backend counters.
-pub(crate) fn record_dispatch(kind: BackendKind) {
-    match kind {
-        BackendKind::Reference => metrics::REFERENCE_GEMMS.incr(),
-        BackendKind::Blocked => metrics::BLOCKED_GEMMS.incr(),
-    }
-}
-
-/// Runs a block-partitioned matmul through `backend`: serial when the work
-/// is small, otherwise `rows_per_block()`-row chunks across the pool. Shared
-/// by the `Matrix`/`IMatrix` entry points.
-pub(crate) fn dispatch_blocks<T: Send, F>(
-    backend: &dyn GemmBackend,
+/// Runs a row-partitioned matmul and counts it: serial when the work is
+/// small, otherwise one output row per pooled work item. `block(r0, rows,
+/// out)` computes output rows `r0..r0 + rows`. Shared by the
+/// `Matrix`/`IMatrix` entry points.
+pub(crate) fn dispatch_blocks<T: Send>(
     rows: usize,
     k: usize,
     n: usize,
     out: &mut [T],
-    block: F,
-) where
-    F: Fn(&dyn GemmBackend, usize, usize, &mut [T]) + Sync,
-{
-    let work = rows * k * n;
-    if work < pool::PAR_THRESHOLD || rows < 2 {
-        block(backend, 0, rows, out);
+    block: impl Fn(usize, usize, &mut [T]) + Sync,
+) {
+    tender_metrics::gemm::REFERENCE_GEMMS.incr();
+    if rows * k * n < pool::PAR_THRESHOLD || rows < 2 {
+        block(0, rows, out);
     } else {
-        let rpb = backend.rows_per_block();
-        pool::par_chunks_mut(out, rpb * n, |bi, out_block| {
-            let r0 = bi * rpb;
-            let block_rows = out_block.len() / n;
-            block(backend, r0, block_rows, out_block);
-        });
+        pool::par_chunks_mut(out, n, |r, out_row| block(r, 1, out_row));
     }
 }
 
@@ -1049,65 +428,17 @@ pub(crate) fn dispatch_blocks<T: Send, F>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_accepts_known_names() {
-        assert_eq!(
-            BackendKind::parse("reference"),
-            Some(BackendKind::Reference)
-        );
-        assert_eq!(BackendKind::parse("REF"), Some(BackendKind::Reference));
-        assert_eq!(BackendKind::parse(" Blocked "), Some(BackendKind::Blocked));
-        assert_eq!(BackendKind::parse("fancy"), None);
-        assert_eq!(BackendKind::Blocked.label(), "blocked");
-    }
-
-    #[test]
-    fn blocks_agree_on_small_fixed_case() {
-        // 3 rows, k = 5, n = NR + 3 → one full tile and one edge tile per row.
-        let k = 5;
-        let n = NR + 3;
-        let a: Vec<f32> = (0..3 * k).map(|i| (i as f32 - 7.0) * 0.25).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
-        let mut ref_out = vec![0.0_f32; 3 * n];
-        let mut blk_out = vec![0.0_f32; 3 * n];
-        reference_backend().f32_block(&a, k, &b, n, &[], &mut ref_out);
-        blocked_backend().f32_block(&a, k, &b, n, &[], &mut blk_out);
-        for (r, bl) in ref_out.iter().zip(&blk_out) {
-            assert_eq!(r.to_bits(), bl.to_bits());
-        }
-    }
-
-    #[test]
-    fn integer_blocks_agree_with_zero_skip_rows() {
-        let k = 9;
-        let n = 2 * NR; // full tiles only
-        let mut a: Vec<i32> = (0..4 * k).map(|i| (i as i32 % 13) - 6).collect();
-        // A zero in the left operand exercises the skip on both paths.
-        a[k + 2] = 0;
-        let b: Vec<i32> = (0..k * n).map(|i| (i as i32 % 17) - 8).collect();
-        let mut ref32 = vec![0_i32; 4 * n];
-        let mut blk32 = vec![0_i32; 4 * n];
-        reference_backend().i32_block(&a, k, &b, n, &[], &mut ref32);
-        blocked_backend().i32_block(&a, k, &b, n, &[], &mut blk32);
-        assert_eq!(ref32, blk32);
-        let mut ref64 = vec![0_i64; 4 * n];
-        let mut blk64 = vec![0_i64; 4 * n];
-        reference_backend().i64_block(&a, k, &b, n, &[], &mut ref64);
-        blocked_backend().i64_block(&a, k, &b, n, &[], &mut blk64);
-        assert_eq!(ref64, blk64);
-    }
-
-    /// Builds a grouped INT4 / ungrouped INT8 store with deterministic
-    /// pseudo-random contents for kernel agreement tests.
-    fn kv_fixture(rows: usize, cols: usize, bits: u32, grouped: bool) -> QuantRows {
+    /// Builds an INT4/INT8 store with deterministic pseudo-random contents
+    /// spread over `groups` groups (ungrouped when 1).
+    fn kv_fixture(rows: usize, cols: usize, bits: u32, groups: usize) -> QuantRows {
         let lim = 1i32 << (bits - 1);
-        let mut s = QuantRows::with_row_capacity(cols, bits, grouped, rows);
+        let mut s = QuantRows::with_row_capacity(cols, bits, groups > 1, rows);
         for r in 0..rows {
             let qs: Vec<i32> = (0..cols)
                 .map(|c| ((r * 31 + c * 17 + 5) as i32 % (2 * lim)) - lim)
                 .collect();
-            let gs: Vec<u8> = if grouped {
-                (0..cols).map(|c| ((r + c * 7) % 4) as u8).collect()
+            let gs: Vec<u8> = if groups > 1 {
+                (0..cols).map(|c| ((r + c * 7) % groups) as u8).collect()
             } else {
                 Vec::new()
             };
@@ -1117,36 +448,35 @@ mod tests {
     }
 
     #[test]
-    fn kv_kernels_agree_across_backends_and_check_modes() {
-        for (bits, grouped, groups) in [(8, false, 1usize), (4, true, 4)] {
-            let kv = kv_fixture(13, 19, bits, grouped);
+    fn kv_check_free_paths_equal_the_checked_loop() {
+        // INT8 ungrouped, four-group INT4 and the generic grouped path; the
+        // zeros in both left operands are skipped by the checked loop only.
+        for (bits, groups) in [(8, 1usize), (4, 4), (4, 2)] {
+            let kv = kv_fixture(13, 19, bits, groups);
             let xq: Vec<i32> = (0..19).map(|c| (c % 9) - 4).collect();
             let pq: Vec<i32> = (0..13).map(|j| (j % 7) - 3).collect();
-            for check in [false, true] {
-                let mut rs = vec![0i64; kv.rows() * groups];
-                let mut bs = vec![0i64; kv.rows() * groups];
-                let er = reference_backend().kv_score_block(&kv, &xq, groups, check, &mut rs);
-                let eb = blocked_backend().kv_score_block(&kv, &xq, groups, check, &mut bs);
-                assert_eq!(rs, bs, "score sums diverge (bits {bits}, check {check})");
-                assert_eq!(er, eb, "score event counts diverge");
-                assert_eq!(er, 0, "tiny shapes cannot overflow i32");
-                let mut ra = vec![0i64; groups * kv.cols()];
-                let mut ba = vec![0i64; groups * kv.cols()];
-                let ea = reference_backend().kv_attn_block(&kv, &pq, groups, check, &mut ra);
-                let eab = blocked_backend().kv_attn_block(&kv, &pq, groups, check, &mut ba);
-                assert_eq!(ra, ba, "attn sums diverge (bits {bits}, check {check})");
-                assert_eq!(ea, eab, "attn event counts diverge");
-            }
+            assert!(xq.contains(&0) && pq.contains(&0));
+            let mut fast = vec![0i64; kv.rows() * groups];
+            let mut checked = fast.clone();
+            assert_eq!(kv_score_block(&kv, &xq, groups, false, &mut fast), 0);
+            let events = kv_score_block(&kv, &xq, groups, true, &mut checked);
+            assert_eq!(events, 0, "tiny shapes cannot overflow i32");
+            assert_eq!(fast, checked, "score sums diverge ({bits}b, {groups}g)");
+            let mut fast = vec![0i64; groups * kv.cols()];
+            let mut checked = fast.clone();
+            assert_eq!(kv_attn_block(&kv, &pq, groups, false, &mut fast), 0);
+            assert_eq!(kv_attn_block(&kv, &pq, groups, true, &mut checked), 0);
+            assert_eq!(fast, checked, "attn sums diverge ({bits}b, {groups}g)");
         }
     }
 
     #[test]
     fn kv_score_matches_scalar_definition() {
-        let kv = kv_fixture(5, 7, 4, true);
+        let kv = kv_fixture(5, 7, 4, 4);
         let xq: Vec<i32> = vec![3, 0, -2, 1, 4, -1, 2];
         let groups = 4;
         let mut acc = vec![0i64; kv.rows() * groups];
-        reference_backend().kv_score_block(&kv, &xq, groups, false, &mut acc);
+        kv_score_block(&kv, &xq, groups, false, &mut acc);
         for j in 0..kv.rows() {
             let mut want = vec![0i64; groups];
             for (c, &xv) in xq.iter().enumerate() {
@@ -1183,12 +513,8 @@ mod tests {
         let pq = vec![127i32; rows];
         assert!(!kv_dot_cannot_overflow(rows, 8, 4, 1));
         let mut acc = vec![0i64; cols];
-        let events = reference_backend().kv_attn_block(&kv, &pq, 1, true, &mut acc);
+        let events = kv_attn_block(&kv, &pq, 1, true, &mut acc);
         assert!(events > 0, "saturated walk must record excursions");
-        let mut blk = vec![0i64; cols];
-        let eb = blocked_backend().kv_attn_block(&kv, &pq, 1, true, &mut blk);
-        assert_eq!(acc, blk);
-        assert_eq!(events, eb);
     }
 
     #[test]
@@ -1241,10 +567,8 @@ mod tests {
     #[test]
     fn degenerate_shapes_are_no_ops() {
         let mut out: Vec<f32> = vec![];
-        reference_backend().f32_block(&[], 0, &[], 4, &[], &mut out);
-        blocked_backend().f32_block(&[], 0, &[], 4, &[], &mut out);
-        let mut out1 = vec![0.0_f32; 0];
-        blocked_backend().f32_block(&[1.0, 2.0], 2, &[], 0, &[], &mut out1);
-        assert!(out1.is_empty());
+        f32_block(&[], 0, &[], 4, &mut out);
+        f32_block(&[1.0, 2.0], 2, &[], 0, &mut out);
+        assert!(out.is_empty());
     }
 }

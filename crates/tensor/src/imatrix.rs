@@ -124,44 +124,17 @@ impl IMatrix {
     ///
     /// Returns [`ShapeError`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &IMatrix) -> Result<IMatrix, ShapeError> {
-        self.matmul_with(rhs, crate::gemm::current())
-    }
-
-    /// [`IMatrix::matmul`] through an explicitly chosen backend. Exposed for
-    /// the cross-backend differential tests.
-    #[doc(hidden)]
-    pub fn matmul_with(
-        &self,
-        rhs: &IMatrix,
-        kind: crate::gemm::BackendKind,
-    ) -> Result<IMatrix, ShapeError> {
         if self.cols != rhs.rows {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let mut out = IMatrix::zeros(self.rows, rhs.cols);
         let n = rhs.cols;
         let k = self.cols;
-        crate::gemm::record_dispatch(kind);
         // Row-partitioned: identical op order per row at any thread count.
-        // Packed once here, shared read-only by every pooled worker.
-        let packed = crate::gemm::backend(kind).pack_i32(&rhs.data, k, n);
-        crate::gemm::dispatch_blocks(
-            crate::gemm::backend(kind),
-            self.rows,
-            k,
-            n,
-            &mut out.data,
-            |backend, r0, rows, out_block| {
-                backend.i32_block(
-                    &self.data[r0 * k..(r0 + rows) * k],
-                    k,
-                    &rhs.data,
-                    n,
-                    &packed,
-                    out_block,
-                );
-            },
-        );
+        crate::gemm::dispatch_blocks(self.rows, k, n, &mut out.data, |r0, rows, out_block| {
+            let a = &self.data[r0 * k..(r0 + rows) * k];
+            crate::gemm::i32_block(a, k, &rhs.data, n, out_block);
+        });
         Ok(out)
     }
 
@@ -171,43 +144,16 @@ impl IMatrix {
     ///
     /// Returns [`ShapeError`] if `self.cols() != rhs.rows()`.
     pub fn matmul_wide(&self, rhs: &IMatrix) -> Result<Vec<i64>, ShapeError> {
-        self.matmul_wide_with(rhs, crate::gemm::current())
-    }
-
-    /// [`IMatrix::matmul_wide`] through an explicitly chosen backend.
-    /// Exposed for the cross-backend differential tests.
-    #[doc(hidden)]
-    pub fn matmul_wide_with(
-        &self,
-        rhs: &IMatrix,
-        kind: crate::gemm::BackendKind,
-    ) -> Result<Vec<i64>, ShapeError> {
         if self.cols != rhs.rows {
             return Err(ShapeError::new("matmul_wide", self.shape(), rhs.shape()));
         }
         let n = rhs.cols;
         let k = self.cols;
         let mut out = vec![0_i64; self.rows * n];
-        crate::gemm::record_dispatch(kind);
-        // Packed once here, shared read-only by every pooled worker.
-        let packed = crate::gemm::backend(kind).pack_i32(&rhs.data, k, n);
-        crate::gemm::dispatch_blocks(
-            crate::gemm::backend(kind),
-            self.rows,
-            k,
-            n,
-            &mut out,
-            |backend, r0, rows, out_block| {
-                backend.i64_block(
-                    &self.data[r0 * k..(r0 + rows) * k],
-                    k,
-                    &rhs.data,
-                    n,
-                    &packed,
-                    out_block,
-                );
-            },
-        );
+        crate::gemm::dispatch_blocks(self.rows, k, n, &mut out, |r0, rows, out_block| {
+            let a = &self.data[r0 * k..(r0 + rows) * k];
+            crate::gemm::i64_block(a, k, &rhs.data, n, out_block);
+        });
         Ok(out)
     }
 

@@ -20,9 +20,9 @@
 //! * [`pool`] — a persistent worker pool with a strict determinism contract
 //!   (bit-identical results at any thread count) that every data-parallel
 //!   hot path in the workspace shares.
-//! * [`gemm`] — pluggable GEMM kernel backends (the reference loops and a
-//!   cache-blocked, register-tiled kernel) sharing one per-element
-//!   accumulation order, so backends are byte-identical to each other.
+//! * [`gemm`] — the GEMM kernels: one plain loop per product (f32, i32,
+//!   i64-wide, the two integer KV-attention kernels, the narrow 32-bit
+//!   accumulator dot) under one fixed per-element accumulation order.
 //! * [`arena`] — a paged KV-cache storage arena ([`KvArena`]) with
 //!   refcounted copy-on-write pages and tiered f32 → int8 → int4 demotion
 //!   accounting, backing prefix-shared decode sessions.

@@ -191,57 +191,27 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * rhs` through the process-wide GEMM backend
-    /// ([`crate::gemm::current`]).
+    /// Matrix product `self * rhs`.
     ///
-    /// The reference backend uses an i-k-j loop order over the row-major
-    /// layout (vectorizable contiguous inner loop); the blocked backend
-    /// register-tiles the output. Both keep the per-element accumulation
-    /// order fixed, so the result is byte-identical across backends and
-    /// thread counts; large products are split row-wise across threads.
+    /// An i-k-j loop over the row-major layout (vectorizable contiguous
+    /// inner loop, [`crate::gemm::f32_block`]) with the per-element
+    /// accumulation order fixed, so the result is byte-identical at any
+    /// thread count; large products are split row-wise across threads.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, ShapeError> {
-        self.matmul_with(rhs, crate::gemm::current())
-    }
-
-    /// [`Matrix::matmul`] through an explicitly chosen backend. Exposed for
-    /// the cross-backend differential tests; everything else should rely on
-    /// the process-wide selection.
-    #[doc(hidden)]
-    pub fn matmul_with(
-        &self,
-        rhs: &Matrix,
-        kind: crate::gemm::BackendKind,
-    ) -> Result<Matrix, ShapeError> {
         if self.cols != rhs.rows {
             return Err(ShapeError::new("matmul", self.shape(), rhs.shape()));
         }
         let n = rhs.cols;
         let k = self.cols;
         let mut out = Matrix::zeros(self.rows, n);
-        crate::gemm::record_dispatch(kind);
-        // Packed once here, shared read-only by every pooled worker.
-        let packed = crate::gemm::backend(kind).pack_f32(&rhs.data, k, n);
-        crate::gemm::dispatch_blocks(
-            crate::gemm::backend(kind),
-            self.rows,
-            k,
-            n,
-            &mut out.data,
-            |backend, r0, rows, out_block| {
-                backend.f32_block(
-                    &self.data[r0 * k..(r0 + rows) * k],
-                    k,
-                    &rhs.data,
-                    n,
-                    &packed,
-                    out_block,
-                );
-            },
-        );
+        crate::gemm::dispatch_blocks(self.rows, k, n, &mut out.data, |r0, rows, out_block| {
+            let a = &self.data[r0 * k..(r0 + rows) * k];
+            crate::gemm::f32_block(a, k, &rhs.data, n, out_block);
+        });
         Ok(out)
     }
 

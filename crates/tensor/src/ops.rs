@@ -154,10 +154,10 @@ pub fn causal_mask_inplace(scores: &mut Matrix) {
 /// The transpose-free product `q · mᵀ` for a single query row:
 /// `out[0, j] = Σ_c q[0, c] · m[j, c]`, columns ascending with the matmul
 /// zero-skip on the left operand. Reproduces `q.matmul(&m.transpose())`
-/// **bit-for-bit** under both GEMM backends — per output element both run
-/// the identical accumulation chain (`k` ascending, skip `a == 0.0`, one
-/// f32 accumulator) — while never materializing the transpose copy. This
-/// is the decode-attention score path for f32 KV planes.
+/// **bit-for-bit** — per output element both run the identical accumulation
+/// chain (`k` ascending, skip `a == 0.0`, one f32 accumulator) — while never
+/// materializing the transpose copy. This is the decode-attention score path
+/// for f32 KV planes.
 ///
 /// # Panics
 ///
@@ -189,8 +189,8 @@ mod tests {
     fn row_dot_nt_is_bit_equal_to_matmul_against_transpose() {
         // The decode score path relies on this being an exact rewrite of
         // `q · mᵀ` (same chain: k ascending, skip a == 0.0, one f32
-        // accumulator), under both GEMM backends. Include zeros in q to
-        // exercise the skip and awkward magnitudes to exercise rounding.
+        // accumulator). Include zeros in q to exercise the skip and awkward
+        // magnitudes to exercise rounding.
         let q = Matrix::from_rows(&[vec![0.3, 0.0, -1.7, 1e-3, 9.25, 0.0, -0.125]]).unwrap();
         let m = Matrix::from_vec(
             5,
@@ -201,19 +201,12 @@ mod tests {
         )
         .unwrap();
         let fast = row_dot_nt(&q, &m);
-        for kind in [
-            crate::gemm::BackendKind::Reference,
-            crate::gemm::BackendKind::Blocked,
-        ] {
-            crate::gemm::set_backend(kind);
-            let slow = q.matmul(&m.transpose()).expect("1x7 · 7x5");
-            crate::gemm::set_backend(crate::gemm::BackendKind::Reference);
-            assert_eq!(slow.rows(), 1);
-            assert_eq!(slow.cols(), 5);
-            let fast_bits: Vec<u32> = fast.row(0).iter().map(|v| v.to_bits()).collect();
-            let slow_bits: Vec<u32> = slow.row(0).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fast_bits, slow_bits, "diverges under {kind:?}");
-        }
+        let slow = q.matmul(&m.transpose()).expect("1x7 · 7x5");
+        assert_eq!(slow.rows(), 1);
+        assert_eq!(slow.cols(), 5);
+        let fast_bits: Vec<u32> = fast.row(0).iter().map(|v| v.to_bits()).collect();
+        let slow_bits: Vec<u32> = slow.row(0).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(fast_bits, slow_bits);
     }
 
     #[test]

@@ -130,7 +130,9 @@ proptest! {
     }
 
     /// Degenerate shapes (single row/column/inner) stay on the serial path
-    /// and still match the definition bit-for-bit.
+    /// and still match the definition bit-for-bit — also with an all-zero
+    /// left row and exact and negative zeros sprinkled through both operands
+    /// (the skip path, and sign bits an `acc + a·0.0` step could flip).
     #[test]
     fn tiny_shapes_bit_identical(
         rows in 1_usize..6,
@@ -141,11 +143,23 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let a = rng.normal_matrix(rows, inner, 0.0, 1.0);
         let b = rng.normal_matrix(inner, cols, 0.0, 1.0);
-        let got = a.matmul(&b).unwrap();
-        let expect = naive_f32(&a, &b);
-        for r in 0..rows {
-            for c in 0..cols {
-                prop_assert_eq!(got[(r, c)].to_bits(), expect[(r, c)].to_bits());
+        let za = Matrix::from_fn(rows, inner, |r, _| match rng.below(4) {
+            _ if r == 0 => 0.0,
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.normal(0.0, 1.0),
+        });
+        let zb = Matrix::from_fn(inner, cols, |_, _| match rng.below(4) {
+            0 => -0.0,
+            _ => rng.normal(0.0, 1.0),
+        });
+        for (a, b) in [(&a, &b), (&za, &zb)] {
+            let got = a.matmul(b).unwrap();
+            let expect = naive_f32(a, b);
+            for r in 0..rows {
+                for c in 0..cols {
+                    prop_assert_eq!(got[(r, c)].to_bits(), expect[(r, c)].to_bits());
+                }
             }
         }
         let ia = int_matrix(&mut rng, rows, inner);
