@@ -1,5 +1,8 @@
 //! Per-step decode latency A/B under sustained watermark pressure:
 //! evict-on-append vs boundary-drained demotion on a shared capped arena.
+//! (`kv_shard` is a historical name kept for `BENCH_kv_shard.json` and
+//! CI: nothing here is sharded — pages are owned handles with a lock each,
+//! and the A/B below is about *where* demotion runs.)
 //!
 //! * `kv_shard/step/evict_on_append` — one decode step on an arena with
 //!   inline demotion (`deferred_demotion: false`): every append above the

@@ -1121,7 +1121,6 @@ pub fn kv_page() -> Vec<Table> {
                         capacity_bytes: cap,
                         watermark,
                         deferred_demotion: deferred,
-                        ..ArenaConfig::default()
                     });
                     let mut s = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
                     let mut rows: Vec<Vec<f32>> = Vec::with_capacity(tk.len());
@@ -1275,7 +1274,6 @@ pub fn kv_page() -> Vec<Table> {
             capacity_bytes: cap,
             watermark: 0.5,
             deferred_demotion: true,
-            ..ArenaConfig::default()
         });
         let mut template = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
         template.prefill(&prompt);

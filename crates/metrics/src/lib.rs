@@ -500,8 +500,10 @@ pub mod kv_arena {
     /// Interim cap refusals answered by demoting cold pages and retrying
     /// — requantization work, not failures.
     pub static ALLOC_RETRIES: Counter = Counter::new();
-    /// Shard lock acquisitions that found the lock held (a `try_lock`
-    /// that would have blocked).
+    /// Page lock acquisitions that found the lock held the other way (a
+    /// `try_read`/`try_write` that would have blocked). The name predates
+    /// per-page locks — the arena used to lock shards of a page table —
+    /// and is kept because `benchmark/` reads it.
     pub static SHARD_CONTENTION: Counter = Counter::new();
     /// Demotion candidates currently queued for the boundary drain.
     pub static DEMOTION_QUEUE_DEPTH: Gauge = Gauge::new();

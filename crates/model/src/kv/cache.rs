@@ -2,7 +2,7 @@
 //! append, copy-on-write fork, own-page demotion, and the two read paths.
 
 use tender_metrics::engine as metrics;
-use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, PageId, PagePayload, PageTier};
+use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayload, PageTier};
 
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
 use super::quant::{
@@ -14,8 +14,10 @@ use crate::shape::ModelShape;
 /// modes) the append-time quantization state.
 #[derive(Debug, Clone)]
 struct Plane {
-    /// Arena pages in position order; all full except possibly the last.
-    pages: Vec<PageId>,
+    /// Owning handles to this plane's arena pages in position order; all
+    /// full except possibly the last. Cloning the plane shares every page
+    /// with the clone; dropping it releases them.
+    pages: Vec<Page>,
     /// Cached positions across the pages.
     len: usize,
     /// Append-time quantization state (`None` for f32 planes).
@@ -32,8 +34,8 @@ impl Plane {
     }
 
     /// The tail page, if it still has room for a row.
-    fn open_tail(&self, page_rows: usize) -> Option<PageId> {
-        let tail = *self.pages.last()?;
+    fn open_tail(&self, page_rows: usize) -> Option<&Page> {
+        let tail = self.pages.last()?;
         (self.len < self.pages.len() * page_rows).then_some(tail)
     }
 }
@@ -86,9 +88,10 @@ impl KvTierStats {
 /// f32 → int8 → int4 ladder to make room and returns [`EvictError`] only
 /// at the floor.
 ///
-/// **Sharing.** `clone()` retains every page (copy-on-write fork): the
-/// clone shares the prefix physically and copies a page only when one
-/// owner appends to it. The arena's gauges count shared pages once;
+/// **Sharing.** `clone()` clones every page handle (copy-on-write fork):
+/// the clone shares the prefix physically and copies a page only when one
+/// owner appends to it; dropping a cache drops its handles, and a page
+/// goes with its last owner. The arena's gauges count shared pages once;
 /// [`KvCache::bytes`] is this cache's own (session-local) view.
 #[derive(Debug)]
 pub struct KvCache {
@@ -106,9 +109,9 @@ pub struct KvCache {
     owner: u64,
     /// `layers × heads` K planes, indexed `li * heads + head`, then as
     /// many V planes in the same order. A plane's index is its
-    /// demotion-queue key and arena shard stripe; K before V, layer/head
-    /// ascending is also [`KvCache::demote_one`]'s scan order, so the
-    /// boundary drain prefers the same "coldest" pages.
+    /// demotion-queue key; K before V, layer/head ascending is also
+    /// [`KvCache::demote_one`]'s scan order, so the boundary drain prefers
+    /// the same "coldest" pages.
     planes: Vec<Plane>,
 }
 
@@ -212,13 +215,6 @@ impl KvCache {
         }
     }
 
-    /// Every page this cache references, in plane order.
-    fn page_ids(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.planes
-            .iter()
-            .flat_map(|plane| plane.pages.iter().copied())
-    }
-
     /// **Resident** K+V bytes, session-local view: what this cache's pages
     /// occupy (pages shared with forks counted in full), plus per-plane
     /// quantization constants. Preallocated-but-unwritten page tails are
@@ -240,8 +236,8 @@ impl KvCache {
     pub fn tier_stats(&self) -> KvTierStats {
         let page_rows = self.arena.page_rows();
         let mut out = KvTierStats::default();
-        for pid in self.page_ids() {
-            let p = self.arena.payload(pid);
+        for page in self.planes.iter().flat_map(|plane| &plane.pages) {
+            let p = page.read();
             let t = p.tier().index();
             out.pages[t] += 1;
             out.resident[t] += p.resident_bytes();
@@ -312,33 +308,30 @@ impl KvCache {
 
     fn push_row(&mut self, idx: usize, row: &[f32]) -> Result<(), EvictError> {
         let page_rows = self.arena.page_rows();
-        let tail = match self.planes[idx].open_tail(page_rows) {
-            Some(tail) if self.arena.refs(tail) == 1 => tail,
-            // A fork still shares the partial tail: copy-on-write.
+        match self.planes[idx].open_tail(page_rows) {
+            Some(tail) if tail.is_exclusive() => {}
+            // A fork still shares the partial tail: copy-on-write. Swapping
+            // the copy in drops this cache's handle to the original.
             Some(shared) => {
                 let copy = self.retry_demoting(|| self.arena.cow_clone(shared))?;
                 *self.planes[idx].pages.last_mut().expect("partial tail") = copy;
-                copy
             }
             // Every page is full (or there are none): open a new tail page.
             None => {
-                let id = self
-                    .retry_demoting(|| self.arena.alloc_on(idx as u64, self.fresh_payload(idx)))?;
-                self.planes[idx].pages.push(id);
-                id
+                let page = self.retry_demoting(|| self.arena.alloc(self.fresh_payload(idx)))?;
+                self.planes[idx].pages.push(page);
             }
-        };
-        let mode = self.mode;
+        }
+        let (mode, tier) = (self.mode, self.append_tier());
         let plane = &mut self.planes[idx];
-        self.arena
-            .with_page_mut(tail, |p| match (p, &mut plane.quant) {
-                (PagePayload::F32(m), None) => m.push_row(row),
-                (PagePayload::Quant(page), Some(q)) => q.push_into(page, row, mode),
-                _ => panic!("tail page tier does not match its plane"),
-            });
+        let tail = plane.pages.last().expect("tail page");
+        tail.with_mut(|p| match (p, &mut plane.quant) {
+            (PagePayload::F32(m), None) => m.push_row(row),
+            (PagePayload::Quant(page), Some(q)) => q.push_into(page, row, mode),
+            _ => panic!("tail page tier does not match its plane"),
+        });
         plane.len += 1;
         let sealed = plane.len.is_multiple_of(page_rows);
-        let tier = self.append_tier();
         if sealed && self.arena.deferred_demotion() && tier != PageTier::Int4 {
             // The page just sealed: it becomes a demotion candidate under
             // a structural clock key, so concurrent enqueues from pool
@@ -347,9 +340,9 @@ impl KvCache {
                 clock: self.arena.clock(),
                 owner: self.owner,
                 plane: idx as u32,
-                page_idx: (self.planes[idx].pages.len() - 1) as u32,
+                page_idx: (plane.pages.len() - 1) as u32,
             };
-            self.arena.enqueue_demotion(key, tail, tier);
+            self.arena.enqueue_demotion(key, tail.downgrade(), tier);
         }
         Ok(())
     }
@@ -370,7 +363,7 @@ impl KvCache {
             .filter(|plane| {
                 plane
                     .open_tail(page_rows)
-                    .is_none_or(|tail| self.arena.refs(tail) > 1)
+                    .is_none_or(|tail| !tail.is_exclusive())
             })
             .count();
         opens as u64 * self.mode.page_alloc_bytes(self.head_dim, page_rows)
@@ -442,13 +435,12 @@ impl KvCache {
         for tier in [PageTier::F32, PageTier::Int8] {
             for plane in &self.planes {
                 let sealed = plane.len / page_rows;
-                for &pid in &plane.pages[..sealed] {
-                    if self.arena.refs(pid) > 1 || self.arena.payload(pid).tier() != tier {
+                for page in &plane.pages[..sealed] {
+                    if !page.is_exclusive() || page.tier() != tier {
                         continue; // shared with a fork, or not this rung's turn
                     }
-                    let shrank = self.arena.with_page_mut(pid, |p| {
-                        demote_if_smaller(p, page_rows).map(|d| *p = d).is_some()
-                    });
+                    let shrank = page
+                        .with_mut(|p| demote_if_smaller(p, page_rows).map(|d| *p = d).is_some());
                     if shrank {
                         return true;
                     }
@@ -471,8 +463,8 @@ impl KvCache {
     /// quantized pages are dequantized under their own frozen snapshot.
     fn gather(&self, plane: &Plane) -> Matrix {
         let mut out = Matrix::with_row_capacity(self.head_dim, plane.len);
-        for &pid in &plane.pages {
-            decode_rows(&self.arena.payload(pid), |row| out.push_row(row));
+        for page in &plane.pages {
+            decode_rows(&page.read(), |row| out.push_row(row));
         }
         out
     }
@@ -514,8 +506,8 @@ impl KvCache {
         debug_assert_eq!(qh.len(), dh);
         let (xq, x_scale) = quantize_act(qh);
         let mut out = Vec::with_capacity(plane.len);
-        for &pid in &plane.pages {
-            let payload = self.arena.payload(pid);
+        for page in &plane.pages {
+            let payload = page.read();
             let PagePayload::Quant(qp) = &*payload else {
                 unreachable!("quantized plane holds an f32 page");
             };
@@ -565,8 +557,8 @@ impl KvCache {
         if plane.len > 0 {
             let (pq, p_scale) = quantize_act(probs);
             let mut off = 0usize;
-            for &pid in &plane.pages {
-                let payload = self.arena.payload(pid);
+            for page in &plane.pages {
+                let payload = page.read();
                 let PagePayload::Quant(qp) = &*payload else {
                     unreachable!("quantized plane holds an f32 page");
                 };
@@ -605,13 +597,11 @@ impl KvCache {
 }
 
 impl Clone for KvCache {
-    /// Copy-on-write fork: retains every page (the fork shares the prefix
-    /// physically) and re-publishes only the plane-constant overhead. The
-    /// first divergent append onto a shared page copies it.
+    /// Copy-on-write fork: cloning the planes clones every page handle
+    /// (the fork shares the prefix physically); only the plane-constant
+    /// overhead is re-published, under a fresh owner id. The first
+    /// divergent append onto a shared page copies it.
     fn clone(&self) -> Self {
-        for pid in self.page_ids() {
-            self.arena.retain(pid);
-        }
         let cache = Self {
             layers: self.layers,
             heads: self.heads,
@@ -628,10 +618,9 @@ impl Clone for KvCache {
 }
 
 impl Drop for KvCache {
+    /// The page handles drop with the planes; only the overhead this
+    /// cache published itself is taken back here.
     fn drop(&mut self) {
-        for pid in self.page_ids() {
-            self.arena.release(pid);
-        }
         self.publish_overhead(false);
     }
 }

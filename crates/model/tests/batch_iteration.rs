@@ -34,7 +34,6 @@ fn pressured_rollout(
         capacity_bytes: cap,
         watermark: 0.5,
         deferred_demotion: true,
-        ..ArenaConfig::default()
     });
     let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
     template.prefill(&prefix);

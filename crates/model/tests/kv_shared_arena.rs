@@ -1,5 +1,6 @@
-//! Integration stress for the shared-budget sharded arena: many sessions
-//! on one arena across pool threads, accounting identities between the
+//! Integration stress for the shared-budget arena: many sessions holding
+//! page handles of one arena across pool threads (fork = clone the
+//! handles, retire = drop them), accounting identities between the
 //! session-local and arena-global views, and deterministic shared-capped
 //! batch rollouts under demotion pressure.
 
@@ -26,7 +27,6 @@ fn concurrent_churn_leaves_no_residue() {
         capacity_bytes: Some(64 << 20),
         watermark: 1.0,
         deferred_demotion: true,
-        ..ArenaConfig::default()
     });
     let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
     // A non-page-aligned prefix leaves a shared open tail, so every fork's
@@ -137,7 +137,6 @@ fn pressured_shared_batch_is_run_to_run_deterministic() {
             capacity_bytes: cap,
             watermark: 0.5,
             deferred_demotion: true,
-            ..ArenaConfig::default()
         });
         let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         template.prefill(&prefix);

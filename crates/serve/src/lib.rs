@@ -505,7 +505,6 @@ impl<'m> Run<'m> {
             capacity_bytes: (cfg.kv_arena_bytes != u64::MAX).then_some(cfg.kv_arena_bytes),
             watermark: cfg.kv_watermark.clamp(0.0, 1.0),
             deferred_demotion: true,
-            ..ArenaConfig::default()
         });
         let traffic = synthetic_traffic(&cfg, shape);
         // Defensive horizon: admission resolves by the last arrival and
@@ -924,7 +923,14 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
         // prefilled, so its own prompt extends it token by token.
         let take = chunk.min(prompt_len - slot.fed);
         let logits = if slot.session.is_empty() {
-            slot.session.prefill(&slot.adm.req.prompt[..take])
+            match slot.session.try_prefill(&slot.adm.req.prompt[..take]) {
+                Ok(logits) => logits,
+                Err(e) => {
+                    return Some(TerminalStatus::Failed {
+                        reason: format!("kv arena exhausted during prefill: {e}"),
+                    })
+                }
+            }
         } else {
             let mut logits = None;
             for &tok in &slot.adm.req.prompt[slot.fed..slot.fed + take] {
@@ -1080,6 +1086,39 @@ mod tests {
             o.status,
             TerminalStatus::Rejected(AdmissionError::KvBudgetExceeded { budget: 1, .. })
         )));
+    }
+
+    #[test]
+    fn a_zero_byte_arena_fails_requests_without_unwinding() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let model = tiny();
+        let mut cfg = ServeConfig::new(6, 9);
+        cfg.kv_arena_bytes = 0; // admission passes, the first page does not
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {
+            PANICS.fetch_add(1, Ordering::Relaxed);
+        }));
+        let report = Scheduler::new(&model, cfg).run();
+        std::panic::set_hook(prev);
+        assert_eq!(
+            PANICS.load(Ordering::Relaxed),
+            0,
+            "a typed refusal went through catch_unwind"
+        );
+        assert_eq!(report.admitted, 6);
+        assert_eq!(report.failed, 6);
+        assert_eq!(report.unresolved, 0);
+        for o in &report.outcomes {
+            let TerminalStatus::Failed { reason } = &o.status else {
+                panic!("r{} ended as {:?}", o.id, o.status);
+            };
+            assert!(
+                reason.starts_with("kv arena exhausted during prefill: kv arena exhausted (need "),
+                "{reason}"
+            );
+        }
     }
 
     #[test]

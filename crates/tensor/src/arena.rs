@@ -1,50 +1,57 @@
-//! Paged KV-cache storage: a sharded arena of fixed-size row pages with
-//! refcounted copy-on-write sharing, one global byte budget, and tiered
+//! Paged KV-cache storage: fixed-size row pages held through owning
+//! handles, with copy-on-write sharing, one global byte budget, and tiered
 //! f32 → int8 → int4 demotion accounting.
 //!
-//! [`KvArena`] hands out [`PageId`]s for pages of `page_rows` cached
-//! positions each; a page's payload is either an exact f32 row block or a
-//! packed quantized block ([`QuantRows`] plus the page-local scale
-//! snapshot). Pages are *storage only* — the quantize/dequantize recipes,
-//! the per-plane bias/TMax state, and the demotion policy live with the
-//! caller (the decode engine's `KvCache`). What the arena owns is what must
-//! be global to be meaningful:
+//! [`KvArena::alloc`] hands out a [`Page`]: an owning, reference-counted
+//! handle to `page_rows` cached positions whose payload is either an exact
+//! f32 row block or a packed quantized block ([`QuantRows`] plus the
+//! page-local scale snapshot). **Ownership is the handle's lifetime** —
+//! `Clone` retains the page (a forked session shares its prefix), `Drop`
+//! releases it, and the last drop un-accounts the page and returns its
+//! bytes to the budget. There is no page table: nothing can name a page
+//! that no longer exists, and nothing has to be released by hand.
 //!
-//! * **Refcounts.** Forked sessions retain the pages of their shared
-//!   prefix; a page is freed when its last owner releases it. Mutation is
-//!   only legal on exclusively-owned pages — callers copy-on-write first
-//!   ([`KvArena::cow_clone`]).
+//! Pages are *storage only* — the quantize/dequantize recipes, the
+//! per-plane bias/TMax state, and the demotion policy live with the caller
+//! (the decode engine's `KvCache`). Mutation is only legal through the one
+//! owner of an exclusively held page ([`Page::with_mut`] panics on a shared
+//! one); callers copy-on-write first ([`KvArena::cow_clone`]). Each page
+//! carries its own reader/writer lock: attention reads the payload in
+//! place under a shared guard, an append or demotion edits it in place
+//! under the exclusive one, so sessions working on different pages never
+//! meet on a lock.
+//!
+//! What the arena itself owns is what must be global to be meaningful:
+//!
 //! * **Exact accounting.** Per-tier resident/allocated byte and page
-//!   totals are kept per shard; demotion/CoW/eviction counters and the
-//!   budget counter are lock-free atomics, so the aggregate gauges
-//!   (`metrics::engine::KV_CACHE_BYTES` and the `metrics::kv_arena` bank)
-//!   count every shared page exactly once.
-//! * **Capacity.** One *global* hard byte cap across every shard,
-//!   reserved with a compare-and-swap before a page is placed: an
-//!   allocation that would exceed it fails with a typed [`EvictError`]
-//!   (the caller demotes cold pages and retries before giving up), and a
-//!   configurable high-watermark fraction below the cap at which callers
-//!   start demoting proactively.
+//!   totals, the demotion/CoW/eviction counters and the budget are
+//!   arena-level atomics, updated from each page's O(1)
+//!   `tier()/resident_bytes()/allocated_bytes()` before and after an edit,
+//!   so the aggregate gauges (`metrics::engine::KV_CACHE_BYTES` and the
+//!   `metrics::kv_arena` bank) count every shared page exactly once.
+//!   [`KvArena::stats`] is exact at quiescent points (iteration
+//!   boundaries, end of run), which is where every caller reads it.
+//! * **Capacity.** One hard byte cap, reserved with a compare-and-swap
+//!   before a page is created: an allocation that would exceed it fails
+//!   with a typed [`EvictError`] (the caller demotes cold pages and retries
+//!   before giving up), and a configurable high-watermark fraction below
+//!   the cap at which callers start demoting proactively.
 //! * **The demotion queue.** Under `deferred_demotion`, callers enqueue
 //!   cold-page candidates keyed by a logical ([`DemoteKey`]) clock instead
 //!   of requantizing on the appending thread; a drain at a deterministic
 //!   iteration boundary pops candidates in key order — which is
 //!   independent of *enqueue* interleaving — and requantizes off the
-//!   decode critical path.
-//!
-//! Pages are striped over [`ArenaConfig::shards`] independently-locked
-//! shards by the caller-supplied plane key (layer/head/K-or-V), so
-//! concurrent sessions appending to different planes do not serialize on
-//! one mutex. Every arena operation is a short critical section on one
-//! shard; numeric work (quantization, attention) happens outside the lock
-//! on payload snapshots (`Arc<PagePayload>`), so reads never block appends
-//! for long.
+//!   decode critical path. Queue entries are non-owning ([`QueuedPage`]):
+//!   being queued must not keep a page alive nor make it look shared, and
+//!   a page whose last owner dropped while it was queued simply fails to
+//!   upgrade at drain time.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, RwLock, RwLockWriteGuard, TryLockError, Weak};
 
 use tender_metrics::engine as engine_metrics;
 use tender_metrics::kv_arena as metrics;
@@ -53,10 +60,6 @@ use crate::{Matrix, QuantRows};
 
 /// Default page height: cached positions per page.
 pub const DEFAULT_PAGE_ROWS: usize = 16;
-
-/// Default shard count: enough lanes that a typical (layer, head) plane
-/// spread maps mostly-distinct planes to distinct locks.
-pub const DEFAULT_ARENA_SHARDS: usize = 8;
 
 /// Storage precision tier of one page — the demotion ladder, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -199,14 +202,11 @@ impl PagePayload {
 pub struct ArenaConfig {
     /// Cached positions per page.
     pub page_rows: usize,
-    /// Hard cap on total allocated bytes across every shard (`None` =
-    /// unbounded).
+    /// Hard cap on total allocated bytes (`None` = unbounded).
     pub capacity_bytes: Option<u64>,
     /// High-watermark fraction of the capacity at which callers start
     /// demoting cold pages (1.0 = only demote when allocation fails).
     pub watermark: f64,
-    /// Independently-locked page shards; plane keys stripe across them.
-    pub shards: usize,
     /// When set, watermark pressure *enqueues* demotion candidates on the
     /// arena's clock-keyed queue instead of requantizing on the appending
     /// thread; the owner drains the queue at iteration boundaries.
@@ -219,7 +219,6 @@ impl Default for ArenaConfig {
             page_rows: DEFAULT_PAGE_ROWS,
             capacity_bytes: None,
             watermark: 1.0,
-            shards: DEFAULT_ARENA_SHARDS,
             deferred_demotion: false,
         }
     }
@@ -248,38 +247,6 @@ impl fmt::Display for EvictError {
 }
 
 impl Error for EvictError {}
-
-/// A handle to one page in a [`KvArena`]. Plain data — dropping an id does
-/// not release the page; owners call [`KvArena::release`].
-///
-/// Encodes (shard, generation, slot): the generation counter makes stale
-/// handles (a freed slot that was since reused) detectable, which the
-/// deferred-demotion drain relies on to skip pages that died in the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PageId(u64);
-
-const GEN_BITS: u64 = 24;
-const SLOT_BITS: u64 = 32;
-const GEN_MASK: u32 = (1 << GEN_BITS) - 1;
-
-impl PageId {
-    fn new(shard: usize, gen: u32, slot: u32) -> Self {
-        debug_assert!(gen <= GEN_MASK);
-        Self(((shard as u64) << (GEN_BITS + SLOT_BITS)) | ((gen as u64) << SLOT_BITS) | slot as u64)
-    }
-
-    fn shard(self) -> usize {
-        (self.0 >> (GEN_BITS + SLOT_BITS)) as usize
-    }
-
-    fn gen(self) -> u32 {
-        ((self.0 >> SLOT_BITS) as u32) & GEN_MASK
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & ((1 << SLOT_BITS) - 1)) as usize
-    }
-}
 
 /// Point-in-time arena accounting, per tier plus event counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -337,108 +304,49 @@ pub struct DemoteKey {
     pub page_idx: u32,
 }
 
-/// One queued demotion candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemoteCandidate {
-    /// Drain-order key.
-    pub key: DemoteKey,
-    /// The page to demote. May be stale by drain time (freed, CoW'd away,
-    /// shared, or already demoted); drains revalidate via
-    /// [`KvArena::page_meta`].
-    pub id: PageId,
-    /// Tier the page held when enqueued.
-    pub tier: PageTier,
+/// What one page is billed for: its tier and byte footprint, taken from the
+/// payload's O(1) accessors.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Bill {
+    tier: PageTier,
+    resident: u64,
+    allocated: u64,
 }
 
-struct PageSlot {
-    payload: Arc<PagePayload>,
-    refs: u32,
-}
+/// The global gauges behind each tier's (pages, resident bytes, allocated
+/// bytes) triple, in `PageTier::index` order — the same layout as
+/// `ArenaShared::totals`.
+static TIER_GAUGES: [[&tender_metrics::Gauge; 3]; 3] = [
+    [
+        &metrics::PAGES_F32,
+        &metrics::RESIDENT_F32,
+        &metrics::ALLOCATED_F32,
+    ],
+    [
+        &metrics::PAGES_INT8,
+        &metrics::RESIDENT_INT8,
+        &metrics::ALLOCATED_INT8,
+    ],
+    [
+        &metrics::PAGES_INT4,
+        &metrics::RESIDENT_INT4,
+        &metrics::ALLOCATED_INT4,
+    ],
+];
 
-struct SlotEntry {
-    gen: u32,
-    page: Option<PageSlot>,
-}
-
-#[derive(Default)]
-struct TierTotals {
-    pages: [u64; 3],
-    resident: [u64; 3],
-    allocated: [u64; 3],
-}
-
-struct Shard {
-    slots: Vec<SlotEntry>,
-    free: Vec<u32>,
-    totals: TierTotals,
-}
-
-impl Shard {
-    fn entry(&self, id: PageId) -> &PageSlot {
-        self.try_entry(id).expect("live page id")
-    }
-
-    fn entry_mut(&mut self, id: PageId) -> &mut PageSlot {
-        let entry = self
-            .slots
-            .get_mut(id.slot())
-            .filter(|e| e.gen == id.gen())
-            .expect("live page id");
-        entry.page.as_mut().expect("live page id")
-    }
-
-    fn try_entry(&self, id: PageId) -> Option<&PageSlot> {
-        self.slots
-            .get(id.slot())
-            .filter(|e| e.gen == id.gen())
-            .and_then(|e| e.page.as_ref())
-    }
-
-    /// Adds (`+1`) or removes (`-1`) one page's footprint from the per-tier
-    /// totals and the global gauges. Deliberately does *not* touch the
-    /// arena's budget atomic: additions spend a reservation made by
-    /// `try_reserve` before any lock was taken (so concurrent allocations
-    /// cannot jointly overshoot the cap), and removals hand bytes back
-    /// explicitly at the call site.
-    fn account(&mut self, global: &Global, payload: &PagePayload, sign: i64) {
-        let t = payload.tier().index();
-        let res = payload.resident_bytes();
-        let alloc = payload.allocated_bytes(global.cfg.page_rows);
-        let (pages_g, res_g, alloc_g) = tier_gauges(payload.tier());
-        if sign > 0 {
-            self.totals.pages[t] += 1;
-            self.totals.resident[t] += res;
-            self.totals.allocated[t] += alloc;
-            pages_g.add(1);
-            res_g.add(res);
-            alloc_g.add(alloc);
-            engine_metrics::KV_CACHE_BYTES.add(res);
-            engine_metrics::KV_CACHE_ALLOCATED_BYTES.add(alloc);
-            engine_metrics::KV_CACHE_PEAK_BYTES.observe(engine_metrics::KV_CACHE_BYTES.get());
-        } else {
-            self.totals.pages[t] -= 1;
-            self.totals.resident[t] -= res;
-            self.totals.allocated[t] -= alloc;
-            pages_g.sub(1);
-            res_g.sub(res);
-            alloc_g.sub(alloc);
-            engine_metrics::KV_CACHE_BYTES.sub(res);
-            engine_metrics::KV_CACHE_ALLOCATED_BYTES.sub(alloc);
-        }
-    }
-}
-
-struct Global {
+struct ArenaShared {
     cfg: ArenaConfig,
-    /// Budget source of truth: total allocated bytes across every shard.
-    /// Reserved with a CAS *before* a page is placed so concurrent allocs
-    /// cannot jointly overshoot the cap.
+    /// Budget source of truth: total allocated bytes. Reserved with a CAS
+    /// *before* a page is created so concurrent allocs cannot jointly
+    /// overshoot the cap.
     allocated: AtomicU64,
+    /// Live (pages, resident bytes, allocated bytes) per tier.
+    totals: [[AtomicU64; 3]; 3],
     /// Logical iteration clock for demotion keys.
     clock: AtomicU64,
     /// Owner-id dispenser for [`KvArena::register_owner`].
     owners: AtomicU64,
-    queue: Mutex<BTreeMap<DemoteKey, (PageId, PageTier)>>,
+    queue: Mutex<BTreeMap<DemoteKey, (QueuedPage, PageTier)>>,
     demoted_int8: AtomicU64,
     demoted_int4: AtomicU64,
     cow_copies: AtomicU64,
@@ -446,55 +354,52 @@ struct Global {
     alloc_retries: AtomicU64,
 }
 
-struct ArenaShared {
-    global: Global,
-    shards: Vec<Mutex<Shard>>,
+impl ArenaShared {
+    fn bill(&self, payload: &PagePayload) -> Bill {
+        Bill {
+            tier: payload.tier(),
+            resident: payload.resident_bytes(),
+            allocated: payload.allocated_bytes(self.cfg.page_rows),
+        }
+    }
+
+    /// Adds or removes one page's footprint from the per-tier totals and
+    /// the global gauges. Deliberately does *not* touch the budget atomic:
+    /// additions spend a reservation made by `try_reserve` beforehand (so
+    /// concurrent allocations cannot jointly overshoot the cap), and
+    /// removals hand bytes back explicitly at the call site.
+    fn account(&self, bill: Bill, add: bool) {
+        let t = bill.tier.index();
+        let amounts = [1, bill.resident, bill.allocated];
+        for ((total, gauge), n) in self.totals[t].iter().zip(TIER_GAUGES[t]).zip(amounts) {
+            if add {
+                total.fetch_add(n, Ordering::Relaxed);
+                gauge.add(n);
+            } else {
+                total.fetch_sub(n, Ordering::Relaxed);
+                gauge.sub(n);
+            }
+        }
+        if add {
+            engine_metrics::KV_CACHE_BYTES.add(bill.resident);
+            engine_metrics::KV_CACHE_ALLOCATED_BYTES.add(bill.allocated);
+            engine_metrics::KV_CACHE_PEAK_BYTES.observe(engine_metrics::KV_CACHE_BYTES.get());
+        } else {
+            engine_metrics::KV_CACHE_BYTES.sub(bill.resident);
+            engine_metrics::KV_CACHE_ALLOCATED_BYTES.sub(bill.allocated);
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, BTreeMap<DemoteKey, (QueuedPage, PageTier)>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl Drop for ArenaShared {
     fn drop(&mut self) {
-        // Leaked pages (a cache abandoned without release) must not leave
-        // the global gauges permanently inflated.
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for i in 0..shard.slots.len() {
-                if let Some(slot) = shard.slots[i].page.take() {
-                    shard.account(&self.global, &slot.payload, -1);
-                    let freed = slot.payload.allocated_bytes(self.global.cfg.page_rows);
-                    self.global.allocated.fetch_sub(freed, Ordering::Relaxed);
-                    metrics::PAGE_FREES.incr();
-                }
-            }
-        }
-        let queued = self.global.queue.lock().unwrap_or_else(|e| e.into_inner());
-        metrics::DEMOTION_QUEUE_DEPTH.sub(queued.len() as u64);
+        // Pages hold the arena alive, so none is outstanding here.
+        metrics::DEMOTION_QUEUE_DEPTH.sub(self.queue().len() as u64);
         metrics::ARENAS.sub(1);
-    }
-}
-
-fn tier_gauges(
-    tier: PageTier,
-) -> (
-    &'static tender_metrics::Gauge,
-    &'static tender_metrics::Gauge,
-    &'static tender_metrics::Gauge,
-) {
-    match tier {
-        PageTier::F32 => (
-            &metrics::PAGES_F32,
-            &metrics::RESIDENT_F32,
-            &metrics::ALLOCATED_F32,
-        ),
-        PageTier::Int8 => (
-            &metrics::PAGES_INT8,
-            &metrics::RESIDENT_INT8,
-            &metrics::ALLOCATED_INT8,
-        ),
-        PageTier::Int4 => (
-            &metrics::PAGES_INT4,
-            &metrics::RESIDENT_INT4,
-            &metrics::ALLOCATED_INT4,
-        ),
     }
 }
 
@@ -507,6 +412,206 @@ fn watermark_mark(cap: u64, watermark: f64) -> u64 {
     // 1.0 maps to exactly 2^32/2^32; fractions keep 32 bits of precision.
     let fp = (watermark * (1u64 << 32) as f64).round() as u128;
     ((cap as u128 * fp) >> 32) as u64
+}
+
+/// Takes a page lock, counting contended acquisitions (a `try_*` that
+/// would block) in `metrics::kv_arena::SHARD_CONTENTION`.
+fn lock_counting<G>(
+    attempt: Result<G, TryLockError<G>>,
+    block: impl FnOnce() -> LockResult<G>,
+) -> G {
+    match attempt {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            metrics::SHARD_CONTENTION.incr();
+            block().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+}
+
+struct PageCell {
+    arena: Arc<ArenaShared>,
+    payload: RwLock<PagePayload>,
+}
+
+impl PageCell {
+    fn edit(&self) -> Edit<'_> {
+        let payload = lock_counting(self.payload.try_write(), || self.payload.write());
+        Edit {
+            arena: &self.arena,
+            before: self.arena.bill(&payload),
+            payload,
+        }
+    }
+}
+
+impl Drop for PageCell {
+    /// The last owner is gone: un-account the page and return its bytes to
+    /// the budget.
+    fn drop(&mut self) {
+        let payload = self.payload.get_mut().unwrap_or_else(|e| e.into_inner());
+        let bill = self.arena.bill(payload);
+        self.arena.account(bill, false);
+        self.arena
+            .allocated
+            .fetch_sub(bill.allocated, Ordering::Relaxed);
+        metrics::PAGE_FREES.incr();
+    }
+}
+
+/// An exclusive, in-place edit of one page. Dropping it re-bills the page
+/// from its footprint before and after — on unwind too, so a panicking
+/// edit cannot leave the totals and the budget describing a payload that
+/// no longer exists.
+struct Edit<'a> {
+    arena: &'a ArenaShared,
+    before: Bill,
+    payload: RwLockWriteGuard<'a, PagePayload>,
+}
+
+impl Drop for Edit<'_> {
+    fn drop(&mut self) {
+        let (arena, before) = (self.arena, self.before);
+        let after = arena.bill(&self.payload);
+        if after == before {
+            return;
+        }
+        arena.account(before, false);
+        arena.account(after, true);
+        // In-place edits bypass the reservation path; their growth is
+        // bounded (pages shrink on demotion, appends fill pre-reserved
+        // space), so the budget moves by the signed delta — one wrapping
+        // add, never a transient over- or under-count — without a cap
+        // check.
+        arena.allocated.fetch_add(
+            after.allocated.wrapping_sub(before.allocated),
+            Ordering::Relaxed,
+        );
+        // Only *downward* ladder moves are demotions; promotions
+        // (int4 → int8, quant → f32) re-account bytes and nothing else.
+        if after.tier > before.tier {
+            let (local, global) = match after.tier {
+                PageTier::Int4 => (&arena.demoted_int4, &metrics::DEMOTED_INT4),
+                _ => (&arena.demoted_int8, &metrics::DEMOTED_INT8),
+            };
+            local.fetch_add(1, Ordering::Relaxed);
+            global.incr();
+        }
+    }
+}
+
+/// An owning handle to one page of a [`KvArena`]: `Clone` adds an owner
+/// (prefix sharing), `Drop` removes one, and the last drop frees the page.
+/// See the module docs for the ownership and accounting contract.
+#[derive(Clone)]
+pub struct Page(Arc<PageCell>);
+
+impl fmt::Debug for Page {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `try_read`: formatting must not block on a page that is being
+        // edited (possibly by the thread that is formatting).
+        let tier = self.0.payload.try_read().map(|p| p.tier()).ok();
+        f.debug_struct("Page")
+            .field("tier", &tier)
+            .field("owners", &Arc::strong_count(&self.0))
+            .finish()
+    }
+}
+
+impl Page {
+    /// Whether this handle is the page's only owner — the precondition for
+    /// mutating it.
+    pub fn is_exclusive(&self) -> bool {
+        Arc::strong_count(&self.0) == 1
+    }
+
+    /// Shared read access to the payload, in place. Numeric work may run
+    /// under the guard: only the page's single owner (or the boundary
+    /// drain, for a sole-owned page) ever takes the exclusive side.
+    pub fn read(&self) -> impl Deref<Target = PagePayload> + '_ {
+        lock_counting(self.0.payload.try_read(), || self.0.payload.read())
+    }
+
+    /// The page's current storage tier.
+    pub fn tier(&self) -> PageTier {
+        self.read().tier()
+    }
+
+    /// Mutates the payload in place, keeping the per-tier accounting exact
+    /// across the edit (including tier changes — a demotion is an in-place
+    /// mutation to a lower tier). No payload copy is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is shared; copy-on-write first via
+    /// [`KvArena::cow_clone`].
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut PagePayload) -> R) -> R {
+        assert!(
+            self.is_exclusive(),
+            "mutating a shared page (copy-on-write first)"
+        );
+        let mut edit = self.0.edit();
+        f(&mut edit.payload)
+    }
+
+    /// A non-owning reference for the demotion queue.
+    pub fn downgrade(&self) -> QueuedPage {
+        QueuedPage(Arc::downgrade(&self.0))
+    }
+}
+
+/// A non-owning reference to a page, as the demotion queue holds it: it
+/// neither keeps the page alive nor counts as an owner.
+#[derive(Debug, Clone)]
+pub struct QueuedPage(Weak<PageCell>);
+
+impl QueuedPage {
+    /// The commit step of a queued demotion: replaces the payload with
+    /// `requant(&payload)` if the page is still alive, held by exactly one
+    /// owner, sealed (`page_rows` rows) and at `expect_tier`. Returns the
+    /// allocated bytes freed, or `None` if any check fails or `requant`
+    /// declines — nothing is changed or counted then.
+    ///
+    /// Owners are counted *before* upgrading, so the drain's own transient
+    /// references never make a page look shared, and the tier is re-read
+    /// under the page's write lock: a page queued under two keys is
+    /// demoted by whichever candidate gets there first and skipped by the
+    /// other. Like every exclusivity test on a shared-ownership handle,
+    /// the owner count is only stable while no owner is forking — drains
+    /// run at iteration boundaries, where none is.
+    pub fn demote_if_exclusive(
+        &self,
+        expect_tier: PageTier,
+        requant: impl FnOnce(&PagePayload) -> Option<PagePayload>,
+    ) -> Option<u64> {
+        if self.0.strong_count() != 1 {
+            return None;
+        }
+        let cell = self.0.upgrade()?;
+        let page_rows = cell.arena.cfg.page_rows;
+        let mut edit = cell.edit();
+        if edit.before.tier != expect_tier || edit.payload.rows() != page_rows {
+            return None;
+        }
+        let demoted = requant(&edit.payload)?;
+        let freed = edit.before.allocated;
+        *edit.payload = demoted;
+        Some(freed.saturating_sub(edit.payload.allocated_bytes(page_rows)))
+    }
+}
+
+/// One queued demotion candidate.
+#[derive(Debug, Clone)]
+pub struct DemoteCandidate {
+    /// Drain-order key.
+    pub key: DemoteKey,
+    /// The page to demote. May be stale by drain time (freed, CoW'd away,
+    /// shared, or already demoted); [`QueuedPage::demote_if_exclusive`]
+    /// revalidates.
+    pub page: QueuedPage,
+    /// Tier the page held when enqueued.
+    pub tier: PageTier,
 }
 
 /// A cloneable handle to one shared page arena. See the module docs for
@@ -537,82 +642,46 @@ impl KvArena {
     ///
     /// # Panics
     ///
-    /// Panics if `page_rows == 0`, `shards == 0`, or the watermark is
-    /// outside `(0, 1]`.
+    /// Panics if `page_rows == 0` or the watermark is outside `(0, 1]`.
     pub fn new(cfg: ArenaConfig) -> Self {
         assert!(cfg.page_rows > 0, "pages must hold at least one row");
-        assert!(cfg.shards > 0, "arena needs at least one shard");
         assert!(
             cfg.watermark > 0.0 && cfg.watermark <= 1.0,
             "watermark {} outside (0, 1]",
             cfg.watermark
         );
         metrics::ARENAS.add(1);
-        let shards = (0..cfg.shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                    totals: TierTotals::default(),
-                })
-            })
-            .collect();
         Self {
             shared: Arc::new(ArenaShared {
-                global: Global {
-                    cfg,
-                    allocated: AtomicU64::new(0),
-                    clock: AtomicU64::new(0),
-                    owners: AtomicU64::new(0),
-                    queue: Mutex::new(BTreeMap::new()),
-                    demoted_int8: AtomicU64::new(0),
-                    demoted_int4: AtomicU64::new(0),
-                    cow_copies: AtomicU64::new(0),
-                    evict_failures: AtomicU64::new(0),
-                    alloc_retries: AtomicU64::new(0),
-                },
-                shards,
+                cfg,
+                allocated: AtomicU64::new(0),
+                totals: Default::default(),
+                clock: AtomicU64::new(0),
+                owners: AtomicU64::new(0),
+                queue: Mutex::new(BTreeMap::new()),
+                demoted_int8: AtomicU64::new(0),
+                demoted_int4: AtomicU64::new(0),
+                cow_copies: AtomicU64::new(0),
+                evict_failures: AtomicU64::new(0),
+                alloc_retries: AtomicU64::new(0),
             }),
         }
     }
 
-    fn global(&self) -> &Global {
-        &self.shared.global
-    }
-
-    /// Locks one shard, counting contended acquisitions (a `try_lock` that
-    /// would block) in `metrics::kv_arena::SHARD_CONTENTION`.
-    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Shard> {
-        match self.shared.shards[shard].try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                metrics::SHARD_CONTENTION.incr();
-                self.shared.shards[shard]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-            }
-        }
-    }
-
-    fn lock_page(&self, id: PageId) -> MutexGuard<'_, Shard> {
-        self.lock_shard(id.shard())
-    }
-
     /// The arena's configuration.
     pub fn config(&self) -> ArenaConfig {
-        self.global().cfg
+        self.shared.cfg
     }
 
     /// Cached positions per page.
     pub fn page_rows(&self) -> usize {
-        self.global().cfg.page_rows
+        self.shared.cfg.page_rows
     }
 
     /// Whether watermark pressure is handled by the clock-keyed demotion
     /// queue (enqueue + boundary drain) instead of evict-on-append.
     pub fn deferred_demotion(&self) -> bool {
-        self.global().cfg.deferred_demotion
+        self.shared.cfg.deferred_demotion
     }
 
     /// Whether two handles refer to the same arena.
@@ -625,15 +694,15 @@ impl KvArena {
     /// they count as `alloc_retries`, not failures (see
     /// [`KvArena::note_evict_failure`]).
     fn try_reserve(&self, add: u64) -> Result<(), EvictError> {
-        let global = self.global();
-        let Some(cap) = global.cfg.capacity_bytes else {
-            global.allocated.fetch_add(add, Ordering::Relaxed);
+        let shared = &*self.shared;
+        let Some(cap) = shared.cfg.capacity_bytes else {
+            shared.allocated.fetch_add(add, Ordering::Relaxed);
             return Ok(());
         };
-        let mut cur = global.allocated.load(Ordering::Relaxed);
+        let mut cur = shared.allocated.load(Ordering::Relaxed);
         loop {
             if cur.saturating_add(add) > cap {
-                global.alloc_retries.fetch_add(1, Ordering::Relaxed);
+                shared.alloc_retries.fetch_add(1, Ordering::Relaxed);
                 metrics::ALLOC_RETRIES.incr();
                 return Err(EvictError {
                     needed: add,
@@ -641,7 +710,7 @@ impl KvArena {
                     capacity: cap,
                 });
             }
-            match global.allocated.compare_exchange_weak(
+            match shared.allocated.compare_exchange_weak(
                 cur,
                 cur + add,
                 Ordering::Relaxed,
@@ -653,275 +722,89 @@ impl KvArena {
         }
     }
 
-    /// Allocates a page holding `payload` with refcount 1, striped onto
-    /// the shard for `plane` (the caller's layer/head/K-or-V key).
+    /// Allocates a page holding `payload`, owned by the returned handle.
     ///
     /// # Errors
     ///
     /// [`EvictError`] when the arena has a hard byte cap and the page's
     /// allocated footprint would exceed it. The caller is expected to
     /// demote cold pages and retry before surfacing the error.
-    pub fn alloc_on(&self, plane: u64, payload: PagePayload) -> Result<PageId, EvictError> {
-        let global = self.global();
-        let add = payload.allocated_bytes(global.cfg.page_rows);
-        self.try_reserve(add)?;
-        let shard_idx = (plane % global.cfg.shards as u64) as usize;
-        let mut shard = self.lock_shard(shard_idx);
+    pub fn alloc(&self, payload: PagePayload) -> Result<Page, EvictError> {
+        let bill = self.shared.bill(&payload);
+        self.try_reserve(bill.allocated)?;
         // The reservation made by try_reserve IS this page's budget entry.
-        shard.account(global, &payload, 1);
+        self.shared.account(bill, true);
         metrics::PAGE_ALLOCS.incr();
-        let slot = PageSlot {
-            payload: Arc::new(payload),
-            refs: 1,
-        };
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                let entry = &mut shard.slots[i as usize];
-                entry.gen = (entry.gen + 1) & GEN_MASK;
-                entry.page = Some(slot);
-                i
-            }
-            None => {
-                shard.slots.push(SlotEntry {
-                    gen: 0,
-                    page: Some(slot),
-                });
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        let gen = shard.slots[idx as usize].gen;
-        Ok(PageId::new(shard_idx, gen, idx))
+        Ok(Page(Arc::new(PageCell {
+            arena: self.shared.clone(),
+            payload: RwLock::new(payload),
+        })))
     }
 
-    /// [`KvArena::alloc_on`] with plane key 0 — for callers that do not
-    /// stripe (single-plane tests, probes).
-    pub fn alloc(&self, payload: PagePayload) -> Result<PageId, EvictError> {
-        self.alloc_on(0, payload)
-    }
-
-    /// Adds one owner to a live page (prefix sharing).
-    pub fn retain(&self, id: PageId) {
-        let mut shard = self.lock_page(id);
-        shard.entry_mut(id).refs += 1;
-    }
-
-    /// Drops one owner; the page is freed (and unaccounted) when the last
-    /// owner releases it.
-    pub fn release(&self, id: PageId) {
-        let mut shard = self.lock_page(id);
-        let entry = shard.entry_mut(id);
-        entry.refs -= 1;
-        if entry.refs == 0 {
-            let global = self.global();
-            let slot = shard.slots[id.slot()].page.take().expect("checked live");
-            shard.account(global, &slot.payload, -1);
-            let freed = slot.payload.allocated_bytes(global.cfg.page_rows);
-            global.allocated.fetch_sub(freed, Ordering::Relaxed);
-            shard.free.push(id.slot() as u32);
-            metrics::PAGE_FREES.incr();
-        }
-    }
-
-    /// Current owner count of a live page.
-    pub fn refs(&self, id: PageId) -> u32 {
-        self.lock_page(id).entry(id).refs
-    }
-
-    /// A snapshot of the page's payload. Cheap (`Arc` clone); numeric work
-    /// on the snapshot happens outside the arena lock.
-    pub fn payload(&self, id: PageId) -> Arc<PagePayload> {
-        self.lock_page(id).entry(id).payload.clone()
-    }
-
-    /// Generation-checked, non-panicking payload snapshot: `None` if the
-    /// handle no longer names a live page. The drain path uses this to
-    /// requantize from a snapshot outside any lock.
-    pub fn try_payload(&self, id: PageId) -> Option<Arc<PagePayload>> {
-        self.lock_page(id).try_entry(id).map(|s| s.payload.clone())
-    }
-
-    /// Generation-checked page introspection for drain revalidation:
-    /// `(refs, tier, rows)` if the handle still names a live page, `None`
-    /// if the page died (or its slot was reused) since the handle was
-    /// taken.
-    pub fn page_meta(&self, id: PageId) -> Option<(u32, PageTier, usize)> {
-        let shard = self.lock_page(id);
-        shard
-            .try_entry(id)
-            .map(|slot| (slot.refs, slot.payload.tier(), slot.payload.rows()))
-    }
-
-    /// Mutates a page's payload in place under the shard lock, keeping the
-    /// per-tier accounting exact across the edit (including tier changes —
-    /// a demotion is an in-place mutation to a lower tier).
-    ///
-    /// Callers must hold the page exclusively (refs == 1); copy-on-write
-    /// first via [`KvArena::cow_clone`] otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is shared.
-    pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut PagePayload) -> R) -> R {
-        let mut shard = self.lock_page(id);
-        let slot = shard.entry_mut(id);
-        assert_eq!(slot.refs, 1, "mutating a shared page (copy-on-write first)");
-        // Readers may still hold payload snapshots; make_mut leaves those
-        // snapshots untouched and gives us an exclusive copy to edit.
-        let mut payload = slot.payload.clone();
-        let before_tier = (*payload).tier();
-        let before = (*payload).clone();
-        let r = f(Arc::make_mut(&mut payload));
-        let global = self.global();
-        let alloc_before = before.allocated_bytes(global.cfg.page_rows);
-        let alloc_after = payload.allocated_bytes(global.cfg.page_rows);
-        shard.account(global, &before, -1);
-        shard.account(global, &payload, 1);
-        // In-place edits bypass the reservation path; mutation growth is
-        // bounded (pages shrink on demotion, appends fill pre-reserved
-        // space) so the budget is adjusted by the delta without a cap
-        // check.
-        if alloc_after >= alloc_before {
-            global
-                .allocated
-                .fetch_add(alloc_after - alloc_before, Ordering::Relaxed);
-        } else {
-            global
-                .allocated
-                .fetch_sub(alloc_before - alloc_after, Ordering::Relaxed);
-        }
-        self.count_ladder_move(before_tier, payload.tier());
-        shard.entry_mut(id).payload = payload;
-        r
-    }
-
-    /// Counts a tier transition toward the demotion counters — *downward*
-    /// ladder moves only. Promotions (int4 → int8, quant → f32) re-account
-    /// bytes but are not demotions.
-    fn count_ladder_move(&self, from: PageTier, to: PageTier) {
-        if to.index() <= from.index() {
-            return;
-        }
-        match to {
-            PageTier::Int8 => {
-                self.global().demoted_int8.fetch_add(1, Ordering::Relaxed);
-                metrics::DEMOTED_INT8.incr();
-            }
-            PageTier::Int4 => {
-                self.global().demoted_int4.fetch_add(1, Ordering::Relaxed);
-                metrics::DEMOTED_INT4.incr();
-            }
-            PageTier::F32 => {}
-        }
-    }
-
-    /// Atomically replaces an exclusively-held page's payload if the page
-    /// is still live at the expected tier — the commit step of an
-    /// off-thread demotion whose requantization ran on a payload snapshot
-    /// outside any lock. Returns the allocated bytes freed, or `None` if
-    /// the page died, got shared, or changed tier since the snapshot (the
-    /// replacement is dropped and nothing is counted).
-    pub fn replace_if_exclusive(
-        &self,
-        id: PageId,
-        expect_tier: PageTier,
-        new_payload: PagePayload,
-    ) -> Option<u64> {
-        let global = self.global();
-        let mut shard = self.lock_page(id);
-        let slot = shard.try_entry(id)?;
-        if slot.refs != 1 || slot.payload.tier() != expect_tier {
-            return None;
-        }
-        let before = slot.payload.clone();
-        let alloc_before = before.allocated_bytes(global.cfg.page_rows);
-        let alloc_after = new_payload.allocated_bytes(global.cfg.page_rows);
-        shard.account(global, &before, -1);
-        shard.account(global, &new_payload, 1);
-        if alloc_after >= alloc_before {
-            global
-                .allocated
-                .fetch_add(alloc_after - alloc_before, Ordering::Relaxed);
-        } else {
-            global
-                .allocated
-                .fetch_sub(alloc_before - alloc_after, Ordering::Relaxed);
-        }
-        self.count_ladder_move(before.tier(), new_payload.tier());
-        shard.entry_mut(id).payload = Arc::new(new_payload);
-        Some(alloc_before.saturating_sub(alloc_after))
-    }
-
-    /// Copy-on-write: allocates a private copy of a shared page (on the
-    /// same shard), releases the caller's ownership of the original, and
-    /// returns the copy's id.
+    /// Copy-on-write: allocates a private copy of a shared page. The
+    /// caller swaps the copy in for its handle to the original; dropping
+    /// that handle is the release.
     ///
     /// # Errors
     ///
-    /// [`EvictError`] when the copy cannot be allocated; the caller's
-    /// ownership of the original is unchanged in that case.
-    pub fn cow_clone(&self, id: PageId) -> Result<PageId, EvictError> {
-        let payload = (*self.payload(id)).clone();
-        let plane = id.shard() as u64;
-        let new_id = self.alloc_on(plane, payload)?;
-        self.release(id);
-        self.global().cow_copies.fetch_add(1, Ordering::Relaxed);
+    /// [`EvictError`] when the copy cannot be allocated.
+    pub fn cow_clone(&self, page: &Page) -> Result<Page, EvictError> {
+        let payload = page.read().clone();
+        let copy = self.alloc(payload)?;
+        self.shared.cow_copies.fetch_add(1, Ordering::Relaxed);
         metrics::COW_COPIES.incr();
-        Ok(new_id)
+        Ok(copy)
     }
 
     /// Records one *terminal* allocation refusal: the caller demoted to
     /// the floor and still could not place the page. Interim refusals in a
     /// demote-and-retry loop are `alloc_retries`, not failures.
     pub fn note_evict_failure(&self) {
-        self.global().evict_failures.fetch_add(1, Ordering::Relaxed);
+        self.shared.evict_failures.fetch_add(1, Ordering::Relaxed);
         metrics::EVICT_FAILURES.incr();
     }
 
-    /// Point-in-time accounting snapshot, aggregated across shards.
+    /// Point-in-time accounting snapshot.
     pub fn stats(&self) -> ArenaStats {
-        let mut stats = ArenaStats::default();
-        for i in 0..self.shared.shards.len() {
-            let shard = self.lock_shard(i);
-            for t in 0..3 {
-                stats.pages[t] += shard.totals.pages[t];
-                stats.resident[t] += shard.totals.resident[t];
-                stats.allocated[t] += shard.totals.allocated[t];
-            }
+        let shared = &*self.shared;
+        let mut stats = ArenaStats {
+            demoted_int8: shared.demoted_int8.load(Ordering::Relaxed),
+            demoted_int4: shared.demoted_int4.load(Ordering::Relaxed),
+            cow_copies: shared.cow_copies.load(Ordering::Relaxed),
+            evict_failures: shared.evict_failures.load(Ordering::Relaxed),
+            alloc_retries: shared.alloc_retries.load(Ordering::Relaxed),
+            ..ArenaStats::default()
+        };
+        for (t, [pages, resident, allocated]) in shared.totals.iter().enumerate() {
+            stats.pages[t] = pages.load(Ordering::Relaxed);
+            stats.resident[t] = resident.load(Ordering::Relaxed);
+            stats.allocated[t] = allocated.load(Ordering::Relaxed);
         }
-        let global = self.global();
-        stats.demoted_int8 = global.demoted_int8.load(Ordering::Relaxed);
-        stats.demoted_int4 = global.demoted_int4.load(Ordering::Relaxed);
-        stats.cow_copies = global.cow_copies.load(Ordering::Relaxed);
-        stats.evict_failures = global.evict_failures.load(Ordering::Relaxed);
-        stats.alloc_retries = global.alloc_retries.load(Ordering::Relaxed);
         stats
     }
 
-    /// Total allocated bytes across tiers — the lock-free budget counter.
+    /// Total allocated bytes across tiers — the budget counter.
     pub fn allocated_bytes(&self) -> u64 {
-        self.global().allocated.load(Ordering::Relaxed)
+        self.shared.allocated.load(Ordering::Relaxed)
     }
 
     /// Total resident bytes across tiers.
     pub fn resident_bytes(&self) -> u64 {
-        (0..self.shared.shards.len())
-            .map(|i| self.lock_shard(i).totals.resident.iter().sum::<u64>())
-            .sum()
+        self.stats().resident_total()
     }
 
     /// Whether allocated bytes sit above the high-watermark fraction of
     /// the capacity. Always `false` for an uncapped arena.
     pub fn over_watermark(&self) -> bool {
-        let global = self.global();
-        match global.cfg.capacity_bytes {
+        match self.shared.cfg.capacity_bytes {
             None => false,
-            Some(cap) => self.allocated_bytes() > watermark_mark(cap, global.cfg.watermark),
+            Some(cap) => self.allocated_bytes() > watermark_mark(cap, self.shared.cfg.watermark),
         }
     }
 
     /// Bytes of headroom left under the hard cap (`u64::MAX` if uncapped).
     pub fn headroom_bytes(&self) -> u64 {
-        match self.global().cfg.capacity_bytes {
+        match self.shared.cfg.capacity_bytes {
             None => u64::MAX,
             Some(cap) => cap.saturating_sub(self.allocated_bytes()),
         }
@@ -933,31 +816,27 @@ impl KvArena {
     /// deterministic (single-threaded) construction code, so owner ids are
     /// reproducible at any thread count.
     pub fn register_owner(&self) -> u64 {
-        self.global().owners.fetch_add(1, Ordering::Relaxed)
+        self.shared.owners.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The current logical iteration.
     pub fn clock(&self) -> u64 {
-        self.global().clock.load(Ordering::Relaxed)
+        self.shared.clock.load(Ordering::Relaxed)
     }
 
     /// Advances the logical iteration clock (engine/scheduler boundary)
     /// and returns the new value.
     pub fn advance_clock(&self) -> u64 {
-        self.global().clock.fetch_add(1, Ordering::Relaxed) + 1
+        self.shared.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Enqueues a demotion candidate under the given structural key. The
     /// queue is keyed, not ordered by arrival, so concurrent enqueues from
     /// `par_map` workers land in the same drain order regardless of
     /// interleaving. Re-enqueueing an existing key replaces the entry.
-    pub fn enqueue_demotion(&self, key: DemoteKey, id: PageId, tier: PageTier) {
-        let mut queue = self
-            .global()
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if queue.insert(key, (id, tier)).is_none() {
+    pub fn enqueue_demotion(&self, key: DemoteKey, page: QueuedPage, tier: PageTier) {
+        let mut queue = self.shared.queue();
+        if queue.insert(key, (page, tier)).is_none() {
             metrics::DEMOTION_QUEUE_DEPTH.add(1);
             metrics::DEMOTION_QUEUE_PEAK.observe(queue.len() as u64);
         }
@@ -965,30 +844,21 @@ impl KvArena {
 
     /// Pops up to `max` candidates in key (clock) order.
     pub fn pop_demotions(&self, max: usize) -> Vec<DemoteCandidate> {
-        let mut queue = self
-            .global()
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let keys: Vec<DemoteKey> = queue.keys().take(max).copied().collect();
-        let out: Vec<DemoteCandidate> = keys
-            .iter()
-            .map(|&key| {
-                let (id, tier) = queue.remove(&key).expect("key just listed");
-                DemoteCandidate { key, id, tier }
-            })
-            .collect();
+        let mut queue = self.shared.queue();
+        let mut out = Vec::new();
+        while out.len() < max {
+            let Some((key, (page, tier))) = queue.pop_first() else {
+                break;
+            };
+            out.push(DemoteCandidate { key, page, tier });
+        }
         metrics::DEMOTION_QUEUE_DEPTH.sub(out.len() as u64);
         out
     }
 
     /// Queued demotion candidates.
     pub fn demotion_queue_len(&self) -> usize {
-        self.global()
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.shared.queue().len()
     }
 }
 
@@ -1024,79 +894,76 @@ mod tests {
         })
     }
 
+    fn owners(page: &Page) -> usize {
+        Arc::strong_count(&page.0)
+    }
+
+    fn key(clock: u64, owner: u64, plane: u32, page_idx: u32) -> DemoteKey {
+        DemoteKey {
+            clock,
+            owner,
+            plane,
+            page_idx,
+        }
+    }
+
     #[test]
-    fn alloc_retain_release_track_refcounts_and_bytes() {
+    fn clone_and_drop_track_owners_and_bytes() {
         let arena = KvArena::new(ArenaConfig {
             page_rows: 4,
             ..ArenaConfig::default()
         });
-        let id = arena.alloc(f32_page(2, 8, 1.0)).expect("uncapped");
-        assert_eq!(arena.refs(id), 1);
+        let page = arena.alloc(f32_page(2, 8, 1.0)).expect("uncapped");
+        assert_eq!(owners(&page), 1);
+        assert!(page.is_exclusive());
         assert_eq!(arena.resident_bytes(), 2 * 8 * 4);
         assert_eq!(arena.allocated_bytes(), 4 * 8 * 4);
-        arena.retain(id);
-        assert_eq!(arena.refs(id), 2);
+        let fork = page.clone();
+        assert_eq!(owners(&page), 2);
+        assert!(!page.is_exclusive());
         // Shared pages are counted once regardless of owners.
         assert_eq!(arena.resident_bytes(), 2 * 8 * 4);
-        arena.release(id);
-        assert_eq!(arena.refs(id), 1);
-        arena.release(id);
+        assert_eq!(arena.stats().pages_total(), 1);
+        drop(fork);
+        assert_eq!(owners(&page), 1);
+        drop(page);
         assert_eq!(arena.resident_bytes(), 0);
         assert_eq!(arena.allocated_bytes(), 0);
         assert_eq!(arena.stats().pages_total(), 0);
     }
 
     #[test]
-    fn page_slots_are_reused_with_a_fresh_generation() {
+    fn handle_dropped_from_four_threads_unaccounts_exactly_once() {
         let arena = KvArena::new(ArenaConfig {
-            page_rows: 2,
+            page_rows: 4,
             ..ArenaConfig::default()
         });
-        let a = arena.alloc(f32_page(1, 4, 1.0)).unwrap();
-        arena.release(a);
-        let b = arena.alloc(f32_page(1, 4, 2.0)).unwrap();
-        assert_eq!(a.slot(), b.slot(), "freed slot is recycled");
-        assert_eq!(a.shard(), b.shard());
-        assert_ne!(a, b, "generation fences off the stale handle");
-        assert!(
-            arena.page_meta(a).is_none(),
-            "stale id does not resolve to the reused slot"
-        );
-        if let PagePayload::F32(m) = &*arena.payload(b) {
-            assert_eq!(m[(0, 0)], 2.0);
-        } else {
-            panic!("expected f32 payload");
-        }
-        arena.release(b);
-    }
-
-    #[test]
-    fn planes_stripe_across_shards_under_one_budget() {
-        let cols = 8;
-        let page_bytes = (2 * cols * 4) as u64;
-        let arena = KvArena::new(ArenaConfig {
-            page_rows: 2,
-            capacity_bytes: Some(3 * page_bytes),
-            shards: 4,
-            ..ArenaConfig::default()
+        let page = arena.alloc(f32_page(4, 8, 1.0)).expect("uncapped");
+        let bystander = arena.alloc(f32_page(4, 8, 2.0)).expect("uncapped");
+        let page_bytes = 4 * 8 * 4;
+        let mut clones: Vec<Page> = (0..64).map(|_| page.clone()).collect();
+        clones.push(page);
+        // All four threads start dropping together.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let mine: Vec<Page> = clones.drain(..clones.len().min(17)).collect();
+                scope.spawn(|| {
+                    start.wait();
+                    drop(mine);
+                });
+            }
         });
-        let a = arena.alloc_on(0, f32_page(2, cols, 1.0)).unwrap();
-        let b = arena.alloc_on(1, f32_page(2, cols, 1.0)).unwrap();
-        let c = arena.alloc_on(5, f32_page(2, cols, 1.0)).unwrap();
-        assert_ne!(a.shard(), b.shard());
-        assert_eq!(b.shard(), c.shard(), "plane keys stripe modulo shards");
-        // The cap is global: a fourth page is refused no matter the shard.
-        let err = arena
-            .alloc_on(2, f32_page(2, cols, 1.0))
-            .expect_err("global cap");
-        assert_eq!(err.allocated, 3 * page_bytes);
-        assert_eq!(arena.stats().alloc_retries, 1);
-        assert_eq!(arena.stats().evict_failures, 0);
-        assert_eq!(arena.allocated_bytes(), 3 * page_bytes);
-        assert_eq!(arena.stats().allocated_total(), 3 * page_bytes);
-        for id in [a, b, c] {
-            arena.release(id);
-        }
+        assert!(clones.is_empty());
+        // Had any of the 65 drops but the last un-accounted the page, the
+        // bystander's bytes would be gone too (or the counters wrapped).
+        let stats = arena.stats();
+        assert_eq!(stats.pages, [1, 0, 0]);
+        assert_eq!(stats.resident_total(), page_bytes);
+        assert_eq!(stats.allocated_total(), page_bytes);
+        assert_eq!(arena.allocated_bytes(), page_bytes);
+        drop(bystander);
+        assert_eq!(arena.stats(), ArenaStats::default());
         assert_eq!(arena.allocated_bytes(), 0);
     }
 
@@ -1110,7 +977,7 @@ mod tests {
             watermark: 1.0,
             ..ArenaConfig::default()
         });
-        let id = arena.alloc(f32_page(1, cols, 1.0)).expect("first fits");
+        let page = arena.alloc(f32_page(1, cols, 1.0)).expect("first fits");
         let err = arena.alloc(f32_page(1, cols, 2.0)).expect_err("cap hit");
         assert_eq!(err.needed, page_bytes);
         assert_eq!(err.allocated, page_bytes);
@@ -1122,31 +989,84 @@ mod tests {
         assert_eq!(arena.stats().evict_failures, 0);
         arena.note_evict_failure();
         assert_eq!(arena.stats().evict_failures, 1);
-        arena.release(id);
+        drop(page);
         arena
             .alloc(f32_page(1, cols, 3.0))
             .expect("fits after free");
+
+        // Pages of different tiers (hence different planes) bill one cap:
+        // the page that would cross it is refused, whatever its size.
+        let int8_bytes = quant_page(2, cols, false).allocated_bytes(2);
+        let arena = KvArena::new(ArenaConfig {
+            page_rows: 2,
+            capacity_bytes: Some(2 * page_bytes + int8_bytes),
+            ..ArenaConfig::default()
+        });
+        let held = [
+            arena.alloc(f32_page(2, cols, 1.0)).unwrap(),
+            arena.alloc(quant_page(2, cols, false)).unwrap(),
+            arena.alloc(f32_page(2, cols, 1.0)).unwrap(),
+        ];
+        let err = arena
+            .alloc(quant_page(2, cols, false))
+            .expect_err("global cap");
+        assert_eq!(err.needed, int8_bytes);
+        assert_eq!(err.allocated, 2 * page_bytes + int8_bytes);
+        assert_eq!(arena.stats().alloc_retries, 1);
+        assert_eq!(arena.stats().evict_failures, 0);
+        assert_eq!(arena.allocated_bytes(), 2 * page_bytes + int8_bytes);
+        assert_eq!(arena.stats().allocated_total(), arena.allocated_bytes());
+        drop(held);
+        assert_eq!(arena.allocated_bytes(), 0);
     }
 
     #[test]
-    fn with_page_mut_reaccounts_and_counts_demotions() {
+    fn with_mut_reaccounts_and_counts_demotions() {
         let arena = KvArena::new(ArenaConfig {
             page_rows: 4,
             ..ArenaConfig::default()
         });
-        let id = arena.alloc(f32_page(4, 8, 1.0)).unwrap();
+        let page = arena.alloc(f32_page(4, 8, 1.0)).unwrap();
         let f32_alloc = arena.allocated_bytes();
         // In-place demotion: swap the payload for a quantized block.
-        arena.with_page_mut(id, |p| *p = quant_page(4, 8, true));
+        page.with_mut(|p| *p = quant_page(4, 8, true));
         let stats = arena.stats();
         assert_eq!(stats.pages, [0, 1, 0]);
         assert_eq!(stats.demoted_int8, 1);
         assert!(arena.allocated_bytes() < f32_alloc, "demotion shrinks");
         // Per-tier accounting matches the payload's own arithmetic.
-        let p = arena.payload(id);
+        let p = page.read();
         assert_eq!(stats.resident[1], p.resident_bytes());
         assert_eq!(stats.allocated[1], p.allocated_bytes(4));
-        arena.release(id);
+        assert_eq!(arena.allocated_bytes(), p.allocated_bytes(4));
+    }
+
+    #[test]
+    fn in_capacity_appends_edit_the_page_in_place() {
+        let arena = KvArena::new(ArenaConfig {
+            page_rows: 4,
+            ..ArenaConfig::default()
+        });
+        let empty = PagePayload::F32(Matrix::with_row_capacity(8, 4));
+        let page = arena.alloc(empty).unwrap();
+        let row_buffer = |page: &Page| match &*page.read() {
+            PagePayload::F32(m) => m.row(0).as_ptr(),
+            PagePayload::Quant(_) => unreachable!("f32 page"),
+        };
+        let push = |fill: f32| {
+            page.with_mut(|p| match p {
+                PagePayload::F32(m) => m.push_row(&[fill; 8]),
+                PagePayload::Quant(_) => unreachable!("f32 page"),
+            })
+        };
+        push(1.0);
+        let at = row_buffer(&page);
+        push(2.0);
+        push(3.0);
+        assert_eq!(row_buffer(&page), at, "an exclusive append copied the page");
+        // ... and each row was billed as it landed.
+        assert_eq!(arena.resident_bytes(), 3 * 8 * 4);
+        assert_eq!(arena.allocated_bytes(), 4 * 8 * 4);
     }
 
     #[test]
@@ -1156,33 +1076,32 @@ mod tests {
             ..ArenaConfig::default()
         });
         // int4 → int8 is an upward ladder move: re-accounted, not counted.
-        let id = arena.alloc(quant_page_bits(4, 8, true, 4)).unwrap();
-        arena.with_page_mut(id, |p| *p = quant_page_bits(4, 8, true, 8));
+        let page = arena.alloc(quant_page_bits(4, 8, true, 4)).unwrap();
+        page.with_mut(|p| *p = quant_page_bits(4, 8, true, 8));
         let stats = arena.stats();
         assert_eq!(stats.pages, [0, 1, 0], "re-accounted under int8");
         assert_eq!(stats.demoted_int8, 0, "a promotion is not a demotion");
         // quant → f32 likewise.
-        arena.with_page_mut(id, |p| *p = f32_page(4, 8, 1.0));
+        page.with_mut(|p| *p = f32_page(4, 8, 1.0));
         let stats = arena.stats();
         assert_eq!(stats.pages, [1, 0, 0]);
         assert_eq!(stats.demoted_int8, 0);
         assert_eq!(stats.demoted_int4, 0);
         // And the round trip back down counts exactly once per rung.
-        arena.with_page_mut(id, |p| *p = quant_page_bits(4, 8, true, 8));
-        arena.with_page_mut(id, |p| *p = quant_page_bits(4, 8, true, 4));
+        page.with_mut(|p| *p = quant_page_bits(4, 8, true, 8));
+        page.with_mut(|p| *p = quant_page_bits(4, 8, true, 4));
         let stats = arena.stats();
         assert_eq!(stats.demoted_int8, 1);
         assert_eq!(stats.demoted_int4, 1);
-        arena.release(id);
     }
 
     #[test]
     #[should_panic(expected = "copy-on-write first")]
     fn mutating_a_shared_page_panics() {
         let arena = KvArena::default();
-        let id = arena.alloc(f32_page(1, 4, 1.0)).unwrap();
-        arena.retain(id);
-        arena.with_page_mut(id, |_| ());
+        let page = arena.alloc(f32_page(1, 4, 1.0)).unwrap();
+        let _fork = page.clone();
+        page.with_mut(|_| ());
     }
 
     #[test]
@@ -1192,22 +1111,21 @@ mod tests {
             ..ArenaConfig::default()
         });
         let shared = arena.alloc(f32_page(2, 4, 7.0)).unwrap();
-        arena.retain(shared); // two owners
-        let private = arena.cow_clone(shared).expect("uncapped");
-        assert_ne!(shared, private);
-        assert_eq!(arena.refs(shared), 1);
-        assert_eq!(arena.refs(private), 1);
+        let mut mine = shared.clone(); // two owners
+        mine = arena.cow_clone(&mine).expect("uncapped");
+        assert!(!Arc::ptr_eq(&shared.0, &mine.0));
+        assert_eq!(owners(&shared), 1);
+        assert_eq!(owners(&mine), 1);
         assert_eq!(arena.stats().cow_copies, 1);
+        assert_eq!(arena.stats().pages_total(), 2);
         // The copy diverges without touching the original.
-        arena.with_page_mut(private, |p| {
+        mine.with_mut(|p| {
             if let PagePayload::F32(m) = p {
                 m.push_row(&[9.0; 4]);
             }
         });
-        assert_eq!(arena.payload(shared).rows(), 2);
-        assert_eq!(arena.payload(private).rows(), 3);
-        arena.release(shared);
-        arena.release(private);
+        assert_eq!(shared.read().rows(), 2);
+        assert_eq!(mine.read().rows(), 3);
     }
 
     #[test]
@@ -1221,14 +1139,11 @@ mod tests {
             ..ArenaConfig::default()
         });
         assert!(!arena.over_watermark());
-        let a = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
-        let b = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
+        let _a = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
+        let _b = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
         assert!(!arena.over_watermark(), "exactly at the mark is not over");
-        let c = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
+        let _c = arena.alloc(f32_page(2, cols, 1.0)).unwrap();
         assert!(arena.over_watermark());
-        for id in [a, b, c] {
-            arena.release(id);
-        }
     }
 
     #[test]
@@ -1256,64 +1171,60 @@ mod tests {
             page_rows: 2,
             ..ArenaConfig::default()
         });
-        let a = arena.alloc_on(0, f32_page(2, 4, 1.0)).unwrap();
-        let b = arena.alloc_on(1, f32_page(2, 4, 2.0)).unwrap();
-        let c = arena.alloc_on(2, f32_page(2, 4, 3.0)).unwrap();
-        let key = |clock, owner, plane, page_idx| DemoteKey {
-            clock,
-            owner,
-            plane,
-            page_idx,
-        };
+        let a = arena.alloc(f32_page(2, 4, 1.0)).unwrap();
+        let b = arena.alloc(f32_page(2, 4, 2.0)).unwrap();
+        let c = arena.alloc(f32_page(2, 4, 3.0)).unwrap();
+        let is = |cand: &DemoteCandidate, page: &Page| cand.page.0.as_ptr() == Arc::as_ptr(&page.0);
         // Arrival order scrambled relative to key order.
-        arena.enqueue_demotion(key(2, 0, 1, 0), c, PageTier::F32);
-        arena.enqueue_demotion(key(1, 1, 0, 0), b, PageTier::F32);
-        arena.enqueue_demotion(key(1, 0, 0, 0), a, PageTier::F32);
+        arena.enqueue_demotion(key(2, 0, 1, 0), c.downgrade(), PageTier::F32);
+        arena.enqueue_demotion(key(1, 1, 0, 0), b.downgrade(), PageTier::F32);
+        arena.enqueue_demotion(key(1, 0, 0, 0), a.downgrade(), PageTier::F32);
         assert_eq!(arena.demotion_queue_len(), 3);
+        // Being queued neither shares a page nor keeps it alive.
+        assert!(a.is_exclusive() && b.is_exclusive() && c.is_exclusive());
         let first = arena.pop_demotions(2);
-        assert_eq!(first[0].id, a, "lowest (clock, owner) drains first");
-        assert_eq!(first[1].id, b);
+        assert!(is(&first[0], &a), "lowest (clock, owner) drains first");
+        assert!(is(&first[1], &b));
         let rest = arena.pop_demotions(8);
         assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].id, c);
+        assert!(is(&rest[0], &c));
         assert_eq!(arena.demotion_queue_len(), 0);
-        for id in [a, b, c] {
-            arena.release(id);
-        }
     }
 
     #[test]
-    fn replace_if_exclusive_commits_only_when_page_is_unchanged() {
+    fn demote_if_exclusive_commits_only_when_page_is_unchanged() {
         let arena = KvArena::new(ArenaConfig {
             page_rows: 4,
             ..ArenaConfig::default()
         });
-        let id = arena.alloc(f32_page(4, 8, 1.0)).unwrap();
+        let page = arena.alloc(f32_page(4, 8, 1.0)).unwrap();
+        let queued = page.downgrade();
+        let to_int8 = |_: &PagePayload| Some(quant_page(4, 8, true));
         // Shared page: the commit is refused.
-        arena.retain(id);
-        assert_eq!(
-            arena.replace_if_exclusive(id, PageTier::F32, quant_page(4, 8, true)),
-            None
-        );
-        arena.release(id);
-        // Wrong expected tier (stale snapshot): refused.
-        assert_eq!(
-            arena.replace_if_exclusive(id, PageTier::Int8, quant_page(4, 8, true)),
-            None
-        );
-        // Exclusive and at the snapshot tier: commits, returns bytes freed.
+        let fork = page.clone();
+        assert_eq!(queued.demote_if_exclusive(PageTier::F32, to_int8), None);
+        drop(fork);
+        // Wrong expected tier (stale candidate): refused.
+        assert_eq!(queued.demote_if_exclusive(PageTier::Int8, to_int8), None);
+        // The requantizer declines (would not shrink): refused.
+        assert_eq!(queued.demote_if_exclusive(PageTier::F32, |_| None), None);
+        assert_eq!(arena.stats().pages, [1, 0, 0], "refusals change nothing");
+        // Exclusive and at the enqueued tier: commits, returns bytes freed.
         let before = arena.allocated_bytes();
-        let freed = arena
-            .replace_if_exclusive(id, PageTier::F32, quant_page(4, 8, true))
+        let freed = queued
+            .demote_if_exclusive(PageTier::F32, to_int8)
             .expect("commit");
         assert_eq!(before - arena.allocated_bytes(), freed);
         assert_eq!(arena.stats().demoted_int8, 1);
+        assert_eq!(page.tier(), PageTier::Int8);
+        assert!(page.is_exclusive(), "the commit left no owner behind");
+        // An unsealed page is still being written: refused.
+        let tail = arena.alloc(f32_page(3, 8, 1.0)).unwrap();
+        let open = tail.downgrade();
+        assert_eq!(open.demote_if_exclusive(PageTier::F32, to_int8), None);
         // Dead page: refused.
-        arena.release(id);
-        assert_eq!(
-            arena.replace_if_exclusive(id, PageTier::Int8, quant_page(4, 8, true)),
-            None
-        );
+        drop(page);
+        assert_eq!(queued.demote_if_exclusive(PageTier::Int8, to_int8), None);
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub mod rng;
 pub mod stats;
 
 pub use arena::{
-    ArenaConfig, ArenaStats, DemoteCandidate, DemoteKey, EvictError, KvArena, PageId, PagePayload,
-    PageTier, DEFAULT_ARENA_SHARDS,
+    ArenaConfig, ArenaStats, DemoteCandidate, DemoteKey, EvictError, KvArena, Page, PagePayload,
+    PageTier, QueuedPage,
 };
 pub use error::ShapeError;
 pub use imatrix::IMatrix;
