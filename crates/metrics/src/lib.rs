@@ -421,14 +421,16 @@ pub mod engine {
     pub static PREFILLS: Counter = Counter::new();
     /// Tokens ingested by prefill passes.
     pub static PREFILL_TOKENS: Counter = Counter::new();
-    /// Incremental decode steps (one token each).
+    /// Tokens ingested against a non-empty cache: one per `step`, one per
+    /// row of a multi-token `extend`.
     pub static DECODE_STEPS: Counter = Counter::new();
-    /// Multiply-accumulates executed by decode steps (per-layer GEMMs,
+    /// Multiply-accumulates executed for those tokens (per-layer GEMMs,
     /// attention against the cache included; LM head excluded).
     pub static DECODE_MACS: Counter = Counter::new();
     /// Wall-clock per prefill pass.
     pub static PREFILL_TIME: Timer = Timer::new();
-    /// Wall-clock per decode step (the tokens/step latency).
+    /// Wall-clock per cached forward: one span per `step` / `extend` call,
+    /// however many tokens it ingests.
     pub static DECODE_STEP_TIME: Timer = Timer::new();
     /// Resident KV-cache bytes summed across live sessions (each session
     /// adds/subtracts its delta, so the gauge is the aggregate, not the

@@ -1,11 +1,15 @@
 //! The shared layer pipeline behind both inference paths.
 //!
-//! [`forward_internal`] drives the full-sequence pass used by
-//! [`crate::ReferenceModel::forward`] and [`crate::QuantizedModel::forward`];
-//! [`layer_decode`] drives the single-token incremental pass used by
-//! [`crate::engine::DecodeSession::step`]. Both are built from the same
-//! per-layer pieces ([`layer_full`], the attention inner loop, the FFN
-//! match), so the decode path cannot drift from the reference semantics.
+//! [`block`] is the one Transformer block, over `rows ≥ 1` hidden rows
+//! starting at an absolute position. Its attention reads from one of two
+//! sources ([`Attend`]): the call's own fresh K/V — [`forward_internal`],
+//! the full-sequence pass behind [`crate::ReferenceModel::forward`],
+//! [`crate::QuantizedModel::forward`], calibration capture and
+//! [`crate::engine::DecodeSession::prefill`] — or the KV cache, row by row
+//! — [`crate::engine::DecodeSession::extend`] and `step`, its one-token
+//! case. Everything else (norms, projections, the FFN match, residuals,
+//! MAC counting) exists once, so the cached path cannot drift from the
+//! reference semantics.
 //!
 //! **Parity invariant.** Every op in the pipeline is per-row independent
 //! with a fixed accumulation order: embeddings and norms are row-local,
@@ -15,7 +19,10 @@
 //! against a KV cache of length `p` therefore reproduces row `p` of the
 //! full-sequence pass bit-for-bit, provided row-chunked schemes are asked
 //! for the chunk covering absolute row `p` — which is what
-//! [`Exec::mm_at`] forwards via `QuantMatmul::forward_at`.
+//! [`Exec::mm_at`] forwards via `QuantMatmul::forward_at`. The same
+//! independence makes the cached path indifferent to how a token run is
+//! cut into calls: `rows` tokens in one [`block`] call per layer leave the
+//! cache and the hidden rows exactly as `rows` one-token calls do.
 
 use std::collections::HashMap;
 
@@ -52,19 +59,9 @@ pub(crate) enum Exec<'a> {
 }
 
 impl Exec<'_> {
-    /// The weight matmul at `(li, site)` for activations starting at row 0.
-    pub(crate) fn mm(&self, li: usize, site: Site, x: &Matrix, weight: &Matrix) -> Matrix {
-        match self {
-            Exec::Reference => x.matmul(weight).expect("weight shapes validated"),
-            Exec::Quantized { ops, .. } => ops
-                .get(&(li, site))
-                .unwrap_or_else(|| panic!("missing operator for layer {li} site {site:?}"))
-                .forward(x),
-        }
-    }
-
     /// The weight matmul at `(li, site)` for activation rows whose first
-    /// row sits at absolute sequence position `row0` (decode path).
+    /// row sits at absolute sequence position `row0` (`forward_at(x, 0)` is
+    /// `forward(x)` bit for bit, by `QuantMatmul`'s contract).
     pub(crate) fn mm_at(
         &self,
         li: usize,
@@ -171,139 +168,86 @@ pub(crate) fn lm_head(w: &TransformerWeights, emb_t: &Matrix, hidden: &Matrix) -
     hidden.matmul(emb_t).expect("LM head shape").scale(scale)
 }
 
-/// One full-sequence Transformer block: attention + FFN with residuals.
-///
-/// When `kv` is given, the freshly projected K/V rows are appended to the
-/// cache (the prefill path); the returned hidden states are unchanged by
-/// caching.
-///
-/// # Errors
-///
-/// [`EvictError`] when the cache's arena is at its byte cap with nothing
-/// left to demote. Passes without a cache cannot fail.
-pub(crate) fn layer_full(
-    w: &TransformerWeights,
-    li: usize,
-    layer: &LayerWeights,
-    h: Matrix,
-    exec: &Exec<'_>,
-    mut capture: Option<&mut CaptureMap>,
-    kv: Option<&mut KvCache>,
-) -> Result<Matrix, EvictError> {
-    let shape = &w.shape;
-    let n = h.rows();
-    let dh = shape.head_dim();
-    let scale = 1.0 / (dh as f32).sqrt();
-    let mut h = h;
-
-    // Attention sub-block.
-    let a = apply_norm(&h, &layer.ln1_gamma, &layer.ln1_beta, shape.norm);
-    if let Some(cap) = capture.as_deref_mut() {
-        let ac = capture_clone(li, &a);
-        for site in [Site::Q, Site::K, Site::V] {
-            cap.entry((li, site)).or_default().push(ac.clone());
-        }
-    }
-    let q = exec.mm(li, Site::Q, &a, &layer.wq);
-    let k = exec.mm(li, Site::K, &a, &layer.wk);
-    let v = exec.mm(li, Site::V, &a, &layer.wv);
-    if let Some(cache) = kv {
-        cache.append(li, &k, &v)?;
-    }
-
-    let mut ao = Matrix::zeros(n, shape.d_model);
-    for head in 0..shape.heads {
-        let c0 = head * dh;
-        let c1 = c0 + dh;
-        let qh = q.slice_cols(c0, c1).scale(scale);
-        let kh_t = k.slice_cols(c0, c1).transpose();
-        let mut scores = exec.act_act(&qh, &kh_t);
-        if shape.kind == ModelKind::Decoder {
-            ops::causal_mask_inplace(&mut scores);
-        }
-        let probs = ops::softmax_rows(&scores);
-        let attn = exec.act_act(&probs, &v.slice_cols(c0, c1));
-        for r in 0..n {
-            for c in 0..dh {
-                ao[(r, c0 + c)] = attn[(r, c)];
-            }
-        }
-    }
-    if let Some(cap) = capture.as_deref_mut() {
-        cap.entry((li, Site::O))
-            .or_default()
-            .push(capture_clone(li, &ao));
-    }
-    let o = exec.mm(li, Site::O, &ao, &layer.wo);
-    h = h.add(&o).expect("residual shapes");
-
-    // FFN sub-block.
-    let b = apply_norm(&h, &layer.ln2_gamma, &layer.ln2_beta, shape.norm);
-    if let Some(cap) = capture.as_deref_mut() {
-        let bc = capture_clone(li, &b);
-        cap.entry((li, Site::Fc1)).or_default().push(bc.clone());
-        if layer.w_gate.is_some() {
-            cap.entry((li, Site::Gate)).or_default().push(bc);
-        }
-    }
-    let f = match shape.activation {
-        Activation::Relu => ops::relu(&exec.mm(li, Site::Fc1, &b, &layer.w_fc1)),
-        Activation::Gelu => ops::gelu(&exec.mm(li, Site::Fc1, &b, &layer.w_fc1)),
-        Activation::SiluGated => {
-            let gate_w = layer.w_gate.as_ref().expect("gated FFN has a gate weight");
-            let gated = ops::silu(&exec.mm(li, Site::Gate, &b, gate_w));
-            elementwise_mul(&gated, &exec.mm(li, Site::Fc1, &b, &layer.w_fc1))
-        }
-    };
-    if let Some(cap) = capture {
-        cap.entry((li, Site::Fc2))
-            .or_default()
-            .push(capture_clone(li, &f));
-    }
-    let ffn_out = exec.mm(li, Site::Fc2, &f, &layer.w_fc2);
-    Ok(h.add(&ffn_out).expect("residual shapes"))
-}
-
-/// Decode-path runtime guard: routes a live single-row activation through
-/// the fault plan's `act_nan` site and sanitizes whatever it poisoned, so a
-/// corrupted decode step degrades (zeroed channels, counted) instead of
-/// propagating NaN through the cache. Inert when no plan is installed.
-fn guard_decode_activation(li: usize, a: Matrix) -> Matrix {
+/// Runtime guard of the cached path: routes each live activation row
+/// through the fault plan's `act_nan` site and sanitizes whatever it
+/// poisoned, so a corrupted row degrades (zeroed channels, counted) instead
+/// of propagating NaN through the cache. The verdict is keyed on the bytes
+/// of the single `1 × d` row, so it is the same whether the row arrives
+/// alone or inside a chunk. Inert when no plan is installed.
+fn guard_rows(li: usize, mut a: Matrix) -> Matrix {
     if !tender_faults::active() {
         return a;
     }
-    let poisoned = capture_clone(li, &a);
-    if poisoned == a {
-        return a;
-    }
-    tender_metrics::faults::DECODE_SANITIZED.incr();
-    Matrix::from_fn(poisoned.rows(), poisoned.cols(), |r, c| {
-        let v = poisoned[(r, c)];
-        if v.is_finite() {
-            v
-        } else {
-            0.0
+    for r in 0..a.rows() {
+        let row = a.slice_rows(r, r + 1);
+        let poisoned = capture_clone(li, &row);
+        if poisoned == row {
+            continue;
         }
-    })
+        tender_metrics::faults::DECODE_SANITIZED.incr();
+        for (dst, &v) in a.row_mut(r).iter_mut().zip(poisoned.row(0)) {
+            *dst = if v.is_finite() { v } else { 0.0 };
+        }
+    }
+    a
 }
 
-/// One single-token Transformer block against the KV cache.
+/// Where a [`block`]'s attention reads K/V from.
+pub(crate) enum Attend<'a> {
+    /// Causal self-attention over the call's own K/V rows — the
+    /// full-sequence pass. `capture` records calibration activations;
+    /// `record` appends the K/V rows to a cache (prefill). Neither changes
+    /// the returned hidden states.
+    Fresh {
+        capture: Option<&'a mut CaptureMap>,
+        record: Option<&'a mut KvCache>,
+    },
+    /// Row by row against the cache, which already holds every earlier
+    /// position: row `i`'s K/V are appended, then row `i` attends to the
+    /// whole cache — no mask needed, every cached position is in the past.
+    /// Append and read must alternate per row: appending a later row can
+    /// raise a quantized plane's `TMax` and `requant_shift` the tail page,
+    /// which an earlier row must read as it was when that row was the
+    /// newest. `int_macs` accrues the multiply-accumulates executed in the
+    /// integer domain on packed KV codes.
+    Cached {
+        cache: &'a mut KvCache,
+        int_macs: &'a mut u64,
+    },
+}
+
+impl Attend<'_> {
+    /// Calibration path: records a fault-plan clone of `m` under `sites`.
+    fn capture(&mut self, li: usize, sites: &[Site], m: &Matrix) {
+        if let Attend::Fresh {
+            capture: Some(cap), ..
+        } = self
+        {
+            let clone = capture_clone(li, m);
+            let (&last, rest) = sites.split_last().expect("at least one site");
+            for &site in rest {
+                cap.entry((li, site)).or_default().push(clone.clone());
+            }
+            cap.entry((li, last)).or_default().push(clone);
+        }
+    }
+
+    /// Cached path: the fault guard over each row of a normed activation.
+    fn guard(&self, li: usize, m: Matrix) -> Matrix {
+        match self {
+            Attend::Fresh { .. } => m,
+            Attend::Cached { .. } => guard_rows(li, m),
+        }
+    }
+}
+
+/// One Transformer block — attention + FFN with residuals — over the
+/// `rows ≥ 1` hidden rows `h`, the first at absolute position `row0`.
+/// `macs` accrues the multiply-accumulates actually executed, measured
+/// from the operand shapes of each matmul performed.
 ///
-/// `h` is the `1 × d_model` hidden row for absolute position `pos`; the
-/// layer's K/V projections are appended to `cache` (so afterwards the cache
-/// holds `pos + 1` rows for this layer), and attention runs over the whole
-/// cache — no mask needed, every cached position is in the past. `macs`
-/// accrues the multiply-accumulates actually executed, measured from the
-/// operand shapes of each matmul performed; `int_macs` accrues the subset
-/// executed in the integer domain on packed KV codes.
-///
-/// # Errors
-///
-/// [`EvictError`] when the cache's arena is at its byte cap with nothing
-/// left to demote for the appended position.
-///
-/// **Attention read paths.** Quantized cache planes dot the query and
-/// probability rows against the packed codes directly
+/// **Attention read paths** ([`Attend::Cached`]). Quantized cache planes
+/// dot the query and probability rows against the packed codes directly
 /// ([`KvCache::attn_scores_quant`] / [`KvCache::attn_values_quant`]) — no
 /// dequantized plane, no transpose copy. f32 planes (and the legacy
 /// dequantize read path) use the transpose-free [`ops::row_dot_nt`] when
@@ -311,99 +255,120 @@ fn guard_decode_activation(li: usize, a: Matrix) -> Matrix {
 /// `act_act(q, kᵀ)` bit-for-bit; only schemes that *quantize* act×act
 /// still pay the explicit transpose, since their operator consumes the
 /// transposed matrix.
+///
+/// # Errors
+///
+/// [`EvictError`] when the cache's arena is at its byte cap with nothing
+/// left to demote. Passes without a cache cannot fail.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn layer_decode(
+pub(crate) fn block(
     w: &TransformerWeights,
     li: usize,
     layer: &LayerWeights,
     h: Matrix,
     exec: &Exec<'_>,
-    cache: &mut KvCache,
-    pos: usize,
+    row0: usize,
+    attend: &mut Attend<'_>,
     macs: &mut u64,
-    int_macs: &mut u64,
 ) -> Result<Matrix, EvictError> {
     let shape = &w.shape;
+    let rows = h.rows();
     let dh = shape.head_dim();
     let scale = 1.0 / (dh as f32).sqrt();
-    let mut h = h;
-    let mut mac = |m: usize, k: usize, n: usize| *macs += (m * k * n) as u64;
+    let mut mm = |site: Site, x: &Matrix, weight: &Matrix| {
+        *macs += (x.rows() * x.cols() * weight.cols()) as u64;
+        exec.mm_at(li, site, x, weight, row0)
+    };
 
     // Attention sub-block.
-    let a = guard_decode_activation(
-        li,
-        apply_norm(&h, &layer.ln1_gamma, &layer.ln1_beta, shape.norm),
-    );
-    let q = exec.mm_at(li, Site::Q, &a, &layer.wq, pos);
-    let k = exec.mm_at(li, Site::K, &a, &layer.wk, pos);
-    let v = exec.mm_at(li, Site::V, &a, &layer.wv, pos);
-    mac(1, a.cols(), q.cols());
-    mac(1, a.cols(), k.cols());
-    mac(1, a.cols(), v.cols());
-    cache.append(li, &k, &v)?;
-    let len = pos + 1; // cache rows for this layer after the append
+    let a = apply_norm(&h, &layer.ln1_gamma, &layer.ln1_beta, shape.norm);
+    attend.capture(li, &[Site::Q, Site::K, Site::V], &a);
+    let a = attend.guard(li, a);
+    let q = mm(Site::Q, &a, &layer.wq);
+    let k = mm(Site::K, &a, &layer.wk);
+    let v = mm(Site::V, &a, &layer.wv);
 
-    let mut ao = Matrix::zeros(1, shape.d_model);
-    for head in 0..shape.heads {
-        let c0 = head * dh;
-        let c1 = c0 + dh;
-        let qh = q.slice_cols(c0, c1).scale(scale);
-        let scores = match cache.attn_scores_quant(li, head, qh.row(0)) {
-            Some(s) => {
-                *int_macs += (dh * len) as u64;
-                s
+    let mut ao = Matrix::zeros(rows, shape.d_model);
+    let mut attn_macs = 0u64;
+    match attend {
+        Attend::Fresh { record, .. } => {
+            if let Some(cache) = record {
+                cache.append(li, &k, &v)?;
             }
-            None if exec.act_act_is_exact() => ops::row_dot_nt(&qh, &cache.head_k(li, head)),
-            None => exec.act_act(&qh, &cache.head_k(li, head).transpose()),
-        };
-        mac(1, dh, len);
-        // Every cached position is ≤ pos: nothing to mask. The softmax and
-        // the value product below see exactly the live columns the full
-        // pass sees at row `pos`, in the same order.
-        let probs = ops::softmax_rows(&scores);
-        let attn = match cache.attn_values_quant(li, head, probs.row(0)) {
-            Some(a) => {
-                *int_macs += (dh * len) as u64;
-                a
+            for head in 0..shape.heads {
+                let (c0, c1) = (head * dh, (head + 1) * dh);
+                let qh = q.slice_cols(c0, c1).scale(scale);
+                let kh_t = k.slice_cols(c0, c1).transpose();
+                let mut scores = exec.act_act(&qh, &kh_t);
+                if shape.kind == ModelKind::Decoder {
+                    ops::causal_mask_inplace(&mut scores);
+                }
+                let probs = ops::softmax_rows(&scores);
+                let attn = exec.act_act(&probs, &v.slice_cols(c0, c1));
+                for r in 0..rows {
+                    ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
+                }
             }
-            None => exec.act_act(&probs, &cache.head_v(li, head)),
-        };
-        mac(1, len, dh);
-        for c in 0..dh {
-            ao[(0, c0 + c)] = attn[(0, c)];
+            attn_macs += (2 * shape.heads * rows * dh * rows) as u64;
+        }
+        Attend::Cached { cache, int_macs } => {
+            for i in 0..rows {
+                cache.append(li, &k.slice_rows(i, i + 1), &v.slice_rows(i, i + 1))?;
+                let len = row0 + i + 1; // cache rows for this layer after the append
+                let qi = q.slice_rows(i, i + 1);
+                for head in 0..shape.heads {
+                    let (c0, c1) = (head * dh, (head + 1) * dh);
+                    let qh = qi.slice_cols(c0, c1).scale(scale);
+                    let scores = match cache.attn_scores_quant(li, head, qh.row(0)) {
+                        Some(s) => {
+                            **int_macs += (dh * len) as u64;
+                            s
+                        }
+                        None if exec.act_act_is_exact() => {
+                            ops::row_dot_nt(&qh, &cache.head_k(li, head))
+                        }
+                        None => exec.act_act(&qh, &cache.head_k(li, head).transpose()),
+                    };
+                    // The softmax and the value product see exactly the
+                    // live columns the full pass sees at row `row0 + i`,
+                    // in the same order.
+                    let probs = ops::softmax_rows(&scores);
+                    let attn = match cache.attn_values_quant(li, head, probs.row(0)) {
+                        Some(a) => {
+                            **int_macs += (dh * len) as u64;
+                            a
+                        }
+                        None => exec.act_act(&probs, &cache.head_v(li, head)),
+                    };
+                    ao.row_mut(i)[c0..c1].copy_from_slice(attn.row(0));
+                }
+                attn_macs += (2 * shape.heads * dh * len) as u64;
+            }
         }
     }
-    let o = exec.mm_at(li, Site::O, &ao, &layer.wo, pos);
-    mac(1, ao.cols(), o.cols());
-    h = h.add(&o).expect("residual shapes");
+    attend.capture(li, &[Site::O], &ao);
+    let o = mm(Site::O, &ao, &layer.wo);
+    let h = h.add(&o).expect("residual shapes");
 
     // FFN sub-block.
-    let b = guard_decode_activation(
-        li,
-        apply_norm(&h, &layer.ln2_gamma, &layer.ln2_beta, shape.norm),
-    );
+    let b = apply_norm(&h, &layer.ln2_gamma, &layer.ln2_beta, shape.norm);
+    match layer.w_gate {
+        Some(_) => attend.capture(li, &[Site::Fc1, Site::Gate], &b),
+        None => attend.capture(li, &[Site::Fc1], &b),
+    }
+    let b = attend.guard(li, b);
     let f = match shape.activation {
-        Activation::Relu => {
-            let f1 = exec.mm_at(li, Site::Fc1, &b, &layer.w_fc1, pos);
-            mac(1, b.cols(), f1.cols());
-            ops::relu(&f1)
-        }
-        Activation::Gelu => {
-            let f1 = exec.mm_at(li, Site::Fc1, &b, &layer.w_fc1, pos);
-            mac(1, b.cols(), f1.cols());
-            ops::gelu(&f1)
-        }
+        Activation::Relu => ops::relu(&mm(Site::Fc1, &b, &layer.w_fc1)),
+        Activation::Gelu => ops::gelu(&mm(Site::Fc1, &b, &layer.w_fc1)),
         Activation::SiluGated => {
             let gate_w = layer.w_gate.as_ref().expect("gated FFN has a gate weight");
-            let g = exec.mm_at(li, Site::Gate, &b, gate_w, pos);
-            mac(1, b.cols(), g.cols());
-            let f1 = exec.mm_at(li, Site::Fc1, &b, &layer.w_fc1, pos);
-            mac(1, b.cols(), f1.cols());
-            elementwise_mul(&ops::silu(&g), &f1)
+            let gated = ops::silu(&mm(Site::Gate, &b, gate_w));
+            elementwise_mul(&gated, &mm(Site::Fc1, &b, &layer.w_fc1))
         }
     };
-    let ffn_out = exec.mm_at(li, Site::Fc2, &f, &layer.w_fc2, pos);
-    mac(1, f.cols(), ffn_out.cols());
+    attend.capture(li, &[Site::Fc2], &f);
+    let ffn_out = mm(Site::Fc2, &f, &layer.w_fc2);
+    *macs += attn_macs;
     Ok(h.add(&ffn_out).expect("residual shapes"))
 }
 
@@ -418,8 +383,8 @@ pub(crate) fn forward_internal(
     w: &TransformerWeights,
     tokens: &[usize],
     exec: &Exec<'_>,
-    mut capture: Option<&mut CaptureMap>,
-    mut kv: Option<&mut KvCache>,
+    capture: Option<&mut CaptureMap>,
+    kv: Option<&mut KvCache>,
 ) -> Result<Matrix, EvictError> {
     let shape = &w.shape;
     let n = tokens.len();
@@ -430,21 +395,17 @@ pub(crate) fn forward_internal(
     }
 
     let mut h = embed(w, tokens, 0);
+    let mut attend = Attend::Fresh {
+        capture,
+        record: kv,
+    };
 
     metrics::FORWARD_PASSES.incr();
     for (li, layer) in w.layers.iter().enumerate() {
         // Wall-clock per layer goes to the JSON report only; it never
         // influences computed values or experiment stdout.
         let _layer_span = metrics::LAYER_FORWARD.span(li);
-        h = layer_full(
-            w,
-            li,
-            layer,
-            h,
-            exec,
-            capture.as_deref_mut(),
-            kv.as_deref_mut(),
-        )?;
+        h = block(w, li, layer, h, exec, 0, &mut attend, &mut 0)?;
     }
 
     Ok(apply_norm(&h, &w.final_gamma, &w.final_beta, shape.norm))

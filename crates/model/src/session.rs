@@ -1,5 +1,7 @@
 //! [`DecodeSession`]: one in-flight generation — a model reference plus
-//! its paged KV cache — with the two-phase prefill / step interface.
+//! its paged KV cache. `prefill` fills an empty cache in one full-sequence
+//! pass; `extend` is the one cached forward after that, over any number of
+//! tokens, and `step` is `extend` of one.
 
 use std::error::Error;
 use std::fmt;
@@ -9,7 +11,7 @@ use tender_tensor::{EvictError, KvArena, Matrix};
 
 use crate::forward::{QuantizedModel, ReferenceModel};
 use crate::kv::{KvCache, KvCacheMode, KvReadPath};
-use crate::pipeline::{self, Exec};
+use crate::pipeline::{self, Attend, Exec};
 use crate::shape::ModelShape;
 use crate::weights::TransformerWeights;
 
@@ -65,7 +67,7 @@ impl<'m> ModelRef<'m> {
     }
 }
 
-/// Why a [`DecodeSession::step`] could not run.
+/// Why a [`DecodeSession::extend`] (or `step`) could not run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepError {
     /// The session holds no cached positions yet — prefill first.
@@ -217,30 +219,55 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// Feeds one token at the next sequence position and returns its
-    /// next-token logits (`1 × vocab`), attending against the cache.
+    /// next-token logits (`1 × vocab`): [`DecodeSession::extend`] of one
+    /// token.
     ///
     /// # Errors
     ///
-    /// Returns [`StepError::NotPrefilled`] on an empty session,
-    /// [`StepError::SequenceFull`] when the next position would exceed the
-    /// model's `max_seq` positional-embedding table (the cache storage
-    /// could grow further, the model cannot embed the position),
-    /// [`StepError::TokenOutOfVocab`] for an out-of-range token id, and
-    /// [`StepError::KvExhausted`] when the arena is at its byte cap with
-    /// nothing left to demote.
+    /// As [`DecodeSession::extend`].
     pub fn step(&mut self, token: usize) -> Result<Matrix, StepError> {
+        self.extend(&[token])
+    }
+
+    /// Ingests `tokens` at the next sequence positions, attending against
+    /// the cache, and returns the **last** token's next-token logits
+    /// (`1 × vocab`; the LM head runs on that one row). Weight matmuls see
+    /// one `M = tokens.len()` product per site; per layer, each row's K/V
+    /// is appended and then that row attends to the cache, which is the
+    /// order `step` uses — so `extend(a ++ b)`, `extend(a); extend(b)` and
+    /// token-by-token `step` leave the same cache and return the same
+    /// logits bit for bit, in every cache mode.
+    ///
+    /// # Errors
+    ///
+    /// Checked before the cache is touched, so a refused call leaves the
+    /// session as it was: [`StepError::NotPrefilled`] on an empty session,
+    /// [`StepError::SequenceFull`] when the last position would exceed the
+    /// model's `max_seq` positional-embedding table (the cache storage
+    /// could grow further, the model cannot embed the position), and
+    /// [`StepError::TokenOutOfVocab`] for the first out-of-range token id.
+    /// [`StepError::KvExhausted`] when the arena is at its byte cap with
+    /// nothing left to demote; the cache may then hold part of the run and
+    /// callers should drop the session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty.
+    pub fn extend(&mut self, tokens: &[usize]) -> Result<Matrix, StepError> {
         let w = self.model.weights();
         let shape = &w.shape;
-        let pos = self.cache.len();
-        if pos == 0 {
+        let rows = tokens.len();
+        assert!(rows > 0, "empty token sequence");
+        let base = self.cache.len();
+        if base == 0 {
             return Err(StepError::NotPrefilled);
         }
-        if pos >= shape.max_seq {
+        if base + rows > shape.max_seq {
             return Err(StepError::SequenceFull {
                 max_seq: shape.max_seq,
             });
         }
-        if token >= shape.vocab {
+        if let Some(&token) = tokens.iter().find(|&&t| t >= shape.vocab) {
             return Err(StepError::TokenOutOfVocab {
                 token,
                 vocab: shape.vocab,
@@ -251,25 +278,20 @@ impl<'m> DecodeSession<'m> {
         let exec = self.model.exec();
         let mut macs = 0u64;
         let mut int_macs = 0u64;
-        let mut h = pipeline::embed(w, &[token], pos);
+        let mut attend = Attend::Cached {
+            cache: &mut self.cache,
+            int_macs: &mut int_macs,
+        };
+        let mut h = pipeline::embed(w, tokens, base);
         for (li, layer) in w.layers.iter().enumerate() {
-            h = pipeline::layer_decode(
-                w,
-                li,
-                layer,
-                h,
-                &exec,
-                &mut self.cache,
-                pos,
-                &mut macs,
-                &mut int_macs,
-            )
-            .map_err(StepError::KvExhausted)?;
+            h = pipeline::block(w, li, layer, h, &exec, base, &mut attend, &mut macs)
+                .map_err(StepError::KvExhausted)?;
         }
-        let hidden = pipeline::apply_norm(&h, &w.final_gamma, &w.final_beta, shape.norm);
+        let last = h.slice_rows(rows - 1, rows);
+        let hidden = pipeline::apply_norm(&last, &w.final_gamma, &w.final_beta, shape.norm);
         self.last_step_macs = macs;
         self.last_step_kv_int_macs = int_macs;
-        metrics::DECODE_STEPS.incr();
+        metrics::DECODE_STEPS.add(rows as u64);
         metrics::DECODE_MACS.add(macs);
         Ok(pipeline::lm_head(w, self.model.emb_t(), &hidden))
     }
@@ -297,18 +319,20 @@ impl<'m> DecodeSession<'m> {
         greedy_token(logits, logits.rows() - 1, self.len(), vocab)
     }
 
-    /// Multiply-accumulates executed by the most recent [`step`], measured
-    /// from the operand shapes of the matmuls actually run (per-layer
-    /// GEMMs and attention against the cache; embedding and LM head
-    /// excluded, matching the simulator's `decode_step_gemms` model).
+    /// Multiply-accumulates executed by the most recent [`step`] or
+    /// [`extend`] call (summed over its tokens), measured from the operand
+    /// shapes of the matmuls actually run (per-layer GEMMs and attention
+    /// against the cache; embedding and LM head excluded, matching the
+    /// simulator's `decode_step_gemms` model).
     ///
     /// [`step`]: DecodeSession::step
+    /// [`extend`]: DecodeSession::extend
     pub fn last_step_macs(&self) -> u64 {
         self.last_step_macs
     }
 
-    /// Multiply-accumulates the most recent [`step`] executed in the
-    /// integer domain on packed KV codes (a subset of
+    /// Multiply-accumulates the most recent [`step`] or `extend` call
+    /// executed in the integer domain on packed KV codes (a subset of
     /// [`last_step_macs`]; zero in `f32` mode or on the dequantize
     /// read path). Cross-checked against the simulator's
     /// `kv_int_dot_macs` model.
@@ -684,6 +708,49 @@ mod tests {
                 vocab: shape.vocab
             })
         );
+    }
+
+    #[test]
+    fn extend_refusals_leave_the_session_untouched() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let mut empty = DecodeSession::new(&reference);
+        assert_eq!(empty.extend(&[1, 2]), Err(StepError::NotPrefilled));
+        assert!(empty.is_empty());
+
+        let mut session = DecodeSession::with_cache_mode(&reference, KvCacheMode::Int8);
+        session.prefill(&tokens(shape.max_seq - 3, shape.vocab, 7));
+        let before = (session.len(), session.cache().bytes());
+        // Three positions are left: the fourth token of a run has none.
+        assert_eq!(
+            session.extend(&[1, 2, 3, 4]),
+            Err(StepError::SequenceFull {
+                max_seq: shape.max_seq
+            })
+        );
+        assert_eq!((session.len(), session.cache().bytes()), before);
+        // A bad id at the end of a run refuses the rows before it too.
+        assert_eq!(
+            session.extend(&[1, 2, shape.vocab]),
+            Err(StepError::TokenOutOfVocab {
+                token: shape.vocab,
+                vocab: shape.vocab
+            })
+        );
+        assert_eq!((session.len(), session.cache().bytes()), before);
+        let logits = session.extend(&[1, 2, 3]).expect("the run fits exactly");
+        assert_eq!(logits.shape(), (1, shape.vocab));
+        assert_eq!(session.len(), shape.max_seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty token sequence")]
+    fn extend_rejects_an_empty_run() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let mut session = DecodeSession::new(&reference);
+        session.prefill(&tokens(3, shape.vocab, 8));
+        let _ = session.extend(&[]);
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! forked sessions are counted exactly once, and every fork/clone/drop
 //! sequence nets the gauge back to its baseline.
 //!
+//! The last test pins the decode counters' per-token meaning: a multi-token
+//! `extend` moves them exactly as the same tokens fed through `step` do.
+//!
 //! These tests assert exact global gauge values, so they live in their own
 //! test binary (one process) and serialize on a local lock.
 
@@ -147,4 +150,50 @@ fn quantized_sessions_publish_their_packed_footprint() {
     drop(f);
     drop(q);
     assert_eq!(metrics::KV_CACHE_BYTES.get(), base);
+}
+
+#[test]
+fn extend_counts_what_the_step_loop_counts() {
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 19);
+    let reference = model.reference();
+    let t = tokens(15, shape.vocab, 4);
+    let counters = || {
+        [
+            metrics::DECODE_STEPS.get(),
+            metrics::DECODE_MACS.get(),
+            metrics::KV_INT_DOTS.get(),
+            metrics::KV_INT_DOT_MACS.get(),
+        ]
+    };
+    for mode in KvCacheMode::ALL {
+        // (counter deltas, spans, Σ last_step_macs, Σ last_step_kv_int_macs)
+        let run = |calls: &[&[usize]]| {
+            let mut s = DecodeSession::with_cache_mode(&reference, mode);
+            s.prefill(&t[..5]);
+            let (before, spans) = (counters(), metrics::DECODE_STEP_TIME.count());
+            let (mut macs, mut int_macs) = (0, 0);
+            for call in calls {
+                s.extend(call).expect("in-window extend");
+                macs += s.last_step_macs();
+                int_macs += s.last_step_kv_int_macs();
+            }
+            let after = counters();
+            let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            let spans = metrics::DECODE_STEP_TIME.count() - spans;
+            (delta, spans, macs, int_macs)
+        };
+        let (steps, step_spans, step_macs, step_int_macs) =
+            run(&t[5..].chunks(1).collect::<Vec<_>>());
+        let (chunk, chunk_spans, chunk_macs, chunk_int_macs) = run(&[&t[5..]]);
+        assert_eq!(steps[0], 10, "one decode step per token");
+        assert_eq!(chunk, steps, "{} cache", mode.label());
+        assert_eq!((step_spans, chunk_spans), (10, 1));
+        // The session reports the call's total, and the global counters
+        // are the sum of what sessions report.
+        assert_eq!((chunk_macs, chunk_int_macs), (step_macs, step_int_macs));
+        assert_eq!((chunk_macs, chunk_int_macs), (chunk[1], chunk[3]));
+        assert_eq!(chunk_int_macs == 0, mode == KvCacheMode::F32);
+    }
 }

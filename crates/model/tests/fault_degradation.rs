@@ -134,6 +134,47 @@ fn injected_decode_nans_sanitize_instead_of_corrupting_the_cache() {
 }
 
 #[test]
+fn chunked_ingestion_is_guarded_row_by_row() {
+    // The guard's verdict is keyed on the bytes of one `1 × d` activation
+    // row. A chunk fed through `extend` must consult it once per row with
+    // those same bytes — poisoning and sanitizing exactly the rows the
+    // step loop does — not once for the whole `M × d` matrix.
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 11);
+    let reference = model.reference();
+    let t = tokens(14, shape.vocab, 30);
+
+    let _guard = PlanGuard::install(FaultPlan::parse(23, "anan=0.2").unwrap());
+    let counters = || {
+        (
+            metrics::faults::INJECTED_ACT_NAN.get(),
+            metrics::faults::DECODE_SANITIZED.get(),
+        )
+    };
+    let run = |chunked: bool| {
+        let mut session = tender_model::engine::DecodeSession::new(&reference);
+        session.prefill(&t[..6]);
+        let (injected, sanitized) = counters();
+        let logits = if chunked {
+            session.extend(&t[6..]).expect("in-window extend")
+        } else {
+            let mut last = None;
+            for &tok in &t[6..] {
+                last = Some(session.step(tok).expect("in-window step"));
+            }
+            last.expect("at least one step")
+        };
+        let (injected_after, sanitized_after) = counters();
+        let bits: Vec<u32> = logits.row(0).iter().map(|v| v.to_bits()).collect();
+        (bits, injected_after - injected, sanitized_after - sanitized)
+    };
+    let stepped = run(false);
+    assert!(stepped.2 > 1, "anan=0.2 sanitized at most one row");
+    assert_eq!(run(true), stepped);
+}
+
+#[test]
 fn all_nan_logits_fall_back_to_a_deterministic_greedy_token() {
     // Regression: greedy argmax over an all-NaN logits row used to return
     // token 0 silently (`v > best_v` is false for every NaN). A heavy

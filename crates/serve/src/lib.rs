@@ -2,7 +2,10 @@
 //!
 //! The [`Scheduler`] owns a request queue with admission control and runs
 //! an iteration loop that mixes **chunked prefill** with in-flight decode
-//! steps — the continuous-batching shape real serving systems use.
+//! steps — the continuous-batching shape real serving systems use. A
+//! prompt chunk is one multi-row forward: `try_prefill` on an empty
+//! session, `extend` on one that already holds positions (a later chunk,
+//! or any chunk of a shared-prefix fork).
 //! Sessions join the batch the moment a slot frees up and leave the moment
 //! they finish; the batch never drains to make room.
 //!
@@ -920,30 +923,21 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
     if slot.fed < prompt_len {
         // Chunked prefill: up to `chunk` prompt tokens this iteration. A
         // session forked from a shared-prefix template is already
-        // prefilled, so its own prompt extends it token by token.
+        // prefilled, so its own prompt extends it from the first chunk.
         let take = chunk.min(prompt_len - slot.fed);
-        let logits = if slot.session.is_empty() {
-            match slot.session.try_prefill(&slot.adm.req.prompt[..take]) {
-                Ok(logits) => logits,
-                Err(e) => {
-                    return Some(TerminalStatus::Failed {
-                        reason: format!("kv arena exhausted during prefill: {e}"),
-                    })
-                }
-            }
+        let tokens = &slot.adm.req.prompt[slot.fed..slot.fed + take];
+        let ingested = if slot.session.is_empty() {
+            slot.session
+                .try_prefill(tokens)
+                .map_err(|e| format!("kv arena exhausted during prefill: {e}"))
         } else {
-            let mut logits = None;
-            for &tok in &slot.adm.req.prompt[slot.fed..slot.fed + take] {
-                match slot.session.step(tok) {
-                    Ok(l) => logits = Some(l),
-                    Err(e) => {
-                        return Some(TerminalStatus::Failed {
-                            reason: format!("prompt ingestion failed: {e}"),
-                        })
-                    }
-                }
-            }
-            logits.expect("chunk is non-empty")
+            slot.session
+                .extend(tokens)
+                .map_err(|e| format!("prompt ingestion failed: {e}"))
+        };
+        let logits = match ingested {
+            Ok(logits) => logits,
+            Err(reason) => return Some(TerminalStatus::Failed { reason }),
         };
         slot.fed += take;
         metrics::PREFILL_CHUNK_TOKENS.add(take as u64);
