@@ -3,11 +3,14 @@
 //! Runs the full experiment suite (`all_experiments`, fast mode) with
 //! `--metrics-json`, re-parses the report with a *minimal independent JSON
 //! parser* (so the hand-rolled emitter in `tender-metrics` is checked
-//! against something other than itself), and cross-checks the counters the
-//! suite prints to stdout against the JSON values.
+//! against something other than itself), requires every section and key of
+//! the in-process `report()` in it, and cross-checks the counters the suite
+//! prints to stdout against the JSON values.
 
 use std::collections::HashMap;
 use std::process::Command;
+
+use tender_metrics::Value;
 
 /// A minimal JSON value: exactly what the metrics report can contain.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,6 +163,25 @@ fn parse_value(b: &[char], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// Requires `got` to have the kind of `expected` and, for objects, every key
+/// of it (recursively). The child may hold more — the per-layer timers of
+/// layers that ran only there.
+fn assert_covers(path: &str, expected: &Value, got: &Json) {
+    match (expected, got) {
+        (Value::U64(_), Json::Num(_)) => {}
+        (Value::Array(_), Json::Arr(xs)) => {
+            assert!(xs.iter().all(|x| matches!(x, Json::Num(_))), "{path}");
+        }
+        (Value::Object(fields), Json::Obj(_)) => {
+            for (key, v) in fields {
+                assert!(got.has(key), "{path}: missing key {key}");
+                assert_covers(&format!("{path}.{key}"), v, got.get(key));
+            }
+        }
+        _ => panic!("{path}: report() holds {expected:?}, the JSON {got:?}"),
+    }
+}
+
 #[test]
 fn metrics_report_parses_and_matches_stdout_counters() {
     let dir = std::env::temp_dir().join(format!("tender-metrics-smoke-{}", std::process::id()));
@@ -196,9 +218,13 @@ fn metrics_report_parses_and_matches_stdout_counters() {
     // Re-parse the JSON report with the independent parser.
     let text = std::fs::read_to_string(&path).expect("report written");
     let root = parse_json(&text).unwrap_or_else(|e| panic!("report is not valid JSON: {e}"));
-    for section in ["pool", "kernel", "model", "engine", "sim"] {
-        assert!(root.has(section), "missing section {section}");
-    }
+    let sections = tender_metrics::report().sections.into_iter();
+    let surface = Value::Object(
+        sections
+            .map(|s| (s.name.to_string(), Value::Object(s.fields)))
+            .collect(),
+    );
+    assert_covers("report", &surface, &root);
 
     let kernel = root.get("kernel");
     assert_eq!(

@@ -835,9 +835,9 @@ fn reject_unknown_flags(cmd: &str, known: &[&str], flags: &Flags) -> Result<(), 
 
 /// Dispatches a full argument vector (without the program name).
 ///
-/// When `--metrics-json PATH` is given, one structured report of every
-/// metric recorded during the run (pool, kernel, model, simulator) is
-/// written to `PATH` after the command completes.
+/// When `--metrics-json PATH` is given, `tender_metrics::report()` — every
+/// metric of every subsystem, as recorded during the run — is written to
+/// `PATH` after the command completes.
 ///
 /// # Errors
 ///

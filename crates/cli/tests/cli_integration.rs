@@ -64,3 +64,34 @@ fn unknown_model_is_a_clean_error() {
     assert!(stderr.contains("unknown model"));
     assert!(stderr.contains("OPT-6.7B"), "error must list valid names");
 }
+
+/// `TENDER_THREADS` sizes every determinism job in CI, so a value the pool
+/// cannot use must be named on stderr with the count used instead — never
+/// silently replaced — while stdout stays byte-identical.
+#[test]
+fn malformed_tender_threads_is_named_on_stderr() {
+    let generate = |threads: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tender-cli"))
+            .env("TENDER_THREADS", threads)
+            .args(["generate", "--model", "OPT-6.7B", "--scheme", "Tender@8"])
+            .args(["--prompt", "4", "--generate", "2", "--fast", "true"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "TENDER_THREADS={threads:?}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (expected, stderr) = generate("1");
+    assert_eq!(stderr, "", "a valid value prints nothing");
+    for bad in ["0", "four", " 4", ""] {
+        let (stdout, stderr) = generate(bad);
+        assert_eq!(stdout, expected, "stdout must not move");
+        assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("TENDER_THREADS={bad:?}")) && stderr.contains("; using "),
+            "stderr must name the rejected value and the count used: {stderr}"
+        );
+    }
+}

@@ -7,13 +7,22 @@
 //!
 //! # Design
 //!
-//! Every metric is a `static` with interior atomicity, declared centrally in
-//! this crate under a module named for the subsystem that records it
-//! ([`pool`], [`kernel`], [`model`], [`sim`], [`faults`], [`runner`]).
-//! Instrumented crates update
-//! them with relaxed atomic adds — one instruction on the hot path, no
-//! locks, no allocation, no registration handshake. The report walks the
-//! same statics, so collection and export cannot drift apart.
+//! Every metric is a `static` with interior atomicity, declared exactly once:
+//! as one line of the table at the bottom of this file, under the section
+//! named for the subsystem that records it (each section is one of the
+//! modules listed below, e.g. [`pool`] or [`kernel`]). The table expands to
+//! the `pub static`, to its field in [`report`] (key = the lower-cased name,
+//! in table order) and to its line in [`reset_all`], so a metric cannot exist
+//! without being exported and reset.
+//! Instrumented crates update the statics with relaxed atomic adds — one
+//! instruction on the hot path, no locks, no allocation, no registration
+//! handshake.
+//!
+//! The metric's *type* says what it means and what a reset does to it:
+//! [`Counter`], [`MaxGauge`], [`Timer`] and the banks accumulate since the
+//! last reset; a [`Gauge`] holds the last result a run published; a
+//! [`Level`] mirrors live state (threads spawned, bytes held by live caches)
+//! and is therefore left alone by [`reset_all`].
 //!
 //! # Determinism contract
 //!
@@ -44,6 +53,30 @@ use std::time::Instant;
 mod report;
 
 pub use report::{Report, Section, Value};
+
+/// What the table needs from a metric *type*: the zero its `static` starts
+/// from, the [`Value`] [`report`] exports, and what [`reset_all`] does.
+trait Metric {
+    const ZERO: Self;
+    fn value(&self) -> Value;
+    fn reset(&self);
+}
+
+/// The metric types that are one resettable `u64`.
+macro_rules! scalar_metric {
+    ($($ty:ty),+) => {$(
+        impl Metric for $ty {
+            const ZERO: Self = Self::new();
+            fn value(&self) -> Value {
+                Value::U64(self.get())
+            }
+            fn reset(&self) {
+                <$ty>::reset(self);
+            }
+        }
+    )+};
+}
+scalar_metric!(Counter, Gauge, MaxGauge);
 
 /// A monotone event counter (relaxed atomic `u64`).
 ///
@@ -89,7 +122,10 @@ impl Default for Counter {
     }
 }
 
-/// A last-written-value gauge (e.g. the pool's thread count).
+/// A last-written-value gauge: a result one run publishes with
+/// [`set`](Gauge::set) (e.g. serve's latency percentiles), zeroed by
+/// [`reset_all`] before the next run. State that outlives a run — thread
+/// counts, bytes held by live caches — is a [`Level`] instead.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -105,8 +141,42 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `n` to the value (aggregate gauges summed across owners).
-    /// `n == 0` is free (no atomic traffic).
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Resets to zero.
+    pub fn reset(&self) {
+        self.set(0);
+    }
+}
+
+/// A gauge that mirrors live state: either published once with
+/// [`set`](Level::set) (the pool's thread count) or summed by
+/// [`add`](Level::add)/[`sub`](Level::sub) deltas from every owner (bytes and
+/// pages held by live KV caches).
+///
+/// It has no `reset`, and [`reset_all`] leaves it alone: zeroing it would
+/// make the report under-count whatever is still alive, until the process
+/// exits. An array `[Level; N]` is a bank of levels (one per KV page tier)
+/// and is exported as an array of all `N` values.
+#[derive(Debug, Default)]
+pub struct Level(AtomicU64);
+
+impl Level {
+    /// A zeroed level, usable in `static` position.
+    pub const fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+
+    /// Sets the value.
+    #[inline]
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `n` to the value. `n == 0` is free (no atomic traffic).
     #[inline]
     pub fn add(&self, n: u64) {
         if n != 0 {
@@ -114,8 +184,7 @@ impl Gauge {
         }
     }
 
-    /// Subtracts `n` from the value, saturating at zero so a reset while
-    /// contributors are still live cannot wrap the gauge around.
+    /// Subtracts `n` from the value, saturating at zero.
     #[inline]
     pub fn sub(&self, n: u64) {
         if n != 0 {
@@ -131,11 +200,22 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+}
 
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.set(0);
+impl Metric for Level {
+    const ZERO: Self = Self::new();
+    fn value(&self) -> Value {
+        Value::U64(self.get())
     }
+    fn reset(&self) {}
+}
+
+impl<const N: usize> Metric for [Level; N] {
+    const ZERO: Self = [Level::ZERO; N];
+    fn value(&self) -> Value {
+        Value::Array(self.iter().map(Level::get).collect())
+    }
+    fn reset(&self) {}
 }
 
 /// A running-maximum gauge (e.g. deepest observed pool queue).
@@ -231,6 +311,21 @@ impl Timer {
     }
 }
 
+impl Metric for Timer {
+    const ZERO: Self = Self::new();
+    fn value(&self) -> Value {
+        Value::Object(vec![
+            ("count".into(), Value::U64(self.count())),
+            ("total_ns".into(), Value::U64(self.total_ns())),
+            ("mean_ns".into(), Value::U64(self.mean_ns())),
+            ("max_ns".into(), Value::U64(self.max_ns())),
+        ])
+    }
+    fn reset(&self) {
+        Timer::reset(self);
+    }
+}
+
 /// RAII guard returned by [`Timer::span`]; records on drop.
 #[must_use = "a span records its duration when dropped"]
 pub struct Span<'a> {
@@ -274,7 +369,7 @@ impl<const N: usize> TimerBank<N> {
         self.slot(idx).record_ns(ns);
     }
 
-    /// All slots, for report export.
+    /// All slots, in index order.
     pub fn slots(&self) -> &[Timer; N] {
         &self.0
     }
@@ -290,6 +385,21 @@ impl<const N: usize> TimerBank<N> {
 impl<const N: usize> Default for TimerBank<N> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Exported as an object holding one `layer_<i>` timer per slot that ran.
+impl<const N: usize> Metric for TimerBank<N> {
+    const ZERO: Self = Self::new();
+    fn value(&self) -> Value {
+        let ran = self.0.iter().enumerate().filter(|(_, t)| t.count() > 0);
+        Value::Object(
+            ran.map(|(i, t)| (format!("layer_{i}"), t.value()))
+                .collect(),
+        )
+    }
+    fn reset(&self) {
+        TimerBank::reset(self);
     }
 }
 
@@ -314,7 +424,7 @@ impl<const N: usize> CounterBank<N> {
         self.0[idx.min(N - 1)].get()
     }
 
-    /// All slots, for report export.
+    /// All slots, in index order.
     pub fn slots(&self) -> &[Counter; N] {
         &self.0
     }
@@ -333,6 +443,21 @@ impl<const N: usize> Default for CounterBank<N> {
     }
 }
 
+/// Exported as an array with trailing zero slots trimmed (at least one
+/// entry is kept).
+impl<const N: usize> Metric for CounterBank<N> {
+    const ZERO: Self = Self::new();
+    fn value(&self) -> Value {
+        let mut vals: Vec<u64> = self.0.iter().map(Counter::get).collect();
+        let used = vals.iter().rposition(|&v| v != 0).map_or(1, |i| i + 1);
+        vals.truncate(used);
+        Value::Array(vals)
+    }
+    fn reset(&self) {
+        CounterBank::reset(self);
+    }
+}
+
 /// Per-thread slots tracked for the worker pool (slot 0 is the injecting
 /// caller; workers occupy 1..). Larger pools fold into the last slot.
 pub const MAX_POOL_THREADS: usize = 64;
@@ -343,57 +468,12 @@ pub const MAX_LAYERS: usize = 64;
 /// Per-group counter slots; higher group indices fold into the last slot.
 pub const MAX_GROUPS: usize = 16;
 
-/// Worker-pool metrics (`tender_tensor::pool`).
-pub mod pool {
-    use super::*;
+/// The only metric statics outside the table: nothing ticks them, and they
+/// are neither reported nor reset. They keep the frozen `benchmark/` crate
+/// compiling and go when it thaws (ROADMAP item 5b).
+mod frozen {
+    use super::Counter;
 
-    /// Total parallelism of the global pool (workers + caller).
-    pub static THREADS: Gauge = Gauge::new();
-    /// Batches dispatched to the parallel path.
-    pub static PARALLEL_BATCHES: Counter = Counter::new();
-    /// Work items executed through the parallel path.
-    pub static PARALLEL_ITEMS: Counter = Counter::new();
-    /// Work items executed inline (serial path, nested calls, 1-thread pool).
-    pub static INLINE_ITEMS: Counter = Counter::new();
-    /// Deepest injection queue observed (batches waiting at enqueue time).
-    pub static QUEUE_DEPTH_MAX: MaxGauge = MaxGauge::new();
-    /// Injector-side latency of one parallel batch: enqueue → all items done.
-    pub static BATCH_LATENCY: Timer = Timer::new();
-    /// Busy time per thread (slot 0 = the injecting caller, 1.. = workers).
-    pub static THREAD_BUSY_NS: CounterBank<MAX_POOL_THREADS> = CounterBank::new();
-}
-
-/// Tender kernel metrics (`tender_quant::tender`).
-pub mod kernel {
-    use super::*;
-
-    /// Implicit-requantization matmul invocations.
-    pub static IMPLICIT_MATMULS: Counter = Counter::new();
-    /// Explicit-requantization matmul invocations.
-    pub static EXPLICIT_MATMULS: Counter = Counter::new();
-    /// Activation values quantized by the decomposed kernels.
-    pub static QUANTIZED_VALUES: Counter = Counter::new();
-    /// Quantized values that clipped at ±qmax (saturation events).
-    pub static SATURATED_VALUES: Counter = Counter::new();
-    /// Values quantized per channel group (group 0 = largest scale).
-    pub static GROUP_QUANTIZED: CounterBank<MAX_GROUPS> = CounterBank::new();
-    /// Accumulator excursions beyond the hardware's 32-bit range, observed
-    /// after **every** accumulation step (MAC or α-shift) — the
-    /// hardware-faithful count (see `DESIGN.md`).
-    pub static OVERFLOW_EVENTS: Counter = Counter::new();
-    /// Chunks proven overflow-free a priori (per-step checks skipped).
-    pub static CHUNKS_FAST_PATH: Counter = Counter::new();
-    /// Chunks run with per-step overflow checks.
-    pub static CHUNKS_CHECKED: Counter = Counter::new();
-}
-
-/// GEMM metrics (`tender_tensor::gemm`).
-pub mod gemm {
-    use super::*;
-
-    /// `Matrix`/`IMatrix` products dispatched (the kernels are the reference
-    /// loops, hence the name the benchmark reads).
-    pub static REFERENCE_GEMMS: Counter = Counter::new();
     /// Never incremented; read only by the frozen `benchmark/` crate.
     pub static BLOCKED_GEMMS: Counter = Counter::new();
     /// Never incremented; read only by the frozen `benchmark/` crate.
@@ -402,359 +482,318 @@ pub mod gemm {
     pub static TILES_CHECKED: Counter = Counter::new();
 }
 
-/// Model forward-pass metrics (`tender_model`).
-pub mod model {
-    use super::*;
+/// Expands the one table below into everything that has to agree about it:
+/// per section a `pub mod` of `pub static`s, plus [`report`] and
+/// [`reset_all`] walking the same names in the same order. `section + module`
+/// additionally re-exports `module`'s items from the section's module
+/// without registering them.
+macro_rules! metrics_table {
+    ($(
+        $(#[$section_doc:meta])+
+        $section:ident $(+ $unlisted:ident)? {
+            $( $(#[$doc:meta])+ $name:ident: $ty:ty, )+
+        }
+    )+) => {
+        $(
+            $(#[$section_doc])+
+            pub mod $section {
+                use super::*;
+                $( pub use super::$unlisted::*; )?
+                $( $(#[$doc])+ pub static $name: $ty = <$ty as Metric>::ZERO; )+
+            }
+        )+
 
-    /// Complete forward passes (reference + quantized).
-    pub static FORWARD_PASSES: Counter = Counter::new();
-    /// Wall-clock per transformer layer, by layer index.
-    pub static LAYER_FORWARD: TimerBank<MAX_LAYERS> = TimerBank::new();
+        /// Snapshot of every metric, ready for JSON export: one [`Section`]
+        /// per table section, one field per metric, in table order.
+        pub fn report() -> Report {
+            Report {
+                sections: vec![$( Section {
+                    name: stringify!($section),
+                    fields: vec![$( (
+                        stringify!($name).to_ascii_lowercase(),
+                        $section::$name.value(),
+                    ) ),+],
+                } ),+],
+            }
+        }
+
+        /// Resets every metric that accumulates (tests and multi-run
+        /// harnesses). [`Level`]s mirror live state and keep their value.
+        pub fn reset_all() {
+            $($( Metric::reset(&$section::$name); )+)+
+        }
+    };
 }
 
-/// Decode-engine metrics (`tender_model::engine`): prefill vs decode
-/// spans, token counters, KV-cache footprint.
-pub mod engine {
-    use super::*;
+metrics_table! {
+    /// Worker-pool metrics (`tender_tensor::pool`).
+    pool {
+        /// Total parallelism of the global pool (workers + caller).
+        THREADS: Level,
+        /// Batches dispatched to the parallel path.
+        PARALLEL_BATCHES: Counter,
+        /// Work items executed through the parallel path.
+        PARALLEL_ITEMS: Counter,
+        /// Work items executed inline (serial path, nested calls, 1-thread pool).
+        INLINE_ITEMS: Counter,
+        /// Deepest injection queue observed (batches waiting at enqueue time).
+        QUEUE_DEPTH_MAX: MaxGauge,
+        /// Injector-side latency of one parallel batch: enqueue → all items done.
+        BATCH_LATENCY: Timer,
+        /// Busy time per thread (slot 0 = the injecting caller, 1.. = workers).
+        THREAD_BUSY_NS: CounterBank<MAX_POOL_THREADS>,
+    }
 
-    /// Prefill calls (one per session prompt).
-    pub static PREFILLS: Counter = Counter::new();
-    /// Tokens ingested by prefill passes.
-    pub static PREFILL_TOKENS: Counter = Counter::new();
-    /// Tokens ingested against a non-empty cache: one per `step`, one per
-    /// row of a multi-token `extend`.
-    pub static DECODE_STEPS: Counter = Counter::new();
-    /// Multiply-accumulates executed for those tokens (per-layer GEMMs,
-    /// attention against the cache included; LM head excluded).
-    pub static DECODE_MACS: Counter = Counter::new();
-    /// Wall-clock per prefill pass.
-    pub static PREFILL_TIME: Timer = Timer::new();
-    /// Wall-clock per cached forward: one span per `step` / `extend` call,
-    /// however many tokens it ingests.
-    pub static DECODE_STEP_TIME: Timer = Timer::new();
-    /// Resident KV-cache bytes summed across live sessions (each session
-    /// adds/subtracts its delta, so the gauge is the aggregate, not the
-    /// last writer's value).
-    pub static KV_CACHE_BYTES: Gauge = Gauge::new();
-    /// Allocated (preallocated-capacity) KV-cache bytes summed across live
-    /// sessions.
-    pub static KV_CACHE_ALLOCATED_BYTES: Gauge = Gauge::new();
-    /// Largest aggregate resident KV-cache footprint observed, bytes.
-    pub static KV_CACHE_PEAK_BYTES: MaxGauge = MaxGauge::new();
-    /// Runtime KV-cache requantization events: appends whose row maximum
-    /// exceeded the head's running `TMax`, forcing stored rows through the
-    /// group-index / 1-bit-shift requantization path.
-    pub static KV_REQUANTS: Counter = Counter::new();
-    /// Integer-domain KV dot products: attention score/value rows computed
-    /// directly on packed cache codes (no dequantize-on-read).
-    pub static KV_INT_DOTS: Counter = Counter::new();
-    /// Multiply-accumulates executed by integer-domain KV dots (a subset
-    /// of `DECODE_MACS`, cross-checked against the simulator's
-    /// `kv_int_dot_macs` model).
-    pub static KV_INT_DOT_MACS: Counter = Counter::new();
-    /// Greedy rollouts truncated at a `StepError` (typically the context
-    /// window) instead of completing their requested step budget.
-    pub static DECODE_TRUNCATED: Counter = Counter::new();
-}
+    /// Tender kernel metrics (`tender_quant::tender`).
+    kernel {
+        /// Implicit-requantization matmul invocations.
+        IMPLICIT_MATMULS: Counter,
+        /// Explicit-requantization matmul invocations.
+        EXPLICIT_MATMULS: Counter,
+        /// Activation values quantized by the decomposed kernels.
+        QUANTIZED_VALUES: Counter,
+        /// Quantized values that clipped at ±qmax (saturation events).
+        SATURATED_VALUES: Counter,
+        /// Values quantized per channel group (group 0 = largest scale).
+        GROUP_QUANTIZED: CounterBank<MAX_GROUPS>,
+        /// Accumulator excursions beyond the hardware's 32-bit range, observed
+        /// after **every** accumulation step (MAC or α-shift) — the
+        /// hardware-faithful count (see `DESIGN.md`).
+        OVERFLOW_EVENTS: Counter,
+        /// Chunks proven overflow-free a priori (per-step checks skipped).
+        CHUNKS_FAST_PATH: Counter,
+        /// Chunks run with per-step overflow checks.
+        CHUNKS_CHECKED: Counter,
+    }
 
-/// Paged KV-arena metrics (`tender_tensor::arena`): per-tier page and
-/// byte gauges plus demotion / copy-on-write / eviction counters. Shared
-/// pages are counted exactly once regardless of how many forked sessions
-/// retain them.
-pub mod kv_arena {
-    use super::*;
+    /// GEMM metrics (`tender_tensor::gemm`).
+    gemm + frozen {
+        /// `Matrix`/`IMatrix` products dispatched (the kernels are the reference
+        /// loops, hence the name the benchmark reads).
+        REFERENCE_GEMMS: Counter,
+    }
 
-    /// Live arenas (every decode session owns or shares one).
-    pub static ARENAS: Gauge = Gauge::new();
-    /// Pages handed out over the process lifetime.
-    pub static PAGE_ALLOCS: Counter = Counter::new();
-    /// Pages freed when their last owner released them.
-    pub static PAGE_FREES: Counter = Counter::new();
-    /// Live pages at the exact f32 tier.
-    pub static PAGES_F32: Gauge = Gauge::new();
-    /// Live pages at the int8 tier.
-    pub static PAGES_INT8: Gauge = Gauge::new();
-    /// Live pages at the int4 tier (the demotion floor).
-    pub static PAGES_INT4: Gauge = Gauge::new();
-    /// Resident bytes held by f32 pages.
-    pub static RESIDENT_F32: Gauge = Gauge::new();
-    /// Resident bytes held by int8 pages.
-    pub static RESIDENT_INT8: Gauge = Gauge::new();
-    /// Resident bytes held by int4 pages.
-    pub static RESIDENT_INT4: Gauge = Gauge::new();
-    /// Allocated (full-page-granularity) bytes held by f32 pages.
-    pub static ALLOCATED_F32: Gauge = Gauge::new();
-    /// Allocated bytes held by int8 pages.
-    pub static ALLOCATED_INT8: Gauge = Gauge::new();
-    /// Allocated bytes held by int4 pages.
-    pub static ALLOCATED_INT4: Gauge = Gauge::new();
-    /// Cold pages requantized in place to int8 under memory pressure.
-    pub static DEMOTED_INT8: Counter = Counter::new();
-    /// Cold pages requantized in place to int4 (the last rung before a
-    /// typed `EvictError`).
-    pub static DEMOTED_INT4: Counter = Counter::new();
-    /// Copy-on-write page copies triggered by divergent appends onto
-    /// shared prefix pages.
-    pub static COW_COPIES: Counter = Counter::new();
-    /// *Terminal* allocation refusals at the arena's hard byte cap: the
-    /// caller's demotion ladder reached its floor and the append failed.
-    pub static EVICT_FAILURES: Counter = Counter::new();
-    /// Interim cap refusals answered by demoting cold pages and retrying
-    /// — requantization work, not failures.
-    pub static ALLOC_RETRIES: Counter = Counter::new();
-    /// Page lock acquisitions that found the lock held the other way (a
-    /// `try_read`/`try_write` that would have blocked). The name predates
-    /// per-page locks — the arena used to lock shards of a page table —
-    /// and is kept because `benchmark/` reads it.
-    pub static SHARD_CONTENTION: Counter = Counter::new();
-    /// Demotion candidates currently queued for the boundary drain.
-    pub static DEMOTION_QUEUE_DEPTH: Gauge = Gauge::new();
-    /// Deepest the demotion queue has been.
-    pub static DEMOTION_QUEUE_PEAK: MaxGauge = MaxGauge::new();
-    /// Pages requantized by the off-critical-path boundary drain (as
-    /// opposed to evict-on-append demotions on the appending thread).
-    pub static ASYNC_DEMOTED_PAGES: Counter = Counter::new();
-    /// Allocated bytes freed by boundary-drain demotions.
-    pub static ASYNC_DEMOTED_BYTES: Counter = Counter::new();
-}
+    /// Model forward-pass metrics (`tender_model`).
+    model {
+        /// Complete forward passes (reference + quantized).
+        FORWARD_PASSES: Counter,
+        /// Wall-clock per transformer layer, by layer index.
+        LAYER_FORWARD: TimerBank<MAX_LAYERS>,
+    }
 
-/// Hardware-simulator metrics (`tender_sim`).
-pub mod sim {
-    use super::*;
+    /// Decode-engine metrics (`tender_model::engine`): prefill vs decode
+    /// spans, token counters, KV-cache footprint.
+    engine {
+        /// Prefill calls (one per session prompt).
+        PREFILLS: Counter,
+        /// Tokens ingested by prefill passes.
+        PREFILL_TOKENS: Counter,
+        /// Tokens ingested against a non-empty cache: one per `step`, one per
+        /// row of a multi-token `extend`.
+        DECODE_STEPS: Counter,
+        /// Multiply-accumulates executed for those tokens (per-layer GEMMs,
+        /// attention against the cache included; LM head excluded).
+        DECODE_MACS: Counter,
+        /// Wall-clock per prefill pass.
+        PREFILL_TIME: Timer,
+        /// Wall-clock per cached forward: one span per `step` / `extend` call,
+        /// however many tokens it ingests.
+        DECODE_STEP_TIME: Timer,
+        /// Resident KV-cache bytes summed across live sessions (each session
+        /// adds/subtracts its delta, so the gauge is the aggregate, not the
+        /// last writer's value).
+        KV_CACHE_BYTES: Level,
+        /// Allocated (preallocated-capacity) KV-cache bytes summed across live
+        /// sessions.
+        KV_CACHE_ALLOCATED_BYTES: Level,
+        /// Largest aggregate resident KV-cache footprint observed, bytes.
+        KV_CACHE_PEAK_BYTES: MaxGauge,
+        /// Runtime KV-cache requantization events: appends whose row maximum
+        /// exceeded the head's running `TMax`, forcing stored rows through the
+        /// group-index / 1-bit-shift requantization path.
+        KV_REQUANTS: Counter,
+        /// Integer-domain KV dot products: attention score/value rows computed
+        /// directly on packed cache codes (no dequantize-on-read).
+        KV_INT_DOTS: Counter,
+        /// Multiply-accumulates executed by integer-domain KV dots (a subset
+        /// of `DECODE_MACS`, cross-checked against the simulator's
+        /// `kv_int_dot_macs` model).
+        KV_INT_DOT_MACS: Counter,
+        /// Greedy rollouts truncated at a `StepError` (typically the context
+        /// window) instead of completing their requested step budget.
+        DECODE_TRUNCATED: Counter,
+    }
 
-    /// DRAM bursts that hit an open row.
-    pub static DRAM_ROW_HITS: Counter = Counter::new();
-    /// DRAM bursts that paid precharge + activate.
-    pub static DRAM_ROW_MISSES: Counter = Counter::new();
-    /// Bytes moved through the HBM model.
-    pub static DRAM_BYTES: Counter = Counter::new();
-    /// Bursts delayed by an in-progress refresh.
-    pub static DRAM_REFRESH_STALLS: Counter = Counter::new();
-    /// Accelerator workload runs.
-    pub static ACCEL_RUNS: Counter = Counter::new();
-    /// Total modeled cycles across accelerator runs.
-    pub static ACCEL_CYCLES: Counter = Counter::new();
-    /// Total modeled DRAM traffic across accelerator runs (bytes).
-    pub static ACCEL_DRAM_BYTES: Counter = Counter::new();
-    /// Multi-Scale Systolic Array tile executions.
-    pub static MSA_RUNS: Counter = Counter::new();
-    /// Total MSA cycles across tile executions.
-    pub static MSA_CYCLES: Counter = Counter::new();
-}
+    /// Paged KV-arena metrics (`tender_tensor::arena`): per-tier page and
+    /// byte gauges plus demotion / copy-on-write / eviction counters. Shared
+    /// pages are counted exactly once regardless of how many forked sessions
+    /// retain them.
+    kv_arena {
+        /// Live arenas (every decode session owns or shares one).
+        ARENAS: Level,
+        /// Pages handed out over the process lifetime.
+        PAGE_ALLOCS: Counter,
+        /// Pages freed when their last owner released them.
+        PAGE_FREES: Counter,
+        /// Live pages per tier, in `PageTier::index` order: exact f32, int8,
+        /// int4 (the demotion floor).
+        PAGES: [Level; 3],
+        /// Resident bytes held by the pages of each tier.
+        RESIDENT_BYTES: [Level; 3],
+        /// Allocated (full-page-granularity) bytes held by the pages of each
+        /// tier.
+        ALLOCATED_BYTES: [Level; 3],
+        /// Cold pages requantized in place to int8 under memory pressure.
+        DEMOTED_INT8: Counter,
+        /// Cold pages requantized in place to int4 (the last rung before a
+        /// typed `EvictError`).
+        DEMOTED_INT4: Counter,
+        /// Copy-on-write page copies triggered by divergent appends onto
+        /// shared prefix pages.
+        COW_COPIES: Counter,
+        /// *Terminal* allocation refusals at the arena's hard byte cap: the
+        /// caller's demotion ladder reached its floor and the append failed.
+        EVICT_FAILURES: Counter,
+        /// Interim cap refusals answered by demoting cold pages and retrying
+        /// — requantization work, not failures.
+        ALLOC_RETRIES: Counter,
+        /// Page lock acquisitions that found the lock held the other way (a
+        /// `try_read`/`try_write` that would have blocked). The name predates
+        /// per-page locks — the arena used to lock shards of a page table —
+        /// and is kept because `benchmark/` reads it.
+        SHARD_CONTENTION: Counter,
+        /// Demotion candidates currently queued for the boundary drain.
+        DEMOTION_QUEUE_DEPTH: Level,
+        /// Deepest the demotion queue has been.
+        DEMOTION_QUEUE_PEAK: MaxGauge,
+        /// Pages requantized by the off-critical-path boundary drain (as
+        /// opposed to evict-on-append demotions on the appending thread).
+        ASYNC_DEMOTED_PAGES: Counter,
+        /// Allocated bytes freed by boundary-drain demotions.
+        ASYNC_DEMOTED_BYTES: Counter,
+    }
 
-/// Fault-injection and degradation metrics (`tender_faults` and its
-/// consumers). Injection counters are pure functions of the fault plan's
-/// decisions, so they are identical at any thread count.
-pub mod faults {
-    use super::*;
+    /// Hardware-simulator metrics (`tender_sim`).
+    sim {
+        /// DRAM bursts that hit an open row.
+        DRAM_ROW_HITS: Counter,
+        /// DRAM bursts that paid precharge + activate.
+        DRAM_ROW_MISSES: Counter,
+        /// Bytes moved through the HBM model.
+        DRAM_BYTES: Counter,
+        /// Bursts delayed by an in-progress refresh.
+        DRAM_REFRESH_STALLS: Counter,
+        /// Accelerator workload runs.
+        ACCEL_RUNS: Counter,
+        /// Total modeled cycles across accelerator runs.
+        ACCEL_CYCLES: Counter,
+        /// Total modeled DRAM traffic across accelerator runs (bytes).
+        ACCEL_DRAM_BYTES: Counter,
+        /// Multi-Scale Systolic Array tile executions.
+        MSA_RUNS: Counter,
+        /// Total MSA cycles across tile executions.
+        MSA_CYCLES: Counter,
+    }
 
-    /// Calibration blobs bit-flipped by the fault plan.
-    pub static INJECTED_BLOB: Counter = Counter::new();
-    /// NaNs planted in synthetic weights.
-    pub static INJECTED_WEIGHT_NAN: Counter = Counter::new();
-    /// NaNs planted in captured calibration activations.
-    pub static INJECTED_ACT_NAN: Counter = Counter::new();
-    /// DRAM burst reads that suffered an injected bit-error.
-    pub static INJECTED_DRAM: Counter = Counter::new();
-    /// Pool tasks made to panic by the fault plan.
-    pub static INJECTED_POOL: Counter = Counter::new();
-    /// Experiment attempts made to panic by the fault plan.
-    pub static INJECTED_EXP: Counter = Counter::new();
-    /// Scheduler iterations stalled (work dropped for one iteration) by
-    /// the fault plan's `sched` site.
-    pub static INJECTED_SCHED: Counter = Counter::new();
-    /// Matmul sites degraded off the primary scheme (any rung).
-    pub static DEGRADED_SITES: Counter = Counter::new();
-    /// Sites that settled on the per-tensor INT8 fallback rung.
-    pub static FALLBACK_INT8: Counter = Counter::new();
-    /// Sites that fell through to the FP16 fallback rung.
-    pub static FALLBACK_FP16: Counter = Counter::new();
-    /// Forwards rerouted to the FP16 path by the runtime overflow threshold.
-    pub static RUNTIME_FALLBACKS: Counter = Counter::new();
-    /// Decode-step activations sanitized after an injected NaN channel.
-    pub static DECODE_SANITIZED: Counter = Counter::new();
-    /// Greedy-argmax rows with no finite logit (e.g. NaN-poisoned weights),
-    /// replaced by the deterministic fallback token instead of token 0.
-    pub static DECODE_ARGMAX_SANITIZED: Counter = Counter::new();
-}
+    /// Fault-injection and degradation metrics (`tender_faults` and its
+    /// consumers). Injection counters are pure functions of the fault plan's
+    /// decisions, so they are identical at any thread count.
+    faults {
+        /// Calibration blobs bit-flipped by the fault plan.
+        INJECTED_BLOB: Counter,
+        /// NaNs planted in synthetic weights.
+        INJECTED_WEIGHT_NAN: Counter,
+        /// NaNs planted in captured calibration activations.
+        INJECTED_ACT_NAN: Counter,
+        /// DRAM burst reads that suffered an injected bit-error.
+        INJECTED_DRAM: Counter,
+        /// Pool tasks made to panic by the fault plan.
+        INJECTED_POOL: Counter,
+        /// Experiment attempts made to panic by the fault plan.
+        INJECTED_EXP: Counter,
+        /// Scheduler iterations stalled (work dropped for one iteration) by
+        /// the fault plan's `sched` site.
+        INJECTED_SCHED: Counter,
+        /// Matmul sites degraded off the primary scheme (any rung).
+        DEGRADED_SITES: Counter,
+        /// Sites that settled on the per-tensor INT8 fallback rung.
+        FALLBACK_INT8: Counter,
+        /// Sites that fell through to the FP16 fallback rung.
+        FALLBACK_FP16: Counter,
+        /// Forwards rerouted to the FP16 path by the runtime overflow threshold.
+        RUNTIME_FALLBACKS: Counter,
+        /// Decode-step activations sanitized after an injected NaN channel.
+        DECODE_SANITIZED: Counter,
+        /// Greedy-argmax rows with no finite logit (e.g. NaN-poisoned weights),
+        /// replaced by the deterministic fallback token instead of token 0.
+        DECODE_ARGMAX_SANITIZED: Counter,
+    }
 
-/// Serving-layer metrics (`tender_serve`): admission control, the
-/// continuous-batching iteration loop, and per-request outcomes. The
-/// counters, max-gauges, and logical-latency percentiles are pure
-/// functions of the scheduler's seeded inputs, so they are identical at
-/// any thread count; the wall-clock latency/throughput values vary run to
-/// run and appear only in the JSON report, never on stdout.
-pub mod serve {
-    use super::*;
+    /// Serving-layer metrics (`tender_serve`): admission control, the
+    /// continuous-batching iteration loop, and per-request outcomes. The
+    /// counters, max-gauges, and logical-latency percentiles are pure
+    /// functions of the scheduler's seeded inputs, so they are identical at
+    /// any thread count; the wall-clock latency/throughput values vary run to
+    /// run and appear only in the JSON report, never on stdout.
+    serve {
+        /// Requests offered to the scheduler by the traffic generator.
+        SUBMITTED: Counter,
+        /// Requests accepted past admission control.
+        ADMITTED: Counter,
+        /// Requests rejected because the waiting queue was at capacity.
+        REJECTED_QUEUE_FULL: Counter,
+        /// Requests rejected because the KV-byte budget could not cover them.
+        REJECTED_KV_BUDGET: Counter,
+        /// Admitted requests that reached their full decode target (window
+        /// truncations included; see `engine::DECODE_TRUNCATED`).
+        COMPLETED: Counter,
+        /// Admitted requests whose deadline expired before completion.
+        EXPIRED: Counter,
+        /// Admitted requests that failed in isolation (a `StepError` other
+        /// than window exhaustion, or an injected/organic panic).
+        FAILED: Counter,
+        /// Scheduler iterations executed.
+        ITERATIONS: Counter,
+        /// Iterations whose work was dropped by an injected `sched` fault.
+        STALLED_ITERATIONS: Counter,
+        /// Prompt tokens ingested through chunked prefill.
+        PREFILL_CHUNK_TOKENS: Counter,
+        /// Decode tokens emitted across all requests.
+        DECODE_TOKENS: Counter,
+        /// Deepest waiting queue observed.
+        QUEUE_DEPTH_MAX: MaxGauge,
+        /// Most sessions simultaneously active in the batch.
+        BATCH_OCCUPANCY_MAX: MaxGauge,
+        /// Peak KV bytes reserved under the admission budget.
+        KV_RESERVED_PEAK_BYTES: MaxGauge,
+        /// p50 per-request latency in scheduler iterations (admission →
+        /// terminal; logical time, deterministic).
+        LATENCY_ITERS_P50: Gauge,
+        /// p99 per-request latency in scheduler iterations.
+        LATENCY_ITERS_P99: Gauge,
+        /// p50 per-request wall-clock latency, ns (JSON report only).
+        LATENCY_P50_NS: Gauge,
+        /// p99 per-request wall-clock latency, ns (JSON report only).
+        LATENCY_P99_NS: Gauge,
+        /// Decode throughput over the run, tokens/s × 1000 (JSON report only).
+        TOKENS_PER_SEC_MILLI: Gauge,
+        /// Wall-clock per admitted request, admission → terminal status.
+        REQUEST_LATENCY: Timer,
+    }
 
-    /// Requests offered to the scheduler by the traffic generator.
-    pub static SUBMITTED: Counter = Counter::new();
-    /// Requests accepted past admission control.
-    pub static ADMITTED: Counter = Counter::new();
-    /// Requests rejected because the waiting queue was at capacity.
-    pub static REJECTED_QUEUE_FULL: Counter = Counter::new();
-    /// Requests rejected because the KV-byte budget could not cover them.
-    pub static REJECTED_KV_BUDGET: Counter = Counter::new();
-    /// Admitted requests that reached their full decode target (window
-    /// truncations included; see `engine::DECODE_TRUNCATED`).
-    pub static COMPLETED: Counter = Counter::new();
-    /// Admitted requests whose deadline expired before completion.
-    pub static EXPIRED: Counter = Counter::new();
-    /// Admitted requests that failed in isolation (a `StepError` other
-    /// than window exhaustion, or an injected/organic panic).
-    pub static FAILED: Counter = Counter::new();
-    /// Scheduler iterations executed.
-    pub static ITERATIONS: Counter = Counter::new();
-    /// Iterations whose work was dropped by an injected `sched` fault.
-    pub static STALLED_ITERATIONS: Counter = Counter::new();
-    /// Prompt tokens ingested through chunked prefill.
-    pub static PREFILL_CHUNK_TOKENS: Counter = Counter::new();
-    /// Decode tokens emitted across all requests.
-    pub static DECODE_TOKENS: Counter = Counter::new();
-    /// Deepest waiting queue observed.
-    pub static QUEUE_DEPTH_MAX: MaxGauge = MaxGauge::new();
-    /// Most sessions simultaneously active in the batch.
-    pub static BATCH_OCCUPANCY_MAX: MaxGauge = MaxGauge::new();
-    /// Peak KV bytes reserved under the admission budget.
-    pub static KV_RESERVED_PEAK_BYTES: MaxGauge = MaxGauge::new();
-    /// p50 per-request latency in scheduler iterations (admission →
-    /// terminal; logical time, deterministic).
-    pub static LATENCY_ITERS_P50: Gauge = Gauge::new();
-    /// p99 per-request latency in scheduler iterations.
-    pub static LATENCY_ITERS_P99: Gauge = Gauge::new();
-    /// p50 per-request wall-clock latency, ns (JSON report only).
-    pub static LATENCY_P50_NS: Gauge = Gauge::new();
-    /// p99 per-request wall-clock latency, ns (JSON report only).
-    pub static LATENCY_P99_NS: Gauge = Gauge::new();
-    /// Decode throughput over the run, tokens/s × 1000 (JSON report only).
-    pub static TOKENS_PER_SEC_MILLI: Gauge = Gauge::new();
-    /// Wall-clock per admitted request, admission → terminal status.
-    pub static REQUEST_LATENCY: Timer = Timer::new();
-}
-
-/// Experiment-runner metrics (`tender_bench::runner`).
-pub mod runner {
-    use super::*;
-
-    /// Experiments executed to completion this process.
-    pub static EXPERIMENTS_RUN: Counter = Counter::new();
-    /// Experiment attempts that panicked (injected or genuine).
-    pub static EXPERIMENTS_PANICKED: Counter = Counter::new();
-    /// Retry attempts issued by the bounded-retry policy.
-    pub static EXPERIMENTS_RETRIED: Counter = Counter::new();
-    /// Experiments abandoned by the wall-clock watchdog.
-    pub static EXPERIMENTS_TIMED_OUT: Counter = Counter::new();
-    /// Experiments skipped because the resume journal marked them done.
-    pub static EXPERIMENTS_SKIPPED: Counter = Counter::new();
-}
-
-/// Snapshot of every metric, ready for JSON export.
-pub fn report() -> Report {
-    report::build()
-}
-
-/// Resets every metric to zero (tests and multi-run harnesses).
-pub fn reset_all() {
-    pool::THREADS.reset();
-    pool::PARALLEL_BATCHES.reset();
-    pool::PARALLEL_ITEMS.reset();
-    pool::INLINE_ITEMS.reset();
-    pool::QUEUE_DEPTH_MAX.reset();
-    pool::BATCH_LATENCY.reset();
-    pool::THREAD_BUSY_NS.reset();
-    kernel::IMPLICIT_MATMULS.reset();
-    kernel::EXPLICIT_MATMULS.reset();
-    kernel::QUANTIZED_VALUES.reset();
-    kernel::SATURATED_VALUES.reset();
-    kernel::GROUP_QUANTIZED.reset();
-    kernel::OVERFLOW_EVENTS.reset();
-    kernel::CHUNKS_FAST_PATH.reset();
-    kernel::CHUNKS_CHECKED.reset();
-    gemm::REFERENCE_GEMMS.reset();
-    model::FORWARD_PASSES.reset();
-    model::LAYER_FORWARD.reset();
-    engine::PREFILLS.reset();
-    engine::PREFILL_TOKENS.reset();
-    engine::DECODE_STEPS.reset();
-    engine::DECODE_MACS.reset();
-    engine::PREFILL_TIME.reset();
-    engine::DECODE_STEP_TIME.reset();
-    engine::KV_CACHE_BYTES.reset();
-    engine::KV_CACHE_ALLOCATED_BYTES.reset();
-    engine::KV_CACHE_PEAK_BYTES.reset();
-    engine::KV_REQUANTS.reset();
-    engine::KV_INT_DOTS.reset();
-    engine::KV_INT_DOT_MACS.reset();
-    engine::DECODE_TRUNCATED.reset();
-    kv_arena::ARENAS.reset();
-    kv_arena::PAGE_ALLOCS.reset();
-    kv_arena::PAGE_FREES.reset();
-    kv_arena::PAGES_F32.reset();
-    kv_arena::PAGES_INT8.reset();
-    kv_arena::PAGES_INT4.reset();
-    kv_arena::RESIDENT_F32.reset();
-    kv_arena::RESIDENT_INT8.reset();
-    kv_arena::RESIDENT_INT4.reset();
-    kv_arena::ALLOCATED_F32.reset();
-    kv_arena::ALLOCATED_INT8.reset();
-    kv_arena::ALLOCATED_INT4.reset();
-    kv_arena::DEMOTED_INT8.reset();
-    kv_arena::DEMOTED_INT4.reset();
-    kv_arena::COW_COPIES.reset();
-    kv_arena::EVICT_FAILURES.reset();
-    kv_arena::ALLOC_RETRIES.reset();
-    kv_arena::SHARD_CONTENTION.reset();
-    kv_arena::DEMOTION_QUEUE_DEPTH.reset();
-    kv_arena::DEMOTION_QUEUE_PEAK.reset();
-    kv_arena::ASYNC_DEMOTED_PAGES.reset();
-    kv_arena::ASYNC_DEMOTED_BYTES.reset();
-    sim::DRAM_ROW_HITS.reset();
-    sim::DRAM_ROW_MISSES.reset();
-    sim::DRAM_BYTES.reset();
-    sim::DRAM_REFRESH_STALLS.reset();
-    sim::ACCEL_RUNS.reset();
-    sim::ACCEL_CYCLES.reset();
-    sim::ACCEL_DRAM_BYTES.reset();
-    sim::MSA_RUNS.reset();
-    sim::MSA_CYCLES.reset();
-    faults::INJECTED_BLOB.reset();
-    faults::INJECTED_WEIGHT_NAN.reset();
-    faults::INJECTED_ACT_NAN.reset();
-    faults::INJECTED_DRAM.reset();
-    faults::INJECTED_POOL.reset();
-    faults::INJECTED_EXP.reset();
-    faults::INJECTED_SCHED.reset();
-    faults::DEGRADED_SITES.reset();
-    faults::FALLBACK_INT8.reset();
-    faults::FALLBACK_FP16.reset();
-    faults::RUNTIME_FALLBACKS.reset();
-    faults::DECODE_SANITIZED.reset();
-    faults::DECODE_ARGMAX_SANITIZED.reset();
-    serve::SUBMITTED.reset();
-    serve::ADMITTED.reset();
-    serve::REJECTED_QUEUE_FULL.reset();
-    serve::REJECTED_KV_BUDGET.reset();
-    serve::COMPLETED.reset();
-    serve::EXPIRED.reset();
-    serve::FAILED.reset();
-    serve::ITERATIONS.reset();
-    serve::STALLED_ITERATIONS.reset();
-    serve::PREFILL_CHUNK_TOKENS.reset();
-    serve::DECODE_TOKENS.reset();
-    serve::QUEUE_DEPTH_MAX.reset();
-    serve::BATCH_OCCUPANCY_MAX.reset();
-    serve::KV_RESERVED_PEAK_BYTES.reset();
-    serve::LATENCY_ITERS_P50.reset();
-    serve::LATENCY_ITERS_P99.reset();
-    serve::LATENCY_P50_NS.reset();
-    serve::LATENCY_P99_NS.reset();
-    serve::TOKENS_PER_SEC_MILLI.reset();
-    serve::REQUEST_LATENCY.reset();
-    runner::EXPERIMENTS_RUN.reset();
-    runner::EXPERIMENTS_PANICKED.reset();
-    runner::EXPERIMENTS_RETRIED.reset();
-    runner::EXPERIMENTS_TIMED_OUT.reset();
-    runner::EXPERIMENTS_SKIPPED.reset();
+    /// Experiment-runner metrics (`tender_bench::runner`).
+    runner {
+        /// Experiments executed to completion this process.
+        EXPERIMENTS_RUN: Counter,
+        /// Experiment attempts that panicked (injected or genuine).
+        EXPERIMENTS_PANICKED: Counter,
+        /// Retry attempts issued by the bounded-retry policy.
+        EXPERIMENTS_RETRIED: Counter,
+        /// Experiments abandoned by the wall-clock watchdog.
+        EXPERIMENTS_TIMED_OUT: Counter,
+        /// Experiments skipped because the resume journal marked them done.
+        EXPERIMENTS_SKIPPED: Counter,
+    }
 }
 
 #[cfg(test)]
@@ -782,6 +821,21 @@ mod tests {
     }
 
     #[test]
+    fn level_sums_deltas_and_ignores_reset() {
+        let l = Level::new();
+        l.add(5);
+        l.sub(2);
+        Metric::reset(&l);
+        assert_eq!(l.get(), 3);
+        l.sub(9); // saturates
+        assert_eq!(l.get(), 0);
+        let bank = <[Level; 3]>::ZERO;
+        bank[1].set(4);
+        Metric::reset(&bank);
+        assert_eq!(bank.value(), Value::Array(vec![0, 4, 0]));
+    }
+
+    #[test]
     fn timer_records_spans() {
         let t = Timer::new();
         t.record_ns(10);
@@ -806,6 +860,28 @@ mod tests {
         let t: TimerBank<4> = TimerBank::new();
         t.record_ns(99, 1);
         assert_eq!(t.slot(3).count(), 1);
+    }
+
+    #[test]
+    fn counter_bank_value_trims_trailing_zeros() {
+        let bank: CounterBank<8> = CounterBank::new();
+        assert_eq!(bank.value(), Value::Array(vec![0]));
+        bank.add(0, 1);
+        bank.add(2, 3);
+        assert_eq!(bank.value(), Value::Array(vec![1, 0, 3]));
+    }
+
+    #[test]
+    fn timer_bank_value_lists_only_slots_that_ran() {
+        let bank: TimerBank<4> = TimerBank::new();
+        assert_eq!(bank.value(), Value::Object(vec![]));
+        bank.record_ns(2, 8);
+        let Value::Object(fields) = bank.value() else {
+            panic!("timer banks export an object");
+        };
+        assert_eq!(fields.len(), 1);
+        assert_eq!(fields[0].0, "layer_2");
+        assert_eq!(fields[0].1, bank.slot(2).value());
     }
 
     #[test]

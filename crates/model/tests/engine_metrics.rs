@@ -10,8 +10,10 @@
 //! forked sessions are counted exactly once, and every fork/clone/drop
 //! sequence nets the gauge back to its baseline.
 //!
-//! The last test pins the decode counters' per-token meaning: a multi-token
-//! `extend` moves them exactly as the same tokens fed through `step` do.
+//! `extend_counts_what_the_step_loop_counts` pins the decode counters'
+//! per-token meaning: a multi-token `extend` moves them exactly as the same
+//! tokens fed through `step` do. The last test pins that `reset_all()` does
+//! not touch the gauges that mirror live state.
 //!
 //! These tests assert exact global gauge values, so they live in their own
 //! test binary (one process) and serialize on a local lock.
@@ -196,4 +198,64 @@ fn extend_counts_what_the_step_loop_counts() {
         assert_eq!((chunk_macs, chunk_int_macs), (chunk[1], chunk[3]));
         assert_eq!(chunk_int_macs == 0, mode == KvCacheMode::F32);
     }
+}
+
+/// Regression: `reset_all()` used to zero the gauges that mirror live state.
+/// A cache alive across the reset then under-counted until the process
+/// exited (they are maintained by delta and `sub` saturates at zero), and
+/// `pool.threads` read 0 for good because it is published once, at spawn.
+#[test]
+fn reset_all_leaves_live_state_alone() {
+    use tender_metrics::{kv_arena, pool};
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 23);
+    let reference = model.reference();
+    let live = || {
+        let banks = [
+            &kv_arena::PAGES,
+            &kv_arena::RESIDENT_BYTES,
+            &kv_arena::ALLOCATED_BYTES,
+        ];
+        let mut v = vec![
+            metrics::KV_CACHE_BYTES.get(),
+            metrics::KV_CACHE_ALLOCATED_BYTES.get(),
+            kv_arena::ARENAS.get(),
+            kv_arena::DEMOTION_QUEUE_DEPTH.get(),
+        ];
+        v.extend(banks.iter().flat_map(|b| b.iter().map(|l| l.get())));
+        v
+    };
+    let threads = tender_tensor::pool::current_threads() as u64;
+    assert_eq!(pool::THREADS.get(), threads);
+
+    let before = live();
+    // Deferred demotion queues every page that seals, so the queue-depth
+    // gauge is live too.
+    let arena = KvArena::new(ArenaConfig {
+        page_rows: 4,
+        deferred_demotion: true,
+        ..ArenaConfig::default()
+    });
+    let mut session = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
+    session.prefill(&tokens(6, shape.vocab, 7));
+    let held = live();
+    for (i, (h, b)) in held.iter().zip(&before).enumerate().take(4) {
+        assert!(h > b, "gauge {i} did not move: {held:?} vs {before:?}");
+    }
+    assert_eq!(held[0], before[0] + arena.resident_bytes());
+
+    assert!(metrics::PREFILLS.get() > 0 && metrics::KV_CACHE_PEAK_BYTES.get() > 0);
+    tender_metrics::reset_all();
+    // Counters and max-gauges reset as ever…
+    assert_eq!(metrics::PREFILLS.get(), 0);
+    assert_eq!(metrics::KV_CACHE_PEAK_BYTES.get(), 0);
+    // …what is still alive is still reported…
+    assert_eq!(live(), held);
+    assert_eq!(pool::THREADS.get(), threads);
+
+    // …and releasing it nets out exactly.
+    drop(session);
+    drop(arena);
+    assert_eq!(live(), before);
 }

@@ -313,27 +313,6 @@ struct Bill {
     allocated: u64,
 }
 
-/// The global gauges behind each tier's (pages, resident bytes, allocated
-/// bytes) triple, in `PageTier::index` order — the same layout as
-/// `ArenaShared::totals`.
-static TIER_GAUGES: [[&tender_metrics::Gauge; 3]; 3] = [
-    [
-        &metrics::PAGES_F32,
-        &metrics::RESIDENT_F32,
-        &metrics::ALLOCATED_F32,
-    ],
-    [
-        &metrics::PAGES_INT8,
-        &metrics::RESIDENT_INT8,
-        &metrics::ALLOCATED_INT8,
-    ],
-    [
-        &metrics::PAGES_INT4,
-        &metrics::RESIDENT_INT4,
-        &metrics::ALLOCATED_INT4,
-    ],
-];
-
 struct ArenaShared {
     cfg: ArenaConfig,
     /// Budget source of truth: total allocated bytes. Reserved with a CAS
@@ -371,13 +350,18 @@ impl ArenaShared {
     fn account(&self, bill: Bill, add: bool) {
         let t = bill.tier.index();
         let amounts = [1, bill.resident, bill.allocated];
-        for ((total, gauge), n) in self.totals[t].iter().zip(TIER_GAUGES[t]).zip(amounts) {
+        let gauges = [
+            &metrics::PAGES,
+            &metrics::RESIDENT_BYTES,
+            &metrics::ALLOCATED_BYTES,
+        ];
+        for ((total, gauge), n) in self.totals[t].iter().zip(gauges).zip(amounts) {
             if add {
                 total.fetch_add(n, Ordering::Relaxed);
-                gauge.add(n);
+                gauge[t].add(n);
             } else {
                 total.fetch_sub(n, Ordering::Relaxed);
-                gauge.sub(n);
+                gauge[t].sub(n);
             }
         }
         if add {

@@ -113,15 +113,28 @@ pub fn set_threads(n: usize) {
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
         let n = match REQUESTED_THREADS.load(Ordering::Relaxed) {
-            0 => std::env::var("TENDER_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&v| v >= 1)
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get())),
+            0 => threads_from_env(),
             n => n,
         };
         metrics::THREADS.set(n as u64);
         Pool::new(n)
+    })
+}
+
+/// The pool size `TENDER_THREADS` asks for, or every core when it is unset.
+/// A value that is not a positive integer is reported on stderr (stdout
+/// carries results and is byte-compared) and replaced by every core, rather
+/// than silently sizing a determinism run differently from what was typed.
+fn threads_from_env() -> usize {
+    let all_cores = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    let Some(raw) = std::env::var_os("TENDER_THREADS") else {
+        return all_cores();
+    };
+    let parsed = raw.to_str().and_then(|v| v.parse::<usize>().ok());
+    parsed.filter(|&n| n >= 1).unwrap_or_else(|| {
+        let n = all_cores();
+        eprintln!("warning: TENDER_THREADS={raw:?} is not a positive integer; using {n} threads");
+        n
     })
 }
 
