@@ -8,8 +8,9 @@
 //!   cache length. The integer arm dots the packed codes in place
 //!   (`KvCache::attn_scores_quant` / `attn_values_quant`); the dequant arm
 //!   is the legacy path — materialize the f32 plane via `head_k`/`head_v`,
-//!   then run the f32 products. This is the pair the ≥1.2× tripwire in
-//!   `tests/kv_read_smoke.rs` pins.
+//!   then run the f32 products. This is the pair the tripwires in
+//!   `tests/kv_read_smoke.rs` pin (INT8 ≥1.2×, INT4 ≥1.5×) and the one
+//!   ROADMAP item 1's standing rule reads (INT4 ≥2.5× at length 192).
 //! * `kv_read_step/{mode}_{path}/{len}` — one full `DecodeSession::step`
 //!   under each read path, for end-to-end context (projection GEMMs
 //!   dominate at this shape, so the step-level gap is diluted).

@@ -1,8 +1,11 @@
 //! Read-path A/B tripwire: integer-domain attention over the packed KV
-//! codes must beat legacy dequantize-on-read by ≥1.2× at cache length 192
-//! — the integer path is the engine default, so if it ever slips back to
-//! parity with the path it replaced, it is dead weight and this test says
-//! so.
+//! codes must beat legacy dequantize-on-read at cache length 192 — by
+//! ≥1.2× on an INT8 cache and ≥1.5× on an INT4 one (the mode the
+//! `decode_ctx` benchmark workload runs; ROADMAP item 1's standing rule
+//! asks ≥2.5× of the committed snapshot, this gate sits below it to absorb
+//! a noisy CI box). The integer path is the engine default, so if it ever
+//! slips back to parity with the path it replaced, it is dead weight and
+//! this test says so.
 //!
 //! Timing is min-of-N over interleaved runs (min is robust to scheduler
 //! noise; interleaving cancels thermal drift), measuring one layer's worth
@@ -59,6 +62,13 @@ fn read_dequant(cache: &KvCache, heads: usize, qh: &Matrix, probs: &Matrix) -> f
 
 #[test]
 fn integer_read_path_beats_dequantize_on_read() {
+    // One test, modes in sequence: two timing loops must not share the box.
+    for (mode, min_speedup) in [(KvCacheMode::Int8, 1.2), (KvCacheMode::Int4, 1.5)] {
+        check_mode(mode, min_speedup);
+    }
+}
+
+fn check_mode(mode: KvCacheMode, min_speedup: f64) {
     let mut shape = ModelShape::tiny_test();
     shape.d_model = 128;
     shape.ffn_dim = 256;
@@ -69,7 +79,7 @@ fn integer_read_path_beats_dequantize_on_read() {
 
     let model = SyntheticLlm::generate(&shape, 41);
     let reference = model.reference();
-    let mut session = DecodeSession::with_cache_mode(&reference, KvCacheMode::Int8);
+    let mut session = DecodeSession::with_cache_mode(&reference, mode);
     let prompt: Vec<usize> = (0..cache_len)
         .map(|i| (i * 31 + 39) % shape.vocab)
         .collect();
@@ -91,6 +101,7 @@ fn integer_read_path_beats_dequantize_on_read() {
     // a fast wrong kernel must fail here, not get timed. The only daylight
     // is the 8-bit quantization of qh/probs, so compare per-element
     // against a loose absolute bound scaled to the score magnitudes.
+    let label = mode.label();
     for head in 0..shape.heads {
         let int_scores = cache.attn_scores_quant(0, head, &qh).expect("quant plane");
         let deq_scores = ops::row_dot_nt(&qh_m, &cache.head_k(0, head));
@@ -102,13 +113,13 @@ fn integer_read_path_beats_dequantize_on_read() {
         for (c, (i, d)) in int_scores.row(0).iter().zip(deq_scores.row(0)).enumerate() {
             assert!(
                 (i - d).abs() <= 0.05 * max_mag,
-                "head {head} score {c}: integer {i} vs dequant {d}"
+                "{label} head {head} score {c}: integer {i} vs dequant {d}"
             );
         }
     }
 
     if cfg!(debug_assertions) {
-        eprintln!("debug build: identity checked, timing assertion skipped");
+        eprintln!("debug build: {label} identity checked, timing assertion skipped");
         return;
     }
 
@@ -118,11 +129,12 @@ fn integer_read_path_beats_dequantize_on_read() {
     let deq_t = min_time(iters, || read_dequant(cache, heads, &qh_m, &probs_m));
     let speedup = deq_t.as_secs_f64() / int_t.as_secs_f64();
     eprintln!(
-        "int8 @ len {cache_len}: integer {:?} vs dequant {:?} ({speedup:.2}x)",
+        "{label} @ len {cache_len}: integer {:?} vs dequant {:?} ({speedup:.2}x)",
         int_t, deq_t
     );
     assert!(
-        speedup >= 1.2,
-        "integer read path is only {speedup:.2}x dequantize-on-read at len {cache_len}"
+        speedup >= min_speedup,
+        "{label} integer read path is only {speedup:.2}x dequantize-on-read at len {cache_len} \
+         (gate {min_speedup}x)"
     );
 }

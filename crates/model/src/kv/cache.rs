@@ -2,6 +2,7 @@
 //! append, copy-on-write fork, own-page demotion, and the two read paths.
 
 use tender_metrics::engine as metrics;
+use tender_tensor::qrows::MAX_PACKED_GROUPS;
 use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayload, PageTier};
 
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
@@ -486,25 +487,42 @@ impl KvCache {
 
     /// Integer-domain attention scores of the (already scaled) query row
     /// `qh` against the cached K plane of `(li, head)`: a `1 × len` row,
-    /// computed directly on the packed codes page by page. Each page's dot
-    /// accumulates per power-of-two group in i64; the α = 2 shift-combine
-    /// applies the page's own frozen scales once per dot, and the page's
-    /// bias dot (`Σ_c qh[c]·bias[c]`, full f32 precision) is added per
-    /// row. The accumulation chain is fixed (pages ascending, columns
-    /// ascending, zero-skip on the query code) and integer sums are exact,
-    /// so the result is bit-identical across thread counts.
+    /// computed directly on the packed codes page by page. Each page is
+    /// decoded once into codes pre-multiplied by their group's α = 2
+    /// combine weight, so a row's dot is one `i32` accumulator that already
+    /// holds the shift-combined sum ([`gemm::kv_score_block`]); the page's
+    /// own frozen scale applies once per dot, and the page's bias dot
+    /// (`Σ_c qh[c]·bias[c]`, full f32 precision) is added per row. Integer
+    /// sums under the [`gemm::kv_dot_cannot_overflow`] license are exact
+    /// and order-free, so the result is bit-identical across thread counts
+    /// and equal to the checked per-group walk, which is what runs when the
+    /// license fails.
     ///
     /// Returns `None` when the cache mode is `f32` or the read path is
     /// [`KvReadPath::Dequant`] — the caller then falls back to the f32
     /// product over the gathered plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a quantized integer-path cache if `qh` is not `head_dim`
+    /// wide.
     pub fn attn_scores_quant(&self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
         if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
             return None;
         }
         let plane = &self.planes[self.k_plane(li, head)];
         let dh = self.head_dim;
-        debug_assert_eq!(qh.len(), dh);
+        assert_eq!(
+            qh.len(),
+            dh,
+            "query row for (layer {li}, head {head}) is {} wide, head_dim is {dh}",
+            qh.len()
+        );
         let (xq, x_scale) = quantize_act(qh);
+        let page_rows = self.arena.page_rows();
+        let mut codes = vec![0i16; page_rows * dh];
+        let mut sums = vec![0i32; page_rows];
+        let mut group_sums = Vec::new(); // checked walk only
         let mut out = Vec::with_capacity(plane.len);
         for page in &plane.pages {
             let payload = page.read();
@@ -516,22 +534,27 @@ impl KvCache {
                 continue;
             }
             let groups = qp.scales.len();
-            let bits = qp.rows.bits();
             let mut bias_dot = 0.0f32;
             for (x, b) in qh.iter().zip(qp.bias.iter()) {
                 bias_dot += x * b;
             }
-            let check = !gemm::kv_dot_cannot_overflow(dh, KV_ACT_BITS, bits, groups);
-            let mut acc = vec![0i64; plen * groups];
-            let mut events = gemm::kv_score_block(&qp.rows, &xq, groups, check, &mut acc);
             let s_last = *qp.scales.last().expect("page scale snapshot");
             let factor = x_scale * s_last;
-            for j in 0..plen {
-                let combined =
-                    combine_groups(&acc[j * groups..(j + 1) * groups], check, &mut events);
-                out.push(combined as f32 * factor + bias_dot);
+            if gemm::kv_dot_cannot_overflow(dh, KV_ACT_BITS, qp.rows.bits(), groups) {
+                let sums = &mut sums[..plen];
+                gemm::kv_score_block(&qp.rows, &xq, groups, &mut codes[..plen * dh], sums);
+                out.extend(sums.iter().map(|&s| s as f32 * factor + bias_dot));
+                record_dot_metrics(plen, false, 0);
+            } else {
+                group_sums.clear();
+                group_sums.resize(plen * groups, 0i64);
+                let mut events = gemm::kv_score_checked(&qp.rows, &xq, groups, &mut group_sums);
+                for row_sums in group_sums.chunks_exact(groups) {
+                    let combined = combine_groups(row_sums, &mut events);
+                    out.push(combined as f32 * factor + bias_dot);
+                }
+                record_dot_metrics(plen, true, events);
             }
-            record_dot_metrics(plen, check, events);
         }
         metrics::KV_INT_DOTS.add(out.len() as u64);
         metrics::KV_INT_DOT_MACS.add((out.len() * dh) as u64);
@@ -543,19 +566,34 @@ impl KvCache {
     /// `probs` (length `len`) against the cached V plane of `(li, head)`:
     /// a `1 × head_dim` row computed directly on the packed codes page by
     /// page (each page contributes its slice of the probability row under
-    /// its own frozen scales; contributions sum in page order). Same
-    /// `None` contract and determinism argument as
+    /// its own frozen scales, through one `i32` column bank of pre-shifted
+    /// codes — [`gemm::kv_attn_block`]; contributions sum in page order).
+    /// Same `None` contract and determinism argument as
     /// [`KvCache::attn_scores_quant`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a quantized integer-path cache if `probs` does not hold
+    /// one probability per cached position.
     pub fn attn_values_quant(&self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
         if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
             return None;
         }
         let plane = &self.planes[self.v_plane(li, head)];
         let dh = self.head_dim;
-        debug_assert_eq!(probs.len(), plane.len);
+        assert_eq!(
+            probs.len(),
+            plane.len,
+            "probability row for (layer {li}, head {head}) is {} wide, the plane caches {} positions",
+            probs.len(),
+            plane.len
+        );
         let mut out = vec![0.0f32; dh];
         if plane.len > 0 {
             let (pq, p_scale) = quantize_act(probs);
+            let mut codes = vec![0i16; self.arena.page_rows() * dh];
+            let mut sums = vec![0i32; dh];
+            let mut group_sums = Vec::new(); // checked walk only
             let mut off = 0usize;
             for page in &plane.pages {
                 let payload = page.read();
@@ -567,26 +605,33 @@ impl KvCache {
                     continue;
                 }
                 let groups = qp.scales.len();
-                let bits = qp.rows.bits();
                 let mut psum = 0.0f32;
                 for &p in &probs[off..off + plen] {
                     psum += p;
                 }
-                let check = !gemm::kv_dot_cannot_overflow(plen, KV_ACT_BITS, bits, groups);
-                let mut acc = vec![0i64; groups * dh];
-                let mut events =
-                    gemm::kv_attn_block(&qp.rows, &pq[off..off + plen], groups, check, &mut acc);
                 let s_last = *qp.scales.last().expect("page scale snapshot");
                 let factor = p_scale * s_last;
-                let mut col_accs = vec![0i64; groups];
-                for (c, o) in out.iter_mut().enumerate() {
-                    for (g, ca) in col_accs.iter_mut().enumerate() {
-                        *ca = acc[g * dh + c];
+                let pq = &pq[off..off + plen];
+                if gemm::kv_dot_cannot_overflow(plen, KV_ACT_BITS, qp.rows.bits(), groups) {
+                    gemm::kv_attn_block(&qp.rows, pq, groups, &mut codes[..plen * dh], &mut sums);
+                    for ((o, &s), b) in out.iter_mut().zip(&sums).zip(qp.bias.iter()) {
+                        *o += s as f32 * factor + b * psum;
                     }
-                    let combined = combine_groups(&col_accs, check, &mut events);
-                    *o += combined as f32 * factor + qp.bias[c] * psum;
+                    record_dot_metrics(dh, false, 0);
+                } else {
+                    group_sums.clear();
+                    group_sums.resize(groups * dh, 0i64);
+                    let mut events = gemm::kv_attn_checked(&qp.rows, pq, groups, &mut group_sums);
+                    let mut col_sums = [0i64; MAX_PACKED_GROUPS];
+                    for (c, o) in out.iter_mut().enumerate() {
+                        for (g, cs) in col_sums[..groups].iter_mut().enumerate() {
+                            *cs = group_sums[g * dh + c];
+                        }
+                        let combined = combine_groups(&col_sums[..groups], &mut events);
+                        *o += combined as f32 * factor + qp.bias[c] * psum;
+                    }
+                    record_dot_metrics(dh, true, events);
                 }
-                record_dot_metrics(dh, check, events);
                 off += plen;
             }
         }
@@ -687,6 +732,38 @@ mod tests {
         let mut cache = KvCache::with_mode(&shape, KvCacheMode::F32);
         let bad = Matrix::zeros(1, shape.d_model + 1);
         let _ = cache.append(0, &bad, &bad);
+    }
+
+    /// An INT8 cache over the tiny shape (head_dim 16) holding 3 positions.
+    fn three_row_int8_cache() -> KvCache {
+        let (shape, _) = tiny();
+        let mut cache = KvCache::with_mode(&shape, KvCacheMode::Int8);
+        let rows = Matrix::from_fn(3, shape.d_model, |r, c| (r + c) as f32);
+        cache.append(0, &rows, &rows).expect("uncapped arena");
+        cache
+    }
+
+    #[test]
+    #[should_panic(expected = "query row for (layer 0, head 1) is 17 wide, head_dim is 16")]
+    fn attn_scores_quant_rejects_wrong_width_query() {
+        let _ = three_row_int8_cache().attn_scores_quant(0, 1, &[0.5; 17]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "probability row for (layer 0, head 2) is 2 wide, the plane caches 3 positions"
+    )]
+    fn attn_values_quant_rejects_short_probs() {
+        let _ = three_row_int8_cache().attn_values_quant(0, 2, &[0.5; 2]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "probability row for (layer 0, head 2) is 4 wide, the plane caches 3 positions"
+    )]
+    fn attn_values_quant_rejects_long_probs() {
+        // Release builds used to truncate this silently.
+        let _ = three_row_int8_cache().attn_values_quant(0, 2, &[0.25; 4]);
     }
 
     #[test]

@@ -15,8 +15,9 @@ pub(crate) const KV_ACT_BITS: u32 = 8;
 /// How quantized cache planes are read during decode attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KvReadPath {
-    /// Dot the packed codes directly: per-group i64 accumulation plus the
-    /// α = 2 shift-combine, one scale application per dot (the fast path).
+    /// Dot the packed codes directly: each page decoded once into codes
+    /// that carry their group's α = 2 combine weight, one integer
+    /// accumulator and one scale application per dot (the fast path).
     #[default]
     Integer,
     /// Dequantize-on-read: materialize the f32 plane, then run the

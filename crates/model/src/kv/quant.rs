@@ -266,20 +266,21 @@ pub(super) fn quantize_act(xs: &[f32]) -> (Vec<i32>, f32) {
     (codes, scale)
 }
 
-/// Folds the per-group i64 partial sums of one dot into a single value
-/// with the α = 2 shift-combine (groups ascending: `acc ← acc·2 + S_g`),
-/// mirroring the implicit-requantization kernels. With `check` set,
-/// every shift and add is tested against the i32 datapath range and
-/// excursions are counted into `events`.
-pub(super) fn combine_groups(accs: &[i64], check: bool, events: &mut u64) -> i64 {
+/// Folds the per-group i64 partial sums of one checked dot into a single
+/// value with the α = 2 shift-combine (groups ascending:
+/// `acc ← acc·2 + S_g`), mirroring the implicit-requantization kernels.
+/// Every shift and add is tested against the i32 datapath range and
+/// excursions are counted into `events`. The check-free kernels never call
+/// this: their codes carry the combine weights already.
+pub(super) fn combine_groups(accs: &[i64], events: &mut u64) -> i64 {
     let mut acc = accs[0];
     for &s in &accs[1..] {
         acc *= ALPHA as i64;
-        if check && (acc > i32::MAX as i64 || acc < i32::MIN as i64) {
+        if acc > i32::MAX as i64 || acc < i32::MIN as i64 {
             *events += 1;
         }
         acc += s;
-        if check && (acc > i32::MAX as i64 || acc < i32::MIN as i64) {
+        if acc > i32::MAX as i64 || acc < i32::MIN as i64 {
             *events += 1;
         }
     }

@@ -5,7 +5,8 @@
 //! [`f32_block`], [`i32_block`] and [`i64_block`] (the row-at-a-time i-k-j
 //! loops behind `Matrix::matmul` / `IMatrix::matmul{,_wide}`), the two
 //! integer-domain KV-attention kernels [`kv_score_block`] and
-//! [`kv_attn_block`], and [`narrow_dot_block`].
+//! [`kv_attn_block`] with their checked reference walks
+//! [`kv_score_checked`] and [`kv_attn_checked`], and [`narrow_dot_block`].
 //!
 //! # Determinism contract
 //!
@@ -23,6 +24,15 @@
 //! 32-bit accumulator, for callers that can prove the accumulator bound.
 //! Integer sums under that bound are exact and order-free, so it is
 //! byte-identical to the `i64` definition by construction and needs no twin.
+//!
+//! The KV-attention kernels rest on the same argument. Each has exactly one
+//! check-free arm for every `(bits, groups)` — decode the page once into
+//! `i16` codes pre-multiplied by their group's power-of-two combine weight
+//! ([`QuantRows::decode_shifted_into`]), then one `i32` accumulator per dot
+//! — licensed by [`kv_dot_cannot_overflow`], and one checked arm that keeps
+//! the per-group `i64` sums, counts i32 excursions per MAC and is the
+//! reference the check-free arm is tested against. Neither allocates:
+//! scratch comes from the caller.
 //!
 //! There is deliberately no tiled/packed variant of the `*_block` loops; see
 //! DESIGN.md §10 for the measurements.
@@ -251,158 +261,117 @@ pub fn i64_block(a: &[i32], k: usize, b: &[i32], n: usize, out: &mut [i64]) {
     ikj_block(a, k, b, n, out, |o, av, bv| *o += av as i64 * bv as i64);
 }
 
-/// Integer-domain KV **score** kernel: the quantized query row `xq`
-/// (length `kv.cols()`) dotted against every packed row of `kv` without
-/// dequantizing, keeping one i64 partial sum per `(row, group)`:
-/// `acc[j * groups + g] += Σ_{c ∈ group g} xq[c] · code(j, c)`. `acc` must
-/// be zeroed, `kv.rows() * groups` long; the caller applies the α-shift
-/// combine across groups and the f32 scales/bias afterwards. Columns walk
-/// ascending. With `check` true each MAC's accumulator is tested against the
-/// i32 range (the hardware datapath width), left-operand zeros are skipped
-/// (the fixed-chain discipline shared with the f32 kernels), and the
-/// excursion count is returned. The fast path gated by
-/// [`kv_dot_cannot_overflow`] returns 0 and is free to accumulate densely in
-/// i32 — the bound certifies every partial stays in range, and integer
-/// addition is exact, so skipping nothing and narrowing the accumulator both
-/// leave the sums bit-identical to the checked path.
-pub fn kv_score_block(
-    kv: &QuantRows,
-    xq: &[i32],
-    groups: usize,
-    check: bool,
-    acc: &mut [i64],
-) -> u64 {
+/// Integer-domain KV **score** kernel, checked reference walk: the
+/// quantized query row `xq` (length `kv.cols()`) dotted against every packed
+/// row of `kv` without dequantizing, keeping one i64 partial sum per
+/// `(row, group)`: `acc[j * groups + g] += Σ_{c ∈ group g} xq[c] · code(j, c)`.
+/// `acc` must be zeroed, `kv.rows() * groups` long; the caller applies the
+/// α-shift combine across groups and the f32 scales/bias afterwards. Columns
+/// walk ascending, left-operand zeros are skipped (the fixed-chain
+/// discipline shared with the f32 kernels), each MAC's accumulator is tested
+/// against the i32 range (the hardware datapath width), and the excursion
+/// count is returned. This is the definition [`kv_score_block`] is tested
+/// against and the path taken when [`kv_dot_cannot_overflow`] fails.
+pub fn kv_score_checked(kv: &QuantRows, xq: &[i32], groups: usize, acc: &mut [i64]) -> u64 {
     assert_eq!(xq.len(), kv.cols(), "query width mismatch");
     assert_eq!(acc.len(), kv.rows() * groups, "accumulator bank mismatch");
     let mut events = 0u64;
-    if check {
-        for j in 0..kv.rows() {
-            let accs = &mut acc[j * groups..(j + 1) * groups];
-            for (&xv, (q, g)) in xq.iter().zip(kv.row_iter(j)) {
-                if xv == 0 {
-                    continue;
-                }
-                let a = &mut accs[g];
-                *a += xv as i64 * q as i64;
-                if outside_i32(*a) {
-                    events += 1;
-                }
-            }
-        }
-        return events;
-    }
-    // Check-free: the caller's bound certifies i32 partials, so
-    // accumulate densely in i32 (no zero-skip — exact integer sums
-    // are identical either way). Rows are only `head_dim` wide, so
-    // per-row fixed costs matter: INT8 ungrouped dots the
-    // sign-extended bytes in place; other shapes bulk-decode each row
-    // once.
-    if groups == 1 && kv.bits() == 8 {
-        for (j, a) in acc.iter_mut().enumerate() {
-            let mut s = 0i32;
-            for (&xv, &b) in xq.iter().zip(kv.row_vals(j)) {
-                s += xv * (b as i8 as i32);
-            }
-            *a += s as i64;
-        }
-        return 0;
-    }
-    let cols = kv.cols();
-    let mut qs = vec![0i32; cols];
-    let mut gs = vec![0u8; cols];
-    if groups == 4 {
-        // Four-group (Tender INT4) rows: a register bank indexed by
-        // the 2-bit group code (`g & 3` proves the index in range).
-        for j in 0..kv.rows() {
-            kv.decode_row_into(j, &mut qs, &mut gs);
-            let mut local = [0i32; 4];
-            for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-                local[(g & 3) as usize] += xv * q;
-            }
-            for (a, &l) in acc[j * 4..(j + 1) * 4].iter_mut().zip(&local) {
-                *a += l as i64;
-            }
-        }
-        return 0;
-    }
-    let mut local = vec![0i32; groups];
     for j in 0..kv.rows() {
-        kv.decode_row_into(j, &mut qs, &mut gs);
         let accs = &mut acc[j * groups..(j + 1) * groups];
-        local.fill(0);
-        for ((&xv, &q), &g) in xq.iter().zip(&qs).zip(&gs) {
-            local[g as usize] += xv * q;
-        }
-        for (a, &l) in accs.iter_mut().zip(&local) {
-            *a += l as i64;
+        for (&xv, (q, g)) in xq.iter().zip(kv.row_iter(j)) {
+            if xv == 0 {
+                continue;
+            }
+            let a = &mut accs[g];
+            *a += xv as i64 * q as i64;
+            if outside_i32(*a) {
+                events += 1;
+            }
         }
     }
     events
 }
 
-/// Integer-domain KV **value** kernel: the quantized probability row `pq`
-/// (length `kv.rows()`) against the packed rows of `kv`, accumulating per
-/// `(group, column)`: `acc[g * kv.cols() + c] += Σ_j pq[j] · code(j, c)`.
-/// `acc` must be zeroed, `groups * kv.cols()` long. Rows walk ascending;
-/// check-mode and fast-path semantics match [`kv_score_block`].
-pub fn kv_attn_block(
-    kv: &QuantRows,
-    pq: &[i32],
-    groups: usize,
-    check: bool,
-    acc: &mut [i64],
-) -> u64 {
+/// Integer-domain KV **value** kernel, checked reference walk: the
+/// quantized probability row `pq` (length `kv.rows()`) against the packed
+/// rows of `kv`, accumulating per `(group, column)`:
+/// `acc[g * kv.cols() + c] += Σ_j pq[j] · code(j, c)`. `acc` must be zeroed,
+/// `groups * kv.cols()` long. Rows walk ascending; zero-skip, range test and
+/// return value as in [`kv_score_checked`].
+pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64]) -> u64 {
     assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
     assert_eq!(acc.len(), groups * kv.cols(), "accumulator bank mismatch");
     let cols = kv.cols();
     let mut events = 0u64;
-    if check {
-        for (j, &pv) in pq.iter().enumerate() {
-            if pv == 0 {
-                continue;
-            }
-            let pv = pv as i64;
-            for (c, (q, g)) in kv.row_iter(j).enumerate() {
-                let a = &mut acc[g * cols + c];
-                *a += pv * q as i64;
-                if outside_i32(*a) {
-                    events += 1;
-                }
-            }
+    for (j, &pv) in pq.iter().enumerate() {
+        if pv == 0 {
+            continue;
         }
-    } else if groups == 1 && kv.bits() == 8 {
-        // Check-free INT8 ungrouped: dense i32 column bank swept
-        // directly over the sign-extended bytes, widened once.
-        let mut local = vec![0i32; cols];
-        for (j, &pv) in pq.iter().enumerate() {
-            for (l, &b) in local.iter_mut().zip(kv.row_vals(j)) {
-                *l += pv * (b as i8 as i32);
+        let pv = pv as i64;
+        for (c, (q, g)) in kv.row_iter(j).enumerate() {
+            let a = &mut acc[g * cols + c];
+            *a += pv * q as i64;
+            if outside_i32(*a) {
+                events += 1;
             }
-        }
-        for (a, &l) in acc.iter_mut().zip(&local) {
-            *a += l as i64;
-        }
-    } else {
-        // Check-free: bulk-decode each row once and sweep dense i32
-        // banks, widened once at the end (the caller's bound certifies
-        // every partial stays in i32 range).
-        let mut qs = vec![0i32; cols];
-        let mut gs = vec![0u8; cols];
-        let mut local = vec![0i32; groups * cols];
-        for (j, &pv) in pq.iter().enumerate() {
-            if pv == 0 {
-                continue;
-            }
-            kv.decode_row_into(j, &mut qs, &mut gs);
-            for (c, (&q, &g)) in qs.iter().zip(&gs).enumerate() {
-                local[g as usize * cols + c] += pv * q;
-            }
-        }
-        for (a, &l) in acc.iter_mut().zip(&local) {
-            *a += l as i64;
         }
     }
     events
+}
+
+/// Check-free KV **score** kernel: decodes the page once into `codes`
+/// (`kv.rows() · kv.cols()` of caller scratch, see
+/// [`QuantRows::decode_shifted_into`]) and writes one **already combined**
+/// sum per row, `out[j] = Σ_c xq[c] · code(j, c) · 2^(groups − 1 − g(j, c))`,
+/// on a single `i32` accumulator.
+///
+/// The caller certifies [`kv_dot_cannot_overflow`]`(kv.cols(), …)`. The
+/// combine `acc ← acc·2 + S_g` is linear in the per-group sums `S_g` and
+/// every pre-shifted term is bounded by the same license term by term
+/// (`|x·q·2^(groups−1−g)| ≤ x_qmax·kv_qmax·(2^groups − 1)`), so all partials
+/// fit, integer addition is exact and order-free, and the result equals the
+/// combine of [`kv_score_checked`]'s sums bit for bit; the plain `+`/`*`
+/// make a debug build panic if a caller's bound is wrong.
+pub fn kv_score_block(
+    kv: &QuantRows,
+    xq: &[i32],
+    groups: usize,
+    codes: &mut [i16],
+    out: &mut [i32],
+) {
+    assert_eq!(xq.len(), kv.cols(), "query width mismatch");
+    assert_eq!(out.len(), kv.rows(), "one sum per cached row");
+    kv.decode_shifted_into(groups, codes);
+    for (o, row) in out.iter_mut().zip(codes.chunks_exact(kv.cols())) {
+        let mut sum = 0_i32;
+        for (&xv, &q) in xq.iter().zip(row) {
+            sum += xv * q as i32;
+        }
+        *o = sum;
+    }
+}
+
+/// Check-free KV **value** kernel: decodes the page once into `codes` and
+/// sweeps one `i32` column bank, `out[c] = Σ_j pq[j] · code(j, c) ·
+/// 2^(groups − 1 − g(j, c))`. The caller certifies
+/// [`kv_dot_cannot_overflow`]`(kv.rows(), …)`; scratch, exactness argument
+/// and debug-build overflow panic as in [`kv_score_block`].
+pub fn kv_attn_block(
+    kv: &QuantRows,
+    pq: &[i32],
+    groups: usize,
+    codes: &mut [i16],
+    out: &mut [i32],
+) {
+    assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
+    assert_eq!(out.len(), kv.cols(), "one sum per column");
+    kv.decode_shifted_into(groups, codes);
+    out.fill(0);
+    for (&pv, row) in pq.iter().zip(codes.chunks_exact(kv.cols())) {
+        for (o, &q) in out.iter_mut().zip(row) {
+            *o += pv * q as i32;
+        }
+    }
 }
 
 /// Runs a row-partitioned matmul and counts it: serial when the work is
@@ -447,43 +416,127 @@ mod tests {
         s
     }
 
+    /// A store whose every code is the most negative one, all in group 0
+    /// (the largest combine weight): the worst case of the fused kernels.
+    fn kv_saturated(rows: usize, cols: usize, bits: u32, groups: usize) -> QuantRows {
+        let mut s = QuantRows::with_row_capacity(cols, bits, groups > 1, rows);
+        let qs = vec![-(1i32 << (bits - 1)); cols];
+        let gs = vec![0u8; if groups > 1 { cols } else { 0 }];
+        for _ in 0..rows {
+            s.push_row(&qs, &gs);
+        }
+        s
+    }
+
+    /// The α = 2 shift-combine over one dot's per-group sums, groups
+    /// ascending, counting i32 excursions of every shift and add — the
+    /// definition (`model::kv::quant::combine_groups`) that the fused
+    /// kernels fold into their pre-shifted codes.
+    fn combine(sums: &[i64], events: &mut u64) -> i64 {
+        let mut acc = 0i64;
+        for &s in sums {
+            acc *= 2;
+            *events += outside_i32(acc) as u64;
+            acc += s;
+            *events += outside_i32(acc) as u64;
+        }
+        acc
+    }
+
+    /// Reference scores: the checked per-group walk, then [`combine`].
+    fn checked_scores(kv: &QuantRows, xq: &[i32], groups: usize) -> (Vec<i64>, u64) {
+        let mut acc = vec![0i64; kv.rows() * groups];
+        let mut events = kv_score_checked(kv, xq, groups, &mut acc);
+        let sums = acc
+            .chunks_exact(groups)
+            .map(|row| combine(row, &mut events))
+            .collect();
+        (sums, events)
+    }
+
+    /// Reference value sums: the checked per-group walk, then [`combine`].
+    fn checked_values(kv: &QuantRows, pq: &[i32], groups: usize) -> (Vec<i64>, u64) {
+        let cols = kv.cols();
+        let mut acc = vec![0i64; groups * cols];
+        let mut events = kv_attn_checked(kv, pq, groups, &mut acc);
+        let sums = (0..cols)
+            .map(|c| {
+                let col: Vec<i64> = (0..groups).map(|g| acc[g * cols + c]).collect();
+                combine(&col, &mut events)
+            })
+            .collect();
+        (sums, events)
+    }
+
+    fn fused_scores(kv: &QuantRows, xq: &[i32], groups: usize) -> Vec<i64> {
+        let mut codes = vec![0i16; kv.rows() * kv.cols()];
+        let mut out = vec![i32::MIN; kv.rows()]; // stale scratch must not leak
+        kv_score_block(kv, xq, groups, &mut codes, &mut out);
+        out.into_iter().map(i64::from).collect()
+    }
+
+    fn fused_values(kv: &QuantRows, pq: &[i32], groups: usize) -> Vec<i64> {
+        let mut codes = vec![0i16; kv.rows() * kv.cols()];
+        let mut out = vec![i32::MIN; kv.cols()];
+        kv_attn_block(kv, pq, groups, &mut codes, &mut out);
+        out.into_iter().map(i64::from).collect()
+    }
+
     #[test]
     fn kv_check_free_paths_equal_the_checked_loop() {
-        // INT8 ungrouped, four-group INT4 and the generic grouped path; the
-        // zeros in both left operands are skipped by the checked loop only.
-        for (bits, groups) in [(8, 1usize), (4, 4), (4, 2)] {
-            let kv = kv_fixture(13, 19, bits, groups);
-            let xq: Vec<i32> = (0..19).map(|c| (c % 9) - 4).collect();
-            let pq: Vec<i32> = (0..13).map(|j| (j % 7) - 3).collect();
-            assert!(xq.contains(&0) && pq.contains(&0));
-            let mut fast = vec![0i64; kv.rows() * groups];
-            let mut checked = fast.clone();
-            assert_eq!(kv_score_block(&kv, &xq, groups, false, &mut fast), 0);
-            let events = kv_score_block(&kv, &xq, groups, true, &mut checked);
-            assert_eq!(events, 0, "tiny shapes cannot overflow i32");
-            assert_eq!(fast, checked, "score sums diverge ({bits}b, {groups}g)");
-            let mut fast = vec![0i64; groups * kv.cols()];
-            let mut checked = fast.clone();
-            assert_eq!(kv_attn_block(&kv, &pq, groups, false, &mut fast), 0);
-            assert_eq!(kv_attn_block(&kv, &pq, groups, true, &mut checked), 0);
-            assert_eq!(fast, checked, "attn sums diverge ({bits}b, {groups}g)");
+        // Every (bits, groups) through the one fused arm: whole quads
+        // (cols 4, 16, 64), ragged rows (1, 7, 19) and a partial page (13).
+        // The zeros in both left operands are skipped by the checked loop
+        // only; the saturated stores push every term to its bound.
+        for (bits, groups) in [(8, 1usize), (4, 1), (4, 4), (4, 2), (8, 4)] {
+            for cols in [1usize, 4, 7, 16, 19, 64] {
+                for rows in [1usize, 13, 16] {
+                    let ctx = format!("{bits}b {groups}g {rows}x{cols}");
+                    // Full-range codes with every third one zeroed.
+                    let mixed = |n: usize, m: i32| -> Vec<i32> {
+                        (0..n as i32)
+                            .map(|i| ((i * m) % 255 - 127) * (i % 3 != 1) as i32)
+                            .collect()
+                    };
+                    let (mixed_x, mixed_p) = (mixed(cols, 29), mixed(rows, 37));
+                    let zero_x = vec![0i32; cols];
+                    let zero_p = vec![0i32; rows];
+                    let kv = kv_fixture(rows, cols, bits, groups);
+                    let sat = kv_saturated(rows, cols, bits, groups);
+                    for (kv, xq, pq) in [
+                        (&kv, &mixed_x, &mixed_p),
+                        (&kv, &zero_x, &zero_p),
+                        (&sat, &vec![127; cols], &vec![127; rows]),
+                        (&sat, &vec![-127; cols], &vec![-127; rows]),
+                    ] {
+                        let (want, events) = checked_scores(kv, xq, groups);
+                        assert_eq!(events, 0, "tiny shapes cannot overflow i32 ({ctx})");
+                        assert_eq!(fused_scores(kv, xq, groups), want, "scores ({ctx})");
+                        let (want, events) = checked_values(kv, pq, groups);
+                        assert_eq!(events, 0, "tiny shapes cannot overflow i32 ({ctx})");
+                        assert_eq!(fused_values(kv, pq, groups), want, "values ({ctx})");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn kv_score_matches_scalar_definition() {
+        // The combined return value against the textbook form: each MAC
+        // weighted by its group's power of two, summed in i64.
         let kv = kv_fixture(5, 7, 4, 4);
         let xq: Vec<i32> = vec![3, 0, -2, 1, 4, -1, 2];
         let groups = 4;
-        let mut acc = vec![0i64; kv.rows() * groups];
-        kv_score_block(&kv, &xq, groups, false, &mut acc);
-        for j in 0..kv.rows() {
-            let mut want = vec![0i64; groups];
-            for (c, &xv) in xq.iter().enumerate() {
-                let (q, g) = kv.get(j, c);
-                want[g] += xv as i64 * q as i64;
-            }
-            assert_eq!(&acc[j * groups..(j + 1) * groups], &want[..]);
+        let got = fused_scores(&kv, &xq, groups);
+        for (j, &sum) in got.iter().enumerate() {
+            let want: i64 = (0..kv.cols())
+                .map(|c| {
+                    let (q, g) = kv.get(j, c);
+                    (xq[c] as i64 * q as i64) << (groups - 1 - g)
+                })
+                .sum();
+            assert_eq!(sum, want, "row {j}");
         }
     }
 
@@ -505,16 +558,100 @@ mod tests {
         // 127·(−8) to the same (group, column) accumulator; after enough
         // rows the running value must cross −2^31 and start counting.
         let rows = i32::MAX as usize / (127 * 8) + 2;
-        let cols = 1;
-        let mut kv = QuantRows::with_row_capacity(cols, 4, false, rows);
-        for _ in 0..rows {
-            kv.push_row(&[-8], &[]);
-        }
+        let kv = kv_saturated(rows, 1, 4, 1);
         let pq = vec![127i32; rows];
         assert!(!kv_dot_cannot_overflow(rows, 8, 4, 1));
-        let mut acc = vec![0i64; cols];
-        let events = kv_attn_block(&kv, &pq, 1, true, &mut acc);
+        let mut acc = vec![0i64; 1];
+        let events = kv_attn_checked(&kv, &pq, 1, &mut acc);
         assert!(events > 0, "saturated walk must record excursions");
+    }
+
+    #[test]
+    fn kv_fused_license_holds_for_every_small_operand() {
+        // ROADMAP item 4(e): at one and two terms, *every* INT4 code × tag
+        // against the extreme activation codes — the fused i32 sum equals
+        // the checked i64 walk, which counts no excursion, and stays inside
+        // the bound the license is computed from.
+        let groups = 4;
+        let acts = [-128i32, -127, -1, 0, 1, 127];
+        let operands: Vec<(i32, u8)> = (-8..8)
+            .flat_map(|q| (0..groups as u8).map(move |g| (q, g)))
+            .collect();
+        for terms in [1usize, 2] {
+            // The `i`-th `terms`-tuple over `n` choices, as base-`n` digits.
+            let tuple = |n: usize, i: usize| (0..terms as u32).map(move |t| i / n.pow(t) % n);
+            let combos = operands.len().pow(terms as u32);
+            // Scores see the terms as columns (one row per combination, the
+            // per-element decode tail); values see them as rows (one column
+            // per combination: whole quads, the vectorized decode arm).
+            let mut by_cols = QuantRows::with_row_capacity(terms, 4, true, combos);
+            for i in 0..combos {
+                let (qs, gs): (Vec<i32>, Vec<u8>) =
+                    tuple(operands.len(), i).map(|d| operands[d]).unzip();
+                by_cols.push_row(&qs, &gs);
+            }
+            let mut by_rows = QuantRows::with_row_capacity(combos, 4, true, terms);
+            for t in 0..terms {
+                let (qs, gs): (Vec<i32>, Vec<u8>) = (0..combos)
+                    .map(|i| (by_cols.get(i, t).0, by_cols.get(i, t).1 as u8))
+                    .unzip();
+                by_rows.push_row(&qs, &gs);
+            }
+            assert!(kv_dot_cannot_overflow(terms, 8, 4, groups));
+            let bound = kv_dot_bound(terms, 8, 4, groups);
+            for i in 0..acts.len().pow(terms as u32) {
+                let x: Vec<i32> = tuple(acts.len(), i).map(|d| acts[d]).collect();
+                for ((want, events), got) in [
+                    (
+                        checked_scores(&by_cols, &x, groups),
+                        fused_scores(&by_cols, &x, groups),
+                    ),
+                    (
+                        checked_values(&by_rows, &x, groups),
+                        fused_values(&by_rows, &x, groups),
+                    ),
+                ] {
+                    assert_eq!(events, 0, "licensed shape counted an excursion");
+                    assert_eq!(got, want, "activations {x:?}");
+                    assert!(got.iter().all(|s| s.unsigned_abs() as u128 <= bound));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kv_fused_dot_is_exact_up_to_the_last_licensed_term() {
+        // The `narrow_dot_reaches_i32_max_without_overflow` pattern: at the
+        // largest `terms` the license admits, worst-case operands run
+        // through the fused arm's plain `+` without tripping the debug-build
+        // overflow check; one more term loses the license, which is what
+        // sends the cache to the checked walk.
+        for (bits, groups) in [(4u32, 4usize), (8, 1)] {
+            let terms = (i32::MAX as u128 / kv_dot_bound(1, 8, bits, groups)) as usize;
+            assert!(kv_dot_cannot_overflow(terms, 8, bits, groups));
+            assert!(!kv_dot_cannot_overflow(terms + 1, 8, bits, groups));
+            // |most negative code · largest combine weight · activation 128|.
+            let term = 128i64 << (bits - 1) << (groups - 1);
+            // The exact maximum and the widest whole-quad row below it.
+            for cols in [terms, terms - terms % 4] {
+                let kv = kv_saturated(1, cols, bits, groups);
+                for (act, sign) in [(-128i32, 1i64), (128, -1)] {
+                    let got = fused_scores(&kv, &vec![act; cols], groups);
+                    assert_eq!(got, [sign * term * cols as i64]);
+                    assert!(got[0].unsigned_abs() as u128 <= kv_dot_bound(cols, 8, bits, groups));
+                }
+            }
+            let kv = kv_saturated(terms, 1, bits, groups);
+            let got = fused_values(&kv, &vec![-128; terms], groups);
+            assert_eq!(got, [term * terms as i64]);
+        }
+        // Ungrouped INT8 is where the bound is tight: the worst row above
+        // landed exactly on it, and one more term leaves the i32 range.
+        let terms = (i32::MAX as u128 / kv_dot_bound(1, 8, 8, 1)) as usize;
+        assert_eq!(128 * 128 * terms as u128, kv_dot_bound(terms, 8, 8, 1));
+        let kv = kv_saturated(1, terms + 1, 8, 1);
+        let (_, events) = checked_scores(&kv, &vec![-128; terms + 1], 1);
+        assert!(events > 0, "one term past a tight bound must overflow");
     }
 
     #[test]

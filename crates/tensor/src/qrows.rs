@@ -15,6 +15,14 @@
 //! group index advances by `k`, and elements already pinned at the last
 //! group have their stored values arithmetically shifted right (with
 //! round-half-away-from-zero) by the doublings the index could not absorb.
+//!
+//! Reads come in two shapes: element and row accessors that return the
+//! stored `(value, group)` pairs ([`QuantRows::get`],
+//! [`QuantRows::row_iter`], [`QuantRows::decode_row_into`]) for the
+//! dequantizing and checked paths, and the whole-store
+//! [`QuantRows::decode_shifted_into`], which folds each group's
+//! power-of-two combine weight into its code so the integer attention
+//! kernels dot a grouped page like an ungrouped one.
 
 /// Bits per packed group index (supports up to four groups).
 pub const GROUP_INDEX_BITS: usize = 2;
@@ -55,6 +63,20 @@ fn shift_round(q: i32, s: u32) -> i32 {
         -((-q + half) >> s)
     };
     r as i32
+}
+
+/// INT4 code `k` of a four-column quad (`vals`, nibble `k`) times its
+/// four-group combine weight `2^(3 − tag)` (`tags`, bit pair `k`).
+///
+/// For a fixed `k` every shift is a constant, so a loop over a store's
+/// quads vectorizes on targets without per-lane variable shifts (baseline
+/// x86-64): the nibble sign-extends through a shift pair on `i16`, and the
+/// weight 8 / 4 / 2 / 1 factors as `(4 − 3·(tag >> 1)) · (2 − (tag & 1))`.
+#[inline(always)]
+fn shifted_code(vals: u16, tags: u8, k: u32) -> i16 {
+    let q = ((vals << (12 - 4 * k)) as i16) >> 12;
+    let tag = ((tags >> (2 * k)) & 3) as i16;
+    q * ((4 - 3 * (tag >> 1)) * (2 - (tag & 1)))
 }
 
 impl QuantRows {
@@ -305,6 +327,73 @@ impl QuantRows {
         }
     }
 
+    /// Decodes the **whole store** into row-major `i16` codes, each already
+    /// multiplied by its group's combine weight:
+    /// `out[r · cols + c] = q(r, c) · 2^(groups − 1 − g(r, c))` (plain
+    /// sign-extension when `groups == 1`).
+    ///
+    /// With α = 2 group scales the shift-combine `acc ← acc·2 + S_g` over
+    /// per-group sums is the linear form `Σ_g 2^(groups−1−g) · S_g`, so a
+    /// single-accumulator dot against these codes *is* the combined sum —
+    /// a four-group INT4 row reads like an ungrouped narrow row. The largest
+    /// magnitude is |−8·8| = 64 for INT4 with four groups and |−128·8| =
+    /// 1,024 for a grouped INT8 store, so `i16` always suffices.
+    ///
+    /// `groups` is the caller's group count (the length of the page's scale
+    /// snapshot); every stored tag is below it by construction
+    /// (`classify_channels(…, groups)` at encode, `requant_shift(…, groups)`
+    /// afterwards), which debug builds assert.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != rows · cols`, `groups` is outside
+    /// `1..=MAX_PACKED_GROUPS`, or `groups > 1` on an ungrouped store.
+    pub fn decode_shifted_into(&self, groups: usize, out: &mut [i16]) {
+        assert_eq!(out.len(), self.rows * self.cols, "code scratch mismatch");
+        assert!(
+            (1..=MAX_PACKED_GROUPS).contains(&groups),
+            "group count {groups} outside the packed range"
+        );
+        assert!(
+            groups == 1 || self.groups.is_some(),
+            "{groups} groups on an ungrouped store"
+        );
+        match (&self.groups, self.bits) {
+            // Ungrouped INT8 rows carry no padding: the store is one run of
+            // sign-extended bytes.
+            (None, 8) => {
+                for (o, &b) in out.iter_mut().zip(&self.vals) {
+                    *o = b as i8 as i16;
+                }
+            }
+            // Four-group INT4 rows of whole quads carry no padding either:
+            // little-endian u16 `m` of the values and byte `m` of the tags
+            // hold the same four columns across the whole store.
+            (Some(tags), 4) if groups == MAX_PACKED_GROUPS && self.cols.is_multiple_of(4) => {
+                let (quads, _) = out.as_chunks_mut::<4>();
+                let (vals, _) = self.vals.as_chunks::<2>();
+                for ((quad, &v), &t) in quads.iter_mut().zip(vals).zip(tags) {
+                    let v = u16::from_le_bytes(v);
+                    // Four plain stores, not `array::from_fn`: this shape is
+                    // what the vectorizer turns into interleaved stores.
+                    quad[0] = shifted_code(v, t, 0);
+                    quad[1] = shifted_code(v, t, 1);
+                    quad[2] = shifted_code(v, t, 2);
+                    quad[3] = shifted_code(v, t, 3);
+                }
+            }
+            _ => {
+                for (r, row) in out.chunks_exact_mut(self.cols).enumerate() {
+                    for (o, (q, g)) in row.iter_mut().zip(self.row_iter(r)) {
+                        debug_assert!(g < groups, "tag {g} outside {groups} groups");
+                        // |q| ≤ 128 and the shift is at most 3: fits i16.
+                        *o = (q << (groups - 1 - g)) as i16;
+                    }
+                }
+            }
+        }
+    }
+
     /// Applies `k` caller-side `TMax` doublings to every stored element
     /// (Tender's runtime requantization, Eq. 3 / §IV of the paper).
     ///
@@ -509,6 +598,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `decode_shifted_into` against its definition over [`QuantRows::get`].
+    fn assert_shifted_decode_matches_get(s: &QuantRows, groups: usize) {
+        let mut codes = vec![i16::MIN; s.rows() * s.cols()];
+        s.decode_shifted_into(groups, &mut codes);
+        for (i, &code) in codes.iter().enumerate() {
+            let (q, g) = s.get(i / s.cols(), i % s.cols());
+            assert_eq!(code as i32, q << (groups - 1 - g), "element {i}");
+        }
+    }
+
+    #[test]
+    fn shifted_quad_decode_is_exhaustively_the_shifted_get() {
+        // Every value byte × every tag nibble, in both halves of a quad.
+        let nibble = |n: u8| (((n << 4) as i8) >> 4) as i32;
+        let mut s = QuantRows::with_row_capacity(4, 4, true, 256 * 16);
+        for b in 0..=255u8 {
+            let (lo, hi) = (nibble(b & 0xF), nibble(b >> 4));
+            for t in 0..16u8 {
+                s.push_row(&[lo, hi, lo, hi], &[t & 3, t >> 2, t & 3, t >> 2]);
+            }
+        }
+        assert_shifted_decode_matches_get(&s, 4);
+    }
+
+    #[test]
+    fn shifted_decode_matches_get_at_every_width_and_grouping() {
+        // Whole quads, ragged rows and a single column; every (bits, groups)
+        // a page can carry, the full code range in every group.
+        for (bits, groups) in [(8u32, 1usize), (4, 1), (4, 4), (4, 2), (8, 4), (8, 3)] {
+            for cols in [1usize, 4, 7, 8, 19] {
+                let lim = 1i32 << (bits - 1);
+                let mut s = QuantRows::with_row_capacity(cols, bits, groups > 1, 6);
+                for r in 0..6 {
+                    let qs: Vec<i32> = (0..cols)
+                        .map(|c| ((r * 53 + c * 29) as i32 % (2 * lim)) - lim)
+                        .collect();
+                    let gs: Vec<u8> = (0..if groups > 1 { cols } else { 0 })
+                        .map(|c| ((r * 3 + c) % groups) as u8)
+                        .collect();
+                    s.push_row(&qs, &gs);
+                }
+                assert_shifted_decode_matches_get(&s, groups);
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "tag 3 outside 2 groups")]
+    fn shifted_decode_rejects_a_tag_past_the_group_count_in_debug() {
+        let mut s = QuantRows::with_row_capacity(2, 4, true, 1);
+        s.push_row(&[1, -1], &[0, 3]);
+        s.decode_shifted_into(2, &mut [0i16; 2]);
     }
 
     #[test]
