@@ -8,6 +8,7 @@ use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayl
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
 use super::quant::{
     combine_groups, decode_rows, demote_if_smaller, quantize_act, record_dot_metrics, PlaneQuant,
+    RowScratch,
 };
 use crate::shape::ModelShape;
 
@@ -114,6 +115,9 @@ pub struct KvCache {
     /// [`KvCache::demote_one`]'s scan order, so the boundary drain prefers
     /// the same "coldest" pages.
     planes: Vec<Plane>,
+    /// The row encoder's buffers, reused by every quantized append so a
+    /// row costs no allocation. Nothing in them outlives one row.
+    scratch: RowScratch,
 }
 
 impl KvCache {
@@ -136,6 +140,7 @@ impl KvCache {
             arena: arena.clone(),
             owner: arena.register_owner(),
             planes: (0..planes).map(|_| Plane::new(mode)).collect(),
+            scratch: RowScratch::default(),
         };
         cache.publish_overhead(true);
         cache
@@ -279,11 +284,8 @@ impl KvCache {
         assert_eq!(k.cols(), self.heads * self.head_dim, "d_model mismatch");
         for head in 0..self.heads {
             let c0 = head * self.head_dim;
-            let c1 = c0 + self.head_dim;
-            let k_rows: Vec<&[f32]> = (0..k.rows()).map(|r| &k.row(r)[c0..c1]).collect();
-            let v_rows: Vec<&[f32]> = (0..v.rows()).map(|r| &v.row(r)[c0..c1]).collect();
-            self.append_plane(self.k_plane(li, head), &k_rows)?;
-            self.append_plane(self.v_plane(li, head), &v_rows)?;
+            self.append_plane(self.k_plane(li, head), k, c0)?;
+            self.append_plane(self.v_plane(li, head), v, c0)?;
         }
         // Deferred arenas move this work off the appending thread: pages
         // were enqueued as demotion candidates when they sealed, and the
@@ -294,20 +296,64 @@ impl KvCache {
         Ok(())
     }
 
-    fn append_plane(&mut self, idx: usize, rows: &[&[f32]]) -> Result<(), EvictError> {
-        if rows.is_empty() {
+    /// Appends columns `c0 .. c0 + head_dim` of every row of `m` to plane
+    /// `idx`, one page-run at a time: the rows that fit the tail page go in
+    /// under a single exclusive edit of it (one lock, one re-billing), then
+    /// the next page opens. Bytes only grow inside a run, so the peak gauge
+    /// observed at its end is the maximum a per-row edit would have seen.
+    fn append_plane(&mut self, idx: usize, m: &Matrix, c0: usize) -> Result<(), EvictError> {
+        let dh = self.head_dim;
+        let head_row = |r: usize| &m.row(r)[c0..c0 + dh];
+        if m.rows() == 0 {
             return Ok(());
         }
         if let Some(q) = &mut self.planes[idx].quant {
-            q.fix_bias(rows, self.head_dim);
+            q.fix_bias((0..m.rows()).map(head_row), dh);
         }
-        for row in rows {
-            self.push_row(idx, row)?;
+        let page_rows = self.arena.page_rows();
+        let (mode, tier) = (self.mode, self.append_tier());
+        let mut r0 = 0;
+        while r0 < m.rows() {
+            let r1 = m.rows().min(r0 + self.writable_tail(idx)?);
+            let plane = &mut self.planes[idx];
+            let scratch = &mut self.scratch;
+            let tail = plane.pages.last().expect("tail page");
+            tail.with_mut(|p| match (p, &mut plane.quant) {
+                (PagePayload::F32(page), None) => {
+                    for r in r0..r1 {
+                        page.push_row(head_row(r));
+                    }
+                }
+                (PagePayload::Quant(page), Some(q)) => {
+                    for r in r0..r1 {
+                        q.push_into(page, head_row(r), mode, scratch);
+                    }
+                }
+                _ => panic!("tail page tier does not match its plane"),
+            });
+            plane.len += r1 - r0;
+            let sealed = plane.len.is_multiple_of(page_rows);
+            if sealed && self.arena.deferred_demotion() && tier != PageTier::Int4 {
+                // The page just sealed: it becomes a demotion candidate under
+                // a structural clock key, so concurrent enqueues from pool
+                // workers drain in the same order at any thread count.
+                let key = DemoteKey {
+                    clock: self.arena.clock(),
+                    owner: self.owner,
+                    plane: idx as u32,
+                    page_idx: (plane.pages.len() - 1) as u32,
+                };
+                self.arena.enqueue_demotion(key, tail.downgrade(), tier);
+            }
+            r0 = r1;
         }
         Ok(())
     }
 
-    fn push_row(&mut self, idx: usize, row: &[f32]) -> Result<(), EvictError> {
+    /// Makes plane `idx`'s tail page writable by this cache alone —
+    /// copying a tail a fork still shares, opening a fresh page when every
+    /// page is full — and returns how many more rows it holds.
+    fn writable_tail(&mut self, idx: usize) -> Result<usize, EvictError> {
         let page_rows = self.arena.page_rows();
         match self.planes[idx].open_tail(page_rows) {
             Some(tail) if tail.is_exclusive() => {}
@@ -323,29 +369,8 @@ impl KvCache {
                 self.planes[idx].pages.push(page);
             }
         }
-        let (mode, tier) = (self.mode, self.append_tier());
-        let plane = &mut self.planes[idx];
-        let tail = plane.pages.last().expect("tail page");
-        tail.with_mut(|p| match (p, &mut plane.quant) {
-            (PagePayload::F32(m), None) => m.push_row(row),
-            (PagePayload::Quant(page), Some(q)) => q.push_into(page, row, mode),
-            _ => panic!("tail page tier does not match its plane"),
-        });
-        plane.len += 1;
-        let sealed = plane.len.is_multiple_of(page_rows);
-        if sealed && self.arena.deferred_demotion() && tier != PageTier::Int4 {
-            // The page just sealed: it becomes a demotion candidate under
-            // a structural clock key, so concurrent enqueues from pool
-            // workers drain in the same order at any thread count.
-            let key = DemoteKey {
-                clock: self.arena.clock(),
-                owner: self.owner,
-                plane: idx as u32,
-                page_idx: (plane.pages.len() - 1) as u32,
-            };
-            self.arena.enqueue_demotion(key, tail.downgrade(), tier);
-        }
-        Ok(())
+        let plane = &self.planes[idx];
+        Ok(plane.pages.len() * page_rows - plane.len)
     }
 
     /// Exact allocated bytes the next single-position append will newly
@@ -656,6 +681,7 @@ impl Clone for KvCache {
             arena: self.arena.clone(),
             owner: self.arena.register_owner(),
             planes: self.planes.clone(),
+            scratch: RowScratch::default(),
         };
         cache.publish_overhead(true);
         cache
@@ -764,6 +790,94 @@ mod tests {
     fn attn_values_quant_rejects_long_probs() {
         // Release builds used to truncate this silently.
         let _ = three_row_int8_cache().attn_values_quant(0, 2, &[0.25; 4]);
+    }
+
+    /// Rows whose magnitude jumps at rows 5, 21 and 30 — inside pages, not
+    /// on their boundaries — with a NaN and an ∞ thrown in.
+    fn growing_rows(shape: &ModelShape, rows: usize, sign: f32) -> Matrix {
+        let mut m = Matrix::from_fn(rows, shape.d_model, |r, c| {
+            let gain =
+                [1.0, 2.5, 9.0, 40.0][(r >= 5) as usize + (r >= 21) as usize + (r >= 30) as usize];
+            sign * gain * ((r * 7 + c * 3) % 23) as f32 / 11.0 - gain * 0.4
+        });
+        m[(3, 1)] = f32::NAN;
+        m[(8, 2)] = f32::INFINITY;
+        m
+    }
+
+    /// Everything a quantized cache stores, page by page: packed rows, the
+    /// frozen scale snapshot, `TMax`, bias and locality, then the plane's
+    /// own append state.
+    fn stored_image(cache: &KvCache) -> Vec<String> {
+        cache
+            .planes
+            .iter()
+            .map(|plane| {
+                let pages: Vec<String> = plane
+                    .pages
+                    .iter()
+                    .map(|page| match &*page.read() {
+                        PagePayload::Quant(q) => format!(
+                            "{:?} {:?} {:#x} {:?} {}",
+                            q.rows,
+                            q.scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                            q.tmax.to_bits(),
+                            q.bias.iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
+                            q.page_local
+                        ),
+                        PagePayload::F32(_) => unreachable!("quantized cache"),
+                    })
+                    .collect();
+                format!("{} {:?} {pages:?}", plane.len, plane.quant)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stored_bytes_do_not_depend_on_how_rows_are_cut_into_appends() {
+        // After the first append (which fixes each plane's bias from its
+        // own rows, so it is the same 4-row "prompt" everywhere), one
+        // multi-row append (page-run edits), row by row (one edit per row,
+        // as a decode step appends) and uneven chunks (as `extend` and
+        // chunked prefill append) must leave byte-identical pages,
+        // snapshots and requantization counts — including when a later row
+        // of the same call raises `TMax` and shifts the page mid-run.
+        let (shape, _) = tiny();
+        let rows = 37; // two full 16-row pages and a partial one
+        let k = growing_rows(&shape, rows, 1.0);
+        let v = growing_rows(&shape, rows, -1.0);
+        for mode in [KvCacheMode::Int8, KvCacheMode::Int4] {
+            let build = |cuts: &[usize]| {
+                let mut cache = KvCache::with_mode(&shape, mode);
+                let mut r = 0;
+                for &n in cuts {
+                    for li in 0..shape.layers {
+                        cache
+                            .append(li, &k.slice_rows(r, r + n), &v.slice_rows(r, r + n))
+                            .expect("uncapped arena");
+                    }
+                    r += n;
+                }
+                assert_eq!(cache.len(), rows);
+                cache
+            };
+            let whole = build(&[4, 33]);
+            assert!(
+                whole.requants() > 0,
+                "{mode:?}: the fixture must requantize"
+            );
+            let image = stored_image(&whole);
+            let mut row_by_row = vec![1; 34];
+            row_by_row[0] = 4;
+            let stepped = build(&row_by_row);
+            assert_eq!(image, stored_image(&stepped), "{mode:?} row by row");
+            assert_eq!(
+                image,
+                stored_image(&build(&[4, 6, 11, 1, 15])),
+                "{mode:?} in chunks"
+            );
+            assert_eq!(whole.bytes(), stepped.bytes());
+        }
     }
 
     #[test]

@@ -3,84 +3,135 @@
 //! demoted page equals the same rows quantized from scratch by
 //! construction. Also the activation-side helpers of the integer read
 //! path.
+//!
+//! Both quantizing directions — rows into the cache ([`encode_row`]) and
+//! query / probability rows against it ([`quantize_act`]) — produce their
+//! codes through the engine's one runtime row quantizer,
+//! [`tender_quant::quantizer::quantize_row`], and the encoder classifies
+//! through the same threshold core as `classify_channels`
+//! ([`group_thresholds`] once per row, [`group_of`] per element). The
+//! encoder's buffers live in a [`RowScratch`] owned by the caller (the
+//! cache, or one demotion call), so appending a row allocates nothing.
 
 use std::sync::Arc;
 
 use tender_metrics::engine as metrics;
 use tender_metrics::kernel as kernel_metrics;
-use tender_quant::quantizer::{f16_round, quantize_value, symmetric_scale};
-use tender_quant::tender::{classify_channels, group_scales};
+use tender_quant::quantizer::{f16_round, quantize_row, symmetric_scale, QUANT_LANES};
+use tender_quant::tender::{group_of, group_scales, group_thresholds};
 use tender_tensor::arena::QuantPage;
+use tender_tensor::qrows::MAX_PACKED_GROUPS;
 use tender_tensor::{PagePayload, PageTier, QuantRows};
 
 use super::mode::{KvCacheMode, ALPHA, KV_ACT_BITS};
 
-/// Per-channel bias `(lo + hi)/2` over a batch of rows, f16-rounded,
-/// non-finite values excluded (the prompt acts as the calibration set,
-/// mirroring `ChunkCalibration::from_activation`).
-fn plane_bias<R: AsRef<[f32]>>(rows: &[R], head_dim: usize) -> Vec<f32> {
-    let mut bias = vec![0.0f32; head_dim];
-    for (c, b) in bias.iter_mut().enumerate() {
-        let mut lo = f32::INFINITY;
-        let mut hi = f32::NEG_INFINITY;
-        for row in rows {
-            let x = row.as_ref()[c];
+/// Per-channel bias `(lo + hi)/2` over a batch of `head_dim`-wide rows,
+/// f16-rounded, non-finite values excluded (the prompt acts as the
+/// calibration set, mirroring `ChunkCalibration::from_activation`).
+fn plane_bias<'a>(rows: impl Iterator<Item = &'a [f32]>, head_dim: usize) -> Vec<f32> {
+    let mut range = vec![(f32::INFINITY, f32::NEG_INFINITY); head_dim];
+    for row in rows {
+        for ((lo, hi), &x) in range.iter_mut().zip(row) {
             if x.is_finite() {
-                lo = lo.min(x);
-                hi = hi.max(x);
+                *lo = lo.min(x);
+                *hi = hi.max(x);
             }
         }
-        if lo <= hi {
-            *b = f16_round(0.5 * (lo + hi));
-        }
     }
-    bias
+    range
+        .into_iter()
+        .map(|(lo, hi)| {
+            if lo <= hi {
+                f16_round(0.5 * (lo + hi))
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// Largest finite magnitude of a row (non-finite entries are excluded so
 /// one NaN cannot inflate every scale).
+///
+/// The maximum of non-negative finite floats does not depend on the order
+/// they are compared in, so the row is folded through a bank of
+/// [`QUANT_LANES`] running maxima with selects instead of branches — the
+/// shape that compiles to packed compares and `maxps` — and the bank is
+/// folded at the end.
 fn finite_amax(xs: &[f32]) -> f32 {
-    xs.iter()
-        .filter(|x| x.is_finite())
-        .fold(0.0f32, |m, x| m.max(x.abs()))
+    // |x| if finite, else 0.0 (NaN and ∞ both fail the comparison).
+    let finite_abs = |x: f32| {
+        let a = x.abs();
+        if a < f32::INFINITY {
+            a
+        } else {
+            0.0
+        }
+    };
+    let larger = |m: f32, a: f32| if a > m { a } else { m };
+    let (chunks, tail) = xs.as_chunks::<QUANT_LANES>();
+    let mut bank = [0.0f32; QUANT_LANES];
+    for chunk in chunks {
+        for l in 0..QUANT_LANES {
+            bank[l] = larger(bank[l], finite_abs(chunk[l]));
+        }
+    }
+    let tail_max = tail.iter().fold(0.0, |m, &x| larger(m, finite_abs(x)));
+    bank.iter().fold(tail_max, |m, &a| larger(m, a))
 }
 
-/// A row's residual against the per-channel bias, plus its
-/// [`finite_amax`].
-fn residual(row: &[f32], bias: &[f32]) -> (Vec<f32>, f32) {
-    let resid: Vec<f32> = row.iter().zip(bias).map(|(x, b)| x - b).collect();
-    let amax = finite_amax(&resid);
-    (resid, amax)
+/// The row encoder's own buffers: the per-element scale, code and group
+/// tag of the row being encoded.
+#[derive(Debug, Clone, Default)]
+struct CodeScratch {
+    scales: Vec<f32>,
+    codes: Vec<i32>,
+    tags: Vec<u8>,
+}
+
+/// Everything quantizing one row into a page needs besides the page and
+/// the plane state: the row's residual and the encoder's buffers. Owned by
+/// whoever appends, reused across rows and planes.
+#[derive(Debug, Clone, Default)]
+pub(super) struct RowScratch {
+    resid: Vec<f32>,
+    code: CodeScratch,
 }
 
 /// The row encoder: classifies each residual channel into its
-/// power-of-two group ([`classify_channels`]; a non-finite residual
-/// degrades to group 0 via a MAX sentinel, the calibration path's rule),
-/// quantizes it under that group's scale and appends the packed row.
-fn encode_row(out: &mut QuantRows, resid: &[f32], tmax: f32, scales: &[f32], bits: u32) {
+/// power-of-two group (thresholds from [`group_thresholds`], once for the
+/// row; a non-finite residual degrades to group 0 via a MAX sentinel, the
+/// calibration path's rule), quantizes the row under those per-element
+/// scales in one [`quantize_row`] pass and appends the packed row.
+fn encode_row(
+    out: &mut QuantRows,
+    resid: &[f32],
+    tmax: f32,
+    scales: &[f32],
+    bits: u32,
+    scratch: &mut CodeScratch,
+) {
     let groups = scales.len();
-    let gs: Vec<u8> = if groups > 1 {
-        let mags: Vec<f32> = resid
-            .iter()
-            .map(|&x| if x.is_finite() { x.abs() } else { f32::MAX })
-            .collect();
-        classify_channels(&mags, tmax, groups, ALPHA)
-            .expect("magnitudes are finite by construction")
-            .into_iter()
-            .map(|g| g as u8)
-            .collect()
+    scratch.codes.resize(resid.len(), 0);
+    if groups > 1 {
+        let mut thresholds = [0.0f32; MAX_PACKED_GROUPS];
+        let thresholds = &mut thresholds[..groups];
+        group_thresholds(tmax, ALPHA, thresholds);
+        scratch.tags.resize(resid.len(), 0);
+        scratch.scales.resize(resid.len(), 0.0);
+        let per_element = scratch.tags.iter_mut().zip(&mut scratch.scales);
+        for (&x, (tag, scale)) in resid.iter().zip(per_element) {
+            let mag = if x.is_finite() { x.abs() } else { f32::MAX };
+            let g = group_of(mag, thresholds);
+            *tag = g as u8;
+            *scale = scales[g];
+        }
+        quantize_row(resid, 0.0, &scratch.scales[..], bits, &mut scratch.codes);
     } else {
-        Vec::new()
-    };
-    let qs: Vec<i32> = resid
-        .iter()
-        .enumerate()
-        .map(|(c, &x)| {
-            let g = gs.get(c).copied().unwrap_or(0) as usize;
-            quantize_value(x, scales[g], bits)
-        })
-        .collect();
-    out.push_row(&qs, &gs);
+        scratch.tags.clear();
+        quantize_row(resid, 0.0, scales[0], bits, &mut scratch.codes);
+    }
+    out.push_row(&scratch.codes, &scratch.tags);
 }
 
 /// The row decoder: hands every stored row of a page to `sink` as f32 —
@@ -133,20 +184,24 @@ pub fn demote_payload(payload: &PagePayload, target: KvCacheMode) -> PagePayload
     let groups = target.num_groups();
     let dh = payload.cols();
 
-    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(payload.rows());
-    decode_rows(payload, |row| rows.push(row.to_vec()));
+    let mut rows: Vec<f32> = Vec::with_capacity(payload.rows() * dh);
+    decode_rows(payload, |row| rows.extend_from_slice(row));
 
     // Page-local calibration: bias, residual TMax, group scales.
-    let bias = plane_bias(&rows, dh);
-    let resids: Vec<(Vec<f32>, f32)> = rows.iter().map(|row| residual(row, &bias)).collect();
-    let tmax = resids
-        .iter()
-        .fold(f32::MIN_POSITIVE, |m, (_, amax)| m.max(*amax));
+    let bias = plane_bias(rows.chunks_exact(dh), dh);
+    let mut tmax = f32::MIN_POSITIVE;
+    for row in rows.chunks_exact_mut(dh) {
+        for (x, b) in row.iter_mut().zip(&bias) {
+            *x -= b;
+        }
+        tmax = tmax.max(finite_amax(row));
+    }
     let scales = group_scales(tmax, groups, ALPHA, bits);
 
-    let mut out = QuantRows::with_row_capacity(dh, bits, groups > 1, rows.len());
-    for (resid, _) in &resids {
-        encode_row(&mut out, resid, tmax, &scales, bits);
+    let mut out = QuantRows::with_row_capacity(dh, bits, groups > 1, payload.rows());
+    let mut scratch = CodeScratch::default();
+    for resid in rows.chunks_exact(dh) {
+        encode_row(&mut out, resid, tmax, &scales, bits, &mut scratch);
     }
     PagePayload::Quant(QuantPage {
         rows: out,
@@ -193,7 +248,7 @@ pub(super) struct PlaneQuant {
 impl PlaneQuant {
     /// Fixes the plane's per-channel bias from the first batch of rows
     /// it ever sees; later batches keep it.
-    pub(super) fn fix_bias(&mut self, rows: &[&[f32]], head_dim: usize) {
+    pub(super) fn fix_bias<'a>(&mut self, rows: impl Iterator<Item = &'a [f32]>, head_dim: usize) {
         if self.bias.is_empty() {
             self.bias = Arc::new(plane_bias(rows, head_dim));
         }
@@ -213,10 +268,21 @@ impl PlaneQuant {
     /// Quantizes one row into the live tail page against the running
     /// `TMax`, requantizing the *tail page only* when the row exceeds it
     /// (sealed pages keep their frozen snapshots), then commits the current
-    /// plane state onto the page as its scale snapshot.
-    pub(super) fn push_into(&mut self, page: &mut QuantPage, row: &[f32], mode: KvCacheMode) {
+    /// plane state onto the page as its scale snapshot. Allocates only when
+    /// the scales change (first row, requantization).
+    pub(super) fn push_into(
+        &mut self,
+        page: &mut QuantPage,
+        row: &[f32],
+        mode: KvCacheMode,
+        scratch: &mut RowScratch,
+    ) {
         let (bits, groups) = (mode.bits(), mode.num_groups());
-        let (resid, row_max) = residual(row, &self.bias);
+        scratch.resid.clear();
+        scratch
+            .resid
+            .extend(row.iter().zip(self.bias.iter()).map(|(x, b)| x - b));
+        let row_max = finite_amax(&scratch.resid);
         if self.scales.is_empty() {
             self.tmax = if row_max > 0.0 {
                 row_max
@@ -245,24 +311,32 @@ impl PlaneQuant {
             self.requants += 1;
             metrics::KV_REQUANTS.incr();
         }
-        encode_row(&mut page.rows, &resid, self.tmax, &self.scales, bits);
+        encode_row(
+            &mut page.rows,
+            &scratch.resid,
+            self.tmax,
+            &self.scales,
+            bits,
+            &mut scratch.code,
+        );
         // Commit the snapshot the page's rows are now consistent with.
-        page.scales = self.scales.clone();
+        page.scales.clone_from(&self.scales);
         page.tmax = self.tmax;
-        page.bias = self.bias.clone();
+        if !Arc::ptr_eq(&page.bias, &self.bias) {
+            page.bias = Arc::clone(&self.bias);
+        }
         page.page_local = false;
     }
 }
 
 /// Quantizes an f32 activation row to `KV_ACT_BITS` codes, returning the
 /// codes and the scale. Non-finite entries are excluded from the range
-/// estimate and clamp deterministically in `quantize_value`.
+/// estimate and clamp deterministically in the quantizer (NaN → 0,
+/// ±∞ → ±qmax).
 pub(super) fn quantize_act(xs: &[f32]) -> (Vec<i32>, f32) {
     let scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
-    let codes = xs
-        .iter()
-        .map(|&x| quantize_value(x, scale, KV_ACT_BITS))
-        .collect();
+    let mut codes = vec![0; xs.len()];
+    quantize_row(xs, 0.0, scale, KV_ACT_BITS, &mut codes);
     (codes, scale)
 }
 
@@ -297,5 +371,71 @@ pub(super) fn record_dot_metrics(dots: usize, check: bool, events: u64) {
     }
     if events > 0 {
         kernel_metrics::OVERFLOW_EVENTS.add(events);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tender_quant::quantizer::quantize_value;
+
+    #[test]
+    fn finite_amax_is_the_largest_finite_magnitude_wherever_it_sits() {
+        let by_definition = |xs: &[f32]| {
+            xs.iter()
+                .filter(|x| x.is_finite())
+                .fold(0.0f32, |m, x| m.max(x.abs()))
+        };
+        let mut xs: Vec<f32> = (0..40).map(|i| (i as f32 * 0.73).sin() * 3.0).collect();
+        xs[5] = f32::NAN;
+        xs[11] = f32::INFINITY;
+        xs[12] = f32::NEG_INFINITY;
+        xs[13] = -0.0;
+        for len in 0..=xs.len() {
+            for peak in 0..len {
+                let mut row = xs[..len].to_vec();
+                row[peak] = if peak % 2 == 0 { -77.5 } else { 77.5 };
+                assert_eq!(finite_amax(&row).to_bits(), by_definition(&row).to_bits());
+                assert_eq!(finite_amax(&row), 77.5, "peak at {peak} of {len}");
+            }
+            let row = &xs[..len];
+            assert_eq!(finite_amax(row).to_bits(), by_definition(row).to_bits());
+        }
+        assert_eq!(
+            finite_amax(&[f32::NAN, f32::INFINITY]).to_bits(),
+            0.0f32.to_bits()
+        );
+        assert_eq!(finite_amax(&[-0.0]).to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn quantize_act_is_the_scalar_map_over_the_finite_range() {
+        let ramp: Vec<f32> = (0..224).map(|i| (i as f32 - 100.0) * 0.013).collect();
+        let mut poisoned = ramp.clone();
+        poisoned[0] = f32::NAN;
+        poisoned[9] = f32::INFINITY;
+        poisoned[17] = f32::NEG_INFINITY;
+        let halves: Vec<f32> = (0..16).map(|i| i as f32 - 7.5).collect();
+        for xs in [
+            &ramp[..],
+            &poisoned[..],
+            &halves[..],
+            &[0.0; 19][..],
+            &[f32::NAN; 3][..],
+            &[-3.5][..],
+            &[][..],
+        ] {
+            let (codes, scale) = quantize_act(xs);
+            let want_scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
+            assert_eq!(scale.to_bits(), want_scale.to_bits());
+            let want: Vec<i32> = xs
+                .iter()
+                .map(|&x| quantize_value(x, scale, KV_ACT_BITS))
+                .collect();
+            assert_eq!(codes, want);
+        }
+        // Non-finite entries clamp deterministically and do not set the scale.
+        let (codes, _) = quantize_act(&poisoned);
+        assert_eq!([codes[0], codes[9], codes[17]], [0, 127, -127]);
     }
 }

@@ -14,11 +14,12 @@
 //! **Parity invariant.** Every op in the pipeline is per-row independent
 //! with a fixed accumulation order: embeddings and norms are row-local,
 //! weight matmuls accumulate over `k` in ascending order per row, the
-//! causal softmax appends its masked `exp(-inf) = 0` terms after the live
-//! columns, and `probs × V` skips exact zeros. Decoding position `p`
-//! against a KV cache of length `p` therefore reproduces row `p` of the
-//! full-sequence pass bit-for-bit, provided row-chunked schemes are asked
-//! for the chunk covering absolute row `p` — which is what
+//! causal softmax ([`ops::causal_softmax_rows`]) reduces row `r` over its
+//! live columns `0..=r` in order — the masked columns would only add exact
+//! `+0.0` terms after them — and `probs × V` skips exact zeros. Decoding
+//! position `p` against a KV cache of length `p` therefore reproduces row
+//! `p` of the full-sequence pass bit-for-bit, provided row-chunked schemes
+//! are asked for the chunk covering absolute row `p` — which is what
 //! [`Exec::mm_at`] forwards via `QuantMatmul::forward_at`. The same
 //! independence makes the cached path indifferent to how a token run is
 //! cut into calls: `rows` tokens in one [`block`] call per layer leave the
@@ -299,11 +300,11 @@ pub(crate) fn block(
                 let (c0, c1) = (head * dh, (head + 1) * dh);
                 let qh = q.slice_cols(c0, c1).scale(scale);
                 let kh_t = k.slice_cols(c0, c1).transpose();
-                let mut scores = exec.act_act(&qh, &kh_t);
-                if shape.kind == ModelKind::Decoder {
-                    ops::causal_mask_inplace(&mut scores);
-                }
-                let probs = ops::softmax_rows(&scores);
+                let scores = exec.act_act(&qh, &kh_t);
+                let probs = match shape.kind {
+                    ModelKind::Decoder => ops::causal_softmax_rows(&scores),
+                    ModelKind::Encoder => ops::softmax_rows(&scores),
+                };
                 let attn = exec.act_act(&probs, &v.slice_cols(c0, c1));
                 for r in 0..rows {
                     ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));

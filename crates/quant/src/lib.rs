@@ -49,6 +49,7 @@ pub mod scheme;
 pub mod tender;
 
 pub use quantizer::{
-    dequantize, qmax, quantize_matrix, quantize_value, quantize_value_saturating, symmetric_scale,
+    dequantize, qmax, quantize_matrix, quantize_row, quantize_value, quantize_value_saturating,
+    symmetric_scale,
 };
 pub use scheme::{QuantMatmul, Scheme};

@@ -5,6 +5,12 @@
 //! group `g` when `TMax/α^g < CMax_i ≤ TMax/α^(g-1)`. Classification is a
 //! single comparison per channel, cheap enough for runtime use, and the
 //! power-of-two spacing is what makes requantization a 1-bit shift.
+//!
+//! The runtime user is the KV-cache row encoder, which classifies every
+//! element of every appended row: [`group_thresholds`] and [`group_of`] are
+//! the allocation-free core it calls directly (thresholds once per row),
+//! and [`classify_channels`] is the validated, allocating wrapper over the
+//! same two functions that calibration uses.
 
 use std::error::Error;
 use std::fmt;
@@ -49,6 +55,41 @@ fn sanitize_tmax(tmax: f32) -> f32 {
     } else {
         f32::MIN_POSITIVE
     }
+}
+
+/// The classification thresholds of Eq. 3: `out[g] = TMax / α^(g+1)`,
+/// obtained by dividing by α `g + 1` times in turn (not by one division by
+/// a power, which rounds differently). A degenerate `tmax` (zero, negative,
+/// NaN, infinite) is sanitized with the guard [`group_scales`] applies, so
+/// classification and scale generation agree on the effective `TMax`.
+///
+/// Together with [`group_of`] this is the allocation-free core of
+/// [`classify_channels`]; the KV-cache row encoder calls the two directly,
+/// once per row and once per element.
+pub fn group_thresholds(tmax: f32, alpha: u32, out: &mut [f32]) {
+    let alpha = alpha as f32;
+    let mut threshold = sanitize_tmax(tmax);
+    for t in out {
+        threshold /= alpha;
+        *t = threshold;
+    }
+}
+
+/// The group of a channel whose absolute maximum is `cmax`, against
+/// [`group_thresholds`]: the first `g` with `cmax > thresholds[g]`, the
+/// last group for every smaller channel. `cmax` must be finite
+/// ([`classify_channels`] rejects the rest); a NaN compares false
+/// everywhere and would land in the last group.
+///
+/// # Panics
+///
+/// Panics if `thresholds` is empty.
+#[inline]
+pub fn group_of(cmax: f32, thresholds: &[f32]) -> usize {
+    thresholds
+        .iter()
+        .position(|&t| cmax > t)
+        .unwrap_or(thresholds.len() - 1)
 }
 
 /// Classifies each channel into a group index in `0..num_groups`
@@ -98,22 +139,9 @@ pub fn classify_channels(
     if let Some(channel) = cmax.iter().position(|c| !c.is_finite()) {
         return Err(DecompositionError::NonFinite { channel });
     }
-    let tmax = sanitize_tmax(tmax);
-    let alpha = alpha as f32;
-    let groups = cmax
-        .iter()
-        .map(|&c| {
-            let mut threshold = tmax;
-            for g in 0..num_groups {
-                threshold /= alpha;
-                if c > threshold {
-                    return g;
-                }
-            }
-            num_groups - 1
-        })
-        .collect();
-    Ok(groups)
+    let mut thresholds = vec![0.0; num_groups];
+    group_thresholds(tmax, alpha, &mut thresholds);
+    Ok(cmax.iter().map(|&c| group_of(c, &thresholds)).collect())
 }
 
 /// Scale factor for every group: `TMax / (α^g · (2^(b-1) - 1))`, descending
@@ -223,6 +251,20 @@ mod tests {
             assert_eq!(g[1], 2, "tmax={bad}: zero channel → last group");
             let s = group_scales(bad, 3, 2, 8);
             assert!(s.iter().all(|&x| x > 0.0 && x.is_finite()), "tmax={bad}");
+        }
+    }
+
+    #[test]
+    fn thresholds_divide_in_turn_and_share_the_tmax_guard() {
+        let mut t = [0.0_f32; 3];
+        group_thresholds(10.0, 3, &mut t);
+        assert_eq!(t, [10.0 / 3.0, 10.0 / 3.0 / 3.0, 10.0 / 3.0 / 3.0 / 3.0]);
+        assert_eq!(group_of(10.0, &t), 0);
+        assert_eq!(group_of(t[0], &t), 1, "a threshold itself is not above it");
+        assert_eq!(group_of(0.0, &t), 2, "the last group absorbs the rest");
+        for bad in [f32::NAN, 0.0, -3.0, f32::INFINITY] {
+            group_thresholds(bad, 2, &mut t);
+            assert_eq!(t[0], f32::MIN_POSITIVE / 2.0, "tmax={bad}");
         }
     }
 

@@ -32,6 +32,19 @@
 //! also the semantic definition and test oracle
 //! ([`accumulate_chunk_implicit`]).
 //!
+//! # Runtime quantization of the activations
+//!
+//! With the group weights folded into the codes, the licensed path has no
+//! use for the Index Buffer's channel *order*: it reads the buffer
+//! flattened to a per-channel scale row and a per-channel weight row
+//! (`ChannelRows`, built once per (site, chunk) at prepare time beside the
+//! bias-correction rows) and quantizes each activation row in one pass
+//! through [`crate::quantizer::quantize_row`], the engine's one runtime row
+//! quantizer. The walks that do go group by group — the checked loop, the
+//! explicit kernel, [`quantized_group_operands`] — keep reading `cc.order`
+//! and keep calling the scalar definition element by element; they are the
+//! oracle the licensed path is tested against, not its twin.
+//!
 //! # Overflow semantics of the checked loop (hardware-faithful)
 //!
 //! An excursion past `i32` range at **any** accumulation step would clip on
@@ -54,7 +67,9 @@ use tender_tensor::{stats, IMatrix, Matrix};
 
 use super::calib::{ChunkCalibration, TenderCalibration};
 use super::config::TenderConfig;
-use crate::quantizer::{qmax, quantize_value, quantize_value_saturating, symmetric_scale};
+use crate::quantizer::{
+    qmax, quantize_row, quantize_value, quantize_value_saturating, symmetric_scale,
+};
 
 /// The weight codes transposed (`n × k`, each output column's `k` codes
 /// contiguous) at the narrowest width that holds them: the right-hand
@@ -199,27 +214,100 @@ fn bias_correction(bias: &[f32], w_deq: &Matrix) -> Vec<f32> {
     corr
 }
 
-/// The bias-correction row of every calibration chunk, in chunk order.
-/// Static per (site, chunk), so [`super::TenderMatmul`] computes them once
-/// at prepare time; the free functions build the rows they touch per call.
-pub(super) fn bias_rows(w: &QuantizedWeight, calib: &TenderCalibration) -> Vec<Vec<f32>> {
+/// The Index Buffer of one chunk flattened to two per-channel rows:
+/// `scale[ch] = scales[g(ch)]` and `weight[ch] = α^(G−1−g(ch))`, with
+/// `g(ch)` read off `cc.order` — the list the group walks read.
+///
+/// The licensed path folds each group's `α^(G−1−g)` into the activation
+/// codes and runs one GEMM over all channels, so it never visits channels
+/// *by group* and their order is irrelevant to it: quantizing a row is one
+/// straight pass `code[ch] = q((x[ch] − bias[ch]) / scale[ch]) · weight[ch]`.
+/// The order still matters to everything that walks groups: the checked
+/// `i64` loop, the explicit kernel and [`quantized_group_operands`].
+///
+/// A channel `cc.order` omits (only a hand-built calibration can) gets an
+/// infinite scale and a zero weight: its quotient is `±0` or NaN, its code
+/// zero, and it never counts as saturated — what the group walks, which
+/// never visit it, give it too.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct ChannelRows {
+    scale: Vec<f32>,
+    weight: Vec<i32>,
+}
+
+impl ChannelRows {
+    pub(super) fn new(cc: &ChunkCalibration, config: &TenderConfig) -> Self {
+        let groups = config.num_groups;
+        // α^(G−1−g) per group. A nonempty group's factor is at most the
+        // chunk bound, hence an `i32` on a licensed chunk; an empty group's
+        // reaches no channel.
+        let alpha = i32::try_from(config.alpha).unwrap_or(i32::MAX);
+        let mut factor = vec![1_i32; groups];
+        for g in (1..groups).rev() {
+            factor[g - 1] = factor[g].saturating_mul(alpha);
+        }
+        let mut scale = vec![f32::INFINITY; cc.num_channels()];
+        let mut weight = vec![0_i32; cc.num_channels()];
+        let per_group = cc.order[..groups].iter().zip(&cc.scales[..groups]);
+        for ((chans, &s_g), &f_g) in per_group.zip(&factor) {
+            for &ch in chans {
+                scale[ch] = s_g;
+                weight[ch] = f_g;
+            }
+        }
+        Self { scale, weight }
+    }
+}
+
+/// What is static per (site, chunk) and read by every forward call: the
+/// bias-correction row and the flattened Index Buffer. [`super::TenderMatmul`]
+/// builds one per calibration chunk at prepare time; the free functions
+/// build the parts they touch per call ([`bias_row`], [`channel_rows`]).
+#[derive(Debug, Clone)]
+pub(super) struct PreparedChunk {
+    corr: Vec<f32>,
+    rows: ChannelRows,
+}
+
+/// One [`PreparedChunk`] per calibration chunk, in chunk order.
+pub(super) fn prepare_chunks(
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+) -> Vec<PreparedChunk> {
     calib
         .chunks()
         .iter()
-        .map(|cc| bias_correction(&cc.bias, &w.deq))
+        .map(|cc| PreparedChunk {
+            corr: bias_correction(&cc.bias, &w.deq),
+            rows: ChannelRows::new(cc, config),
+        })
         .collect()
 }
 
 /// Chunk `ci`'s bias-correction row: the prepared one, or built on the fly.
 fn bias_row<'a>(
-    prepared: Option<&'a [Vec<f32>]>,
+    prepared: Option<&'a [PreparedChunk]>,
     ci: usize,
     cc: &ChunkCalibration,
     w: &QuantizedWeight,
 ) -> Cow<'a, [f32]> {
     match prepared {
-        Some(rows) => Cow::Borrowed(&rows[ci]),
+        Some(chunks) => Cow::Borrowed(&chunks[ci].corr),
         None => Cow::Owned(bias_correction(&cc.bias, &w.deq)),
+    }
+}
+
+/// Chunk `ci`'s per-channel rows: the prepared ones, or built on the fly.
+fn channel_rows<'a>(
+    prepared: Option<&'a [PreparedChunk]>,
+    ci: usize,
+    cc: &ChunkCalibration,
+    config: &TenderConfig,
+) -> Cow<'a, ChannelRows> {
+    match prepared {
+        Some(chunks) => Cow::Borrowed(&chunks[ci].rows),
+        None => Cow::Owned(ChannelRows::new(cc, config)),
     }
 }
 
@@ -362,27 +450,30 @@ fn implicit_row_checked(
 /// 32-bit accumulator, dequantized straight into `out_chunk`. Picks the
 /// operand widths ([`codes_fit_i16`] for the activation codes, the packed
 /// weight's own width) and returns the saturation-event count.
+#[allow(clippy::too_many_arguments)]
 fn licensed_chunk(
     x: &Matrix,
     rows: Range<usize>,
     cc: &ChunkCalibration,
+    channels: &ChannelRows,
     w: &QuantizedWeight,
     config: &TenderConfig,
     corr: &[f32],
     out_chunk: &mut [f32],
 ) -> usize {
+    let ws = &w.scales;
     match (codes_fit_i16(config), &w.qt) {
         (true, PackedCodes::I16(bt)) => {
-            licensed_rows::<i16, i16>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+            licensed_rows::<i16, i16>(x, rows, cc, channels, bt, ws, config, corr, out_chunk)
         }
         (true, PackedCodes::I32(bt)) => {
-            licensed_rows::<i16, i32>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+            licensed_rows::<i16, i32>(x, rows, cc, channels, bt, ws, config, corr, out_chunk)
         }
         (false, PackedCodes::I16(bt)) => {
-            licensed_rows::<i32, i16>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+            licensed_rows::<i32, i16>(x, rows, cc, channels, bt, ws, config, corr, out_chunk)
         }
         (false, PackedCodes::I32(bt)) => {
-            licensed_rows::<i32, i32>(x, rows, cc, bt, &w.scales, config, corr, out_chunk)
+            licensed_rows::<i32, i32>(x, rows, cc, channels, bt, ws, config, corr, out_chunk)
         }
     }
 }
@@ -395,14 +486,17 @@ const MR: usize = 16;
 /// [`licensed_chunk`] at fixed operand widths. Each [`MR`]-row block
 /// quantizes its activations once into codes pre-multiplied by
 /// `α^(G−1−g)` — which collapses the group walk into one integer GEMM —
-/// and multiplies them against the transposed weight codes `bt`. Blocks fan
-/// out over the pool above [`pool::PAR_THRESHOLD`]; a decode row stays
-/// inline.
+/// and multiplies them against the transposed weight codes `bt`. A row is
+/// quantized in one pass over its channels through the runtime row
+/// quantizer ([`quantize_row`], per-channel bias and [`ChannelRows`]
+/// scale), then weighted and narrowed to the operand width. Blocks fan out
+/// over the pool above [`pool::PAR_THRESHOLD`]; a decode row stays inline.
 #[allow(clippy::too_many_arguments)]
 fn licensed_rows<A, B>(
     x: &Matrix,
     rows: Range<usize>,
     cc: &ChunkCalibration,
+    channels: &ChannelRows,
     bt: &[B],
     w_scales: &[f32],
     config: &TenderConfig,
@@ -415,35 +509,30 @@ where
 {
     let k = x.cols();
     let n = corr.len();
-    let groups = config.num_groups;
-    // α^(G−1−g) per group. A nonempty group's factor is at most the chunk
-    // bound, hence an `i32`; an empty group's is never read.
-    let alpha = i32::try_from(config.alpha).unwrap_or(i32::MAX);
-    let mut factor = vec![1_i32; groups];
-    for g in (1..groups).rev() {
-        factor[g - 1] = factor[g].saturating_mul(alpha);
-    }
-    let s_last = cc.scales[groups - 1];
+    let s_last = cc.scales[config.num_groups - 1];
     let saturated = AtomicUsize::new(0);
     let block = |bi: usize, out_block: &mut [f32]| {
         let r0 = rows.start + bi * MR;
         let mut codes = vec![A::default(); out_block.len() / n * k];
+        let mut quantized = vec![0_i32; k];
         let mut block_saturated = 0_usize;
         for (r, code_row) in codes.chunks_exact_mut(k).enumerate() {
-            let x_row = x.row(r0 + r);
-            let per_group = cc.order[..groups].iter().zip(&cc.scales[..groups]);
-            for ((chans, &s_g), &f_g) in per_group.zip(&factor) {
-                for &ch in chans {
-                    // Saturation is counted once per (row, channel), as in
-                    // the per-step loop.
-                    let (xq, sat) =
-                        quantize_value_saturating(x_row[ch] - cc.bias[ch], s_g, config.bits);
-                    block_saturated += sat as usize;
-                    code_row[ch] = A::try_from(xq * f_g)
-                        .ok()
-                        .expect("licensed code fits its operand width");
-                }
+            // Saturation is counted once per (row, channel), as in the
+            // per-step loop.
+            block_saturated += quantize_row(
+                x.row(r0 + r),
+                &cc.bias[..],
+                &channels.scale[..],
+                config.bits,
+                &mut quantized,
+            );
+            let mut fits = true;
+            for ((code, &q), &f) in code_row.iter_mut().zip(&quantized).zip(&channels.weight) {
+                let scaled = A::try_from(q * f);
+                fits &= scaled.is_ok();
+                *code = scaled.unwrap_or_default();
             }
+            assert!(fits, "licensed code fits its operand width");
         }
         saturated.fetch_add(block_saturated, Ordering::Relaxed);
         gemm::narrow_dot_block(&codes, bt, k, n, out_block, |j, acc| {
@@ -585,14 +674,14 @@ pub fn implicit_requant_matmul_at(
 /// Body of every implicit entry point: each run of rows sharing a
 /// calibration chunk goes to the 32-bit kernel when the chunk's bound
 /// licenses it, otherwise through the checked `i64` loop. `prepared` holds
-/// [`bias_rows`] when the caller computed them ahead of time.
+/// [`prepare_chunks`] when the caller computed them ahead of time.
 pub(super) fn implicit_runs(
     x: &Matrix,
     row0: usize,
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
-    prepared: Option<&[Vec<f32>]>,
+    prepared: Option<&[PreparedChunk]>,
 ) -> MatmulStats {
     check_shapes(x, w, calib);
     metrics::IMPLICIT_MATMULS.incr();
@@ -611,7 +700,8 @@ pub(super) fn implicit_runs(
         let licensed = chunk_cannot_overflow(cc, w.bits, config);
         record_implicit_chunk(r1 - r0, cc, licensed);
         saturated_values += if licensed {
-            licensed_chunk(x, r0..r1, cc, w, config, &corr, out_chunk)
+            let channels = channel_rows(prepared, ci, cc, config);
+            licensed_chunk(x, r0..r1, cc, &channels, w, config, &corr, out_chunk)
         } else {
             let (acc, overflow, saturated) = accumulate_rows_checked(x, r0..r1, cc, w, config);
             overflow_events += overflow;
@@ -740,7 +830,7 @@ pub(super) fn explicit_runs(
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
-    prepared: Option<&[Vec<f32>]>,
+    prepared: Option<&[PreparedChunk]>,
 ) -> MatmulStats {
     check_shapes(x, w, calib);
     metrics::EXPLICIT_MATMULS.incr();
@@ -879,6 +969,37 @@ mod tests {
         let (implicit, _) = accumulate_chunk_implicit(&x, cc, &w, &config);
         let (explicit, _) = accumulate_chunk_explicit_shifted(&x, cc, &w, &config);
         assert_eq!(implicit, explicit);
+    }
+
+    #[test]
+    fn channel_rows_flatten_the_index_buffer() {
+        for (bits, groups, alpha) in [(8, 4, 2), (4, 8, 2), (8, 3, 3), (8, 1, 2)] {
+            let (_, w, calib, mut config) = setup(5 + groups as u64, bits, groups);
+            config.alpha = alpha;
+            let prepared = prepare_chunks(&w, &calib, &config);
+            assert_eq!(prepared.len(), calib.chunks().len());
+            for (cc, chunk) in calib.chunks().iter().zip(&prepared) {
+                // Prepared at build time == built per call.
+                assert_eq!(chunk.rows, ChannelRows::new(cc, &config));
+                assert_eq!(chunk.corr, bias_correction(&cc.bias, &w.deq));
+                for (g, chans) in cc.order.iter().enumerate() {
+                    for &ch in chans {
+                        assert_eq!(chunk.rows.scale[ch], cc.scales[g]);
+                        let weight = (alpha as i32).pow((groups - 1 - g) as u32);
+                        assert_eq!(chunk.rows.weight[ch], weight, "G={groups} g={g}");
+                    }
+                }
+            }
+        }
+        // A channel in no group: infinite scale, zero weight.
+        let (_, _, calib, config) = setup(9, 8, 4);
+        let mut cc = calib.chunk_for_row(0).clone();
+        let dropped = cc.order.iter_mut().find_map(|chans| chans.pop()).unwrap();
+        let rows = ChannelRows::new(&cc, &config);
+        assert_eq!(
+            (rows.scale[dropped], rows.weight[dropped]),
+            (f32::INFINITY, 0)
+        );
     }
 
     #[test]

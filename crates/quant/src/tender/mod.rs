@@ -25,7 +25,9 @@ mod serialize;
 
 pub use calib::{ChunkCalibration, TenderCalibration};
 pub use config::TenderConfig;
-pub use decompose::{classify_channels, group_scales, DecompositionError};
+pub use decompose::{
+    classify_channels, group_of, group_scales, group_thresholds, DecompositionError,
+};
 #[doc(hidden)]
 pub use matmul::{
     accumulate_chunk_explicit_shifted, accumulate_chunk_implicit, accumulate_chunk_implicit_with,
@@ -113,7 +115,7 @@ impl TenderScheme {
     fn build_op(&self, calibration: TenderCalibration, w: &Matrix) -> Box<dyn QuantMatmul> {
         let weight = QuantizedWeight::per_col(w, self.config.bits);
         Box::new(TenderMatmul {
-            bias_rows: matmul::bias_rows(&weight, &calibration),
+            prepared: matmul::prepare_chunks(&weight, &calibration, &self.config),
             calibration,
             weight,
             config: self.config.clone(),
@@ -130,9 +132,10 @@ pub struct TenderMatmul {
     calibration: TenderCalibration,
     /// Per-column quantized weight (integer values + scales).
     weight: QuantizedWeight,
-    /// `bias · W_deq` of every calibration chunk — static per site, so
-    /// computed here once instead of per forward call.
-    bias_rows: Vec<Vec<f32>>,
+    /// Per calibration chunk, what is static per site and so computed here
+    /// once instead of per forward call: `bias · W_deq` and the Index
+    /// Buffer flattened to per-channel scale and weight rows.
+    prepared: Vec<matmul::PreparedChunk>,
     config: TenderConfig,
     /// `(events_per_chunk threshold, FP16-rounded weight)` when the runtime
     /// overflow fallback is enabled; see [`TenderScheme::with_overflow_fallback`].
@@ -168,7 +171,7 @@ impl TenderMatmul {
             &self.weight,
             &self.calibration,
             &self.config,
-            Some(&self.bias_rows),
+            Some(&self.prepared),
         );
         if let Some((threshold, fallback_w)) = &self.overflow_fallback {
             let chunks = stats.chunks_processed.max(1) as f64;

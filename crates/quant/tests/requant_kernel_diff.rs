@@ -17,13 +17,22 @@
 //! through the pool, at widths where single MACs leave `i32`. CI runs this
 //! at both thread counts; the pool is pinned to 4 threads here so the
 //! pooled path is real.
+//!
+//! The licensed path quantizes its activations through the runtime row
+//! quantizer over the flattened Index Buffer, the oracle through the scalar
+//! definition in Index-Buffer order; the fixed sweep at the end holds the
+//! two together on the inputs where a quantizer can go wrong (NaN, ±∞,
+//! ±`f32::MAX`, exact ties, rows that saturate everywhere) at row widths
+//! around the quantizer's chunk width, and the prepared operator against
+//! the per-call free function.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use tender_quant::scheme::Scheme;
 use tender_quant::tender::{
     accumulate_chunk_explicit_shifted, accumulate_chunk_implicit_with, chunk_cannot_overflow,
-    implicit_requant_matmul, implicit_requant_matmul_at, QuantizedWeight, TenderCalibration,
-    TenderConfig,
+    implicit_requant_matmul, implicit_requant_matmul_at, ChunkCalibration, QuantizedWeight,
+    TenderCalibration, TenderConfig, TenderScheme,
 };
 use tender_tensor::pool;
 use tender_tensor::rng::DetRng;
@@ -123,9 +132,25 @@ fn check(case: Case) -> Result<(usize, usize), TestCaseError> {
     let calib = TenderCalibration::from_samples(std::slice::from_ref(&sample), &config);
     let w = QuantizedWeight::per_col(&wf, case.w_bits);
 
-    let got = implicit_requant_matmul_at(&x, row0, &w, &calib, &config);
+    check_against_oracle(&x, row0, &w, &calib, &config, &format!("{case:?}"))
+}
+
+/// The kernel's output for `x` at `row0` against the per-step `i64` oracle,
+/// run by run: `f32` bits of every output element, saturation and overflow
+/// totals, run count. Returns how many runs the overflow bound licensed,
+/// and the overflow-event total.
+fn check_against_oracle(
+    x: &Matrix,
+    row0: usize,
+    w: &QuantizedWeight,
+    calib: &TenderCalibration,
+    config: &TenderConfig,
+    label: &str,
+) -> Result<(usize, usize), TestCaseError> {
+    let (m, n) = (x.rows(), w.values().cols());
+    let got = implicit_requant_matmul_at(x, row0, w, calib, config);
     if row0 == 0 {
-        let plain = implicit_requant_matmul(&x, &w, &calib, &config);
+        let plain = implicit_requant_matmul(x, w, calib, config);
         prop_assert_eq!(plain.result.as_slice(), got.result.as_slice());
     }
 
@@ -137,14 +162,14 @@ fn check(case: Case) -> Result<(usize, usize), TestCaseError> {
         let cc = calib.chunk_for_row(row0 + r0);
         let x_run = x.slice_rows(r0, r1);
         let (acc, run_overflow, run_saturated) =
-            accumulate_chunk_implicit_with(&x_run, cc, &w, &config);
-        let (shifted, _) = accumulate_chunk_explicit_shifted(&x_run, cc, &w, &config);
+            accumulate_chunk_implicit_with(&x_run, cc, w, config);
+        let (shifted, _) = accumulate_chunk_explicit_shifted(&x_run, cc, w, config);
         prop_assert_eq!(&acc, &shifted, "Eq. 2 ≡ Eq. 1 on rows {}..{}", r0, r1);
-        if chunk_cannot_overflow(cc, w.bits(), &config) {
+        if chunk_cannot_overflow(cc, w.bits(), config) {
             prop_assert_eq!(run_overflow, 0, "licensed chunk overflowed");
             licensed += 1;
         }
-        let corr = bias_row(&cc.bias, &w);
+        let corr = bias_row(&cc.bias, w);
         let s_last = cc.scales[config.num_groups - 1];
         for (i, &a) in acc.iter().enumerate() {
             let c = i % n;
@@ -153,12 +178,12 @@ fn check(case: Case) -> Result<(usize, usize), TestCaseError> {
             prop_assert_eq!(
                 want.to_bits(),
                 have.to_bits(),
-                "row {} col {}: oracle {} vs kernel {} ({:?})",
+                "row {} col {}: oracle {} vs kernel {} ({})",
                 r0 + i / n,
                 c,
                 want,
                 have,
-                case
+                label
             );
         }
         overflow += run_overflow;
@@ -168,7 +193,7 @@ fn check(case: Case) -> Result<(usize, usize), TestCaseError> {
     }
     prop_assert_eq!(got.chunks_processed, runs);
     prop_assert_eq!(got.overflow_events, overflow);
-    prop_assert_eq!(got.saturated_values, saturated);
+    prop_assert_eq!(got.saturated_values, saturated, "{}", label);
     Ok((licensed, overflow))
 }
 
@@ -275,4 +300,123 @@ fn few_row_cases_reach_both_paths_and_both_operand_widths() {
         ..base
     };
     assert_eq!(check(unlicensed).unwrap().0, 0);
+}
+
+/// `x` with the inputs a quantizer can get wrong written over it: NaN, ±∞
+/// and ±`f32::MAX` in its first rows, a row that saturates every channel in
+/// each direction, and a row of exact ties (`(x − bias) / scale` a
+/// half-integer for the channel's own group scale). Returns how many of the
+/// tie row's quotients really are ties after `f32` rounding.
+fn poison(x: &mut Matrix, calib: &TenderCalibration, row0: usize) -> usize {
+    let (m, k) = x.shape();
+    let specials = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        f32::MIN,
+    ];
+    for (i, &v) in specials.iter().enumerate() {
+        x[(i % m, (i * 3) % k)] = v;
+    }
+    for (r, v) in [(1, 1e30_f32), (2, -1e30)] {
+        if r < m {
+            x.row_mut(r).fill(v);
+        }
+    }
+    let tie_row = m - 1;
+    let cc = calib.chunk_for_row(row0 + tie_row);
+    let mut ties = 0;
+    for ch in 0..k {
+        let scale = cc.scales[cc.group_of[ch]];
+        let v = cc.bias[ch] + ((ch % 9) as f32 - 4.5) * scale;
+        x[(tie_row, ch)] = v;
+        ties += (((v - cc.bias[ch]) / scale).fract().abs() == 0.5) as usize;
+    }
+    ties
+}
+
+#[test]
+fn licensed_operator_matches_the_checked_walk_on_hostile_rows() {
+    // Row widths around the quantizer's 8-lane chunk (1, 7, 8, 9), around
+    // the engine's (255, 256) and a long ragged one; row counts around the
+    // 16-row block and the prefill size. Every run must be licensed, so the
+    // kernel side is the row quantizer + 32-bit GEMM and the oracle side
+    // the scalar definition + per-step i64 walk.
+    init_pool();
+    let mut total_ties = 0;
+    for config in [TenderConfig::int8(), TenderConfig::int4()] {
+        for k in [1, 7, 8, 9, 255, 256, 1000] {
+            for m in [1, 16, 17, 160] {
+                let mut rng = DetRng::new((k * 1000 + m) as u64);
+                let sample = activations(&mut rng, m.max(2), k, 1.0);
+                let mut x = activations(&mut rng, m, k, 1.3);
+                let calib = TenderCalibration::from_samples(std::slice::from_ref(&sample), &config);
+                total_ties += poison(&mut x, &calib, 0);
+                let wf = rng.normal_matrix(k, 5, 0.0, 0.5);
+                let w = QuantizedWeight::per_col(&wf, config.bits);
+                let label = format!("INT{} k={k} m={m}", config.bits);
+                let (licensed, overflow) =
+                    check_against_oracle(&x, 0, &w, &calib, &config, &label).unwrap();
+                assert_eq!((licensed, overflow), (1, 0), "{label}");
+                let stats = implicit_requant_matmul(&x, &w, &calib, &config);
+                assert!(
+                    stats.saturated_values > 0 || m == 1,
+                    "{label}: nothing saturated"
+                );
+
+                // The prepared operator (rows built once) against the free
+                // function (rows built per call), bit for bit, whole and
+                // one row at a time.
+                let op =
+                    TenderScheme::new(config.clone()).prepare(std::slice::from_ref(&sample), &wf);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&op.forward(&x)), bits(&stats.result), "{label}");
+                let r = m - 1;
+                let row = x.slice_rows(r, r + 1);
+                assert_eq!(
+                    bits(&op.forward_at(&row, r)),
+                    bits(&implicit_requant_matmul_at(&row, r, &w, &calib, &config).result),
+                    "{label} row {r}"
+                );
+            }
+        }
+    }
+    assert!(
+        total_ties > 1000,
+        "the tie rows must hit real ties: {total_ties}"
+    );
+}
+
+#[test]
+fn a_channel_the_index_buffer_omits_contributes_nothing() {
+    // Only a hand-built calibration can leave a channel out of `order`. The
+    // group walks never visit it; the flattened rows must give it a zero
+    // code and no saturation event either, whatever the activation holds.
+    let config = TenderConfig::int8().with_groups(2).with_row_chunk(0);
+    let tmax = 8.0;
+    let cc = ChunkCalibration {
+        bias: vec![0.5, 0.0, -1.0, 0.25],
+        group_of: vec![0, 1, 0, 1],
+        scales: tender_quant::tender::group_scales(tmax, 2, 2, 8),
+        order: vec![vec![0], vec![3, 1]], // channel 2 is in no group
+        tmax,
+    };
+    let calib = TenderCalibration::from_parts(vec![cc], 4);
+    let w = QuantizedWeight::per_col(&Matrix::from_fn(4, 3, |r, c| (r + c) as f32 - 2.0), 8);
+    let x = Matrix::from_rows(&[
+        vec![1.0, -3.0, 1e30, 0.5],
+        vec![100.0, 2.0, f32::NAN, -100.0],
+        vec![-7.5, 0.25, f32::NEG_INFINITY, 3.0],
+    ])
+    .unwrap();
+    let (licensed, overflow) =
+        check_against_oracle(&x, 0, &w, &calib, &config, "omitted channel").unwrap();
+    assert_eq!((licensed, overflow), (1, 0));
+    // Saturation: row 1's channels 0 and 3 only — never channel 2.
+    assert_eq!(
+        implicit_requant_matmul(&x, &w, &calib, &config).saturated_values,
+        2
+    );
 }

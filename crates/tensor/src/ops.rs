@@ -40,6 +40,39 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
     out
 }
 
+/// Causal row-wise softmax: [`causal_mask_inplace`] followed by
+/// [`softmax_rows`], without visiting the masked half. Row `r` takes its
+/// maximum, exponentials, sum and division over the live columns `0..=r`
+/// only (all of them once `r ≥ cols − 1`), and every column past `r` is
+/// written as `+0.0`.
+///
+/// Bit-identical to the two-step form whenever row `r` has a live score
+/// above `−∞`: a masked score never wins the maximum, its term is
+/// `exp(−∞) = +0.0` exactly, `sum + 0.0 == sum`, and `+0.0 / sum` is `+0.0`.
+/// A row with no such score (every live column `−∞` or NaN) has no finite
+/// maximum: its live columns come out NaN in both forms, and its masked
+/// columns are `+0.0` here where the two-step form leaves NaN there too.
+pub fn causal_softmax_rows(scores: &Matrix) -> Matrix {
+    let mut out = scores.clone();
+    let cols = out.cols();
+    for r in 0..out.rows() {
+        let (live, masked) = out.row_mut(r).split_at_mut(cols.min(r + 1));
+        let max = live.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        let mut sum = 0.0_f32;
+        for x in live.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in live.iter_mut() {
+                *x /= sum;
+            }
+        }
+        masked.fill(0.0);
+    }
+    out
+}
+
 /// Row-wise log-softmax (stable), used for cross-entropy evaluation.
 pub fn log_softmax_rows(m: &Matrix) -> Matrix {
     let mut out = m.clone();
@@ -234,6 +267,22 @@ mod tests {
         let m = Matrix::from_rows(&[vec![0.0, 1.0, 2.0]]).unwrap();
         let p = softmax_rows(&m);
         assert!(p[(0, 0)] < p[(0, 1)] && p[(0, 1)] < p[(0, 2)]);
+    }
+
+    #[test]
+    fn causal_softmax_of_a_row_without_a_finite_live_score() {
+        // Row 0's only live score is −∞: no finite maximum, so its live
+        // column is NaN (as in the two-step form) and its masked columns
+        // are +0.0 (where the two-step form has NaN). Row 1 is ordinary.
+        let m =
+            Matrix::from_rows(&[vec![f32::NEG_INFINITY, 1.0, 2.0], vec![0.0, 0.0, 5.0]]).unwrap();
+        let p = causal_softmax_rows(&m);
+        assert!(p[(0, 0)].is_nan());
+        assert_eq!(p.row(0)[1..], [0.0, 0.0]);
+        assert_eq!(p.row(1), &[0.5, 0.5, 0.0]);
+        let mut masked = m.clone();
+        causal_mask_inplace(&mut masked);
+        assert!(softmax_rows(&masked).row(0).iter().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -52,6 +52,33 @@ proptest! {
         prop_assert_eq!(round, a);
     }
 
+    /// The causal softmax is the mask followed by the plain softmax, bit
+    /// for bit, on finite scores of any shape: 1×1, square, wide (columns
+    /// past the last row stay masked) and tall (late rows see every column).
+    #[test]
+    fn causal_softmax_is_mask_then_softmax(
+        rows in 1_usize..=24,
+        cols in 1_usize..=24,
+        spread in 0.01_f32..80.0,
+        seed in any::<u64>(),
+    ) {
+        for (rows, cols) in [(rows, cols), (1, 1), (rows, rows)] {
+            let scores = DetRng::new(seed).normal_matrix(rows, cols, 0.0, spread);
+            let mut masked = scores.clone();
+            ops::causal_mask_inplace(&mut masked);
+            let want = ops::softmax_rows(&masked);
+            let got = ops::causal_softmax_rows(&scores);
+            prop_assert_eq!(got.shape(), want.shape());
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                prop_assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{}×{} element {}: {} vs {}", rows, cols, i, g, w
+                );
+            }
+        }
+    }
+
     /// Softmax rows are probability distributions, and shifting logits by
     /// a constant leaves them unchanged.
     #[test]
