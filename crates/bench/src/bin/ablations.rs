@@ -3,6 +3,8 @@
 //! static vs dynamic calibration, and classification vs K-means clustering
 //! (the RPTQ approach) — in both accuracy and calibration cost.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use tender::model::calibration::CorpusKind;

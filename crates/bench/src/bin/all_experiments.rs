@@ -34,6 +34,8 @@
 //! ignore it — replayed experiments do not re-execute kernels, so the
 //! counter is scoped to work done in *this* process.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use tender_bench::runner::{run_suite, RunnerConfig};

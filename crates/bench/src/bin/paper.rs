@@ -15,6 +15,8 @@
 //! For retries, journaling, fault injection, and metrics export, use
 //! `all_experiments` — this binary runs the experiment functions directly.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let catalog = tender_bench::runner::catalog();

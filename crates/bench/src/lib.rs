@@ -17,6 +17,7 @@
 //! comparable to the paper's relative numbers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fmt;

@@ -5,6 +5,7 @@
 //! behaviour is unit-testable.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::error::Error;

@@ -1,5 +1,7 @@
 //! `tender-cli` entry point: thin argument dispatch over the library.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use tender_faults as faults;
 pub use tender_metrics as metrics;

@@ -25,6 +25,7 @@
 //! on this crate, so the hook is injected from here).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -36,6 +36,7 @@
 //! [Tender (ISCA 2024)]: https://dl.acm.org/doi/10.1109/ISCA59077.2024.00059
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod batch;
 pub mod calibration;

@@ -41,6 +41,7 @@
 //! [Tender (ISCA 2024)]: https://dl.acm.org/doi/10.1109/ISCA59077.2024.00059
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod granularity;

@@ -250,9 +250,7 @@ pub fn dequantize(q: i32, scale: f32) -> f32 {
 
 /// Quantizes a whole matrix with a single scale factor.
 pub fn quantize_matrix(m: &Matrix, scale: f32, bits: u32) -> IMatrix {
-    IMatrix::from_fn(m.rows(), m.cols(), |r, c| {
-        quantize_value(m[(r, c)], scale, bits)
-    })
+    m.map_into(|x| quantize_value(x, scale, bits))
 }
 
 /// Fake-quantization: quantize and immediately dequantize, returning the
@@ -311,65 +309,6 @@ pub fn f16_round(x: f32) -> f32 {
         F16_MAX.copysign(x)
     } else {
         y
-    }
-}
-
-/// A quantized tensor: integer values plus the scale that dequantizes them.
-///
-/// The scale layout depends on the granularity the producer used; see
-/// [`crate::granularity`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedTensor {
-    /// Quantized integer values (logical width ≤ the chosen bit width).
-    pub values: IMatrix,
-    /// Scale factor(s); length 1 for per-tensor, `rows` for per-row,
-    /// `cols` for per-column.
-    pub scales: Vec<f32>,
-    /// Logical bit width of the values.
-    pub bits: u32,
-}
-
-impl QuantizedTensor {
-    /// Dequantizes with per-tensor scale layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len() != 1`.
-    pub fn dequantize_per_tensor(&self) -> Matrix {
-        assert_eq!(self.scales.len(), 1, "expected a per-tensor scale");
-        self.values.to_f32(self.scales[0])
-    }
-
-    /// Dequantizes with per-row scale layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len() != values.rows()`.
-    pub fn dequantize_per_row(&self) -> Matrix {
-        assert_eq!(
-            self.scales.len(),
-            self.values.rows(),
-            "expected per-row scales"
-        );
-        Matrix::from_fn(self.values.rows(), self.values.cols(), |r, c| {
-            self.values[(r, c)] as f32 * self.scales[r]
-        })
-    }
-
-    /// Dequantizes with per-column scale layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales.len() != values.cols()`.
-    pub fn dequantize_per_col(&self) -> Matrix {
-        assert_eq!(
-            self.scales.len(),
-            self.values.cols(),
-            "expected per-column scales"
-        );
-        Matrix::from_fn(self.values.rows(), self.values.cols(), |r, c| {
-            self.values[(r, c)] as f32 * self.scales[c]
-        })
     }
 }
 
@@ -669,30 +608,5 @@ mod tests {
     #[test]
     fn f16_round_preserves_nan() {
         assert!(f16_round(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn quantized_tensor_dequant_layouts() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let bits = 8;
-        // Per-tensor
-        let s = symmetric_scale(4.0, bits);
-        let qt = QuantizedTensor {
-            values: quantize_matrix(&m, s, bits),
-            scales: vec![s],
-            bits,
-        };
-        assert!(qt.dequantize_per_tensor().approx_eq(&m, s / 2.0 + 1e-6));
-        // Per-row
-        let scales: Vec<f32> = vec![symmetric_scale(2.0, bits), symmetric_scale(4.0, bits)];
-        let values = IMatrix::from_fn(2, 2, |r, c| quantize_value(m[(r, c)], scales[r], bits));
-        let qt = QuantizedTensor {
-            values,
-            scales: scales.clone(),
-            bits,
-        };
-        assert!(qt
-            .dequantize_per_row()
-            .approx_eq(&m, scales[1] / 2.0 + 1e-6));
     }
 }

@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tender_metrics::kernel as metrics;
 use tender_tensor::gemm;
 use tender_tensor::pool;
-use tender_tensor::{stats, IMatrix, Matrix};
+use tender_tensor::{stats, Dense, IMatrix, Matrix};
 
 use super::calib::{ChunkCalibration, TenderCalibration};
 use super::config::TenderConfig;
@@ -76,8 +76,8 @@ use crate::quantizer::{
 /// operand of [`gemm::narrow_dot_block`].
 #[derive(Debug, Clone)]
 enum PackedCodes {
-    I16(Vec<i16>),
-    I32(Vec<i32>),
+    I16(Dense<i16>),
+    I32(Dense<i32>),
 }
 
 /// A weight quantized per output column, ready for the integer pipeline.
@@ -98,13 +98,14 @@ impl QuantizedWeight {
         let q = IMatrix::from_fn(w.rows(), w.cols(), |r, c| {
             quantize_value(w[(r, c)], scales[c], bits)
         });
-        let deq = Matrix::from_fn(w.rows(), w.cols(), |r, c| q[(r, c)] as f32 * scales[c]);
+        let deq = q.map_into(|v| v as f32).scale_cols(&scales);
         let qt = q.transpose();
         let qt = if bits <= 16 {
-            let narrow = |&v| i16::try_from(v).expect("|code| ≤ qmax(16) = i16::MAX");
-            PackedCodes::I16(qt.as_slice().iter().map(narrow).collect())
+            PackedCodes::I16(
+                qt.map_into(|v| i16::try_from(v).expect("|code| ≤ qmax(16) = i16::MAX")),
+            )
         } else {
-            PackedCodes::I32(qt.as_slice().to_vec())
+            PackedCodes::I32(qt)
         };
         Self {
             q,
@@ -497,7 +498,7 @@ fn licensed_rows<A, B>(
     rows: Range<usize>,
     cc: &ChunkCalibration,
     channels: &ChannelRows,
-    bt: &[B],
+    bt: &Dense<B>,
     w_scales: &[f32],
     config: &TenderConfig,
     corr: &[f32],
@@ -535,7 +536,7 @@ where
             assert!(fits, "licensed code fits its operand width");
         }
         saturated.fetch_add(block_saturated, Ordering::Relaxed);
-        gemm::narrow_dot_block(&codes, bt, k, n, out_block, |j, acc| {
+        gemm::narrow_dot_block(&codes, bt.as_slice(), k, n, out_block, |j, acc| {
             dequant(acc as f32, s_last, w_scales[j], corr[j])
         });
     };
@@ -922,6 +923,34 @@ mod tests {
         let calib = TenderCalibration::from_samples(std::slice::from_ref(&x), &config);
         let w = QuantizedWeight::per_col(&wf, bits);
         (x, w, calib, config)
+    }
+
+    #[test]
+    fn packed_operand_is_the_transposed_codes_at_the_narrowest_width() {
+        // 16 bits is the last width whose codes fit `i16`; 17 is the first
+        // that needs the `i32` arm.
+        let wf = DetRng::new(3).normal_matrix(11, 5, 0.0, 0.2);
+        for bits in [4, 8, 16, 17] {
+            let w = QuantizedWeight::per_col(&wf, bits);
+            let want = w.values().transpose();
+            let packed = match &w.qt {
+                PackedCodes::I16(bt) => {
+                    assert!(bits <= 16, "{bits}-bit codes packed as i16");
+                    bt.map_into(i32::from)
+                }
+                PackedCodes::I32(bt) => {
+                    assert!(bits > 16, "{bits}-bit codes packed as i32");
+                    bt.clone()
+                }
+            };
+            assert_eq!(packed.shape(), (5, 11));
+            for j in 0..5 {
+                for ch in 0..11 {
+                    assert_eq!(packed[(j, ch)], want[(j, ch)], "bits={bits} ({j},{ch})");
+                }
+            }
+            assert_eq!(w.values().abs_max(), qmax(bits), "the sweep reaches ±qmax");
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@
 //! appear in the transcript.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -30,6 +30,7 @@
 //!   on CUTLASS-style INT8 GEMMs (Fig. 12).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod accel;
 pub mod area;

@@ -5,11 +5,15 @@
 //! This crate provides the numeric foundation that every other crate in the
 //! workspace builds on:
 //!
-//! * [`Matrix`] — a dense, row-major `f32` matrix with the linear-algebra and
-//!   neural-network operations a Transformer forward pass needs (GEMM,
-//!   softmax, LayerNorm, GeLU, …).
-//! * [`IMatrix`] — a dense integer matrix holding quantized values (INT4/INT8
-//!   elements, INT32 accumulators) with exact integer GEMM.
+//! * [`Dense<T>`] — the one dense store: a row-major `rows × cols` buffer of
+//!   any element type, with everything element-type-agnostic (construction,
+//!   transpose, gather / slice / stack, growable rows, the `map_into` cast)
+//!   defined once. The packed Tender weight operand is a `Dense<i16>`.
+//! * [`Matrix`] = `Dense<f32>` — plus the linear-algebra and neural-network
+//!   operations a Transformer forward pass needs (GEMM, softmax, LayerNorm,
+//!   GeLU, …).
+//! * [`IMatrix`] = `Dense<i32>` — quantized values (INT4/INT8 elements, INT32
+//!   accumulators) with exact integer GEMM.
 //! * [`QuantRows`] — packed, growable quantized row storage (INT4/INT8
 //!   values plus 2-bit group indices) backing the quantized KV cache.
 //! * [`stats`] — per-row/per-column absolute-maximum scans, error metrics
@@ -44,8 +48,11 @@
 //! [Tender (ISCA 2024)]: https://dl.acm.org/doi/10.1109/ISCA59077.2024.00059
 
 #![warn(missing_docs)]
+// One `#[allow]`ed site: the lifetime erasure in `pool::Pool::run_impl`.
+#![deny(unsafe_code)]
 
 pub mod arena;
+mod dense;
 mod error;
 pub mod gemm;
 mod imatrix;
@@ -60,6 +67,7 @@ pub use arena::{
     ArenaConfig, ArenaStats, DemoteCandidate, DemoteKey, EvictError, KvArena, Page, PagePayload,
     PageTier, QueuedPage,
 };
+pub use dense::Dense;
 pub use error::ShapeError;
 pub use imatrix::IMatrix;
 pub use matrix::Matrix;

@@ -29,6 +29,18 @@
 //! relaxed atomic adds and wall-clock spans only — it cannot perturb the
 //! determinism contract, and timing values never reach experiment stdout.
 //!
+//! # Safe code, one exception
+//!
+//! [`par_map`] and [`par_chunks_mut`] are safe code: each item (a result
+//! slot, a disjoint `&mut` chunk) is moved into a slot of its own and taken
+//! out by the thread that claimed its index. The crate denies `unsafe_code`;
+//! the single allowed site is the lifetime erasure in `Pool::run_impl`,
+//! which lets persistent workers call a closure borrowed from the
+//! injector's stack frame and is sound because the injector blocks until
+//! every call has returned (see the `SAFETY` comment there). Persistent
+//! workers are what make a dispatch cost about a microsecond where a
+//! `std::thread::scope` per call costs 55–270 µs (DESIGN §6).
+//!
 //! # Re-entrancy
 //!
 //! Nested calls from inside a pool worker execute inline and serially on
@@ -37,7 +49,6 @@
 //! the serial path, and makes deadlock impossible by construction.
 
 use std::collections::VecDeque;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -164,63 +175,41 @@ pub fn par_chunks_mut<T: Send>(
         return;
     }
     assert!(chunk_len > 0, "chunk_len must be non-zero");
-    let len = data.len();
-    let n_chunks = len.div_ceil(chunk_len);
-    let base = SendPtr(data.as_mut_ptr());
-    run(n_chunks, |i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // SAFETY: chunks [start, end) are disjoint across i and in-bounds;
-        // the pool guarantees each i is executed exactly once and `data`
-        // outlives the call (run() blocks until all items complete).
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(i, chunk);
-    });
+    run_owned(data.chunks_mut(chunk_len).collect(), f);
 }
 
 /// Computes `f(i)` for every `i in 0..n` on the global pool and returns the
 /// results in index order.
 pub fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let mut slots: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, MaybeUninit::uninit);
-    let base = SendPtr(slots.as_mut_ptr());
-    run(n, |i| {
-        // SAFETY: slot i is written exactly once, by the single thread that
-        // claimed item i; `slots` outlives the call.
-        unsafe { (*base.get().add(i)).write(f(i)) };
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    run_owned(results.iter_mut().collect(), |i, slot| *slot = Some(f(i)));
+    // All n items completed (run would have propagated a panic otherwise).
+    results
+        .into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
+}
+
+/// Runs `f(i, items[i])` for every item on the global pool, handing item
+/// `i` — by value — to the thread that claimed index `i`, so item ↔ index
+/// stays fixed at any thread count. Each item waits in its own slot; the
+/// lock is uncontended (one claimant per index) and exists so that sharing
+/// the slots across threads is safe code.
+fn run_owned<I: Send>(items: Vec<I>, f: impl Fn(usize, I) + Sync) {
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    run(slots.len(), |i| {
+        let item = lock_unpoisoned(&slots[i]).take();
+        f(i, item.expect("the pool runs each index exactly once"));
     });
-    // All n items completed (run would have propagated a panic otherwise),
-    // so every slot is initialized.
-    let ptr = slots.as_mut_ptr() as *mut R;
-    let cap = slots.capacity();
-    std::mem::forget(slots);
-    // SAFETY: same allocation, every element initialized, MaybeUninit<R>
-    // has the same layout as R.
-    unsafe { Vec::from_raw_parts(ptr, n, cap) }
 }
-
-/// Raw-pointer wrapper that lets disjoint-access closures capture a base
-/// pointer across threads. Soundness is argued at each use site.
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `SendPtr` — edition-2021 precise capture would otherwise grab the
-    /// raw pointer field itself, which is not `Sync`.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// One injected unit of fan-out work: a lifetime-erased task plus claim and
 /// completion counters.
 struct Batch {
-    /// The task, valid until `completed == total` (the injector blocks until
-    /// then, keeping the underlying closure alive).
-    task: *const (dyn Fn(usize) + Sync),
+    /// The task, its lifetime erased by `Pool::run_impl`: callable only
+    /// while `completed < total` (the injector blocks until then, keeping
+    /// the underlying closure alive) and never touched afterwards.
+    task: &'static (dyn Fn(usize) + Sync),
     /// Next unclaimed item index.
     next: AtomicUsize,
     /// Number of items fully executed (or panicked).
@@ -233,11 +222,6 @@ struct Batch {
     done: Condvar,
 }
 
-// SAFETY: `task` points into the injector's stack frame, which outlives all
-// dereferences (see `Batch::task`); everything else is Sync.
-unsafe impl Send for Batch {}
-unsafe impl Sync for Batch {}
-
 impl Batch {
     /// Claims and executes items until none remain. Returns whether this
     /// thread executed at least one item.
@@ -247,10 +231,9 @@ impl Batch {
             if i >= self.total {
                 return;
             }
-            // SAFETY: i < total, so the injector is still blocked in
-            // `wait_done` and the task pointer is alive.
-            let task = unsafe { &*self.task };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+            // i < total, so the injector is still blocked in `wait_done` and
+            // the closure behind `task` is alive.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
                 let mut slot = lock_unpoisoned(&self.panic);
                 slot.get_or_insert(payload);
             }
@@ -358,6 +341,7 @@ impl Pool {
     /// mirror the parallel path's panic semantics (execute every item,
     /// re-raise the first panic afterwards) so injected faults cannot make
     /// counters diverge between thread counts.
+    #[allow(unsafe_code)] // the lifetime erasure below, and nothing else
     fn run_impl(&self, n: usize, f: &(dyn Fn(usize) + Sync), isolate_inline: bool) {
         if n == 1 || self.threads == 1 || IN_WORKER.with(|w| w.get()) {
             // One relaxed atomic add total — the inline path stays as close
@@ -383,11 +367,18 @@ impl Pool {
         metrics::PARALLEL_BATCHES.incr();
         metrics::PARALLEL_ITEMS.add(n as u64);
         let batch_span = metrics::BATCH_LATENCY.span();
-        // SAFETY: erase the closure's lifetime; `wait_done` below keeps this
-        // frame alive until every dereference has finished.
-        let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
+        // SAFETY: the transmute only erases the closure's lifetime so workers
+        // can hold the batch. `Batch::work` calls `task` solely for claimed
+        // indices `i < total`, each such call finishes before it bumps
+        // `completed`, and `wait_done` below does not return until
+        // `completed == total` — so every call happens while `f` (borrowed
+        // for this whole function) is alive. A worker may still hold the
+        // `Arc<Batch>` afterwards, but then every index is claimed and the
+        // reference is never called, copied or read again; `Batch` is
+        // private to this module, so no other code can reach it.
+        let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
         let batch = Arc::new(Batch {
-            task: erased as *const _,
+            task,
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             total: n,
@@ -557,6 +548,47 @@ mod tests {
     fn par_map_zero_and_one() {
         assert_eq!(par_map(0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map(1, |i| i + 10), vec![10]);
+    }
+
+    #[test]
+    fn par_map_returns_owned_non_copy_results() {
+        // `String` is neither `Copy` nor cheaply defaulted: each result is
+        // built on the thread that ran the item and moved out exactly once.
+        let names = par_map(130, |i| format!("item-{i}"));
+        assert_eq!(names.len(), 130);
+        assert!(names
+            .iter()
+            .enumerate()
+            .all(|(i, s)| *s == format!("item-{i}")));
+    }
+
+    #[test]
+    fn par_map_panic_propagates_and_the_pool_stays_usable() {
+        let result = std::panic::catch_unwind(|| {
+            par_map(64, |i| {
+                if i == 19 {
+                    panic!("item 19 exploded");
+                }
+                format!("ok-{i}")
+            })
+        });
+        let payload = result.expect_err("panic must propagate");
+        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(message.contains("exploded"), "unexpected payload");
+        assert_eq!(par_map(64, |i| i + 1), (1..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_chunks_mut_hands_out_owned_element_types() {
+        let mut data: Vec<String> = (0..23).map(|i| i.to_string()).collect();
+        par_chunks_mut(&mut data, 4, |ci, chunk| {
+            for s in chunk.iter_mut() {
+                s.push_str(&format!("@{ci}"));
+            }
+        });
+        for (i, s) in data.iter().enumerate() {
+            assert_eq!(*s, format!("{i}@{}", i / 4));
+        }
     }
 
     #[test]

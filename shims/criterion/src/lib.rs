@@ -9,6 +9,8 @@
 //! all measurements are written there as a JSON array when the `Criterion`
 //! value drops. See `shims/README.md`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

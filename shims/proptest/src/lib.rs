@@ -6,6 +6,8 @@
 //! deterministic per-test seeding and no shrinking. See `shims/README.md`
 //! for the full list of deviations from the real crate.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

@@ -5,6 +5,8 @@
 //! functionality lives in the `tender-*` crates; see [`tender`] for the
 //! user-facing facade.
 
+#![forbid(unsafe_code)]
+
 pub use tender;
 pub use tender_model as model;
 pub use tender_quant as quant;
