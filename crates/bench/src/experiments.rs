@@ -7,9 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tender::model::calibration::{token_batches, CorpusKind};
-use tender::model::engine::{
-    drain_demotions, greedy_token, BatchEngine, DecodeSession, KvCacheMode, ModelRef,
-};
+use tender::model::engine::{greedy_token, BatchEngine, DecodeSession, KvCacheMode, ModelRef};
 use tender::model::eval::{perplexity, EvalSet};
 use tender::model::glue::GlueTask;
 use tender::model::zeroshot;
@@ -29,7 +27,7 @@ use tender::sim::gpu::{normalized_latency, GpuConfig, GpuScheme};
 use tender::sim::perf::{workload_cost, RequantMode};
 use tender::sim::workload::PrefillWorkload;
 use tender::tensor::arena::DEFAULT_PAGE_ROWS;
-use tender::tensor::stats;
+use tender::tensor::{stats, Matrix};
 use tender::{scheme_by_name, Experiment};
 
 use crate::fmt::{fmt_acc, fmt_ppl, fmt_ratio, Table};
@@ -52,6 +50,36 @@ fn tender_scheme(bits: u32, seq_len: usize, act_act: bool) -> Box<dyn Scheme> {
         .with_row_chunk((seq_len / 8).max(8))
         .with_act_act(act_act);
     Box::new(TenderScheme::new(cfg))
+}
+
+/// The verdict beside a measured count the simulator also predicts:
+/// `(=sim)` when they agree, `(MISMATCH sim N)` — which CI greps for — when
+/// they do not.
+fn sim_verdict(measured: u64, sim: u64) -> String {
+    if measured == sim {
+        "(=sim)".to_string()
+    } else {
+        format!("(MISMATCH sim {sim})")
+    }
+}
+
+/// Next-token logits for every position of `tk` computed *through the
+/// decode path* — prefill one token, then feed the rest one per iteration
+/// of a one-session [`BatchEngine`] — so what the cache stores shapes the
+/// logits (a full forward never reads it) and a capped arena is drained at
+/// the engine's own boundaries.
+fn decode_path_logits(mut session: DecodeSession<'_>, tk: &[usize]) -> Matrix {
+    let first = session.prefill(&tk[..1]);
+    let mut out = Matrix::with_row_capacity(first.cols(), tk.len());
+    out.push_row(first.row(0));
+    let mut engine = BatchEngine::new(vec![session]);
+    for &tok in &tk[1..] {
+        let logits = engine
+            .step_all(&[tok])
+            .expect("eval context inside max_seq");
+        out.push_row(logits[0].row(0));
+    }
+    out
 }
 
 /// Table I — perplexity at per-tensor / per-row / per-column granularity.
@@ -783,16 +811,13 @@ fn generate_row(
 
     let cache_len = session.len();
     let predicted = shape.layers as u64 * decode_step_macs(shape, cache_len, 1);
-    let macs = if session.last_step_macs() == predicted {
-        format!("{} (=sim)", session.last_step_macs())
-    } else {
-        format!("{} (sim {predicted})", session.last_step_macs())
-    };
-    let kv = if session.cache().bytes() == kv_cache_bytes(shape, cache_len, 32) {
-        format!("{} (=sim)", session.cache().bytes())
-    } else {
-        format!("{} (MISMATCH)", session.cache().bytes())
-    };
+    let macs = session.last_step_macs();
+    let macs = format!("{macs} {}", sim_verdict(macs, predicted));
+    let kv = session.cache().bytes();
+    let kv = format!(
+        "{kv} {}",
+        sim_verdict(kv, kv_cache_bytes(shape, cache_len, 32))
+    );
     let toks: Vec<String> = generated[0].iter().map(|t| t.to_string()).collect();
     vec![
         label.to_string(),
@@ -887,17 +912,7 @@ pub fn kv_cache() -> Vec<Table> {
 
     let decode_ppl = |mode: KvCacheMode| -> f64 {
         perplexity(
-            |tk| {
-                let mut s = DecodeSession::with_cache_mode(reference, mode);
-                let mut rows: Vec<Vec<f32>> = Vec::with_capacity(tk.len());
-                let first = s.prefill(&tk[..1]);
-                rows.push(first.row(0).to_vec());
-                for &tok in &tk[1..] {
-                    let logits = s.step(tok).expect("eval context inside max_seq");
-                    rows.push(logits.row(0).to_vec());
-                }
-                tender::tensor::Matrix::from_fn(rows.len(), rows[0].len(), |r, c| rows[r][c])
-            },
+            |tk| decode_path_logits(DecodeSession::with_cache_mode(reference, mode), tk),
             eval,
         )
     };
@@ -947,11 +962,7 @@ pub fn kv_cache() -> Vec<Table> {
         };
         let (resident, allocated, requants) = measure(mode);
         let sim = kv_paged_mode_bytes(&shape, mem_len, mode, DEFAULT_PAGE_ROWS);
-        let resident_s = if resident == sim {
-            format!("{resident} (=sim)")
-        } else {
-            format!("{resident} (MISMATCH sim {sim})")
-        };
+        let resident_s = format!("{resident} {}", sim_verdict(resident, sim));
         let ratio = resident as f64 / f32_bytes as f64;
         let delta = ppl - f32_ppl;
         let verdict = match mode {
@@ -1104,49 +1115,32 @@ pub fn kv_page() -> Vec<Table> {
     );
 
     // ---- Watermark demotion under the decode-path ppl budget. ----
-    // Each eval context gets a private arena whose capacity holds its full
-    // f32 footprint; the watermark alone decides how far down the ladder
-    // cold sealed pages go (0.5 reaches int8, 0.1 pushes on to int4).
-    let decode_ppl =
-        |bounded: bool, watermark: f64, deferred: bool, d8: &AtomicU64, d4: &AtomicU64| -> f64 {
-            perplexity(
-                |tk| {
-                    let cap = if bounded {
-                        Some(planes * tk.len() as u64 * dh as u64 * 4)
-                    } else {
-                        None
-                    };
-                    let arena = KvArena::new(ArenaConfig {
-                        page_rows: 4,
-                        capacity_bytes: cap,
-                        watermark,
-                        deferred_demotion: deferred,
-                    });
-                    let mut s = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
-                    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(tk.len());
-                    let first = s.prefill(&tk[..1]);
-                    rows.push(first.row(0).to_vec());
-                    for &tok in &tk[1..] {
-                        let logits = s.step(tok).expect("eval context inside max_seq");
-                        rows.push(logits.row(0).to_vec());
-                        if deferred {
-                            // Boundary drain: demotion happens between steps,
-                            // never on the append path itself.
-                            arena.advance_clock();
-                            drain_demotions(&arena, 0);
-                        }
-                    }
-                    let st = arena.stats();
-                    d8.fetch_add(st.demoted_int8, Ordering::Relaxed);
-                    d4.fetch_add(st.demoted_int4, Ordering::Relaxed);
-                    tender::tensor::Matrix::from_fn(rows.len(), rows[0].len(), |r, c| rows[r][c])
-                },
-                eval,
-            )
-        };
+    // Each eval context gets a private arena, uncapped (`None`) or capped at
+    // its full f32 footprint with the given watermark — which alone decides
+    // how far down the ladder the engine's boundary drain takes cold sealed
+    // pages (0.5 reaches int8, 0.1 pushes on to int4).
+    let decode_ppl = |watermark: Option<f64>, d8: &AtomicU64, d4: &AtomicU64| -> f64 {
+        perplexity(
+            |tk| {
+                let arena = KvArena::new(ArenaConfig {
+                    page_rows: 4,
+                    capacity_bytes: watermark.map(|_| planes * tk.len() as u64 * dh as u64 * 4),
+                    watermark: watermark.unwrap_or(1.0),
+                    ..ArenaConfig::default()
+                });
+                let session = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
+                let logits = decode_path_logits(session, tk);
+                let st = arena.stats();
+                d8.fetch_add(st.demoted_int8, Ordering::Relaxed);
+                d4.fetch_add(st.demoted_int4, Ordering::Relaxed);
+                logits
+            },
+            eval,
+        )
+    };
     let full_ppl = perplexity(|tk| reference.forward(tk), eval);
     let zero = AtomicU64::new(0);
-    let f32_ppl = decode_ppl(false, 1.0, false, &zero, &zero);
+    let f32_ppl = decode_ppl(None, &zero, &zero);
 
     let mut t2 = Table::new(
         "KV paging: watermark demotion (decode-path Wiki ppl, f32 planes, page rows 4)".to_string(),
@@ -1169,7 +1163,7 @@ pub fn kv_page() -> Vec<Table> {
     for (watermark, floor_int4) in [(0.5, false), (0.1, true)] {
         let d8 = AtomicU64::new(0);
         let d4 = AtomicU64::new(0);
-        let ppl = decode_ppl(true, watermark, false, &d8, &d4);
+        let ppl = decode_ppl(Some(watermark), &d8, &d4);
         let (d8, d4) = (d8.into_inner(), d4.into_inner());
         let delta = ppl - f32_ppl;
         let verdict = if floor_int4 {
@@ -1191,27 +1185,6 @@ pub fn kv_page() -> Vec<Table> {
             format!("{delta:+.4}"),
             format!("{d8}+{d4}"),
             verdict,
-        ]);
-    }
-    {
-        // The same watermark pressure through the deferred path: appends
-        // only enqueue, demotion runs at step boundaries in clock order.
-        // Same accuracy budget as the inline scan.
-        let d8 = AtomicU64::new(0);
-        let d4 = AtomicU64::new(0);
-        let ppl = decode_ppl(true, 0.5, true, &d8, &d4);
-        let (d8, d4) = (d8.into_inner(), d4.into_inner());
-        let delta = ppl - f32_ppl;
-        t2.row(vec![
-            "watermark 0.5, boundary drain".to_string(),
-            fmt_ppl(ppl),
-            format!("{delta:+.4}"),
-            format!("{d8}+{d4}"),
-            if delta.abs() <= PPL_DELTA_BOUND && d8 > 0 {
-                "ok".to_string()
-            } else {
-                format!("EXCEEDS (|Δ|≤{PPL_DELTA_BOUND}, demoted>0)")
-            },
         ]);
     }
     t2.note("capacity holds each context's full f32 footprint; the watermark alone forces cold pages down the ladder");
@@ -1237,16 +1210,8 @@ pub fn kv_page() -> Vec<Table> {
         let sim_a = kv_paged_allocated_bytes(&shape, mem_len, mode, pr);
         t3.row(vec![
             mode.label().to_string(),
-            if resident == sim_r {
-                format!("{resident} (=sim)")
-            } else {
-                format!("{resident} (MISMATCH sim {sim_r})")
-            },
-            if allocated == sim_a {
-                format!("{allocated} (=sim)")
-            } else {
-                format!("{allocated} (MISMATCH sim {sim_a})")
-            },
+            format!("{resident} {}", sim_verdict(resident, sim_r)),
+            format!("{allocated} {}", sim_verdict(allocated, sim_a)),
             pr.to_string(),
         ]);
     }
@@ -1273,7 +1238,7 @@ pub fn kv_page() -> Vec<Table> {
             page_rows: shared_pr,
             capacity_bytes: cap,
             watermark: 0.5,
-            deferred_demotion: true,
+            ..ArenaConfig::default()
         });
         let mut template = DecodeSession::with_arena(reference, KvCacheMode::F32, &arena);
         template.prefill(&prompt);
@@ -1313,11 +1278,10 @@ pub fn kv_page() -> Vec<Table> {
         format!("{unc_per:.0}"),
         format!("{:.1}", GB / unc_per),
         fmt_ratio(prealloc / unc_per),
-        if uncapped_bytes == sim_total {
-            format!("{uncapped_bytes} B (=sim)")
-        } else {
-            format!("{uncapped_bytes} B (MISMATCH sim {sim_total})")
-        },
+        format!(
+            "{uncapped_bytes} B {}",
+            sim_verdict(uncapped_bytes, sim_total)
+        ),
     ]);
     let cap_per = capped_bytes as f64 / forks as f64;
     let cap_gain = prealloc / cap_per;
@@ -1452,40 +1416,4 @@ pub fn serve() -> Vec<Table> {
          wall-clock latency and tokens/s live in the metrics JSON serve section",
     );
     vec![t]
-}
-
-/// Every experiment, in paper order.
-///
-/// Experiments are mutually independent (each generates its own models and
-/// calibrations deterministically), so the scheduler fans the cells across
-/// the shared worker pool and flattens the results back in paper order —
-/// the output is byte-identical at any `TENDER_THREADS` setting. Inside a
-/// pool worker, nested parallel kernels degrade to their serial paths, so
-/// experiment-level parallelism is the outermost (and most profitable)
-/// level.
-///
-/// Each cell is panic-isolated: a failing experiment yields a rendered
-/// error table in its slot and never takes down the rest of the suite, so
-/// no panic ever propagates out of this function. (The `all_experiments`
-/// binary layers retries, watchdog timeouts, and journaling on top via
-/// [`crate::runner`].)
-pub fn all() -> Vec<Table> {
-    let specs = crate::runner::catalog();
-    tender::pool::par_map(specs.len(), |i| {
-        let spec = &specs[i];
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(spec.run)) {
-            Ok(tables) => tables,
-            Err(payload) => {
-                let msg = crate::runner::panic_message(payload.as_ref());
-                vec![crate::runner::failure_table(
-                    spec.name,
-                    1,
-                    &format!("panicked: {msg}"),
-                )]
-            }
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect()
 }

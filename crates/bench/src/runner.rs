@@ -188,8 +188,7 @@ impl SuiteResult {
     }
 }
 
-/// Renders the suite's standard failure table, shared by the runner and
-/// [`crate::experiments::all`] so failures look identical everywhere.
+/// Renders the suite's standard failure table.
 pub fn failure_table(name: &str, attempts: u32, reason: &str) -> Table {
     let mut t = Table::new(
         format!("{name}: FAILED after {attempts} attempt(s)"),

@@ -379,7 +379,7 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
         page_rows: kv.page_rows,
         capacity_bytes: (kv.arena_bytes != u64::MAX).then_some(kv.arena_bytes),
         watermark: kv.watermark,
-        deferred_demotion: true,
+        ..ArenaConfig::default()
     };
     let bounded_arena = arena_cfg.capacity_bytes.is_some() || kv.watermark < 1.0;
     let exp = Experiment::new(&shape, opts);

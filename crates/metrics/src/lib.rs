@@ -668,7 +668,8 @@ metrics_table! {
         /// Deepest the demotion queue has been.
         DEMOTION_QUEUE_PEAK: MaxGauge,
         /// Pages requantized by the off-critical-path boundary drain (as
-        /// opposed to evict-on-append demotions on the appending thread).
+        /// opposed to demote-and-retry at the hard cap, on the appending
+        /// thread).
         ASYNC_DEMOTED_PAGES: Counter,
         /// Allocated bytes freed by boundary-drain demotions.
         ASYNC_DEMOTED_BYTES: Counter,

@@ -361,7 +361,6 @@ mod tests {
         // budget is never contended.
         let arena = KvArena::new(ArenaConfig {
             capacity_bytes: Some(64 << 20),
-            deferred_demotion: true,
             ..ArenaConfig::default()
         });
         let shared_sessions: Vec<_> = (0..3)

@@ -22,8 +22,10 @@
 //! is stored once, and a fork copies only the page it diverges on
 //! (copy-on-write). Under a configured arena byte cap, cold (sealed,
 //! exclusively-owned) pages are demoted f32 → int8 → int4 in place via the
-//! paper's requantization recipe before any allocation is refused; at the
-//! floor the typed [`EvictError`] surfaces as [`StepError::KvExhausted`].
+//! paper's requantization recipe — by the boundary drain above the arena's
+//! watermark, by the appending session itself before any allocation is
+//! refused; at the floor the typed [`EvictError`] surfaces as
+//! [`StepError::KvExhausted`].
 //!
 //! **Cache modes.** The cache stores K/V rows in one of three
 //! [`KvCacheMode`]s: `f32` (exact, the default), `int8`, or `int4` with the
@@ -40,9 +42,10 @@
 //! **Read paths.** Quantized planes are *read* in the integer domain by
 //! default ([`KvReadPath::Integer`]): decode attention quantizes the query
 //! (and attention-probability) row to 8-bit codes and dots it against the
-//! packed K/V codes page by page, accumulating per power-of-two group in
-//! i64 and applying each page's scale once per dot via the α = 2
-//! shift-combine — never materializing an f32 plane. The
+//! packed K/V codes page by page: a page is decoded once into codes
+//! pre-shifted by their group's α = 2 combine weight, so each dot is one
+//! `i32` accumulator and one application of the page's scale — never
+//! materializing an f32 plane. The
 //! [`KvReadPath::Dequant`] path (gather the dequantized plane, then run f32
 //! attention) is the f32 read and the oracle the integer path is tested
 //! against. Either way decode stays bit-deterministic at any thread count;

@@ -156,15 +156,6 @@ impl KvCache {
         self.layers * self.heads + self.k_plane(li, head)
     }
 
-    /// The tier rows are appended at in this cache's mode.
-    fn append_tier(&self) -> PageTier {
-        match self.mode {
-            KvCacheMode::F32 => PageTier::F32,
-            KvCacheMode::Int8 => PageTier::Int8,
-            KvCacheMode::Int4 => PageTier::Int4,
-        }
-    }
-
     /// The storage precision this cache was built with.
     pub fn mode(&self) -> KvCacheMode {
         self.mode
@@ -265,8 +256,9 @@ impl KvCache {
     /// each), splitting the model dimension across heads. In quantized
     /// modes the rows are quantized here, against each plane's running
     /// `TMax` (first append also fixes the plane's per-channel bias).
-    /// On an arena without deferred demotion, cold pages are then demoted
-    /// down the tier ladder while the arena sits above its high-watermark.
+    /// An append requantizes no other page short of the arena's hard cap:
+    /// on a capped arena, pages that seal are queued for the boundary
+    /// drain, which is what acts on the high-watermark.
     ///
     /// # Errors
     ///
@@ -287,12 +279,6 @@ impl KvCache {
             self.append_plane(self.k_plane(li, head), k, c0)?;
             self.append_plane(self.v_plane(li, head), v, c0)?;
         }
-        // Deferred arenas move this work off the appending thread: pages
-        // were enqueued as demotion candidates when they sealed, and the
-        // engine drains the queue at the next iteration boundary.
-        if !self.arena.deferred_demotion() {
-            while self.arena.over_watermark() && self.demote_one() {}
-        }
         Ok(())
     }
 
@@ -311,7 +297,10 @@ impl KvCache {
             q.fix_bias((0..m.rows()).map(head_row), dh);
         }
         let page_rows = self.arena.page_rows();
-        let (mode, tier) = (self.mode, self.append_tier());
+        let mode = self.mode;
+        // A sealed page is worth queueing only where a drain can pop it (a
+        // capped arena) and a lower rung exists.
+        let queues = self.arena.config().capacity_bytes.is_some() && mode.demoted().is_some();
         let mut r0 = 0;
         while r0 < m.rows() {
             let r1 = m.rows().min(r0 + self.writable_tail(idx)?);
@@ -333,7 +322,7 @@ impl KvCache {
             });
             plane.len += r1 - r0;
             let sealed = plane.len.is_multiple_of(page_rows);
-            if sealed && self.arena.deferred_demotion() && tier != PageTier::Int4 {
+            if sealed && queues {
                 // The page just sealed: it becomes a demotion candidate under
                 // a structural clock key, so concurrent enqueues from pool
                 // workers drain in the same order at any thread count.
@@ -343,7 +332,7 @@ impl KvCache {
                     plane: idx as u32,
                     page_idx: (plane.pages.len() - 1) as u32,
                 };
-                self.arena.enqueue_demotion(key, tail.downgrade(), tier);
+                self.arena.enqueue_demotion(key, tail.downgrade(), mode);
             }
             r0 = r1;
         }

@@ -1,4 +1,5 @@
-//! The boundary drain of an arena's deferred-demotion queue.
+//! The boundary drain of an arena's demotion queue — the one place
+//! watermark pressure is acted on.
 
 use tender_metrics::kv_arena as arena_metrics;
 use tender_tensor::{pool, DemoteKey, KvArena, PageTier};
@@ -81,14 +82,14 @@ mod tests {
         }))
     }
 
-    /// A deferred arena whose cap leaves `slack` bytes over `held` and
-    /// whose watermark sits at half of it, so a drain has a deficit.
+    /// An arena whose cap leaves `slack` bytes over `held` and whose
+    /// watermark sits at half of it, so a drain has a deficit.
     fn pressured_arena(page_rows: usize, held: u64, slack: u64) -> KvArena {
         KvArena::new(ArenaConfig {
             page_rows,
             capacity_bytes: Some(held + slack),
             watermark: 0.5,
-            deferred_demotion: true,
+            ..ArenaConfig::default()
         })
     }
 

@@ -21,7 +21,7 @@ use tender_quant::quantizer::{f16_round, quantize_row, symmetric_scale, QUANT_LA
 use tender_quant::tender::{group_of, group_scales, group_thresholds};
 use tender_tensor::arena::QuantPage;
 use tender_tensor::qrows::MAX_PACKED_GROUPS;
-use tender_tensor::{PagePayload, PageTier, QuantRows};
+use tender_tensor::{PagePayload, QuantRows};
 
 use super::mode::{KvCacheMode, ALPHA, KV_ACT_BITS};
 
@@ -219,12 +219,7 @@ pub fn demote_payload(payload: &PagePayload, target: KvCacheMode) -> PagePayload
 /// paths apply byte deltas without a cap check — a non-shrinking
 /// demotion must never be committed.
 pub(super) fn demote_if_smaller(payload: &PagePayload, page_rows: usize) -> Option<PagePayload> {
-    let target = match payload.tier() {
-        PageTier::F32 => KvCacheMode::Int8,
-        PageTier::Int8 => KvCacheMode::Int4,
-        PageTier::Int4 => return None,
-    };
-    let demoted = demote_payload(payload, target);
+    let demoted = demote_payload(payload, payload.tier().demoted()?);
     (demoted.allocated_bytes(page_rows) < payload.allocated_bytes(page_rows)).then_some(demoted)
 }
 

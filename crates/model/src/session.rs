@@ -143,7 +143,11 @@ impl<'m> DecodeSession<'m> {
 
     /// A fresh session drawing cache pages from a shared `arena` —
     /// the serving configuration: many sessions, one page pool, prefix
-    /// sharing via [`DecodeSession::fork`].
+    /// sharing via [`DecodeSession::fork`]. Steps only *queue* the pages
+    /// they seal: `BatchEngine` and the scheduler drain the queue at their
+    /// iteration boundaries, and a caller stepping a capped session by
+    /// hand must do the same (`advance_clock`, then `drain_demotions`) or
+    /// the arena's watermark is never acted on.
     pub fn with_arena(model: impl Into<ModelRef<'m>>, mode: KvCacheMode, arena: &KvArena) -> Self {
         let model = model.into();
         let cache = KvCache::with_arena(&model.weights().shape, mode, arena);
@@ -384,6 +388,7 @@ pub fn greedy_token(logits: &Matrix, row: usize, pos: usize, vocab: usize) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::drain_demotions;
     use crate::test_support::{f32_kv_bytes, paged_arena, tiny, tokens};
     use tender_tensor::arena::DEFAULT_PAGE_ROWS;
 
@@ -581,13 +586,16 @@ mod tests {
         let (shape, model) = tiny();
         let reference = model.reference();
         // Capacity holds the full f32 prompt exactly; a 0.5 watermark
-        // forces sealed pages down the demotion ladder during prefill.
+        // forces sealed pages down the demotion ladder at the boundary
+        // after prefill.
         let page_rows = 2usize;
         let prompt_len = 8usize;
         let full_f32 = f32_kv_bytes(&shape, prompt_len);
         let arena = paged_arena(page_rows, Some(full_f32), 0.5);
         let mut s = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         s.prefill(&tokens(prompt_len, shape.vocab, 6));
+        arena.advance_clock();
+        drain_demotions(&arena, 0);
 
         let stats = arena.stats();
         assert!(stats.demoted_int8 > 0, "watermark never demoted a page");

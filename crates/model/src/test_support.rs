@@ -17,8 +17,8 @@ pub(crate) fn tokens(n: usize, vocab: usize, salt: usize) -> Vec<usize> {
     (0..n).map(|i| (i * 31 + salt * 17 + 5) % vocab).collect()
 }
 
-/// An arena of `page_rows`-row pages under byte cap `cap`, demoting on
-/// append above `watermark × cap`.
+/// An arena of `page_rows`-row pages under byte cap `cap`, whose boundary
+/// drain demotes above `watermark × cap`.
 pub(crate) fn paged_arena(page_rows: usize, cap: Option<u64>, watermark: f64) -> KvArena {
     KvArena::new(ArenaConfig {
         page_rows,

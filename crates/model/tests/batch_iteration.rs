@@ -6,7 +6,7 @@
 
 use std::process::Command;
 
-use tender_model::engine::{BatchEngine, DecodeSession, KvCacheMode, StepError};
+use tender_model::engine::{drain_demotions, BatchEngine, DecodeSession, KvCacheMode, StepError};
 use tender_model::{greedy_token, ModelShape, SyntheticLlm};
 use tender_tensor::{ArenaConfig, KvArena};
 
@@ -33,7 +33,7 @@ fn pressured_rollout(
         page_rows: 4,
         capacity_bytes: cap,
         watermark: 0.5,
-        deferred_demotion: true,
+        ..ArenaConfig::default()
     });
     let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
     template.prefill(&prefix);
@@ -97,32 +97,80 @@ fn hand_loop_reproduces_resume_greedy() {
     println!("digest {want:?}");
 }
 
-/// The global pool is sized once per process, so each size is a child run
-/// of the test above.
+/// The `digest …` line `test` prints when run alone in a child process
+/// whose pool has `threads` threads (the global pool is sized once per
+/// process, so each size is a child run).
+fn child_digest(test: &str, threads: &str) -> String {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args(["--exact", test, "--nocapture"])
+        .env("TENDER_THREADS", threads)
+        .output()
+        .expect("spawn the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "TENDER_THREADS={threads} failed:\n{stdout}"
+    );
+    stdout
+        .lines()
+        .find_map(|l| l.find("digest ").map(|at| l[at..].to_string()))
+        .unwrap_or_else(|| panic!("no digest at TENDER_THREADS={threads}:\n{stdout}"))
+}
+
 #[test]
 fn hand_loop_reproduces_resume_greedy_at_1_and_4_threads() {
-    let digest = |threads: &str| -> String {
-        let exe = std::env::current_exe().expect("test binary path");
-        let out = Command::new(exe)
-            .args([
-                "--exact",
-                "hand_loop_reproduces_resume_greedy",
-                "--nocapture",
-            ])
-            .env("TENDER_THREADS", threads)
-            .output()
-            .expect("spawn the test binary");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        assert!(
-            out.status.success(),
-            "TENDER_THREADS={threads} failed:\n{stdout}"
-        );
-        stdout
-            .lines()
-            .find_map(|l| l.find("digest ").map(|at| l[at..].to_string()))
-            .unwrap_or_else(|| panic!("no digest at TENDER_THREADS={threads}:\n{stdout}"))
-    };
-    assert_eq!(digest("1"), digest("4"));
+    let test = "hand_loop_reproduces_resume_greedy";
+    assert_eq!(child_digest(test, "1"), child_digest(test, "4"));
+}
+
+/// Appends never act on the watermark: a session stepped by hand far above
+/// the mark (and under the hard cap) requantizes nothing and only queues
+/// what it seals, until a boundary drain does all of it at once. Prints the
+/// drained arena's per-tier stats as a digest for the test below.
+#[test]
+fn watermark_is_acted_on_at_boundaries_only() {
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 73);
+    let reference = model.reference();
+    let (page_rows, positions) = (2usize, 12usize);
+    let pages = 2 * shape.layers * shape.heads * positions / page_rows;
+    let footprint = pages as u64 * KvCacheMode::F32.page_alloc_bytes(shape.head_dim(), page_rows);
+    let arena = KvArena::new(ArenaConfig {
+        page_rows,
+        capacity_bytes: Some(footprint),
+        watermark: 0.25,
+        ..ArenaConfig::default()
+    });
+    let mut session = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
+    session.prefill(&prompt(8, shape.vocab, 4));
+    for tok in prompt(positions - 8, shape.vocab, 5) {
+        session.step(tok).expect("the cap holds every position");
+    }
+    assert!(arena.over_watermark());
+    let st = arena.stats();
+    assert_eq!(st.pages, [pages as u64, 0, 0]);
+    assert_eq!(
+        (st.demoted_int8, st.demoted_int4, st.alloc_retries),
+        (0, 0, 0)
+    );
+    assert_eq!(arena.allocated_bytes(), footprint);
+    assert_eq!(arena.demotion_queue_len(), pages);
+
+    arena.advance_clock();
+    let drained = drain_demotions(&arena, 0);
+    let st = arena.stats();
+    assert_eq!(drained.demoted as u64, st.demoted_int8 + st.demoted_int4);
+    assert!(st.demoted_int8 > 0, "the drain ignored the watermark");
+    assert_eq!(drained.freed_bytes, footprint - arena.allocated_bytes());
+    assert_eq!(session.cache().tier_stats().pages, st.pages);
+    println!("digest {st:?}");
+}
+
+#[test]
+fn watermark_is_acted_on_at_boundaries_only_at_1_and_4_threads() {
+    let test = "watermark_is_acted_on_at_boundaries_only";
+    assert_eq!(child_digest(test, "1"), child_digest(test, "4"));
 }
 
 /// Int4 is the ladder's floor, so a cap two pages short of the batch's
@@ -141,7 +189,6 @@ fn session_refused_at_the_floor_spares_its_neighbours() {
     let arena = KvArena::new(ArenaConfig {
         page_rows,
         capacity_bytes: Some(5 * session_page),
-        deferred_demotion: true,
         ..ArenaConfig::default()
     });
     let prompts: Vec<Vec<usize>> = (0..3).map(|s| prompt(page_rows, shape.vocab, s)).collect();

@@ -230,11 +230,11 @@ fn reset_all_leaves_live_state_alone() {
     assert_eq!(pool::THREADS.get(), threads);
 
     let before = live();
-    // Deferred demotion queues every page that seals, so the queue-depth
+    // A capped arena queues every page that seals, so the queue-depth
     // gauge is live too.
     let arena = KvArena::new(ArenaConfig {
         page_rows: 4,
-        deferred_demotion: true,
+        capacity_bytes: Some(64 << 20),
         ..ArenaConfig::default()
     });
     let mut session = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);

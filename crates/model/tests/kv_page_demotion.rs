@@ -17,7 +17,7 @@
 //!    demotion quantizes a *subset* of what those modes quantize.
 
 use proptest::prelude::*;
-use tender_model::engine::{DecodeSession, KvCacheMode};
+use tender_model::engine::{drain_demotions, DecodeSession, KvCacheMode};
 use tender_model::{demote_payload, ArenaConfig, KvArena, ModelShape, SyntheticLlm};
 use tender_quant::quantizer::{f16_round, quantize_value};
 use tender_quant::tender::{classify_channels, group_scales};
@@ -237,11 +237,19 @@ proptest! {
                 watermark,
                 ..ArenaConfig::default()
             });
+            // A hand-stepped session is its own engine: it drains at its
+            // own boundaries, after the prefill and after every step.
+            let boundary = || {
+                arena.advance_clock();
+                drain_demotions(&arena, 0);
+            };
             let mut s = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
             s.prefill(&prompt);
+            boundary();
             let mut approx = Matrix::from_fn(1, 1, |_, _| 0.0);
             for &t in &steps {
                 approx = s.step(t).expect("post-demotion step");
+                boundary();
             }
             let stats = arena.stats();
             prop_assert!(

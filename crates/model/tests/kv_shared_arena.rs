@@ -26,7 +26,7 @@ fn concurrent_churn_leaves_no_residue() {
         page_rows: 4,
         capacity_bytes: Some(64 << 20),
         watermark: 1.0,
-        deferred_demotion: true,
+        ..ArenaConfig::default()
     });
     let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
     // A non-page-aligned prefix leaves a shared open tail, so every fork's
@@ -136,7 +136,7 @@ fn pressured_shared_batch_is_run_to_run_deterministic() {
             page_rows: 4,
             capacity_bytes: cap,
             watermark: 0.5,
-            deferred_demotion: true,
+            ..ArenaConfig::default()
         });
         let mut template = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         template.prefill(&prefix);

@@ -114,7 +114,9 @@ pub struct ServeConfig {
     /// Demotion watermark on the shared arena, as a fraction of
     /// `kv_arena_bytes` (`1.0` = demote only at the hard cap). Cold
     /// sealed pages above the mark are requantized by the boundary
-    /// drain, off the per-step critical path.
+    /// drain, off the per-step critical path. Any value runs: at or below
+    /// zero demotes whenever a page is sealed, above one (or NaN) only at
+    /// the hard cap.
     pub kv_watermark: f64,
 }
 
@@ -334,6 +336,19 @@ pub fn kv_admit_bytes(
         + kv_page_bytes(shape, mode, page_rows) * (own_pages as u64 + 1)
 }
 
+/// The arena watermark a configured [`ServeConfig::kv_watermark`] stands
+/// for. The arena asserts a fraction in `(0, 1]`; a library caller may
+/// hand the scheduler anything, and every value must be a run, never a
+/// panic: at or below zero becomes the smallest positive mark, above one
+/// or NaN becomes 1.0.
+fn arena_watermark(configured: f64) -> f64 {
+    if configured.is_nan() {
+        1.0
+    } else {
+        configured.clamp(f64::MIN_POSITIVE, 1.0)
+    }
+}
+
 /// Generates the run's synthetic traffic: a seeded arrival process with
 /// bounded inter-arrival gaps, prompts drawn uniformly from the vocab, and
 /// decode targets in the configured range. Every 8th request deliberately
@@ -501,14 +516,14 @@ impl<'m> Run<'m> {
             cfg.shared_prefix,
             cfg.kv_watermark,
         );
-        // Demotion is deferred: appends only *enqueue* candidates, and the
-        // boundary drain requantizes them in clock order — off the
-        // per-step critical path, independent of slot interleaving.
+        // Appends only *enqueue* demotion candidates; `drain_and_reprice`
+        // requantizes them in clock order — off the per-step critical
+        // path, independent of slot interleaving.
         let arena = KvArena::new(ArenaConfig {
             page_rows: cfg.page_rows.max(1),
             capacity_bytes: (cfg.kv_arena_bytes != u64::MAX).then_some(cfg.kv_arena_bytes),
-            watermark: cfg.kv_watermark.clamp(0.0, 1.0),
-            deferred_demotion: true,
+            watermark: arena_watermark(cfg.kv_watermark),
+            ..ArenaConfig::default()
         });
         let traffic = synthetic_traffic(&cfg, shape);
         // Defensive horizon: admission resolves by the last arrival and
@@ -1114,6 +1129,79 @@ mod tests {
                 "{reason}"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_watermarks_are_runs_not_panics() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let model = tiny();
+        let shape = ModelShape::tiny_test();
+        // What a run decided, minus the header line echoing the config.
+        let run = |watermark: f64| {
+            let mut cfg = ServeConfig::new(6, 9);
+            cfg.page_rows = 4;
+            cfg.kv_arena_bytes = 32 * kv_page_bytes(&shape, cfg.kv_mode, cfg.page_rows);
+            cfg.kv_watermark = watermark;
+            let report = Scheduler::new(&model, cfg).run();
+            assert_eq!((report.completed, report.unresolved), (6, 0));
+            (report.outcomes, report.kv_demoted_pages)
+        };
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {
+            PANICS.fetch_add(1, Ordering::Relaxed);
+        }));
+        // At or below zero is the smallest mark: whatever is sealed goes
+        // down the ladder at the next boundary. NaN and > 1 wait for the cap.
+        let (smallest, at_cap) = (run(f64::MIN_POSITIVE), run(1.0));
+        let low = [0.0, -1.0, f64::NEG_INFINITY].map(run);
+        let high = [f64::NAN, 7.0].map(run);
+        std::panic::set_hook(prev);
+        assert_eq!(PANICS.load(Ordering::Relaxed), 0, "a watermark panicked");
+        assert!(low.iter().all(|r| *r == smallest));
+        assert!(high.iter().all(|r| *r == at_cap));
+        assert!(smallest.1 > 0 && at_cap.1 == 0);
+    }
+
+    #[test]
+    fn uncapped_arena_never_queues() {
+        use tender_metrics::kv_arena::{DEMOTION_QUEUE_DEPTH, DEMOTION_QUEUE_PEAK};
+        use tender_model::engine::BatchEngine;
+        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let model = tiny();
+        let shape = ModelShape::tiny_test();
+        // No cap means no drain could ever pop a candidate, whatever the
+        // watermark says: sealing pages must leave the queue alone.
+        tender_metrics::reset_all();
+        let mut cfg = ServeConfig::new(8, 42);
+        cfg.page_rows = 2;
+        cfg.kv_watermark = 0.25;
+        let report = Scheduler::new(&model, cfg).run();
+        assert_eq!(report.completed, 8);
+        assert_eq!(report.kv_demoted_pages, 0);
+
+        let arena = KvArena::new(ArenaConfig {
+            page_rows: 2,
+            watermark: 0.25,
+            ..ArenaConfig::default()
+        });
+        let sessions = (0..3)
+            .map(|_| DecodeSession::with_arena(&model, KvCacheMode::F32, &arena))
+            .collect();
+        let prompts: Vec<Vec<usize>> = (0..3)
+            .map(|s| (0..6).map(|i| (i * 5 + s) % shape.vocab).collect())
+            .collect();
+        let mut engine = BatchEngine::new(sessions);
+        let outs = engine.generate_greedy(&prompts, 6).expect("three prompts");
+        assert!(outs.iter().all(|o| o.len() == 6));
+        assert!(
+            arena.stats().pages_total() > 3 * 2,
+            "pages must have sealed"
+        );
+        assert_eq!(arena.demotion_queue_len(), 0);
+        assert_eq!(DEMOTION_QUEUE_PEAK.get(), 0, "an uncapped arena queued");
+        assert_eq!(DEMOTION_QUEUE_DEPTH.get(), 0);
     }
 
     #[test]

@@ -36,15 +36,17 @@
 //!   with a typed [`EvictError`] (the caller demotes cold pages and retries
 //!   before giving up), and a configurable high-watermark fraction below
 //!   the cap at which callers start demoting proactively.
-//! * **The demotion queue.** Under `deferred_demotion`, callers enqueue
-//!   cold-page candidates keyed by a logical ([`DemoteKey`]) clock instead
-//!   of requantizing on the appending thread; a drain at a deterministic
-//!   iteration boundary pops candidates in key order — which is
-//!   independent of *enqueue* interleaving — and requantizes off the
-//!   decode critical path. Queue entries are non-owning ([`QueuedPage`]):
-//!   being queued must not keep a page alive nor make it look shared, and
-//!   a page whose last owner dropped while it was queued simply fails to
-//!   upgrade at drain time.
+//! * **The demotion queue.** On a capped arena, callers enqueue each page
+//!   that seals as a cold-page candidate keyed by a logical ([`DemoteKey`])
+//!   clock; nothing is requantized on the appending thread short of the
+//!   hard cap. A drain at a deterministic iteration boundary pops
+//!   candidates in key order — which is independent of *enqueue*
+//!   interleaving — and requantizes off the decode critical path. Queue
+//!   entries are non-owning ([`QueuedPage`]): being queued must not keep a
+//!   page alive nor make it look shared, and a page whose last owner
+//!   dropped while it was queued simply fails to upgrade at drain time.
+//!   An uncapped arena is never over its watermark nor short of headroom,
+//!   so no drain would ever pop its queue — and nothing is queued on it.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -61,14 +63,34 @@ use crate::{Matrix, QuantRows};
 /// Default page height: cached positions per page.
 pub const DEFAULT_PAGE_ROWS: usize = 16;
 
-/// Storage precision tier of one page — the demotion ladder, in order.
+/// Bytes of one frozen group scale (`f32`) in a page's snapshot.
+const SCALE_BYTES: u64 = 4;
+
+/// Storage precision of cached K/V rows: the tier a page is stored at, the
+/// mode a cache appends in (`KvCacheMode` is this type), and the demotion
+/// ladder, in order.
+///
+/// Byte accounting (per cached position, per head, per K or V plane):
+///
+/// | tier | payload                                  | per-plane constants |
+/// |------|------------------------------------------|---------------------|
+/// | f32  | `4 × head_dim`                           | none                |
+/// | int8 | `head_dim`                               | `TMax` (4) + f16 bias (`2 × head_dim`) |
+/// | int4 | `⌈head_dim/2⌉ + `⌈head_dim/4⌉` (2-bit group indices) | same |
+///
+/// Each quantized page additionally carries its frozen group-scale
+/// snapshot (4 bytes per group); demoted pages also carry a page-local
+/// bias/`TMax` (they re-derive both from their own rows), billed at the
+/// per-plane rate. The bias is kept at f16 precision (values are rounded
+/// through `f16_round`) and counted at two bytes per channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PageTier {
     /// Exact f32 rows (the bit-parity tier).
     F32,
-    /// INT8 codes, one group.
+    /// INT8 per-head symmetric codes, one group.
     Int8,
-    /// INT4 codes with packed 2-bit group indices — the demotion floor.
+    /// INT4 codes in four power-of-two groups (Tender Eq. 3) with packed
+    /// 2-bit group indices — the demotion floor.
     Int4,
 }
 
@@ -94,6 +116,16 @@ impl PageTier {
         }
     }
 
+    /// Parses a CLI spelling (`f32` / `int8` / `int4`, case-insensitive).
+    pub fn parse(name: &str) -> Option<Self> {
+        match name.to_ascii_lowercase().as_str() {
+            "f32" | "fp32" => Some(Self::F32),
+            "int8" => Some(Self::Int8),
+            "int4" => Some(Self::Int4),
+            _ => None,
+        }
+    }
+
     /// The next-lower tier, or `None` at the int4 floor.
     pub fn demoted(self) -> Option<PageTier> {
         match self {
@@ -101,6 +133,52 @@ impl PageTier {
             Self::Int8 => Some(Self::Int4),
             Self::Int4 => None,
         }
+    }
+
+    /// Element width in bits.
+    pub fn bits(self) -> u32 {
+        match self {
+            Self::F32 => 32,
+            Self::Int8 => 8,
+            Self::Int4 => 4,
+        }
+    }
+
+    /// Power-of-two decomposition groups (1 = plain symmetric).
+    pub fn num_groups(self) -> usize {
+        match self {
+            Self::F32 | Self::Int8 => 1,
+            Self::Int4 => 4,
+        }
+    }
+
+    /// Stored bytes per cached position, per head, per K or V plane.
+    pub fn position_bytes(self, head_dim: usize) -> u64 {
+        match self {
+            Self::F32 => 4 * head_dim as u64,
+            Self::Int8 | Self::Int4 => {
+                QuantRows::packed_row_bytes(head_dim, self.bits(), self.num_groups() > 1) as u64
+            }
+        }
+    }
+
+    /// Calibration constants of one quantized K or V plane (`TMax` plus the
+    /// f16 bias) — which a demoted page carries for itself.
+    pub fn head_overhead_bytes(self, head_dim: usize) -> u64 {
+        match self {
+            Self::F32 => 0,
+            Self::Int8 | Self::Int4 => 4 + 2 * head_dim as u64,
+        }
+    }
+
+    /// Allocated bytes of one empty page appended at this tier: the full
+    /// page of rows plus (quantized tiers) the group-scale snapshot.
+    pub fn page_alloc_bytes(self, head_dim: usize, page_rows: usize) -> u64 {
+        let snapshot = match self {
+            Self::F32 => 0,
+            Self::Int8 | Self::Int4 => SCALE_BYTES * self.num_groups() as u64,
+        };
+        page_rows as u64 * self.position_bytes(head_dim) + snapshot
     }
 }
 
@@ -168,32 +246,33 @@ impl PagePayload {
     /// Bytes the stored rows occupy, including the page's own quantization
     /// metadata (scale snapshot; bias + `TMax` too when page-local).
     pub fn resident_bytes(&self) -> u64 {
-        match self {
-            Self::F32(m) => (m.rows() * m.cols() * 4) as u64,
-            Self::Quant(q) => q.rows.resident_bytes() + Self::quant_meta_bytes(q),
-        }
+        self.rows() as u64 * self.row_bytes() + self.meta_bytes()
     }
 
     /// Bytes a full page of `page_rows` positions occupies at this tier
     /// (the arena's allocation-granularity unit).
     pub fn allocated_bytes(&self, page_rows: usize) -> u64 {
+        page_rows as u64 * self.row_bytes() + self.meta_bytes()
+    }
+
+    /// Bytes of one stored row.
+    fn row_bytes(&self) -> u64 {
         match self {
-            Self::F32(m) => (page_rows * m.cols() * 4) as u64,
-            Self::Quant(q) => {
-                (page_rows * q.rows.bytes_per_row()) as u64 + Self::quant_meta_bytes(q)
-            }
+            Self::F32(m) => PageTier::F32.position_bytes(m.cols()),
+            Self::Quant(q) => q.rows.bytes_per_row() as u64,
         }
     }
 
-    /// Scale snapshot (4 bytes per group) plus, for demoted pages, the
-    /// page-local `TMax` (4) and f16 bias (2 per channel) — the same
-    /// metadata rates `KvCacheMode::head_overhead_bytes` charges per plane.
-    fn quant_meta_bytes(q: &QuantPage) -> u64 {
-        let mut b = (q.scales.len() * 4) as u64;
-        if q.page_local {
-            b += 4 + 2 * q.rows.cols() as u64;
-        }
-        b
+    /// The page's own quantization metadata: its scale snapshot plus, for
+    /// a demoted page, the plane constants it carries for itself.
+    fn meta_bytes(&self) -> u64 {
+        let Self::Quant(q) = self else { return 0 };
+        let own_constants = if q.page_local {
+            self.tier().head_overhead_bytes(q.rows.cols())
+        } else {
+            0
+        };
+        SCALE_BYTES * q.scales.len() as u64 + own_constants
     }
 }
 
@@ -204,12 +283,15 @@ pub struct ArenaConfig {
     pub page_rows: usize,
     /// Hard cap on total allocated bytes (`None` = unbounded).
     pub capacity_bytes: Option<u64>,
-    /// High-watermark fraction of the capacity at which callers start
-    /// demoting cold pages (1.0 = only demote when allocation fails).
+    /// High-watermark fraction of the capacity above which the boundary
+    /// drain demotes cold pages (1.0 = only demote when allocation fails).
+    /// Appends never act on it: whoever steps sessions on a capped arena
+    /// by hand, outside `BatchEngine` and the scheduler, must drain at its
+    /// own boundaries (`advance_clock`, then `drain_demotions`).
     pub watermark: f64,
-    /// When set, watermark pressure *enqueues* demotion candidates on the
-    /// arena's clock-keyed queue instead of requantizing on the appending
-    /// thread; the owner drains the queue at iteration boundaries.
+    /// Ignored. Watermark pressure is always queued for the boundary
+    /// drain; the field survives only for the struct literals of the
+    /// frozen `benchmark/` package (ROADMAP item 5).
     pub deferred_demotion: bool,
 }
 
@@ -662,12 +744,6 @@ impl KvArena {
         self.shared.cfg.page_rows
     }
 
-    /// Whether watermark pressure is handled by the clock-keyed demotion
-    /// queue (enqueue + boundary drain) instead of evict-on-append.
-    pub fn deferred_demotion(&self) -> bool {
-        self.shared.cfg.deferred_demotion
-    }
-
     /// Whether two handles refer to the same arena.
     pub fn same_arena(&self, other: &KvArena) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
@@ -818,7 +894,13 @@ impl KvArena {
     /// queue is keyed, not ordered by arrival, so concurrent enqueues from
     /// `par_map` workers land in the same drain order regardless of
     /// interleaving. Re-enqueueing an existing key replaces the entry.
+    /// Callers enqueue on capped arenas only: no drain pops an uncapped
+    /// arena's queue.
     pub fn enqueue_demotion(&self, key: DemoteKey, page: QueuedPage, tier: PageTier) {
+        debug_assert!(
+            self.shared.cfg.capacity_bytes.is_some(),
+            "queued a demotion on an uncapped arena, where no drain can reach it"
+        );
         let mut queue = self.shared.queue();
         if queue.insert(key, (page, tier)).is_none() {
             metrics::DEMOTION_QUEUE_DEPTH.add(1);
@@ -1153,6 +1235,7 @@ mod tests {
     fn demotion_queue_drains_in_clock_order_not_arrival_order() {
         let arena = KvArena::new(ArenaConfig {
             page_rows: 2,
+            capacity_bytes: Some(1 << 20),
             ..ArenaConfig::default()
         });
         let a = arena.alloc(f32_page(2, 4, 1.0)).unwrap();

@@ -160,16 +160,6 @@ pub fn silu(m: &Matrix) -> Matrix {
     m.map(|x| x / (1.0 + (-x).exp()))
 }
 
-/// Adds a row vector `bias` to every row of `m`.
-///
-/// # Panics
-///
-/// Panics if `bias.len() != m.cols()`.
-pub fn add_bias(m: &Matrix, bias: &[f32]) -> Matrix {
-    assert_eq!(bias.len(), m.cols(), "add_bias length mismatch");
-    Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)] + bias[c])
-}
-
 /// Applies a causal mask in place: positions `c > r` are set to `-inf`.
 ///
 /// Used on attention scores before softmax so a token cannot attend to the
@@ -364,14 +354,6 @@ mod tests {
         let s = silu(&m);
         assert!(s[(0, 0)].abs() < 1e-7);
         assert!((s[(0, 1)] - 100.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn add_bias_broadcasts() {
-        let m = Matrix::zeros(2, 3);
-        let out = add_bias(&m, &[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(out.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -106,12 +106,24 @@ impl QuantRows {
 
     /// Packed value bytes per row.
     fn val_row_bytes(&self) -> usize {
-        (self.cols * self.bits as usize).div_ceil(8)
+        Self::packed_row_bytes(self.cols, self.bits, false)
     }
 
     /// Packed group-index bytes per row.
     fn group_row_bytes(cols: usize) -> usize {
         (cols * GROUP_INDEX_BITS).div_ceil(8)
+    }
+
+    /// Packed bytes of one `cols`-wide row of `bits`-bit values (plus the
+    /// 2-bit group indices when `grouped`) — the storage format's row
+    /// size, for byte accounting that has no store in hand.
+    pub fn packed_row_bytes(cols: usize, bits: u32, grouped: bool) -> usize {
+        (cols * bits as usize).div_ceil(8)
+            + if grouped {
+                Self::group_row_bytes(cols)
+            } else {
+                0
+            }
     }
 
     /// Stored rows.
@@ -144,26 +156,9 @@ impl QuantRows {
         self.vals.capacity() / self.val_row_bytes()
     }
 
-    /// Bytes occupied by the `rows` stored rows (values + group indices).
-    pub fn resident_bytes(&self) -> u64 {
-        (self.rows * self.bytes_per_row()) as u64
-    }
-
-    /// Bytes the allocation could hold at [`row_capacity`] rows.
-    ///
-    /// [`row_capacity`]: QuantRows::row_capacity
-    pub fn allocated_bytes(&self) -> u64 {
-        (self.row_capacity() * self.bytes_per_row()) as u64
-    }
-
     /// Packed bytes per stored row (values plus group indices, if any).
     pub fn bytes_per_row(&self) -> usize {
-        self.val_row_bytes()
-            + if self.groups.is_some() {
-                Self::group_row_bytes(self.cols)
-            } else {
-                0
-            }
+        Self::packed_row_bytes(self.cols, self.bits, self.groups.is_some())
     }
 
     /// Appends one row of quantized values (and, in grouped mode, their
@@ -489,7 +484,6 @@ mod tests {
         assert_eq!(s.get(0, 2), (127, 0));
         assert_eq!(s.get(1, 1), (-5, 0));
         assert_eq!(s.bytes_per_row(), 3);
-        assert_eq!(s.resident_bytes(), 6);
     }
 
     #[test]
@@ -514,7 +508,6 @@ mod tests {
         }
         assert_eq!(s.rows(), 5);
         assert!(s.row_capacity() >= 5, "push past capacity must grow");
-        assert!(s.allocated_bytes() >= s.resident_bytes());
     }
 
     #[test]
