@@ -1,26 +1,34 @@
 //! Read-path A/B tripwire: integer-domain attention over the packed KV
-//! codes must beat legacy dequantize-on-read at cache length 192 — by
+//! codes must beat the gathered dequantize-on-read at cache length 192 — by
 //! ≥1.2× on an INT8 cache and ≥1.5× on an INT4 one (the mode the
 //! `decode_ctx` benchmark workload runs; ROADMAP item 1's standing rule
 //! asks ≥2.5× of the committed snapshot, this gate sits below it to absorb
-//! a noisy CI box). The integer path is the engine default, so if it ever
-//! slips back to parity with the path it replaced, it is dead weight and
-//! this test says so.
+//! a noisy CI box) — and the in-place read of an f32-mode cache must beat
+//! the gathered read by ≥1.2×, all-f32 and with demoted pages under an f32
+//! tail (the `serve_pressure` shape). The in-place reads are the engine
+//! default, so if one ever slips back to parity with the path it replaced,
+//! it is dead weight and this test says so.
 //!
 //! Timing is min-of-N over interleaved runs (min is robust to scheduler
 //! noise; interleaving cancels thermal drift), measuring one layer's worth
 //! of per-head score + value reads — the part the two paths actually
 //! disagree on; a full decode step would dilute the gap with projection
 //! GEMMs. The assertion only runs in optimized builds; debug runs still
-//! execute both paths and cross-check the integer scores against the
-//! dequantized plane, keeping the test meaningful under plain
-//! `cargo test`.
+//! execute both paths and cross-check them (the integer scores within the
+//! 8-bit rounding of the operands, the f32 read bit for bit), keeping the
+//! test meaningful under plain `cargo test`.
 
 use std::time::{Duration, Instant};
 
-use tender_model::engine::{DecodeSession, KvCache, KvCacheMode};
-use tender_model::{ModelShape, SyntheticLlm};
-use tender_tensor::{ops, Matrix};
+use tender_model::engine::{DecodeSession, KvCacheMode};
+use tender_model::SyntheticLlm;
+use tender_tensor::{ops, Matrix, PageTier};
+
+#[path = "support/kv_read.rs"]
+mod support;
+use support::{
+    bench_shape, f32_cache, read_dequant, read_f32_inplace, read_integer, read_operands,
+};
 
 /// Min-of-N wall time of `f`.
 fn min_time<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
@@ -34,47 +42,67 @@ fn min_time<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
         .expect("n > 0")
 }
 
-/// One layer's worth of integer-domain reads (all heads, score + value).
-fn read_integer(cache: &KvCache, heads: usize, qh: &[f32], probs: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for head in 0..heads {
-        let scores = cache.attn_scores_quant(0, head, qh).expect("quant plane");
-        let attn = cache
-            .attn_values_quant(0, head, probs)
-            .expect("quant plane");
-        acc += scores[(0, 0)] + attn[(0, 0)];
-    }
-    acc
-}
-
-/// The legacy equivalent: dequantize each plane, then the f32 products.
-fn read_dequant(cache: &KvCache, heads: usize, qh: &Matrix, probs: &Matrix) -> f32 {
-    let mut acc = 0.0f32;
-    for head in 0..heads {
-        let k = cache.head_k(0, head);
-        let scores = ops::row_dot_nt(qh, &k);
-        let v = cache.head_v(0, head);
-        let attn = probs.matmul(&v).expect("1×len · len×dh");
-        acc += scores[(0, 0)] + attn[(0, 0)];
-    }
-    acc
-}
-
 #[test]
 fn integer_read_path_beats_dequantize_on_read() {
     // One test, modes in sequence: two timing loops must not share the box.
     for (mode, min_speedup) in [(KvCacheMode::Int8, 1.2), (KvCacheMode::Int4, 1.5)] {
         check_mode(mode, min_speedup);
     }
+    check_f32("f32", &[PageTier::F32], 1.2);
+    check_f32(
+        "f32mixed",
+        &[PageTier::Int4, PageTier::Int8, PageTier::F32],
+        1.2,
+    );
+}
+
+const CACHE_LEN: usize = 192;
+
+/// The in-place read of an f32-mode cache whose runs (oldest first) the
+/// drain took down to `floors`.
+fn check_f32(label: &str, floors: &[PageTier], min_speedup: f64) {
+    let shape = bench_shape();
+    let mut cache = f32_cache(&shape, CACHE_LEN, floors);
+
+    let (qh, probs) = read_operands(shape.head_dim(), CACHE_LEN);
+    let qh_m = Matrix::from_vec(1, qh.len(), qh.clone()).expect("query row");
+    let probs_m = Matrix::from_vec(1, CACHE_LEN, probs.clone()).expect("probs row");
+
+    // Identity first, and here it is exact: same pages, same chains.
+    let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+    for head in 0..shape.heads {
+        let scores = cache.attn_scores_f32(0, head, &qh).expect("f32 cache");
+        let gathered = ops::row_dot_nt(&qh_m, &cache.head_k(0, head));
+        assert_eq!(bits(&scores), bits(&gathered), "{label} head {head} scores");
+        let attn = cache.attn_values_f32(0, head, &probs).expect("f32 cache");
+        let gathered = probs_m
+            .matmul(&cache.head_v(0, head))
+            .expect("1×len · len×dh");
+        assert_eq!(bits(&attn), bits(&gathered), "{label} head {head} values");
+    }
+
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: {label} identity checked, timing assertion skipped");
+        return;
+    }
+
+    let heads = shape.heads;
+    let in_place_t = min_time(30, || read_f32_inplace(&mut cache, heads, &qh, &probs));
+    let gather_t = min_time(30, || read_dequant(&cache, heads, &qh_m, &probs_m));
+    let speedup = gather_t.as_secs_f64() / in_place_t.as_secs_f64();
+    eprintln!(
+        "{label} @ len {CACHE_LEN}: in place {in_place_t:?} vs gathered {gather_t:?} ({speedup:.2}x)"
+    );
+    assert!(
+        speedup >= min_speedup,
+        "{label} in-place read is only {speedup:.2}x the gathered read at len {CACHE_LEN} \
+         (gate {min_speedup}x)"
+    );
 }
 
 fn check_mode(mode: KvCacheMode, min_speedup: f64) {
-    let mut shape = ModelShape::tiny_test();
-    shape.d_model = 128;
-    shape.ffn_dim = 256;
-    shape.heads = 8;
-    shape.max_seq = 256;
-    let cache_len = 192usize;
+    let shape = bench_shape();
+    let cache_len = CACHE_LEN;
     let dh = shape.head_dim();
 
     let model = SyntheticLlm::generate(&shape, 41);
@@ -86,14 +114,7 @@ fn check_mode(mode: KvCacheMode, min_speedup: f64) {
     session.prefill(&prompt);
     let cache = session.cache();
 
-    let qh: Vec<f32> = (0..dh)
-        .map(|i| ((i * 13 + 5) % 17) as f32 / 8.0 - 1.0)
-        .collect();
-    let raw: Vec<f32> = (0..cache_len)
-        .map(|j| 1.0 + ((j * 7 + 3) % 11) as f32)
-        .collect();
-    let total: f32 = raw.iter().sum();
-    let probs: Vec<f32> = raw.into_iter().map(|p| p / total).collect();
+    let (qh, probs) = read_operands(dh, cache_len);
     let qh_m = Matrix::from_vec(1, dh, qh.clone()).expect("query row");
     let probs_m = Matrix::from_vec(1, cache_len, probs.clone()).expect("probs row");
 

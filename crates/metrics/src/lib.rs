@@ -620,6 +620,13 @@ metrics_table! {
         /// of `DECODE_MACS`, cross-checked against the simulator's
         /// `kv_int_dot_macs` model).
         KV_INT_DOT_MACS: Counter,
+        /// f32 pages the in-place read of an f32-mode cache dotted where they
+        /// lie (no copy).
+        KV_F32_PAGE_READS: Counter,
+        /// Demoted (int8 / int4) pages that read dequantized into its
+        /// page-sized scratch — with `KV_F32_PAGE_READS`, how much of a run's
+        /// f32-mode attention re-dequantized demoted pages.
+        KV_DEQUANT_PAGE_READS: Counter,
         /// Greedy rollouts truncated at a `StepError` (typically the context
         /// window) instead of completing their requested step budget.
         DECODE_TRUNCATED: Counter,

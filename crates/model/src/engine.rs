@@ -39,26 +39,30 @@
 //! sealed pages keep the scale snapshot they were written under, which is
 //! self-consistent and strictly more accurate than reshifting them.
 //!
-//! **Read paths.** Quantized planes are *read* in the integer domain by
-//! default ([`KvReadPath::Integer`]): decode attention quantizes the query
-//! (and attention-probability) row to 8-bit codes and dots it against the
-//! packed K/V codes page by page: a page is decoded once into codes
+//! **Read paths.** By default the cache is read in place, page by page,
+//! never materializing a `len × head_dim` plane. Quantized planes are read
+//! in the integer domain ([`KvReadPath::Integer`]): decode attention
+//! quantizes the query (and attention-probability) row to 8-bit codes and
+//! dots it against the packed K/V codes; a page is decoded once into codes
 //! pre-shifted by their group's α = 2 combine weight, so each dot is one
-//! `i32` accumulator and one application of the page's scale — never
-//! materializing an f32 plane. The
-//! [`KvReadPath::Dequant`] path (gather the dequantized plane, then run f32
-//! attention) is the f32 read and the oracle the integer path is tested
-//! against. Either way decode stays bit-deterministic at any thread count;
-//! the two read paths are numerically close but not bit-equal (the integer
-//! path rounds the query/probability rows).
+//! `i32` accumulator and one application of the page's scale. f32-mode
+//! planes are dotted where their pages lie; a page the arena demoted under
+//! them is dequantized into page-sized scratch by the same shift and one
+//! multiply by its smallest scale. The [`KvReadPath::Dequant`] path (gather
+//! the dequantized plane, then run f32 attention) is the oracle both
+//! in-place reads are tested against: bit-identical to the default on an
+//! f32-mode cache, numerically close but not bit-equal on a quantized one
+//! (the integer path rounds the query/probability rows). Either way decode
+//! stays bit-deterministic at any thread count.
 //!
 //! **Parity guarantee.** In `f32` mode with an unbounded arena,
 //! `prefill(&t[..n]); step(t[n]); …; step(t[m-1])` produces logits
 //! bit-identical to the last row of a full-sequence `forward(&t[..m])` for
 //! every row-independent scheme (reference, FP32, FP16, integer
 //! granularities, Tender implicit/explicit), at any thread count: f32 pages
-//! store the exact appended rows and the gathered read concatenates them in
-//! order, so paging is invisible to the numerics. Forked sessions inherit
+//! store the exact appended rows and the read walks them in position order
+//! on the f32 matmul's own accumulation chains, so paging is invisible to
+//! the numerics. Forked sessions inherit
 //! the guarantee — a CoW copy is byte-identical to the page it replaces.
 //! Quantized cache modes (and capacity-forced demotion) trade bit-parity
 //! for footprint by design; they remain bit-deterministic for a fixed mode

@@ -1,5 +1,7 @@
 //! [`KvCache`]: per-layer, per-head K/V page lists over a [`KvArena`] —
-//! append, copy-on-write fork, own-page demotion, and the two read paths.
+//! append, copy-on-write fork, own-page demotion, the in-place reads
+//! (integer-domain for quantized modes, page-by-page f32 for f32 mode) and
+//! the gathered read they are tested against.
 
 use tender_metrics::engine as metrics;
 use tender_tensor::qrows::MAX_PACKED_GROUPS;
@@ -7,8 +9,8 @@ use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayl
 
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
 use super::quant::{
-    combine_groups, decode_rows, demote_if_smaller, quantize_act, record_dot_metrics, PlaneQuant,
-    RowScratch,
+    combine_groups, decode_rows, demote_if_smaller, dequant_page_into, quantize_act,
+    record_dot_metrics, PlaneQuant, RowScratch,
 };
 use crate::shape::ModelShape;
 
@@ -40,6 +42,45 @@ impl Plane {
         let tail = self.pages.last()?;
         (self.len < self.pages.len() * page_rows).then_some(tail)
     }
+
+    /// The f32 read of an f32-mode plane, page by page and in place: hands
+    /// each page's rows (row-major, `rows · head_dim`) to `f` with the
+    /// position of its first row, in position order. An f32 page is read
+    /// where it lies; a demoted page is dequantized into `scratch` first
+    /// ([`dequant_page_into`]). Either way `f` sees the bits
+    /// [`KvCache::gather`] would have copied.
+    fn for_each_page_f32(&self, scratch: &mut PageScratch, mut f: impl FnMut(usize, &[f32])) {
+        let (mut in_place, mut dequantized) = (0u64, 0u64);
+        let mut off = 0usize;
+        for page in &self.pages {
+            let payload = page.read();
+            off += match &*payload {
+                PagePayload::F32(m) => {
+                    in_place += 1;
+                    f(off, m.as_slice());
+                    m.rows()
+                }
+                PagePayload::Quant(q) => {
+                    dequantized += 1;
+                    dequant_page_into(q, &mut scratch.codes, &mut scratch.rows);
+                    f(off, &scratch.rows);
+                    q.rows.rows()
+                }
+            };
+        }
+        debug_assert_eq!(off, self.len, "pages hold the plane's positions");
+        metrics::KV_F32_PAGE_READS.add(in_place);
+        metrics::KV_DEQUANT_PAGE_READS.add(dequantized);
+    }
+}
+
+/// Page-sized buffers of the in-place f32 read: a demoted page's
+/// pre-shifted codes and its dequantized rows. Nothing in them outlives one
+/// page.
+#[derive(Debug, Clone, Default)]
+struct PageScratch {
+    codes: Vec<i16>,
+    rows: Vec<f32>,
 }
 
 /// Session-local per-tier page accounting (this cache's own view: a page
@@ -78,8 +119,8 @@ impl KvTierStats {
 /// Each (layer, head) pair owns two page-list planes built by row appends;
 /// all `layers × heads` pairs always hold the same number of positions.
 /// Storage precision is chosen by [`KvCacheMode`]; quantized planes
-/// quantize at append and are read either in the integer domain or by
-/// gathering a dequantized matrix.
+/// quantize at append. Every mode is read page by page in place (or, under
+/// [`KvReadPath::Dequant`], by gathering a dequantized matrix).
 ///
 /// **Growth policy.** The cache grows page by page with no sequence limit
 /// of its own — the *model's* positional limit (`max_seq` rows of
@@ -118,6 +159,9 @@ pub struct KvCache {
     /// The row encoder's buffers, reused by every quantized append so a
     /// row costs no allocation. Nothing in them outlives one row.
     scratch: RowScratch,
+    /// The in-place f32 read's buffers, reused by every demoted page it
+    /// meets.
+    page_scratch: PageScratch,
 }
 
 impl KvCache {
@@ -141,6 +185,7 @@ impl KvCache {
             owner: arena.register_owner(),
             planes: (0..planes).map(|_| Plane::new(mode)).collect(),
             scratch: RowScratch::default(),
+            page_scratch: PageScratch::default(),
         };
         cache.publish_overhead(true);
         cache
@@ -465,10 +510,13 @@ impl KvCache {
         false
     }
 
-    /// Selects how quantized planes are read (the integer path by
-    /// default; [`KvReadPath::Dequant`] gathers the dequantized plane and
-    /// runs f32 attention). No-op for `f32` caches, which have a single
-    /// exact path.
+    /// Selects how the cache is read during decode attention: in place by
+    /// default (quantized planes in the integer domain, f32-mode planes
+    /// through [`KvCache::attn_scores_f32`] / [`KvCache::attn_values_f32`]);
+    /// under [`KvReadPath::Dequant`] every plane is gathered into a
+    /// dequantized matrix first ([`KvCache::head_k`] / [`KvCache::head_v`])
+    /// — the oracle both in-place reads are tested against, bit-identical
+    /// to the default on an f32-mode cache.
     pub fn set_read_path(&mut self, path: KvReadPath) {
         self.read_path = path;
     }
@@ -485,10 +533,10 @@ impl KvCache {
     }
 
     /// Cached keys for `(li, head)`: a `len × head_dim` matrix gathered
-    /// from the plane's page list (exact rows in `f32` mode; dequantized
-    /// under each page's frozen snapshot otherwise — the
-    /// [`KvReadPath::Dequant`] read: integer-path decode attention uses
-    /// [`KvCache::attn_scores_quant`] instead).
+    /// from the plane's page list (exact rows from f32 pages, dequantized
+    /// under each page's frozen snapshot otherwise). This is the
+    /// [`KvReadPath::Dequant`] read; default-path decode attention uses
+    /// [`KvCache::attn_scores_quant`] or [`KvCache::attn_scores_f32`].
     pub fn head_k(&self, li: usize, head: usize) -> Matrix {
         self.gather(&self.planes[self.k_plane(li, head)])
     }
@@ -497,6 +545,96 @@ impl KvCache {
     /// from the plane's page list. Same contract as [`KvCache::head_k`].
     pub fn head_v(&self, li: usize, head: usize) -> Matrix {
         self.gather(&self.planes[self.v_plane(li, head)])
+    }
+
+    /// Whether this cache takes the in-place f32 read.
+    fn reads_f32_in_place(&self) -> bool {
+        self.read_path == KvReadPath::Integer && self.mode == KvCacheMode::F32
+    }
+
+    /// Attention scores of the (already scaled) query row `qh` against the
+    /// cached K plane of `(li, head)` of an **f32-mode** cache: a `1 × len`
+    /// row computed page by page where the pages lie — no `len × head_dim`
+    /// plane is built. The rows of a page advance together, `k` outermost,
+    /// so the page's dots are independent accumulation chains in flight at
+    /// once; per output element the chain is [`ops::row_dot_nt`]'s (`k`
+    /// ascending, zeros of `qh` skipped, one f32 accumulator), so the row is
+    /// bit-identical to `row_dot_nt(qh, head_k(li, head))`.
+    ///
+    /// Returns `None` when the cache mode is quantized or the read path is
+    /// [`KvReadPath::Dequant`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an in-place f32 cache if `qh` is not `head_dim` wide.
+    ///
+    /// [`ops::row_dot_nt`]: tender_tensor::ops::row_dot_nt
+    pub fn attn_scores_f32(&mut self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
+        if !self.reads_f32_in_place() {
+            return None;
+        }
+        let dh = self.head_dim;
+        assert_eq!(
+            qh.len(),
+            dh,
+            "query row for (layer {li}, head {head}) is {} wide, head_dim is {dh}",
+            qh.len()
+        );
+        let plane = &self.planes[self.k_plane(li, head)];
+        let mut out = vec![0.0f32; plane.len];
+        plane.for_each_page_f32(&mut self.page_scratch, |off, rows| {
+            let accs = &mut out[off..off + rows.len() / dh];
+            for (k, &x) in qh.iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (acc, row) in accs.iter_mut().zip(rows.chunks_exact(dh)) {
+                    *acc += x * row[k];
+                }
+            }
+        });
+        let len = out.len();
+        Some(Matrix::from_vec(1, len, out).expect("score row shape"))
+    }
+
+    /// Attention-value product of the probability row `probs` (length
+    /// `len`) against the cached V plane of `(li, head)` of an **f32-mode**
+    /// cache: a `1 × head_dim` row accumulated over the pages in position
+    /// order, where they lie. Per output column the chain is the f32
+    /// matmul's (positions ascending, zero probabilities skipped, one f32
+    /// accumulator), so the row is bit-identical to
+    /// `probs.matmul(head_v(li, head))`. Same `None` contract as
+    /// [`KvCache::attn_scores_f32`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an in-place f32 cache if `probs` does not hold one
+    /// probability per cached position.
+    pub fn attn_values_f32(&mut self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
+        if !self.reads_f32_in_place() {
+            return None;
+        }
+        let dh = self.head_dim;
+        let plane = &self.planes[self.v_plane(li, head)];
+        assert_eq!(
+            probs.len(),
+            plane.len,
+            "probability row for (layer {li}, head {head}) is {} wide, the plane caches {} positions",
+            probs.len(),
+            plane.len
+        );
+        let mut out = vec![0.0f32; dh];
+        plane.for_each_page_f32(&mut self.page_scratch, |off, rows| {
+            for (&p, row) in probs[off..].iter().zip(rows.chunks_exact(dh)) {
+                if p == 0.0 {
+                    continue;
+                }
+                for (o, &v) in out.iter_mut().zip(row) {
+                    *o += p * v;
+                }
+            }
+        });
+        Some(Matrix::from_vec(1, dh, out).expect("attn row shape"))
     }
 
     /// Integer-domain attention scores of the (already scaled) query row
@@ -671,6 +809,7 @@ impl Clone for KvCache {
             owner: self.arena.register_owner(),
             planes: self.planes.clone(),
             scratch: RowScratch::default(),
+            page_scratch: PageScratch::default(),
         };
         cache.publish_overhead(true);
         cache

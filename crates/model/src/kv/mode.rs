@@ -14,17 +14,18 @@ pub(crate) const ALPHA: u32 = 2;
 /// activation datapath).
 pub(crate) const KV_ACT_BITS: u32 = 8;
 
-/// How quantized cache planes are read during decode attention.
+/// How cache planes are read during decode attention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KvReadPath {
-    /// Dot the packed codes directly: each page decoded once into codes
-    /// that carry their group's α = 2 combine weight, one integer
-    /// accumulator and one scale application per dot (the fast path).
+    /// In place, page by page. Quantized planes dot the packed codes
+    /// directly: each page decoded once into codes that carry their group's
+    /// α = 2 combine weight, one integer accumulator and one scale
+    /// application per dot. f32-mode planes dot the pages where they lie.
     #[default]
     Integer,
-    /// Dequantize-on-read: materialize the f32 plane, then run the
-    /// ordinary f32 attention product. The f32 read path, and the oracle
-    /// the integer path is tested against.
+    /// Gather-on-read: materialize the (dequantized) f32 plane, then run
+    /// the ordinary f32 attention product — the oracle both in-place reads
+    /// are tested against.
     Dequant,
 }
 

@@ -1,8 +1,10 @@
 //! The KV row codec: one encoder and one decoder, shared by the append
 //! path ([`PlaneQuant`]) and the demotion path ([`demote_payload`]), so a
 //! demoted page equals the same rows quantized from scratch by
-//! construction. Also the activation-side helpers of the integer read
-//! path.
+//! construction. The decoder is defined row by row ([`decode_rows`]) and
+//! run page by page ([`dequant_page_into`]: the groups' power-of-two
+//! spacing folded into the codes as a shift, one multiply by the smallest
+//! scale). Also the activation-side helpers of the integer read path.
 //!
 //! Both quantizing directions — rows into the cache ([`encode_row`]) and
 //! query / probability rows against it ([`quantize_act`]) — produce their
@@ -136,7 +138,9 @@ fn encode_row(
 
 /// The row decoder: hands every stored row of a page to `sink` as f32 —
 /// exact for an f32 page, dequantized under the page's own frozen scale
-/// snapshot for a quantized one.
+/// snapshot for a quantized one. This is the definition of a stored row's
+/// value: the gathered read uses it, and [`dequant_page_into`] is tested
+/// against it and falls back to it.
 pub(super) fn decode_rows(payload: &PagePayload, mut sink: impl FnMut(&[f32])) {
     match payload {
         PagePayload::F32(m) => {
@@ -144,18 +148,64 @@ pub(super) fn decode_rows(payload: &PagePayload, mut sink: impl FnMut(&[f32])) {
                 sink(m.row(r));
             }
         }
-        PagePayload::Quant(q) => {
-            let dh = q.rows.cols();
-            let mut qs = vec![0i32; dh];
-            let mut gs = vec![0u8; dh];
-            let mut row = vec![0.0f32; dh];
-            for r in 0..q.rows.rows() {
-                q.rows.decode_row_into(r, &mut qs, &mut gs);
-                for (c, o) in row.iter_mut().enumerate() {
-                    *o = qs[c] as f32 * q.scales[gs[c] as usize] + q.bias[c];
-                }
-                sink(&row);
-            }
+        PagePayload::Quant(q) => decode_quant_rows(q, sink),
+    }
+}
+
+/// [`decode_rows`] of a quantized page: `code · scales[group] + bias` per
+/// element, row by row.
+fn decode_quant_rows(q: &QuantPage, mut sink: impl FnMut(&[f32])) {
+    let dh = q.rows.cols();
+    let mut qs = vec![0i32; dh];
+    let mut gs = vec![0u8; dh];
+    let mut row = vec![0.0f32; dh];
+    for r in 0..q.rows.rows() {
+        q.rows.decode_row_into(r, &mut qs, &mut gs);
+        for (c, o) in row.iter_mut().enumerate() {
+            *o = qs[c] as f32 * q.scales[gs[c] as usize] + q.bias[c];
+        }
+        sink(&row);
+    }
+}
+
+/// The smallest scale of a snapshot whose every scale is *exactly* it times
+/// its group's combine weight, `scales[g] == s_last · 2^(G−1−g)` — the
+/// license of [`dequant_page_into`]'s shift-and-scale. Every
+/// [`group_scales`] output qualifies (dividing by `qmax` commutes with a
+/// power-of-two scaling) except where the snapshot reaches the subnormals,
+/// i.e. the degenerate `TMax = f32::MIN_POSITIVE` page.
+fn shift_scale(scales: &[f32]) -> Option<f32> {
+    let &s_last = scales.last()?;
+    let exact = |(g, &s): (usize, &f32)| {
+        s.is_finite() && s == s_last * (1u32 << (scales.len() - 1 - g)) as f32
+    };
+    (s_last.is_normal() && scales.iter().enumerate().all(exact)).then_some(s_last)
+}
+
+/// Dequantizes a whole page into `out` (row-major, `rows · head_dim`), the
+/// paper's way: [`QuantRows::decode_shifted_into`] folds each group's
+/// power-of-two weight into its code as an integer shift, so one multiply by
+/// the smallest scale is all the floating-point work left —
+/// `code as f32 · s_last + bias[c]`.
+///
+/// Bit-identical to [`decode_rows`]: under the [`shift_scale`] license
+/// `q · 2^k` is an exact small integer and `(q · 2^k) · s_last` and
+/// `q · (s_last · 2^k)` round the same real number once. Unlicensed
+/// snapshots take `decode_rows` itself. `codes` is caller scratch.
+pub(super) fn dequant_page_into(q: &QuantPage, codes: &mut Vec<i16>, out: &mut Vec<f32>) {
+    let Some(s_last) = shift_scale(&q.scales) else {
+        out.clear();
+        decode_quant_rows(q, |row| out.extend_from_slice(row));
+        return;
+    };
+    let dh = q.rows.cols();
+    debug_assert_eq!(q.bias.len(), dh, "one bias per channel");
+    codes.resize(q.rows.rows() * dh, 0);
+    q.rows.decode_shifted_into(q.scales.len(), codes);
+    out.resize(codes.len(), 0.0);
+    for (row, codes) in out.chunks_exact_mut(dh).zip(codes.chunks_exact(dh)) {
+        for ((o, &code), &b) in row.iter_mut().zip(codes).zip(q.bias.iter()) {
+            *o = code as f32 * s_last + b;
         }
     }
 }
@@ -184,8 +234,11 @@ pub fn demote_payload(payload: &PagePayload, target: KvCacheMode) -> PagePayload
     let groups = target.num_groups();
     let dh = payload.cols();
 
-    let mut rows: Vec<f32> = Vec::with_capacity(payload.rows() * dh);
-    decode_rows(payload, |row| rows.extend_from_slice(row));
+    let mut rows = Vec::new();
+    match payload {
+        PagePayload::F32(m) => rows.extend_from_slice(m.as_slice()),
+        PagePayload::Quant(q) => dequant_page_into(q, &mut Vec::new(), &mut rows),
+    }
 
     // Page-local calibration: bias, residual TMax, group scales.
     let bias = plane_bias(rows.chunks_exact(dh), dh);
@@ -401,6 +454,102 @@ mod tests {
             0.0f32.to_bits()
         );
         assert_eq!(finite_amax(&[-0.0]).to_bits(), 0.0f32.to_bits());
+    }
+
+    /// A page of `codes × tags` rows under `scales`, with an awkward bias.
+    fn page_of(
+        bits: u32,
+        scales: Vec<f32>,
+        cols: usize,
+        rows: &[(Vec<i32>, Vec<u8>)],
+    ) -> QuantPage {
+        let mut packed = QuantRows::with_row_capacity(cols, bits, scales.len() > 1, rows.len());
+        for (qs, gs) in rows {
+            packed.push_row(qs, gs);
+        }
+        QuantPage {
+            rows: packed,
+            scales,
+            bias: Arc::new((0..cols).map(|c| (c as f32 - 1.5) * 0.37).collect()),
+            tmax: 1.0,
+            page_local: true,
+        }
+    }
+
+    /// `dequant_page_into` against `decode_rows`, bit for bit.
+    fn assert_dequant_is_decode_rows(q: QuantPage) {
+        let mut want = Vec::new();
+        let payload = PagePayload::Quant(q);
+        decode_rows(&payload, |row| want.extend(row.iter().map(|x| x.to_bits())));
+        let PagePayload::Quant(q) = &payload else {
+            unreachable!()
+        };
+        // Dirty scratch of the wrong size: nothing may survive from a
+        // previous page.
+        let (mut codes, mut got) = (vec![77i16; 3], vec![f32::NAN; 5]);
+        dequant_page_into(q, &mut codes, &mut got);
+        let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want, "scales {:?}", q.scales);
+    }
+
+    /// Every INT4 code under every tag (whole quads, so the flat decode arm
+    /// runs) and, ragged, through the per-element arm.
+    fn int4_pages(scales: &[f32]) -> [QuantPage; 2] {
+        let all: Vec<(i32, u8)> = (-8..8).flat_map(|q| (0..4).map(move |t| (q, t))).collect();
+        let rows_of = |cols: usize| -> Vec<(Vec<i32>, Vec<u8>)> {
+            all.chunks(cols)
+                .filter(|chunk| chunk.len() == cols)
+                .map(|chunk| chunk.iter().copied().unzip())
+                .collect()
+        };
+        [
+            page_of(4, scales.to_vec(), 4, &rows_of(4)),
+            page_of(4, scales.to_vec(), 7, &rows_of(7)),
+        ]
+    }
+
+    /// Every INT8 code, ungrouped.
+    fn int8_page(scale: f32) -> QuantPage {
+        let rows: Vec<(Vec<i32>, Vec<u8>)> = (-128..128)
+            .collect::<Vec<i32>>()
+            .chunks(16)
+            .map(|chunk| (chunk.to_vec(), Vec::new()))
+            .collect();
+        page_of(8, vec![scale], 16, &rows)
+    }
+
+    #[test]
+    fn shift_and_scale_dequant_is_decode_rows_for_every_code_and_tag() {
+        for tmax in [1.0f32, 0.3, 77.7, 1e-30, 3.0e38, f32::MIN_POSITIVE * 1e6] {
+            let scales = group_scales(tmax, 4, ALPHA, 4);
+            assert!(
+                shift_scale(&scales).is_some(),
+                "tmax {tmax} must be licensed"
+            );
+            int4_pages(&scales)
+                .into_iter()
+                .for_each(assert_dequant_is_decode_rows);
+            let scale = group_scales(tmax, 1, ALPHA, 8)[0];
+            assert!(shift_scale(&[scale]).is_some());
+            assert_dequant_is_decode_rows(int8_page(scale));
+        }
+    }
+
+    #[test]
+    fn unlicensed_snapshots_fall_back_to_decode_rows() {
+        // The degenerate page (`TMax = MIN_POSITIVE` puts the snapshot in
+        // the subnormals, where halving is no longer exact) and a snapshot
+        // no `group_scales` call produces.
+        let tiny = group_scales(f32::MIN_POSITIVE, 4, ALPHA, 4);
+        for scales in [tiny, vec![0.8, 0.3, 0.2, 0.1]] {
+            assert_eq!(shift_scale(&scales), None, "{scales:?}");
+            int4_pages(&scales)
+                .into_iter()
+                .for_each(assert_dequant_is_decode_rows);
+        }
+        assert_eq!(shift_scale(&[f32::INFINITY, 1.0]), None);
+        assert_eq!(shift_scale(&[f32::NAN]), None);
+        assert_dequant_is_decode_rows(int8_page(f32::MIN_POSITIVE / 127.0));
     }
 
     #[test]

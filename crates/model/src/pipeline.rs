@@ -247,15 +247,19 @@ impl Attend<'_> {
 /// `macs` accrues the multiply-accumulates actually executed, measured
 /// from the operand shapes of each matmul performed.
 ///
-/// **Attention read paths** ([`Attend::Cached`]). Quantized cache planes
-/// dot the query and probability rows against the packed codes directly
-/// ([`KvCache::attn_scores_quant`] / [`KvCache::attn_values_quant`]) — no
-/// dequantized plane, no transpose copy. f32 planes (and the legacy
-/// dequantize read path) use the transpose-free [`ops::row_dot_nt`] when
-/// the scheme's act×act product is the plain f32 matmul, which reproduces
-/// `act_act(q, kᵀ)` bit-for-bit; only schemes that *quantize* act×act
-/// still pay the explicit transpose, since their operator consumes the
-/// transposed matrix.
+/// **Attention read paths** ([`Attend::Cached`]). The cache is read in
+/// place, page by page: quantized planes dot the query and probability rows
+/// against the packed codes ([`KvCache::attn_scores_quant`] /
+/// [`KvCache::attn_values_quant`]), f32-mode planes against the pages where
+/// they lie ([`KvCache::attn_scores_f32`] / [`KvCache::attn_values_f32`],
+/// bit-identical to the f32 products over the gathered plane) — no
+/// `len × head_dim` plane, no transpose copy. The gathered plane
+/// (`head_k` / `head_v`) is read only under
+/// [`KvReadPath::Dequant`](crate::kv::KvReadPath) — the oracle of both
+/// in-place reads — and by schemes that *quantize* act×act, whose operator
+/// consumes whole (for the scores, transposed) matrices; over it the
+/// transpose-free [`ops::row_dot_nt`] reproduces `act_act(q, kᵀ)`
+/// bit-for-bit when the scheme's act×act product is the plain f32 matmul.
 ///
 /// # Errors
 ///
@@ -313,34 +317,54 @@ pub(crate) fn block(
             attn_macs += (2 * shape.heads * rows * dh * rows) as u64;
         }
         Attend::Cached { cache, int_macs } => {
+            let exact = exec.act_act_is_exact();
+            let mut qi = vec![0.0f32; shape.d_model];
             for i in 0..rows {
                 cache.append(li, &k.slice_rows(i, i + 1), &v.slice_rows(i, i + 1))?;
                 let len = row0 + i + 1; // cache rows for this layer after the append
-                let qi = q.slice_rows(i, i + 1);
+                for (s, &x) in qi.iter_mut().zip(q.row(i)) {
+                    *s = x * scale;
+                }
                 for head in 0..shape.heads {
                     let (c0, c1) = (head * dh, (head + 1) * dh);
-                    let qh = qi.slice_cols(c0, c1).scale(scale);
-                    let scores = match cache.attn_scores_quant(li, head, qh.row(0)) {
-                        Some(s) => {
-                            **int_macs += (dh * len) as u64;
-                            s
-                        }
-                        None if exec.act_act_is_exact() => {
-                            ops::row_dot_nt(&qh, &cache.head_k(li, head))
-                        }
-                        None => exec.act_act(&qh, &cache.head_k(li, head).transpose()),
-                    };
+                    let qh = &qi[c0..c1];
+                    let scores = cache
+                        .attn_scores_quant(li, head, qh)
+                        .inspect(|_| **int_macs += (dh * len) as u64)
+                        .or_else(|| {
+                            if exact {
+                                cache.attn_scores_f32(li, head, qh)
+                            } else {
+                                None
+                            }
+                        })
+                        .unwrap_or_else(|| {
+                            // `KvReadPath::Dequant`, or a scheme that
+                            // quantizes act×act: the gathered plane.
+                            let qh = Matrix::from_vec(1, dh, qh.to_vec()).expect("query row");
+                            let kh = cache.head_k(li, head);
+                            if exact {
+                                ops::row_dot_nt(&qh, &kh)
+                            } else {
+                                exec.act_act(&qh, &kh.transpose())
+                            }
+                        });
                     // The softmax and the value product see exactly the
                     // live columns the full pass sees at row `row0 + i`,
                     // in the same order.
                     let probs = ops::softmax_rows(&scores);
-                    let attn = match cache.attn_values_quant(li, head, probs.row(0)) {
-                        Some(a) => {
-                            **int_macs += (dh * len) as u64;
-                            a
-                        }
-                        None => exec.act_act(&probs, &cache.head_v(li, head)),
-                    };
+                    let probs_row = probs.row(0);
+                    let attn = cache
+                        .attn_values_quant(li, head, probs_row)
+                        .inspect(|_| **int_macs += (dh * len) as u64)
+                        .or_else(|| {
+                            if exact {
+                                cache.attn_values_f32(li, head, probs_row)
+                            } else {
+                                None
+                            }
+                        })
+                        .unwrap_or_else(|| exec.act_act(&probs, &cache.head_v(li, head)));
                     ao.row_mut(i)[c0..c1].copy_from_slice(attn.row(0));
                 }
                 attn_macs += (2 * shape.heads * dh * len) as u64;

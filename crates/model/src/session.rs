@@ -171,8 +171,8 @@ impl<'m> DecodeSession<'m> {
         self.cache.arena()
     }
 
-    /// Selects the quantized-cache read path (integer-domain by default);
-    /// see [`KvCache::set_read_path`].
+    /// Selects the cache read path (in place by default, gathered under
+    /// [`KvReadPath::Dequant`]); see [`KvCache::set_read_path`].
     pub fn set_kv_read_path(&mut self, path: KvReadPath) {
         self.cache.set_read_path(path);
     }

@@ -1164,6 +1164,71 @@ mod tests {
         assert!(smallest.1 > 0 && at_cap.1 == 0);
     }
 
+    /// ROADMAP 4(f): every degenerate `ServeConfig` is a run — each request
+    /// reaches a terminal status and nothing unwinds, typed refusals
+    /// included.
+    #[test]
+    fn degenerate_configs_are_runs_not_panics() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static PANICS: AtomicUsize = AtomicUsize::new(0);
+        type Tweak = fn(&mut ServeConfig);
+        let sweep: [(&str, Tweak); 17] = [
+            ("max_batch 0", |c| c.max_batch = 0),
+            ("prefill_chunk 0", |c| c.prefill_chunk = 0),
+            ("page_rows 0, f32", |c| c.page_rows = 0),
+            ("page_rows 0, int4", |c| {
+                (c.page_rows, c.kv_mode) = (0, KvCacheMode::Int4);
+            }),
+            ("page_rows 1, f32", |c| c.page_rows = 1),
+            ("page_rows 1, int4", |c| {
+                (c.page_rows, c.kv_mode) = (1, KvCacheMode::Int4);
+            }),
+            ("kv_budget_bytes 0", |c| c.kv_budget_bytes = 0),
+            ("kv_arena_bytes 0", |c| c.kv_arena_bytes = 0),
+            ("queue_cap 0", |c| c.queue_cap = 0),
+            ("prompts past max_seq", |c| c.prompt_len = (300, 400)),
+            ("inverted ranges", |c| {
+                (c.prompt_len, c.decode_len) = ((12, 4), (16, 4));
+            }),
+            ("decode_len (0, 0)", |c| c.decode_len = (0, 0)),
+            ("prompt_len (0, 0)", |c| c.prompt_len = (0, 0)),
+            ("max_arrival_gap 0", |c| c.max_arrival_gap = 0),
+            ("requests 0", |c| c.requests = 0),
+            ("shared_prefix 1000", |c| c.shared_prefix = 1000),
+            ("deadline_steps 0", |c| c.deadline_steps = 0),
+        ];
+        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let model = tiny();
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {
+            PANICS.fetch_add(1, Ordering::Relaxed);
+        }));
+        let reports = sweep.map(|(what, tweak)| {
+            let mut cfg = ServeConfig::new(6, 9);
+            tweak(&mut cfg);
+            let requests = cfg.requests;
+            let run = std::panic::catch_unwind(|| Scheduler::new(&model, cfg).run());
+            (what, requests, run)
+        });
+        std::panic::set_hook(prev);
+        for (what, requests, run) in reports {
+            let report = run.unwrap_or_else(|_| panic!("{what}: the run itself panicked"));
+            assert_eq!(report.outcomes.len(), requests, "{what}");
+            assert_eq!(report.unresolved, 0, "{what}: {}", report.verdict());
+            let terminal = report.rejected_queue
+                + report.rejected_kv
+                + report.completed
+                + report.expired
+                + report.failed;
+            assert_eq!(terminal, requests as u64, "{what}: a request has no status");
+        }
+        assert_eq!(
+            PANICS.load(Ordering::Relaxed),
+            0,
+            "a degenerate config panicked"
+        );
+    }
+
     #[test]
     fn uncapped_arena_never_queues() {
         use tender_metrics::kv_arena::{DEMOTION_QUEUE_DEPTH, DEMOTION_QUEUE_PEAK};
