@@ -101,6 +101,8 @@ pub fn scheme_by_name(name: &str) -> Option<Box<dyn Scheme>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tender_tensor::rng::DetRng;
+    use tender_tensor::Matrix;
 
     #[test]
     fn table2_lineup_matches_paper() {
@@ -108,26 +110,93 @@ mod tests {
         assert_eq!(names, vec!["SmoothQuant", "ANT", "OliVe", "Tender"]);
     }
 
+    /// One spelling of every base name [`scheme_by_name`] recognizes.
+    const NAMES: [&str; 15] = [
+        "FP32",
+        "FP16",
+        "per-tensor@8",
+        "per-row@4",
+        "per-column@8",
+        "SmoothQuant@4",
+        "LLM.int8",
+        "ANT@4",
+        "OliVe@8",
+        "Tender@4",
+        "Tender-all@8",
+        "MSFP12",
+        "MSFP12-OL",
+        "SMX4",
+        "MXFP4",
+    ];
+
     #[test]
     fn schemes_instantiate_with_bit_widths() {
-        for name in [
-            "FP32",
-            "FP16",
-            "per-tensor@8",
-            "per-row@4",
-            "per-column@8",
-            "SmoothQuant@4",
-            "LLM.int8",
-            "ANT@4",
-            "OliVe@8",
-            "Tender@4",
-            "Tender-all@8",
-            "MSFP12",
-            "MSFP12-OL",
-            "SMX4",
-            "MXFP4",
-        ] {
+        for name in NAMES {
             assert!(scheme_by_name(name).is_some(), "{name} must resolve");
+        }
+    }
+
+    /// The license the decode engine's stacked step rests on, checked for
+    /// every scheme the registry builds (the degradation ladder's
+    /// `per-tensor@8` and `FP16` rungs among them) at both table
+    /// precisions, on an activation with outlier channels, ReLU zeros and
+    /// rows of very different magnitude:
+    ///
+    /// * `forward_rows` treats its rows as independent tokens — row `r` of a
+    ///   stack at scattered positions is bit-equal to that row run alone at
+    ///   its position;
+    /// * its default, `forward(x)`, is only right for an operator whose
+    ///   `forward` is itself row-independent, so that is checked too — with
+    ///   the one operator that looks across the rows of a call (MSFP12-OL's
+    ///   column blocks) named, and shown to really do so.
+    #[test]
+    fn every_scheme_stacks_rows_independently() {
+        const LOOKS_ACROSS_ROWS: [&str; 1] = ["MSFP12-OL"];
+        let mut rng = DetRng::new(41);
+        let (rows, k, n) = (24, 32, 12);
+        let mut x = Matrix::from_fn(rows, k, |r, _| {
+            rng.normal(0.0, 0.5).max(-0.2) * (1 + r % 5) as f32
+        });
+        for r in 0..rows {
+            x[(r, 3)] = rng.normal(2.0, 30.0);
+            x[(r, 17)] = rng.normal(-1.0, 14.0);
+        }
+        let calib = [x.clone(), rng.normal_matrix(rows, k, 0.0, 1.0)];
+        let w = rng.normal_matrix(k, n, 0.0, 0.2);
+        // Scattered, unordered, with neighbours and a repeat.
+        let positions: Vec<usize> = (0..rows).map(|r| (r * 7 + 3) % 20 + r / 12).collect();
+        let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for name in NAMES {
+            let base = name.split('@').next().expect("a base name");
+            for width in [8, 4] {
+                let name = format!("{base}@{width}");
+                let scheme = scheme_by_name(&name).expect("a registry name");
+                let op = scheme.prepare(&calib, &w);
+                let stacked = op.forward_rows(&x, &positions);
+                let full = op.forward(&x);
+                assert_eq!(stacked.shape(), (rows, n), "{name}");
+                let mut forward_is_row_independent = true;
+                for r in 0..rows {
+                    let row = x.slice_rows(r, r + 1);
+                    assert_eq!(
+                        bits(op.forward_rows(&row, &positions[r..=r]).row(0)),
+                        bits(stacked.row(r)),
+                        "{name}: stacked row {r} is not the row alone"
+                    );
+                    assert_eq!(
+                        bits(op.forward_at(&row, positions[r]).row(0)),
+                        bits(stacked.row(r)),
+                        "{name}: forward_at is forward_rows over a range of one"
+                    );
+                    forward_is_row_independent &=
+                        bits(op.forward(&row).row(0)) == bits(full.row(r));
+                }
+                assert_eq!(
+                    forward_is_row_independent,
+                    !LOOKS_ACROSS_ROWS.contains(&base),
+                    "{name}: forward's row independence"
+                );
+            }
         }
     }
 

@@ -597,9 +597,16 @@ metrics_table! {
         DECODE_MACS: Counter,
         /// Wall-clock per prefill pass.
         PREFILL_TIME: Timer,
-        /// Wall-clock per cached forward: one span per `step` / `extend` call,
-        /// however many tokens it ingests.
+        /// Wall-clock per cached forward: one span per `step` / `extend` /
+        /// `step_stacked` call, however many tokens or sessions it carries.
         DECODE_STEP_TIME: Timer,
+        /// `step_stacked` calls (the batch iteration and the serving loop step
+        /// their sessions through it; a solo `step` / `extend` does not count).
+        STACKED_STEPS: Counter,
+        /// Decode rows those calls carried, one per session that passed its
+        /// pre-checks: `STACKED_ROWS / STACKED_STEPS` is the mean stack width,
+        /// i.e. how many rows shared each pass over the weights.
+        STACKED_ROWS: Counter,
         /// Resident KV-cache bytes summed across live sessions (each session
         /// adds/subtracts its delta, so the gauge is the aggregate, not the
         /// last writer's value).

@@ -9,7 +9,7 @@ use tender_metrics::engine as metrics;
 use tender_tensor::{pool, EvictError, KvArena, Matrix};
 
 use crate::kv::drain_demotions;
-use crate::session::{DecodeSession, StepError};
+use crate::session::{step_stacked, DecodeSession, StepError};
 
 /// Why a [`BatchEngine`] call could not run as a whole.
 ///
@@ -56,10 +56,14 @@ impl From<StepError> for BatchError {
 /// Every decode entry point — [`try_step_all`], [`step_all`],
 /// [`resume_greedy`], [`generate_greedy`] — advances the batch through the
 /// same iteration: a sequential boundary that settles each arena's byte
-/// budget in session order, then one `pool::par_map` step. Results come
-/// back in session order and no append can contend for a byte cap inside
-/// the parallel phase, so output is deterministic at any thread count
-/// whether the sessions share one capped arena or own private ones.
+/// budget in session order, then one `pool::par_map` over contiguous
+/// *groups* of sessions, each group one [`step_stacked`] — its sessions'
+/// decode rows share one product per weight site. Results come back in
+/// session order, no append can contend for a byte cap inside the parallel
+/// phase, and a stacked row is bit-identical to a solo step, so output is
+/// deterministic at any thread count (which only decides how the batch is
+/// cut into groups) whether the sessions share one capped arena or own
+/// private ones.
 ///
 /// [`try_step_all`]: BatchEngine::try_step_all
 /// [`step_all`]: BatchEngine::step_all
@@ -149,11 +153,19 @@ impl<'m> BatchEngine<'m> {
     ///    order, demoting that session's own pages when short; a session
     ///    still short at its floor is refused with
     ///    [`StepError::KvExhausted`] and not stepped;
-    /// 5. step every other fed session via `pool::par_map` — no append can
-    ///    now hit the cap, so no demotion happens off-schedule.
+    /// 5. step every other fed session: the survivors, in session order,
+    ///    are cut into contiguous groups of `⌈survivors / threads⌉` and
+    ///    `pool::par_map` runs one [`step_stacked`] per group — no append
+    ///    can now hit the cap, so no demotion happens off-schedule. At one
+    ///    thread the whole batch is one stack (each weight operand is
+    ///    streamed once per iteration); at `threads ≥ survivors` every
+    ///    group is one session. Equal group sizes make the slowest group as
+    ///    short as any split into `threads` groups could, with as few
+    ///    passes over the weights as that allows.
     ///
     /// Every decision in 1–4 depends only on session order, queue keys,
-    /// and byte arithmetic, so results are byte-identical at any thread
+    /// and byte arithmetic, and a row's bits do not depend on which rows
+    /// it is stacked with, so results are byte-identical at any thread
     /// count. On an uncapped arena every need fits and the drain has no
     /// deficit: the boundary decides nothing.
     fn iterate(&self, tokens: &[Option<usize>]) -> Vec<Option<Result<Matrix, StepError>>> {
@@ -174,13 +186,28 @@ impl<'m> BatchEngine<'m> {
                 }
             }
         }
-        pool::par_map(self.slots.len(), |i| {
-            let token = tokens[i]?;
-            Some(match refused[i] {
-                Some(e) => Err(StepError::KvExhausted(e)),
-                None => self.session(i).step(token),
+        let stepping: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| tokens[i].is_some() && refused[i].is_none())
+            .collect();
+        let per_group = stepping.len().div_ceil(pool::current_threads()).max(1);
+        let groups: Vec<&[usize]> = stepping.chunks(per_group).collect();
+        let stepped = pool::par_map(groups.len(), |g| {
+            let mut guards: Vec<_> = groups[g].iter().map(|&i| self.session(i)).collect();
+            let mut stack: Vec<&mut DecodeSession<'m>> =
+                guards.iter_mut().map(|guard| &mut **guard).collect();
+            let fed: Vec<usize> = groups[g].iter().filter_map(|&i| tokens[i]).collect();
+            step_stacked(&mut stack, &fed)
+        });
+        let mut stepped = stepped.into_iter().flatten();
+        (0..self.slots.len())
+            .map(|i| {
+                tokens[i]?;
+                Some(match refused[i] {
+                    Some(e) => Err(StepError::KvExhausted(e)),
+                    None => stepped.next().expect("one result per stepped session"),
+                })
             })
-        })
+            .collect()
     }
 
     /// Steps session `i` with `tokens[i]` through one batch iteration,
@@ -236,7 +263,9 @@ impl<'m> BatchEngine<'m> {
     /// # Errors
     ///
     /// Returns [`BatchError::LengthMismatch`] when the prompt count
-    /// differs from the session count.
+    /// differs from the session count, and [`BatchError::Step`] for the
+    /// first prompt that is empty, longer than the context window or out of
+    /// vocabulary (sessions before it are already prefilled).
     pub fn generate_greedy(
         &mut self,
         prompts: &[Vec<usize>],
@@ -249,10 +278,11 @@ impl<'m> BatchEngine<'m> {
             session.arena().advance_clock();
             next.push(match session.try_prefill(prompt) {
                 Ok(logits) => Some(session.greedy_next(&logits)),
-                Err(_) => {
+                Err(StepError::KvExhausted(_)) => {
                     metrics::DECODE_TRUNCATED.incr();
                     None
                 }
+                Err(refusal) => return Err(refusal.into()),
             });
             drain_demotions(session.arena(), 0);
         }
@@ -504,6 +534,24 @@ mod tests {
         );
         assert_eq!(engine.resume_greedy(&[0], 2), Err(mismatch));
         assert!(mismatch.to_string().contains("expects 2 arguments"));
+    }
+
+    #[test]
+    fn generate_greedy_reports_a_bad_prompt_instead_of_panicking() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let mut engine = BatchEngine::new(vec![
+            DecodeSession::new(&reference),
+            DecodeSession::new(&reference),
+        ]);
+        let bad = StepError::TokenOutOfVocab {
+            token: shape.vocab,
+            vocab: shape.vocab,
+        };
+        assert_eq!(
+            engine.generate_greedy(&[tokens(3, shape.vocab, 1), vec![shape.vocab]], 2),
+            Err(BatchError::Step(bad))
+        );
     }
 
     #[test]

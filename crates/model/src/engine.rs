@@ -4,10 +4,14 @@
 //! two-phase inference shape real serving systems use: [`prefill`] ingests
 //! the prompt in one full-sequence pass while filling a per-layer, per-head
 //! [`KvCache`]; [`step`] then feeds one token at a time, attending against
-//! the cache instead of re-running the whole prefix. [`BatchEngine`] runs
-//! many sessions through the shared worker pool deterministically: every
-//! decode entry point is built on one batch iteration that settles the
-//! arena's byte budget at a sequential boundary before the parallel step.
+//! the cache instead of re-running the whole prefix. [`step_stacked`] is
+//! that step for several sessions at once: their decode rows share one
+//! product per weight site — bit-identical to stepping each alone, with the
+//! weights streamed once. [`BatchEngine`] runs many sessions through the
+//! shared worker pool deterministically: every decode entry point is built
+//! on one batch iteration that settles the arena's byte budget at a
+//! sequential boundary before the parallel step, which stacks each worker's
+//! share of the batch.
 //!
 //! This module is a façade. The code lives in the crate-private modules
 //! `kv` (storage modes, the row codec, [`KvCache`], the boundary drain),
@@ -78,4 +82,4 @@ pub use crate::batch::{BatchEngine, BatchError};
 pub use crate::kv::{
     demote_payload, drain_demotions, DrainStats, KvCache, KvCacheMode, KvReadPath, KvTierStats,
 };
-pub use crate::session::{greedy_token, DecodeSession, ModelRef, StepError};
+pub use crate::session::{greedy_token, step_stacked, DecodeSession, ModelRef, StepError};

@@ -1,15 +1,17 @@
 //! The shared layer pipeline behind both inference paths.
 //!
-//! [`block`] is the one Transformer block, over `rows ≥ 1` hidden rows
-//! starting at an absolute position. Its attention reads from one of two
+//! [`block`] is the one Transformer block, over `rows ≥ 1` hidden rows,
+//! each at its own absolute position. Its attention reads from one of two
 //! sources ([`Attend`]): the call's own fresh K/V — [`forward_internal`],
 //! the full-sequence pass behind [`crate::ReferenceModel::forward`],
 //! [`crate::QuantizedModel::forward`], calibration capture and
-//! [`crate::engine::DecodeSession::prefill`] — or the KV cache, row by row
-//! — [`crate::engine::DecodeSession::extend`] and `step`, its one-token
-//! case. Everything else (norms, projections, the FFN match, residuals,
-//! MAC counting) exists once, so the cached path cannot drift from the
-//! reference semantics.
+//! [`crate::engine::DecodeSession::prefill`] — or KV caches, row by row —
+//! [`forward_cached`], the one cached forward behind
+//! [`crate::engine::DecodeSession::extend`] (one cache, `n` rows), `step`
+//! (its one-token case) and [`crate::engine::step_stacked`] (the decode
+//! rows of several sessions, one row per cache). Everything else (norms,
+//! projections, the FFN match, residuals, MAC counting) exists once, so
+//! the cached path cannot drift from the reference semantics.
 //!
 //! **Parity invariant.** Every op in the pipeline is per-row independent
 //! with a fixed accumulation order: embeddings and norms are row-local,
@@ -20,10 +22,13 @@
 //! position `p` against a KV cache of length `p` therefore reproduces row
 //! `p` of the full-sequence pass bit-for-bit, provided row-chunked schemes
 //! are asked for the chunk covering absolute row `p` — which is what
-//! [`Exec::mm_at`] forwards via `QuantMatmul::forward_at`. The same
-//! independence makes the cached path indifferent to how a token run is
-//! cut into calls: `rows` tokens in one [`block`] call per layer leave the
-//! cache and the hidden rows exactly as `rows` one-token calls do.
+//! [`Exec::mm`] forwards via `QuantMatmul::forward_rows`. The same
+//! independence makes the cached path indifferent to which rows share a
+//! call: `rows` tokens in one [`block`] call per layer leave the cache and
+//! the hidden rows exactly as `rows` one-token calls do, and the rows of a
+//! call may belong to different caches ([`Lane`]s) — a weight site sees one
+//! `M = rows` product either way, which is what streams each weight operand
+//! once per call instead of once per session.
 
 use std::collections::HashMap;
 
@@ -60,23 +65,28 @@ pub(crate) enum Exec<'a> {
 }
 
 impl Exec<'_> {
-    /// The weight matmul at `(li, site)` for activation rows whose first
-    /// row sits at absolute sequence position `row0` (`forward_at(x, 0)` is
-    /// `forward(x)` bit for bit, by `QuantMatmul`'s contract).
-    pub(crate) fn mm_at(
+    /// The weight matmul at `(li, site)`: without positions, `x` is one
+    /// whole sequence (`QuantMatmul::forward`, the full pass); with them,
+    /// its rows are independent tokens, row `r` at absolute sequence
+    /// position `positions[r]` (`QuantMatmul::forward_rows`, the cached
+    /// pass).
+    pub(crate) fn mm(
         &self,
         li: usize,
         site: Site,
         x: &Matrix,
         weight: &Matrix,
-        row0: usize,
+        positions: Option<&[usize]>,
     ) -> Matrix {
-        match self {
-            Exec::Reference => x.matmul(weight).expect("weight shapes validated"),
-            Exec::Quantized { ops, .. } => ops
-                .get(&(li, site))
-                .unwrap_or_else(|| panic!("missing operator for layer {li} site {site:?}"))
-                .forward_at(x, row0),
+        let Exec::Quantized { ops, .. } = self else {
+            return x.matmul(weight).expect("weight shapes validated");
+        };
+        let op = ops
+            .get(&(li, site))
+            .unwrap_or_else(|| panic!("missing operator for layer {li} site {site:?}"));
+        match positions {
+            None => op.forward(x),
+            Some(positions) => op.forward_rows(x, positions),
         }
     }
 
@@ -156,10 +166,10 @@ pub(crate) fn capture_clone(li: usize, m: &Matrix) -> Matrix {
     out
 }
 
-/// Embeds `tokens` starting at absolute sequence position `pos0`.
-pub(crate) fn embed(w: &TransformerWeights, tokens: &[usize], pos0: usize) -> Matrix {
+/// Embeds `tokens`, token `r` at absolute sequence position `positions[r]`.
+pub(crate) fn embed(w: &TransformerWeights, tokens: &[usize], positions: &[usize]) -> Matrix {
     Matrix::from_fn(tokens.len(), w.shape.d_model, |r, c| {
-        w.tok_emb[(tokens[r], c)] + w.pos_emb[(pos0 + r, c)]
+        w.tok_emb[(tokens[r], c)] + w.pos_emb[(positions[r], c)]
     })
 }
 
@@ -193,8 +203,45 @@ fn guard_rows(li: usize, mut a: Matrix) -> Matrix {
     a
 }
 
+/// One cache's share of a cached forward: `rows` consecutive rows of the
+/// hidden matrix (lanes in order, no gaps), the first at absolute position
+/// `base` — the cache's length when the call began.
+pub(crate) struct Lane<'a> {
+    /// The cache this lane's rows are appended to and attend against.
+    pub(crate) cache: &'a mut KvCache,
+    /// How many consecutive hidden rows are this lane's.
+    pub(crate) rows: usize,
+    /// Absolute position of the lane's first row.
+    pub(crate) base: usize,
+    /// Multiply-accumulates executed for this lane's rows, measured from
+    /// the operand shapes of each matmul performed.
+    pub(crate) macs: u64,
+    /// The subset of `macs` executed in the integer domain on packed KV
+    /// codes.
+    pub(crate) int_macs: u64,
+    /// Set when an append of this lane was refused at the arena's floor.
+    /// The lane is skipped from then on; its rows ride along in the
+    /// remaining weight products (row-independent, so nobody else's bits
+    /// change) and their results are discarded.
+    pub(crate) failed: Option<EvictError>,
+}
+
+impl<'a> Lane<'a> {
+    /// A lane of `rows` rows at the end of `cache`.
+    pub(crate) fn new(cache: &'a mut KvCache, rows: usize) -> Self {
+        Self {
+            base: cache.len(),
+            cache,
+            rows,
+            macs: 0,
+            int_macs: 0,
+            failed: None,
+        }
+    }
+}
+
 /// Where a [`block`]'s attention reads K/V from.
-pub(crate) enum Attend<'a> {
+pub(crate) enum Attend<'a, 'c> {
     /// Causal self-attention over the call's own K/V rows — the
     /// full-sequence pass. `capture` records calibration activations;
     /// `record` appends the K/V rows to a cache (prefill). Neither changes
@@ -203,21 +250,23 @@ pub(crate) enum Attend<'a> {
         capture: Option<&'a mut CaptureMap>,
         record: Option<&'a mut KvCache>,
     },
-    /// Row by row against the cache, which already holds every earlier
-    /// position: row `i`'s K/V are appended, then row `i` attends to the
-    /// whole cache — no mask needed, every cached position is in the past.
-    /// Append and read must alternate per row: appending a later row can
-    /// raise a quantized plane's `TMax` and `requant_shift` the tail page,
-    /// which an earlier row must read as it was when that row was the
-    /// newest. `int_macs` accrues the multiply-accumulates executed in the
-    /// integer domain on packed KV codes.
+    /// Row by row against the caches, each of which already holds every
+    /// earlier position of its lane: row `i`'s K/V are appended, then row
+    /// `i` attends to its whole cache — no mask needed, every cached
+    /// position is in the past. Append and read must alternate per row:
+    /// appending a later row can raise a quantized plane's `TMax` and
+    /// `requant_shift` the tail page, which an earlier row must read as it
+    /// was when that row was the newest. Lanes never read each other's
+    /// cache, so which lanes share a call is invisible to every one of them.
+    /// `positions[r]` is the absolute position of hidden row `r`: each
+    /// lane's `base..base + rows`, lanes in order.
     Cached {
-        cache: &'a mut KvCache,
-        int_macs: &'a mut u64,
+        lanes: &'a mut [Lane<'c>],
+        positions: &'a [usize],
     },
 }
 
-impl Attend<'_> {
+impl Attend<'_, '_> {
     /// Calibration path: records a fault-plan clone of `m` under `sites`.
     fn capture(&mut self, li: usize, sites: &[Site], m: &Matrix) {
         if let Attend::Fresh {
@@ -243,9 +292,10 @@ impl Attend<'_> {
 }
 
 /// One Transformer block — attention + FFN with residuals — over the
-/// `rows ≥ 1` hidden rows `h`, the first at absolute position `row0`.
-/// `macs` accrues the multiply-accumulates actually executed, measured
-/// from the operand shapes of each matmul performed.
+/// `rows ≥ 1` hidden rows `h`: one whole sequence ([`Attend::Fresh`]), or
+/// independent tokens at the lanes' positions ([`Attend::Cached`]). Norms,
+/// the fault guard, every weight product and the residuals run once over
+/// all rows; only attention is per lane.
 ///
 /// **Attention read paths** ([`Attend::Cached`]). The cache is read in
 /// place, page by page: quantized planes dot the query and probability rows
@@ -263,26 +313,32 @@ impl Attend<'_> {
 ///
 /// # Errors
 ///
-/// [`EvictError`] when the cache's arena is at its byte cap with nothing
-/// left to demote. Passes without a cache cannot fail.
-#[allow(clippy::too_many_arguments)]
+/// [`EvictError`] when the cache a full-sequence pass records into
+/// ([`Attend::Fresh`]) has its arena at the byte cap with nothing left to
+/// demote. A cached lane's refusal is recorded in [`Lane::failed`] instead,
+/// so it cannot cost the other lanes their rows; passes without a cache
+/// cannot fail.
 pub(crate) fn block(
     w: &TransformerWeights,
     li: usize,
     layer: &LayerWeights,
     h: Matrix,
     exec: &Exec<'_>,
-    row0: usize,
-    attend: &mut Attend<'_>,
-    macs: &mut u64,
+    attend: &mut Attend<'_, '_>,
 ) -> Result<Matrix, EvictError> {
     let shape = &w.shape;
     let rows = h.rows();
     let dh = shape.head_dim();
     let scale = 1.0 / (dh as f32).sqrt();
+    // Weight MACs of one row through this block; every row costs the same.
+    let mut row_macs = 0u64;
+    let positions = match attend {
+        Attend::Fresh { .. } => None,
+        Attend::Cached { positions, .. } => Some(*positions),
+    };
     let mut mm = |site: Site, x: &Matrix, weight: &Matrix| {
-        *macs += (x.rows() * x.cols() * weight.cols()) as u64;
-        exec.mm_at(li, site, x, weight, row0)
+        row_macs += (x.cols() * weight.cols()) as u64;
+        exec.mm(li, site, x, weight, positions)
     };
 
     // Attention sub-block.
@@ -294,7 +350,6 @@ pub(crate) fn block(
     let v = mm(Site::V, &a, &layer.wv);
 
     let mut ao = Matrix::zeros(rows, shape.d_model);
-    let mut attn_macs = 0u64;
     match attend {
         Attend::Fresh { record, .. } => {
             if let Some(cache) = record {
@@ -314,60 +369,74 @@ pub(crate) fn block(
                     ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
                 }
             }
-            attn_macs += (2 * shape.heads * rows * dh * rows) as u64;
         }
-        Attend::Cached { cache, int_macs } => {
+        Attend::Cached { lanes, .. } => {
             let exact = exec.act_act_is_exact();
             let mut qi = vec![0.0f32; shape.d_model];
-            for i in 0..rows {
-                cache.append(li, &k.slice_rows(i, i + 1), &v.slice_rows(i, i + 1))?;
-                let len = row0 + i + 1; // cache rows for this layer after the append
-                for (s, &x) in qi.iter_mut().zip(q.row(i)) {
-                    *s = x * scale;
+            let mut next_row = 0;
+            for lane in lanes.iter_mut() {
+                let row0 = next_row;
+                next_row += lane.rows;
+                if lane.failed.is_some() {
+                    continue;
                 }
-                for head in 0..shape.heads {
-                    let (c0, c1) = (head * dh, (head + 1) * dh);
-                    let qh = &qi[c0..c1];
-                    let scores = cache
-                        .attn_scores_quant(li, head, qh)
-                        .inspect(|_| **int_macs += (dh * len) as u64)
-                        .or_else(|| {
-                            if exact {
-                                cache.attn_scores_f32(li, head, qh)
-                            } else {
-                                None
-                            }
-                        })
-                        .unwrap_or_else(|| {
-                            // `KvReadPath::Dequant`, or a scheme that
-                            // quantizes act×act: the gathered plane.
-                            let qh = Matrix::from_vec(1, dh, qh.to_vec()).expect("query row");
-                            let kh = cache.head_k(li, head);
-                            if exact {
-                                ops::row_dot_nt(&qh, &kh)
-                            } else {
-                                exec.act_act(&qh, &kh.transpose())
-                            }
-                        });
-                    // The softmax and the value product see exactly the
-                    // live columns the full pass sees at row `row0 + i`,
-                    // in the same order.
-                    let probs = ops::softmax_rows(&scores);
-                    let probs_row = probs.row(0);
-                    let attn = cache
-                        .attn_values_quant(li, head, probs_row)
-                        .inspect(|_| **int_macs += (dh * len) as u64)
-                        .or_else(|| {
-                            if exact {
-                                cache.attn_values_f32(li, head, probs_row)
-                            } else {
-                                None
-                            }
-                        })
-                        .unwrap_or_else(|| exec.act_act(&probs, &cache.head_v(li, head)));
-                    ao.row_mut(i)[c0..c1].copy_from_slice(attn.row(0));
+                let cache = &mut *lane.cache;
+                for i in 0..lane.rows {
+                    let r = row0 + i;
+                    if let Err(e) =
+                        cache.append(li, &k.slice_rows(r, r + 1), &v.slice_rows(r, r + 1))
+                    {
+                        lane.failed = Some(e);
+                        break;
+                    }
+                    let len = lane.base + i + 1; // cache rows for this layer after the append
+                    for (s, &x) in qi.iter_mut().zip(q.row(r)) {
+                        *s = x * scale;
+                    }
+                    for head in 0..shape.heads {
+                        let (c0, c1) = (head * dh, (head + 1) * dh);
+                        let qh = &qi[c0..c1];
+                        let scores = cache
+                            .attn_scores_quant(li, head, qh)
+                            .inspect(|_| lane.int_macs += (dh * len) as u64)
+                            .or_else(|| {
+                                if exact {
+                                    cache.attn_scores_f32(li, head, qh)
+                                } else {
+                                    None
+                                }
+                            })
+                            .unwrap_or_else(|| {
+                                // `KvReadPath::Dequant`, or a scheme that
+                                // quantizes act×act: the gathered plane.
+                                let qh = Matrix::from_vec(1, dh, qh.to_vec()).expect("query row");
+                                let kh = cache.head_k(li, head);
+                                if exact {
+                                    ops::row_dot_nt(&qh, &kh)
+                                } else {
+                                    exec.act_act(&qh, &kh.transpose())
+                                }
+                            });
+                        // The softmax and the value product see exactly the
+                        // live columns the full pass sees at this row's
+                        // position, in the same order.
+                        let probs = ops::softmax_rows(&scores);
+                        let probs_row = probs.row(0);
+                        let attn = cache
+                            .attn_values_quant(li, head, probs_row)
+                            .inspect(|_| lane.int_macs += (dh * len) as u64)
+                            .or_else(|| {
+                                if exact {
+                                    cache.attn_values_f32(li, head, probs_row)
+                                } else {
+                                    None
+                                }
+                            })
+                            .unwrap_or_else(|| exec.act_act(&probs, &cache.head_v(li, head)));
+                        ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(0));
+                    }
+                    lane.macs += (2 * shape.heads * dh * len) as u64;
                 }
-                attn_macs += (2 * shape.heads * dh * len) as u64;
             }
         }
     }
@@ -393,8 +462,43 @@ pub(crate) fn block(
     };
     attend.capture(li, &[Site::Fc2], &f);
     let ffn_out = mm(Site::Fc2, &f, &layer.w_fc2);
-    *macs += attn_macs;
+    if let Attend::Cached { lanes, .. } = attend {
+        for lane in lanes.iter_mut() {
+            lane.macs += lane.rows as u64 * row_macs;
+        }
+    }
     Ok(h.add(&ffn_out).expect("residual shapes"))
+}
+
+/// The one cached forward: embeds `tokens` (lane by lane, each lane's rows
+/// at the positions following its cache) and runs every layer over all rows
+/// at once, appending and attending per lane. Returns the final *un-normed*
+/// hidden rows; a caller reads the rows of the lanes that did not fail.
+/// Stops early once every lane has.
+pub(crate) fn forward_cached(
+    w: &TransformerWeights,
+    exec: &Exec<'_>,
+    tokens: &[usize],
+    lanes: &mut [Lane<'_>],
+) -> Matrix {
+    let positions: Vec<usize> = lanes
+        .iter()
+        .flat_map(|lane| lane.base..lane.base + lane.rows)
+        .collect();
+    assert_eq!(tokens.len(), positions.len(), "one token per lane row");
+    let mut h = embed(w, tokens, &positions);
+    for (li, layer) in w.layers.iter().enumerate() {
+        let mut attend = Attend::Cached {
+            lanes,
+            positions: &positions,
+        };
+        h = block(w, li, layer, h, exec, &mut attend)
+            .expect("a cached lane records its refusal instead of returning it");
+        if lanes.iter().all(|lane| lane.failed.is_some()) {
+            break;
+        }
+    }
+    h
 }
 
 /// The shared full-sequence forward pass. Returns the final (normed)
@@ -419,7 +523,8 @@ pub(crate) fn forward_internal(
         assert!(t < shape.vocab, "token id {t} out of vocabulary");
     }
 
-    let mut h = embed(w, tokens, 0);
+    let positions: Vec<usize> = (0..n).collect();
+    let mut h = embed(w, tokens, &positions);
     let mut attend = Attend::Fresh {
         capture,
         record: kv,
@@ -430,7 +535,7 @@ pub(crate) fn forward_internal(
         // Wall-clock per layer goes to the JSON report only; it never
         // influences computed values or experiment stdout.
         let _layer_span = metrics::LAYER_FORWARD.span(li);
-        h = block(w, li, layer, h, exec, 0, &mut attend, &mut 0)?;
+        h = block(w, li, layer, h, exec, &mut attend)?;
     }
 
     Ok(apply_norm(&h, &w.final_gamma, &w.final_beta, shape.norm))

@@ -1,7 +1,10 @@
 //! [`DecodeSession`]: one in-flight generation — a model reference plus
 //! its paged KV cache. `prefill` fills an empty cache in one full-sequence
-//! pass; `extend` is the one cached forward after that, over any number of
-//! tokens, and `step` is `extend` of one.
+//! pass; after that there is one cached forward (`forward_lanes`, over
+//! `pipeline::forward_cached`), reached three ways: `extend` is one session
+//! and any number of tokens, `step` is `extend` of one, and
+//! [`step_stacked`] is one token each for several sessions — their decode
+//! rows share one product per weight site.
 
 use std::error::Error;
 use std::fmt;
@@ -11,7 +14,7 @@ use tender_tensor::{EvictError, KvArena, Matrix};
 
 use crate::forward::{QuantizedModel, ReferenceModel};
 use crate::kv::{KvCache, KvCacheMode, KvReadPath};
-use crate::pipeline::{self, Attend, Exec};
+use crate::pipeline::{self, Exec, Lane};
 use crate::shape::ModelShape;
 use crate::weights::TransformerWeights;
 
@@ -65,16 +68,30 @@ impl<'m> ModelRef<'m> {
             Self::Quantized(m) => m.exec(),
         }
     }
+
+    /// Whether both refer to the same model object — what lets two
+    /// sessions' rows share a weight product.
+    fn same_model(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Self::Reference(a), Self::Reference(b)) => std::ptr::eq(*a, *b),
+            (Self::Quantized(a), Self::Quantized(b)) => std::ptr::eq(*a, *b),
+            _ => false,
+        }
+    }
 }
 
-/// Why a [`DecodeSession::extend`] (or `step`) could not run.
+/// Why a [`DecodeSession::try_prefill`], [`DecodeSession::extend`] (or
+/// `step`) could not run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepError {
     /// The session holds no cached positions yet — prefill first.
     NotPrefilled,
-    /// The next position would exceed the model's positional-embedding
-    /// table (`max_seq` rows). The cache *storage* could grow further; the
-    /// model cannot embed the position, so the session refuses the step.
+    /// A prefill was handed no tokens.
+    EmptyRun,
+    /// The run's last position would exceed the model's
+    /// positional-embedding table (`max_seq` rows). The cache *storage*
+    /// could grow further; the model cannot embed the position, so the
+    /// session refuses the run.
     SequenceFull {
         /// The model's context window.
         max_seq: usize,
@@ -96,6 +113,7 @@ impl fmt::Display for StepError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::NotPrefilled => write!(f, "step requires a prefilled session"),
+            Self::EmptyRun => write!(f, "empty token sequence"),
             Self::SequenceFull { max_seq } => {
                 write!(f, "sequence is full: the context window is {max_seq}")
             }
@@ -187,39 +205,82 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if the session already holds cached positions, if the arena
-    /// reaches its eviction floor mid-prompt (use
-    /// [`DecodeSession::try_prefill`] to handle that as a value), or on
-    /// the same token-validation conditions as the full forward pass.
+    /// Panics if the session already holds cached positions, and on every
+    /// refusal [`DecodeSession::try_prefill`] returns as a value: an empty,
+    /// over-long or out-of-vocabulary prompt, or an arena that reaches its
+    /// eviction floor mid-prompt.
     ///
     /// [`step`]: DecodeSession::step
     pub fn prefill(&mut self, tokens: &[usize]) -> Matrix {
-        self.try_prefill(tokens)
-            .unwrap_or_else(|e| panic!("kv arena exhausted during prefill: {e}"))
+        self.try_prefill(tokens).unwrap_or_else(|e| match e {
+            StepError::KvExhausted(e) => panic!("kv arena exhausted during prefill: {e}"),
+            e => panic!("prefill refused: {e}"),
+        })
     }
 
-    /// [`DecodeSession::prefill`], but an arena at its eviction floor
-    /// comes back as a typed [`EvictError`] instead of a panic (the
+    /// [`DecodeSession::prefill`], but what a caller's input or a full
+    /// arena can cause comes back typed instead of as a panic (the
     /// admission-control path).
     ///
     /// # Errors
     ///
-    /// [`EvictError`] when a page allocation fails at the arena's byte cap
-    /// with nothing left to demote. The session's cache may hold a partial
-    /// prompt afterwards; callers should drop it.
-    pub fn try_prefill(&mut self, tokens: &[usize]) -> Result<Matrix, EvictError> {
+    /// Checked before the cache is touched: [`StepError::EmptyRun`],
+    /// [`StepError::SequenceFull`] for a prompt longer than the model's
+    /// `max_seq`, [`StepError::TokenOutOfVocab`] for the first out-of-range
+    /// token id. [`StepError::KvExhausted`] when a page allocation fails at
+    /// the arena's byte cap with nothing left to demote; the session's
+    /// cache may then hold a partial prompt and callers should drop it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session already holds cached positions — a caller
+    /// bug, not an input.
+    pub fn try_prefill(&mut self, tokens: &[usize]) -> Result<Matrix, StepError> {
         assert!(
             self.cache.is_empty(),
             "prefill requires an empty session; this one holds {} positions",
             self.cache.len()
         );
+        if tokens.is_empty() {
+            return Err(StepError::EmptyRun);
+        }
+        self.check_run(tokens)?;
         let _span = metrics::PREFILL_TIME.span();
         let w = self.model.weights();
         let exec = self.model.exec();
-        let hidden = pipeline::forward_internal(w, tokens, &exec, None, Some(&mut self.cache))?;
+        let hidden = pipeline::forward_internal(w, tokens, &exec, None, Some(&mut self.cache))
+            .map_err(StepError::KvExhausted)?;
         metrics::PREFILLS.incr();
         metrics::PREFILL_TOKENS.add(tokens.len() as u64);
         Ok(pipeline::lm_head(w, self.model.emb_t(), &hidden))
+    }
+
+    /// Whether `tokens` can be embedded at the positions following the
+    /// cache: the refusals every ingesting call makes before it touches
+    /// anything.
+    fn check_run(&self, tokens: &[usize]) -> Result<(), StepError> {
+        let shape = self.model.shape();
+        if self.cache.len() + tokens.len() > shape.max_seq {
+            return Err(StepError::SequenceFull {
+                max_seq: shape.max_seq,
+            });
+        }
+        match tokens.iter().find(|&&t| t >= shape.vocab) {
+            Some(&token) => Err(StepError::TokenOutOfVocab {
+                token,
+                vocab: shape.vocab,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// [`DecodeSession::check_run`] for a cached forward, which also needs
+    /// a prefilled cache to attend against.
+    fn check_extend(&self, tokens: &[usize]) -> Result<(), StepError> {
+        if self.cache.is_empty() {
+            return Err(StepError::NotPrefilled);
+        }
+        self.check_run(tokens)
     }
 
     /// Feeds one token at the next sequence position and returns its
@@ -258,46 +319,12 @@ impl<'m> DecodeSession<'m> {
     ///
     /// Panics if `tokens` is empty.
     pub fn extend(&mut self, tokens: &[usize]) -> Result<Matrix, StepError> {
-        let w = self.model.weights();
-        let shape = &w.shape;
-        let rows = tokens.len();
-        assert!(rows > 0, "empty token sequence");
-        let base = self.cache.len();
-        if base == 0 {
-            return Err(StepError::NotPrefilled);
-        }
-        if base + rows > shape.max_seq {
-            return Err(StepError::SequenceFull {
-                max_seq: shape.max_seq,
-            });
-        }
-        if let Some(&token) = tokens.iter().find(|&&t| t >= shape.vocab) {
-            return Err(StepError::TokenOutOfVocab {
-                token,
-                vocab: shape.vocab,
-            });
-        }
-
+        assert!(!tokens.is_empty(), "empty token sequence");
+        self.check_extend(tokens)?;
         let _span = metrics::DECODE_STEP_TIME.span();
-        let exec = self.model.exec();
-        let mut macs = 0u64;
-        let mut int_macs = 0u64;
-        let mut attend = Attend::Cached {
-            cache: &mut self.cache,
-            int_macs: &mut int_macs,
-        };
-        let mut h = pipeline::embed(w, tokens, base);
-        for (li, layer) in w.layers.iter().enumerate() {
-            h = pipeline::block(w, li, layer, h, &exec, base, &mut attend, &mut macs)
-                .map_err(StepError::KvExhausted)?;
-        }
-        let last = h.slice_rows(rows - 1, rows);
-        let hidden = pipeline::apply_norm(&last, &w.final_gamma, &w.final_beta, shape.norm);
-        self.last_step_macs = macs;
-        self.last_step_kv_int_macs = int_macs;
-        metrics::DECODE_STEPS.add(rows as u64);
-        metrics::DECODE_MACS.add(macs);
-        Ok(pipeline::lm_head(w, self.model.emb_t(), &hidden))
+        forward_lanes(&mut [self], &[tokens])
+            .pop()
+            .expect("one result per lane")
     }
 
     /// Cached positions so far (prompt + generated).
@@ -346,6 +373,122 @@ impl<'m> DecodeSession<'m> {
     pub fn last_step_kv_int_macs(&self) -> u64 {
         self.last_step_kv_int_macs
     }
+}
+
+/// The one cached forward, over sessions of **one model** whose runs passed
+/// [`DecodeSession::check_extend`]: session `i` ingests `runs[i]` as lane
+/// `i`. Every layer's weight products run once over all lanes' rows; the
+/// final norm and the LM head run once over the surviving lanes' last rows.
+/// A lane refused at its arena's floor comes back
+/// [`StepError::KvExhausted`] without touching the others' results.
+fn forward_lanes(
+    sessions: &mut [&mut DecodeSession<'_>],
+    runs: &[&[usize]],
+) -> Vec<Result<Matrix, StepError>> {
+    let model = sessions[0].model;
+    let w = model.weights();
+    let mut lanes: Vec<Lane<'_>> = sessions
+        .iter_mut()
+        .zip(runs)
+        .map(|(session, run)| Lane::new(&mut session.cache, run.len()))
+        .collect();
+    let h = pipeline::forward_cached(w, &model.exec(), &runs.concat(), &mut lanes);
+    let outcomes: Vec<_> = lanes
+        .into_iter()
+        .map(|lane| (lane.rows, lane.macs, lane.int_macs, lane.failed))
+        .collect();
+
+    let mut last_rows = Vec::with_capacity(sessions.len());
+    let mut end = 0;
+    for (session, &(rows, macs, int_macs, failed)) in sessions.iter_mut().zip(&outcomes) {
+        end += rows;
+        if failed.is_some() {
+            continue;
+        }
+        session.last_step_macs = macs;
+        session.last_step_kv_int_macs = int_macs;
+        metrics::DECODE_STEPS.add(rows as u64);
+        metrics::DECODE_MACS.add(macs);
+        last_rows.push(end - 1);
+    }
+    let logits = (!last_rows.is_empty()).then(|| {
+        let last = h.gather_rows(&last_rows);
+        let hidden = pipeline::apply_norm(&last, &w.final_gamma, &w.final_beta, w.shape.norm);
+        pipeline::lm_head(w, model.emb_t(), &hidden)
+    });
+    let mut logits_rows = logits.iter().flat_map(Matrix::iter_rows);
+    outcomes
+        .into_iter()
+        .map(|(_, _, _, failed)| match failed {
+            Some(e) => Err(StepError::KvExhausted(e)),
+            None => {
+                let row = logits_rows
+                    .next()
+                    .expect("one logits row per surviving lane");
+                Ok(Matrix::from_vec(1, row.len(), row.to_vec()).expect("one row"))
+            }
+        })
+        .collect()
+}
+
+/// One decode step for several sessions at once: `tokens[i]` is fed to
+/// `sessions[i]` exactly as [`DecodeSession::step`] would feed it — same
+/// logits, same cache, same MAC counts, bit for bit — but the sessions'
+/// rows are stacked into one `M = sessions` product per weight site, so a
+/// layer's weights are streamed once per call instead of once per session.
+/// Attention stays per session, against its own cache. Sessions are stacked
+/// only with sessions of the same model object; a mixed slice is stepped
+/// one model at a time.
+///
+/// Each session gets its own `Result`, as from `step`: the refusals `step`
+/// makes before touching the cache ([`StepError::NotPrefilled`],
+/// [`StepError::SequenceFull`], [`StepError::TokenOutOfVocab`]) are made
+/// per session before *any* cache is touched and leave that session as it
+/// was, and a session whose arena refuses an append mid-step is
+/// [`StepError::KvExhausted`] (drop it) while the rest keep their logits.
+///
+/// # Panics
+///
+/// Panics if `tokens.len() != sessions.len()`.
+pub fn step_stacked(
+    sessions: &mut [&mut DecodeSession<'_>],
+    tokens: &[usize],
+) -> Vec<Result<Matrix, StepError>> {
+    assert_eq!(sessions.len(), tokens.len(), "one token per session");
+    let _span = metrics::DECODE_STEP_TIME.span();
+    let mut results: Vec<Option<Result<Matrix, StepError>>> = sessions
+        .iter()
+        .zip(tokens)
+        .map(|(session, token)| {
+            let refusal = session.check_extend(std::slice::from_ref(token));
+            refusal.err().map(Err)
+        })
+        .collect();
+    metrics::STACKED_STEPS.incr();
+    metrics::STACKED_ROWS.add(results.iter().filter(|r| r.is_none()).count() as u64);
+    while let Some(first) = results.iter().position(Option::is_none) {
+        let model = sessions[first].model;
+        let members: Vec<usize> = (first..sessions.len())
+            .filter(|&i| results[i].is_none() && sessions[i].model.same_model(&model))
+            .collect();
+        let mut stack: Vec<&mut DecodeSession<'_>> = sessions
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| members.contains(i))
+            .map(|(_, session)| &mut **session)
+            .collect();
+        let runs: Vec<&[usize]> = members
+            .iter()
+            .map(|&i| std::slice::from_ref(&tokens[i]))
+            .collect();
+        for (&i, result) in members.iter().zip(forward_lanes(&mut stack, &runs)) {
+            results[i] = Some(result);
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every session was refused or stacked"))
+        .collect()
 }
 
 /// Greedy argmax over a `1 × vocab` logits row; ties pick the lowest id.
@@ -749,6 +892,42 @@ mod tests {
         let logits = session.extend(&[1, 2, 3]).expect("the run fits exactly");
         assert_eq!(logits.shape(), (1, shape.vocab));
         assert_eq!(session.len(), shape.max_seq);
+    }
+
+    #[test]
+    fn try_prefill_refusals_are_typed_and_leave_the_session_empty() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let mut session = DecodeSession::with_cache_mode(&reference, KvCacheMode::Int8);
+        assert_eq!(session.try_prefill(&[]), Err(StepError::EmptyRun));
+        assert_eq!(
+            session.try_prefill(&tokens(shape.max_seq + 1, shape.vocab, 7)),
+            Err(StepError::SequenceFull {
+                max_seq: shape.max_seq
+            })
+        );
+        assert_eq!(
+            session.try_prefill(&[1, shape.vocab, 2]),
+            Err(StepError::TokenOutOfVocab {
+                token: shape.vocab,
+                vocab: shape.vocab
+            })
+        );
+        // Nothing was touched: the session is still empty and prefills.
+        assert!(session.is_empty());
+        assert_eq!(session.arena().stats().pages_total(), 0);
+        let logits = session
+            .try_prefill(&tokens(shape.max_seq, shape.vocab, 7))
+            .expect("a window-sized prompt fits");
+        assert_eq!(logits.shape(), (shape.max_seq, shape.vocab));
+    }
+
+    #[test]
+    #[should_panic(expected = "prefill refused: token id 128 out of vocabulary")]
+    fn prefill_keeps_its_panicking_contract() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        DecodeSession::new(&reference).prefill(&[shape.vocab]);
     }
 
     #[test]

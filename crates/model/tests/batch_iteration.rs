@@ -2,7 +2,9 @@
 //! the same clock → price → drain → reserve boundary before its parallel
 //! step, so a hand-written `try_step_all` loop *is* `resume_greedy`, a
 //! session refused at the floor does not cost its neighbours their
-//! logits, and the boundary's pricing is exact.
+//! logits, and the boundary's pricing is exact. The parallel step stacks
+//! contiguous groups of sessions, as many groups as the pool has threads:
+//! a rollout is the same however the batch is cut.
 
 use std::process::Command;
 
@@ -122,6 +124,65 @@ fn child_digest(test: &str, threads: &str) -> String {
 fn hand_loop_reproduces_resume_greedy_at_1_and_4_threads() {
     let test = "hand_loop_reproduces_resume_greedy";
     assert_eq!(child_digest(test, "1"), child_digest(test, "4"));
+}
+
+/// Five sessions at five different lengths, f32 / int8 / int4 lanes mixed,
+/// on one arena capped at `cap`, decoded 14 steps by `resume_greedy`:
+/// tokens, allocated bytes and (int8, int4) demotion counts.
+fn five_session_rollout(cap: Option<u64>) -> Rollout {
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 73);
+    let reference = model.reference();
+    let arena = KvArena::new(ArenaConfig {
+        page_rows: 4,
+        capacity_bytes: cap,
+        watermark: 0.5,
+        ..ArenaConfig::default()
+    });
+    let sessions: Vec<_> = (0..5)
+        .map(|i| {
+            let mut s = DecodeSession::with_arena(&reference, KvCacheMode::ALL[i % 3], &arena);
+            s.prefill(&prompt(3 + 4 * i, shape.vocab, i));
+            s
+        })
+        .collect();
+    let seeds: Vec<usize> = (0..5).map(|i| (i * 13 + 2) % shape.vocab).collect();
+    let mut engine = BatchEngine::new(sessions);
+    let outs = resume(&mut engine, &seeds, 14, 0);
+    assert!(
+        outs.iter().all(|o| o.len() == 14),
+        "a rollout was cut short"
+    );
+    let st = arena.stats();
+    assert_eq!(st.evict_failures, 0, "a feasible cap must not refuse");
+    (
+        outs,
+        arena.allocated_bytes(),
+        (st.demoted_int8, st.demoted_int4),
+    )
+}
+
+/// The pool's size decides how the iteration cuts a batch into stacks — one
+/// stack of five at one thread, 3 + 2 at two, 2 + 2 + 1 at three, five
+/// stacks of one from five threads up — and must decide nothing else, with
+/// the boundary drain demoting under the sessions as they go. Prints a
+/// digest for the test below.
+#[test]
+fn five_session_rollout_digest() {
+    let (_, footprint, _) = five_session_rollout(None);
+    let pressured = five_session_rollout(Some(footprint * 3 / 4));
+    assert!(pressured.2 .0 > 0, "the cap must force demotion");
+    assert!(pressured.1 <= footprint * 3 / 4, "budget overshoot");
+    println!("digest {pressured:?}");
+}
+
+#[test]
+fn five_session_rollout_is_the_same_at_any_split() {
+    let test = "five_session_rollout_digest";
+    let one = child_digest(test, "1");
+    for threads in ["2", "3", "8"] {
+        assert_eq!(child_digest(test, threads), one, "TENDER_THREADS={threads}");
+    }
 }
 
 /// Appends never act on the watermark: a session stepped by hand far above

@@ -11,7 +11,7 @@
 
 use tender_tensor::Matrix;
 
-use crate::scheme::{QuantMatmul, Scheme};
+use crate::scheme::{forward_each_row, QuantMatmul, Scheme};
 
 /// Which MSFP blocking variant to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +130,19 @@ impl QuantMatmul for MsfpMatmul {
             .quantize_act(x)
             .matmul(&self.wq)
             .expect("activation/weight shape mismatch")
+    }
+
+    /// MSFP12-OL shares an exponent down a *column* of the call's rows, so
+    /// its `forward` is not row-independent. Independent tokens have no
+    /// neighbours to share with: each row is quantized as the one-row call
+    /// a decode step has always made for it (a block of one per channel).
+    fn forward_rows(&self, x: &Matrix, positions: &[usize]) -> Matrix {
+        match self.scheme.variant {
+            MsfpVariant::Msfp12 => self.forward(x),
+            MsfpVariant::Msfp12Ol => {
+                forward_each_row(x, positions, self.wq.cols(), |row, _| self.forward(row))
+            }
+        }
     }
 
     // The deliberate 8.0 / 8.0 keeps the "8-bit exponent over a bounding

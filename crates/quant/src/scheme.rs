@@ -18,7 +18,8 @@ use crate::quantizer::round_to_f16;
 /// metadata at construction, so `forward` is a pure function of the runtime
 /// activation.
 pub trait QuantMatmul: Send + Sync {
-    /// Computes the (approximately) quantized product `x · W`.
+    /// Computes the (approximately) quantized product `x · W` for one
+    /// caller's whole sequence: row `r` sits at sequence position `r`.
     ///
     /// # Panics
     ///
@@ -26,19 +27,42 @@ pub trait QuantMatmul: Send + Sync {
     /// count used at calibration.
     fn forward(&self, x: &Matrix) -> Matrix;
 
-    /// Computes the quantized product for activation rows whose first row
-    /// sits at absolute sequence position `row0`.
+    /// Computes the quantized product for activation rows that are
+    /// **independent tokens**, row `r` at absolute sequence position
+    /// `positions[r]`: row `r` of the result equals
+    /// `forward_rows(x.row(r), &[positions[r]])` bit for bit — whichever
+    /// other rows share the call, in whatever order. This is the license
+    /// the decode engine's cached forward rests on: the rows of one call may
+    /// be one session's run or the decode rows of several sessions, each at
+    /// its own position, and a weight site sees one product either way.
     ///
     /// Position only matters to schemes whose calibration is keyed by row
     /// index (Tender's row chunking, §III-B): decoding token `p` must use
     /// the calibration chunk that covered row `p` during prefill, or the
     /// decode path would not be bit-identical to the full-sequence forward.
-    /// The default ignores the offset — correct for every per-tensor /
-    /// per-row / per-column scheme, whose operators are row-independent.
-    /// `forward_at(x, 0)` must always equal `forward(x)` bit-for-bit.
-    fn forward_at(&self, x: &Matrix, row0: usize) -> Matrix {
-        let _ = row0;
+    /// The default ignores the positions and is `forward(x)` — correct for
+    /// every operator whose `forward` is row-independent (each output row a
+    /// function of its own activation row and calibration-time state only).
+    /// An operator whose `forward` looks across the rows of a call
+    /// (MSFP12-OL's column blocks, Tender's overflow-rate reroute) must
+    /// override this to treat each row as a call of its own. The registry's
+    /// `every_scheme_stacks_rows_independently` test checks the contract
+    /// for every scheme that can be built by name.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `positions.len() != x.rows()`.
+    fn forward_rows(&self, x: &Matrix, positions: &[usize]) -> Matrix {
+        assert_eq!(positions.len(), x.rows(), "one position per row");
         self.forward(x)
+    }
+
+    /// [`QuantMatmul::forward_rows`] for tokens that follow one another:
+    /// row `r` sits at absolute position `row0 + r`. For a row-independent
+    /// operator `forward_at(x, 0)` equals `forward(x)` bit for bit.
+    fn forward_at(&self, x: &Matrix, row0: usize) -> Matrix {
+        let positions: Vec<usize> = (row0..row0 + x.rows()).collect();
+        self.forward_rows(x, &positions)
     }
 
     /// Average bits per weight element, for memory-traffic modeling.
@@ -46,6 +70,23 @@ pub trait QuantMatmul: Send + Sync {
 
     /// Average bits per activation element, for memory-traffic modeling.
     fn act_bits(&self) -> f32;
+}
+
+/// [`QuantMatmul::forward_rows`] for an operator whose one-call product looks
+/// across rows: `one(row, position)` is the product of a single `1 × k` row,
+/// run once per row of `x` and stacked into `rows × n`.
+pub fn forward_each_row(
+    x: &Matrix,
+    positions: &[usize],
+    n: usize,
+    mut one: impl FnMut(&Matrix, usize) -> Matrix,
+) -> Matrix {
+    assert_eq!(positions.len(), x.rows(), "one position per row");
+    let mut out = Matrix::with_row_capacity(n, x.rows());
+    for (r, &position) in positions.iter().enumerate() {
+        out.push_row(one(&x.slice_rows(r, r + 1), position).row(0));
+    }
+    out
 }
 
 /// Why calibrating a matmul site failed — the typed half of the graceful

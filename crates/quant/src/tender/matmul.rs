@@ -647,7 +647,7 @@ pub fn implicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_runs(x, 0, w, calib, config, None)
+    implicit_requant_matmul_at(x, 0, w, calib, config)
 }
 
 /// [`implicit_requant_matmul`] for activation rows starting at absolute
@@ -669,22 +669,29 @@ pub fn implicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_runs(x, row0, w, calib, config, None)
+    implicit_runs(x, &contiguous(row0, x.rows()), w, calib, config, None)
 }
 
-/// Body of every implicit entry point: each run of rows sharing a
-/// calibration chunk goes to the 32-bit kernel when the chunk's bound
+/// The absolute positions of `rows` activation rows that follow one another
+/// from `row0`.
+fn contiguous(row0: usize, rows: usize) -> Vec<usize> {
+    (row0..row0 + rows).collect()
+}
+
+/// Body of every implicit entry point, row `r` of `x` at absolute position
+/// `positions[r]`: each run of adjacent rows sharing a calibration chunk
+/// ([`chunk_runs`]) goes to the 32-bit kernel when the chunk's bound
 /// licenses it, otherwise through the checked `i64` loop. `prepared` holds
 /// [`prepare_chunks`] when the caller computed them ahead of time.
 pub(super) fn implicit_runs(
     x: &Matrix,
-    row0: usize,
+    positions: &[usize],
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
     prepared: Option<&[PreparedChunk]>,
 ) -> MatmulStats {
-    check_shapes(x, w, calib);
+    check_shapes(x, positions, w, calib);
     metrics::IMPLICIT_MATMULS.incr();
     let n = w.q.cols();
     let mut result = Matrix::zeros(x.rows(), n);
@@ -693,8 +700,8 @@ pub(super) fn implicit_runs(
     let mut chunks_processed = 0;
     // Runs execute in turn; each fans its rows out over the pool when it is
     // large enough to pay for that.
-    for (r0, r1) in chunk_runs(x.rows(), row0, calib.chunk_rows()) {
-        let ci = calib.chunk_index_for_row(row0 + r0);
+    for (r0, r1) in chunk_runs(positions, calib.chunk_rows()) {
+        let ci = calib.chunk_index_for_row(positions[r0]);
         let cc = &calib.chunks()[ci];
         let corr = bias_row(prepared, ci, cc, w);
         let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
@@ -768,20 +775,22 @@ fn explicit_chunk(
     chunk_saturated
 }
 
-/// Maximal consecutive runs `(start, end)` of `rows` activation rows that
-/// share one nominal calibration chunk when row 0 sits at absolute sequence
-/// position `row0`. Run boundaries fall on the absolute `chunk_rows` grid,
-/// so a run starting mid-chunk (decode) ends at the same absolute boundary
-/// prefill's chunk did.
-fn chunk_runs(rows: usize, row0: usize, chunk_rows: usize) -> impl Iterator<Item = (usize, usize)> {
+/// Maximal runs `(start, end)` of adjacent activation rows whose absolute
+/// positions fall in one nominal calibration chunk (`position / chunk_rows`
+/// — the absolute grid, also past the calibrated range, where the clamped
+/// chunk metadata is the same on both sides of a boundary). For a
+/// contiguous range the boundaries are the grid's, so a run starting
+/// mid-chunk (decode) ends where prefill's chunk did; rows of different
+/// sessions stacked into one call share a run whenever they sit in the same
+/// chunk, whatever their order.
+fn chunk_runs(positions: &[usize], chunk_rows: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
     let mut r = 0;
     std::iter::from_fn(move || {
-        (r < rows).then(|| {
-            let boundary = ((row0 + r) / chunk_rows + 1) * chunk_rows;
-            let run = (r, (boundary - row0).min(rows));
-            r = run.1;
-            run
-        })
+        let chunk = positions.get(r)? / chunk_rows;
+        let same = |&&p: &&usize| p / chunk_rows == chunk;
+        let run = (r, r + positions[r..].iter().take_while(same).count());
+        r = run.1;
+        Some(run)
     })
 }
 
@@ -803,7 +812,7 @@ pub fn explicit_requant_matmul(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_runs(x, 0, w, calib, config, None)
+    explicit_requant_matmul_at(x, 0, w, calib, config)
 }
 
 /// [`explicit_requant_matmul`] for activation rows starting at absolute
@@ -821,26 +830,26 @@ pub fn explicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_runs(x, row0, w, calib, config, None)
+    explicit_runs(x, &contiguous(row0, x.rows()), w, calib, config, None)
 }
 
 /// Body of every explicit entry point; `prepared` as in [`implicit_runs`].
 pub(super) fn explicit_runs(
     x: &Matrix,
-    row0: usize,
+    positions: &[usize],
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
     prepared: Option<&[PreparedChunk]>,
 ) -> MatmulStats {
-    check_shapes(x, w, calib);
+    check_shapes(x, positions, w, calib);
     metrics::EXPLICIT_MATMULS.incr();
     let n = w.q.cols();
     let mut result = Matrix::zeros(x.rows(), n);
     let mut saturated_values = 0;
     let mut chunks_processed = 0;
-    for (r0, r1) in chunk_runs(x.rows(), row0, calib.chunk_rows()) {
-        let ci = calib.chunk_index_for_row(row0 + r0);
+    for (r0, r1) in chunk_runs(positions, calib.chunk_rows()) {
+        let ci = calib.chunk_index_for_row(positions[r0]);
         let cc = &calib.chunks()[ci];
         let corr = bias_row(prepared, ci, cc, w);
         record_quantized(r1 - r0, cc);
@@ -876,7 +885,8 @@ pub fn tender_dynamic_matmul(a: &Matrix, b: &Matrix, config: &TenderConfig) -> M
     implicit_requant_matmul(a, &w, &calib, config).result
 }
 
-fn check_shapes(x: &Matrix, w: &QuantizedWeight, calib: &TenderCalibration) {
+fn check_shapes(x: &Matrix, positions: &[usize], w: &QuantizedWeight, calib: &TenderCalibration) {
+    assert_eq!(positions.len(), x.rows(), "one position per row");
     assert_eq!(
         x.cols(),
         w.q.rows(),
@@ -1080,7 +1090,8 @@ mod tests {
 
     #[test]
     fn chunk_runs_cover_rows_on_absolute_boundaries() {
-        let runs = |rows, row0| chunk_runs(rows, row0, 8).collect::<Vec<_>>();
+        let at = |positions: &[usize]| chunk_runs(positions, 8).collect::<Vec<_>>();
+        let runs = |rows, row0| at(&contiguous(row0, rows));
         assert_eq!(runs(16, 0), vec![(0, 8), (8, 16)]);
         assert_eq!(runs(1, 13), vec![(0, 1)]);
         assert_eq!(runs(10, 6), vec![(0, 2), (2, 10)]);
@@ -1088,6 +1099,14 @@ mod tests {
         // clamped chunk metadata is identical so results do not change.
         assert_eq!(runs(4, 30), vec![(0, 2), (2, 4)]);
         assert_eq!(runs(0, 5), vec![]);
+        // Rows of different sessions: adjacent rows in one chunk are one
+        // run in any order; a chunk met again later is a new run.
+        assert_eq!(at(&[13, 9, 15, 8]), vec![(0, 4)]);
+        assert_eq!(
+            at(&[97, 33, 34, 100, 5]),
+            vec![(0, 1), (1, 3), (3, 4), (4, 5)]
+        );
+        assert_eq!(at(&[3, 12, 4]), vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

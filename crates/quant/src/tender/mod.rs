@@ -44,7 +44,7 @@ use tender_metrics as metrics;
 use tender_tensor::Matrix;
 
 use crate::quantizer::round_to_f16;
-use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
+use crate::scheme::{first_non_finite, forward_each_row, PrepareError, QuantMatmul, Scheme};
 
 /// The Tender quantization scheme (factory for calibrated operators).
 ///
@@ -157,9 +157,9 @@ impl TenderMatmul {
 }
 
 impl TenderMatmul {
-    /// Shared forward body: pick the kernel, then apply the optional
-    /// overflow-rate reroute to the stats it reports.
-    fn run_at(&self, x: &Matrix, row0: usize) -> Matrix {
+    /// One kernel call over all of `x`, then the optional overflow-rate
+    /// reroute applied to the stats that call reports.
+    fn run(&self, x: &Matrix, positions: &[usize]) -> Matrix {
         let run = if self.explicit {
             matmul::explicit_runs
         } else {
@@ -167,7 +167,7 @@ impl TenderMatmul {
         };
         let stats = run(
             x,
-            row0,
+            positions,
             &self.weight,
             &self.calibration,
             &self.config,
@@ -188,14 +188,29 @@ impl TenderMatmul {
 
 impl QuantMatmul for TenderMatmul {
     fn forward(&self, x: &Matrix) -> Matrix {
-        self.run_at(x, 0)
+        let positions: Vec<usize> = (0..x.rows()).collect();
+        self.run(x, &positions)
     }
 
     /// Row-chunk calibration is keyed by absolute row index, so the decode
-    /// path must pass the token's sequence position through here to stay
-    /// bit-identical with the full-sequence forward.
-    fn forward_at(&self, x: &Matrix, row0: usize) -> Matrix {
-        self.run_at(x, row0)
+    /// path must pass each row's sequence position through here to stay
+    /// bit-identical with the full-sequence forward. Adjacent rows in one
+    /// calibration chunk share one kernel call, whichever session they
+    /// belong to.
+    ///
+    /// The overflow-rate reroute is a ratio over one *call*, which makes
+    /// `forward` depend on which rows share it; with the reroute enabled,
+    /// independent tokens are therefore run — and judged — one call each.
+    fn forward_rows(&self, x: &Matrix, positions: &[usize]) -> Matrix {
+        if self.overflow_fallback.is_none() {
+            return self.run(x, positions);
+        }
+        forward_each_row(
+            x,
+            positions,
+            self.weight.values().cols(),
+            |row, position| self.run(row, &[position]),
+        )
     }
 
     fn weight_bits(&self) -> f32 {

@@ -35,13 +35,26 @@
 //! with [`TerminalStatus::DeadlineExceeded`] while the rest of the batch
 //! keeps decoding.
 //!
-//! **Failure isolation.** Each per-session work item runs under
-//! `catch_unwind`: a [`StepError`], an injected `pool` task fault (the
+//! **One decode step per iteration.** The work phase is two passes. The
+//! first walks the slots in order and settles whatever can be decided
+//! before a decode step — page growth, a prompt chunk, emitting the pending
+//! token, completing at the target or at the context window. The second
+//! advances every slot that still owes a step with one
+//! [`step_stacked`]: their decode rows
+//! share one product per weight site, so an iteration streams the model's
+//! weights once, not once per slot. A stacked row is bit-identical to a solo
+//! step, so the transcript cannot tell.
+//!
+//! **Failure isolation.** Everything in the first pass runs per request
+//! under `catch_unwind`: a typed refusal, an injected `pool` task fault (the
 //! scheduler treats each per-session work item as a pool task and consults
 //! the same `pool` fault site, so chaos plans bite even when the model is
-//! too small for the inner GEMMs to dispatch pool items), or any organic
-//! panic retires *that* request as [`TerminalStatus::Failed`] — never the
-//! batch. A `SequenceFull` mid-decode is not a failure: the rollout
+//! too small for the inner GEMMs to dispatch pool items), or a panic inside
+//! a prompt chunk retires *that* request as [`TerminalStatus::Failed`] —
+//! never the batch. In the shared step, typed errors stay per request (a
+//! session refused at the arena's floor fails alone); an *unwind* out of it
+//! retires every request that was stacked, since all their caches were
+//! mid-append. A `SequenceFull` mid-decode is not a failure: the rollout
 //! truncates at the window (counted in `engine::decode_truncated`) and the
 //! request completes as `Done`.
 //!
@@ -65,7 +78,9 @@ use std::time::Instant;
 use tender_faults as faults;
 use tender_metrics::engine as engine_metrics;
 use tender_metrics::serve as metrics;
-use tender_model::engine::{drain_demotions, DecodeSession, KvCacheMode, ModelRef, StepError};
+use tender_model::engine::{
+    drain_demotions, step_stacked, DecodeSession, KvCacheMode, ModelRef, StepError,
+};
 use tender_model::shape::ModelShape;
 use tender_tensor::arena::DEFAULT_PAGE_ROWS;
 use tender_tensor::rng::DetRng;
@@ -590,6 +605,8 @@ impl<'m> Run<'m> {
                 ));
                 self.template = Some(s);
             }
+            // A full arena is worded as it was when it was the only refusal.
+            Err(StepError::KvExhausted(e)) => self.line(format!("shared prefix: disabled ({e})")),
             Err(e) => self.line(format!("shared prefix: disabled ({e})")),
         }
     }
@@ -760,13 +777,29 @@ impl<'m> Run<'m> {
     }
 
     /// Advances every active session one quantum — a prefill chunk or one
-    /// decode step. Each item is isolated under `catch_unwind`: a panic
-    /// (injected pool fault inside the session's GEMMs, or the serve-level
-    /// consult below) retires that request alone. `AssertUnwindSafe` is
-    /// sound because a slot that panics mid-step is retired immediately —
-    /// its possibly-inconsistent session is dropped, never re-stepped.
+    /// decode step — in two passes.
+    ///
+    /// Pass one walks the slots in order and settles everything that is
+    /// decidable before a decode step: page growth against the budget, the
+    /// serve-level fault consult, a prompt chunk, emitting the pending token
+    /// and completing at the target or at the context window. Every slot is
+    /// isolated under `catch_unwind` here, so a panic (the injected consult,
+    /// or a pool fault inside a prompt chunk's GEMMs) retires that request
+    /// alone.
+    ///
+    /// Pass two advances the slots that still owe a decode step with **one**
+    /// [`step_stacked`]: their rows share one product per weight site, so
+    /// an iteration streams the weights once, not once per slot. A typed
+    /// failure is still one slot's own; an unwind out of the shared step
+    /// retires every slot that was in it. `AssertUnwindSafe` is sound
+    /// because a slot whose work unwound is retired immediately — its
+    /// possibly-inconsistent session is dropped, never re-stepped.
     fn work(&mut self, plan: Option<&faults::FaultPlan>) {
         let chunk = self.cfg.prefill_chunk.max(1);
+        let max_seq = self.model.shape().max_seq;
+        // Per slot pass one leaves active, in order: the token it must now
+        // be fed through a decode step, if it owes one.
+        let mut owed: Vec<Option<usize>> = Vec::new();
         let mut idx = 0;
         while idx < self.active.len() {
             if !self.grow_reservation(idx) {
@@ -785,18 +818,67 @@ impl<'m> Run<'m> {
                 if injected {
                     panic!("injected pool task fault (serve)");
                 }
-                advance(slot, chunk)
+                advance(slot, chunk, max_seq)
             }));
-            let terminal = result.unwrap_or_else(|payload| {
-                Some(TerminalStatus::Failed {
+            let quantum = result.unwrap_or_else(|payload| {
+                Quantum::Terminal(TerminalStatus::Failed {
                     reason: panic_reason(payload.as_ref()),
                 })
             });
-            match terminal {
-                None => idx += 1,
-                Some(status) => {
+            match quantum {
+                Quantum::Terminal(status) => {
                     let slot = self.active.remove(idx);
                     self.finish(slot.adm, status, " (truncated at window)");
+                    continue;
+                }
+                Quantum::Step(token) => owed.push(Some(token)),
+                Quantum::Fed => owed.push(None),
+            }
+            idx += 1;
+        }
+        let stepping: Vec<usize> = (0..owed.len()).filter(|&i| owed[i].is_some()).collect();
+        if stepping.is_empty() {
+            return;
+        }
+
+        let tokens: Vec<usize> = owed.iter().flatten().copied().collect();
+        let mut stack: Vec<&mut DecodeSession<'m>> = self
+            .active
+            .iter_mut()
+            .zip(&owed)
+            .filter(|(_, owes)| owes.is_some())
+            .map(|(slot, _)| &mut slot.session)
+            .collect();
+        let stepped = catch_unwind(AssertUnwindSafe(|| step_stacked(&mut stack, &tokens)));
+        let mut retired = 0;
+        match stepped {
+            Ok(results) => {
+                for (&idx, result) in stepping.iter().zip(results) {
+                    let slot = &mut self.active[idx - retired];
+                    let status = match result {
+                        Ok(logits) => {
+                            slot.pending = Some(slot.session.greedy_next(&logits));
+                            continue;
+                        }
+                        Err(StepError::SequenceFull { .. }) => window_truncation(slot),
+                        Err(e) => TerminalStatus::Failed {
+                            reason: format!("step failed: {e}"),
+                        },
+                    };
+                    let slot = self.active.remove(idx - retired);
+                    retired += 1;
+                    self.finish(slot.adm, status, " (truncated at window)");
+                }
+            }
+            Err(payload) => {
+                let reason = panic_reason(payload.as_ref());
+                for &idx in &stepping {
+                    let slot = self.active.remove(idx - retired);
+                    retired += 1;
+                    let status = TerminalStatus::Failed {
+                        reason: reason.clone(),
+                    };
+                    self.finish(slot.adm, status, "");
                 }
             }
         }
@@ -932,9 +1014,31 @@ impl<'m> Run<'m> {
     }
 }
 
-/// Advances one active request by one scheduling quantum; `Some` is the
-/// terminal status of a request that completed or failed in it.
-fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
+/// What pass one of [`Run::work`] left of one request's quantum.
+enum Quantum {
+    /// A prompt chunk went in; nothing more this iteration.
+    Fed,
+    /// The request completed or failed.
+    Terminal(TerminalStatus),
+    /// The pending token was emitted and must now be fed through a decode
+    /// step to produce the next one.
+    Step(usize),
+}
+
+/// The completion of a rollout that ran into the context window — a
+/// truncation, not a failure.
+fn window_truncation(slot: &Active<'_>) -> TerminalStatus {
+    engine_metrics::DECODE_TRUNCATED.incr();
+    TerminalStatus::Done {
+        tokens: slot.emitted,
+        truncated: true,
+    }
+}
+
+/// Advances one active request by everything a scheduling quantum decides
+/// before a decode step: a prompt chunk, or emitting the pending token and
+/// completing at the target or at the window.
+fn advance(slot: &mut Active<'_>, chunk: usize, max_seq: usize) -> Quantum {
     let prompt_len = slot.adm.req.prompt.len();
     if slot.fed < prompt_len {
         // Chunked prefill: up to `chunk` prompt tokens this iteration. A
@@ -943,9 +1047,10 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
         let take = chunk.min(prompt_len - slot.fed);
         let tokens = &slot.adm.req.prompt[slot.fed..slot.fed + take];
         let ingested = if slot.session.is_empty() {
-            slot.session
-                .try_prefill(tokens)
-                .map_err(|e| format!("kv arena exhausted during prefill: {e}"))
+            slot.session.try_prefill(tokens).map_err(|e| match e {
+                StepError::KvExhausted(e) => format!("kv arena exhausted during prefill: {e}"),
+                e => format!("prompt refused: {e}"),
+            })
         } else {
             slot.session
                 .extend(tokens)
@@ -953,44 +1058,34 @@ fn advance(slot: &mut Active<'_>, chunk: usize) -> Option<TerminalStatus> {
         };
         let logits = match ingested {
             Ok(logits) => logits,
-            Err(reason) => return Some(TerminalStatus::Failed { reason }),
+            Err(reason) => return Quantum::Terminal(TerminalStatus::Failed { reason }),
         };
         slot.fed += take;
         metrics::PREFILL_CHUNK_TOKENS.add(take as u64);
         if slot.fed == prompt_len {
             slot.pending = Some(slot.session.greedy_next(&logits));
         }
-        return None;
+        return Quantum::Fed;
     }
 
-    // Decode: emit the pending token, then (if more are needed) step the
-    // session to produce the next one. `SequenceFull` truncates the
-    // rollout at the window — a completion, not a failure.
+    // Decode: emit the pending token, then (if more are needed) the session
+    // owes a step to produce the next one. A session at the window has no
+    // position left to embed it at: `step` would refuse `SequenceFull`, so
+    // the rollout truncates here, where the iteration's other completions
+    // are decided.
     let tok = slot.pending.expect("decode phase has a pending token");
     slot.emitted += 1;
     metrics::DECODE_TOKENS.incr();
     if slot.emitted >= slot.adm.req.decode_target {
-        return Some(TerminalStatus::Done {
+        return Quantum::Terminal(TerminalStatus::Done {
             tokens: slot.emitted,
             truncated: false,
         });
     }
-    match slot.session.step(tok) {
-        Ok(logits) => {
-            slot.pending = Some(slot.session.greedy_next(&logits));
-            None
-        }
-        Err(StepError::SequenceFull { .. }) => {
-            engine_metrics::DECODE_TRUNCATED.incr();
-            Some(TerminalStatus::Done {
-                tokens: slot.emitted,
-                truncated: true,
-            })
-        }
-        Err(e) => Some(TerminalStatus::Failed {
-            reason: format!("step failed: {e}"),
-        }),
+    if slot.session.len() >= max_seq {
+        return Quantum::Terminal(window_truncation(slot));
     }
+    Quantum::Step(tok)
 }
 
 /// Stable panic description: injected pool faults collapse to a fixed

@@ -153,8 +153,9 @@ where
 /// typically packed once and reused across calls. Operands are `i16` or
 /// `i32` codes in any combination; two 16-bit operands are what the
 /// vectorizer turns into packed multiply-adds. Four rows at a time advance
-/// through each `bt` column together, so a column is read once per row
-/// tile.
+/// through each `bt` column together, and the last one to three rows as a
+/// tile of their own, so a column is read once per row tile — `bt` is
+/// walked `⌈rows / 4⌉` times, once for any stack of up to four decode rows.
 ///
 /// The caller certifies that `Σ_kk |a·bt| ≤ i32::MAX` for every output
 /// element (e.g. [`kv_dot_cannot_overflow`], or the Tender chunk bound).
@@ -197,17 +198,36 @@ pub fn narrow_dot_block<A, B, O>(
         .chunks_exact(DOT_ROWS * k)
         .zip(out_tiled.chunks_exact_mut(DOT_ROWS * n))
     {
-        for (j, b_col) in bt.chunks_exact(k).enumerate() {
-            let acc = dot_rows::<DOT_ROWS, A, B>(a_tile, b_col);
-            for (r, &s) in acc.iter().enumerate() {
-                out_tile[r * n + j] = finish(j, s);
-            }
-        }
+        dot_tile::<DOT_ROWS, A, B, O>(a_tile, bt, k, n, out_tile, &finish);
     }
-    for (a_row, out_row) in a_rest.chunks_exact(k).zip(out_rest.chunks_exact_mut(n)) {
-        for ((j, b_col), o) in bt.chunks_exact(k).enumerate().zip(out_row) {
-            let [s] = dot_rows::<1, A, B>(a_row, b_col);
-            *o = finish(j, s);
+    // The last 1–3 rows are one tile of their own height, so they too walk
+    // `bt` once — a stack of two decode rows streams the weights once.
+    match rows - tiled {
+        0 => {}
+        1 => dot_tile::<1, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+        2 => dot_tile::<2, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+        _ => dot_tile::<3, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+    }
+}
+
+/// One row tile of [`narrow_dot_block`]: `R` left rows advance through each
+/// `bt` column together.
+#[inline(always)]
+fn dot_tile<const R: usize, A, B, O>(
+    a_tile: &[A],
+    bt: &[B],
+    k: usize,
+    n: usize,
+    out_tile: &mut [O],
+    finish: &impl Fn(usize, i32) -> O,
+) where
+    A: Copy + Into<i32>,
+    B: Copy + Into<i32>,
+{
+    for (j, b_col) in bt.chunks_exact(k).enumerate() {
+        let acc = dot_rows::<R, A, B>(a_tile, b_col);
+        for (r, &s) in acc.iter().enumerate() {
+            out_tile[r * n + j] = finish(j, s);
         }
     }
 }
@@ -656,9 +676,20 @@ mod tests {
 
     #[test]
     fn narrow_dot_matches_i64_definition_at_every_width_and_edge() {
-        // Rows off the DOT_ROWS tile, k off (and under) the DOT_LANES chunk,
-        // n = 1, and every i16/i32 operand pairing.
-        for (rows, k, n) in [(1, 5, 1), (3, 31, 2), (4, 32, 3), (9, 77, 5), (6, 0, 2)] {
+        // Rows off the DOT_ROWS tile (every remainder height, alone and
+        // after full tiles), k off (and under) the DOT_LANES chunk, n = 1,
+        // and every i16/i32 operand pairing.
+        let shapes = [
+            (1, 5, 1),
+            (2, 40, 3),
+            (3, 31, 2),
+            (4, 32, 3),
+            (6, 33, 2),
+            (7, 64, 4),
+            (9, 77, 5),
+            (6, 0, 2),
+        ];
+        for (rows, k, n) in shapes {
             let a: Vec<i16> = (0..rows * k).map(|i| (i * 37 % 401) as i16 - 200).collect();
             let bt: Vec<i16> = (0..n * k).map(|i| (i * 53 % 255) as i16 - 127).collect();
             let a32: Vec<i32> = a.iter().map(|&v| v as i32).collect();
