@@ -736,8 +736,6 @@ metrics_table! {
         FALLBACK_INT8: Counter,
         /// Sites that fell through to the FP16 fallback rung.
         FALLBACK_FP16: Counter,
-        /// Forwards rerouted to the FP16 path by the runtime overflow threshold.
-        RUNTIME_FALLBACKS: Counter,
         /// Decode-step activations sanitized after an injected NaN channel.
         DECODE_SANITIZED: Counter,
         /// Greedy-argmax rows with no finite logit (e.g. NaN-poisoned weights),

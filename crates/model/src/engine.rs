@@ -43,21 +43,27 @@
 //! sealed pages keep the scale snapshot they were written under, which is
 //! self-consistent and strictly more accurate than reshifting them.
 //!
-//! **Read paths.** By default the cache is read in place, page by page,
-//! never materializing a `len × head_dim` plane. Quantized planes are read
-//! in the integer domain ([`KvReadPath::Integer`]): decode attention
-//! quantizes the query (and attention-probability) row to 8-bit codes and
-//! dots it against the packed K/V codes; a page is decoded once into codes
-//! pre-shifted by their group's α = 2 combine weight, so each dot is one
-//! `i32` accumulator and one application of the page's scale. f32-mode
-//! planes are dotted where their pages lie; a page the arena demoted under
-//! them is dequantized into page-sized scratch by the same shift and one
-//! multiply by its smallest scale. The [`KvReadPath::Dequant`] path (gather
-//! the dequantized plane, then run f32 attention) is the oracle both
-//! in-place reads are tested against: bit-identical to the default on an
-//! f32-mode cache, numerically close but not bit-equal on a quantized one
-//! (the integer path rounds the query/probability rows). Either way decode
-//! stays bit-deterministic at any thread count.
+//! **Read paths.** Cached attention is one call into the cache per
+//! position: it appends the position's K/V and then, per head, reads the
+//! scores, takes the softmax and reads the value row — the cache, not the
+//! caller, picks the read, and appending before reading is what keeps a
+//! multi-token `extend` bit-identical to token-by-token `step`. The cache is
+//! read in place, one page walk per product, never materializing a
+//! `len × head_dim` plane. Quantized planes are read in the integer domain
+//! (whatever the scheme): the query (and attention-probability) row is
+//! quantized to 8-bit codes and dotted against the packed K/V codes; a page
+//! is decoded once into codes pre-shifted by their group's α = 2 combine
+//! weight, so each dot is one `i32` accumulator and one application of the
+//! page's scale. f32-mode planes are dotted where their pages lie; a page
+//! the arena demoted under them is dequantized into the cache's read
+//! scratch by the same shift and one multiply by its smallest scale. A
+//! scheme that quantizes act×act products reads an f32-mode cache through
+//! the gathered (dequantized) planes, which its kernel consumes whole; the
+//! gathered read is also the hidden test oracle of both in-place reads
+//! (`set_kv_read_path`): bit-identical to the default on an f32-mode
+//! cache, numerically close but not bit-equal on a quantized one (the
+//! integer read rounds the query/probability rows). Either way decode stays
+//! bit-deterministic at any thread count.
 //!
 //! **Parity guarantee.** In `f32` mode with an unbounded arena,
 //! `prefill(&t[..n]); step(t[n]); …; step(t[m-1])` produces logits

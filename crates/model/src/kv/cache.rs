@@ -1,15 +1,21 @@
 //! [`KvCache`]: per-layer, per-head K/V page lists over a [`KvArena`] —
-//! append, copy-on-write fork, own-page demotion, the in-place reads
-//! (integer-domain for quantized modes, page-by-page f32 for f32 mode) and
-//! the gathered read they are tested against.
+//! append, copy-on-write fork, own-page demotion, and cached attention
+//! ([`KvCache::attend_row`]): one page walk per product, whose per-page arm
+//! is the integer read for quantized planes and the f32 read for f32-mode
+//! ones, and the gathered read they are tested against.
+
+use std::ops::Range;
 
 use tender_metrics::engine as metrics;
-use tender_tensor::qrows::MAX_PACKED_GROUPS;
-use tender_tensor::{gemm, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayload, PageTier};
+use tender_quant::scheme::Scheme;
+use tender_tensor::arena::QuantPage;
+use tender_tensor::{
+    gemm, ops, DemoteKey, EvictError, KvArena, Matrix, Page, PagePayload, PageTier,
+};
 
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
 use super::quant::{
-    combine_groups, decode_rows, demote_if_smaller, dequant_page_into, quantize_act,
+    combine_groups, decode_rows, demote_if_smaller, dequant_page_into, quantize_act_into,
     record_dot_metrics, PlaneQuant, RowScratch,
 };
 use crate::shape::ModelShape;
@@ -43,44 +49,193 @@ impl Plane {
         (self.len < self.pages.len() * page_rows).then_some(tail)
     }
 
-    /// The f32 read of an f32-mode plane, page by page and in place: hands
-    /// each page's rows (row-major, `rows · head_dim`) to `f` with the
-    /// position of its first row, in position order. An f32 page is read
-    /// where it lies; a demoted page is dequantized into `scratch` first
-    /// ([`dequant_page_into`]). Either way `f` sees the bits
-    /// [`KvCache::gather`] would have copied.
-    fn for_each_page_f32(&self, scratch: &mut PageScratch, mut f: impl FnMut(usize, &[f32])) {
-        let (mut in_place, mut dequantized) = (0u64, 0u64);
-        let mut off = 0usize;
+    /// The score walk: one score per cached position of this K plane
+    /// against the (scaled) query row `qh`, in position order. The arm is
+    /// chosen per page, by plane mode and page tier:
+    ///
+    /// - *quantized plane:* `qh` is quantized once to [`KV_ACT_BITS`] codes
+    ///   and every page dotted on its packed codes
+    ///   ([`ReadScratch::page_sums`]); the page's frozen scale applies once
+    ///   per dot and its bias dot (`Σ_c qh[c]·bias[c]`, full f32 precision)
+    ///   is added.
+    /// - *f32 plane:* an f32 page is dotted where it lies, a demoted page
+    ///   once dequantized into `read` ([`dequant_page_into`]: the bits
+    ///   [`decode_rows`] gives). The page's rows advance together, `k`
+    ///   outermost, so its dots are independent chains in flight at once;
+    ///   per score the chain is [`ops::row_dot_nt`]'s (`k` ascending, zeros
+    ///   of `qh` skipped, one f32 accumulator).
+    ///
+    /// [`ops::row_dot_nt`]: tender_tensor::ops::row_dot_nt
+    /// [`decode_rows`]: super::quant::decode_rows
+    fn scores(&self, qh: &[f32], read: &mut ReadScratch) -> Vec<f32> {
+        let dh = qh.len();
+        let x_scale = self
+            .quant
+            .is_some()
+            .then(|| quantize_act_into(qh, &mut read.act));
+        let mut out = Vec::with_capacity(self.len);
+        let mut reads = [0u64; 2];
         for page in &self.pages {
             let payload = page.read();
-            off += match &*payload {
-                PagePayload::F32(m) => {
-                    in_place += 1;
-                    f(off, m.as_slice());
-                    m.rows()
+            let rows = match (&*payload, x_scale) {
+                (PagePayload::Quant(qp), Some(x_scale)) => {
+                    let bias_dot = qh
+                        .iter()
+                        .zip(qp.bias.iter())
+                        .fold(0.0f32, |d, (x, b)| d + x * b);
+                    let factor = x_scale * qp.scales.last().expect("page scale snapshot");
+                    read.page_sums(qp, 0..dh, false, |_, s| out.push(s * factor + bias_dot));
+                    continue;
                 }
-                PagePayload::Quant(q) => {
-                    dequantized += 1;
-                    dequant_page_into(q, &mut scratch.codes, &mut scratch.rows);
-                    f(off, &scratch.rows);
-                    q.rows.rows()
+                (PagePayload::Quant(qp), None) => {
+                    reads[1] += 1;
+                    dequant_page_into(qp, &mut read.codes, &mut read.rows);
+                    &read.rows[..]
+                }
+                (PagePayload::F32(m), _) => {
+                    reads[0] += 1;
+                    m.as_slice()
                 }
             };
+            let start = out.len();
+            out.resize(start + rows.len() / dh, 0.0);
+            for (k, &x) in qh.iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (acc, row) in out[start..].iter_mut().zip(rows.chunks_exact(dh)) {
+                    *acc += x * row[k];
+                }
+            }
         }
-        debug_assert_eq!(off, self.len, "pages hold the plane's positions");
-        metrics::KV_F32_PAGE_READS.add(in_place);
-        metrics::KV_DEQUANT_PAGE_READS.add(dequantized);
+        publish_walk(x_scale.is_some(), reads, out.len(), out.len() * dh);
+        out
+    }
+
+    /// The value walk: the probability row `probs` (one per cached
+    /// position) against this V plane, accumulated into one `dh`-wide row
+    /// page by page in position order. The same per-page arms as
+    /// [`Plane::scores`]: a quantized page through its packed codes, under
+    /// its own frozen scale, plus its bias times the page's probability
+    /// mass; an f32 page (or a demoted one, dequantized) on
+    /// `gemm::f32_block`'s chain — positions ascending, zero probabilities
+    /// skipped, one f32 accumulator per column.
+    fn values(&self, probs: &[f32], dh: usize, read: &mut ReadScratch) -> Vec<f32> {
+        let mut out = vec![0.0f32; dh];
+        let p_scale = self
+            .quant
+            .is_some()
+            .then(|| quantize_act_into(probs, &mut read.act));
+        let mut reads = [0u64; 2];
+        let mut off = 0;
+        for page in &self.pages {
+            let payload = page.read();
+            let rows = match (&*payload, p_scale) {
+                (PagePayload::Quant(qp), Some(p_scale)) => {
+                    let span = off..off + qp.rows.rows();
+                    let psum = probs[span.clone()].iter().fold(0.0f32, |s, &p| s + p);
+                    let factor = p_scale * qp.scales.last().expect("page scale snapshot");
+                    off = span.end;
+                    read.page_sums(qp, span, true, |c, s| {
+                        out[c] += s * factor + qp.bias[c] * psum;
+                    });
+                    continue;
+                }
+                (PagePayload::Quant(qp), None) => {
+                    reads[1] += 1;
+                    dequant_page_into(qp, &mut read.codes, &mut read.rows);
+                    &read.rows[..]
+                }
+                (PagePayload::F32(m), _) => {
+                    reads[0] += 1;
+                    m.as_slice()
+                }
+            };
+            for (&p, row) in probs[off..].iter().zip(rows.chunks_exact(dh)) {
+                if p == 0.0 {
+                    continue;
+                }
+                for (o, &v) in out.iter_mut().zip(row) {
+                    *o += p * v;
+                }
+            }
+            off += rows.len() / dh;
+        }
+        publish_walk(p_scale.is_some(), reads, dh, probs.len() * dh);
+        out
     }
 }
 
-/// Page-sized buffers of the in-place f32 read: a demoted page's
-/// pre-shifted codes and its dequantized rows. Nothing in them outlives one
-/// page.
+/// Publishes what one walk read: a quantized plane's integer dots and their
+/// MACs, or an f32 plane's pages read in place and dequantized (`reads`).
+fn publish_walk(quantized: bool, reads: [u64; 2], dots: usize, macs: usize) {
+    if quantized {
+        metrics::KV_INT_DOTS.add(dots as u64);
+        metrics::KV_INT_DOT_MACS.add(macs as u64);
+    } else {
+        metrics::KV_F32_PAGE_READS.add(reads[0]);
+        metrics::KV_DEQUANT_PAGE_READS.add(reads[1]);
+    }
+}
+
+/// The buffers of the cache's reads, reused by every walk: the quantized
+/// query or probability row, one page's pre-shifted codes (the integer
+/// kernels' and the dequantizer's), a demoted page's f32 rows, and the
+/// licensed and checked kernels' sums.
 #[derive(Debug, Clone, Default)]
-struct PageScratch {
+struct ReadScratch {
+    act: Vec<i32>,
     codes: Vec<i16>,
     rows: Vec<f32>,
+    sums: Vec<i32>,
+    group_sums: Vec<i64>,
+}
+
+impl ReadScratch {
+    /// One quantized page against the activation codes `act[x]`: its
+    /// combined integer sums — one per row for the score product, one per
+    /// column for the `value` product — handed to `emit` with their index.
+    /// Under the [`gemm::kv_dot_cannot_overflow`] license for `x.len()`
+    /// terms the page is decoded once into codes pre-multiplied by their
+    /// group's α = 2 combine weight and each sum is one `i32` accumulator
+    /// ([`gemm::kv_score_block`] / [`gemm::kv_attn_block`]); integer sums
+    /// are exact and order-free, so they equal the checked per-group walk
+    /// and [`combine_groups`], which is what runs when the license fails.
+    fn page_sums(
+        &mut self,
+        qp: &QuantPage,
+        x: Range<usize>,
+        value: bool,
+        mut emit: impl FnMut(usize, f32),
+    ) {
+        let (kv, groups, act) = (&qp.rows, qp.scales.len(), &self.act[x]);
+        let n = if value { kv.cols() } else { kv.rows() };
+        if gemm::kv_dot_cannot_overflow(act.len(), KV_ACT_BITS, kv.bits(), groups) {
+            self.codes.resize(kv.rows() * kv.cols(), 0);
+            self.sums.resize(n, 0);
+            if value {
+                gemm::kv_attn_block(kv, act, groups, &mut self.codes, &mut self.sums);
+            } else {
+                gemm::kv_score_block(kv, act, groups, &mut self.codes, &mut self.sums);
+            }
+            for (i, &s) in self.sums.iter().enumerate() {
+                emit(i, s as f32);
+            }
+            record_dot_metrics(n, false, 0);
+        } else {
+            self.group_sums.clear();
+            self.group_sums.resize(n * groups, 0);
+            let mut events = if value {
+                gemm::kv_attn_checked(kv, act, groups, &mut self.group_sums)
+            } else {
+                gemm::kv_score_checked(kv, act, groups, &mut self.group_sums)
+            };
+            for (i, sums) in self.group_sums.chunks_exact(groups).enumerate() {
+                emit(i, combine_groups(sums, &mut events) as f32);
+            }
+            record_dot_metrics(n, true, events);
+        }
+    }
 }
 
 /// Session-local per-tier page accounting (this cache's own view: a page
@@ -159,9 +314,8 @@ pub struct KvCache {
     /// The row encoder's buffers, reused by every quantized append so a
     /// row costs no allocation. Nothing in them outlives one row.
     scratch: RowScratch,
-    /// The in-place f32 read's buffers, reused by every demoted page it
-    /// meets.
-    page_scratch: PageScratch,
+    /// The in-place reads' buffers, reused by every page they walk.
+    read: ReadScratch,
 }
 
 impl KvCache {
@@ -185,7 +339,7 @@ impl KvCache {
             owner: arena.register_owner(),
             planes: (0..planes).map(|_| Plane::new(mode)).collect(),
             scratch: RowScratch::default(),
-            page_scratch: PageScratch::default(),
+            read: ReadScratch::default(),
         };
         cache.publish_overhead(true);
         cache
@@ -316,9 +470,14 @@ impl KvCache {
     /// Panics if `li` is out of range, the shapes disagree with the cache
     /// geometry, or `k` and `v` have different row counts.
     pub fn append(&mut self, li: usize, k: &Matrix, v: &Matrix) -> Result<(), EvictError> {
-        assert!(li < self.layers, "layer {li} out of cache range");
         assert_eq!(k.shape(), v.shape(), "K/V row mismatch");
         assert_eq!(k.cols(), self.heads * self.head_dim, "d_model mismatch");
+        self.append_rows(li, k.as_slice(), v.as_slice())
+    }
+
+    /// [`KvCache::append`] of row-major `d_model`-wide K/V rows.
+    fn append_rows(&mut self, li: usize, k: &[f32], v: &[f32]) -> Result<(), EvictError> {
+        assert!(li < self.layers, "layer {li} out of cache range");
         for head in 0..self.heads {
             let c0 = head * self.head_dim;
             self.append_plane(self.k_plane(li, head), k, c0)?;
@@ -327,19 +486,21 @@ impl KvCache {
         Ok(())
     }
 
-    /// Appends columns `c0 .. c0 + head_dim` of every row of `m` to plane
-    /// `idx`, one page-run at a time: the rows that fit the tail page go in
-    /// under a single exclusive edit of it (one lock, one re-billing), then
-    /// the next page opens. Bytes only grow inside a run, so the peak gauge
-    /// observed at its end is the maximum a per-row edit would have seen.
-    fn append_plane(&mut self, idx: usize, m: &Matrix, c0: usize) -> Result<(), EvictError> {
-        let dh = self.head_dim;
-        let head_row = |r: usize| &m.row(r)[c0..c0 + dh];
-        if m.rows() == 0 {
+    /// Appends columns `c0 .. c0 + head_dim` of every row of `m` (row-major,
+    /// `d_model` wide) to plane `idx`, one page-run at a time: the rows that
+    /// fit the tail page go in under a single exclusive edit of it (one
+    /// lock, one re-billing), then the next page opens. Bytes only grow
+    /// inside a run, so the peak gauge observed at its end is the maximum a
+    /// per-row edit would have seen.
+    fn append_plane(&mut self, idx: usize, m: &[f32], c0: usize) -> Result<(), EvictError> {
+        let (dh, width) = (self.head_dim, self.heads * self.head_dim);
+        let head_row = |r: usize| &m[r * width + c0..r * width + c0 + dh];
+        let rows = m.len() / width;
+        if rows == 0 {
             return Ok(());
         }
         if let Some(q) = &mut self.planes[idx].quant {
-            q.fix_bias((0..m.rows()).map(head_row), dh);
+            q.fix_bias((0..rows).map(head_row), dh);
         }
         let page_rows = self.arena.page_rows();
         let mode = self.mode;
@@ -347,8 +508,8 @@ impl KvCache {
         // capped arena) and a lower rung exists.
         let queues = self.arena.config().capacity_bytes.is_some() && mode.demoted().is_some();
         let mut r0 = 0;
-        while r0 < m.rows() {
-            let r1 = m.rows().min(r0 + self.writable_tail(idx)?);
+        while r0 < rows {
+            let r1 = rows.min(r0 + self.writable_tail(idx)?);
             let plane = &mut self.planes[idx];
             let scratch = &mut self.scratch;
             let tail = plane.pages.last().expect("tail page");
@@ -512,11 +673,10 @@ impl KvCache {
 
     /// Selects how the cache is read during decode attention: in place by
     /// default (quantized planes in the integer domain, f32-mode planes
-    /// through [`KvCache::attn_scores_f32`] / [`KvCache::attn_values_f32`]);
-    /// under [`KvReadPath::Dequant`] every plane is gathered into a
-    /// dequantized matrix first ([`KvCache::head_k`] / [`KvCache::head_v`])
-    /// — the oracle both in-place reads are tested against, bit-identical
-    /// to the default on an f32-mode cache.
+    /// where their pages lie); under [`KvReadPath::Dequant`] every plane is
+    /// gathered into a dequantized matrix first ([`KvCache::head_k`] /
+    /// [`KvCache::head_v`]) — the oracle both in-place reads are tested
+    /// against, bit-identical to the default on an f32-mode cache.
     pub fn set_read_path(&mut self, path: KvReadPath) {
         self.read_path = path;
     }
@@ -535,8 +695,8 @@ impl KvCache {
     /// Cached keys for `(li, head)`: a `len × head_dim` matrix gathered
     /// from the plane's page list (exact rows from f32 pages, dequantized
     /// under each page's frozen snapshot otherwise). This is the
-    /// [`KvReadPath::Dequant`] read; default-path decode attention uses
-    /// [`KvCache::attn_scores_quant`] or [`KvCache::attn_scores_f32`].
+    /// [`KvReadPath::Dequant`] read; default-path decode attention reads
+    /// the pages in place.
     pub fn head_k(&self, li: usize, head: usize) -> Matrix {
         self.gather(&self.planes[self.k_plane(li, head)])
     }
@@ -547,32 +707,15 @@ impl KvCache {
         self.gather(&self.planes[self.v_plane(li, head)])
     }
 
-    /// Whether this cache takes the in-place f32 read.
-    fn reads_f32_in_place(&self) -> bool {
-        self.read_path == KvReadPath::Integer && self.mode == KvCacheMode::F32
+    /// Whether this cache reads planes of the given kind (f32-mode or
+    /// quantized) in place.
+    fn reads_in_place(&self, f32_mode: bool) -> bool {
+        self.read_path == KvReadPath::Integer && (self.mode == KvCacheMode::F32) == f32_mode
     }
 
-    /// Attention scores of the (already scaled) query row `qh` against the
-    /// cached K plane of `(li, head)` of an **f32-mode** cache: a `1 × len`
-    /// row computed page by page where the pages lie — no `len × head_dim`
-    /// plane is built. The rows of a page advance together, `k` outermost,
-    /// so the page's dots are independent accumulation chains in flight at
-    /// once; per output element the chain is [`ops::row_dot_nt`]'s (`k`
-    /// ascending, zeros of `qh` skipped, one f32 accumulator), so the row is
-    /// bit-identical to `row_dot_nt(qh, head_k(li, head))`.
-    ///
-    /// Returns `None` when the cache mode is quantized or the read path is
-    /// [`KvReadPath::Dequant`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an in-place f32 cache if `qh` is not `head_dim` wide.
-    ///
-    /// [`ops::row_dot_nt`]: tender_tensor::ops::row_dot_nt
-    pub fn attn_scores_f32(&mut self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
-        if !self.reads_f32_in_place() {
-            return None;
-        }
+    /// The in-place score read of `(li, head)`: the query row checked, then
+    /// [`Plane::scores`] through `read`, as a `1 × len` row.
+    fn read_scores(&self, li: usize, head: usize, qh: &[f32], read: &mut ReadScratch) -> Matrix {
         let dh = self.head_dim;
         assert_eq!(
             qh.len(),
@@ -580,41 +723,12 @@ impl KvCache {
             "query row for (layer {li}, head {head}) is {} wide, head_dim is {dh}",
             qh.len()
         );
-        let plane = &self.planes[self.k_plane(li, head)];
-        let mut out = vec![0.0f32; plane.len];
-        plane.for_each_page_f32(&mut self.page_scratch, |off, rows| {
-            let accs = &mut out[off..off + rows.len() / dh];
-            for (k, &x) in qh.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                for (acc, row) in accs.iter_mut().zip(rows.chunks_exact(dh)) {
-                    *acc += x * row[k];
-                }
-            }
-        });
-        let len = out.len();
-        Some(Matrix::from_vec(1, len, out).expect("score row shape"))
+        row_matrix(self.planes[self.k_plane(li, head)].scores(qh, read))
     }
 
-    /// Attention-value product of the probability row `probs` (length
-    /// `len`) against the cached V plane of `(li, head)` of an **f32-mode**
-    /// cache: a `1 × head_dim` row accumulated over the pages in position
-    /// order, where they lie. Per output column the chain is the f32
-    /// matmul's (positions ascending, zero probabilities skipped, one f32
-    /// accumulator), so the row is bit-identical to
-    /// `probs.matmul(head_v(li, head))`. Same `None` contract as
-    /// [`KvCache::attn_scores_f32`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an in-place f32 cache if `probs` does not hold one
-    /// probability per cached position.
-    pub fn attn_values_f32(&mut self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
-        if !self.reads_f32_in_place() {
-            return None;
-        }
-        let dh = self.head_dim;
+    /// The in-place value read of `(li, head)`: the probability row checked,
+    /// then [`Plane::values`] through `read`, as a `1 × head_dim` row.
+    fn read_values(&self, li: usize, head: usize, probs: &[f32], read: &mut ReadScratch) -> Matrix {
         let plane = &self.planes[self.v_plane(li, head)];
         assert_eq!(
             probs.len(),
@@ -623,32 +737,129 @@ impl KvCache {
             probs.len(),
             plane.len
         );
-        let mut out = vec![0.0f32; dh];
-        plane.for_each_page_f32(&mut self.page_scratch, |off, rows| {
-            for (&p, row) in probs[off..].iter().zip(rows.chunks_exact(dh)) {
-                if p == 0.0 {
-                    continue;
-                }
-                for (o, &v) in out.iter_mut().zip(row) {
-                    *o += p * v;
-                }
+        row_matrix(plane.values(probs, self.head_dim, read))
+    }
+
+    /// One position of cached attention in layer `li`: appends its K/V rows
+    /// (`k_row`, `v_row`, `d_model` wide), then for every head scores the
+    /// query row `q_row` (already scaled by `1/√head_dim`) against the whole
+    /// K plane, takes [`ops::softmax_rows`] and writes the value product
+    /// into the head's columns of `out`. Returns the multiply-accumulates
+    /// run on packed codes (zero unless the integer read ran).
+    ///
+    /// *Append, then read* is the order that makes `n` rows of one call
+    /// bit-identical to `n` one-row calls: appending a later row can raise
+    /// a quantized plane's `TMax` and `requant_shift` the tail page, which
+    /// this row must read as it was when it was the newest (DESIGN §9.2).
+    ///
+    /// The cache picks the read: quantized planes in the integer domain
+    /// whatever the scheme; f32-mode planes in place when `act_act` is
+    /// `None` (act×act is the plain f32 product, which the in-place walk
+    /// reproduces bit for bit); otherwise — a scheme that quantizes act×act
+    /// products, whose kernel takes whole matrices, or
+    /// [`KvReadPath::Dequant`] — the gathered planes, through that scheme's
+    /// `act_act_matmul`, or through [`ops::row_dot_nt`] and the f32 matmul.
+    ///
+    /// # Errors
+    ///
+    /// As [`KvCache::append`]; nothing is read then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `li` is out of range or a row is not `d_model` wide.
+    pub(crate) fn attend_row(
+        &mut self,
+        li: usize,
+        k_row: &[f32],
+        v_row: &[f32],
+        q_row: &[f32],
+        act_act: Option<&dyn Scheme>,
+        out: &mut [f32],
+    ) -> Result<u64, EvictError> {
+        let (dh, width) = (self.head_dim, self.heads * self.head_dim);
+        let widths = [k_row.len(), v_row.len(), q_row.len(), out.len()];
+        assert!(widths.iter().all(|&w| w == width), "d_model mismatch");
+        self.append_rows(li, k_row, v_row)?;
+        let quantized = self.mode != KvCacheMode::F32;
+        let in_place = self.read_path == KvReadPath::Integer && (quantized || act_act.is_none());
+        let mut read = std::mem::take(&mut self.read);
+        let heads = q_row.chunks_exact(dh).zip(out.chunks_exact_mut(dh));
+        for (head, (qh, out)) in heads.enumerate() {
+            if in_place {
+                let probs = ops::softmax_rows(&self.read_scores(li, head, qh, &mut read));
+                out.copy_from_slice(self.read_values(li, head, probs.row(0), &mut read).row(0));
+            } else {
+                let (k, v) = (self.head_k(li, head), self.head_v(li, head));
+                let q = row_matrix(qh.to_vec());
+                let attn = match act_act {
+                    Some(scheme) => {
+                        let probs = ops::softmax_rows(&scheme.act_act_matmul(&q, &k.transpose()));
+                        scheme.act_act_matmul(&probs, &v)
+                    }
+                    None => {
+                        let probs = ops::softmax_rows(&ops::row_dot_nt(&q, &k));
+                        probs.matmul(&v).expect("attention shapes")
+                    }
+                };
+                out.copy_from_slice(attn.row(0));
             }
-        });
-        Some(Matrix::from_vec(1, dh, out).expect("attn row shape"))
+        }
+        self.read = read;
+        let len = self.planes[self.k_plane(li, 0)].len;
+        Ok(if in_place && quantized {
+            (2 * self.heads * dh * len) as u64
+        } else {
+            0
+        })
+    }
+
+    /// Attention scores of the (already scaled) query row `qh` against the
+    /// cached K plane of `(li, head)` of an **f32-mode** cache: a `1 × len`
+    /// row, read page by page where the pages lie (the cache's score walk) —
+    /// bit-identical to `row_dot_nt(qh, head_k(li, head))`.
+    ///
+    /// Returns `None` when the cache mode is quantized or the read path is
+    /// [`KvReadPath::Dequant`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an in-place f32 cache if `qh` is not `head_dim` wide.
+    pub fn attn_scores_f32(&mut self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
+        let mut read = std::mem::take(&mut self.read);
+        let scores = self
+            .reads_in_place(true)
+            .then(|| self.read_scores(li, head, qh, &mut read));
+        self.read = read;
+        scores
+    }
+
+    /// Attention-value product of the probability row `probs` (length
+    /// `len`) against the cached V plane of `(li, head)` of an **f32-mode**
+    /// cache: a `1 × head_dim` row accumulated page by page in position
+    /// order (the cache's value walk) — bit-identical to
+    /// `probs.matmul(head_v(li, head))`. Same `None` contract as
+    /// [`KvCache::attn_scores_f32`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an in-place f32 cache if `probs` does not hold one
+    /// probability per cached position.
+    pub fn attn_values_f32(&mut self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
+        let mut read = std::mem::take(&mut self.read);
+        let attn = self
+            .reads_in_place(true)
+            .then(|| self.read_values(li, head, probs, &mut read));
+        self.read = read;
+        attn
     }
 
     /// Integer-domain attention scores of the (already scaled) query row
-    /// `qh` against the cached K plane of `(li, head)`: a `1 × len` row,
-    /// computed directly on the packed codes page by page. Each page is
-    /// decoded once into codes pre-multiplied by their group's α = 2
-    /// combine weight, so a row's dot is one `i32` accumulator that already
-    /// holds the shift-combined sum ([`gemm::kv_score_block`]); the page's
-    /// own frozen scale applies once per dot, and the page's bias dot
-    /// (`Σ_c qh[c]·bias[c]`, full f32 precision) is added per row. Integer
-    /// sums under the [`gemm::kv_dot_cannot_overflow`] license are exact
-    /// and order-free, so the result is bit-identical across thread counts
-    /// and equal to the checked per-group walk, which is what runs when the
-    /// license fails.
+    /// `qh` against the cached K plane of `(li, head)`: a `1 × len` row
+    /// computed on the packed codes page by page (the cache's score walk).
+    /// Integer sums under the [`gemm::kv_dot_cannot_overflow`] license are
+    /// exact and order-free, so the result is bit-identical across thread
+    /// counts and equal to the checked per-group walk, which is what runs
+    /// when the license fails.
     ///
     /// Returns `None` when the cache mode is `f32` or the read path is
     /// [`KvReadPath::Dequant`] — the caller then falls back to the f32
@@ -659,138 +870,30 @@ impl KvCache {
     /// Panics on a quantized integer-path cache if `qh` is not `head_dim`
     /// wide.
     pub fn attn_scores_quant(&self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
-        if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
-            return None;
-        }
-        let plane = &self.planes[self.k_plane(li, head)];
-        let dh = self.head_dim;
-        assert_eq!(
-            qh.len(),
-            dh,
-            "query row for (layer {li}, head {head}) is {} wide, head_dim is {dh}",
-            qh.len()
-        );
-        let (xq, x_scale) = quantize_act(qh);
-        let page_rows = self.arena.page_rows();
-        let mut codes = vec![0i16; page_rows * dh];
-        let mut sums = vec![0i32; page_rows];
-        let mut group_sums = Vec::new(); // checked walk only
-        let mut out = Vec::with_capacity(plane.len);
-        for page in &plane.pages {
-            let payload = page.read();
-            let PagePayload::Quant(qp) = &*payload else {
-                unreachable!("quantized plane holds an f32 page");
-            };
-            let plen = qp.rows.rows();
-            if plen == 0 {
-                continue;
-            }
-            let groups = qp.scales.len();
-            let mut bias_dot = 0.0f32;
-            for (x, b) in qh.iter().zip(qp.bias.iter()) {
-                bias_dot += x * b;
-            }
-            let s_last = *qp.scales.last().expect("page scale snapshot");
-            let factor = x_scale * s_last;
-            if gemm::kv_dot_cannot_overflow(dh, KV_ACT_BITS, qp.rows.bits(), groups) {
-                let sums = &mut sums[..plen];
-                gemm::kv_score_block(&qp.rows, &xq, groups, &mut codes[..plen * dh], sums);
-                out.extend(sums.iter().map(|&s| s as f32 * factor + bias_dot));
-                record_dot_metrics(plen, false, 0);
-            } else {
-                group_sums.clear();
-                group_sums.resize(plen * groups, 0i64);
-                let mut events = gemm::kv_score_checked(&qp.rows, &xq, groups, &mut group_sums);
-                for row_sums in group_sums.chunks_exact(groups) {
-                    let combined = combine_groups(row_sums, &mut events);
-                    out.push(combined as f32 * factor + bias_dot);
-                }
-                record_dot_metrics(plen, true, events);
-            }
-        }
-        metrics::KV_INT_DOTS.add(out.len() as u64);
-        metrics::KV_INT_DOT_MACS.add((out.len() * dh) as u64);
-        let len = out.len();
-        Some(Matrix::from_vec(1, len, out).expect("score row shape"))
+        self.reads_in_place(false)
+            .then(|| self.read_scores(li, head, qh, &mut ReadScratch::default()))
     }
 
     /// Integer-domain attention-value product of the probability row
     /// `probs` (length `len`) against the cached V plane of `(li, head)`:
-    /// a `1 × head_dim` row computed directly on the packed codes page by
-    /// page (each page contributes its slice of the probability row under
-    /// its own frozen scales, through one `i32` column bank of pre-shifted
-    /// codes — [`gemm::kv_attn_block`]; contributions sum in page order).
-    /// Same `None` contract and determinism argument as
-    /// [`KvCache::attn_scores_quant`].
+    /// a `1 × head_dim` row computed on the packed codes page by page, each
+    /// page under its own frozen scales, contributions summed in page order
+    /// (the cache's value walk). Same `None` contract and determinism argument
+    /// as [`KvCache::attn_scores_quant`].
     ///
     /// # Panics
     ///
     /// Panics on a quantized integer-path cache if `probs` does not hold
     /// one probability per cached position.
     pub fn attn_values_quant(&self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
-        if self.read_path != KvReadPath::Integer || self.mode == KvCacheMode::F32 {
-            return None;
-        }
-        let plane = &self.planes[self.v_plane(li, head)];
-        let dh = self.head_dim;
-        assert_eq!(
-            probs.len(),
-            plane.len,
-            "probability row for (layer {li}, head {head}) is {} wide, the plane caches {} positions",
-            probs.len(),
-            plane.len
-        );
-        let mut out = vec![0.0f32; dh];
-        if plane.len > 0 {
-            let (pq, p_scale) = quantize_act(probs);
-            let mut codes = vec![0i16; self.arena.page_rows() * dh];
-            let mut sums = vec![0i32; dh];
-            let mut group_sums = Vec::new(); // checked walk only
-            let mut off = 0usize;
-            for page in &plane.pages {
-                let payload = page.read();
-                let PagePayload::Quant(qp) = &*payload else {
-                    unreachable!("quantized plane holds an f32 page");
-                };
-                let plen = qp.rows.rows();
-                if plen == 0 {
-                    continue;
-                }
-                let groups = qp.scales.len();
-                let mut psum = 0.0f32;
-                for &p in &probs[off..off + plen] {
-                    psum += p;
-                }
-                let s_last = *qp.scales.last().expect("page scale snapshot");
-                let factor = p_scale * s_last;
-                let pq = &pq[off..off + plen];
-                if gemm::kv_dot_cannot_overflow(plen, KV_ACT_BITS, qp.rows.bits(), groups) {
-                    gemm::kv_attn_block(&qp.rows, pq, groups, &mut codes[..plen * dh], &mut sums);
-                    for ((o, &s), b) in out.iter_mut().zip(&sums).zip(qp.bias.iter()) {
-                        *o += s as f32 * factor + b * psum;
-                    }
-                    record_dot_metrics(dh, false, 0);
-                } else {
-                    group_sums.clear();
-                    group_sums.resize(groups * dh, 0i64);
-                    let mut events = gemm::kv_attn_checked(&qp.rows, pq, groups, &mut group_sums);
-                    let mut col_sums = [0i64; MAX_PACKED_GROUPS];
-                    for (c, o) in out.iter_mut().enumerate() {
-                        for (g, cs) in col_sums[..groups].iter_mut().enumerate() {
-                            *cs = group_sums[g * dh + c];
-                        }
-                        let combined = combine_groups(&col_sums[..groups], &mut events);
-                        *o += combined as f32 * factor + qp.bias[c] * psum;
-                    }
-                    record_dot_metrics(dh, true, events);
-                }
-                off += plen;
-            }
-        }
-        metrics::KV_INT_DOTS.add(dh as u64);
-        metrics::KV_INT_DOT_MACS.add((probs.len() * dh) as u64);
-        Some(Matrix::from_vec(1, dh, out).expect("attn row shape"))
+        self.reads_in_place(false)
+            .then(|| self.read_values(li, head, probs, &mut ReadScratch::default()))
     }
+}
+
+/// A `1 × n` matrix over `row`.
+fn row_matrix(row: Vec<f32>) -> Matrix {
+    Matrix::from_vec(1, row.len(), row).expect("one row")
 }
 
 impl Clone for KvCache {
@@ -809,7 +912,7 @@ impl Clone for KvCache {
             owner: self.arena.register_owner(),
             planes: self.planes.clone(),
             scratch: RowScratch::default(),
-            page_scratch: PageScratch::default(),
+            read: ReadScratch::default(),
         };
         cache.publish_overhead(true);
         cache
@@ -828,6 +931,8 @@ impl Drop for KvCache {
 mod tests {
     use super::*;
     use crate::test_support::{paged_arena, tiny};
+    use tender_quant::tender::{TenderConfig, TenderScheme};
+    use tender_tensor::rng::DetRng;
 
     #[test]
     fn kv_cache_grows_by_pages_past_initial_allocation() {
@@ -1005,6 +1110,116 @@ mod tests {
                 "{mode:?} in chunks"
             );
             assert_eq!(whole.bytes(), stepped.bytes());
+        }
+    }
+
+    /// The oracle of [`KvCache::attend_row`]: [`KvCache::append`], then per
+    /// head the public reads chained as the block chained them before the
+    /// cache chose the read — the integer read when it answers; else, when
+    /// act×act is the plain f32 product, the in-place f32 read when it
+    /// answers and the gathered planes through `row_dot_nt` and the f32
+    /// matmul when not; else the gathered planes through the scheme.
+    /// Returns the output row's bits and the MACs run on packed codes.
+    fn append_then_read(
+        cache: &mut KvCache,
+        li: usize,
+        [k, v, q]: [&[f32]; 3],
+        act_act: Option<&dyn Scheme>,
+    ) -> (Vec<u32>, u64) {
+        let row = |x: &[f32]| Matrix::from_vec(1, x.len(), x.to_vec()).expect("one row");
+        cache.append(li, &row(k), &row(v)).expect("uncapped arena");
+        let (dh, len) = (cache.head_dim, cache.planes[cache.k_plane(li, 0)].len);
+        let (mut out, mut int_macs) = (Vec::new(), 0);
+        for (head, qh) in q.chunks_exact(dh).enumerate() {
+            let (kh, vh) = (cache.head_k(li, head), cache.head_v(li, head));
+            let scores = match (cache.attn_scores_quant(li, head, qh), act_act) {
+                (Some(s), _) => {
+                    int_macs += (dh * len) as u64;
+                    s
+                }
+                (None, Some(scheme)) => scheme.act_act_matmul(&row(qh), &kh.transpose()),
+                (None, None) => cache
+                    .attn_scores_f32(li, head, qh)
+                    .unwrap_or_else(|| ops::row_dot_nt(&row(qh), &kh)),
+            };
+            let probs = ops::softmax_rows(&scores);
+            let attn = match (cache.attn_values_quant(li, head, probs.row(0)), act_act) {
+                (Some(a), _) => {
+                    int_macs += (dh * len) as u64;
+                    a
+                }
+                (None, Some(scheme)) => scheme.act_act_matmul(&probs, &vh),
+                (None, None) => cache
+                    .attn_values_f32(li, head, probs.row(0))
+                    .unwrap_or_else(|| probs.matmul(&vh).expect("1×len · len×dh")),
+            };
+            out.extend(attn.row(0).iter().map(|x| x.to_bits()));
+        }
+        (out, int_macs)
+    }
+
+    #[test]
+    fn attend_row_is_append_then_the_public_reads() {
+        // Every cache mode under both read paths, with act×act exact and
+        // quantized (`Tender-all@8`); magnitudes that grow so quantized
+        // planes requantize mid-page, and pages demoted under an f32 plane.
+        let (shape, _) = tiny();
+        let tender_all = TenderScheme::new(TenderConfig::int8().with_act_act(true));
+        let mut rng = DetRng::new(23);
+        let rows = 30;
+        let [k, v, q] = [0.6f32, 1.3, 0.9].map(|sd| {
+            Matrix::from_fn(rows, shape.d_model, |r, _| {
+                rng.normal(0.1, sd) * (1 + r / 9) as f32
+            })
+        });
+        let schemes: [Option<&dyn Scheme>; 2] = [None, Some(&tender_all)];
+        for mode in KvCacheMode::ALL {
+            for path in [KvReadPath::Integer, KvReadPath::Dequant] {
+                for act_act in schemes {
+                    let what = format!("{mode:?} {path:?} Tender-all {}", act_act.is_some());
+                    let build = || {
+                        let mut cache =
+                            KvCache::with_arena(&shape, mode, &paged_arena(4, None, 1.0));
+                        cache.set_read_path(path);
+                        for li in 0..shape.layers {
+                            cache
+                                .append(li, &k.slice_rows(0, 5), &v.slice_rows(0, 5))
+                                .expect("uncapped arena");
+                        }
+                        cache
+                    };
+                    let (mut cache, mut oracle) = (build(), build());
+                    for r in 5..rows {
+                        for li in 0..shape.layers {
+                            let (kr, vr, qr) = (k.row(r), v.row(r), q.row(r));
+                            let mut out = vec![f32::NAN; shape.d_model];
+                            let macs = cache
+                                .attend_row(li, kr, vr, qr, act_act, &mut out)
+                                .expect("uncapped arena");
+                            let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+                            let want = append_then_read(&mut oracle, li, [kr, vr, qr], act_act);
+                            assert_eq!((got, macs), want, "{what}: row {r} layer {li}");
+                        }
+                        if r % 6 == 0 {
+                            assert_eq!(cache.demote_one(), oracle.demote_one(), "{what}");
+                        }
+                    }
+                    if mode == KvCacheMode::F32 {
+                        let int8_pages = cache.tier_stats().pages[PageTier::Int8.index()];
+                        assert!(
+                            int8_pages > 0,
+                            "{what}: no page demoted under the f32 planes"
+                        );
+                    } else {
+                        assert!(cache.requants() > 0, "{what}: no requantization");
+                    }
+                    for plane in 0..shape.layers * shape.heads {
+                        let (li, head) = (plane / shape.heads, plane % shape.heads);
+                        assert_eq!(cache.head_k(li, head), oracle.head_k(li, head), "{what}");
+                        assert_eq!(cache.head_v(li, head), oracle.head_v(li, head), "{what}");
+                    }
+                }
+            }
         }
     }
 

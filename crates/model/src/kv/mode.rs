@@ -14,7 +14,10 @@ pub(crate) const ALPHA: u32 = 2;
 /// activation datapath).
 pub(crate) const KV_ACT_BITS: u32 = 8;
 
-/// How cache planes are read during decode attention.
+/// How cache planes are read during decode attention. A test oracle, not a
+/// tuning knob: the cache picks the read per call, and `Dequant` exists so
+/// the in-place reads can be checked against the gathered planes.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KvReadPath {
     /// In place, page by page. Quantized planes dot the packed codes

@@ -7,7 +7,7 @@
 //! scale). Also the activation-side helpers of the integer read path.
 //!
 //! Both quantizing directions — rows into the cache ([`encode_row`]) and
-//! query / probability rows against it ([`quantize_act`]) — produce their
+//! query / probability rows against it ([`quantize_act_into`]) — produce their
 //! codes through the engine's one runtime row quantizer,
 //! [`tender_quant::quantizer::quantize_row`], and the encoder classifies
 //! through the same threshold core as `classify_channels`
@@ -155,14 +155,11 @@ pub(super) fn decode_rows(payload: &PagePayload, mut sink: impl FnMut(&[f32])) {
 /// [`decode_rows`] of a quantized page: `code · scales[group] + bias` per
 /// element, row by row.
 fn decode_quant_rows(q: &QuantPage, mut sink: impl FnMut(&[f32])) {
-    let dh = q.rows.cols();
-    let mut qs = vec![0i32; dh];
-    let mut gs = vec![0u8; dh];
-    let mut row = vec![0.0f32; dh];
+    let mut row = vec![0.0f32; q.rows.cols()];
     for r in 0..q.rows.rows() {
-        q.rows.decode_row_into(r, &mut qs, &mut gs);
-        for (c, o) in row.iter_mut().enumerate() {
-            *o = qs[c] as f32 * q.scales[gs[c] as usize] + q.bias[c];
+        let elements = q.rows.row_iter(r).zip(q.bias.iter());
+        for (o, ((code, g), b)) in row.iter_mut().zip(elements) {
+            *o = code as f32 * q.scales[g] + b;
         }
         sink(&row);
     }
@@ -377,15 +374,15 @@ impl PlaneQuant {
     }
 }
 
-/// Quantizes an f32 activation row to `KV_ACT_BITS` codes, returning the
-/// codes and the scale. Non-finite entries are excluded from the range
-/// estimate and clamp deterministically in the quantizer (NaN → 0,
-/// ±∞ → ±qmax).
-pub(super) fn quantize_act(xs: &[f32]) -> (Vec<i32>, f32) {
+/// Quantizes an f32 activation row to `KV_ACT_BITS` codes into `codes`
+/// (resized to the row), returning the scale. Non-finite entries are
+/// excluded from the range estimate and clamp deterministically in the
+/// quantizer (NaN → 0, ±∞ → ±qmax).
+pub(super) fn quantize_act_into(xs: &[f32], codes: &mut Vec<i32>) -> f32 {
     let scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
-    let mut codes = vec![0; xs.len()];
-    quantize_row(xs, 0.0, scale, KV_ACT_BITS, &mut codes);
-    (codes, scale)
+    codes.resize(xs.len(), 0);
+    quantize_row(xs, 0.0, scale, KV_ACT_BITS, codes);
+    scale
 }
 
 /// Folds the per-group i64 partial sums of one checked dot into a single
@@ -569,7 +566,8 @@ mod tests {
             &[-3.5][..],
             &[][..],
         ] {
-            let (codes, scale) = quantize_act(xs);
+            let mut codes = vec![55; 3]; // dirty scratch of the wrong size
+            let scale = quantize_act_into(xs, &mut codes);
             let want_scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
             assert_eq!(scale.to_bits(), want_scale.to_bits());
             let want: Vec<i32> = xs
@@ -579,7 +577,8 @@ mod tests {
             assert_eq!(codes, want);
         }
         // Non-finite entries clamp deterministically and do not set the scale.
-        let (codes, _) = quantize_act(&poisoned);
+        let mut codes = Vec::new();
+        quantize_act_into(&poisoned, &mut codes);
         assert_eq!([codes[0], codes[9], codes[17]], [0, 127, -127]);
     }
 }

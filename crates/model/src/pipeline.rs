@@ -5,8 +5,9 @@
 //! sources ([`Attend`]): the call's own fresh K/V — [`forward_internal`],
 //! the full-sequence pass behind [`crate::ReferenceModel::forward`],
 //! [`crate::QuantizedModel::forward`], calibration capture and
-//! [`crate::engine::DecodeSession::prefill`] — or KV caches, row by row —
-//! [`forward_cached`], the one cached forward behind
+//! [`crate::engine::DecodeSession::prefill`] — or KV caches, one
+//! [`KvCache::attend_row`] per row (the cache appends the row, then picks
+//! how to read itself) — [`forward_cached`], the one cached forward behind
 //! [`crate::engine::DecodeSession::extend`] (one cache, `n` rows), `step`
 //! (its one-token case) and [`crate::engine::step_stacked`] (the decode
 //! rows of several sessions, one row per cache). Everything else (norms,
@@ -98,14 +99,12 @@ impl Exec<'_> {
         }
     }
 
-    /// Whether [`Exec::act_act`] is the plain f32 matmul (the scheme does
-    /// not quantize activation×activation products). When true, the
-    /// transpose-free [`ops::row_dot_nt`] may substitute for
-    /// `act_act(q, kᵀ)` bit-for-bit.
-    pub(crate) fn act_act_is_exact(&self) -> bool {
+    /// The scheme, when it quantizes activation×activation products;
+    /// `None` when [`Exec::act_act`] is the plain f32 matmul.
+    fn act_act_quantizer(&self) -> Option<&dyn Scheme> {
         match self {
-            Exec::Reference => true,
-            Exec::Quantized { scheme, .. } => !scheme.quantizes_act_act(),
+            Exec::Quantized { scheme, .. } if scheme.quantizes_act_act() => Some(*scheme),
+            _ => None,
         }
     }
 }
@@ -251,15 +250,12 @@ pub(crate) enum Attend<'a, 'c> {
         record: Option<&'a mut KvCache>,
     },
     /// Row by row against the caches, each of which already holds every
-    /// earlier position of its lane: row `i`'s K/V are appended, then row
-    /// `i` attends to its whole cache — no mask needed, every cached
-    /// position is in the past. Append and read must alternate per row:
-    /// appending a later row can raise a quantized plane's `TMax` and
-    /// `requant_shift` the tail page, which an earlier row must read as it
-    /// was when that row was the newest. Lanes never read each other's
-    /// cache, so which lanes share a call is invisible to every one of them.
-    /// `positions[r]` is the absolute position of hidden row `r`: each
-    /// lane's `base..base + rows`, lanes in order.
+    /// earlier position of its lane: one [`KvCache::attend_row`] per row,
+    /// which appends the row's K/V and then attends to the whole cache — no
+    /// mask needed, every cached position is in the past. Lanes never read
+    /// each other's cache, so which lanes share a call is invisible to
+    /// every one of them. `positions[r]` is the absolute position of hidden
+    /// row `r`: each lane's `base..base + rows`, lanes in order.
     Cached {
         lanes: &'a mut [Lane<'c>],
         positions: &'a [usize],
@@ -295,21 +291,9 @@ impl Attend<'_, '_> {
 /// `rows ≥ 1` hidden rows `h`: one whole sequence ([`Attend::Fresh`]), or
 /// independent tokens at the lanes' positions ([`Attend::Cached`]). Norms,
 /// the fault guard, every weight product and the residuals run once over
-/// all rows; only attention is per lane.
-///
-/// **Attention read paths** ([`Attend::Cached`]). The cache is read in
-/// place, page by page: quantized planes dot the query and probability rows
-/// against the packed codes ([`KvCache::attn_scores_quant`] /
-/// [`KvCache::attn_values_quant`]), f32-mode planes against the pages where
-/// they lie ([`KvCache::attn_scores_f32`] / [`KvCache::attn_values_f32`],
-/// bit-identical to the f32 products over the gathered plane) — no
-/// `len × head_dim` plane, no transpose copy. The gathered plane
-/// (`head_k` / `head_v`) is read only under
-/// [`KvReadPath::Dequant`](crate::kv::KvReadPath) — the oracle of both
-/// in-place reads — and by schemes that *quantize* act×act, whose operator
-/// consumes whole (for the scores, transposed) matrices; over it the
-/// transpose-free [`ops::row_dot_nt`] reproduces `act_act(q, kᵀ)`
-/// bit-for-bit when the scheme's act×act product is the plain f32 matmul.
+/// all rows; only attention is per lane, and how a cache is read is the
+/// cache's choice ([`KvCache::attend_row`]), told only whether the scheme
+/// quantizes act×act products.
 ///
 /// # Errors
 ///
@@ -345,7 +329,7 @@ pub(crate) fn block(
     let a = apply_norm(&h, &layer.ln1_gamma, &layer.ln1_beta, shape.norm);
     attend.capture(li, &[Site::Q, Site::K, Site::V], &a);
     let a = attend.guard(li, a);
-    let q = mm(Site::Q, &a, &layer.wq);
+    let q = mm(Site::Q, &a, &layer.wq).scale(scale);
     let k = mm(Site::K, &a, &layer.wk);
     let v = mm(Site::V, &a, &layer.wv);
 
@@ -357,7 +341,7 @@ pub(crate) fn block(
             }
             for head in 0..shape.heads {
                 let (c0, c1) = (head * dh, (head + 1) * dh);
-                let qh = q.slice_cols(c0, c1).scale(scale);
+                let qh = q.slice_cols(c0, c1);
                 let kh_t = k.slice_cols(c0, c1).transpose();
                 let scores = exec.act_act(&qh, &kh_t);
                 let probs = match shape.kind {
@@ -370,72 +354,24 @@ pub(crate) fn block(
                 }
             }
         }
-        Attend::Cached { lanes, .. } => {
-            let exact = exec.act_act_is_exact();
-            let mut qi = vec![0.0f32; shape.d_model];
-            let mut next_row = 0;
+        Attend::Cached { lanes, positions } => {
+            let act_act = exec.act_act_quantizer();
+            let mut hidden_rows = 0..rows;
             for lane in lanes.iter_mut() {
-                let row0 = next_row;
-                next_row += lane.rows;
-                if lane.failed.is_some() {
-                    continue;
-                }
-                let cache = &mut *lane.cache;
-                for i in 0..lane.rows {
-                    let r = row0 + i;
-                    if let Err(e) =
-                        cache.append(li, &k.slice_rows(r, r + 1), &v.slice_rows(r, r + 1))
-                    {
-                        lane.failed = Some(e);
-                        break;
+                for r in hidden_rows.by_ref().take(lane.rows) {
+                    if lane.failed.is_some() {
+                        continue;
                     }
-                    let len = lane.base + i + 1; // cache rows for this layer after the append
-                    for (s, &x) in qi.iter_mut().zip(q.row(r)) {
-                        *s = x * scale;
+                    let (k, v, q) = (k.row(r), v.row(r), q.row(r));
+                    match lane.cache.attend_row(li, k, v, q, act_act, ao.row_mut(r)) {
+                        Ok(int_macs) => {
+                            // Score and value products over every cached
+                            // position, this row's included.
+                            lane.macs += (2 * shape.heads * dh * (positions[r] + 1)) as u64;
+                            lane.int_macs += int_macs;
+                        }
+                        Err(e) => lane.failed = Some(e),
                     }
-                    for head in 0..shape.heads {
-                        let (c0, c1) = (head * dh, (head + 1) * dh);
-                        let qh = &qi[c0..c1];
-                        let scores = cache
-                            .attn_scores_quant(li, head, qh)
-                            .inspect(|_| lane.int_macs += (dh * len) as u64)
-                            .or_else(|| {
-                                if exact {
-                                    cache.attn_scores_f32(li, head, qh)
-                                } else {
-                                    None
-                                }
-                            })
-                            .unwrap_or_else(|| {
-                                // `KvReadPath::Dequant`, or a scheme that
-                                // quantizes act×act: the gathered plane.
-                                let qh = Matrix::from_vec(1, dh, qh.to_vec()).expect("query row");
-                                let kh = cache.head_k(li, head);
-                                if exact {
-                                    ops::row_dot_nt(&qh, &kh)
-                                } else {
-                                    exec.act_act(&qh, &kh.transpose())
-                                }
-                            });
-                        // The softmax and the value product see exactly the
-                        // live columns the full pass sees at this row's
-                        // position, in the same order.
-                        let probs = ops::softmax_rows(&scores);
-                        let probs_row = probs.row(0);
-                        let attn = cache
-                            .attn_values_quant(li, head, probs_row)
-                            .inspect(|_| lane.int_macs += (dh * len) as u64)
-                            .or_else(|| {
-                                if exact {
-                                    cache.attn_values_f32(li, head, probs_row)
-                                } else {
-                                    None
-                                }
-                            })
-                            .unwrap_or_else(|| exec.act_act(&probs, &cache.head_v(li, head)));
-                        ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(0));
-                    }
-                    lane.macs += (2 * shape.heads * dh * len) as u64;
                 }
             }
         }

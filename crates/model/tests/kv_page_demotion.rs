@@ -92,18 +92,18 @@ fn quantize_from_scratch(rows: &[Vec<f32>], dh: usize, mode: KvCacheMode) -> Qua
 
 /// Decodes a quantized page's rows back to f32 via its own snapshot.
 fn reconstruct(q: &QuantPage, dh: usize) -> Vec<Vec<f32>> {
-    let mut out = Vec::with_capacity(q.rows.rows());
-    let mut qs = vec![0i32; dh];
-    let mut gs = vec![0u8; dh];
-    for r in 0..q.rows.rows() {
-        q.rows.decode_row_into(r, &mut qs, &mut gs);
-        out.push(
-            (0..dh)
-                .map(|c| qs[c] as f32 * q.scales[gs[c] as usize] + q.bias[c])
-                .collect(),
-        );
-    }
-    out
+    (0..q.rows.rows())
+        .map(|r| {
+            let row: Vec<f32> = q
+                .rows
+                .row_iter(r)
+                .zip(q.bias.iter())
+                .map(|((code, g), b)| code as f32 * q.scales[g] + b)
+                .collect();
+            assert_eq!(row.len(), dh, "row {r} width");
+            row
+        })
+        .collect()
 }
 
 /// Asserts the demoted page and the from-scratch page are bit-identical:

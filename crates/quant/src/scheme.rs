@@ -44,8 +44,8 @@ pub trait QuantMatmul: Send + Sync {
     /// every operator whose `forward` is row-independent (each output row a
     /// function of its own activation row and calibration-time state only).
     /// An operator whose `forward` looks across the rows of a call
-    /// (MSFP12-OL's column blocks, Tender's overflow-rate reroute) must
-    /// override this to treat each row as a call of its own. The registry's
+    /// (MSFP12-OL's column blocks) must override this to treat each row as
+    /// a call of its own ([`forward_each_row`]). The registry's
     /// `every_scheme_stacks_rows_independently` test checks the contract
     /// for every scheme that can be built by name.
     ///

@@ -40,11 +40,9 @@ pub use matmul::{
 };
 pub use serialize::{decode_calibration, encode_calibration, DecodeError};
 
-use tender_metrics as metrics;
 use tender_tensor::Matrix;
 
-use crate::quantizer::round_to_f16;
-use crate::scheme::{first_non_finite, forward_each_row, PrepareError, QuantMatmul, Scheme};
+use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
 
 /// The Tender quantization scheme (factory for calibrated operators).
 ///
@@ -65,12 +63,6 @@ use crate::scheme::{first_non_finite, forward_each_row, PrepareError, QuantMatmu
 #[derive(Debug, Clone)]
 pub struct TenderScheme {
     config: TenderConfig,
-    /// Runtime degradation knob: when the kernel reports more saturating
-    /// accumulator events per processed chunk than this threshold, the
-    /// operator reroutes that forward pass to an FP16 fallback weight and
-    /// counts a runtime fallback. `None` (the default) disables the check
-    /// so the hot path is byte-identical to the pre-fault-model kernel.
-    overflow_fallback: Option<f64>,
     /// Run the *explicit* requantization kernel (Eq. 1) at inference time
     /// instead of the implicit shift-accumulate path — the software
     /// baseline the paper's hardware obviates. Numerically equivalent up to
@@ -83,7 +75,6 @@ impl TenderScheme {
     pub fn new(config: TenderConfig) -> Self {
         Self {
             config,
-            overflow_fallback: None,
             explicit: false,
         }
     }
@@ -93,16 +84,6 @@ impl TenderScheme {
     /// and summed, instead of the implicit integer shift-accumulate.
     pub fn with_explicit_requant(mut self) -> Self {
         self.explicit = true;
-        self
-    }
-
-    /// Enables the runtime overflow-rate fallback: any forward pass whose
-    /// saturating-accumulator events exceed `events_per_chunk` (events per
-    /// processed row chunk) is rerouted to an FP16 matmul against a
-    /// half-rounded copy of the weight, and
-    /// `tender_metrics::faults::RUNTIME_FALLBACKS` is incremented.
-    pub fn with_overflow_fallback(mut self, events_per_chunk: f64) -> Self {
-        self.overflow_fallback = Some(events_per_chunk);
         self
     }
 
@@ -119,9 +100,6 @@ impl TenderScheme {
             calibration,
             weight,
             config: self.config.clone(),
-            overflow_fallback: self
-                .overflow_fallback
-                .map(|threshold| (threshold, round_to_f16(w))),
             explicit: self.explicit,
         })
     }
@@ -137,9 +115,6 @@ pub struct TenderMatmul {
     /// Buffer flattened to per-channel scale and weight rows.
     prepared: Vec<matmul::PreparedChunk>,
     config: TenderConfig,
-    /// `(events_per_chunk threshold, FP16-rounded weight)` when the runtime
-    /// overflow fallback is enabled; see [`TenderScheme::with_overflow_fallback`].
-    overflow_fallback: Option<(f64, Matrix)>,
     /// Whether runtime inference uses the explicit (Eq. 1) kernel.
     explicit: bool,
 }
@@ -156,40 +131,10 @@ impl TenderMatmul {
     }
 }
 
-impl TenderMatmul {
-    /// One kernel call over all of `x`, then the optional overflow-rate
-    /// reroute applied to the stats that call reports.
-    fn run(&self, x: &Matrix, positions: &[usize]) -> Matrix {
-        let run = if self.explicit {
-            matmul::explicit_runs
-        } else {
-            matmul::implicit_runs
-        };
-        let stats = run(
-            x,
-            positions,
-            &self.weight,
-            &self.calibration,
-            &self.config,
-            Some(&self.prepared),
-        );
-        if let Some((threshold, fallback_w)) = &self.overflow_fallback {
-            let chunks = stats.chunks_processed.max(1) as f64;
-            if stats.overflow_events as f64 / chunks > *threshold {
-                metrics::faults::RUNTIME_FALLBACKS.incr();
-                return round_to_f16(x)
-                    .matmul(fallback_w)
-                    .expect("activation/weight shape mismatch");
-            }
-        }
-        stats.result
-    }
-}
-
 impl QuantMatmul for TenderMatmul {
     fn forward(&self, x: &Matrix) -> Matrix {
         let positions: Vec<usize> = (0..x.rows()).collect();
-        self.run(x, &positions)
+        self.forward_rows(x, &positions)
     }
 
     /// Row-chunk calibration is keyed by absolute row index, so the decode
@@ -197,20 +142,21 @@ impl QuantMatmul for TenderMatmul {
     /// bit-identical with the full-sequence forward. Adjacent rows in one
     /// calibration chunk share one kernel call, whichever session they
     /// belong to.
-    ///
-    /// The overflow-rate reroute is a ratio over one *call*, which makes
-    /// `forward` depend on which rows share it; with the reroute enabled,
-    /// independent tokens are therefore run — and judged — one call each.
     fn forward_rows(&self, x: &Matrix, positions: &[usize]) -> Matrix {
-        if self.overflow_fallback.is_none() {
-            return self.run(x, positions);
-        }
-        forward_each_row(
+        let run = if self.explicit {
+            matmul::explicit_runs
+        } else {
+            matmul::implicit_runs
+        };
+        run(
             x,
             positions,
-            self.weight.values().cols(),
-            |row, position| self.run(row, &[position]),
+            &self.weight,
+            &self.calibration,
+            &self.config,
+            Some(&self.prepared),
         )
+        .result
     }
 
     fn weight_bits(&self) -> f32 {
@@ -430,35 +376,6 @@ mod tests {
             Err(other) => panic!("expected corrupt-calibration error, got {other:?}"),
             Ok(_) => panic!("expected corrupt-calibration error, got Ok"),
         }
-    }
-
-    #[test]
-    fn overflow_fallback_reroutes_and_counts() {
-        let mut rng = DetRng::new(105);
-        let x = outlier_activation(&mut rng, 16, 8);
-        let w = rng.normal_matrix(8, 4, 0.0, 0.1);
-        let calib = std::slice::from_ref(&x);
-
-        let normal = TenderScheme::new(TenderConfig::int8()).prepare(calib, &w);
-        // A negative threshold trips on every forward (0 events/chunk > -1),
-        // exercising the reroute machinery without needing a real overflow.
-        let tripped = TenderScheme::new(TenderConfig::int8())
-            .with_overflow_fallback(-1.0)
-            .prepare(calib, &w);
-        let before = metrics::faults::RUNTIME_FALLBACKS.get();
-        let y = tripped.forward(&x);
-        assert_eq!(metrics::faults::RUNTIME_FALLBACKS.get(), before + 1);
-        let fp16 = round_to_f16(&x).matmul(&round_to_f16(&w)).unwrap();
-        assert_eq!(y, fp16);
-        assert_ne!(y, normal.forward(&x));
-
-        // A generous threshold never trips on this well-conditioned site.
-        let slack = TenderScheme::new(TenderConfig::int8())
-            .with_overflow_fallback(1e9)
-            .prepare(calib, &w);
-        let before = metrics::faults::RUNTIME_FALLBACKS.get();
-        assert_eq!(slack.forward(&x), normal.forward(&x));
-        assert_eq!(metrics::faults::RUNTIME_FALLBACKS.get(), before);
     }
 
     #[test]

@@ -9,25 +9,18 @@
 //! value. Covered: the implicit and the explicit kernel, licensed chunks at
 //! both operand widths and chunks the accumulator bound sends through the
 //! checked `i64` loop (with real overflow events), positions shuffled over
-//! more than three calibration chunks and past the calibrated range, and
-//! the overflow-rate reroute, which is a per-call decision and so must be
-//! taken per row of a stack. (The registry-wide check that every *other*
-//! scheme's rows are independent lives beside `scheme_by_name`.)
+//! more than three calibration chunks and past the calibrated range. (The
+//! registry-wide check that every *other* scheme's rows are independent
+//! lives beside `scheme_by_name`.)
 //!
-//! The tests read process-global counters, so this file is a test binary of
-//! its own and its tests serialize on a lock.
+//! The test reads process-global counters, so this file is a test binary of
+//! its own.
 
-use std::sync::Mutex;
-
-use tender_metrics::faults::RUNTIME_FALLBACKS;
 use tender_metrics::kernel as metrics;
-use tender_quant::quantizer::round_to_f16;
 use tender_quant::scheme::Scheme;
 use tender_quant::tender::{TenderConfig, TenderScheme};
 use tender_tensor::rng::DetRng;
 use tender_tensor::Matrix;
-
-static LOCK: Mutex<()> = Mutex::new(());
 
 const ROW_CHUNK: usize = 4;
 /// Fourteen rows over chunks 0–3 of a 16-row calibration and chunks 5 and 7
@@ -87,7 +80,6 @@ fn delta(after: &[u64], before: &[u64]) -> Vec<u64> {
 
 #[test]
 fn stacked_rows_equal_their_solo_calls() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let runs = 1 + POSITIONS
         .windows(2)
         .filter(|p| p[0] / ROW_CHUNK != p[1] / ROW_CHUNK)
@@ -153,65 +145,6 @@ fn stacked_rows_equal_their_solo_calls() {
                 !licensed && !explicit,
                 "{what}: only the checked implicit loop can count an overflow"
             );
-        }
-    }
-}
-
-/// The overflow-rate reroute compares one call's events per chunk with a
-/// threshold. Rows of a stack are different callers' rows, so each must be
-/// judged as the call of its own it would have been: exactly the rows whose
-/// solo calls reroute, reroute.
-#[test]
-fn a_stack_reroutes_exactly_the_rows_their_solo_calls_reroute() {
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = DetRng::new(29);
-    let calib = activation(&mut rng, 16, 16);
-    let mut x = activation(&mut rng, POSITIONS.len(), 16);
-    // Every third row is all zeros: its codes are zero, so it cannot
-    // overflow even where its neighbours do.
-    for r in (0..x.rows()).step_by(3) {
-        x.row_mut(r).fill(0.0);
-    }
-    let w = rng.normal_matrix(16, 8, 0.0, 0.2);
-    let calib = std::slice::from_ref(&calib);
-    let fp16 = round_to_f16(&x).matmul(&round_to_f16(&w)).unwrap();
-
-    // (config, threshold, rows expected to reroute: all / none / some)
-    for (cfg, threshold, expect) in [
-        (config(8, 4), -1.0, "all"),
-        (config(8, 4), 1e9, "none"),
-        (config(16, 2), 0.5, "some"),
-    ] {
-        let plain = TenderScheme::new(cfg.clone()).prepare(calib, &w);
-        let op = TenderScheme::new(cfg)
-            .with_overflow_fallback(threshold)
-            .prepare(calib, &w);
-        let before = RUNTIME_FALLBACKS.get();
-        let stacked = op.forward_rows(&x, &POSITIONS);
-        let stacked_fallbacks = RUNTIME_FALLBACKS.get() - before;
-
-        let before = RUNTIME_FALLBACKS.get();
-        let mut rerouted = 0;
-        for (r, &position) in POSITIONS.iter().enumerate() {
-            let was = RUNTIME_FALLBACKS.get();
-            let solo = op.forward_at(&x.slice_rows(r, r + 1), position);
-            assert_eq!(bits(solo.row(0)), bits(stacked.row(r)), "{expect}: row {r}");
-            let took_fallback = RUNTIME_FALLBACKS.get() > was;
-            rerouted += u64::from(took_fallback);
-            let want = if took_fallback {
-                fp16.slice_rows(r, r + 1)
-            } else {
-                plain.forward_at(&x.slice_rows(r, r + 1), position)
-            };
-            assert_eq!(bits(stacked.row(r)), bits(want.row(0)), "{expect}: row {r}");
-        }
-        assert_eq!(RUNTIME_FALLBACKS.get() - before, rerouted);
-        assert_eq!(stacked_fallbacks, rerouted, "{expect}: reroute count");
-        let rows = POSITIONS.len() as u64;
-        match expect {
-            "all" => assert_eq!(rerouted, rows),
-            "none" => assert_eq!(rerouted, 0),
-            _ => assert!(0 < rerouted && rerouted < rows, "rerouted {rerouted}"),
         }
     }
 }

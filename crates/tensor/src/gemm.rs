@@ -314,14 +314,14 @@ pub fn kv_score_checked(kv: &QuantRows, xq: &[i32], groups: usize, acc: &mut [i6
 
 /// Integer-domain KV **value** kernel, checked reference walk: the
 /// quantized probability row `pq` (length `kv.rows()`) against the packed
-/// rows of `kv`, accumulating per `(group, column)`:
-/// `acc[g * kv.cols() + c] += Σ_j pq[j] · code(j, c)`. `acc` must be zeroed,
-/// `groups * kv.cols()` long. Rows walk ascending; zero-skip, range test and
-/// return value as in [`kv_score_checked`].
+/// rows of `kv`, accumulating per `(column, group)`:
+/// `acc[c * groups + g] += Σ_j pq[j] · code(j, c)` — one column's group sums
+/// side by side, as [`kv_score_checked`] keeps one row's. `acc` must be
+/// zeroed, `kv.cols() * groups` long. Rows walk ascending; zero-skip, range
+/// test and return value as in [`kv_score_checked`].
 pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64]) -> u64 {
     assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
-    assert_eq!(acc.len(), groups * kv.cols(), "accumulator bank mismatch");
-    let cols = kv.cols();
+    assert_eq!(acc.len(), kv.cols() * groups, "accumulator bank mismatch");
     let mut events = 0u64;
     for (j, &pv) in pq.iter().enumerate() {
         if pv == 0 {
@@ -329,7 +329,7 @@ pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64
         }
         let pv = pv as i64;
         for (c, (q, g)) in kv.row_iter(j).enumerate() {
-            let a = &mut acc[g * cols + c];
+            let a = &mut acc[c * groups + g];
             *a += pv * q as i64;
             if outside_i32(*a) {
                 events += 1;
@@ -476,14 +476,11 @@ mod tests {
 
     /// Reference value sums: the checked per-group walk, then [`combine`].
     fn checked_values(kv: &QuantRows, pq: &[i32], groups: usize) -> (Vec<i64>, u64) {
-        let cols = kv.cols();
-        let mut acc = vec![0i64; groups * cols];
+        let mut acc = vec![0i64; kv.cols() * groups];
         let mut events = kv_attn_checked(kv, pq, groups, &mut acc);
-        let sums = (0..cols)
-            .map(|c| {
-                let col: Vec<i64> = (0..groups).map(|g| acc[g * cols + c]).collect();
-                combine(&col, &mut events)
-            })
+        let sums = acc
+            .chunks_exact(groups)
+            .map(|col| combine(col, &mut events))
             .collect();
         (sums, events)
     }

@@ -18,7 +18,7 @@
 //!
 //! Reads come in two shapes: element and row accessors that return the
 //! stored `(value, group)` pairs ([`QuantRows::get`],
-//! [`QuantRows::row_iter`], [`QuantRows::decode_row_into`]) for the
+//! [`QuantRows::row_iter`], both over one element decoder) for the
 //! dequantizing and checked paths, and the whole-store
 //! [`QuantRows::decode_shifted_into`], which folds each group's
 //! power-of-two combine weight into its code so the integer attention
@@ -77,6 +77,23 @@ fn shifted_code(vals: u16, tags: u8, k: u32) -> i16 {
     let q = ((vals << (12 - 4 * k)) as i16) >> 12;
     let tag = ((tags >> (2 * k)) & 3) as i16;
     q * ((4 - 3 * (tag >> 1)) * (2 - (tag & 1)))
+}
+
+/// The stored `(value, group)` of column `c` of one row, from that row's
+/// packed value bytes and (grouped mode) group-index bytes: the value
+/// sign-extended from `bits` through a shift pair on `i8`, group 0 when the
+/// store is ungrouped. The one element decoder under [`QuantRows::get`] and
+/// [`RowIter`].
+fn decode_element(vals: &[u8], groups: Option<&[u8]>, bits: u32, c: usize) -> (i32, usize) {
+    let bit = c * bits as usize;
+    let raw = (vals[bit / 8] >> (bit % 8)) & ((1u16 << bits) - 1) as u8;
+    let shift = 8 - bits;
+    let q = (((raw << shift) as i8) >> shift) as i32;
+    let g = groups.map_or(0, |groups| {
+        let gbit = c * GROUP_INDEX_BITS;
+        ((groups[gbit / 8] >> (gbit % 8)) & (MAX_PACKED_GROUPS - 1) as u8) as usize
+    });
+    (q, g)
 }
 
 impl QuantRows {
@@ -208,19 +225,7 @@ impl QuantRows {
     /// Panics if `r` or `c` is out of range.
     pub fn get(&self, r: usize, c: usize) -> (i32, usize) {
         assert!(r < self.rows && c < self.cols, "index out of range");
-        let bit = r * self.val_row_bytes() * 8 + c * self.bits as usize;
-        let raw = (self.vals[bit / 8] >> (bit % 8)) & ((1u16 << self.bits) - 1) as u8;
-        // Sign-extend from `bits` via a shift pair on i8.
-        let shift = 8 - self.bits;
-        let q = (((raw << shift) as i8) >> shift) as i32;
-        let g = match &self.groups {
-            Some(groups) => {
-                let gbit = r * Self::group_row_bytes(self.cols) * 8 + c * GROUP_INDEX_BITS;
-                ((groups[gbit / 8] >> (gbit % 8)) & (MAX_PACKED_GROUPS - 1) as u8) as usize
-            }
-            None => 0,
-        };
-        (q, g)
+        decode_element(self.row_vals(r), self.row_groups(r), self.bits, c)
     }
 
     /// Overwrites the value at `(r, c)`, keeping its group index.
@@ -283,42 +288,6 @@ impl QuantRows {
             bits: self.bits,
             cols: self.cols,
             c: 0,
-        }
-    }
-
-    /// Decodes row `r` into caller scratch: `qs` receives the sign-extended
-    /// values and `gs` the group indices (0 when ungrouped). Both slices
-    /// must hold exactly `cols` elements. This is the amortized bulk form
-    /// of [`row_iter`](QuantRows::row_iter) used by blocked kernels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or a slice length is not `cols`.
-    pub fn decode_row_into(&self, r: usize, qs: &mut [i32], gs: &mut [u8]) {
-        assert_eq!(qs.len(), self.cols, "value scratch width mismatch");
-        assert_eq!(gs.len(), self.cols, "group scratch width mismatch");
-        let vals = self.row_vals(r);
-        match self.bits {
-            8 => {
-                for (q, &b) in qs.iter_mut().zip(vals) {
-                    *q = b as i8 as i32;
-                }
-            }
-            _ => {
-                for (c, q) in qs.iter_mut().enumerate() {
-                    let raw = (vals[c / 2] >> ((c % 2) * 4)) & 0xF;
-                    *q = (((raw << 4) as i8) >> 4) as i32;
-                }
-            }
-        }
-        match self.row_groups(r) {
-            Some(groups) => {
-                for (c, g) in gs.iter_mut().enumerate() {
-                    let bit = c * GROUP_INDEX_BITS;
-                    *g = (groups[bit / 8] >> (bit % 8)) & (MAX_PACKED_GROUPS - 1) as u8;
-                }
-            }
-            None => gs.fill(0),
         }
     }
 
@@ -448,18 +417,7 @@ impl Iterator for RowIter<'_> {
         }
         let c = self.c;
         self.c += 1;
-        let bit = c * self.bits as usize;
-        let raw = (self.vals[bit / 8] >> (bit % 8)) & ((1u16 << self.bits) - 1) as u8;
-        let shift = 8 - self.bits;
-        let q = (((raw << shift) as i8) >> shift) as i32;
-        let g = match self.groups {
-            Some(groups) => {
-                let gbit = c * GROUP_INDEX_BITS;
-                ((groups[gbit / 8] >> (gbit % 8)) & (MAX_PACKED_GROUPS - 1) as u8) as usize
-            }
-            None => 0,
-        };
-        Some((q, g))
+        Some(decode_element(self.vals, self.groups, self.bits, c))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -571,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn row_iter_matches_get_and_decode_row_into() {
+    fn row_iter_matches_get() {
         let mut s8 = QuantRows::with_row_capacity(5, 8, false, 2);
         s8.push_row(&[-128, 0, 127, 5, -5], &[]);
         s8.push_row(&[1, -2, 3, -4, 5], &[]);
@@ -583,12 +541,6 @@ mod tests {
                 let walked: Vec<(i32, usize)> = s.row_iter(r).collect();
                 let gotten: Vec<(i32, usize)> = (0..s.cols()).map(|c| s.get(r, c)).collect();
                 assert_eq!(walked, gotten, "row_iter diverges from get at row {r}");
-                let mut qs = vec![0i32; s.cols()];
-                let mut gs = vec![0u8; s.cols()];
-                s.decode_row_into(r, &mut qs, &mut gs);
-                for c in 0..s.cols() {
-                    assert_eq!((qs[c], gs[c] as usize), gotten[c]);
-                }
             }
         }
     }
