@@ -53,8 +53,9 @@ fn bench_requant_paths(c: &mut Criterion) {
     }
     // Float reference for context.
     let (x, w, _, _) = setup(128, 128, 128, TenderConfig::int8());
+    let w_deq = w.dequantized();
     group.bench_function("f32_reference", |b| {
-        b.iter(|| black_box(x.matmul(w.dequantized()).expect("shapes")))
+        b.iter(|| black_box(x.matmul(&w_deq).expect("shapes")))
     });
     group.finish();
 }

@@ -361,7 +361,10 @@ pub fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
     if batch == 0 {
         return Err(err("--batch must be at least 1"));
     }
-    if prompt_len + steps > shape.max_seq {
+    if prompt_len
+        .checked_add(steps)
+        .is_none_or(|total| total > shape.max_seq)
+    {
         return Err(err(format!(
             "prompt ({prompt_len}) + generate ({steps}) exceeds the context window ({})",
             shape.max_seq

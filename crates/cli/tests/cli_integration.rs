@@ -57,6 +57,22 @@ fn ppl_fast_mode_runs_end_to_end() {
     assert!(stdout.contains("Wiki"), "stdout: {stdout}");
 }
 
+/// A rollout length whose sum with the prompt wraps `usize` is still "past
+/// the context window": a clean error, not a capacity-overflow panic.
+#[test]
+fn generate_length_that_wraps_is_a_clean_error() {
+    let max = usize::MAX.to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_tender-cli"))
+        .args(["generate", "--model", "OPT-6.7B", "--fast", "true"])
+        .args(["--prompt", "8", "--generate", &max])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("exceeds the context window"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn unknown_model_is_a_clean_error() {
     let (ok, _, stderr) = run(&["simulate", "--model", "GPT-17"]);

@@ -71,22 +71,39 @@ use crate::quantizer::{
     qmax, quantize_row, quantize_value, quantize_value_saturating, symmetric_scale,
 };
 
-/// The weight codes transposed (`n × k`, each output column's `k` codes
-/// contiguous) at the narrowest width that holds them: the right-hand
-/// operand of [`gemm::narrow_dot_block`].
+/// A [`QuantizedWeight`]'s one store: its codes transposed (`n × k`, column
+/// `j`'s codes contiguous in row `j`) at the narrowest width that holds
+/// them, streamed by [`gemm::narrow_dot_block`] and walked by every reader.
 #[derive(Debug, Clone)]
 enum PackedCodes {
     I16(Dense<i16>),
     I32(Dense<i32>),
 }
 
-/// A weight quantized per output column, ready for the integer pipeline.
+impl PackedCodes {
+    /// `(n, k)`: output columns × input channels.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            Self::I16(c) => c.shape(),
+            Self::I32(c) => c.shape(),
+        }
+    }
+
+    /// The code of input channel `ch` in output column `j`.
+    #[inline]
+    fn at(&self, j: usize, ch: usize) -> i32 {
+        match self {
+            Self::I16(c) => c[(j, ch)].into(),
+            Self::I32(c) => c[(j, ch)],
+        }
+    }
+}
+
+/// A weight quantized per output column, each weight held once as a code.
 #[derive(Debug, Clone)]
 pub struct QuantizedWeight {
-    q: IMatrix,
-    qt: PackedCodes,
+    codes: PackedCodes,
     scales: Vec<f32>,
-    deq: Matrix,
     bits: u32,
 }
 
@@ -95,30 +112,26 @@ impl QuantizedWeight {
     pub fn per_col(w: &Matrix, bits: u32) -> Self {
         let col_max = stats::col_abs_max(w);
         let scales: Vec<f32> = col_max.iter().map(|&m| symmetric_scale(m, bits)).collect();
-        let q = IMatrix::from_fn(w.rows(), w.cols(), |r, c| {
-            quantize_value(w[(r, c)], scales[c], bits)
-        });
-        let deq = q.map_into(|v| v as f32).scale_cols(&scales);
-        let qt = q.transpose();
-        let qt = if bits <= 16 {
-            PackedCodes::I16(
-                qt.map_into(|v| i16::try_from(v).expect("|code| ≤ qmax(16) = i16::MAX")),
-            )
+        let (k, n) = w.shape();
+        let code = |j: usize, ch: usize| quantize_value(w[(ch, j)], scales[j], bits);
+        let codes = if bits <= 16 {
+            PackedCodes::I16(Dense::from_fn(n, k, |j, ch| {
+                i16::try_from(code(j, ch)).expect("|code| ≤ qmax(16) = i16::MAX")
+            }))
         } else {
-            PackedCodes::I32(qt)
+            PackedCodes::I32(Dense::from_fn(n, k, code))
         };
         Self {
-            q,
-            qt,
+            codes,
             scales,
-            deq,
             bits,
         }
     }
 
-    /// The integer weight values.
-    pub fn values(&self) -> &IMatrix {
-        &self.q
+    /// The integer weight values (`k × n`), built from the store.
+    pub fn values(&self) -> IMatrix {
+        let (n, k) = self.codes.shape();
+        IMatrix::from_fn(k, n, |ch, j| self.codes.at(j, ch))
     }
 
     /// Per-column scale factors.
@@ -126,9 +139,10 @@ impl QuantizedWeight {
         &self.scales
     }
 
-    /// The dequantized (fake-quantized) weight.
-    pub fn dequantized(&self) -> &Matrix {
-        &self.deq
+    /// The dequantized (fake-quantized) weight `code · scale` (`k × n`).
+    pub fn dequantized(&self) -> Matrix {
+        let (n, k) = self.codes.shape();
+        Matrix::from_fn(k, n, |ch, j| self.codes.at(j, ch) as f32 * self.scales[j])
     }
 
     /// The weight bit width.
@@ -201,18 +215,37 @@ pub fn codes_fit_i16(config: &TenderConfig) -> bool {
 }
 
 /// Bias-correction row: `bias · W_deq`, added to every output row of a chunk
-/// (the "+ Bias × Weight" step in Figure 4).
-fn bias_correction(bias: &[f32], w_deq: &Matrix) -> Vec<f32> {
-    let mut corr = vec![0.0_f32; w_deq.cols()];
-    for (j, &b) in bias.iter().enumerate() {
-        if b == 0.0 {
-            continue;
-        }
-        for (corr_c, &wd) in corr.iter_mut().zip(w_deq.row(j)) {
-            *corr_c += b * wd;
+/// (the "+ Bias × Weight" step in Figure 4). Column `j` sums `b · (code ·
+/// scale)` over its codes, input channels ascending, skipping zero biases.
+fn bias_correction(bias: &[f32], w: &QuantizedWeight) -> Vec<f32> {
+    let nonzero = || bias.iter().enumerate().filter(|&(_, &b)| b != 0.0);
+    let wd = |ch, j| w.codes.at(j, ch) as f32 * w.scales[j];
+    let column = |j| nonzero().fold(0.0_f32, |corr, (ch, &b)| corr + b * wd(ch, j));
+    (0..w.scales.len()).map(column).collect()
+}
+
+/// Row `r` of `x` quantized once against one chunk, for the walks that go
+/// group by group: per group, in Index-Buffer order, the `(channel, code)`
+/// pairs whose code is nonzero (every walk skips a zero code), and the
+/// row's saturation count.
+fn row_group_codes(
+    x: &Matrix,
+    r: usize,
+    cc: &ChunkCalibration,
+    config: &TenderConfig,
+) -> (Vec<Vec<(usize, i32)>>, usize) {
+    let mut saturated = 0_usize;
+    let mut groups = vec![Vec::new(); config.num_groups];
+    for ((codes, chans), &s_g) in groups.iter_mut().zip(&cc.order).zip(&cc.scales) {
+        for &ch in chans {
+            let (xq, sat) = quantize_value_saturating(x[(r, ch)] - cc.bias[ch], s_g, config.bits);
+            saturated += sat as usize;
+            if xq != 0 {
+                codes.push((ch, xq));
+            }
         }
     }
-    corr
+    (groups, saturated)
 }
 
 /// The Index Buffer of one chunk flattened to two per-channel rows:
@@ -280,7 +313,7 @@ pub(super) fn prepare_chunks(
         .chunks()
         .iter()
         .map(|cc| PreparedChunk {
-            corr: bias_correction(&cc.bias, &w.deq),
+            corr: bias_correction(&cc.bias, w),
             rows: ChannelRows::new(cc, config),
         })
         .collect()
@@ -295,7 +328,7 @@ fn bias_row<'a>(
 ) -> Cow<'a, [f32]> {
     match prepared {
         Some(chunks) => Cow::Borrowed(&chunks[ci].corr),
-        None => Cow::Owned(bias_correction(&cc.bias, &w.deq)),
+        None => Cow::Owned(bias_correction(&cc.bias, w)),
     }
 }
 
@@ -383,7 +416,7 @@ fn accumulate_rows_checked(
     config: &TenderConfig,
 ) -> (Vec<i64>, usize, usize) {
     let m = rows.len();
-    let n = w.q.cols();
+    let n = w.scales.len();
     let mut acc = vec![0_i64; m * n];
     let overflow = AtomicUsize::new(0);
     let saturated = AtomicUsize::new(0);
@@ -407,9 +440,9 @@ fn accumulate_rows_checked(
     (acc, overflow.into_inner(), saturated.into_inner())
 }
 
-/// One accumulator row of the per-step loop: group ascending, α-shift
-/// between groups, channels in Index-Buffer order, the `i32` range tested
-/// after every mutation. Returns `(overflow events, saturation events)`.
+/// One accumulator row of the per-step loop, per output column: group
+/// ascending, α-shift between groups, channels in Index-Buffer order, the
+/// `i32` range tested after every mutation. Returns `(overflow, saturation)`.
 fn implicit_row_checked(
     x: &Matrix,
     r: usize,
@@ -419,27 +452,16 @@ fn implicit_row_checked(
     a_row: &mut [i64],
 ) -> (usize, usize) {
     let alpha = config.alpha as i64;
+    let (groups, row_saturated) = row_group_codes(x, r, cc, config);
     let mut row_overflow = 0_usize;
-    let mut row_saturated = 0_usize;
-    for g in 0..config.num_groups {
-        if g > 0 {
-            for a in a_row.iter_mut() {
+    for (j, a) in a_row.iter_mut().enumerate() {
+        for (g, codes) in groups.iter().enumerate() {
+            if g > 0 {
                 *a *= alpha;
                 row_overflow += outside_i32(*a) as usize;
             }
-        }
-        let s_g = cc.scales[g];
-        for &ch in &cc.order[g] {
-            let b = cc.bias[ch];
-            let w_row = w.q.row(ch);
-            let (xq, sat) = quantize_value_saturating(x[(r, ch)] - b, s_g, config.bits);
-            row_saturated += sat as usize;
-            let xq = xq as i64;
-            if xq == 0 {
-                continue;
-            }
-            for (a, &wv) in a_row.iter_mut().zip(w_row) {
-                *a += xq * wv as i64;
+            for &(ch, xq) in codes {
+                *a += xq as i64 * w.codes.at(j, ch) as i64;
                 row_overflow += outside_i32(*a) as usize;
             }
         }
@@ -463,7 +485,7 @@ fn licensed_chunk(
     out_chunk: &mut [f32],
 ) -> usize {
     let ws = &w.scales;
-    match (codes_fit_i16(config), &w.qt) {
+    match (codes_fit_i16(config), &w.codes) {
         (true, PackedCodes::I16(bt)) => {
             licensed_rows::<i16, i16>(x, rows, cc, channels, bt, ws, config, corr, out_chunk)
         }
@@ -568,32 +590,18 @@ pub fn accumulate_chunk_explicit_shifted(
     config: &TenderConfig,
 ) -> (Vec<i64>, usize) {
     let m = x_chunk.rows();
-    let n = w.q.cols();
-    let g_count = config.num_groups;
+    let n = w.scales.len();
     let mut acc = vec![0_i64; m * n];
     let mut overflow = 0_usize;
     let check_steps = !chunk_cannot_overflow(cc, w.bits, config);
-    for g in 0..g_count {
-        let weight_pow = (config.alpha as i64).pow((g_count - 1 - g) as u32);
-        let s_g = cc.scales[g];
-        for &ch in &cc.order[g] {
-            let b = cc.bias[ch];
-            let w_row = w.q.row(ch);
-            for r in 0..m {
-                let xq = quantize_value(x_chunk[(r, ch)] - b, s_g, config.bits) as i64;
-                if xq == 0 {
-                    continue;
-                }
-                let a_row = &mut acc[r * n..(r + 1) * n];
-                if check_steps {
-                    for (a, &wv) in a_row.iter_mut().zip(w_row) {
-                        *a += xq * wv as i64 * weight_pow;
-                        overflow += outside_i32(*a) as usize;
-                    }
-                } else {
-                    for (a, &wv) in a_row.iter_mut().zip(w_row) {
-                        *a += xq * wv as i64 * weight_pow;
-                    }
+    for r in 0..m {
+        let (groups, _) = row_group_codes(x_chunk, r, cc, config);
+        for (j, a) in acc[r * n..(r + 1) * n].iter_mut().enumerate() {
+            for (g, codes) in groups.iter().enumerate() {
+                let weight_pow = (config.alpha as i64).pow((groups.len() - 1 - g) as u32);
+                for &(ch, xq) in codes {
+                    *a += xq as i64 * w.codes.at(j, ch) as i64 * weight_pow;
+                    overflow += (check_steps && outside_i32(*a)) as usize;
                 }
             }
         }
@@ -621,11 +629,11 @@ pub fn quantized_group_operands(
         .map(|g| {
             let chans = &cc.order[g];
             let s_g = cc.scales[g];
-            let a = IMatrix::from_fn(m, chans.len(), |r, j| {
-                let ch = chans[j];
+            let a = IMatrix::from_fn(m, chans.len(), |r, i| {
+                let ch = chans[i];
                 quantize_value(x_chunk[(r, ch)] - cc.bias[ch], s_g, config.bits)
             });
-            let b = w.q.gather_rows(chans);
+            let b = IMatrix::from_fn(chans.len(), w.scales.len(), |i, j| w.codes.at(j, chans[i]));
             (a, b)
         })
         .collect()
@@ -693,7 +701,7 @@ pub(super) fn implicit_runs(
 ) -> MatmulStats {
     check_shapes(x, positions, w, calib);
     metrics::IMPLICIT_MATMULS.incr();
-    let n = w.q.cols();
+    let n = w.scales.len();
     let mut result = Matrix::zeros(x.rows(), n);
     let mut overflow_events = 0;
     let mut saturated_values = 0;
@@ -737,7 +745,8 @@ pub(super) fn implicit_runs(
 
 /// One chunk of the explicit (Eq. 1) path: group partial products are
 /// dequantized to `f32` per channel and summed into `out_chunk`, then the
-/// bias-correction row `corr` is added. Returns the saturation-event count.
+/// bias-correction row `corr` is added: per output element, `xq · s_g`
+/// times `code · scale` in Index-Buffer order. Returns the saturation count.
 fn explicit_chunk(
     x: &Matrix,
     rows: Range<usize>,
@@ -747,28 +756,16 @@ fn explicit_chunk(
     corr: &[f32],
     out_chunk: &mut [f32],
 ) -> usize {
-    let n = w.q.cols();
     let mut chunk_saturated = 0_usize;
-    for g in 0..config.num_groups {
-        let s_g = cc.scales[g];
-        for &ch in &cc.order[g] {
-            let b = cc.bias[ch];
-            for (r, out_row) in rows.clone().zip(out_chunk.chunks_exact_mut(n)) {
-                let (xq, sat) = quantize_value_saturating(x[(r, ch)] - b, s_g, config.bits);
-                chunk_saturated += sat as usize;
-                if xq == 0 {
-                    continue;
-                }
-                // Dequantized activation value for this channel.
-                let xf = xq as f32 * s_g;
-                for (o, &wd) in out_row.iter_mut().zip(w.deq.row(ch)) {
-                    *o += xf * wd;
+    for (r, out_row) in rows.zip(out_chunk.chunks_exact_mut(corr.len())) {
+        let (groups, saturated) = row_group_codes(x, r, cc, config);
+        chunk_saturated += saturated;
+        for (j, (o, &c)) in out_row.iter_mut().zip(corr).enumerate() {
+            for (codes, &s_g) in groups.iter().zip(&cc.scales) {
+                for &(ch, xq) in codes {
+                    *o += xq as f32 * s_g * (w.codes.at(j, ch) as f32 * w.scales[j]);
                 }
             }
-        }
-    }
-    for out_row in out_chunk.chunks_exact_mut(n) {
-        for (o, &c) in out_row.iter_mut().zip(corr) {
             *o += c;
         }
     }
@@ -844,7 +841,7 @@ pub(super) fn explicit_runs(
 ) -> MatmulStats {
     check_shapes(x, positions, w, calib);
     metrics::EXPLICIT_MATMULS.incr();
-    let n = w.q.cols();
+    let n = w.scales.len();
     let mut result = Matrix::zeros(x.rows(), n);
     let mut saturated_values = 0;
     let mut chunks_processed = 0;
@@ -889,7 +886,7 @@ fn check_shapes(x: &Matrix, positions: &[usize], w: &QuantizedWeight, calib: &Te
     assert_eq!(positions.len(), x.rows(), "one position per row");
     assert_eq!(
         x.cols(),
-        w.q.rows(),
+        w.codes.shape().1,
         "activation channels must match weight rows"
     );
     assert_eq!(
@@ -935,31 +932,71 @@ mod tests {
         (x, w, calib, config)
     }
 
+    /// The bits of every element, so `-0.0` and `0.0` differ.
+    fn bits_of(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn packed_operand_is_the_transposed_codes_at_the_narrowest_width() {
+    fn the_store_holds_each_weight_once_at_the_narrowest_width() {
         // 16 bits is the last width whose codes fit `i16`; 17 is the first
         // that needs the `i32` arm.
-        let wf = DetRng::new(3).normal_matrix(11, 5, 0.0, 0.2);
+        let (k, n) = (11, 5);
+        let wf = DetRng::new(3).normal_matrix(k, n, 0.0, 0.2);
         for bits in [4, 8, 16, 17] {
             let w = QuantizedWeight::per_col(&wf, bits);
-            let want = w.values().transpose();
-            let packed = match &w.qt {
-                PackedCodes::I16(bt) => {
-                    assert!(bits <= 16, "{bits}-bit codes packed as i16");
-                    bt.map_into(i32::from)
-                }
-                PackedCodes::I32(bt) => {
-                    assert!(bits > 16, "{bits}-bit codes packed as i32");
-                    bt.clone()
-                }
+            let (len, bytes) = match &w.codes {
+                PackedCodes::I16(c) => (c.len(), std::mem::size_of_val(c.as_slice())),
+                PackedCodes::I32(c) => (c.len(), std::mem::size_of_val(c.as_slice())),
             };
-            assert_eq!(packed.shape(), (5, 11));
-            for j in 0..5 {
-                for ch in 0..11 {
-                    assert_eq!(packed[(j, ch)], want[(j, ch)], "bits={bits} ({j},{ch})");
+            let width = if bits <= 16 { 2 } else { 4 };
+            assert_eq!(w.codes.shape(), (n, k), "bits={bits}: transposed");
+            assert_eq!((len, bytes), (n * k, n * k * width), "bits={bits}");
+            for j in 0..n {
+                for ch in 0..k {
+                    let want = quantize_value(wf[(ch, j)], w.scales[j], bits);
+                    assert_eq!(w.codes.at(j, ch), want, "bits={bits} ({j},{ch})");
                 }
             }
-            assert_eq!(w.values().abs_max(), qmax(bits), "the sweep reaches ±qmax");
+            // The owned views are built from the store: `dequantized()` is
+            // bit for bit the `code · scale` matrix a stored copy held.
+            let values = w.values();
+            assert_eq!(values.abs_max(), qmax(bits), "the sweep reaches ±qmax");
+            let deq = values.map_into(|v| v as f32).scale_cols(w.scales());
+            assert_eq!(bits_of(&w.dequantized()), bits_of(&deq), "bits={bits}");
+        }
+    }
+
+    #[test]
+    fn explicit_kernel_is_the_dequantized_sum_in_index_buffer_order() {
+        // Eq. 1 written out: per output element, `xq · s_g` times the
+        // dequantized weight over the Index Buffer's channel order, zero
+        // codes skipped, then the bias row (`bias · W_deq`, channels
+        // ascending, zero biases skipped).
+        for (bits, groups) in [(8, 4), (4, 8), (4, 1)] {
+            let (x, w, calib, config) = setup(71 + groups as u64, bits, groups);
+            let deq = w.dequantized();
+            let got = explicit_requant_matmul(&x, &w, &calib, &config).result;
+            let want = Matrix::from_fn(x.rows(), deq.cols(), |r, j| {
+                let cc = calib.chunk_for_row(r);
+                let mut o = 0.0_f32;
+                for (chans, &s_g) in cc.order.iter().zip(&cc.scales) {
+                    for &ch in chans {
+                        let xq = quantize_value(x[(r, ch)] - cc.bias[ch], s_g, bits);
+                        if xq != 0 {
+                            o += xq as f32 * s_g * deq[(ch, j)];
+                        }
+                    }
+                }
+                let mut corr = 0.0_f32;
+                for (ch, &b) in cc.bias.iter().enumerate() {
+                    if b != 0.0 {
+                        corr += b * deq[(ch, j)];
+                    }
+                }
+                o + corr
+            });
+            assert_eq!(bits_of(&got), bits_of(&want), "bits={bits} G={groups}");
         }
     }
 
@@ -1020,7 +1057,7 @@ mod tests {
             for (cc, chunk) in calib.chunks().iter().zip(&prepared) {
                 // Prepared at build time == built per call.
                 assert_eq!(chunk.rows, ChannelRows::new(cc, &config));
-                assert_eq!(chunk.corr, bias_correction(&cc.bias, &w.deq));
+                assert_eq!(chunk.corr, bias_correction(&cc.bias, &w));
                 for (g, chans) in cc.order.iter().enumerate() {
                     for &ch in chans {
                         assert_eq!(chunk.rows.scale[ch], cc.scales[g]);
@@ -1112,7 +1149,7 @@ mod tests {
     #[test]
     fn result_is_close_to_exact_matmul() {
         let (x, w, calib, config) = setup(17, 8, 4);
-        let exact = x.matmul(w.dequantized()).unwrap();
+        let exact = x.matmul(&w.dequantized()).unwrap();
         // Compare against x · W_deq (isolating activation-quantization error).
         let got = implicit_requant_matmul(&x, &w, &calib, &config).result;
         assert!(sqnr_db(&exact, &got) > 30.0);
@@ -1176,7 +1213,7 @@ mod tests {
         config: &TenderConfig,
     ) -> Vec<f32> {
         let (acc, _, _) = accumulate_chunk_implicit_with(x, cc, w, config);
-        let corr = bias_correction(&cc.bias, &w.deq);
+        let corr = bias_correction(&cc.bias, w);
         let s_last = cc.scales[config.num_groups - 1];
         acc.iter()
             .enumerate()
@@ -1356,6 +1393,138 @@ mod tests {
         );
     }
 
+    /// One hand-built chunk over `k` channels, channel `ch` in group
+    /// `ch % groups`, with zero bias and TMax = `qmax(bits)`, so at α = 2
+    /// every group scale is a power of two and `code · s_g` quantizes back
+    /// to `code` exactly. `rows` is the chunk height.
+    fn tiny_chunk(
+        k: usize,
+        bits: u32,
+        groups: usize,
+        alpha: u32,
+        rows: usize,
+    ) -> (TenderCalibration, TenderConfig) {
+        let config = TenderConfig {
+            bits,
+            num_groups: groups,
+            alpha,
+            row_chunk: 0,
+            quant_act_act: false,
+            subtract_bias: false,
+        };
+        let group_of: Vec<usize> = (0..k).map(|ch| ch % groups).collect();
+        let mut order = vec![Vec::new(); groups];
+        for (ch, &g) in group_of.iter().enumerate() {
+            order[g].push(ch);
+        }
+        let tmax = qmax(bits) as f32;
+        let cc = ChunkCalibration {
+            bias: vec![0.0; k],
+            scales: super::super::decompose::group_scales(tmax, groups, alpha, bits),
+            group_of,
+            order,
+            tmax,
+        };
+        (TenderCalibration::from_parts(vec![cc], rows), config)
+    }
+
+    /// A weight whose store holds `code(j, ch)` as given, at unit scales,
+    /// in the `i32` arm if `wide`.
+    fn weight_of_codes(
+        (n, k): (usize, usize),
+        bits: u32,
+        wide: bool,
+        code: impl Fn(usize, usize) -> i32,
+    ) -> QuantizedWeight {
+        let codes = if wide {
+            PackedCodes::I32(Dense::from_fn(n, k, code))
+        } else {
+            PackedCodes::I16(Dense::from_fn(n, k, |j, ch| code(j, ch) as i16))
+        };
+        QuantizedWeight {
+            codes,
+            scales: vec![1.0; n],
+            bits,
+        }
+    }
+
+    #[test]
+    fn license_is_exact_over_every_tiny_operand() {
+        // ROADMAP 4(e) by enumeration: at k ≤ 3 channels, 2–4-bit operands,
+        // G ≤ 3 and α = 2, one activation row per activation code vector
+        // against one weight column per weight code vector. Every chunk is
+        // licensed there, so the checked walk must count zero overflows, its
+        // accumulator must be the defining sum, and the licensed kernel's
+        // output bits must be the walk's.
+        let digit = |idx: usize, ch: usize, bits: u32| {
+            let base = 2 * qmax(bits) as usize + 1;
+            (idx / base.pow(ch as u32) % base) as i32 - qmax(bits)
+        };
+        for k in 1..=3 {
+            let vectors = |bits: u32| (2 * qmax(bits) as usize + 1).pow(k as u32);
+            for (act_bits, w_bits) in (2..=4).flat_map(|a| (2..=4).map(move |b| (a, b))) {
+                let (m, n) = (vectors(act_bits), vectors(w_bits));
+                if m * n > 120_000 {
+                    continue; // (3|4, 4|3) and (4, 4) at k = 3: debug-build time
+                }
+                for (groups, wide) in (1..=3).flat_map(|g| [(g, false), (g, true)]) {
+                    let (calib, config) = tiny_chunk(k, act_bits, groups, 2, m);
+                    let cc = calib.chunk_for_row(0);
+                    let x = Matrix::from_fn(m, k, |r, ch| {
+                        digit(r, ch, act_bits) as f32 * cc.scales[cc.group_of[ch]]
+                    });
+                    let w = weight_of_codes((n, k), w_bits, wide, |j, ch| digit(j, ch, w_bits));
+                    assert!(chunk_cannot_overflow(cc, w_bits, &config));
+                    let (acc, overflow, saturated) =
+                        accumulate_chunk_implicit_with(&x, cc, &w, &config);
+                    let what = format!("k={k} bits={act_bits}/{w_bits} G={groups} wide={wide}");
+                    assert_eq!((overflow, saturated), (0, 0), "{what}");
+                    for (i, &a) in acc.iter().enumerate() {
+                        let (r, j) = (i / n, i % n);
+                        let want: i64 = (0..k)
+                            .map(|ch| {
+                                let shift = 2_i64.pow((groups - 1 - cc.group_of[ch]) as u32);
+                                shift * (digit(r, ch, act_bits) * digit(j, ch, w_bits)) as i64
+                            })
+                            .sum();
+                        assert_eq!(a, want, "{what} ({r},{j})");
+                    }
+                    let got = implicit_requant_matmul(&x, &w, &calib, &config);
+                    let oracle = oracle_result(&x, &w, cc, &config);
+                    let oracle_bits: Vec<u32> = oracle.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(bits_of(&got.result), oracle_bits, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worst_case_operands_reach_the_bound_exactly() {
+        // The bound is not just sound but tight: all-±qmax operands drive the
+        // checked accumulator to exactly ±`chunk_accumulator_bound`.
+        for (bits, groups, alpha, k) in [2, 4, 8].into_iter().flat_map(|b| {
+            (1..=4).flat_map(move |g| {
+                [2, 3]
+                    .into_iter()
+                    .flat_map(move |a| (1..=6).map(move |k| (b, g, a, k)))
+            })
+        }) {
+            let (calib, config) = tiny_chunk(k, bits, groups, alpha, 1);
+            let cc = calib.chunk_for_row(0);
+            let bound = chunk_accumulator_bound(cc, bits, &config) as i64;
+            let q = qmax(bits);
+            for (xs, ws) in [(1, 1), (1, -1), (-1, 1), (-1, -1)] {
+                let x = Matrix::from_fn(1, k, |_, ch| (xs * q) as f32 * cc.scales[cc.group_of[ch]]);
+                let w = weight_of_codes((1, k), bits, false, |_, _| ws * q);
+                let (acc, overflow, saturated) =
+                    accumulate_chunk_implicit_with(&x, cc, &w, &config);
+                let what = format!("bits={bits} G={groups} α={alpha} k={k} signs={xs}/{ws}");
+                assert_eq!(acc, vec![(xs * ws) as i64 * bound], "{what}");
+                assert_eq!((overflow, saturated), (0, 0), "{what}");
+            }
+        }
+    }
+
     #[test]
     fn overflow_bound_gates_the_fast_path() {
         // Paper-scale shapes are provably overflow-free…
@@ -1470,9 +1639,10 @@ mod tests {
         let qw = QuantizedWeight::per_col(&w, 8);
         assert_eq!(qw.bits(), 8);
         assert_eq!(qw.scales().len(), 8);
+        let deq = qw.dequantized();
         for r in 0..8 {
             for c in 0..8 {
-                let err = (w[(r, c)] - qw.dequantized()[(r, c)]).abs();
+                let err = (w[(r, c)] - deq[(r, c)]).abs();
                 assert!(err <= qw.scales()[c] / 2.0 + 1e-6);
             }
         }

@@ -48,7 +48,8 @@ fn naive_overflow(
     w: &QuantizedWeight,
     config: &TenderConfig,
 ) -> usize {
-    let n = w.values().cols();
+    let values = w.values();
+    let n = values.cols();
     let chunk_rows = calib.chunk_rows();
     let mut events = 0_usize;
     let mut r0 = 0;
@@ -71,7 +72,7 @@ fn naive_overflow(
                         continue;
                     }
                     for (c, a) in acc.iter_mut().enumerate() {
-                        *a += xq * w.values()[(ch, c)] as i64;
+                        *a += xq * values[(ch, c)] as i64;
                         events += outside_i32(*a) as usize;
                     }
                 }

@@ -147,7 +147,7 @@ fn check_against_oracle(
     config: &TenderConfig,
     label: &str,
 ) -> Result<(usize, usize), TestCaseError> {
-    let (m, n) = (x.rows(), w.values().cols());
+    let (m, n) = (x.rows(), w.scales().len());
     let got = implicit_requant_matmul_at(x, row0, w, calib, config);
     if row0 == 0 {
         let plain = implicit_requant_matmul(x, w, calib, config);

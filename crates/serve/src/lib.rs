@@ -372,7 +372,10 @@ fn arena_watermark(configured: f64) -> f64 {
 /// count.
 pub fn synthetic_traffic(cfg: &ServeConfig, shape: &ModelShape) -> Vec<Request> {
     let mut rng = DetRng::new(cfg.arrival_seed);
-    let max_prompt = shape.max_seq.saturating_sub(2 + cfg.shared_prefix).max(1);
+    let max_prompt = shape
+        .max_seq
+        .saturating_sub(cfg.shared_prefix.saturating_add(2))
+        .max(1);
     let (plo, phi) = cfg.prompt_len;
     let (dlo, dhi) = cfg.decode_len;
     let mut arrival = 0u64;
@@ -544,18 +547,24 @@ impl<'m> Run<'m> {
         // Defensive horizon: admission resolves by the last arrival and
         // deadlines bound every admitted request, so a healthy run always
         // exits well inside this cap. Breaching it marks the leftovers
-        // unresolved (a STUCK verdict) instead of hanging.
-        let work_bound: u64 = traffic
-            .iter()
-            .map(|r| (r.prompt.len().div_ceil(cfg.prefill_chunk.max(1)) + r.decode_target) as u64)
-            .sum();
+        // unresolved (a STUCK verdict) instead of hanging. Saturating, so a
+        // configured length near `usize::MAX` caps the bound instead of
+        // overflowing it.
+        let work_bound = traffic.iter().fold(0_u64, |bound, r| {
+            let chunks = r.prompt.len().div_ceil(cfg.prefill_chunk.max(1));
+            bound.saturating_add(chunks.saturating_add(r.decode_target) as u64)
+        });
         let last_arrival = traffic.last().map_or(0, |r| r.arrival);
+        let horizon = last_arrival
+            .saturating_add(cfg.deadline_steps.min(1_000_000))
+            .saturating_add(work_bound.saturating_mul(4))
+            .saturating_add(16);
         let mut run = Self {
             model,
             template: None,
             page_bytes: kv_page_bytes(shape, cfg.kv_mode, cfg.page_rows.max(1)),
             run_key: faults::hash_bytes(header.as_bytes()),
-            horizon: last_arrival + cfg.deadline_steps.min(1_000_000) + work_bound * 4 + 16,
+            horizon,
             t: 0,
             pending: traffic.into(),
             waiting: VecDeque::new(),
@@ -1267,7 +1276,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static PANICS: AtomicUsize = AtomicUsize::new(0);
         type Tweak = fn(&mut ServeConfig);
-        let sweep: [(&str, Tweak); 17] = [
+        let sweep: [(&str, Tweak); 19] = [
             ("max_batch 0", |c| c.max_batch = 0),
             ("prefill_chunk 0", |c| c.prefill_chunk = 0),
             ("page_rows 0, f32", |c| c.page_rows = 0),
@@ -1290,6 +1299,10 @@ mod tests {
             ("max_arrival_gap 0", |c| c.max_arrival_gap = 0),
             ("requests 0", |c| c.requests = 0),
             ("shared_prefix 1000", |c| c.shared_prefix = 1000),
+            ("shared_prefix usize::MAX", |c| c.shared_prefix = usize::MAX),
+            ("decode_len usize::MAX", |c| {
+                c.decode_len = (usize::MAX, usize::MAX);
+            }),
             ("deadline_steps 0", |c| c.deadline_steps = 0),
         ];
         let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());

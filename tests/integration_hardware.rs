@@ -50,10 +50,11 @@ fn msa_end_to_end_equals_software_result() {
 
     // VPU dequantization: result = acc · s_G · s_w[col] + (bias · W_deq).
     let s_last = cc.scales[config.num_groups - 1];
+    let w_deq = w.dequantized();
     let mut bias_corr = vec![0.0_f32; n];
     for (j, &b) in cc.bias.iter().enumerate() {
         for (c, corr) in bias_corr.iter_mut().enumerate() {
-            *corr += b * w.dequantized()[(j, c)];
+            *corr += b * w_deq[(j, c)];
         }
     }
     let hw_result = Matrix::from_fn(m, n, |r, c| {

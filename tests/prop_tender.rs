@@ -154,7 +154,7 @@ proptest! {
         let got = tender_quant::tender::implicit_requant_matmul(&x, &w, &calib, &config);
         prop_assert!(got.result.is_finite());
         prop_assert_eq!(got.overflow_events, 0);
-        let exact = x.matmul(w.dequantized()).expect("shapes");
+        let exact = x.matmul(&w.dequantized()).expect("shapes");
         let scale = exact.abs_max().max(1.0);
         prop_assert!(got.result.approx_eq(&exact, scale * 0.05));
     }
