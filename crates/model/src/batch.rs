@@ -115,22 +115,42 @@ impl<'m> BatchEngine<'m> {
         }
     }
 
-    /// Prefills session `i` with `prompts[i]` in parallel, returning each
-    /// session's full-prompt logits in session order. Parallel prefills
-    /// contend for a shared byte cap in pool order; on a capped shared
-    /// arena use [`BatchEngine::generate_greedy`], which prefills in
-    /// session order.
+    /// Prefills session `i` with `prompts[i]`, returning each session's
+    /// full-prompt logits in session order. Prompts go in session order with
+    /// each arena's demotion queue drained in between — the schedule
+    /// [`BatchEngine::generate_greedy`] prefills with — so a shared byte cap
+    /// resolves identically at any thread count (the GEMMs inside each
+    /// prefill still use the pool).
     ///
     /// # Errors
     ///
     /// Returns [`BatchError::LengthMismatch`] when the prompt count
     /// differs from the session count — a malformed caller must not be
     /// able to abort a serving loop with a panic.
+    ///
+    /// # Panics
+    ///
+    /// As [`DecodeSession::prefill`].
     pub fn prefill_all(&mut self, prompts: &[Vec<usize>]) -> Result<Vec<Matrix>, BatchError> {
         self.check_len(prompts.len())?;
-        Ok(pool::par_map(self.slots.len(), |i| {
-            self.session(i).prefill(&prompts[i])
-        }))
+        Ok((0..prompts.len())
+            .map(|i| self.prefill_in_order(i, |s| s.prefill(&prompts[i])))
+            .collect())
+    }
+
+    /// One prompt of the in-order prefill schedule: advance session `i`'s
+    /// arena clock, run `prefill` on the session, then drain the arena's
+    /// demotion queue down to its watermark.
+    fn prefill_in_order<R>(
+        &self,
+        i: usize,
+        prefill: impl FnOnce(&mut DecodeSession<'m>) -> R,
+    ) -> R {
+        let mut session = self.session(i);
+        session.arena().advance_clock();
+        let out = prefill(&mut session);
+        drain_demotions(session.arena(), 0);
+        out
     }
 
     /// The batch iteration: feeds `tokens[i]` to session `i` (sessions
@@ -274,17 +294,17 @@ impl<'m> BatchEngine<'m> {
         self.check_len(prompts.len())?;
         let mut next = Vec::with_capacity(prompts.len());
         for (i, prompt) in prompts.iter().enumerate() {
-            let mut session = self.session(i);
-            session.arena().advance_clock();
-            next.push(match session.try_prefill(prompt) {
-                Ok(logits) => Some(session.greedy_next(&logits)),
+            let prefilled = self.prefill_in_order(i, |s| {
+                s.try_prefill(prompt).map(|logits| s.greedy_next(&logits))
+            });
+            next.push(match prefilled {
+                Ok(token) => Some(token),
                 Err(StepError::KvExhausted(_)) => {
                     metrics::DECODE_TRUNCATED.incr();
                     None
                 }
                 Err(refusal) => return Err(refusal.into()),
             });
-            drain_demotions(session.arena(), 0);
         }
         Ok(self.greedy_rollout(next, steps))
     }
@@ -355,7 +375,7 @@ impl<'m> BatchEngine<'m> {
 mod tests {
     use super::*;
     use crate::kv::KvCacheMode;
-    use crate::test_support::{paged_arena, tiny, tokens};
+    use crate::test_support::{f32_kv_bytes, paged_arena, tiny, tokens};
     use tender_tensor::ArenaConfig;
 
     /// One session's greedy rollout from `next`, stepped by hand: what the
@@ -401,6 +421,48 @@ mod tests {
         assert!(got.is_ok());
         assert_eq!(got, want, "a shared cap changed an unpressured rollout");
         assert_eq!(arena.stats().evict_failures, 0);
+    }
+
+    #[test]
+    fn prefill_all_runs_the_generate_greedy_prefill_schedule() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let prompts: Vec<Vec<usize>> = (0..3).map(|s| tokens(6 + s, shape.vocab, 30 + s)).collect();
+        // Room for every f32 prompt row, but a low watermark: the drain
+        // between prompts demotes the earlier sessions' sealed pages.
+        let arena = || paged_arena(2, Some(f32_kv_bytes(&shape, 24)), 0.25);
+        let engine = |arena: &KvArena| {
+            let sessions = prompts
+                .iter()
+                .map(|_| DecodeSession::with_arena(&reference, KvCacheMode::F32, arena))
+                .collect();
+            BatchEngine::new(sessions)
+        };
+
+        let all_arena = arena();
+        let mut all = engine(&all_arena);
+        let logits = all.prefill_all(&prompts).expect("one prompt per session");
+        let greedy_arena = arena();
+        let mut greedy = engine(&greedy_arena);
+        greedy
+            .generate_greedy(&prompts, 0)
+            .expect("one prompt per session");
+        assert!(
+            all_arena.stats().demoted_int8 > 0,
+            "no drain between prompts"
+        );
+        assert_eq!(all_arena.stats(), greedy_arena.stats());
+
+        // The logits are those of the schedule written out by hand.
+        let hand_arena = arena();
+        let mut hand = engine(&hand_arena).into_sessions();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((session, prompt), got) in hand.iter_mut().zip(&prompts).zip(&logits) {
+            hand_arena.advance_clock();
+            assert_eq!(bits(got), bits(&session.prefill(prompt)));
+            drain_demotions(&hand_arena, 0);
+        }
+        assert_eq!(hand_arena.stats(), all_arena.stats());
     }
 
     #[test]

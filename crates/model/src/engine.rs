@@ -69,7 +69,8 @@
 //! `prefill(&t[..n]); step(t[n]); …; step(t[m-1])` produces logits
 //! bit-identical to the last row of a full-sequence `forward(&t[..m])` for
 //! every row-independent scheme (reference, FP32, FP16, integer
-//! granularities, Tender implicit/explicit), at any thread count: f32 pages
+//! granularities, Tender — whose explicit Eq. 1 kernel is a kernel-level
+//! oracle, not a scheme option), at any thread count: f32 pages
 //! store the exact appended rows and the read walks them in position order
 //! on the f32 matmul's own accumulation chains, so paging is invisible to
 //! the numerics. Forked sessions inherit
@@ -88,4 +89,5 @@ pub use crate::batch::{BatchEngine, BatchError};
 pub use crate::kv::{
     demote_payload, drain_demotions, DrainStats, KvCache, KvCacheMode, KvReadPath, KvTierStats,
 };
-pub use crate::session::{greedy_token, step_stacked, DecodeSession, ModelRef, StepError};
+pub use crate::pipeline::ModelRef;
+pub use crate::session::{greedy_token, step_stacked, DecodeSession, StepError};

@@ -16,7 +16,7 @@ use tender_quant::granularity::{Granularity, GranularityScheme};
 use tender_quant::scheme::{Fp16Scheme, QuantMatmul, Scheme};
 use tender_tensor::{pool, Matrix};
 
-use crate::pipeline::{forward_internal, lm_head, CaptureMap, Exec, SiteKey};
+use crate::pipeline::{forward_internal, CaptureMap, ModelRef, SiteKey, SiteOps};
 use crate::weights::{ShapeError, TransformerWeights};
 
 /// A quantizable matmul site within a Transformer block.
@@ -83,14 +83,6 @@ impl ReferenceModel {
         &self.w
     }
 
-    pub(crate) fn emb_t(&self) -> &Matrix {
-        &self.emb_t
-    }
-
-    pub(crate) fn exec(&self) -> Exec<'_> {
-        Exec::Reference
-    }
-
     /// Next-token logits for every position, `n × vocab`.
     ///
     /// # Panics
@@ -98,15 +90,12 @@ impl ReferenceModel {
     /// Panics if `tokens` is empty, longer than `max_seq`, or contains an
     /// out-of-vocabulary id.
     pub fn forward(&self, tokens: &[usize]) -> Matrix {
-        let hidden = forward_internal(&self.w, tokens, &Exec::Reference, None, None)
-            .expect("forward without a kv cache cannot exhaust the arena");
-        lm_head(&self.w, &self.emb_t, &hidden)
+        ModelRef::from(self).forward(tokens)
     }
 
     /// Final hidden states (after the last norm), `n × d_model`.
     pub fn forward_hidden(&self, tokens: &[usize]) -> Matrix {
-        forward_internal(&self.w, tokens, &Exec::Reference, None, None)
-            .expect("forward without a kv cache cannot exhaust the arena")
+        ModelRef::from(self).forward_hidden(tokens)
     }
 
     /// Captures the activations entering every matmul site.
@@ -119,7 +108,7 @@ impl ReferenceModel {
         // traversal.
         let maps = pool::par_map(batches.len(), |i| {
             let mut cap = CaptureMap::new();
-            forward_internal(&self.w, &batches[i], &Exec::Reference, Some(&mut cap), None)
+            forward_internal(self.into(), &batches[i], Some(&mut cap), None)
                 .expect("forward without a kv cache cannot exhaust the arena");
             cap
         });
@@ -141,7 +130,7 @@ impl ReferenceModel {
     pub fn qkv_input_activation(&self, tokens: &[usize], layer: usize) -> Matrix {
         assert!(layer < self.w.shape.layers, "layer out of range");
         let mut cap = CaptureMap::new();
-        forward_internal(&self.w, tokens, &Exec::Reference, Some(&mut cap), None)
+        forward_internal(self.into(), tokens, Some(&mut cap), None)
             .expect("forward without a kv cache cannot exhaust the arena");
         cap.remove(&(layer, Site::Q)).expect("captured").remove(0)
     }
@@ -223,11 +212,11 @@ fn prepare_with_ladder(
     )
 }
 
-/// A model whose weight matmuls run through calibrated quantized operators.
+/// A model whose weight matmuls run through calibrated quantized operators:
+/// the reference model over the same weights, plus one operator per site.
 pub struct QuantizedModel {
-    w: TransformerWeights,
-    emb_t: Matrix,
-    ops: HashMap<SiteKey, Box<dyn QuantMatmul>>,
+    reference: ReferenceModel,
+    ops: SiteOps,
     scheme: Box<dyn Scheme>,
     degraded: Vec<DegradedSite>,
 }
@@ -288,7 +277,7 @@ impl QuantizedModel {
                 .unwrap_or_else(|| panic!("no captured activations for layer {li} {site:?}"));
             prepare_with_ladder(scheme.as_ref(), acts, weight, li, site)
         });
-        let mut ops: HashMap<SiteKey, Box<dyn QuantMatmul>> = HashMap::new();
+        let mut ops = SiteOps::new();
         let mut degraded = Vec::new();
         for (&(key, _), (op, deg)) in sites.iter().zip(prepared) {
             ops.insert(key, op);
@@ -297,8 +286,7 @@ impl QuantizedModel {
             }
         }
         Self {
-            w: weights.clone(),
-            emb_t: weights.lm_head.transpose(),
+            reference: ReferenceModel::new(weights.clone()),
             ops,
             scheme,
             degraded,
@@ -313,18 +301,7 @@ impl QuantizedModel {
 
     /// The underlying weights.
     pub fn weights(&self) -> &TransformerWeights {
-        &self.w
-    }
-
-    pub(crate) fn emb_t(&self) -> &Matrix {
-        &self.emb_t
-    }
-
-    pub(crate) fn exec(&self) -> Exec<'_> {
-        Exec::Quantized {
-            ops: &self.ops,
-            scheme: self.scheme.as_ref(),
-        }
+        self.reference.weights()
     }
 
     /// The scheme this model was quantized with.
@@ -338,15 +315,31 @@ impl QuantizedModel {
     ///
     /// Panics on the same conditions as [`ReferenceModel::forward`].
     pub fn forward(&self, tokens: &[usize]) -> Matrix {
-        let hidden = forward_internal(&self.w, tokens, &self.exec(), None, None)
-            .expect("forward without a kv cache cannot exhaust the arena");
-        lm_head(&self.w, &self.emb_t, &hidden)
+        ModelRef::from(self).forward(tokens)
     }
 
     /// Final hidden states (after the last norm), `n × d_model`.
     pub fn forward_hidden(&self, tokens: &[usize]) -> Matrix {
-        forward_internal(&self.w, tokens, &self.exec(), None, None)
-            .expect("forward without a kv cache cannot exhaust the arena")
+        ModelRef::from(self).forward_hidden(tokens)
+    }
+}
+
+impl<'m> From<&'m ReferenceModel> for ModelRef<'m> {
+    fn from(m: &'m ReferenceModel) -> Self {
+        Self {
+            w: &m.w,
+            emb_t: &m.emb_t,
+            calibrated: None,
+        }
+    }
+}
+
+impl<'m> From<&'m QuantizedModel> for ModelRef<'m> {
+    fn from(m: &'m QuantizedModel) -> Self {
+        Self {
+            calibrated: Some((&m.ops, m.scheme.as_ref())),
+            ..Self::from(&m.reference)
+        }
     }
 }
 

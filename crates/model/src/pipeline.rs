@@ -12,7 +12,9 @@
 //! (its one-token case) and [`crate::engine::step_stacked`] (the decode
 //! rows of several sessions, one row per cache). Everything else (norms,
 //! projections, the FFN match, residuals, MAC counting) exists once, so
-//! the cached path cannot drift from the reference semantics.
+//! the cached path cannot drift from the reference semantics; and both
+//! models run it through one handle, [`ModelRef`], the only code that
+//! knows what runs at a weight site or an act×act product.
 //!
 //! **Parity invariant.** Every op in the pipeline is per-row independent
 //! with a fixed accumulation order: embeddings and norms are row-local,
@@ -23,7 +25,7 @@
 //! position `p` against a KV cache of length `p` therefore reproduces row
 //! `p` of the full-sequence pass bit-for-bit, provided row-chunked schemes
 //! are asked for the chunk covering absolute row `p` — which is what
-//! [`Exec::mm`] forwards via `QuantMatmul::forward_rows`. The same
+//! [`ModelRef::mm`] forwards via `QuantMatmul::forward_rows`. The same
 //! independence makes the cached path indifferent to which rows share a
 //! call: `rows` tokens in one [`block`] call per layer leave the cache and
 //! the hidden rows exactly as `rows` one-token calls do, and the rows of a
@@ -39,11 +41,13 @@ use tender_tensor::{ops, EvictError, Matrix};
 
 use crate::forward::Site;
 use crate::kv::KvCache;
-use crate::shape::{Activation, ModelKind, NormKind};
-use crate::weights::{LayerWeights, TransformerWeights};
+use crate::shape::{Activation, ModelKind, ModelShape, NormKind};
+use crate::weights::TransformerWeights;
 
 pub(crate) type SiteKey = (usize, Site);
 pub(crate) type CaptureMap = HashMap<SiteKey, Vec<Matrix>>;
+/// A quantized model's calibrated operators, one per (layer, site).
+pub(crate) type SiteOps = HashMap<SiteKey, Box<dyn QuantMatmul>>;
 
 /// LM-head logit gain. With a random (untied) head, logits ≈ N(0, σ²) with
 /// σ ≈ `LOGIT_SCALE`; the value is chosen so the reference model's proxy
@@ -52,20 +56,47 @@ pub(crate) type CaptureMap = HashMap<SiteKey, Vec<Matrix>>;
 /// for catastrophically quantized models to degrade into.
 pub(crate) const LOGIT_SCALE: f32 = 2.5;
 
-/// How matmul sites execute: exact reference, or calibrated operators.
-pub(crate) enum Exec<'a> {
-    /// Exact `f32` matmuls everywhere.
-    Reference,
-    /// Calibrated per-site operators plus the scheme's act×act rule.
-    Quantized {
-        /// One calibrated operator per (layer, site).
-        ops: &'a HashMap<SiteKey, Box<dyn QuantMatmul>>,
-        /// The scheme, for activation×activation products.
-        scheme: &'a dyn Scheme,
-    },
+/// A borrowed model — the pipeline's only view of one. The reference and a
+/// quantized model differ only in what runs at each weight site and at each
+/// act×act product: exact `f32` matmuls, or the calibrated operators and the
+/// scheme's act×act rule. Built `From` a `&ReferenceModel` or a
+/// `&QuantizedModel`.
+#[derive(Clone, Copy)]
+pub struct ModelRef<'m> {
+    pub(crate) w: &'m TransformerWeights,
+    /// The LM head, transposed once at model build.
+    pub(crate) emb_t: &'m Matrix,
+    /// A quantized model's operators and its scheme, for act×act products;
+    /// `None` for the exact reference.
+    pub(crate) calibrated: Option<(&'m SiteOps, &'m dyn Scheme)>,
 }
 
-impl Exec<'_> {
+impl<'m> ModelRef<'m> {
+    /// The model's shape — public so layers above the engine (the serving
+    /// scheduler) can size traffic, KV budgets, and vocab-bounded token
+    /// streams without reaching into the weights.
+    pub fn shape(&self) -> &'m ModelShape {
+        &self.w.shape
+    }
+
+    /// Whether both view the same model object — the same weights, by
+    /// address; a quantized model owns its own copy — what lets two
+    /// sessions' rows share a weight product.
+    pub(crate) fn same_model(&self, other: &Self) -> bool {
+        std::ptr::eq(self.w, other.w)
+    }
+
+    /// Next-token logits for every position, `n × vocab`.
+    pub(crate) fn forward(self, tokens: &[usize]) -> Matrix {
+        lm_head(self, &self.forward_hidden(tokens))
+    }
+
+    /// Final hidden states (after the last norm), `n × d_model`.
+    pub(crate) fn forward_hidden(self, tokens: &[usize]) -> Matrix {
+        forward_internal(self, tokens, None, None)
+            .expect("forward without a kv cache cannot exhaust the arena")
+    }
+
     /// The weight matmul at `(li, site)`: without positions, `x` is one
     /// whole sequence (`QuantMatmul::forward`, the full pass); with them,
     /// its rows are independent tokens, row `r` at absolute sequence
@@ -79,7 +110,7 @@ impl Exec<'_> {
         weight: &Matrix,
         positions: Option<&[usize]>,
     ) -> Matrix {
-        let Exec::Quantized { ops, .. } = self else {
+        let Some((ops, _)) = self.calibrated else {
             return x.matmul(weight).expect("weight shapes validated");
         };
         let op = ops
@@ -93,19 +124,17 @@ impl Exec<'_> {
 
     /// Activation×activation product (`X_Q × X_K^T`, `X_S × X_V`).
     pub(crate) fn act_act(&self, a: &Matrix, b: &Matrix) -> Matrix {
-        match self {
-            Exec::Reference => a.matmul(b).expect("attention shapes"),
-            Exec::Quantized { scheme, .. } => scheme.act_act_matmul(a, b),
+        match self.calibrated {
+            None => a.matmul(b).expect("attention shapes"),
+            Some((_, scheme)) => scheme.act_act_matmul(a, b),
         }
     }
 
     /// The scheme, when it quantizes activation×activation products;
-    /// `None` when [`Exec::act_act`] is the plain f32 matmul.
-    fn act_act_quantizer(&self) -> Option<&dyn Scheme> {
-        match self {
-            Exec::Quantized { scheme, .. } if scheme.quantizes_act_act() => Some(*scheme),
-            _ => None,
-        }
+    /// `None` when [`ModelRef::act_act`] is the plain f32 matmul.
+    fn act_act_quantizer(&self) -> Option<&'m dyn Scheme> {
+        let (_, scheme) = self.calibrated?;
+        scheme.quantizes_act_act().then_some(scheme)
     }
 }
 
@@ -173,9 +202,12 @@ pub(crate) fn embed(w: &TransformerWeights, tokens: &[usize], positions: &[usize
 }
 
 /// Projects final hidden states through the (transposed) LM head.
-pub(crate) fn lm_head(w: &TransformerWeights, emb_t: &Matrix, hidden: &Matrix) -> Matrix {
-    let scale = LOGIT_SCALE / (w.shape.d_model as f32).sqrt();
-    hidden.matmul(emb_t).expect("LM head shape").scale(scale)
+pub(crate) fn lm_head(model: ModelRef<'_>, hidden: &Matrix) -> Matrix {
+    let scale = LOGIT_SCALE / (model.shape().d_model as f32).sqrt();
+    hidden
+        .matmul(model.emb_t)
+        .expect("LM head shape")
+        .scale(scale)
 }
 
 /// Runtime guard of the cached path: routes each live activation row
@@ -303,14 +335,13 @@ impl Attend<'_, '_> {
 /// so it cannot cost the other lanes their rows; passes without a cache
 /// cannot fail.
 pub(crate) fn block(
-    w: &TransformerWeights,
+    model: ModelRef<'_>,
     li: usize,
-    layer: &LayerWeights,
     h: Matrix,
-    exec: &Exec<'_>,
     attend: &mut Attend<'_, '_>,
 ) -> Result<Matrix, EvictError> {
-    let shape = &w.shape;
+    let shape = model.shape();
+    let layer = &model.w.layers[li];
     let rows = h.rows();
     let dh = shape.head_dim();
     let scale = 1.0 / (dh as f32).sqrt();
@@ -322,7 +353,7 @@ pub(crate) fn block(
     };
     let mut mm = |site: Site, x: &Matrix, weight: &Matrix| {
         row_macs += (x.cols() * weight.cols()) as u64;
-        exec.mm(li, site, x, weight, positions)
+        model.mm(li, site, x, weight, positions)
     };
 
     // Attention sub-block.
@@ -343,19 +374,19 @@ pub(crate) fn block(
                 let (c0, c1) = (head * dh, (head + 1) * dh);
                 let qh = q.slice_cols(c0, c1);
                 let kh_t = k.slice_cols(c0, c1).transpose();
-                let scores = exec.act_act(&qh, &kh_t);
+                let scores = model.act_act(&qh, &kh_t);
                 let probs = match shape.kind {
                     ModelKind::Decoder => ops::causal_softmax_rows(&scores),
                     ModelKind::Encoder => ops::softmax_rows(&scores),
                 };
-                let attn = exec.act_act(&probs, &v.slice_cols(c0, c1));
+                let attn = model.act_act(&probs, &v.slice_cols(c0, c1));
                 for r in 0..rows {
                     ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
                 }
             }
         }
         Attend::Cached { lanes, positions } => {
-            let act_act = exec.act_act_quantizer();
+            let act_act = model.act_act_quantizer();
             let mut hidden_rows = 0..rows;
             for lane in lanes.iter_mut() {
                 for r in hidden_rows.by_ref().take(lane.rows) {
@@ -412,8 +443,7 @@ pub(crate) fn block(
 /// hidden rows; a caller reads the rows of the lanes that did not fail.
 /// Stops early once every lane has.
 pub(crate) fn forward_cached(
-    w: &TransformerWeights,
-    exec: &Exec<'_>,
+    model: ModelRef<'_>,
     tokens: &[usize],
     lanes: &mut [Lane<'_>],
 ) -> Matrix {
@@ -422,13 +452,13 @@ pub(crate) fn forward_cached(
         .flat_map(|lane| lane.base..lane.base + lane.rows)
         .collect();
     assert_eq!(tokens.len(), positions.len(), "one token per lane row");
-    let mut h = embed(w, tokens, &positions);
-    for (li, layer) in w.layers.iter().enumerate() {
+    let mut h = embed(model.w, tokens, &positions);
+    for li in 0..model.w.layers.len() {
         let mut attend = Attend::Cached {
             lanes,
             positions: &positions,
         };
-        h = block(w, li, layer, h, exec, &mut attend)
+        h = block(model, li, h, &mut attend)
             .expect("a cached lane records its refusal instead of returning it");
         if lanes.iter().all(|lane| lane.failed.is_some()) {
             break;
@@ -445,13 +475,12 @@ pub(crate) fn forward_cached(
 /// [`EvictError`] when the cache's arena reaches its eviction floor
 /// mid-prompt. Passes without a cache cannot fail.
 pub(crate) fn forward_internal(
-    w: &TransformerWeights,
+    model: ModelRef<'_>,
     tokens: &[usize],
-    exec: &Exec<'_>,
     capture: Option<&mut CaptureMap>,
     kv: Option<&mut KvCache>,
 ) -> Result<Matrix, EvictError> {
-    let shape = &w.shape;
+    let (w, shape) = (model.w, model.shape());
     let n = tokens.len();
     assert!(n > 0, "empty token sequence");
     assert!(n <= shape.max_seq, "sequence longer than max_seq");
@@ -467,11 +496,11 @@ pub(crate) fn forward_internal(
     };
 
     metrics::FORWARD_PASSES.incr();
-    for (li, layer) in w.layers.iter().enumerate() {
+    for li in 0..w.layers.len() {
         // Wall-clock per layer goes to the JSON report only; it never
         // influences computed values or experiment stdout.
         let _layer_span = metrics::LAYER_FORWARD.span(li);
-        h = block(w, li, layer, h, exec, &mut attend)?;
+        h = block(model, li, h, &mut attend)?;
     }
 
     Ok(apply_norm(&h, &w.final_gamma, &w.final_beta, shape.norm))

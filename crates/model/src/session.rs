@@ -12,73 +12,8 @@ use std::fmt;
 use tender_metrics::engine as metrics;
 use tender_tensor::{EvictError, KvArena, Matrix};
 
-use crate::forward::{QuantizedModel, ReferenceModel};
 use crate::kv::{KvCache, KvCacheMode, KvReadPath};
-use crate::pipeline::{self, Exec, Lane};
-use crate::shape::ModelShape;
-use crate::weights::TransformerWeights;
-
-/// A borrowed model the engine can decode with: either execution path of
-/// the shared pipeline.
-#[derive(Clone, Copy)]
-pub enum ModelRef<'m> {
-    /// The exact FP32 reference model.
-    Reference(&'m ReferenceModel),
-    /// A calibrated quantized model.
-    Quantized(&'m QuantizedModel),
-}
-
-impl<'m> From<&'m ReferenceModel> for ModelRef<'m> {
-    fn from(m: &'m ReferenceModel) -> Self {
-        Self::Reference(m)
-    }
-}
-
-impl<'m> From<&'m QuantizedModel> for ModelRef<'m> {
-    fn from(m: &'m QuantizedModel) -> Self {
-        Self::Quantized(m)
-    }
-}
-
-impl<'m> ModelRef<'m> {
-    /// The model's shape — public so layers above the engine (the serving
-    /// scheduler) can size traffic, KV budgets, and vocab-bounded token
-    /// streams without reaching into the weights.
-    pub fn shape(&self) -> &'m ModelShape {
-        &self.weights().shape
-    }
-
-    fn weights(&self) -> &'m TransformerWeights {
-        match self {
-            Self::Reference(m) => m.weights(),
-            Self::Quantized(m) => m.weights(),
-        }
-    }
-
-    fn emb_t(&self) -> &'m Matrix {
-        match self {
-            Self::Reference(m) => m.emb_t(),
-            Self::Quantized(m) => m.emb_t(),
-        }
-    }
-
-    fn exec(&self) -> Exec<'m> {
-        match self {
-            Self::Reference(m) => m.exec(),
-            Self::Quantized(m) => m.exec(),
-        }
-    }
-
-    /// Whether both refer to the same model object — what lets two
-    /// sessions' rows share a weight product.
-    fn same_model(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Self::Reference(a), Self::Reference(b)) => std::ptr::eq(*a, *b),
-            (Self::Quantized(a), Self::Quantized(b)) => std::ptr::eq(*a, *b),
-            _ => false,
-        }
-    }
-}
+use crate::pipeline::{self, Lane, ModelRef};
 
 /// Why a [`DecodeSession::try_prefill`], [`DecodeSession::extend`] (or
 /// `step`) could not run.
@@ -168,7 +103,7 @@ impl<'m> DecodeSession<'m> {
     /// the arena's watermark is never acted on.
     pub fn with_arena(model: impl Into<ModelRef<'m>>, mode: KvCacheMode, arena: &KvArena) -> Self {
         let model = model.into();
-        let cache = KvCache::with_arena(&model.weights().shape, mode, arena);
+        let cache = KvCache::with_arena(model.shape(), mode, arena);
         Self {
             model,
             cache,
@@ -246,13 +181,11 @@ impl<'m> DecodeSession<'m> {
         }
         self.check_run(tokens)?;
         let _span = metrics::PREFILL_TIME.span();
-        let w = self.model.weights();
-        let exec = self.model.exec();
-        let hidden = pipeline::forward_internal(w, tokens, &exec, None, Some(&mut self.cache))
+        let hidden = pipeline::forward_internal(self.model, tokens, None, Some(&mut self.cache))
             .map_err(StepError::KvExhausted)?;
         metrics::PREFILLS.incr();
         metrics::PREFILL_TOKENS.add(tokens.len() as u64);
-        Ok(pipeline::lm_head(w, self.model.emb_t(), &hidden))
+        Ok(pipeline::lm_head(self.model, &hidden))
     }
 
     /// Whether `tokens` can be embedded at the positions following the
@@ -386,13 +319,12 @@ fn forward_lanes(
     runs: &[&[usize]],
 ) -> Vec<Result<Matrix, StepError>> {
     let model = sessions[0].model;
-    let w = model.weights();
     let mut lanes: Vec<Lane<'_>> = sessions
         .iter_mut()
         .zip(runs)
         .map(|(session, run)| Lane::new(&mut session.cache, run.len()))
         .collect();
-    let h = pipeline::forward_cached(w, &model.exec(), &runs.concat(), &mut lanes);
+    let h = pipeline::forward_cached(model, &runs.concat(), &mut lanes);
     let outcomes: Vec<_> = lanes
         .into_iter()
         .map(|lane| (lane.rows, lane.macs, lane.int_macs, lane.failed))
@@ -413,8 +345,9 @@ fn forward_lanes(
     }
     let logits = (!last_rows.is_empty()).then(|| {
         let last = h.gather_rows(&last_rows);
+        let w = model.w;
         let hidden = pipeline::apply_norm(&last, &w.final_gamma, &w.final_beta, w.shape.norm);
-        pipeline::lm_head(w, model.emb_t(), &hidden)
+        pipeline::lm_head(model, &hidden)
     });
     let mut logits_rows = logits.iter().flat_map(Matrix::iter_rows);
     outcomes

@@ -827,28 +827,17 @@ pub fn explicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    explicit_runs(x, &contiguous(row0, x.rows()), w, calib, config, None)
-}
-
-/// Body of every explicit entry point; `prepared` as in [`implicit_runs`].
-pub(super) fn explicit_runs(
-    x: &Matrix,
-    positions: &[usize],
-    w: &QuantizedWeight,
-    calib: &TenderCalibration,
-    config: &TenderConfig,
-    prepared: Option<&[PreparedChunk]>,
-) -> MatmulStats {
-    check_shapes(x, positions, w, calib);
+    let positions = contiguous(row0, x.rows());
+    check_shapes(x, &positions, w, calib);
     metrics::EXPLICIT_MATMULS.incr();
     let n = w.scales.len();
     let mut result = Matrix::zeros(x.rows(), n);
     let mut saturated_values = 0;
     let mut chunks_processed = 0;
-    for (r0, r1) in chunk_runs(positions, calib.chunk_rows()) {
+    for (r0, r1) in chunk_runs(&positions, calib.chunk_rows()) {
         let ci = calib.chunk_index_for_row(positions[r0]);
         let cc = &calib.chunks()[ci];
-        let corr = bias_row(prepared, ci, cc, w);
+        let corr = bias_correction(&cc.bias, w);
         record_quantized(r1 - r0, cc);
         let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
         saturated_values += explicit_chunk(x, r0..r1, cc, w, config, &corr, out_chunk);

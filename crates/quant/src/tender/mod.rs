@@ -63,28 +63,12 @@ use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
 #[derive(Debug, Clone)]
 pub struct TenderScheme {
     config: TenderConfig,
-    /// Run the *explicit* requantization kernel (Eq. 1) at inference time
-    /// instead of the implicit shift-accumulate path — the software
-    /// baseline the paper's hardware obviates. Numerically equivalent up to
-    /// `f32` rounding; useful for end-to-end cost and parity comparisons.
-    explicit: bool,
 }
 
 impl TenderScheme {
     /// Creates a scheme from a configuration.
     pub fn new(config: TenderConfig) -> Self {
-        Self {
-            config,
-            explicit: false,
-        }
-    }
-
-    /// Switches runtime inference to the explicit requantization kernel
-    /// (Fig. 5(a)): every group's partial product is dequantized to `f32`
-    /// and summed, instead of the implicit integer shift-accumulate.
-    pub fn with_explicit_requant(mut self) -> Self {
-        self.explicit = true;
-        self
+        Self { config }
     }
 
     /// The configuration this scheme was built with.
@@ -100,7 +84,6 @@ impl TenderScheme {
             calibration,
             weight,
             config: self.config.clone(),
-            explicit: self.explicit,
         })
     }
 }
@@ -115,8 +98,6 @@ pub struct TenderMatmul {
     /// Buffer flattened to per-channel scale and weight rows.
     prepared: Vec<matmul::PreparedChunk>,
     config: TenderConfig,
-    /// Whether runtime inference uses the explicit (Eq. 1) kernel.
-    explicit: bool,
 }
 
 impl TenderMatmul {
@@ -143,12 +124,7 @@ impl QuantMatmul for TenderMatmul {
     /// calibration chunk share one kernel call, whichever session they
     /// belong to.
     fn forward_rows(&self, x: &Matrix, positions: &[usize]) -> Matrix {
-        let run = if self.explicit {
-            matmul::explicit_runs
-        } else {
-            matmul::implicit_runs
-        };
-        run(
+        matmul::implicit_runs(
             x,
             positions,
             &self.weight,
@@ -170,15 +146,10 @@ impl QuantMatmul for TenderMatmul {
 
 impl Scheme for TenderScheme {
     fn name(&self) -> String {
-        let base = if self.config.quant_act_act {
+        if self.config.quant_act_act {
             format!("Tender (all) INT{}", self.config.bits)
         } else {
             format!("Tender INT{}", self.config.bits)
-        };
-        if self.explicit {
-            format!("{base} explicit")
-        } else {
-            base
         }
     }
 
@@ -318,41 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_mode_runs_the_explicit_kernel() {
-        let mut rng = DetRng::new(106);
-        let x = outlier_activation(&mut rng, 16, 8);
-        let w = rng.normal_matrix(8, 4, 0.0, 0.1);
-        let cfg = TenderConfig::int8().with_row_chunk(8);
-        let scheme = TenderScheme::new(cfg.clone()).with_explicit_requant();
-        assert_eq!(scheme.name(), "Tender INT8 explicit");
-        let op = scheme.prepare(std::slice::from_ref(&x), &w);
-        // Bit-identical to the raw explicit kernel…
-        let calib = TenderCalibration::from_samples(std::slice::from_ref(&x), &cfg);
-        let qw = QuantizedWeight::per_col(&w, cfg.bits);
-        let want = explicit_requant_matmul(&x, &qw, &calib, &cfg).result;
-        assert_eq!(op.forward(&x), want);
-        // …and close (but not identical) to the implicit path.
-        let implicit = TenderScheme::new(cfg).prepare(std::slice::from_ref(&x), &w);
-        let sq = sqnr_db(&implicit.forward(&x), &op.forward(&x));
-        assert!(sq > 40.0, "paths diverged beyond f32 rounding: {sq}");
-    }
-
-    #[test]
     fn forward_at_matches_full_forward_rows() {
         let mut rng = DetRng::new(107);
         let x = outlier_activation(&mut rng, 24, 8);
         let w = rng.normal_matrix(8, 4, 0.0, 0.1);
-        for explicit in [false, true] {
-            let mut scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(8));
-            if explicit {
-                scheme = scheme.with_explicit_requant();
-            }
-            let op = scheme.prepare(std::slice::from_ref(&x), &w);
-            let full = op.forward(&x);
-            for p in 0..x.rows() {
-                let row = op.forward_at(&x.slice_rows(p, p + 1), p);
-                assert_eq!(row.row(0), full.row(p), "explicit={explicit} row {p}");
-            }
+        let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(8));
+        let op = scheme.prepare(std::slice::from_ref(&x), &w);
+        let full = op.forward(&x);
+        for p in 0..x.rows() {
+            let row = op.forward_at(&x.slice_rows(p, p + 1), p);
+            assert_eq!(row.row(0), full.row(p), "row {p}");
         }
     }
 

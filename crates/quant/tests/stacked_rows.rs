@@ -6,9 +6,9 @@
 //! calibration is keyed by absolute row index), so this is where stacking
 //! could go wrong: a row quantized against a neighbour's chunk, a run cut in
 //! the wrong place, a counter ticking per call where it should tick per
-//! value. Covered: the implicit and the explicit kernel, licensed chunks at
-//! both operand widths and chunks the accumulator bound sends through the
-//! checked `i64` loop (with real overflow events), positions shuffled over
+//! value. Covered: licensed chunks at both operand widths and chunks the
+//! accumulator bound sends through the checked `i64` loop (with real
+//! overflow events), positions shuffled over
 //! more than three calibration chunks and past the calibrated range. (The
 //! registry-wide check that every *other* scheme's rows are independent
 //! lives beside `scheme_by_name`.)
@@ -69,7 +69,7 @@ fn value_counters(groups: usize) -> Vec<u64> {
 /// `(kernel calls, chunk runs)` — per call, so they fall when rows stack.
 fn call_counters() -> (u64, u64) {
     (
-        metrics::IMPLICIT_MATMULS.get() + metrics::EXPLICIT_MATMULS.get(),
+        metrics::IMPLICIT_MATMULS.get(),
         metrics::CHUNKS_FAST_PATH.get() + metrics::CHUNKS_CHECKED.get(),
     )
 }
@@ -88,63 +88,55 @@ fn stacked_rows_equal_their_solo_calls() {
     // (bits, groups, licensed): INT8 and INT4 run on the 32-bit kernel;
     // 16-bit codes against 16-bit weights exceed the accumulator bound.
     for (width, groups, licensed) in [(8, 4, true), (4, 8, true), (16, 2, false)] {
-        for explicit in [false, true] {
-            let what = format!("bits {width} groups {groups} explicit {explicit}");
-            let mut rng = DetRng::new(7 + width as u64);
-            let calib = activation(&mut rng, 16, 16);
-            let x = activation(&mut rng, POSITIONS.len(), 16);
-            let w = rng.normal_matrix(16, 8, 0.0, 0.2);
-            let mut scheme = TenderScheme::new(config(width, groups));
-            if explicit {
-                scheme = scheme.with_explicit_requant();
-            }
-            let op = scheme.prepare(std::slice::from_ref(&calib), &w);
+        let what = format!("bits {width} groups {groups}");
+        let mut rng = DetRng::new(7 + width as u64);
+        let calib = activation(&mut rng, 16, 16);
+        let x = activation(&mut rng, POSITIONS.len(), 16);
+        let w = rng.normal_matrix(16, 8, 0.0, 0.2);
+        let op = TenderScheme::new(config(width, groups)).prepare(std::slice::from_ref(&calib), &w);
 
-            let (values, calls) = (value_counters(groups), call_counters());
-            let (fast, checked) = (
-                metrics::CHUNKS_FAST_PATH.get(),
-                metrics::CHUNKS_CHECKED.get(),
-            );
-            let stacked = op.forward_rows(&x, &POSITIONS);
-            let stacked_values = delta(&value_counters(groups), &values);
-            let stacked_calls = call_counters();
-            assert_eq!(stacked_calls.0 - calls.0, 1, "{what}: one kernel call");
-            if !explicit {
-                assert_eq!(
-                    stacked_calls.1 - calls.1,
-                    runs as u64,
-                    "{what}: one chunk per run"
-                );
-                let on_fast_path = metrics::CHUNKS_FAST_PATH.get() - fast;
-                let on_checked = metrics::CHUNKS_CHECKED.get() - checked;
-                assert_eq!(
-                    (on_fast_path > 0, on_checked > 0),
-                    (licensed, !licensed),
-                    "{what}: wrong kernel"
-                );
-            }
+        let (values, calls) = (value_counters(groups), call_counters());
+        let (fast, checked) = (
+            metrics::CHUNKS_FAST_PATH.get(),
+            metrics::CHUNKS_CHECKED.get(),
+        );
+        let stacked = op.forward_rows(&x, &POSITIONS);
+        let stacked_values = delta(&value_counters(groups), &values);
+        let stacked_calls = call_counters();
+        assert_eq!(stacked_calls.0 - calls.0, 1, "{what}: one kernel call");
+        assert_eq!(
+            stacked_calls.1 - calls.1,
+            runs as u64,
+            "{what}: one chunk per run"
+        );
+        let on_fast_path = metrics::CHUNKS_FAST_PATH.get() - fast;
+        let on_checked = metrics::CHUNKS_CHECKED.get() - checked;
+        assert_eq!(
+            (on_fast_path > 0, on_checked > 0),
+            (licensed, !licensed),
+            "{what}: wrong kernel"
+        );
 
-            let (values, calls) = (value_counters(groups), call_counters());
-            for (r, &position) in POSITIONS.iter().enumerate() {
-                let solo = op.forward_at(&x.slice_rows(r, r + 1), position);
-                assert_eq!(
-                    bits(solo.row(0)),
-                    bits(stacked.row(r)),
-                    "{what}: row {r} at position {position}"
-                );
-            }
+        let (values, calls) = (value_counters(groups), call_counters());
+        for (r, &position) in POSITIONS.iter().enumerate() {
+            let solo = op.forward_at(&x.slice_rows(r, r + 1), position);
             assert_eq!(
-                delta(&value_counters(groups), &values),
-                stacked_values,
-                "{what}: value counters"
-            );
-            assert_eq!(call_counters().0 - calls.0, POSITIONS.len() as u64);
-            assert_eq!(stacked_values[0], (POSITIONS.len() * 16) as u64);
-            assert_eq!(
-                stacked_values[2] > 0,
-                !licensed && !explicit,
-                "{what}: only the checked implicit loop can count an overflow"
+                bits(solo.row(0)),
+                bits(stacked.row(r)),
+                "{what}: row {r} at position {position}"
             );
         }
+        assert_eq!(
+            delta(&value_counters(groups), &values),
+            stacked_values,
+            "{what}: value counters"
+        );
+        assert_eq!(call_counters().0 - calls.0, POSITIONS.len() as u64);
+        assert_eq!(stacked_values[0], (POSITIONS.len() * 16) as u64);
+        assert_eq!(
+            stacked_values[2] > 0,
+            !licensed,
+            "{what}: only the checked loop can count an overflow"
+        );
     }
 }

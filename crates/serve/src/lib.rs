@@ -894,23 +894,25 @@ impl<'m> Run<'m> {
     }
 
     /// Page-growth check for `active[idx]`: a decode step whose append
-    /// would open a fresh page must grow the reservation first. The grant
-    /// is re-synced to the session's *measured* allocation, so bytes freed
-    /// by arena demotion flow back into the budget here. Returns `false`
-    /// when the budget cannot cover the growth — the request then
-    /// completes with the tokens it has: truncation, not failure.
+    /// allocates must grow the reservation first, priced by
+    /// [`KvCache::next_append_alloc_bytes`](tender_model::KvCache::next_append_alloc_bytes)
+    /// — the rule `BatchEngine`'s boundary prices with. The grant is
+    /// re-synced to the session's *measured* allocation, so bytes freed by
+    /// arena demotion flow back into the budget here. Returns `false` when
+    /// the budget cannot cover the growth — the request then completes with
+    /// the tokens it has: truncation, not failure. A session at the window
+    /// owes no step; it truncates in `advance`.
     fn grow_reservation(&mut self, idx: usize) -> bool {
         let slot = &self.active[idx];
         let needs_step = slot.fed >= slot.adm.req.prompt.len()
             && slot.pending.is_some()
-            && slot.emitted + 1 < slot.adm.req.decode_target;
-        let opens_page = !slot.session.is_empty()
-            && slot.session.len().is_multiple_of(self.cfg.page_rows.max(1))
+            && slot.emitted + 1 < slot.adm.req.decode_target
             && slot.session.len() < self.model.shape().max_seq;
-        if !(needs_step && opens_page) {
+        let growth = slot.session.cache().next_append_alloc_bytes();
+        if !needs_step || growth == 0 {
             return true;
         }
-        let wanted = slot.session.cache().allocated_bytes() + self.page_bytes;
+        let wanted = slot.session.cache().allocated_bytes() + growth;
         let extra = wanted.saturating_sub(slot.adm.reserve);
         if self.reserved + extra > self.cfg.kv_budget_bytes {
             return false;
