@@ -5,8 +5,10 @@
 //! ones, and the gathered read they are tested against.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use tender_metrics::engine as metrics;
+use tender_metrics::kernel as kernel_metrics;
 use tender_quant::scheme::Scheme;
 use tender_tensor::arena::QuantPage;
 use tender_tensor::{
@@ -16,7 +18,7 @@ use tender_tensor::{
 use super::mode::{KvCacheMode, KvReadPath, KV_ACT_BITS};
 use super::quant::{
     combine_groups, decode_rows, demote_if_smaller, dequant_page_into, quantize_act_into,
-    record_dot_metrics, PlaneQuant, RowScratch,
+    PlaneQuant, RowScratch,
 };
 use crate::shape::ModelShape;
 
@@ -50,14 +52,17 @@ impl Plane {
     }
 
     /// The score walk: one score per cached position of this K plane
-    /// against the (scaled) query row `qh`, in position order. The arm is
-    /// chosen per page, by plane mode and page tier:
+    /// against the (scaled) query row `qh`, in position order, into `out`
+    /// (cleared first). The arm is chosen per page, by plane mode and page
+    /// tier:
     ///
     /// - *quantized plane:* `qh` is quantized once to [`KV_ACT_BITS`] codes
     ///   and every page dotted on its packed codes
-    ///   ([`ReadScratch::page_sums`]); the page's frozen scale applies once
+    ///   ([`PageScratch::page_sums`]); the page's frozen scale applies once
     ///   per dot and its bias dot (`Σ_c qh[c]·bias[c]`, full f32 precision)
-    ///   is added.
+    ///   is added — taken once per distinct bias, since every page the
+    ///   plane wrote shares the plane's (`Arc`), and only a demoted page
+    ///   brings its own.
     /// - *f32 plane:* an f32 page is dotted where it lies, a demoted page
     ///   once dequantized into `read` ([`dequant_page_into`]: the bits
     ///   [`decode_rows`] gives). The page's rows advance together, `k`
@@ -67,33 +72,43 @@ impl Plane {
     ///
     /// [`ops::row_dot_nt`]: tender_tensor::ops::row_dot_nt
     /// [`decode_rows`]: super::quant::decode_rows
-    fn scores(&self, qh: &[f32], read: &mut ReadScratch) -> Vec<f32> {
+    fn scores(&self, qh: &[f32], out: &mut Vec<f32>, read: &mut PageScratch) {
         let dh = qh.len();
+        out.clear();
+        out.reserve(self.len);
         let x_scale = self
             .quant
             .is_some()
-            .then(|| quantize_act_into(qh, &mut read.act));
-        let mut out = Vec::with_capacity(self.len);
-        let mut reads = [0u64; 2];
+            .then(|| quantize_act_into(qh, &mut read.wide, &mut read.act));
+        let mut tally = WalkTally::default();
+        let mut last_bias: Option<(Arc<Vec<f32>>, f32)> = None;
         for page in &self.pages {
             let payload = page.read();
             let rows = match (&*payload, x_scale) {
                 (PagePayload::Quant(qp), Some(x_scale)) => {
-                    let bias_dot = qh
-                        .iter()
-                        .zip(qp.bias.iter())
-                        .fold(0.0f32, |d, (x, b)| d + x * b);
+                    let bias_dot = match &last_bias {
+                        Some((bias, dot)) if Arc::ptr_eq(bias, &qp.bias) => *dot,
+                        _ => {
+                            let dot = qh
+                                .iter()
+                                .zip(qp.bias.iter())
+                                .fold(0.0f32, |d, (x, b)| d + x * b);
+                            last_bias = Some((Arc::clone(&qp.bias), dot));
+                            dot
+                        }
+                    };
                     let factor = x_scale * qp.scales.last().expect("page scale snapshot");
-                    read.page_sums(qp, 0..dh, false, |_, s| out.push(s * factor + bias_dot));
+                    let sums = read.page_sums(qp, 0..dh, false, &mut tally);
+                    out.extend(sums.iter().map(|&s| s * factor + bias_dot));
                     continue;
                 }
                 (PagePayload::Quant(qp), None) => {
-                    reads[1] += 1;
+                    tally.dequant_pages += 1;
                     dequant_page_into(qp, &mut read.codes, &mut read.rows);
                     &read.rows[..]
                 }
                 (PagePayload::F32(m), _) => {
-                    reads[0] += 1;
+                    tally.f32_pages += 1;
                     m.as_slice()
                 }
             };
@@ -108,25 +123,25 @@ impl Plane {
                 }
             }
         }
-        publish_walk(x_scale.is_some(), reads, out.len(), out.len() * dh);
-        out
+        tally.publish(x_scale.is_some(), out.len(), out.len() * dh);
     }
 
     /// The value walk: the probability row `probs` (one per cached
-    /// position) against this V plane, accumulated into one `dh`-wide row
-    /// page by page in position order. The same per-page arms as
-    /// [`Plane::scores`]: a quantized page through its packed codes, under
-    /// its own frozen scale, plus its bias times the page's probability
-    /// mass; an f32 page (or a demoted one, dequantized) on
-    /// `gemm::f32_block`'s chain — positions ascending, zero probabilities
-    /// skipped, one f32 accumulator per column.
-    fn values(&self, probs: &[f32], dh: usize, read: &mut ReadScratch) -> Vec<f32> {
-        let mut out = vec![0.0f32; dh];
+    /// position) against this V plane, accumulated into the `head_dim`-wide
+    /// row `out` (zeroed first) page by page in position order. The same
+    /// per-page arms as [`Plane::scores`]: a quantized page through its
+    /// packed codes, under its own frozen scale, plus its bias times the
+    /// page's probability mass; an f32 page (or a demoted one, dequantized)
+    /// on `gemm::f32_block`'s chain — positions ascending, zero
+    /// probabilities skipped, one f32 accumulator per column.
+    fn values(&self, probs: &[f32], out: &mut [f32], read: &mut PageScratch) {
+        let dh = out.len();
+        out.fill(0.0);
         let p_scale = self
             .quant
             .is_some()
-            .then(|| quantize_act_into(probs, &mut read.act));
-        let mut reads = [0u64; 2];
+            .then(|| quantize_act_into(probs, &mut read.wide, &mut read.act));
+        let mut tally = WalkTally::default();
         let mut off = 0;
         for page in &self.pages {
             let payload = page.read();
@@ -136,18 +151,19 @@ impl Plane {
                     let psum = probs[span.clone()].iter().fold(0.0f32, |s, &p| s + p);
                     let factor = p_scale * qp.scales.last().expect("page scale snapshot");
                     off = span.end;
-                    read.page_sums(qp, span, true, |c, s| {
-                        out[c] += s * factor + qp.bias[c] * psum;
-                    });
+                    let sums = read.page_sums(qp, span, true, &mut tally);
+                    for ((o, &s), &b) in out.iter_mut().zip(sums).zip(qp.bias.iter()) {
+                        *o += s * factor + b * psum;
+                    }
                     continue;
                 }
                 (PagePayload::Quant(qp), None) => {
-                    reads[1] += 1;
+                    tally.dequant_pages += 1;
                     dequant_page_into(qp, &mut read.codes, &mut read.rows);
                     &read.rows[..]
                 }
                 (PagePayload::F32(m), _) => {
-                    reads[0] += 1;
+                    tally.f32_pages += 1;
                     m.as_slice()
                 }
             };
@@ -161,55 +177,95 @@ impl Plane {
             }
             off += rows.len() / dh;
         }
-        publish_walk(p_scale.is_some(), reads, dh, probs.len() * dh);
-        out
+        tally.publish(p_scale.is_some(), dh, probs.len() * dh);
     }
 }
 
-/// Publishes what one walk read: a quantized plane's integer dots and their
-/// MACs, or an f32 plane's pages read in place and dequantized (`reads`).
-fn publish_walk(quantized: bool, reads: [u64; 2], dots: usize, macs: usize) {
-    if quantized {
-        metrics::KV_INT_DOTS.add(dots as u64);
-        metrics::KV_INT_DOT_MACS.add(macs as u64);
-    } else {
-        metrics::KV_F32_PAGE_READS.add(reads[0]);
-        metrics::KV_DEQUANT_PAGE_READS.add(reads[1]);
+/// What one walk read, published once when it ends: a quantized plane's
+/// integer dots by kernel arm (and the checked arm's i32 excursions), or an
+/// f32 plane's pages read in place and dequantized.
+#[derive(Debug, Default)]
+struct WalkTally {
+    fast_dots: usize,
+    checked_dots: usize,
+    events: u64,
+    f32_pages: u64,
+    dequant_pages: u64,
+}
+
+impl WalkTally {
+    /// Publishes the walk: for a `quantized` plane its `dots` integer dot
+    /// products and their `macs`, and per kernel arm the dots in the kernel
+    /// overflow-machinery counters (`chunks_fast_path`, `chunks_checked`,
+    /// `overflow_events`); otherwise its page reads.
+    fn publish(&self, quantized: bool, dots: usize, macs: usize) {
+        if quantized {
+            metrics::KV_INT_DOTS.add(dots as u64);
+            metrics::KV_INT_DOT_MACS.add(macs as u64);
+            for (n, counter) in [
+                (self.fast_dots, &kernel_metrics::CHUNKS_FAST_PATH),
+                (self.checked_dots, &kernel_metrics::CHUNKS_CHECKED),
+            ] {
+                if n > 0 {
+                    counter.add(n as u64);
+                }
+            }
+            if self.events > 0 {
+                kernel_metrics::OVERFLOW_EVENTS.add(self.events);
+            }
+        } else {
+            metrics::KV_F32_PAGE_READS.add(self.f32_pages);
+            metrics::KV_DEQUANT_PAGE_READS.add(self.dequant_pages);
+        }
     }
 }
 
-/// The buffers of the cache's reads, reused by every walk: the quantized
-/// query or probability row, one page's pre-shifted codes (the integer
-/// kernels' and the dequantizer's), a demoted page's f32 rows, and the
-/// licensed and checked kernels' sums.
+/// The buffers of the cache's reads, reused by every walk, so a cached row
+/// allocates nothing: the walk's f32 row — the scores, softmaxed in place
+/// into the probabilities — and the per-page buffers.
 #[derive(Debug, Clone, Default)]
 struct ReadScratch {
-    act: Vec<i32>,
+    row: Vec<f32>,
+    pages: PageScratch,
+}
+
+/// What a walk needs page by page: the quantized query or probability row
+/// (the row quantizer's `i32` codes, then the kernels' `i16` operand), one
+/// page's pre-shifted codes (the integer kernels' and the dequantizer's), a
+/// demoted page's f32 rows, the licensed and checked kernels' sums, and the
+/// page's combined sums as f32.
+#[derive(Debug, Clone, Default)]
+struct PageScratch {
+    wide: Vec<i32>,
+    act: Vec<i16>,
     codes: Vec<i16>,
     rows: Vec<f32>,
     sums: Vec<i32>,
     group_sums: Vec<i64>,
+    dots: Vec<f32>,
 }
 
-impl ReadScratch {
+impl PageScratch {
     /// One quantized page against the activation codes `act[x]`: its
-    /// combined integer sums — one per row for the score product, one per
-    /// column for the `value` product — handed to `emit` with their index.
-    /// Under the [`gemm::kv_dot_cannot_overflow`] license for `x.len()`
-    /// terms the page is decoded once into codes pre-multiplied by their
-    /// group's α = 2 combine weight and each sum is one `i32` accumulator
-    /// ([`gemm::kv_score_block`] / [`gemm::kv_attn_block`]); integer sums
-    /// are exact and order-free, so they equal the checked per-group walk
-    /// and [`combine_groups`], which is what runs when the license fails.
+    /// combined integer sums as f32 — one per row for the score product,
+    /// one per column for the `value` product — counted into `tally` by
+    /// arm. Under the [`gemm::kv_dot_cannot_overflow`] license for
+    /// `x.len()` terms the page is decoded once into codes pre-multiplied by
+    /// their group's α = 2 combine weight and each sum is one `i32`
+    /// accumulator over `i16 × i16` products ([`gemm::kv_score_block`] /
+    /// [`gemm::kv_attn_block`]); integer sums are exact and order-free, so
+    /// they equal the checked per-group walk and [`combine_groups`], which
+    /// is what runs when the license fails.
     fn page_sums(
         &mut self,
         qp: &QuantPage,
         x: Range<usize>,
         value: bool,
-        mut emit: impl FnMut(usize, f32),
-    ) {
+        tally: &mut WalkTally,
+    ) -> &[f32] {
         let (kv, groups, act) = (&qp.rows, qp.scales.len(), &self.act[x]);
         let n = if value { kv.cols() } else { kv.rows() };
+        self.dots.clear();
         if gemm::kv_dot_cannot_overflow(act.len(), KV_ACT_BITS, kv.bits(), groups) {
             self.codes.resize(kv.rows() * kv.cols(), 0);
             self.sums.resize(n, 0);
@@ -218,10 +274,8 @@ impl ReadScratch {
             } else {
                 gemm::kv_score_block(kv, act, groups, &mut self.codes, &mut self.sums);
             }
-            for (i, &s) in self.sums.iter().enumerate() {
-                emit(i, s as f32);
-            }
-            record_dot_metrics(n, false, 0);
+            self.dots.extend(self.sums.iter().map(|&s| s as f32));
+            tally.fast_dots += n;
         } else {
             self.group_sums.clear();
             self.group_sums.resize(n * groups, 0);
@@ -230,11 +284,13 @@ impl ReadScratch {
             } else {
                 gemm::kv_score_checked(kv, act, groups, &mut self.group_sums)
             };
-            for (i, sums) in self.group_sums.chunks_exact(groups).enumerate() {
-                emit(i, combine_groups(sums, &mut events) as f32);
-            }
-            record_dot_metrics(n, true, events);
+            let combined = self.group_sums.chunks_exact(groups);
+            self.dots
+                .extend(combined.map(|sums| combine_groups(sums, &mut events) as f32));
+            tally.checked_dots += n;
+            tally.events += events;
         }
+        &self.dots
     }
 }
 
@@ -715,7 +771,7 @@ impl KvCache {
 
     /// The in-place score read of `(li, head)`: the query row checked, then
     /// [`Plane::scores`] through `read`, as a `1 × len` row.
-    fn read_scores(&self, li: usize, head: usize, qh: &[f32], read: &mut ReadScratch) -> Matrix {
+    fn read_scores(&self, li: usize, head: usize, qh: &[f32], read: &mut PageScratch) -> Matrix {
         let dh = self.head_dim;
         assert_eq!(
             qh.len(),
@@ -723,12 +779,14 @@ impl KvCache {
             "query row for (layer {li}, head {head}) is {} wide, head_dim is {dh}",
             qh.len()
         );
-        row_matrix(self.planes[self.k_plane(li, head)].scores(qh, read))
+        let mut scores = Vec::new();
+        self.planes[self.k_plane(li, head)].scores(qh, &mut scores, read);
+        row_matrix(scores)
     }
 
     /// The in-place value read of `(li, head)`: the probability row checked,
     /// then [`Plane::values`] through `read`, as a `1 × head_dim` row.
-    fn read_values(&self, li: usize, head: usize, probs: &[f32], read: &mut ReadScratch) -> Matrix {
+    fn read_values(&self, li: usize, head: usize, probs: &[f32], read: &mut PageScratch) -> Matrix {
         let plane = &self.planes[self.v_plane(li, head)];
         assert_eq!(
             probs.len(),
@@ -737,15 +795,21 @@ impl KvCache {
             probs.len(),
             plane.len
         );
-        row_matrix(plane.values(probs, self.head_dim, read))
+        let mut attn = vec![0.0; self.head_dim];
+        plane.values(probs, &mut attn, read);
+        row_matrix(attn)
     }
 
     /// One position of cached attention in layer `li`: appends its K/V rows
     /// (`k_row`, `v_row`, `d_model` wide), then for every head scores the
     /// query row `q_row` (already scaled by `1/√head_dim`) against the whole
-    /// K plane, takes [`ops::softmax_rows`] and writes the value product
-    /// into the head's columns of `out`. Returns the multiply-accumulates
-    /// run on packed codes (zero unless the integer read ran).
+    /// K plane, takes the softmax and writes the value product into the
+    /// head's columns of `out`. Returns the multiply-accumulates run on
+    /// packed codes (zero unless the integer read ran).
+    ///
+    /// Read in place, a head allocates nothing: the scores go into the
+    /// cache's read scratch, [`ops::softmax_in_place`] turns them into the
+    /// probabilities there, and the value walk accumulates into `out`.
     ///
     /// *Append, then read* is the order that makes `n` rows of one call
     /// bit-identical to `n` one-row calls: appending a later row can raise
@@ -786,8 +850,10 @@ impl KvCache {
         let heads = q_row.chunks_exact(dh).zip(out.chunks_exact_mut(dh));
         for (head, (qh, out)) in heads.enumerate() {
             if in_place {
-                let probs = ops::softmax_rows(&self.read_scores(li, head, qh, &mut read));
-                out.copy_from_slice(self.read_values(li, head, probs.row(0), &mut read).row(0));
+                let ReadScratch { row, pages } = &mut read;
+                self.planes[self.k_plane(li, head)].scores(qh, row, pages);
+                ops::softmax_in_place(row);
+                self.planes[self.v_plane(li, head)].values(row, out, pages);
             } else {
                 let (k, v) = (self.head_k(li, head), self.head_v(li, head));
                 let q = row_matrix(qh.to_vec());
@@ -828,7 +894,7 @@ impl KvCache {
         let mut read = std::mem::take(&mut self.read);
         let scores = self
             .reads_in_place(true)
-            .then(|| self.read_scores(li, head, qh, &mut read));
+            .then(|| self.read_scores(li, head, qh, &mut read.pages));
         self.read = read;
         scores
     }
@@ -848,7 +914,7 @@ impl KvCache {
         let mut read = std::mem::take(&mut self.read);
         let attn = self
             .reads_in_place(true)
-            .then(|| self.read_values(li, head, probs, &mut read));
+            .then(|| self.read_values(li, head, probs, &mut read.pages));
         self.read = read;
         attn
     }
@@ -871,7 +937,7 @@ impl KvCache {
     /// wide.
     pub fn attn_scores_quant(&self, li: usize, head: usize, qh: &[f32]) -> Option<Matrix> {
         self.reads_in_place(false)
-            .then(|| self.read_scores(li, head, qh, &mut ReadScratch::default()))
+            .then(|| self.read_scores(li, head, qh, &mut PageScratch::default()))
     }
 
     /// Integer-domain attention-value product of the probability row
@@ -887,7 +953,7 @@ impl KvCache {
     /// one probability per cached position.
     pub fn attn_values_quant(&self, li: usize, head: usize, probs: &[f32]) -> Option<Matrix> {
         self.reads_in_place(false)
-            .then(|| self.read_values(li, head, probs, &mut ReadScratch::default()))
+            .then(|| self.read_values(li, head, probs, &mut PageScratch::default()))
     }
 }
 

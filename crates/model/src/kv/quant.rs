@@ -18,7 +18,6 @@
 use std::sync::Arc;
 
 use tender_metrics::engine as metrics;
-use tender_metrics::kernel as kernel_metrics;
 use tender_quant::quantizer::{f16_round, quantize_row, symmetric_scale, QUANT_LANES};
 use tender_quant::tender::{group_of, group_scales, group_thresholds};
 use tender_tensor::arena::QuantPage;
@@ -374,14 +373,22 @@ impl PlaneQuant {
     }
 }
 
+// The integer read's activation codes are `i16` kernel operands.
+const _: () = assert!(KV_ACT_BITS <= 16);
+
 /// Quantizes an f32 activation row to `KV_ACT_BITS` codes into `codes`
-/// (resized to the row), returning the scale. Non-finite entries are
-/// excluded from the range estimate and clamp deterministically in the
-/// quantizer (NaN → 0, ±∞ → ±qmax).
-pub(super) fn quantize_act_into(xs: &[f32], codes: &mut Vec<i32>) -> f32 {
+/// (resized to the row, `i16`: the KV kernels' operand width), returning
+/// the scale. The runtime row quantizer writes `i32` codes into `wide`,
+/// narrowed in a second pass — the split the Tender activation path uses
+/// too. Non-finite entries are excluded from the range estimate and clamp
+/// deterministically in the quantizer (NaN → 0, ±∞ → ±qmax).
+pub(super) fn quantize_act_into(xs: &[f32], wide: &mut Vec<i32>, codes: &mut Vec<i16>) -> f32 {
     let scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
-    codes.resize(xs.len(), 0);
-    quantize_row(xs, 0.0, scale, KV_ACT_BITS, codes);
+    wide.resize(xs.len(), 0);
+    quantize_row(xs, 0.0, scale, KV_ACT_BITS, wide);
+    codes.clear();
+    // |code| ≤ qmax(KV_ACT_BITS) ≤ i16::MAX (asserted above): `as` is exact.
+    codes.extend(wide.iter().map(|&q| q as i16));
     scale
 }
 
@@ -404,19 +411,6 @@ pub(super) fn combine_groups(accs: &[i64], events: &mut u64) -> i64 {
         }
     }
     acc
-}
-
-/// Records one plane walk of `dots` integer dot products in the kernel
-/// overflow-machinery counters.
-pub(super) fn record_dot_metrics(dots: usize, check: bool, events: u64) {
-    if check {
-        kernel_metrics::CHUNKS_CHECKED.add(dots as u64);
-    } else {
-        kernel_metrics::CHUNKS_FAST_PATH.add(dots as u64);
-    }
-    if events > 0 {
-        kernel_metrics::OVERFLOW_EVENTS.add(events);
-    }
 }
 
 #[cfg(test)]
@@ -566,19 +560,23 @@ mod tests {
             &[-3.5][..],
             &[][..],
         ] {
-            let mut codes = vec![55; 3]; // dirty scratch of the wrong size
-            let scale = quantize_act_into(xs, &mut codes);
+            // Dirty scratch of the wrong sizes.
+            let (mut wide, mut codes) = (vec![-9; 300], vec![55; 3]);
+            let scale = quantize_act_into(xs, &mut wide, &mut codes);
             let want_scale = symmetric_scale(finite_amax(xs), KV_ACT_BITS);
             assert_eq!(scale.to_bits(), want_scale.to_bits());
             let want: Vec<i32> = xs
                 .iter()
                 .map(|&x| quantize_value(x, scale, KV_ACT_BITS))
                 .collect();
-            assert_eq!(codes, want);
+            assert_eq!(
+                codes.iter().map(|&q| i32::from(q)).collect::<Vec<_>>(),
+                want
+            );
         }
         // Non-finite entries clamp deterministically and do not set the scale.
         let mut codes = Vec::new();
-        quantize_act_into(&poisoned, &mut codes);
+        quantize_act_into(&poisoned, &mut Vec::new(), &mut codes);
         assert_eq!([codes[0], codes[9], codes[17]], [0, 127, -127]);
     }
 }

@@ -200,6 +200,53 @@ fn extend_counts_what_the_step_loop_counts() {
     }
 }
 
+/// The integer read's walk counters are a closed form of the rollout: at
+/// cache length `len` (after the step's append) each of the `layers ×
+/// heads` (layer, head) pairs runs one score walk of `len` dots and one
+/// value walk of `head_dim` dots, `len · head_dim` MACs each, and the
+/// check-free kernel counts a score walk's dots once and a value walk's
+/// `head_dim` once per page, `⌈len / page_rows⌉` of them. The prompt is
+/// attended in f32 and adds nothing.
+#[test]
+fn kv_walk_counters_are_a_closed_form_of_the_rollout() {
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 29);
+    let reference = model.reference();
+    let pairs = (shape.layers * shape.heads) as u64;
+    let dh = shape.head_dim() as u64;
+    let counters = || {
+        [
+            tender_metrics::kernel::CHUNKS_FAST_PATH.get(),
+            metrics::KV_INT_DOTS.get(),
+            metrics::KV_INT_DOT_MACS.get(),
+        ]
+    };
+    let (prompt, steps) = (5, 30);
+    for mode in [KvCacheMode::Int4, KvCacheMode::Int8] {
+        for page_rows in [4, 16] {
+            let arena = KvArena::new(ArenaConfig {
+                page_rows,
+                ..ArenaConfig::default()
+            });
+            let mut s = DecodeSession::with_arena(&reference, mode, &arena);
+            let before = counters();
+            s.prefill(&tokens(prompt, shape.vocab, 6));
+            for t in tokens(steps, shape.vocab, 7) {
+                s.step(t).expect("in-window step");
+            }
+            let got: Vec<u64> = counters().iter().zip(before).map(|(a, b)| a - b).collect();
+            let mut want = [0u64; 3];
+            for len in (prompt + 1..=prompt + steps).map(|l| l as u64) {
+                want[0] += pairs * (len + dh * len.div_ceil(page_rows as u64));
+                want[1] += pairs * (len + dh);
+                want[2] += pairs * 2 * len * dh;
+            }
+            assert_eq!(got, want, "{} cache, page_rows {page_rows}", mode.label());
+        }
+    }
+}
+
 /// Regression: `reset_all()` used to zero the gauges that mirror live state.
 /// A cache alive across the reset then under-counted until the process
 /// exited (they are maintained by delta and `sub` saturates at zero), and

@@ -28,8 +28,9 @@
 //! The KV-attention kernels rest on the same argument. Each has exactly one
 //! check-free arm for every `(bits, groups)` — decode the page once into
 //! `i16` codes pre-multiplied by their group's power-of-two combine weight
-//! ([`QuantRows::decode_shifted_into`]), then one `i32` accumulator per dot
-//! — licensed by [`kv_dot_cannot_overflow`], and one checked arm that keeps
+//! ([`QuantRows::decode_shifted_into`]), then `i16 × i16` products against
+//! the `i16` activation codes on one `i32` accumulator per dot — licensed
+//! by [`kv_dot_cannot_overflow`], and one checked arm that keeps
 //! the per-group `i64` sums, counts i32 excursions per MAC and is the
 //! reference the check-free arm is tested against. Neither allocates:
 //! scratch comes from the caller.
@@ -103,9 +104,14 @@ const DOT_ROWS: usize = 4;
 /// baseline x86-64) followed by one horizontal add.
 const DOT_LANES: usize = 32;
 
-/// `Σ a[l] · b[l]` over one [`DOT_LANES`]-wide chunk.
+/// The same partial dot for the KV score kernel, whose dots are one cached
+/// row long: a [`DOT_LANES`] chunk never fills on a 16-wide `head_dim` row,
+/// a chunk of 16 (two `pmaddwd`) covers it exactly.
+const KV_LANES: usize = 16;
+
+/// `Σ a[l] · b[l]` over one `L`-wide chunk.
 #[inline(always)]
-fn dot_chunk<A, B>(a: &[A; DOT_LANES], b: &[B; DOT_LANES]) -> i32
+fn dot_chunk<const L: usize, A, B>(a: &[A; L], b: &[B; L]) -> i32
 where
     A: Copy + Into<i32>,
     B: Copy + Into<i32>,
@@ -118,18 +124,18 @@ where
 }
 
 /// `R` dot products of length `b.len()` against one shared right-hand
-/// column, accumulated in `i32`: `a` holds `R` rows of `b.len()` elements
-/// back to back.
+/// column, accumulated in `i32` over `L`-wide chunks: `a` holds `R` rows of
+/// `b.len()` elements back to back.
 #[inline(always)]
-fn dot_rows<const R: usize, A, B>(a: &[A], b: &[B]) -> [i32; R]
+fn dot_rows<const R: usize, const L: usize, A, B>(a: &[A], b: &[B]) -> [i32; R]
 where
     A: Copy + Into<i32>,
     B: Copy + Into<i32>,
 {
     let k = b.len();
-    let (b_chunks, b_rest) = b.as_chunks::<DOT_LANES>();
-    let rows: [(&[[A; DOT_LANES]], &[A]); R] =
-        std::array::from_fn(|r| a[r * k..(r + 1) * k].as_chunks::<DOT_LANES>());
+    let (b_chunks, b_rest) = b.as_chunks::<L>();
+    let rows: [(&[[A; L]], &[A]); R] =
+        std::array::from_fn(|r| a[r * k..(r + 1) * k].as_chunks::<L>());
     let mut acc = [0_i32; R];
     for (i, b_chunk) in b_chunks.iter().enumerate() {
         for (sum, (a_chunks, _)) in acc.iter_mut().zip(&rows) {
@@ -198,22 +204,22 @@ pub fn narrow_dot_block<A, B, O>(
         .chunks_exact(DOT_ROWS * k)
         .zip(out_tiled.chunks_exact_mut(DOT_ROWS * n))
     {
-        dot_tile::<DOT_ROWS, A, B, O>(a_tile, bt, k, n, out_tile, &finish);
+        dot_tile::<DOT_ROWS, DOT_LANES, A, B, O>(a_tile, bt, k, n, out_tile, &finish);
     }
     // The last 1–3 rows are one tile of their own height, so they too walk
     // `bt` once — a stack of two decode rows streams the weights once.
     match rows - tiled {
         0 => {}
-        1 => dot_tile::<1, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
-        2 => dot_tile::<2, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
-        _ => dot_tile::<3, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+        1 => dot_tile::<1, DOT_LANES, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+        2 => dot_tile::<2, DOT_LANES, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
+        _ => dot_tile::<3, DOT_LANES, A, B, O>(a_rest, bt, k, n, out_rest, &finish),
     }
 }
 
 /// One row tile of [`narrow_dot_block`]: `R` left rows advance through each
-/// `bt` column together.
+/// `bt` column together, `L` operands per partial dot.
 #[inline(always)]
-fn dot_tile<const R: usize, A, B, O>(
+fn dot_tile<const R: usize, const L: usize, A, B, O>(
     a_tile: &[A],
     bt: &[B],
     k: usize,
@@ -225,7 +231,7 @@ fn dot_tile<const R: usize, A, B, O>(
     B: Copy + Into<i32>,
 {
     for (j, b_col) in bt.chunks_exact(k).enumerate() {
-        let acc = dot_rows::<R, A, B>(a_tile, b_col);
+        let acc = dot_rows::<R, L, A, B>(a_tile, b_col);
         for (r, &s) in acc.iter().enumerate() {
             out_tile[r * n + j] = finish(j, s);
         }
@@ -292,7 +298,7 @@ pub fn i64_block(a: &[i32], k: usize, b: &[i32], n: usize, out: &mut [i64]) {
 /// against the i32 range (the hardware datapath width), and the excursion
 /// count is returned. This is the definition [`kv_score_block`] is tested
 /// against and the path taken when [`kv_dot_cannot_overflow`] fails.
-pub fn kv_score_checked(kv: &QuantRows, xq: &[i32], groups: usize, acc: &mut [i64]) -> u64 {
+pub fn kv_score_checked(kv: &QuantRows, xq: &[i16], groups: usize, acc: &mut [i64]) -> u64 {
     assert_eq!(xq.len(), kv.cols(), "query width mismatch");
     assert_eq!(acc.len(), kv.rows() * groups, "accumulator bank mismatch");
     let mut events = 0u64;
@@ -319,7 +325,7 @@ pub fn kv_score_checked(kv: &QuantRows, xq: &[i32], groups: usize, acc: &mut [i6
 /// side by side, as [`kv_score_checked`] keeps one row's. `acc` must be
 /// zeroed, `kv.cols() * groups` long. Rows walk ascending; zero-skip, range
 /// test and return value as in [`kv_score_checked`].
-pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64]) -> u64 {
+pub fn kv_attn_checked(kv: &QuantRows, pq: &[i16], groups: usize, acc: &mut [i64]) -> u64 {
     assert_eq!(pq.len(), kv.rows(), "probability width mismatch");
     assert_eq!(acc.len(), kv.cols() * groups, "accumulator bank mismatch");
     let mut events = 0u64;
@@ -343,7 +349,10 @@ pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64
 /// (`kv.rows() · kv.cols()` of caller scratch, see
 /// [`QuantRows::decode_shifted_into`]) and writes one **already combined**
 /// sum per row, `out[j] = Σ_c xq[c] · code(j, c) · 2^(groups − 1 − g(j, c))`,
-/// on a single `i32` accumulator.
+/// on a single `i32` accumulator. Both operands are `i16`, so each row is
+/// [`narrow_dot_block`]'s one-row tile over [`KV_LANES`]-wide chunks: the
+/// packed multiply-adds that an `i32 × i16` product cannot use on baseline
+/// x86-64 (SSE2 has no `pmulld`).
 ///
 /// The caller certifies [`kv_dot_cannot_overflow`]`(kv.cols(), …)`. The
 /// combine `acc ← acc·2 + S_g` is linear in the per-group sums `S_g` and
@@ -354,7 +363,7 @@ pub fn kv_attn_checked(kv: &QuantRows, pq: &[i32], groups: usize, acc: &mut [i64
 /// make a debug build panic if a caller's bound is wrong.
 pub fn kv_score_block(
     kv: &QuantRows,
-    xq: &[i32],
+    xq: &[i16],
     groups: usize,
     codes: &mut [i16],
     out: &mut [i32],
@@ -362,23 +371,18 @@ pub fn kv_score_block(
     assert_eq!(xq.len(), kv.cols(), "query width mismatch");
     assert_eq!(out.len(), kv.rows(), "one sum per cached row");
     kv.decode_shifted_into(groups, codes);
-    for (o, row) in out.iter_mut().zip(codes.chunks_exact(kv.cols())) {
-        let mut sum = 0_i32;
-        for (&xv, &q) in xq.iter().zip(row) {
-            sum += xv * q as i32;
-        }
-        *o = sum;
-    }
+    dot_tile::<1, KV_LANES, i16, i16, i32>(xq, codes, kv.cols(), kv.rows(), out, &|_, s| s);
 }
 
 /// Check-free KV **value** kernel: decodes the page once into `codes` and
 /// sweeps one `i32` column bank, `out[c] = Σ_j pq[j] · code(j, c) ·
-/// 2^(groups − 1 − g(j, c))`. The caller certifies
-/// [`kv_dot_cannot_overflow`]`(kv.rows(), …)`; scratch, exactness argument
-/// and debug-build overflow panic as in [`kv_score_block`].
+/// 2^(groups − 1 − g(j, c))`, two cached rows per sweep ([`row_pair_mac`]).
+/// The caller certifies [`kv_dot_cannot_overflow`]`(kv.rows(), …)`;
+/// scratch, exactness argument and debug-build overflow panic as in
+/// [`kv_score_block`].
 pub fn kv_attn_block(
     kv: &QuantRows,
-    pq: &[i32],
+    pq: &[i16],
     groups: usize,
     codes: &mut [i16],
     out: &mut [i32],
@@ -387,10 +391,52 @@ pub fn kv_attn_block(
     assert_eq!(out.len(), kv.cols(), "one sum per column");
     kv.decode_shifted_into(groups, codes);
     out.fill(0);
-    for (&pv, row) in pq.iter().zip(codes.chunks_exact(kv.cols())) {
-        for (o, &q) in out.iter_mut().zip(row) {
-            *o += pv * q as i32;
+    let cols = kv.cols();
+    let (pairs, last) = pq.as_chunks::<2>();
+    let (out_chunks, out_rest) = out.as_chunks_mut::<KV_PAIR_COLS>();
+    for (&p, rows) in pairs.iter().zip(codes.chunks_exact(2 * cols)) {
+        let (a, b) = rows.split_at(cols);
+        let ((a_chunks, a_rest), (b_chunks, b_rest)) = (a.as_chunks(), b.as_chunks());
+        for ((o, a), b) in out_chunks.iter_mut().zip(a_chunks).zip(b_chunks) {
+            row_pair_mac(o, a, b, p);
         }
+        for ((o, &a), &b) in out_rest.iter_mut().zip(a_rest).zip(b_rest) {
+            *o += i32::from(a) * i32::from(p[0]) + i32::from(b) * i32::from(p[1]);
+        }
+    }
+    if let &[pv] = last {
+        let row = &codes[(pq.len() - 1) * cols..];
+        for (o, &q) in out.iter_mut().zip(row) {
+            *o += i32::from(pv) * i32::from(q);
+        }
+    }
+}
+
+/// Columns per step of [`kv_attn_block`]'s row-pair sweep.
+const KV_PAIR_COLS: usize = 8;
+
+/// `acc[c] += a[c]·p[0] + b[c]·p[1]`: one step of two cached rows `a`, `b`
+/// against their probability codes `p`. The rows are interleaved into
+/// `i16` pairs first, `Σ` of two adjacent `i16 × i16` products per lane,
+/// which the vectorizer lowers to packed 16-bit multiplies; the same sum
+/// over a row of `i16` codes times a broadcast `i32` takes emulated 32-bit
+/// multiplies on baseline x86-64 (SSE2 has no `pmulld`).
+#[inline(always)]
+fn row_pair_mac(
+    acc: &mut [i32; KV_PAIR_COLS],
+    a: &[i16; KV_PAIR_COLS],
+    b: &[i16; KV_PAIR_COLS],
+    p: [i16; 2],
+) {
+    let mut x = [0_i16; 2 * KV_PAIR_COLS];
+    let mut w = [0_i16; 2 * KV_PAIR_COLS];
+    for c in 0..KV_PAIR_COLS {
+        [x[2 * c], x[2 * c + 1]] = [a[c], b[c]];
+        [w[2 * c], w[2 * c + 1]] = p;
+    }
+    for (c, o) in acc.iter_mut().enumerate() {
+        *o += i32::from(x[2 * c]) * i32::from(w[2 * c])
+            + i32::from(x[2 * c + 1]) * i32::from(w[2 * c + 1]);
     }
 }
 
@@ -464,7 +510,7 @@ mod tests {
     }
 
     /// Reference scores: the checked per-group walk, then [`combine`].
-    fn checked_scores(kv: &QuantRows, xq: &[i32], groups: usize) -> (Vec<i64>, u64) {
+    fn checked_scores(kv: &QuantRows, xq: &[i16], groups: usize) -> (Vec<i64>, u64) {
         let mut acc = vec![0i64; kv.rows() * groups];
         let mut events = kv_score_checked(kv, xq, groups, &mut acc);
         let sums = acc
@@ -475,7 +521,7 @@ mod tests {
     }
 
     /// Reference value sums: the checked per-group walk, then [`combine`].
-    fn checked_values(kv: &QuantRows, pq: &[i32], groups: usize) -> (Vec<i64>, u64) {
+    fn checked_values(kv: &QuantRows, pq: &[i16], groups: usize) -> (Vec<i64>, u64) {
         let mut acc = vec![0i64; kv.cols() * groups];
         let mut events = kv_attn_checked(kv, pq, groups, &mut acc);
         let sums = acc
@@ -485,14 +531,14 @@ mod tests {
         (sums, events)
     }
 
-    fn fused_scores(kv: &QuantRows, xq: &[i32], groups: usize) -> Vec<i64> {
+    fn fused_scores(kv: &QuantRows, xq: &[i16], groups: usize) -> Vec<i64> {
         let mut codes = vec![0i16; kv.rows() * kv.cols()];
         let mut out = vec![i32::MIN; kv.rows()]; // stale scratch must not leak
         kv_score_block(kv, xq, groups, &mut codes, &mut out);
         out.into_iter().map(i64::from).collect()
     }
 
-    fn fused_values(kv: &QuantRows, pq: &[i32], groups: usize) -> Vec<i64> {
+    fn fused_values(kv: &QuantRows, pq: &[i16], groups: usize) -> Vec<i64> {
         let mut codes = vec![0i16; kv.rows() * kv.cols()];
         let mut out = vec![i32::MIN; kv.cols()];
         kv_attn_block(kv, pq, groups, &mut codes, &mut out);
@@ -510,14 +556,14 @@ mod tests {
                 for rows in [1usize, 13, 16] {
                     let ctx = format!("{bits}b {groups}g {rows}x{cols}");
                     // Full-range codes with every third one zeroed.
-                    let mixed = |n: usize, m: i32| -> Vec<i32> {
-                        (0..n as i32)
-                            .map(|i| ((i * m) % 255 - 127) * (i % 3 != 1) as i32)
+                    let mixed = |n: usize, m: i16| -> Vec<i16> {
+                        (0..n as i16)
+                            .map(|i| ((i * m) % 255 - 127) * (i % 3 != 1) as i16)
                             .collect()
                     };
                     let (mixed_x, mixed_p) = (mixed(cols, 29), mixed(rows, 37));
-                    let zero_x = vec![0i32; cols];
-                    let zero_p = vec![0i32; rows];
+                    let zero_x = vec![0i16; cols];
+                    let zero_p = vec![0i16; rows];
                     let kv = kv_fixture(rows, cols, bits, groups);
                     let sat = kv_saturated(rows, cols, bits, groups);
                     for (kv, xq, pq) in [
@@ -543,7 +589,7 @@ mod tests {
         // The combined return value against the textbook form: each MAC
         // weighted by its group's power of two, summed in i64.
         let kv = kv_fixture(5, 7, 4, 4);
-        let xq: Vec<i32> = vec![3, 0, -2, 1, 4, -1, 2];
+        let xq: Vec<i16> = vec![3, 0, -2, 1, 4, -1, 2];
         let groups = 4;
         let got = fused_scores(&kv, &xq, groups);
         for (j, &sum) in got.iter().enumerate() {
@@ -576,7 +622,7 @@ mod tests {
         // rows the running value must cross −2^31 and start counting.
         let rows = i32::MAX as usize / (127 * 8) + 2;
         let kv = kv_saturated(rows, 1, 4, 1);
-        let pq = vec![127i32; rows];
+        let pq = vec![127i16; rows];
         assert!(!kv_dot_cannot_overflow(rows, 8, 4, 1));
         let mut acc = vec![0i64; 1];
         let events = kv_attn_checked(&kv, &pq, 1, &mut acc);
@@ -585,39 +631,46 @@ mod tests {
 
     #[test]
     fn kv_fused_license_holds_for_every_small_operand() {
-        // ROADMAP item 4(e): at one and two terms, *every* INT4 code × tag
-        // against the extreme activation codes — the fused i32 sum equals
-        // the checked i64 walk, which counts no excursion, and stays inside
-        // the bound the license is computed from.
-        let groups = 4;
-        let acts = [-128i32, -127, -1, 0, 1, 127];
-        let operands: Vec<(i32, u8)> = (-8..8)
-            .flat_map(|q| (0..groups as u8).map(move |g| (q, g)))
-            .collect();
-        for terms in [1usize, 2] {
+        // ROADMAP item 4(e): the fused i32 sum equals the checked i64 walk,
+        // which counts no excursion, and stays inside the bound the license
+        // is computed from — at one term for every activation code against
+        // every INT4 code × tag and every ungrouped INT8 code, and at two
+        // terms for every pair of INT4 code × tag against the extreme
+        // activation codes.
+        let every_act: Vec<i16> = (-128..128).collect();
+        let extreme_acts = [-128i16, -127, -1, 0, 1, 127];
+        let int4: Vec<(i32, u8)> = (-8..8).flat_map(|q| (0..4).map(move |g| (q, g))).collect();
+        let int8: Vec<(i32, u8)> = (-128..128).map(|q| (q, 0)).collect();
+        for (bits, groups, operands, terms, acts) in [
+            (4, 4, &int4, 1, &every_act[..]),
+            (8, 1, &int8, 1, &every_act[..]),
+            (4, 4, &int4, 2, &extreme_acts[..]),
+        ] {
+            let grouped = groups > 1;
             // The `i`-th `terms`-tuple over `n` choices, as base-`n` digits.
             let tuple = |n: usize, i: usize| (0..terms as u32).map(move |t| i / n.pow(t) % n);
             let combos = operands.len().pow(terms as u32);
+            let tags = |gs: Vec<u8>| if grouped { gs } else { Vec::new() };
             // Scores see the terms as columns (one row per combination, the
             // per-element decode tail); values see them as rows (one column
             // per combination: whole quads, the vectorized decode arm).
-            let mut by_cols = QuantRows::with_row_capacity(terms, 4, true, combos);
+            let mut by_cols = QuantRows::with_row_capacity(terms, bits, grouped, combos);
             for i in 0..combos {
                 let (qs, gs): (Vec<i32>, Vec<u8>) =
                     tuple(operands.len(), i).map(|d| operands[d]).unzip();
-                by_cols.push_row(&qs, &gs);
+                by_cols.push_row(&qs, &tags(gs));
             }
-            let mut by_rows = QuantRows::with_row_capacity(combos, 4, true, terms);
+            let mut by_rows = QuantRows::with_row_capacity(combos, bits, grouped, terms);
             for t in 0..terms {
                 let (qs, gs): (Vec<i32>, Vec<u8>) = (0..combos)
                     .map(|i| (by_cols.get(i, t).0, by_cols.get(i, t).1 as u8))
                     .unzip();
-                by_rows.push_row(&qs, &gs);
+                by_rows.push_row(&qs, &tags(gs));
             }
-            assert!(kv_dot_cannot_overflow(terms, 8, 4, groups));
-            let bound = kv_dot_bound(terms, 8, 4, groups);
+            assert!(kv_dot_cannot_overflow(terms, 8, bits, groups));
+            let bound = kv_dot_bound(terms, 8, bits, groups);
             for i in 0..acts.len().pow(terms as u32) {
-                let x: Vec<i32> = tuple(acts.len(), i).map(|d| acts[d]).collect();
+                let x: Vec<i16> = tuple(acts.len(), i).map(|d| acts[d]).collect();
                 for ((want, events), got) in [
                     (
                         checked_scores(&by_cols, &x, groups),
@@ -652,7 +705,7 @@ mod tests {
             // The exact maximum and the widest whole-quad row below it.
             for cols in [terms, terms - terms % 4] {
                 let kv = kv_saturated(1, cols, bits, groups);
-                for (act, sign) in [(-128i32, 1i64), (128, -1)] {
+                for (act, sign) in [(-128i16, 1i64), (128, -1)] {
                     let got = fused_scores(&kv, &vec![act; cols], groups);
                     assert_eq!(got, [sign * term * cols as i64]);
                     assert!(got[0].unsigned_abs() as u128 <= kv_dot_bound(cols, 8, bits, groups));

@@ -24,20 +24,28 @@ use crate::Matrix;
 pub fn softmax_rows(m: &Matrix) -> Matrix {
     let mut out = m.clone();
     for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0_f32;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        if sum > 0.0 {
-            for x in row.iter_mut() {
-                *x /= sum;
-            }
-        }
+        softmax_in_place(out.row_mut(r));
     }
     out
+}
+
+/// Numerically stable softmax of one row, in place: the row body of
+/// [`softmax_rows`] and [`causal_softmax_rows`]. The maximum is folded from
+/// `−∞`, every entry becomes `exp(x − max)` summed left to right, and the
+/// row is divided by the sum only when it is positive (an empty or all-`−∞`
+/// row is left as the exponentials, NaN where there was no finite maximum).
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0_f32;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
 }
 
 /// Causal row-wise softmax: [`causal_mask_inplace`] followed by
@@ -57,17 +65,7 @@ pub fn causal_softmax_rows(scores: &Matrix) -> Matrix {
     let cols = out.cols();
     for r in 0..out.rows() {
         let (live, masked) = out.row_mut(r).split_at_mut(cols.min(r + 1));
-        let max = live.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0_f32;
-        for x in live.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        if sum > 0.0 {
-            for x in live.iter_mut() {
-                *x /= sum;
-            }
-        }
+        softmax_in_place(live);
         masked.fill(0.0);
     }
     out
@@ -273,6 +271,71 @@ mod tests {
         let mut masked = m.clone();
         causal_mask_inplace(&mut masked);
         assert!(softmax_rows(&masked).row(0).iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn every_softmax_form_is_the_row_body_bit_for_bit() {
+        // The row body written out as a literal reference: fold the max
+        // from −∞, exponentiate and sum left to right, divide iff sum > 0.
+        let reference = |row: &[f32]| -> Vec<f32> {
+            let mut row = row.to_vec();
+            let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            let mut sum = 0.0_f32;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            if sum > 0.0 {
+                for x in row.iter_mut() {
+                    *x /= sum;
+                }
+            }
+            row
+        };
+        // Equal bits, or NaN on both sides (which NaN an `∞ − ∞` yields is
+        // the compiler's operand order, not the row body's).
+        let same = |got: &[f32], want: &[f32]| {
+            got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        };
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let rows: [&[f32]; 12] = [
+            &[-inf, 1.0, 2.0],
+            &[-inf, -inf],
+            &[nan, 0.5, 1.0],
+            &[1.0, nan],
+            &[3.0, 3.0, 1.0],
+            &[0.25; 5],
+            &[7.5],
+            &[-inf],
+            &[inf, 1.0],
+            &[1e30, -1e30, 0.0, -0.0],
+            &[-3.5, 2.0, 2.0, -inf, 0.75, 2.0],
+            &[],
+        ];
+        for row in rows {
+            let want = reference(row);
+            let mut got = row.to_vec();
+            softmax_in_place(&mut got);
+            assert!(same(&got, &want), "in place {row:?}: {got:?} vs {want:?}");
+            if row.is_empty() {
+                continue;
+            }
+            let m = Matrix::from_rows(&[row.to_vec(), row.to_vec()]).unwrap();
+            let p = softmax_rows(&m);
+            assert!(same(p.row(1), &want), "softmax_rows {row:?}");
+            // The causal form: row r softmaxes its live columns 0..=r.
+            let square = Matrix::from_fn(row.len(), row.len(), |_, c| row[c]);
+            let causal = causal_softmax_rows(&square);
+            for r in 0..row.len() {
+                let mut want = reference(&row[..=r]);
+                want.resize(row.len(), 0.0);
+                assert!(same(causal.row(r), &want), "causal row {r} of {row:?}");
+            }
+        }
     }
 
     #[test]
