@@ -1,15 +1,23 @@
-//! Decode-step latency on the prefill + KV-cache engine.
+//! Decode-step latency on the prefill + KV-cache engine, and the cost of
+//! ingesting a prompt.
 //!
-//! Each measurement is the wall-clock of one `DecodeSession::step` at a
-//! given cache length, so `mean_ns` *is* the per-step decode latency and
-//! `1e9 / mean_ns` is single-session tokens/s. The prefill benchmark gives
-//! the amortized cost of prompt ingestion for contrast. CI runs this with
+//! Each `decode_step` measurement is the wall-clock of one
+//! `DecodeSession::step` at a given cache length, so `mean_ns` *is* the
+//! per-step decode latency and `1e9 / mean_ns` is single-session tokens/s.
+//! The `prefill` group times one whole `DecodeSession::prefill` at the
+//! repository benchmark's model shape (`ModelShape::opt_6_7b().eval_preset()`)
+//! and configurations: the FP32 reference on an f32 cache, and Tender@4 on
+//! an INT8 cache (`prefill_heavy`'s), at 16, 64 and 160 prompt tokens —
+//! `min_ns` of the 160-token Tender@4 row is that workload's time to first
+//! token less its first greedy pick. CI runs this with
 //! `BENCH_SNAPSHOT=BENCH_decode.json` and asserts the snapshot parses and
-//! reports positive per-step latency.
+//! reports positive per-step and per-prefill latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tender_model::engine::DecodeSession;
+use tender::{scheme_by_name, Experiment, ExperimentOptions};
+use tender_model::calibration::{token_batches, CorpusKind};
+use tender_model::engine::{DecodeSession, KvCacheMode};
 use tender_model::{ModelShape, QuantizedModel, SyntheticLlm};
 use tender_quant::tender::{TenderConfig, TenderScheme};
 
@@ -74,16 +82,30 @@ fn bench_decode_step(c: &mut Criterion) {
 }
 
 fn bench_prefill(c: &mut Criterion) {
-    let shape = bench_shape();
-    let model = SyntheticLlm::generate(&shape, 41);
-    let reference = model.reference();
-    let prompt = tokens(64, shape.vocab, 3);
-    c.bench_function("prefill_64", |b| {
-        b.iter(|| {
-            let mut s = DecodeSession::new(&reference);
-            black_box(s.prefill(&prompt))
+    let shape = ModelShape::opt_6_7b().eval_preset();
+    let exp = Experiment::new(&shape, ExperimentOptions::standard());
+    let t4 = exp.quantize(scheme_by_name("Tender@4").expect("registry scheme"));
+    let mut group = c.benchmark_group("prefill");
+    for len in [16usize, 64, 160] {
+        let prompt = &token_batches(CorpusKind::Wiki, shape.vocab, 1, len, 42)[0];
+        group.bench_with_input(BenchmarkId::new("reference", len), prompt, |b, prompt| {
+            b.iter(|| {
+                let mut s = DecodeSession::new(exp.reference());
+                black_box(s.prefill(prompt))
+            });
         });
-    });
+        group.bench_with_input(
+            BenchmarkId::new("tender4_int8", len),
+            prompt,
+            |b, prompt| {
+                b.iter(|| {
+                    let mut s = DecodeSession::with_cache_mode(&t4, KvCacheMode::Int8);
+                    black_box(s.prefill(prompt))
+                });
+            },
+        );
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_decode_step, bench_prefill);

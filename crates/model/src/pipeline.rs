@@ -18,10 +18,18 @@
 //!
 //! **Parity invariant.** Every op in the pipeline is per-row independent
 //! with a fixed accumulation order: embeddings and norms are row-local,
-//! weight matmuls accumulate over `k` in ascending order per row, the
-//! causal softmax ([`ops::causal_softmax_rows`]) reduces row `r` over its
-//! live columns `0..=r` in order — the masked columns would only add exact
-//! `+0.0` terms after them — and `probs × V` skips exact zeros. Decoding
+//! weight matmuls accumulate over `k` in ascending order per row, and exact
+//! attention is a row walk in both passes. The full pass
+//! ([`ops::attention_rows`]) scores row `r` against its live positions
+//! `0..=r` only, each score's `head_dim` terms ascending from `+0.0` with
+//! the query's zeros skipped, softmaxes those scores in order, and sums
+//! `probs × V` over them ascending, skipping exact zeros — the chain of the
+//! per-head matrix composition it replaced (`matmul`,
+//! [`ops::causal_softmax_rows`], `matmul`), whose masked columns are `+0.0`
+//! probabilities and so add no term, and the chain an f32 cache's
+//! [`KvCache::attend_row`] runs for a cached row. (A scheme that quantizes
+//! act×act products keeps that matrix composition, since its kernel takes
+//! whole matrices.) Decoding
 //! position `p` against a KV cache of length `p` therefore reproduces row
 //! `p` of the full-sequence pass bit-for-bit, provided row-chunked schemes
 //! are asked for the chunk covering absolute row `p` — which is what
@@ -122,16 +130,8 @@ impl<'m> ModelRef<'m> {
         }
     }
 
-    /// Activation×activation product (`X_Q × X_K^T`, `X_S × X_V`).
-    pub(crate) fn act_act(&self, a: &Matrix, b: &Matrix) -> Matrix {
-        match self.calibrated {
-            None => a.matmul(b).expect("attention shapes"),
-            Some((_, scheme)) => scheme.act_act_matmul(a, b),
-        }
-    }
-
-    /// The scheme, when it quantizes activation×activation products;
-    /// `None` when [`ModelRef::act_act`] is the plain f32 matmul.
+    /// The scheme, when it quantizes activation×activation products
+    /// (`X_Q × X_K^T`, `X_S × X_V`); `None` when they are exact f32.
     fn act_act_quantizer(&self) -> Option<&'m dyn Scheme> {
         let (_, scheme) = self.calibrated?;
         scheme.quantizes_act_act().then_some(scheme)
@@ -273,8 +273,10 @@ impl<'a> Lane<'a> {
 
 /// Where a [`block`]'s attention reads K/V from.
 pub(crate) enum Attend<'a, 'c> {
-    /// Causal self-attention over the call's own K/V rows — the
-    /// full-sequence pass. `capture` records calibration activations;
+    /// Self-attention over the call's own K/V rows — the full-sequence
+    /// pass: row by row through [`ops::attention_rows`] when act×act
+    /// products are exact, per head through the scheme's kernel when it
+    /// quantizes them. `capture` records calibration activations;
     /// `record` appends the K/V rows to a cache (prefill). Neither changes
     /// the returned hidden states.
     Fresh {
@@ -364,29 +366,20 @@ pub(crate) fn block(
     let k = mm(Site::K, &a, &layer.wk);
     let v = mm(Site::V, &a, &layer.wv);
 
-    let mut ao = Matrix::zeros(rows, shape.d_model);
-    match attend {
+    let act_act = model.act_act_quantizer();
+    let ao = match attend {
         Attend::Fresh { record, .. } => {
             if let Some(cache) = record {
                 cache.append(li, &k, &v)?;
             }
-            for head in 0..shape.heads {
-                let (c0, c1) = (head * dh, (head + 1) * dh);
-                let qh = q.slice_cols(c0, c1);
-                let kh_t = k.slice_cols(c0, c1).transpose();
-                let scores = model.act_act(&qh, &kh_t);
-                let probs = match shape.kind {
-                    ModelKind::Decoder => ops::causal_softmax_rows(&scores),
-                    ModelKind::Encoder => ops::softmax_rows(&scores),
-                };
-                let attn = model.act_act(&probs, &v.slice_cols(c0, c1));
-                for r in 0..rows {
-                    ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
-                }
+            let causal = shape.kind == ModelKind::Decoder;
+            match act_act {
+                None => ops::attention_rows(&q, &k, &v, shape.heads, causal),
+                Some(scheme) => per_head_attention(scheme, &q, &k, &v, shape.heads, causal),
             }
         }
         Attend::Cached { lanes, positions } => {
-            let act_act = model.act_act_quantizer();
+            let mut ao = Matrix::zeros(rows, shape.d_model);
             let mut hidden_rows = 0..rows;
             for lane in lanes.iter_mut() {
                 for r in hidden_rows.by_ref().take(lane.rows) {
@@ -405,8 +398,9 @@ pub(crate) fn block(
                     }
                 }
             }
+            ao
         }
-    }
+    };
     attend.capture(li, &[Site::O], &ao);
     let o = mm(Site::O, &ao, &layer.wo);
     let h = h.add(&o).expect("residual shapes");
@@ -435,6 +429,37 @@ pub(crate) fn block(
         }
     }
     Ok(h.add(&ffn_out).expect("residual shapes"))
+}
+
+/// Full-sequence attention under a scheme that quantizes act×act
+/// products: per head, the scheme's kernel over whole matrices (it
+/// calibrates on its runtime operands), `scores = Q_h · K_hᵀ`, the (causal)
+/// softmax, then `probs · V_h`.
+fn per_head_attention(
+    scheme: &dyn Scheme,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    heads: usize,
+    causal: bool,
+) -> Matrix {
+    let dh = q.cols() / heads;
+    let mut ao = Matrix::zeros(q.rows(), q.cols());
+    for head in 0..heads {
+        let (c0, c1) = (head * dh, (head + 1) * dh);
+        let scores =
+            scheme.act_act_matmul(&q.slice_cols(c0, c1), &k.slice_cols(c0, c1).transpose());
+        let probs = if causal {
+            ops::causal_softmax_rows(&scores)
+        } else {
+            ops::softmax_rows(&scores)
+        };
+        let attn = scheme.act_act_matmul(&probs, &v.slice_cols(c0, c1));
+        for r in 0..q.rows() {
+            ao.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
+        }
+    }
+    ao
 }
 
 /// The one cached forward: embeds `tokens` (lane by lane, each lane's rows

@@ -12,8 +12,10 @@
 //!
 //! `extend_counts_what_the_step_loop_counts` pins the decode counters'
 //! per-token meaning: a multi-token `extend` moves them exactly as the same
-//! tokens fed through `step` do. The last test pins that `reset_all()` does
-//! not touch the gauges that mirror live state.
+//! tokens fed through `step` do. `full_pass_attention_arm_is_pinned_by_count_and_bits`
+//! pins which attention arm the full-sequence pass takes by the GEMMs it
+//! counts. The last test pins that `reset_all()` does not touch the gauges
+//! that mirror live state.
 //!
 //! These tests assert exact global gauge values, so they live in their own
 //! test binary (one process) and serialize on a local lock.
@@ -22,7 +24,9 @@ use std::sync::Mutex;
 
 use tender_metrics::engine as metrics;
 use tender_model::engine::{DecodeSession, KvCacheMode};
-use tender_model::{ArenaConfig, KvArena, ModelShape, SyntheticLlm};
+use tender_model::{Activation, ArenaConfig, KvArena, ModelShape, QuantizedModel, SyntheticLlm};
+use tender_quant::tender::{TenderConfig, TenderScheme};
+use tender_tensor::Matrix;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -246,6 +250,43 @@ fn kv_walk_counters_are_a_closed_form_of_the_rollout() {
         }
     }
 }
+
+/// FNV-1a over the bits of every element, row-major.
+fn bits_hash(m: &Matrix) -> u64 {
+    m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The full-sequence pass picks its attention arm by whether the scheme
+/// quantizes act×act products. Exact attention is the row walk
+/// (`ops::attention_rows`), which runs no matrix product: one forward of
+/// the reference model ticks `gemm.reference_gemms` once per weight site
+/// per layer and once for the LM head, and not once per head. A quantizing
+/// scheme (`Tender-all@8`) keeps the per-head matrix arm, whose logits are
+/// pinned to the bits that arm produced before the row walk existed.
+#[test]
+fn full_pass_attention_arm_is_pinned_by_count_and_bits() {
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 31);
+    let t = tokens(24, shape.vocab, 8);
+    let gemms = || tender_metrics::gemm::REFERENCE_GEMMS.get();
+
+    let before = gemms();
+    model.reference().forward(&t);
+    let sites = 6 + usize::from(shape.activation == Activation::SiluGated);
+    assert_eq!(gemms() - before, (shape.layers * sites + 1) as u64);
+
+    let tender_all = TenderScheme::new(TenderConfig::int8().with_act_act(true));
+    let calib = vec![tokens(24, shape.vocab, 9)];
+    let qm = QuantizedModel::build(model.weights(), Box::new(tender_all), &calib);
+    assert_eq!(bits_hash(&qm.forward(&t)), TENDER_ALL_LOGITS);
+}
+
+/// [`bits_hash`] of the `Tender-all@8` logits above, recorded from the
+/// per-head matrix arm.
+const TENDER_ALL_LOGITS: u64 = 0x6221_9063_b7e1_87bc;
 
 /// Regression: `reset_all()` used to zero the gauges that mirror live state.
 /// A cache alive across the reset then under-counted until the process

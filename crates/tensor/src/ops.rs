@@ -1,7 +1,9 @@
 //! Neural-network operations on [`Matrix`]: softmax, LayerNorm, activations.
 //!
 //! These are the element-wise / row-wise operations a Transformer block needs
-//! around its matrix multiplications. In the Tender architecture they run on
+//! around its matrix multiplications, plus the full-sequence attention walk
+//! ([`attention_rows`]) that runs score → softmax → value one row at a time
+//! instead of through per-head matrices. In the Tender architecture they run on
 //! the Vector Processing Unit (VPU) in floating point, which is why they live
 //! here as `f32` operations rather than in the quantized pipeline.
 
@@ -69,6 +71,131 @@ pub fn causal_softmax_rows(scores: &Matrix) -> Matrix {
         masked.fill(0.0);
     }
     out
+}
+
+/// Multi-head attention over one whole sequence, row by row: for each row
+/// `r` and head `h` (columns `h·dh..(h+1)·dh`, `dh = q.cols() / heads`),
+/// `softmax(q_h[r] · K_hᵀ) · V_h` over the row's live positions — `0..=r`
+/// when `causal`, all of them otherwise — written into `out[r]`'s head
+/// columns. `q`, `k` and `v` are `n × d`; `q` arrives pre-scaled.
+///
+/// Bit-identical, per head, to the matrix composition
+/// `softmax(q_h.matmul(k_hᵀ)).matmul(v_h)` with [`causal_softmax_rows`]
+/// (or [`softmax_rows`]), by the f32 GEMM's chain rules: each score adds
+/// its `head_dim` terms in ascending order into one accumulator from `+0.0`,
+/// skipping `q`'s zeros, and each output element adds its positions in
+/// ascending order, skipping zero probabilities. A masked position's
+/// probability is `+0.0` in the composition, so its term is skipped there
+/// and never visited here — the walk neither scores nor reads it. These
+/// are also the chains an f32 KV cache's decode read runs, so causal row
+/// `r` is bit for bit what a decode step at position `r` computes against
+/// a cache holding rows `0..=r`.
+///
+/// `K` is transposed once, so a row's scores are fixed-width column blocks
+/// of independent chains held in registers across the `head_dim` walk; the
+/// value product sums into a register block of output columns, reading V's
+/// rows where they lie. Any `head_dim` works: 16-wide blocks, then 4-wide,
+/// then single lanes take the tail. One `n`-long score row is the only
+/// scratch, and the walk is serial.
+///
+/// # Panics
+///
+/// Panics if `k` or `v` differs from `q` in shape, or `heads` does not
+/// split `q.cols()` into equal non-empty heads.
+pub fn attention_rows(q: &Matrix, k: &Matrix, v: &Matrix, heads: usize, causal: bool) -> Matrix {
+    let (n, d) = q.shape();
+    assert_eq!(k.shape(), (n, d), "attention_rows: K shape");
+    assert_eq!(v.shape(), (n, d), "attention_rows: V shape");
+    assert!(
+        heads > 0 && d > 0 && d % heads == 0,
+        "attention_rows: {heads} heads over {d} columns"
+    );
+    let dh = d / heads;
+    let kt = k.transpose();
+    let mut out = Matrix::zeros(n, d);
+    let mut scores = vec![0.0f32; n];
+    for r in 0..n {
+        let live = &mut scores[..if causal { r + 1 } else { n }];
+        let q_row = q.row(r);
+        for (h, out_h) in out.row_mut(r).chunks_exact_mut(dh).enumerate() {
+            let qh = &q_row[h * dh..(h + 1) * dh];
+            let kt_h = &kt.as_slice()[h * dh * n..(h + 1) * dh * n];
+            let mut j = score_blocks::<ATTN_LANES>(qh, kt_h, n, 0, live);
+            j += score_blocks::<4>(qh, kt_h, n, j, &mut live[j..]);
+            score_blocks::<1>(qh, kt_h, n, j, &mut live[j..]);
+            softmax_in_place(live);
+            let v_h = &v.as_slice()[h * dh..];
+            let mut c = value_blocks::<ATTN_LANES>(live, v_h, d, 0, out_h);
+            c += value_blocks::<4>(live, v_h, d, c, &mut out_h[c..]);
+            value_blocks::<1>(live, v_h, d, c, &mut out_h[c..]);
+        }
+    }
+    out
+}
+
+/// Width of [`attention_rows`]' register blocks: score columns per block,
+/// and output columns per value accumulator. Narrower blocks (4, then 1)
+/// take what is left.
+const ATTN_LANES: usize = 16;
+
+/// Scores positions `j0..` in whole `W`-wide blocks, as many as fit in
+/// `out`: `out[j - j0] = Σ_c qh[c] · kt[c·n + j]`, `c` ascending, zeros of
+/// `qh` skipped. `kt` is one head's `dh × n` slab of `Kᵀ`. Returns how
+/// many positions it wrote.
+#[inline(always)]
+fn score_blocks<const W: usize>(
+    qh: &[f32],
+    kt: &[f32],
+    n: usize,
+    j0: usize,
+    out: &mut [f32],
+) -> usize {
+    let (blocks, _) = out.as_chunks_mut::<W>();
+    for (b, block) in blocks.iter_mut().enumerate() {
+        let j = j0 + b * W;
+        let mut acc = [0.0f32; W];
+        for (c, &x) in qh.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let keys: &[f32; W] = kt[c * n + j..][..W].try_into().expect("W keys");
+            for (a, &key) in acc.iter_mut().zip(keys) {
+                *a += x * key;
+            }
+        }
+        *block = acc;
+    }
+    blocks.len() * W
+}
+
+/// Values for output columns `c0..` in whole `W`-wide blocks, as many as
+/// fit in `out`: `out[c - c0] = Σ_j p[j] · v[j·d + c]`, `j` ascending, zero
+/// probabilities skipped. `v` starts at the head's first column of V's row
+/// 0 (row stride `d`). Returns how many columns it wrote.
+#[inline(always)]
+fn value_blocks<const W: usize>(
+    p: &[f32],
+    v: &[f32],
+    d: usize,
+    c0: usize,
+    out: &mut [f32],
+) -> usize {
+    let (blocks, _) = out.as_chunks_mut::<W>();
+    for (b, block) in blocks.iter_mut().enumerate() {
+        let c = c0 + b * W;
+        let mut acc = [0.0f32; W];
+        for (j, &pj) in p.iter().enumerate() {
+            if pj == 0.0 {
+                continue;
+            }
+            let vals: &[f32; W] = v[j * d + c..][..W].try_into().expect("W values");
+            for (a, &val) in acc.iter_mut().zip(vals) {
+                *a += pj * val;
+            }
+        }
+        *block = acc;
+    }
+    blocks.len() * W
 }
 
 /// Row-wise log-softmax (stable), used for cross-entropy evaluation.

@@ -197,6 +197,79 @@ proptest! {
         }
     }
 
+    /// The row-wise attention walk is the per-head matrix composition it
+    /// replaced — `slice_cols`, `transpose`, `matmul`, the (causal) softmax,
+    /// `matmul` — bit for bit: every `head_dim` up to two 16-lane blocks
+    /// plus every 4- and 1-lane tail, sequences long enough to fill several
+    /// score blocks, causal and full, on operands drawn with ±0, NaN, ±∞ and
+    /// exact zeros at several rates, score spreads wide enough that
+    /// probabilities underflow to exact zeros, and one row per case whose
+    /// live scores of head 0 are all −∞ or all NaN (no finite maximum).
+    #[test]
+    fn attention_rows_is_the_matrix_composition(
+        dh in 1_usize..=33,
+        n in 1_usize..=40,
+        heads in 1_usize..=3,
+        special_rate in 0_usize..4,
+        spread in 0.01_f32..40.0,
+        seed in any::<u64>(),
+    ) {
+        let d = heads * dh;
+        let mut rng = DetRng::new(seed);
+        // One element in `special` is ±0, NaN or ±∞ (never, when 0).
+        let special = [0, 500, 50, 8][special_rate];
+        let mut draw = |rows: usize| {
+            Matrix::from_fn(rows, d, |_, _| {
+                if special > 0 && rng.below(special) == 0 {
+                    [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(5)]
+                } else if rng.below(4) == 0 {
+                    0.0
+                } else {
+                    rng.normal(0.0, spread)
+                }
+            })
+        };
+        let (mut q, mut k, v) = (draw(n), draw(n), draw(n));
+        // Row `dead` of head 0 scores `∞ · −1 = −∞` or `NaN · −1` at every
+        // position: no finite maximum among its live scores.
+        let dead = rng.below(n);
+        for c in 0..dh {
+            q[(dead, c)] = 0.0;
+        }
+        q[(dead, 0)] = if seed % 2 == 0 { f32::INFINITY } else { f32::NAN };
+        for j in 0..n {
+            k[(j, 0)] = -1.0;
+        }
+        for causal in [true, false] {
+            let got = ops::attention_rows(&q, &k, &v, heads, causal);
+            let mut want = Matrix::zeros(n, d);
+            for h in 0..heads {
+                let (c0, c1) = (h * dh, (h + 1) * dh);
+                let scores = q.slice_cols(c0, c1).matmul(&k.slice_cols(c0, c1).transpose()).unwrap();
+                let probs = if causal {
+                    ops::causal_softmax_rows(&scores)
+                } else {
+                    ops::softmax_rows(&scores)
+                };
+                let attn = probs.matmul(&v.slice_cols(c0, c1)).unwrap();
+                for r in 0..n {
+                    want.row_mut(r)[c0..c1].copy_from_slice(attn.row(r));
+                }
+            }
+            prop_assert_eq!(got.shape(), (n, d));
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                // Equal bits; which NaN a NaN operand pair yields is the
+                // compiler's operand order, not the chain.
+                prop_assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "n {} dh {} heads {} causal {}: element {}: {} vs {}",
+                    n, dh, heads, causal, i, g, w
+                );
+            }
+            prop_assert!(got.row(dead)[..dh].iter().all(|x| x.is_nan()));
+        }
+    }
+
     /// Softmax rows are probability distributions, and shifting logits by
     /// a constant leaves them unchanged.
     #[test]
