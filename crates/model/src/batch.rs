@@ -3,12 +3,11 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
 
 use tender_metrics::engine as metrics;
-use tender_tensor::{pool, EvictError, KvArena, Matrix};
+use tender_tensor::{pool, KvArena, Matrix};
 
-use crate::kv::drain_demotions;
+use crate::kv::settle_iteration;
 use crate::session::{step_stacked, DecodeSession, StepError};
 
 /// Why a [`BatchEngine`] call could not run as a whole.
@@ -56,8 +55,9 @@ impl From<StepError> for BatchError {
 /// Every decode entry point — [`try_step_all`], [`step_all`],
 /// [`resume_greedy`], [`generate_greedy`] — advances the batch through the
 /// same iteration: a sequential boundary that settles each arena's byte
-/// budget in session order, then one `pool::par_map` over contiguous
-/// *groups* of sessions, each group one [`step_stacked`] — its sessions'
+/// budget in session order ([`settle_iteration`]), then one
+/// `pool::par_chunks_mut` over contiguous *groups* of the sessions the
+/// engine owns, each group one [`step_stacked`] — its sessions'
 /// decode rows share one product per weight site. Results come back in
 /// session order, no append can contend for a byte cap inside the parallel
 /// phase, and a stacked row is bit-identical to a solo step, so output is
@@ -70,7 +70,7 @@ impl From<StepError> for BatchError {
 /// [`resume_greedy`]: BatchEngine::resume_greedy
 /// [`generate_greedy`]: BatchEngine::generate_greedy
 pub struct BatchEngine<'m> {
-    slots: Vec<Mutex<DecodeSession<'m>>>,
+    sessions: Vec<DecodeSession<'m>>,
     /// The distinct arenas the sessions draw pages from, in first-use
     /// order, each with its sessions' indices ascending.
     arenas: Vec<(KvArena, Vec<usize>)>,
@@ -89,10 +89,7 @@ impl<'m> BatchEngine<'m> {
                 None => arenas.push((session.arena().clone(), vec![i])),
             }
         }
-        Self {
-            slots: sessions.into_iter().map(Mutex::new).collect(),
-            arenas,
-        }
+        Self { sessions, arenas }
     }
 
     /// `n` copy-on-write forks of a prefilled template session — the
@@ -102,12 +99,8 @@ impl<'m> BatchEngine<'m> {
         Self::new((0..n).map(|_| template.fork()).collect())
     }
 
-    fn session(&self, i: usize) -> MutexGuard<'_, DecodeSession<'m>> {
-        self.slots[i].lock().expect("session lock")
-    }
-
     fn check_len(&self, got: usize) -> Result<(), BatchError> {
-        let expected = self.slots.len();
+        let expected = self.sessions.len();
         if got == expected {
             Ok(())
         } else {
@@ -116,8 +109,8 @@ impl<'m> BatchEngine<'m> {
     }
 
     /// Prefills session `i` with `prompts[i]`, returning each session's
-    /// full-prompt logits in session order. Prompts go in session order with
-    /// each arena's demotion queue drained in between — the schedule
+    /// full-prompt logits in session order. Prompts go in session order,
+    /// each after its arena's iteration boundary — the schedule
     /// [`BatchEngine::generate_greedy`] prefills with — so a shared byte cap
     /// resolves identically at any thread count (the GEMMs inside each
     /// prefill still use the pool).
@@ -138,19 +131,17 @@ impl<'m> BatchEngine<'m> {
             .collect())
     }
 
-    /// One prompt of the in-order prefill schedule: advance session `i`'s
-    /// arena clock, run `prefill` on the session, then drain the arena's
-    /// demotion queue down to its watermark.
+    /// One prompt of the in-order prefill schedule: settle session `i`'s
+    /// arena (advance its clock, drain its demotion queue down to the
+    /// watermark), then run `prefill` on the session.
     fn prefill_in_order<R>(
-        &self,
+        &mut self,
         i: usize,
         prefill: impl FnOnce(&mut DecodeSession<'m>) -> R,
     ) -> R {
-        let mut session = self.session(i);
-        session.arena().advance_clock();
-        let out = prefill(&mut session);
-        drain_demotions(session.arena(), 0);
-        out
+        let session = &mut self.sessions[i];
+        settle_iteration(session.arena(), &[]);
+        prefill(session)
     }
 
     /// The batch iteration: feeds `tokens[i]` to session `i` (sessions
@@ -162,72 +153,75 @@ impl<'m> BatchEngine<'m> {
     /// parallel phase. So each arena's budget is settled first, at a
     /// sequential boundary:
     ///
-    /// 1. advance the arena clock (new demotion epoch);
-    /// 2. price each live session's append exactly
-    ///    ([`KvCache::next_append_alloc_bytes`](crate::kv::KvCache::next_append_alloc_bytes):
-    ///    page opens and shared-tail CoW are the only allocations a single
-    ///    append can make);
-    /// 3. drain the demotion queue ([`drain_demotions`]) until the
-    ///    watermark is respected *and* the whole step fits;
-    /// 4. reserve each session's need against the live headroom in session
-    ///    order, demoting that session's own pages when short; a session
-    ///    still short at its floor is refused with
+    /// 1. refuse, as [`step_stacked`] would, every fed session that is not
+    ///    prefilled, is at the context window or was fed an out-of-vocab
+    ///    token — before anything is priced, so a refused session leaves
+    ///    its cache and the arena as they were;
+    /// 2. [`settle_iteration`] each arena with its remaining fed sessions'
+    ///    caches in session order: advance the clock, price each append,
+    ///    drain the demotion queue until the watermark is respected *and*
+    ///    the whole step fits, and reserve each append against the live
+    ///    headroom; a session still short at its floor is refused with
     ///    [`StepError::KvExhausted`] and not stepped;
-    /// 5. step every other fed session: the survivors, in session order,
+    /// 3. step every other fed session: the survivors, in session order,
     ///    are cut into contiguous groups of `⌈survivors / threads⌉` and
-    ///    `pool::par_map` runs one [`step_stacked`] per group — no append
-    ///    can now hit the cap, so no demotion happens off-schedule. At one
-    ///    thread the whole batch is one stack (each weight operand is
-    ///    streamed once per iteration); at `threads ≥ survivors` every
-    ///    group is one session. Equal group sizes make the slowest group as
-    ///    short as any split into `threads` groups could, with as few
-    ///    passes over the weights as that allows.
+    ///    `pool::par_chunks_mut` runs one [`step_stacked`] per group over
+    ///    the engine's own sessions — no append can now hit the cap, so no
+    ///    demotion happens off-schedule. At one thread the whole batch is
+    ///    one stack (each weight operand is streamed once per iteration);
+    ///    at `threads ≥ survivors` every group is one session. Equal group
+    ///    sizes make the slowest group as short as any split into
+    ///    `threads` groups could, with as few passes over the weights as
+    ///    that allows.
     ///
-    /// Every decision in 1–4 depends only on session order, queue keys,
+    /// Every decision in 1–2 depends only on session order, queue keys,
     /// and byte arithmetic, and a row's bits do not depend on which rows
     /// it is stacked with, so results are byte-identical at any thread
     /// count. On an uncapped arena every need fits and the drain has no
     /// deficit: the boundary decides nothing.
-    fn iterate(&self, tokens: &[Option<usize>]) -> Vec<Option<Result<Matrix, StepError>>> {
-        let mut refused: Vec<Option<EvictError>> = vec![None; self.slots.len()];
+    fn iterate(&mut self, tokens: &[Option<usize>]) -> Vec<Option<Result<Matrix, StepError>>> {
+        let mut results: Vec<Option<Result<Matrix, StepError>>> = self
+            .sessions
+            .iter()
+            .zip(tokens)
+            .map(|(session, token)| {
+                let refusal = session.check_extend(std::slice::from_ref(token.as_ref()?));
+                refusal.err().map(Err)
+            })
+            .collect();
         for (arena, members) in &self.arenas {
-            arena.advance_clock();
-            let needs: Vec<(usize, u64)> = members
+            let live: Vec<usize> = members
                 .iter()
-                .filter(|&&i| tokens[i].is_some())
-                .map(|&i| (i, self.session(i).cache().next_append_alloc_bytes()))
+                .copied()
+                .filter(|&i| tokens[i].is_some() && results[i].is_none())
                 .collect();
-            drain_demotions(arena, needs.iter().map(|&(_, need)| need).sum());
-            let mut committed = 0u64;
-            for (i, need) in needs {
-                match self.session(i).cache().reserve_next_append(need, committed) {
-                    Ok(()) => committed += need,
-                    Err(e) => refused[i] = Some(e),
-                }
+            let caches: Vec<_> = live.iter().map(|&i| self.sessions[i].cache()).collect();
+            let (_, reserved) = settle_iteration(arena, &caches);
+            for (i, reserved) in live.into_iter().zip(reserved) {
+                results[i] = reserved.err().map(|e| Err(StepError::KvExhausted(e)));
             }
         }
-        let stepping: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| tokens[i].is_some() && refused[i].is_none())
+        let mut stepping: Vec<_> = self
+            .sessions
+            .iter_mut()
+            .zip(tokens)
+            .zip(results.iter_mut())
+            .filter_map(|((session, &token), result)| Some((session, token?, result)))
+            .filter(|(_, _, result)| result.is_none())
             .collect();
         let per_group = stepping.len().div_ceil(pool::current_threads()).max(1);
-        let groups: Vec<&[usize]> = stepping.chunks(per_group).collect();
-        let stepped = pool::par_map(groups.len(), |g| {
-            let mut guards: Vec<_> = groups[g].iter().map(|&i| self.session(i)).collect();
-            let mut stack: Vec<&mut DecodeSession<'m>> =
-                guards.iter_mut().map(|guard| &mut **guard).collect();
-            let fed: Vec<usize> = groups[g].iter().filter_map(|&i| tokens[i]).collect();
-            step_stacked(&mut stack, &fed)
+        pool::par_chunks_mut(&mut stepping, per_group, |_, group| {
+            let fed: Vec<usize> = group.iter().map(|&(_, token, _)| token).collect();
+            let mut stack: Vec<&mut DecodeSession<'m>> = group
+                .iter_mut()
+                .map(|(session, _, _)| &mut **session)
+                .collect();
+            let stepped = step_stacked(&mut stack, &fed);
+            for ((_, _, result), stepped) in group.iter_mut().zip(stepped) {
+                **result = Some(stepped);
+            }
         });
-        let mut stepped = stepped.into_iter().flatten();
-        (0..self.slots.len())
-            .map(|i| {
-                tokens[i]?;
-                Some(match refused[i] {
-                    Some(e) => Err(StepError::KvExhausted(e)),
-                    None => stepped.next().expect("one result per stepped session"),
-                })
-            })
-            .collect()
+        results
     }
 
     /// Steps session `i` with `tokens[i]` through one batch iteration,
@@ -274,8 +268,8 @@ impl<'m> BatchEngine<'m> {
     /// `steps` tokens per session exactly as
     /// [`BatchEngine::resume_greedy`] does from the prefill's argmax.
     ///
-    /// Prefill runs in session order with each arena's demotion queue
-    /// drained in between, so demote-and-retry pressure on a shared cap
+    /// Prefill runs in session order, each prompt after its arena's
+    /// iteration boundary, so demote-and-retry pressure on a shared cap
     /// resolves identically at any thread count (the GEMMs inside each
     /// prefill still use the pool). A session whose prompt cannot fit even
     /// fully demoted is truncated before its first token.
@@ -339,7 +333,7 @@ impl<'m> BatchEngine<'m> {
 
     /// Up to `steps` batch iterations with greedy feedback from `next`
     /// (`None` = the session is already retired).
-    fn greedy_rollout(&self, mut next: Vec<Option<usize>>, steps: usize) -> Vec<Vec<usize>> {
+    fn greedy_rollout(&mut self, mut next: Vec<Option<usize>>, steps: usize) -> Vec<Vec<usize>> {
         let mut outs: Vec<Vec<usize>> = next.iter().map(|_| Vec::with_capacity(steps)).collect();
         for _ in 0..steps {
             if next.iter().all(Option::is_none) {
@@ -351,7 +345,7 @@ impl<'m> BatchEngine<'m> {
                 };
                 outs[i].push(token);
                 next[i] = match result {
-                    Ok(logits) => Some(self.session(i).greedy_next(&logits)),
+                    Ok(logits) => Some(self.sessions[i].greedy_next(&logits)),
                     Err(_) => {
                         metrics::DECODE_TRUNCATED.incr();
                         None
@@ -364,17 +358,14 @@ impl<'m> BatchEngine<'m> {
 
     /// Consumes the engine, returning its sessions in order.
     pub fn into_sessions(self) -> Vec<DecodeSession<'m>> {
-        self.slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("session lock"))
-            .collect()
+        self.sessions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::KvCacheMode;
+    use crate::kv::{KvCacheMode, KvTierStats};
     use crate::test_support::{f32_kv_bytes, paged_arena, tiny, tokens};
     use tender_tensor::ArenaConfig;
 
@@ -427,10 +418,11 @@ mod tests {
     fn prefill_all_runs_the_generate_greedy_prefill_schedule() {
         let (shape, model) = tiny();
         let reference = model.reference();
-        let prompts: Vec<Vec<usize>> = (0..3).map(|s| tokens(6 + s, shape.vocab, 30 + s)).collect();
-        // Room for every f32 prompt row, but a low watermark: the drain
-        // between prompts demotes the earlier sessions' sealed pages.
-        let arena = || paged_arena(2, Some(f32_kv_bytes(&shape, 24)), 0.25);
+        let prompts: Vec<Vec<usize>> = (0..3).map(|s| tokens(8 + s, shape.vocab, 30 + s)).collect();
+        // Room for every f32 prompt row, but a low watermark: the boundary
+        // before each prompt demotes the earlier sessions' sealed pages,
+        // down to the int4 floor by the last prompt.
+        let arena = || paged_arena(4, Some(f32_kv_bytes(&shape, 27)), 0.1);
         let engine = |arena: &KvArena| {
             let sessions = prompts
                 .iter()
@@ -447,22 +439,76 @@ mod tests {
         greedy
             .generate_greedy(&prompts, 0)
             .expect("one prompt per session");
-        assert!(
-            all_arena.stats().demoted_int8 > 0,
-            "no drain between prompts"
-        );
-        assert_eq!(all_arena.stats(), greedy_arena.stats());
+        let stats = all_arena.stats();
+        assert!(stats.demoted_int4 > 0, "the drains never reached int4");
+        assert_eq!(stats, greedy_arena.stats());
 
-        // The logits are those of the schedule written out by hand.
+        // The logits are those of the schedule written out by hand: settle
+        // the arena, then prefill.
         let hand_arena = arena();
         let mut hand = engine(&hand_arena).into_sessions();
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for ((session, prompt), got) in hand.iter_mut().zip(&prompts).zip(&logits) {
-            hand_arena.advance_clock();
+            settle_iteration(&hand_arena, &[]);
             assert_eq!(bits(got), bits(&session.prefill(prompt)));
-            drain_demotions(&hand_arena, 0);
         }
-        assert_eq!(hand_arena.stats(), all_arena.stats());
+        assert_eq!(hand_arena.stats(), stats);
+    }
+
+    #[test]
+    fn a_refused_session_is_not_settled() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        let vocab = shape.vocab;
+        // (prompt, fed token, the refusal a solo step makes)
+        let cases = [
+            (
+                tokens(shape.max_seq, vocab, 7),
+                1,
+                StepError::SequenceFull {
+                    max_seq: shape.max_seq,
+                },
+            ),
+            (Vec::new(), 1, StepError::NotPrefilled),
+            (
+                tokens(shape.max_seq - 4, vocab, 8),
+                vocab,
+                StepError::TokenOutOfVocab {
+                    token: vocab,
+                    vocab,
+                },
+            ),
+        ];
+        for mode in [KvCacheMode::F32, KvCacheMode::Int4] {
+            for (prompt, token, refusal) in &cases {
+                let prefilled = |arena: &KvArena| {
+                    let mut s = DecodeSession::with_arena(&reference, mode, arena);
+                    if !prompt.is_empty() {
+                        s.prefill(prompt);
+                    }
+                    s
+                };
+                // Capped at exactly the prefilled footprint: a boundary
+                // that priced this session's append would have to demote
+                // or refuse it.
+                let sizing = paged_arena(4, None, 1.0);
+                let footprint = prefilled(&sizing).cache().allocated_bytes();
+                let arena = paged_arena(4, Some(footprint), 1.0);
+                let mut session = prefilled(&arena);
+                let state = |s: &DecodeSession<'_>| -> (KvTierStats, _) {
+                    (s.cache().tier_stats(), arena.stats())
+                };
+                let before = state(&session);
+                assert_eq!(session.step(*token), Err(*refusal));
+                assert_eq!(state(&session), before);
+
+                let mut engine = BatchEngine::new(vec![session]);
+                let got = engine.try_step_all(&[*token]).expect("well-formed call");
+                assert_eq!(got, vec![Err(*refusal)], "{mode:?}");
+                let session = engine.into_sessions().pop().expect("one session");
+                assert_eq!(state(&session), before, "{mode:?} {refusal:?}");
+            }
+        }
     }
 
     #[test]

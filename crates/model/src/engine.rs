@@ -9,12 +9,13 @@
 //! product per weight site — bit-identical to stepping each alone, with the
 //! weights streamed once. [`BatchEngine`] runs many sessions through the
 //! shared worker pool deterministically: every decode entry point is built
-//! on one batch iteration that settles the arena's byte budget at a
-//! sequential boundary before the parallel step, which stacks each worker's
-//! share of the batch.
+//! on one batch iteration that settles each arena's byte budget at a
+//! sequential boundary ([`settle_iteration`] — the one place an arena's
+//! clock advances, its demotion queue drains and appends are reserved)
+//! before the parallel step, which stacks each worker's share of the batch.
 //!
 //! This module is a façade. The code lives in the crate-private modules
-//! `kv` (storage modes, the row codec, [`KvCache`], the boundary drain),
+//! `kv` (storage modes, the row codec, [`KvCache`], the iteration boundary),
 //! `session` ([`DecodeSession`]) and `batch` ([`BatchEngine`]).
 //!
 //! **Paged storage.** Cache rows live in fixed-size pages allocated from a
@@ -87,7 +88,8 @@
 
 pub use crate::batch::{BatchEngine, BatchError};
 pub use crate::kv::{
-    demote_payload, drain_demotions, DrainStats, KvCache, KvCacheMode, KvReadPath, KvTierStats,
+    demote_payload, drain_demotions, settle_iteration, DrainStats, KvCache, KvCacheMode,
+    KvReadPath, KvTierStats,
 };
 pub use crate::pipeline::ModelRef;
 pub use crate::session::{greedy_token, step_stacked, DecodeSession, StepError};

@@ -629,9 +629,9 @@ impl KvCache {
     /// are all full, plus a copy-on-write clone of any shared partial
     /// tail (an unsealed tail is always at the append tier, so both cost
     /// one append-tier page). Zero when the next row lands entirely in
-    /// exclusive partial tails. The batch iteration prices every live
-    /// session with this so the boundary drain can make room before any
-    /// worker appends.
+    /// exclusive partial tails. [`settle_iteration`](super::settle_iteration)
+    /// prices every live cache with this so the boundary drain can make
+    /// room before any worker appends.
     pub fn next_append_alloc_bytes(&self) -> u64 {
         let page_rows = self.arena.page_rows();
         let opens = self
@@ -660,7 +660,7 @@ impl KvCache {
     /// Interim cap refusals are counted by the arena as `alloc_retries`;
     /// only the terminal refusal — demotion ladder at its floor — is an
     /// `evict_failure`.
-    fn retry_demoting<T>(
+    pub(super) fn retry_demoting<T>(
         &self,
         mut attempt: impl FnMut() -> Result<T, EvictError>,
     ) -> Result<T, EvictError> {
@@ -675,28 +675,6 @@ impl KvCache {
                 }
             }
         }
-    }
-
-    /// Reserves the next append at an iteration boundary: demotes this
-    /// cache's own pages until the arena has headroom for `need` bytes on
-    /// top of the `committed` bytes earlier sessions of the same boundary
-    /// were already promised.
-    ///
-    /// # Errors
-    ///
-    /// [`EvictError`] when the headroom is still short with this cache's
-    /// ladder at its floor.
-    pub(crate) fn reserve_next_append(&self, need: u64, committed: u64) -> Result<(), EvictError> {
-        self.retry_demoting(|| {
-            if committed + need <= self.arena.headroom_bytes() {
-                return Ok(());
-            }
-            Err(EvictError {
-                needed: need,
-                allocated: self.arena.allocated_bytes(),
-                capacity: self.arena.config().capacity_bytes.unwrap_or(u64::MAX),
-            })
-        })
     }
 
     /// Demotes this cache's coldest eligible page one tier down the

@@ -1,9 +1,11 @@
-//! The boundary drain of an arena's demotion queue — the one place
-//! watermark pressure is acted on.
+//! The iteration boundary of an arena: the clock advance, the drain of its
+//! demotion queue — the one place watermark pressure is acted on — and the
+//! in-order reservation of the next appends.
 
 use tender_metrics::kv_arena as arena_metrics;
-use tender_tensor::{pool, DemoteKey, KvArena, PageTier};
+use tender_tensor::{pool, DemoteKey, EvictError, KvArena, PageTier};
 
+use super::cache::KvCache;
 use super::quant::demote_if_smaller;
 
 /// Outcome of one boundary drain of an arena's demotion queue.
@@ -70,10 +72,60 @@ pub fn drain_demotions(arena: &KvArena, headroom: u64) -> DrainStats {
     stats
 }
 
+/// Settles `arena` at an iteration boundary, before `caches` each append
+/// one position: advances the clock (a new demotion epoch), prices each
+/// cache's next append ([`KvCache::next_append_alloc_bytes`]: page opens
+/// and shared-tail copy-on-write are the only allocations one append can
+/// make), drains the demotion queue until the watermark is respected *and*
+/// every priced append fits ([`drain_demotions`]), then reserves the
+/// appends against the live headroom in slice order, demoting a cache's
+/// own pages when it is short. Returns the drain's outcome and one result
+/// per cache: [`EvictError`] for a cache still short with its ladder at
+/// the floor, whose append must not run.
+///
+/// Every decision depends only on slice order, queue keys and byte
+/// arithmetic, so the boundary resolves identically at any thread count;
+/// the appends that follow cannot hit the cap, so no demotion happens off
+/// the boundary. With no caches (`&[]`) it is the clock advance and the
+/// watermark drain alone; on an uncapped arena every need fits and the
+/// drain has no deficit, so it decides nothing.
+pub fn settle_iteration(
+    arena: &KvArena,
+    caches: &[&KvCache],
+) -> (DrainStats, Vec<Result<(), EvictError>>) {
+    arena.advance_clock();
+    let needs: Vec<u64> = caches.iter().map(|c| c.next_append_alloc_bytes()).collect();
+    let drained = drain_demotions(arena, needs.iter().sum());
+    let mut committed = 0u64;
+    let reserved = caches
+        .iter()
+        .zip(needs)
+        .map(|(cache, need)| {
+            let reserved = cache.retry_demoting(|| {
+                if committed + need <= arena.headroom_bytes() {
+                    return Ok(());
+                }
+                Err(EvictError {
+                    needed: need,
+                    allocated: arena.allocated_bytes(),
+                    capacity: arena.config().capacity_bytes.unwrap_or(u64::MAX),
+                })
+            });
+            if reserved.is_ok() {
+                committed += need;
+            }
+            reserved
+        })
+        .collect();
+    (drained, reserved)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{demote_payload, KvCacheMode};
+    use crate::kv::{demote_payload, KvCacheMode, KvTierStats};
+    use crate::session::DecodeSession;
+    use crate::test_support::{paged_arena, tiny, tokens};
     use tender_tensor::{ArenaConfig, ArenaStats, Matrix, PagePayload};
 
     fn f32_page(page_rows: usize, cols: usize) -> PagePayload {
@@ -188,5 +240,97 @@ mod tests {
         assert_eq!(stats.freed_bytes, bytes - arena.allocated_bytes());
         assert_eq!(arena.demotion_queue_len(), 0);
         assert!(page.is_exclusive());
+    }
+
+    /// Everything a boundary decides, as observable from outside.
+    fn boundary_state(
+        arena: &KvArena,
+        sessions: &[DecodeSession<'_>],
+    ) -> (ArenaStats, usize, u64, Vec<KvTierStats>) {
+        let tiers = sessions.iter().map(|s| s.cache().tier_stats()).collect();
+        (
+            arena.stats(),
+            arena.demotion_queue_len(),
+            arena.clock(),
+            tiers,
+        )
+    }
+
+    #[test]
+    fn settle_iteration_is_the_boundary_it_replaced() {
+        let (shape, model) = tiny();
+        let reference = model.reference();
+        // Two sessions with one sealed f32 page per plane, one whose only
+        // page per plane is its open tail; the cap holds exactly that.
+        let prompts = [4, 4, 2].map(|n| tokens(n, shape.vocab, n));
+        let world = || {
+            let arena = paged_arena(4, Some(3 * 16 * 256), 0.75);
+            let sessions: Vec<_> = prompts
+                .iter()
+                .map(|prompt| {
+                    let mut s = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
+                    s.prefill(prompt);
+                    s
+                })
+                .collect();
+            assert_eq!(arena.headroom_bytes(), 0);
+            (arena, sessions)
+        };
+        let (hand, hand_sessions) = world();
+        let (settled, settled_sessions) = world();
+
+        // The scheduler's and the prefill schedule's boundary: a
+        // watermark drain with nothing to reserve.
+        hand.advance_clock();
+        let want = drain_demotions(&hand, 0);
+        let (got, reserved) = settle_iteration(&settled, &[]);
+        assert_eq!((got, reserved), (want, Vec::new()));
+        let state = boundary_state(&hand, &hand_sessions);
+        assert_eq!(boundary_state(&settled, &settled_sessions), state);
+        // Premise: the drain took pages to int8 and re-enqueued them.
+        assert!(state.0.demoted_int8 > 0 && state.1 > 0, "{state:?}");
+
+        // The batch iteration's boundary: price, drain the whole deficit,
+        // reserve in order.
+        let hand_caches: Vec<&KvCache> = hand_sessions.iter().map(DecodeSession::cache).collect();
+        hand.advance_clock();
+        let needs: Vec<u64> = hand_caches
+            .iter()
+            .map(|cache| cache.next_append_alloc_bytes())
+            .collect();
+        let want_drain = drain_demotions(&hand, needs.iter().sum());
+        let mut committed = 0u64;
+        let mut want_reserved = Vec::new();
+        for (cache, need) in hand_caches.iter().zip(needs) {
+            let reserved = cache.retry_demoting(|| {
+                if committed + need <= hand.headroom_bytes() {
+                    return Ok(());
+                }
+                Err(EvictError {
+                    needed: need,
+                    allocated: hand.allocated_bytes(),
+                    capacity: hand.config().capacity_bytes.unwrap_or(u64::MAX),
+                })
+            });
+            if reserved.is_ok() {
+                committed += need;
+            }
+            want_reserved.push(reserved);
+        }
+        let settled_caches: Vec<&KvCache> =
+            settled_sessions.iter().map(DecodeSession::cache).collect();
+        let got = settle_iteration(&settled, &settled_caches);
+        assert_eq!(got, (want_drain, want_reserved.clone()));
+        let state = boundary_state(&hand, &hand_sessions);
+        assert_eq!(boundary_state(&settled, &settled_sessions), state);
+        // Premises: the int8 pages went on to int4, and exactly one
+        // session was refused with its ladder at the floor.
+        assert!(state.0.demoted_int4 > 0, "{state:?}");
+        assert_eq!(
+            want_reserved.iter().filter(|r| r.is_err()).count(),
+            1,
+            "{want_reserved:?}"
+        );
+        assert_eq!(state.0.evict_failures, 1);
     }
 }

@@ -99,8 +99,10 @@ impl<'m> DecodeSession<'m> {
     /// sharing via [`DecodeSession::fork`]. Steps only *queue* the pages
     /// they seal: `BatchEngine` and the scheduler drain the queue at their
     /// iteration boundaries, and a caller stepping a capped session by
-    /// hand must do the same (`advance_clock`, then `drain_demotions`) or
-    /// the arena's watermark is never acted on.
+    /// hand must do the same — [`settle_iteration`] with the caches about
+    /// to append, or `&[]` — or the arena's watermark is never acted on.
+    ///
+    /// [`settle_iteration`]: crate::engine::settle_iteration
     pub fn with_arena(model: impl Into<ModelRef<'m>>, mode: KvCacheMode, arena: &KvArena) -> Self {
         let model = model.into();
         let cache = KvCache::with_arena(model.shape(), mode, arena);
@@ -209,7 +211,7 @@ impl<'m> DecodeSession<'m> {
 
     /// [`DecodeSession::check_run`] for a cached forward, which also needs
     /// a prefilled cache to attend against.
-    fn check_extend(&self, tokens: &[usize]) -> Result<(), StepError> {
+    pub(crate) fn check_extend(&self, tokens: &[usize]) -> Result<(), StepError> {
         if self.cache.is_empty() {
             return Err(StepError::NotPrefilled);
         }
@@ -464,7 +466,7 @@ pub fn greedy_token(logits: &Matrix, row: usize, pos: usize, vocab: usize) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::drain_demotions;
+    use crate::kv::settle_iteration;
     use crate::test_support::{f32_kv_bytes, paged_arena, tiny, tokens};
     use tender_tensor::arena::DEFAULT_PAGE_ROWS;
 
@@ -670,8 +672,7 @@ mod tests {
         let arena = paged_arena(page_rows, Some(full_f32), 0.5);
         let mut s = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
         s.prefill(&tokens(prompt_len, shape.vocab, 6));
-        arena.advance_clock();
-        drain_demotions(&arena, 0);
+        settle_iteration(&arena, &[]);
 
         let stats = arena.stats();
         assert!(stats.demoted_int8 > 0, "watermark never demoted a page");

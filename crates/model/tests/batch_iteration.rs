@@ -8,7 +8,7 @@
 
 use std::process::Command;
 
-use tender_model::engine::{drain_demotions, BatchEngine, DecodeSession, KvCacheMode, StepError};
+use tender_model::engine::{settle_iteration, BatchEngine, DecodeSession, KvCacheMode, StepError};
 use tender_model::{greedy_token, ModelShape, SyntheticLlm};
 use tender_tensor::{ArenaConfig, KvArena};
 
@@ -218,8 +218,7 @@ fn watermark_is_acted_on_at_boundaries_only() {
     assert_eq!(arena.allocated_bytes(), footprint);
     assert_eq!(arena.demotion_queue_len(), pages);
 
-    arena.advance_clock();
-    let drained = drain_demotions(&arena, 0);
+    let (drained, _) = settle_iteration(&arena, &[]);
     let st = arena.stats();
     assert_eq!(drained.demoted as u64, st.demoted_int8 + st.demoted_int4);
     assert!(st.demoted_int8 > 0, "the drain ignored the watermark");

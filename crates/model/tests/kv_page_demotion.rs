@@ -17,7 +17,7 @@
 //!    demotion quantizes a *subset* of what those modes quantize.
 
 use proptest::prelude::*;
-use tender_model::engine::{drain_demotions, DecodeSession, KvCacheMode};
+use tender_model::engine::{settle_iteration, DecodeSession, KvCacheMode};
 use tender_model::{demote_payload, ArenaConfig, KvArena, ModelShape, SyntheticLlm};
 use tender_quant::quantizer::{f16_round, quantize_value};
 use tender_quant::tender::{classify_channels, group_scales};
@@ -240,8 +240,7 @@ proptest! {
             // A hand-stepped session is its own engine: it drains at its
             // own boundaries, after the prefill and after every step.
             let boundary = || {
-                arena.advance_clock();
-                drain_demotions(&arena, 0);
+                settle_iteration(&arena, &[]);
             };
             let mut s = DecodeSession::with_arena(&reference, KvCacheMode::F32, &arena);
             s.prefill(&prompt);

@@ -79,7 +79,7 @@ use tender_faults as faults;
 use tender_metrics::engine as engine_metrics;
 use tender_metrics::serve as metrics;
 use tender_model::engine::{
-    drain_demotions, step_stacked, DecodeSession, KvCacheMode, ModelRef, StepError,
+    settle_iteration, step_stacked, DecodeSession, KvCacheMode, ModelRef, StepError,
 };
 use tender_model::shape::ModelShape;
 use tender_tensor::arena::DEFAULT_PAGE_ROWS;
@@ -626,8 +626,11 @@ impl<'m> Run<'m> {
         self.report.kv_reserved_peak = self.report.kv_reserved_peak.max(self.reserved);
     }
 
-    /// Boundary drain: advance the demotion clock and requantize queued
-    /// cold pages in clock order (off the per-step critical path), then
+    /// Boundary drain: settle the arena — advance the demotion clock and
+    /// requantize queued cold pages in clock order, off the per-step
+    /// critical path — with no appends to reserve (decode rows are one
+    /// sequential `step_stacked`, so a cap refusal mid-step is already
+    /// deterministic; see DESIGN §9.7), then
     /// re-price every fully-fed session's reservation from the *measured*
     /// arena so demotion-freed bytes flow back into the admission budget
     /// before this iteration's arrivals are priced. The pre-demotion
@@ -635,8 +638,7 @@ impl<'m> Run<'m> {
     /// per-plane quantization constants the session carries outside the
     /// arena.
     fn drain_and_reprice(&mut self) {
-        self.arena.advance_clock();
-        let drained = drain_demotions(&self.arena, 0);
+        let (drained, _) = settle_iteration(&self.arena, &[]);
         let session_const = kv_reserve_bytes(self.model.shape(), self.cfg.kv_mode, 0);
         let mut reclaimed = 0u64;
         for slot in self.active.iter_mut() {

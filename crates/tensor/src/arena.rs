@@ -286,8 +286,8 @@ pub struct ArenaConfig {
     /// High-watermark fraction of the capacity above which the boundary
     /// drain demotes cold pages (1.0 = only demote when allocation fails).
     /// Appends never act on it: whoever steps sessions on a capped arena
-    /// by hand, outside `BatchEngine` and the scheduler, must drain at its
-    /// own boundaries (`advance_clock`, then `drain_demotions`).
+    /// by hand, outside `BatchEngine` and the scheduler, must settle it at
+    /// its own boundaries (the model crate's `settle_iteration`).
     pub watermark: f64,
     /// Ignored. Watermark pressure is always queued for the boundary
     /// drain; the field survives only for the struct literals of the
