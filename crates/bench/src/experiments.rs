@@ -345,7 +345,7 @@ pub fn table3() -> Vec<Table> {
                 }
             }
             Some(s) => {
-                let qm = QuantizedModel::build_with_capture(model.weights(), s, &captured);
+                let qm = QuantizedModel::build_with_capture(&reference, s, &captured);
                 for (_, wiki, ptb) in &eval_sets {
                     row.push(fmt_ppl(perplexity(|tk| qm.forward(tk), wiki)));
                     row.push(fmt_ppl(perplexity(|tk| qm.forward(tk), ptb)));
@@ -420,7 +420,7 @@ pub fn table4() -> Vec<Table> {
                 }
             }
             Some(s) => {
-                let qm = QuantizedModel::build_with_capture(model.weights(), s, &captured);
+                let qm = QuantizedModel::build_with_capture(&reference, s, &captured);
                 for (task, cents) in tasks.iter().zip(&centroids) {
                     row.push(fmt_acc(task.accuracy(|tk| qm.forward_hidden(tk), cents)));
                 }
@@ -750,13 +750,13 @@ pub fn table7() -> Vec<Table> {
             .iter()
             .map(|n| {
                 QuantizedModel::build_with_capture(
-                    model.weights(),
+                    &reference,
                     scheme_by_name(n).expect("registered"),
                     &captured,
                 )
             })
             .chain(std::iter::once(QuantizedModel::build_with_capture(
-                model.weights(),
+                &reference,
                 tender_scheme(4, 24, false),
                 &captured,
             )))

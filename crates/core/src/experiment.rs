@@ -2,11 +2,13 @@
 //! quantized inference → evaluation.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use tender_model::calibration::{token_batches, CorpusKind};
 use tender_model::eval::{perplexity, reference_perplexity, EvalSet};
-use tender_model::{ModelShape, QuantizedModel, ReferenceModel, SyntheticLlm};
+use tender_model::{ModelShape, QuantizedModel, ReferenceModel, Site, SyntheticLlm};
 use tender_quant::scheme::Scheme;
+use tender_tensor::Matrix;
 
 /// Sizing knobs for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,19 +61,25 @@ impl ExperimentOptions {
     }
 }
 
-/// A prepared experiment: one synthetic model with calibration data and
-/// per-corpus evaluation sets.
+/// A prepared experiment: one synthetic model, its FP32 reference and its
+/// calibration batches. The expensive parts are built on first use and then
+/// kept: the calibration capture by the first [`Experiment::quantize`], each
+/// evaluation set by the first [`Experiment::eval_set`] of its corpus. A run
+/// that never quantizes never captures, and one that never evaluates builds
+/// no evaluation set. Each part has its own seed, so the bits it holds do
+/// not depend on which part was built first.
 pub struct Experiment {
     model: SyntheticLlm,
     reference: ReferenceModel,
     calib: Vec<Vec<usize>>,
-    captured: HashMap<(usize, tender_model::Site), Vec<tender_tensor::Matrix>>,
-    evals: HashMap<CorpusKind, EvalSet>,
+    captured: OnceLock<HashMap<(usize, Site), Vec<Matrix>>>,
+    wiki: OnceLock<EvalSet>,
+    ptb: OnceLock<EvalSet>,
     options: ExperimentOptions,
 }
 
 impl Experiment {
-    /// Generates the model and evaluation data for `shape`.
+    /// Generates the model and the calibration batches for `shape`.
     pub fn new(shape: &ModelShape, options: ExperimentOptions) -> Self {
         let model = SyntheticLlm::generate(shape, options.seed);
         let reference = model.reference();
@@ -83,27 +91,13 @@ impl Experiment {
             options.seq_len,
             options.seed ^ 0xCA11B,
         );
-        let evals = [CorpusKind::Wiki, CorpusKind::Ptb]
-            .into_iter()
-            .map(|kind| {
-                let set = EvalSet::build(
-                    &reference,
-                    kind,
-                    options.eval_seqs,
-                    options.seq_len,
-                    options.seed ^ kind as u64,
-                );
-                (kind, set)
-            })
-            .collect();
-        // One reference capture pass calibrates every scheme.
-        let captured = reference.capture_site_activations(&calib);
         Self {
             model,
             reference,
             calib,
-            captured,
-            evals,
+            captured: OnceLock::new(),
+            wiki: OnceLock::new(),
+            ptb: OnceLock::new(),
             options,
         }
     }
@@ -128,15 +122,26 @@ impl Experiment {
         &self.options
     }
 
-    /// The evaluation set for a corpus.
+    /// The evaluation set for a corpus, built on the first call.
     ///
     /// # Panics
     ///
     /// Panics for [`CorpusKind::Pile`] (calibration-only corpus).
     pub fn eval_set(&self, corpus: CorpusKind) -> &EvalSet {
-        self.evals
-            .get(&corpus)
-            .unwrap_or_else(|| panic!("{corpus:?} is not an evaluation corpus"))
+        let cell = match corpus {
+            CorpusKind::Wiki => &self.wiki,
+            CorpusKind::Ptb => &self.ptb,
+            CorpusKind::Pile => panic!("{corpus:?} is not an evaluation corpus"),
+        };
+        cell.get_or_init(|| {
+            EvalSet::build(
+                &self.reference,
+                corpus,
+                self.options.eval_seqs,
+                self.options.seq_len,
+                self.options.seed ^ corpus as u64,
+            )
+        })
     }
 
     /// Perplexity of the FP32 reference on a corpus.
@@ -144,10 +149,16 @@ impl Experiment {
         reference_perplexity(&self.reference, self.eval_set(corpus))
     }
 
-    /// Builds a quantized model under `scheme` (calibrated on this
-    /// experiment's calibration batches).
+    /// Builds a quantized model under `scheme`, calibrated on this
+    /// experiment's calibration batches. The first call runs the one
+    /// reference capture pass that calibrates every scheme; a call racing it
+    /// waits for it instead of capturing again. The model shares the
+    /// reference's tensors.
     pub fn quantize(&self, scheme: Box<dyn Scheme>) -> QuantizedModel {
-        QuantizedModel::build_with_capture(self.model.weights(), scheme, &self.captured)
+        let captured = self
+            .captured
+            .get_or_init(|| self.reference.capture_site_activations(&self.calib));
+        QuantizedModel::build_with_capture(&self.reference, scheme, captured)
     }
 
     /// Perplexity of a quantized model on both evaluation corpora

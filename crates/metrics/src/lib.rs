@@ -22,7 +22,9 @@
 //! [`Counter`], [`MaxGauge`], [`Timer`] and the banks accumulate since the
 //! last reset; a [`Gauge`] holds the last result a run published; a
 //! [`Level`] mirrors live state (threads spawned, bytes held by live caches)
-//! and is therefore left alone by [`reset_all`].
+//! and is therefore left alone by [`reset_all`]. The one value that is not
+//! a static comes last: `process.peak_rss_bytes`, which [`report`] reads
+//! from the operating system ([`peak_rss_bytes`]).
 //!
 //! # Determinism contract
 //!
@@ -469,6 +471,20 @@ pub const MAX_LAYERS: usize = 64;
 /// Per-group counter slots; higher group indices fold into the last slot.
 pub const MAX_GROUPS: usize = 16;
 
+/// The process's peak resident set size in bytes — `VmHWM` in
+/// `/proc/self/status`, read when called — or `None` off Linux (the report
+/// then has no `process` section). It is the kernel's high-water mark, not a
+/// metric of ours, so [`reset_all`] cannot lower it.
+pub fn peak_rss_bytes() -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib * 1024)
+}
+
 /// The only metric statics outside the table: nothing ticks them, and they
 /// are neither reported nor reset. They keep the frozen `benchmark/` crate
 /// compiling and go when it thaws (ROADMAP item 5b).
@@ -505,17 +521,21 @@ macro_rules! metrics_table {
         )+
 
         /// Snapshot of every metric, ready for JSON export: one [`Section`]
-        /// per table section, one field per metric, in table order.
+        /// per table section, one field per metric, in table order, then
+        /// the `process` section (see [`peak_rss_bytes`]).
         pub fn report() -> Report {
-            Report {
-                sections: vec![$( Section {
-                    name: stringify!($section),
-                    fields: vec![$( (
-                        stringify!($name).to_ascii_lowercase(),
-                        $section::$name.value(),
-                    ) ),+],
-                } ),+],
-            }
+            let mut sections = vec![$( Section {
+                name: stringify!($section),
+                fields: vec![$( (
+                    stringify!($name).to_ascii_lowercase(),
+                    $section::$name.value(),
+                ) ),+],
+            } ),+];
+            sections.extend(peak_rss_bytes().map(|bytes| Section {
+                name: "process",
+                fields: vec![("peak_rss_bytes".into(), Value::U64(bytes))],
+            }));
+            Report { sections }
         }
 
         /// Resets every metric that accumulates (tests and multi-run
@@ -580,6 +600,23 @@ metrics_table! {
         FORWARD_PASSES: Counter,
         /// Wall-clock per transformer layer, by layer index.
         LAYER_FORWARD: TimerBank<MAX_LAYERS>,
+    }
+
+    /// Setup metrics (`tender_model`): one span each time a piece of the
+    /// offline work runs — model generation, the calibration capture, an
+    /// evaluation set, a quantized build — so a run shows what it paid for
+    /// and how often.
+    setup {
+        /// `SyntheticLlm::generate`: one synthetic model's weights.
+        MODEL_GEN: Timer,
+        /// `ReferenceModel::capture_site_activations`: one reference pass
+        /// over the calibration batches, keeping every site's input.
+        CAPTURE: Timer,
+        /// `EvalSet::build`: one corpus's evaluation sequences and targets.
+        EVAL_SETS: Timer,
+        /// `QuantizedModel::build_with_capture`: one scheme calibrated at
+        /// every site from an existing capture (the capture not included).
+        QUANTIZE: Timer,
     }
 
     /// Decode-engine metrics (`tender_model::engine`): prefill vs decode

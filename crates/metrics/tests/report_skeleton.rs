@@ -38,8 +38,14 @@ fn is_zero(v: &Value) -> bool {
 #[test]
 fn report_matches_the_golden_skeleton() {
     let actual = skeleton(&metrics::report());
+    // Off Linux there is no peak RSS to read, so no `process` section.
+    let golden: String = include_str!("report_skeleton.txt")
+        .lines()
+        .filter(|l| cfg!(target_os = "linux") || !l.starts_with("process."))
+        .map(|l| format!("{l}\n"))
+        .collect();
     assert!(
-        actual == include_str!("report_skeleton.txt"),
+        actual == golden,
         "report() no longer matches crates/metrics/tests/report_skeleton.txt; \
          if the change is intended, replace the file with:\n{actual}"
     );
@@ -82,7 +88,8 @@ fn reset_all_zeroes_everything_but_levels() {
 
     let after = metrics::report();
     let levels = [("kv_arena", "arenas"), ("kv_arena", "pages")];
-    for s in &after.sections {
+    // `process` is read from the operating system, not reset.
+    for s in after.sections.iter().filter(|s| s.name != "process") {
         for (key, v) in &s.fields {
             let at = (s.name, key.as_str());
             if levels.contains(&at) {
@@ -93,4 +100,23 @@ fn reset_all_zeroes_everything_but_levels() {
         }
     }
     assert_eq!(field(&after, levels[1]), Value::Array(vec![0, 4, 0]));
+}
+
+/// The peak resident set size is the kernel's `VmHWM`: present on Linux, at
+/// least the size of a buffer this test has touched, and absent elsewhere.
+#[test]
+fn peak_rss_is_read_from_the_os() {
+    let touched = vec![1u8; 8 << 20];
+    assert_eq!(touched.iter().map(|&b| u64::from(b)).sum::<u64>(), 8 << 20);
+    let peak = metrics::peak_rss_bytes();
+    if cfg!(target_os = "linux") {
+        let peak = peak.expect("VmHWM in /proc/self/status");
+        assert!(peak >= 8 << 20, "peak {peak} below a touched 8 MiB buffer");
+        let report = metrics::report();
+        let process = report.section("process").expect("process section");
+        assert!(process.get_u64("peak_rss_bytes").expect("key") >= peak);
+    } else {
+        assert_eq!(peak, None);
+        assert!(metrics::report().section("process").is_none());
+    }
 }

@@ -38,6 +38,7 @@ impl EvalSet {
         seed: u64,
     ) -> Self {
         assert!(num_seqs > 0, "need at least one sequence");
+        let _span = tender_metrics::setup::EVAL_SETS.span();
         let vocab = reference.weights().shape.vocab;
         let contexts = token_batches(kind, vocab, num_seqs, seq_len, seed);
         // Forward passes fan out across the pool; sampling stays serial and

@@ -10,8 +10,10 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use tender_metrics::faults as fault_metrics;
+use tender_metrics::setup as setup_metrics;
 use tender_quant::granularity::{Granularity, GranularityScheme};
 use tender_quant::scheme::{Fp16Scheme, QuantMatmul, Scheme};
 use tender_tensor::{pool, Matrix};
@@ -53,10 +55,12 @@ impl Site {
 
 /// The FP32 reference model (the paper's "Base" rows, modulo FP16
 /// rounding, which [`tender_quant::scheme::Fp16Scheme`] models separately).
+/// Its tensors are shared ([`TransformerWeights`]), so a clone is cheap and
+/// holds no new weight bytes.
 #[derive(Debug, Clone)]
 pub struct ReferenceModel {
     w: TransformerWeights,
-    emb_t: Matrix,
+    emb_t: Arc<Matrix>,
 }
 
 impl ReferenceModel {
@@ -74,13 +78,19 @@ impl ReferenceModel {
     /// [`ShapeError`] instead of panicking.
     pub fn try_new(w: TransformerWeights) -> Result<Self, ShapeError> {
         w.validate()?;
-        let emb_t = w.lm_head.transpose();
+        let emb_t = Arc::new(w.lm_head.transpose());
         Ok(Self { w, emb_t })
     }
 
     /// The underlying weights.
     pub fn weights(&self) -> &TransformerWeights {
         &self.w
+    }
+
+    /// Weight bytes this model holds beyond the weights it was built from:
+    /// the LM head transposed once for the logit product.
+    pub fn weight_bytes(&self) -> usize {
+        size_of_val(self.emb_t.as_slice())
     }
 
     /// Next-token logits for every position, `n × vocab`.
@@ -103,6 +113,7 @@ impl ReferenceModel {
         &self,
         batches: &[Vec<usize>],
     ) -> HashMap<(usize, Site), Vec<Matrix>> {
+        let _span = setup_metrics::CAPTURE.span();
         // One capture pass per batch across the pool; merging in batch
         // order keeps every site's activation list identical to the serial
         // traversal.
@@ -213,7 +224,8 @@ fn prepare_with_ladder(
 }
 
 /// A model whose weight matmuls run through calibrated quantized operators:
-/// the reference model over the same weights, plus one operator per site.
+/// the reference model over the same weights (shared, not copied), plus one
+/// operator per site.
 pub struct QuantizedModel {
     reference: ReferenceModel,
     ops: SiteOps,
@@ -240,23 +252,26 @@ impl QuantizedModel {
         );
         let reference = ReferenceModel::new(weights.clone());
         let captured = reference.capture_site_activations(calib_batches);
-        Self::build_with_capture(weights, scheme, &captured)
+        Self::build_with_capture(&reference, scheme, &captured)
     }
 
-    /// Like [`QuantizedModel::build`], but reusing activations captured by
-    /// [`ReferenceModel::capture_site_activations`] — so one reference pass
-    /// can calibrate many schemes.
+    /// Like [`QuantizedModel::build`], but over an existing reference model
+    /// and reusing activations its
+    /// [`ReferenceModel::capture_site_activations`] captured — so one
+    /// reference pass can calibrate many schemes. The model shares the
+    /// reference's tensors; what it adds is its operators.
     ///
     /// # Panics
     ///
     /// Panics if `captured` is missing any site of this model.
     pub fn build_with_capture(
-        weights: &TransformerWeights,
+        reference: &ReferenceModel,
         scheme: Box<dyn Scheme>,
         captured: &HashMap<(usize, Site), Vec<Matrix>>,
     ) -> Self {
+        let _span = setup_metrics::QUANTIZE.span();
         let mut sites: Vec<(SiteKey, &Matrix)> = Vec::new();
-        for (li, layer) in weights.layers.iter().enumerate() {
+        for (li, layer) in reference.w.layers.iter().enumerate() {
             sites.push(((li, Site::Q), &layer.wq));
             sites.push(((li, Site::K), &layer.wk));
             sites.push(((li, Site::V), &layer.wv));
@@ -286,11 +301,18 @@ impl QuantizedModel {
             }
         }
         Self {
-            reference: ReferenceModel::new(weights.clone()),
+            reference: reference.clone(),
             ops,
             scheme,
             degraded,
         }
+    }
+
+    /// Weight bytes this model holds beyond the reference it was built
+    /// over: its operators' calibrated state
+    /// ([`QuantMatmul::resident_bytes`]).
+    pub fn weight_bytes(&self) -> usize {
+        self.ops.values().map(|op| op.resident_bytes()).sum()
     }
 
     /// Sites the degradation ladder moved off the primary scheme, in
@@ -481,8 +503,9 @@ mod tests {
     fn nan_weight_degrades_site_and_keeps_logits_finite() {
         let (shape, model) = tiny();
         let mut w = model.weights().clone();
-        // Poison one projection the way the weight-fault site would.
-        w.layers[1].wv[(0, 3)] = f32::NAN;
+        // Poison one projection the way the weight-fault site would (the
+        // clone shares it with `model`, so the write copies it first).
+        Arc::make_mut(&mut w.layers[1].wv)[(0, 3)] = f32::NAN;
         let calib = vec![tokens(16, shape.vocab, 20)];
         let before = tender_metrics::faults::DEGRADED_SITES.get();
         let qm = QuantizedModel::build(
@@ -516,7 +539,7 @@ mod tests {
         let (_, model) = tiny();
         let mut w = model.weights().clone();
         let d = w.shape.d_model;
-        w.layers[0].wq = tender_tensor::Matrix::zeros(d - 1, d);
+        w.layers[0].wq = Arc::new(Matrix::zeros(d - 1, d));
         let err = ReferenceModel::try_new(w).unwrap_err();
         assert_eq!(err.what, "layer 0 wq");
     }

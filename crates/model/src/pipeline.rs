@@ -87,9 +87,11 @@ impl<'m> ModelRef<'m> {
         &self.w.shape
     }
 
-    /// Whether both view the same model object — the same weights, by
-    /// address; a quantized model owns its own copy — what lets two
-    /// sessions' rows share a weight product.
+    /// Whether both view the same model object — the same weights struct,
+    /// by address — what lets two sessions' rows share a weight product.
+    /// Every model owns its own struct, even where its tensors are another
+    /// model's (a quantized model shares its reference's), so shared
+    /// tensors never merge two models' operators into one stack.
     pub(crate) fn same_model(&self, other: &Self) -> bool {
         std::ptr::eq(self.w, other.w)
     }

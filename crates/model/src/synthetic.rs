@@ -8,6 +8,9 @@
 //! entering the QKV and FC1 projections carry large-magnitude values in
 //! those channels for every token — the vertical stripes of Figure 3.
 
+use std::sync::Arc;
+
+use tender_metrics::setup as metrics;
 use tender_tensor::rng::DetRng;
 
 use crate::forward::ReferenceModel;
@@ -31,6 +34,7 @@ impl SyntheticLlm {
     /// Generates a model for `shape` from `seed`. Deterministic: the same
     /// `(shape, seed)` always produces the same weights.
     pub fn generate(shape: &ModelShape, seed: u64) -> Self {
+        let _span = metrics::MODEL_GEN.span();
         shape.validate();
         let mut rng = DetRng::new(seed ^ 0x7E4D_E47E);
         let d = shape.d_model;
@@ -152,22 +156,22 @@ impl SyntheticLlm {
                 LayerWeights {
                     ln1_gamma: gamma(&mut rng, &outlier_channels),
                     ln1_beta: beta(&mut rng),
-                    wq,
-                    wk,
-                    wv,
-                    wo,
+                    wq: Arc::new(wq),
+                    wk: Arc::new(wk),
+                    wv: Arc::new(wv),
+                    wo: Arc::new(wo),
                     ln2_gamma,
                     ln2_beta: beta(&mut rng),
-                    w_fc1,
-                    w_gate,
-                    w_fc2,
+                    w_fc1: Arc::new(w_fc1),
+                    w_gate: w_gate.map(Arc::new),
+                    w_fc2: Arc::new(w_fc2),
                 }
             })
             .collect();
 
         let weights = TransformerWeights {
             shape: shape.clone(),
-            tok_emb: {
+            tok_emb: Arc::new({
                 // The embedding table seeds the residual-stream outliers:
                 // each outlier channel carries a large *sign-consistent*
                 // base value with moderate token-dependent variation, so
@@ -199,8 +203,8 @@ impl SyntheticLlm {
                     }
                 }
                 e
-            },
-            lm_head: {
+            }),
+            lm_head: Arc::new({
                 // Complementary to the embedding subspace (see tok_emb),
                 // and blind to the outlier channels: a trained readout does
                 // not amplify a handful of huge noisy channels.
@@ -217,8 +221,8 @@ impl SyntheticLlm {
                     }
                 }
                 head
-            },
-            pos_emb: rng.normal_matrix(shape.max_seq, d, 0.0, 0.1),
+            }),
+            pos_emb: Arc::new(rng.normal_matrix(shape.max_seq, d, 0.0, 0.1)),
             layers,
             // The final norm keeps ordinary gains so the LM-head logit
             // distribution stays non-degenerate; outliers live in the
@@ -239,7 +243,7 @@ impl SyntheticLlm {
                 for (li, layer) in weights.layers.iter_mut().enumerate() {
                     for c in 0..d {
                         if plan.weight_nan(li, c) {
-                            layer.wq[(0, c)] = f32::NAN;
+                            Arc::make_mut(&mut layer.wq)[(0, c)] = f32::NAN;
                         }
                     }
                 }
@@ -267,7 +271,8 @@ impl SyntheticLlm {
         &self.outlier_channels
     }
 
-    /// Convenience: an FP32 reference model over these weights.
+    /// Convenience: an FP32 reference model over these weights (sharing
+    /// them, not copying them).
     pub fn reference(&self) -> ReferenceModel {
         ReferenceModel::new(self.weights.clone())
     }

@@ -1,4 +1,12 @@
 //! Weight containers for the synthetic Transformer.
+//!
+//! Every matrix sits behind an [`Arc`], so cloning weights — the reference
+//! model over a generated model's weights, a quantized model over the
+//! reference's — shares the tensors instead of copying them. A caller that
+//! edits a cloned tensor writes through [`Arc::make_mut`], which copies that
+//! one tensor first.
+
+use std::sync::Arc;
 
 use tender_tensor::Matrix;
 
@@ -55,23 +63,23 @@ pub struct LayerWeights {
     /// Pre-attention norm bias (unused for RMSNorm).
     pub ln1_beta: Vec<f32>,
     /// Query projection, `d_model × d_model`.
-    pub wq: Matrix,
+    pub wq: Arc<Matrix>,
     /// Key projection, `d_model × d_model`.
-    pub wk: Matrix,
+    pub wk: Arc<Matrix>,
     /// Value projection, `d_model × d_model`.
-    pub wv: Matrix,
+    pub wv: Arc<Matrix>,
     /// Output projection, `d_model × d_model`.
-    pub wo: Matrix,
+    pub wo: Arc<Matrix>,
     /// Pre-FFN norm gain.
     pub ln2_gamma: Vec<f32>,
     /// Pre-FFN norm bias (unused for RMSNorm).
     pub ln2_beta: Vec<f32>,
     /// First FFN projection, `d_model × ffn_dim`.
-    pub w_fc1: Matrix,
+    pub w_fc1: Arc<Matrix>,
     /// Gate projection for SiLU-gated FFNs, `d_model × ffn_dim`.
-    pub w_gate: Option<Matrix>,
+    pub w_gate: Option<Arc<Matrix>>,
     /// Second FFN projection, `ffn_dim × d_model`.
-    pub w_fc2: Matrix,
+    pub w_fc2: Arc<Matrix>,
 }
 
 /// Complete weights of a synthetic Transformer LM.
@@ -80,15 +88,15 @@ pub struct TransformerWeights {
     /// The architecture these weights instantiate.
     pub shape: ModelShape,
     /// Token embedding table, `vocab × d_model`.
-    pub tok_emb: Matrix,
+    pub tok_emb: Arc<Matrix>,
     /// LM head, `vocab × d_model`. Untied from `tok_emb`: with random
     /// (untrained) weights a tied head hands every position a large
     /// self-token logit through the residual stream, collapsing the
     /// next-token distribution — an artifact real trained models do not
     /// have.
-    pub lm_head: Matrix,
+    pub lm_head: Arc<Matrix>,
     /// Positional embedding table, `max_seq × d_model`.
-    pub pos_emb: Matrix,
+    pub pos_emb: Arc<Matrix>,
     /// Per-block weights.
     pub layers: Vec<LayerWeights>,
     /// Final norm gain.
@@ -133,7 +141,7 @@ impl TransformerWeights {
             n += l.ln1_gamma.len() * 2 + l.ln2_gamma.len() * 2;
             n += l.wq.len() + l.wk.len() + l.wv.len() + l.wo.len();
             n += l.w_fc1.len() + l.w_fc2.len();
-            n += l.w_gate.as_ref().map_or(0, Matrix::len);
+            n += l.w_gate.as_ref().map_or(0, |g| g.len());
         }
         n
     }
@@ -157,14 +165,14 @@ mod tests {
         let mut w = SyntheticLlm::generate(&shape, 1).into_weights();
         // Truncate a projection: the error names the tensor and both shapes.
         let d = w.shape.d_model;
-        w.layers[1].wk = Matrix::zeros(d - 1, d);
+        w.layers[1].wk = Arc::new(Matrix::zeros(d - 1, d));
         let err = w.validate().unwrap_err();
         assert_eq!(err.what, "layer 1 wk");
         assert_eq!(err.expected, (d, d));
         assert_eq!(err.got, (d - 1, d));
         assert!(err.to_string().contains("layer 1 wk"));
         // Dropping a whole layer is caught before per-layer checks.
-        w.layers[1].wk = Matrix::zeros(d, d);
+        w.layers[1].wk = Arc::new(Matrix::zeros(d, d));
         w.layers.pop();
         assert_eq!(w.validate().unwrap_err().what, "layers");
     }

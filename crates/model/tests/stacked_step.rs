@@ -9,12 +9,13 @@
 //! chunks — the schemes here calibrate with `with_row_chunk(4)`), cache
 //! modes (f32 / int8 / int4 lanes side by side), copy-on-write forks that
 //! still share a partial tail page with their template, sessions of another
-//! model, sessions that must be refused before anything is touched, and a
+//! model, sessions of a quantized model that shares its reference's
+//! tensors, sessions that must be refused before anything is touched, and a
 //! lane whose arena runs dry halfway through the layers.
 //!
 //! The tests read process-global counters, so they serialize on a lock.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use tender_metrics::engine as metrics;
@@ -275,5 +276,58 @@ fn a_lane_refused_mid_stack_spares_its_neighbours() {
         let got = results[i].as_ref().expect("a neighbour lost its logits");
         assert_eq!(bits(got), bits(&want), "session {i}");
         assert_eq!(image(&shape, &sessions[i]), image(&shape, &twin));
+    }
+}
+
+/// A quantized model built over a reference (`build_with_capture`, as
+/// `Experiment::quantize` builds it) holds the reference's f32 tensors, not
+/// copies, yet is a model of its own: a reference session and a Tender@8
+/// session stacked in one call, interleaved with a second reference session,
+/// must each get exactly their solo step's logits. Were the two models taken
+/// for one, the Tender lane would run the reference's exact products (or
+/// the reference lanes Tender's operators).
+#[test]
+fn shared_tensors_do_not_merge_models() {
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let shape = ModelShape::tiny_test();
+    let llm = SyntheticLlm::generate(&shape, 29);
+    let reference = llm.reference();
+    let captured = reference.capture_site_activations(&[tokens(24, shape.vocab, 2)]);
+    let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(4));
+    let tender = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &captured);
+    let (rw, tw) = (reference.weights(), tender.weights());
+    assert!(Arc::ptr_eq(&rw.lm_head, &tw.lm_head));
+    for (r, t) in rw.layers.iter().zip(&tw.layers) {
+        for (a, b) in [(&r.wq, &t.wq), (&r.wv, &t.wv), (&r.w_fc1, &t.w_fc1)] {
+            assert!(Arc::ptr_eq(a, b), "a site tensor was copied");
+        }
+    }
+
+    let models: [ModelRef<'_>; 3] = [(&reference).into(), (&tender).into(), (&reference).into()];
+    let build = || -> Vec<DecodeSession<'_>> {
+        models
+            .iter()
+            .enumerate()
+            .map(|(i, &model)| {
+                let mut s = DecodeSession::with_cache_mode(model, KvCacheMode::Int8);
+                s.prefill(&tokens(5 + 3 * i, shape.vocab, 40 + i));
+                s
+            })
+            .collect()
+    };
+    let mut stacked = build();
+    let mut solo = build();
+    for it in 0..4 {
+        let fed: Vec<usize> = (0..3)
+            .map(|i| (it * 37 + i * 11 + 3) % shape.vocab)
+            .collect();
+        let mut stack: Vec<&mut DecodeSession<'_>> = stacked.iter_mut().collect();
+        let results = step_stacked(&mut stack, &fed);
+        for (i, (result, twin)) in results.iter().zip(solo.iter_mut()).enumerate() {
+            let want = twin.step(fed[i]).expect("in-window solo step");
+            let got = result.as_ref().expect("in-window stacked step");
+            assert_eq!(bits(got), bits(&want), "iteration {it} lane {i}");
+            assert_eq!(image(&shape, &stacked[i]), image(&shape, twin));
+        }
     }
 }

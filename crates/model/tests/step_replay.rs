@@ -87,9 +87,8 @@ fn a_decode_step_is_its_public_composition_in_every_cache_mode() {
     let shape = ModelShape::tiny_test();
     let llm = SyntheticLlm::generate(&shape, 41);
     let w = llm.weights();
-    let captured = llm
-        .reference()
-        .capture_site_activations(&[tokens(24, shape.vocab, 1)]);
+    let reference = llm.reference();
+    let captured = reference.capture_site_activations(&[tokens(24, shape.vocab, 1)]);
     // Row-chunked, so a step's position picks the calibration chunk.
     let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(8));
     let mut ops = Ops::new();
@@ -108,7 +107,7 @@ fn a_decode_step_is_its_public_composition_in_every_cache_mode() {
             ops.insert((li, site), op);
         }
     }
-    let model = QuantizedModel::build_with_capture(w, Box::new(scheme), &captured);
+    let model = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &captured);
     assert!(model.degraded_sites().is_empty());
 
     let prompt = tokens(12, shape.vocab, 2);

@@ -106,6 +106,10 @@ impl QuantMatmul for AntMatmul {
     fn act_bits(&self) -> f32 {
         self.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice()) + size_of_val(self.act_grid.as_slice())
+    }
 }
 
 impl Scheme for AntScheme {

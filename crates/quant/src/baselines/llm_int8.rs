@@ -86,6 +86,13 @@ impl QuantMatmul for MixedPrecisionMatmul {
     fn act_bits(&self) -> f32 {
         self.weight_bits()
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.w_outlier.as_slice())
+            + size_of_val(self.w_normal.as_slice())
+            + size_of_val(self.outlier_cols.as_slice())
+            + size_of_val(self.normal_cols.as_slice())
+    }
 }
 
 impl Scheme for MixedPrecisionScheme {

@@ -159,6 +159,10 @@ impl QuantMatmul for MsfpMatmul {
     fn act_bits(&self) -> f32 {
         self.weight_bits()
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice())
+    }
 }
 
 impl Scheme for MsfpScheme {

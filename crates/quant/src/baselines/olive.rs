@@ -153,6 +153,10 @@ impl QuantMatmul for OliveMatmul {
     fn act_bits(&self) -> f32 {
         self.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice())
+    }
 }
 
 impl Scheme for OliveScheme {

@@ -128,6 +128,12 @@ impl QuantMatmul for RptqMatmul {
     fn act_bits(&self) -> f32 {
         self.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice())
+            + size_of_val(self.assign.as_slice())
+            + size_of_val(self.params.as_slice())
+    }
 }
 
 impl Scheme for RptqScheme {

@@ -83,6 +83,10 @@ impl QuantMatmul for SmoothQuantMatmul {
     fn act_bits(&self) -> f32 {
         self.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice()) + size_of_val(self.inv_factors.as_slice())
+    }
 }
 
 impl Scheme for SmoothQuantScheme {

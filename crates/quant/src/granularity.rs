@@ -129,6 +129,10 @@ impl QuantMatmul for GranularityMatmul {
     fn act_bits(&self) -> f32 {
         self.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.wq.as_slice()) + size_of_val(self.col_scales.as_slice())
+    }
 }
 
 impl Scheme for GranularityScheme {

@@ -70,6 +70,10 @@ pub trait QuantMatmul: Send + Sync {
 
     /// Average bits per activation element, for memory-traffic modeling.
     fn act_bits(&self) -> f32;
+
+    /// Heap bytes of calibrated state the operator holds for its lifetime:
+    /// its weight store, scales and calibration tables.
+    fn resident_bytes(&self) -> usize;
 }
 
 /// [`QuantMatmul::forward_rows`] for an operator whose one-call product looks
@@ -256,6 +260,10 @@ impl QuantMatmul for Fp16Matmul {
     fn act_bits(&self) -> f32 {
         16.0
     }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.w.as_slice())
+    }
 }
 
 impl Scheme for Fp16Scheme {
@@ -295,6 +303,10 @@ impl QuantMatmul for ExactMatmul {
 
     fn act_bits(&self) -> f32 {
         32.0
+    }
+
+    fn resident_bytes(&self) -> usize {
+        size_of_val(self.w.as_slice())
     }
 }
 

@@ -192,6 +192,23 @@ impl TenderCalibration {
     pub fn chunk_rows(&self) -> usize {
         self.chunk_rows
     }
+
+    /// Bytes of the per-chunk tables: biases, group indices, group scales
+    /// and the channel order (elements only).
+    pub fn resident_bytes(&self) -> usize {
+        self.chunks
+            .iter()
+            .map(|c| {
+                size_of_val(c.bias.as_slice())
+                    + size_of_val(c.group_of.as_slice())
+                    + size_of_val(c.scales.as_slice())
+                    + c.order
+                        .iter()
+                        .map(|g| size_of_val(g.as_slice()))
+                        .sum::<usize>()
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,16 @@ impl QuantizedWeight {
     pub fn bits(&self) -> u32 {
         self.bits
     }
+
+    /// Bytes of the store: the codes at their packed width, plus one `f32`
+    /// scale per column.
+    pub fn resident_bytes(&self) -> usize {
+        let codes = match &self.codes {
+            PackedCodes::I16(c) => size_of_val(c.as_slice()),
+            PackedCodes::I32(c) => size_of_val(c.as_slice()),
+        };
+        codes + size_of_val(self.scales.as_slice())
+    }
 }
 
 /// Result of a decomposed matmul plus diagnostics.
@@ -301,6 +311,15 @@ impl ChannelRows {
 pub(super) struct PreparedChunk {
     corr: Vec<f32>,
     rows: ChannelRows,
+}
+
+impl PreparedChunk {
+    /// Bytes of the bias-correction row and the per-channel rows.
+    pub(super) fn resident_bytes(&self) -> usize {
+        size_of_val(self.corr.as_slice())
+            + size_of_val(self.rows.scale.as_slice())
+            + size_of_val(self.rows.weight.as_slice())
+    }
 }
 
 /// One [`PreparedChunk`] per calibration chunk, in chunk order.
@@ -941,6 +960,7 @@ mod tests {
             let width = if bits <= 16 { 2 } else { 4 };
             assert_eq!(w.codes.shape(), (n, k), "bits={bits}: transposed");
             assert_eq!((len, bytes), (n * k, n * k * width), "bits={bits}");
+            assert_eq!(w.resident_bytes(), n * k * width + 4 * n, "bits={bits}");
             for j in 0..n {
                 for ch in 0..k {
                     let want = quantize_value(wf[(ch, j)], w.scales[j], bits);

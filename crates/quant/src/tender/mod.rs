@@ -142,6 +142,16 @@ impl QuantMatmul for TenderMatmul {
     fn act_bits(&self) -> f32 {
         self.config.bits as f32
     }
+
+    fn resident_bytes(&self) -> usize {
+        self.weight.resident_bytes()
+            + self
+                .prepared
+                .iter()
+                .map(|p| p.resident_bytes())
+                .sum::<usize>()
+            + self.calibration.resident_bytes()
+    }
 }
 
 impl Scheme for TenderScheme {
