@@ -208,7 +208,8 @@ pub trait Scheme: Send + Sync + fmt::Debug {
     }
 }
 
-/// Stacks calibration samples into one tall matrix for global statistics.
+/// Stacks calibration samples into one tall matrix for global statistics,
+/// copying each sample once into a single allocation.
 ///
 /// # Panics
 ///
@@ -218,13 +219,18 @@ pub fn stack_samples(samples: &[Matrix]) -> Matrix {
         !samples.is_empty(),
         "calibration requires at least one sample"
     );
-    let mut acc = samples[0].clone();
-    for s in &samples[1..] {
-        acc = acc
-            .vstack(s)
-            .expect("calibration samples must share column count");
+    let cols = samples[0].cols();
+    let rows = samples.iter().map(Matrix::rows).sum();
+    let mut data = Vec::with_capacity(rows * cols);
+    for s in samples {
+        assert_eq!(
+            s.cols(),
+            cols,
+            "calibration samples must share column count"
+        );
+        data.extend_from_slice(s.as_slice());
     }
-    acc
+    Matrix::from_vec(rows, cols, data).expect("rows × cols elements")
 }
 
 /// The unquantized FP16 baseline ("Base" rows in the paper's tables).
@@ -369,5 +375,11 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn stack_samples_rejects_empty() {
         let _ = stack_samples(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration samples must share column count")]
+    fn stack_samples_rejects_column_mismatch() {
+        let _ = stack_samples(&[Matrix::zeros(1, 3), Matrix::zeros(1, 2)]);
     }
 }

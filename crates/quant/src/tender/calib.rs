@@ -35,12 +35,26 @@ impl ChunkCalibration {
     ///
     /// Panics if `x` has no columns or the config is invalid.
     pub fn from_activation(x: &Matrix, config: &TenderConfig) -> Self {
+        Self::from_rows(x.cols(), x.iter_rows(), config)
+    }
+
+    /// Computes calibration metadata from one chunk's calibration rows,
+    /// each `cols` wide, wherever they lie: the result is
+    /// [`from_activation`](Self::from_activation) of the matrix stacking
+    /// `rows` in order, bit for bit, without building that matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols == 0`, a row is not `cols` wide, or the config is
+    /// invalid.
+    pub(crate) fn from_rows<'a>(
+        cols: usize,
+        rows: impl IntoIterator<Item = &'a [f32]>,
+        config: &TenderConfig,
+    ) -> Self {
         config.validate();
-        assert!(
-            x.cols() > 0,
-            "cannot calibrate an activation with no channels"
-        );
-        let min_max = stats::col_min_max(x);
+        assert!(cols > 0, "cannot calibrate an activation with no channels");
+        let min_max = stats::rows_min_max(cols, rows);
         let bias: Vec<f32> = if config.subtract_bias {
             min_max.iter().map(|&(lo, hi)| (lo + hi) / 2.0).collect()
         } else {
@@ -114,7 +128,11 @@ impl TenderCalibration {
     ///
     /// Each sample is an `n × K` activation; rows at the same position
     /// across samples belong to the same chunk, matching the paper's use of
-    /// fixed-sequence-length calibration data.
+    /// fixed-sequence-length calibration data. A chunk's statistics fold
+    /// over its rows of every sample in sample order — the rows of the
+    /// stacked calibration set, read where they lie — so no sample is
+    /// copied. A sample shorter than a chunk's first row adds nothing to
+    /// it; the chunk count follows `samples[0]`.
     ///
     /// # Panics
     ///
@@ -138,21 +156,14 @@ impl TenderCalibration {
         let chunks = (0..n_chunks)
             .map(|c| {
                 let r0 = c * chunk_rows;
-                // Stack this chunk's rows from every sample.
-                let mut acc: Option<Matrix> = None;
-                for s in samples {
-                    let r1 = (r0 + chunk_rows).min(s.rows());
-                    if r0 >= r1 {
-                        continue;
-                    }
-                    let slice = s.slice_rows(r0, r1);
-                    acc = Some(match acc {
-                        None => slice,
-                        Some(a) => a.vstack(&slice).expect("same channel count"),
-                    });
-                }
-                let stacked = acc.expect("chunk must contain rows from at least one sample");
-                ChunkCalibration::from_activation(&stacked, config)
+                assert!(
+                    samples.iter().any(|s| s.rows() > r0),
+                    "chunk must contain rows from at least one sample"
+                );
+                let rows = samples
+                    .iter()
+                    .flat_map(|s| s.iter_rows().skip(r0).take(chunk_rows));
+                ChunkCalibration::from_rows(cols, rows, config)
             })
             .collect();
         Self { chunks, chunk_rows }

@@ -28,14 +28,27 @@ pub fn row_abs_max(m: &Matrix) -> Vec<f32> {
 /// Per-column `(min, max)` pairs, used to compute Tender's channel bias
 /// `(max + min) / 2`.
 pub fn col_min_max(m: &Matrix) -> Vec<(f32, f32)> {
-    let mut out = vec![(f32::INFINITY, f32::NEG_INFINITY); m.cols()];
-    for row in m.iter_rows() {
-        for (c, &x) in row.iter().enumerate() {
-            out[c].0 = out[c].0.min(x);
-            out[c].1 = out[c].1.max(x);
+    rows_min_max(m.cols(), m.iter_rows())
+}
+
+/// [`col_min_max`] of the matrix whose rows, in order, are `rows`, without
+/// building it: a fold over `cols`-wide rows wherever they lie.
+///
+/// # Panics
+///
+/// Panics if a row is not `cols` wide.
+pub fn rows_min_max<'a>(cols: usize, rows: impl IntoIterator<Item = &'a [f32]>) -> Vec<(f32, f32)> {
+    let mut out = vec![(f32::INFINITY, f32::NEG_INFINITY); cols];
+    let mut any_row = false;
+    for row in rows {
+        assert_eq!(row.len(), cols, "min/max row width mismatch");
+        for (o, &x) in out.iter_mut().zip(row) {
+            o.0 = o.0.min(x);
+            o.1 = o.1.max(x);
         }
+        any_row = true;
     }
-    if m.rows() == 0 {
+    if !any_row {
         out.fill((0.0, 0.0));
     }
     out
