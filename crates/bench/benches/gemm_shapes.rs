@@ -15,8 +15,9 @@
 //! streams its operand from memory. `gemm_shapes/cycle24_{f32,i16}/m{M}` time
 //! one pass over all 24 operands of the benchmark model (4 layers ×
 //! [four 256×256, 256×1024, 1024×256 with a ReLU-sparse left operand])
-//! with `M` activation rows, through `Matrix::matmul` and through
-//! `narrow_dot_block` (the licensed Tender kernel), per pass. `m1 × B / mB`
+//! with `M` activation rows, through `Matrix::matmul_packed` over weights
+//! packed once (the product the reference model's weight sites run) and
+//! through `narrow_dot_block` (the licensed Tender kernel), per pass. `m1 × B / mB`
 //! — printed at the end — is what stacking the decode rows of `B` sessions
 //! into one product per site saves on the weight products, and the ruler a
 //! row-tiled kernel would be judged on.
@@ -28,7 +29,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tender_tensor::gemm::narrow_dot_block;
 use tender_tensor::rng::DetRng;
-use tender_tensor::{IMatrix, Matrix};
+use tender_tensor::{IMatrix, Matrix, PackedF32};
 
 fn bench_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_shapes");
@@ -74,9 +75,9 @@ fn bench_cycle24(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_shapes");
     let mut rng = DetRng::new(13);
     let sites: Vec<(usize, usize)> = (0..LAYERS).flat_map(|_| LAYER_SITES).collect();
-    let f32_weights: Vec<Matrix> = sites
+    let f32_weights: Vec<PackedF32> = sites
         .iter()
-        .map(|&(k, n)| rng.normal_matrix(k, n, 0.0, 1.0))
+        .map(|&(k, n)| PackedF32::pack(&rng.normal_matrix(k, n, 0.0, 1.0)))
         .collect();
     // Transposed (`n × k`) INT8 weight codes, as `QuantizedWeight` packs them.
     let i16_weights: Vec<Vec<i16>> = sites
@@ -99,7 +100,7 @@ fn bench_cycle24(c: &mut Criterion) {
                 let t = Instant::now();
                 for (w, &(k, _)) in f32_weights.iter().zip(&sites) {
                     let a = if k == 256 { &dense } else { &relu };
-                    black_box(a.matmul(w).expect("shapes"));
+                    black_box(a.matmul_packed(w).expect("shapes"));
                 }
                 fastest[0][mi] = fastest[0][mi].min(t.elapsed().as_nanos() as f64);
             })

@@ -2,7 +2,9 @@
 //! calibration capture on the first `quantize`, each evaluation set on the
 //! first `eval_set` of its corpus, nothing of either for a run that only
 //! decodes on the reference — and every weight tensor is held once, shared
-//! by the generated model, the reference and each quantized model.
+//! by the generated model, the reference and each quantized model. The
+//! reference's packed f32 weight sites follow the same rule: built by its
+//! first weight product, once, and shared by its clones.
 //!
 //! The checks read the process-global `setup` timers' counts, so the tests
 //! serialize on a lock. The pool is sized to four threads, so the capture
@@ -139,6 +141,61 @@ fn reference_decoding_builds_nothing_lazy() {
     assert_eq!(since(before), [0, 0, 0]);
 }
 
+/// Bytes of a `k × n` f32 weight packed in 8-column panels, the last one
+/// zero-padded.
+fn packed_bytes(k: usize, n: usize) -> usize {
+    4 * k * 8 * n.div_ceil(8)
+}
+
+/// The reference's packed weight sites of the tiny ungated test shape:
+/// Q, K, V and O are `d × d`, FC1 `d × f`, FC2 `f × d`, per layer.
+fn packed_site_bytes(shape: &ModelShape) -> usize {
+    let (d, f) = (shape.d_model, shape.ffn_dim);
+    shape.layers * (4 * packed_bytes(d, d) + packed_bytes(d, f) + packed_bytes(f, d))
+}
+
+#[test]
+fn reference_packs_its_sites_on_the_first_product_once_for_every_clone() {
+    let _lock = serialized();
+    let shape = ModelShape::tiny_test();
+    let lm_head = packed_bytes(shape.d_model, shape.vocab);
+    let packs = || setup::PACK.count();
+    let before = packs();
+    let exp = experiment();
+    let reference = exp.reference();
+    assert_eq!(
+        packs() - before,
+        1,
+        "Experiment::new packs the LM head only"
+    );
+    assert!(reference.packed_sites().is_none());
+    assert_eq!(reference.weight_bytes(), lm_head);
+
+    let clone = reference.clone();
+    let mut session = DecodeSession::new(reference);
+    session.prefill(&[1, 5, 9, 2, 7]);
+    assert_eq!(
+        packs() - before,
+        2,
+        "the first weight product packs every site"
+    );
+    let sites = reference
+        .packed_sites()
+        .expect("built by the first product");
+    let shared = clone.packed_sites().expect("a clone sees the same store");
+    assert!(
+        std::ptr::eq(sites, shared),
+        "a clone shares the packed sites"
+    );
+    assert_eq!(sites.bytes(), packed_site_bytes(&shape));
+    assert_eq!(clone.weight_bytes(), lm_head + packed_site_bytes(&shape));
+
+    session.step(3).expect("inside the window");
+    clone.forward(&[4, 6, 8]);
+    let _ = exp.quantize(Box::new(ExactScheme::new()));
+    assert_eq!(packs() - before, 2, "no product packs again");
+}
+
 /// Every f32 tensor behind `a`'s weights is `b`'s own allocation.
 fn assert_shared(a: &TransformerWeights, b: &TransformerWeights) {
     assert!(Arc::ptr_eq(&a.tok_emb, &b.tok_emb));
@@ -180,10 +237,11 @@ fn a_tender_model_holds_its_codes_not_the_f32_weights() {
 
     assert_shared(exp.model().weights(), exp.reference().weights());
     assert_shared(exp.reference().weights(), qm.weights());
+    // The quantize's capture ran the reference's first weight product.
     assert_eq!(
         exp.reference().weight_bytes(),
-        4 * vocab * d,
-        "the transposed LM head"
+        packed_bytes(d, vocab) + packed_site_bytes(&shape),
+        "the packed LM head and weight sites"
     );
 
     let (groups, chunks) = (12, 1); // Tender@4; 24 calibration rows < 256

@@ -617,6 +617,10 @@ metrics_table! {
         /// `QuantizedModel::build_with_capture`: one scheme calibrated at
         /// every site from an existing capture (the capture not included).
         QUANTIZE: Timer,
+        /// One f32 weight pack for the reference product: a reference
+        /// model's LM head when it is built, its weight sites on its first
+        /// reference weight product.
+        PACK: Timer,
     }
 
     /// Decode-engine metrics (`tender_model::engine`): prefill vs decode

@@ -10,13 +10,13 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tender_metrics::faults as fault_metrics;
 use tender_metrics::setup as setup_metrics;
 use tender_quant::granularity::{Granularity, GranularityScheme};
 use tender_quant::scheme::{Fp16Scheme, QuantMatmul, Scheme};
-use tender_tensor::{pool, Matrix};
+use tender_tensor::{pool, Matrix, PackedF32};
 
 use crate::pipeline::{forward_internal, CaptureMap, ModelRef, SiteKey, SiteOps};
 use crate::weights::{ShapeError, TransformerWeights};
@@ -56,11 +56,15 @@ impl Site {
 /// The FP32 reference model (the paper's "Base" rows, modulo FP16
 /// rounding, which [`tender_quant::scheme::Fp16Scheme`] models separately).
 /// Its tensors are shared ([`TransformerWeights`]), so a clone is cheap and
-/// holds no new weight bytes.
+/// holds no new weight bytes. What it adds is its f32 products' store
+/// ([`PackedF32`], DESIGN.md §10): the LM head, packed when the model is
+/// built, and every weight site, packed on the model's first reference
+/// weight product and shared by all its clones.
 #[derive(Debug, Clone)]
 pub struct ReferenceModel {
     w: TransformerWeights,
-    emb_t: Arc<Matrix>,
+    lm_head: Arc<PackedF32>,
+    sites: Arc<OnceLock<PackedSites>>,
 }
 
 impl ReferenceModel {
@@ -78,8 +82,15 @@ impl ReferenceModel {
     /// [`ShapeError`] instead of panicking.
     pub fn try_new(w: TransformerWeights) -> Result<Self, ShapeError> {
         w.validate()?;
-        let emb_t = Arc::new(w.lm_head.transpose());
-        Ok(Self { w, emb_t })
+        let lm_head = {
+            let _span = setup_metrics::PACK.span();
+            Arc::new(PackedF32::pack_transposed(&w.lm_head))
+        };
+        Ok(Self {
+            w,
+            lm_head,
+            sites: Arc::default(),
+        })
     }
 
     /// The underlying weights.
@@ -88,9 +99,16 @@ impl ReferenceModel {
     }
 
     /// Weight bytes this model holds beyond the weights it was built from:
-    /// the LM head transposed once for the logit product.
+    /// the packed LM head and, once its first weight product has run, the
+    /// packed weight sites (shared with every clone).
     pub fn weight_bytes(&self) -> usize {
-        size_of_val(self.emb_t.as_slice())
+        self.lm_head.bytes() + self.packed_sites().map_or(0, PackedSites::bytes)
+    }
+
+    /// The weight sites packed for the reference product, if a weight
+    /// product of this model or of one of its clones has built them.
+    pub fn packed_sites(&self) -> Option<&PackedSites> {
+        self.sites.get()
     }
 
     /// Next-token logits for every position, `n × vocab`.
@@ -144,6 +162,63 @@ impl ReferenceModel {
         forward_internal(self.into(), tokens, Some(&mut cap), None)
             .expect("forward without a kv cache cannot exhaust the arena");
         cap.remove(&(layer, Site::Q)).expect("captured").remove(0)
+    }
+}
+
+/// Every weight site of a model packed for [`Matrix::matmul_packed`]:
+/// one [`PackedF32`] per (layer, site), `Gate` only for a gated FFN.
+#[derive(Debug)]
+pub struct PackedSites {
+    layers: Vec<[Option<PackedF32>; Site::ALL.len()]>,
+}
+
+impl PackedSites {
+    /// Packs every weight site of `w`, in one `setup.pack` span. Runs on
+    /// whichever thread makes the first reference weight product — a pool
+    /// worker inside the calibration capture, say — so it stays serial and
+    /// never dispatches to the pool (DESIGN.md §6).
+    pub(crate) fn pack(w: &TransformerWeights) -> Self {
+        let _span = setup_metrics::PACK.span();
+        let layers = w
+            .layers
+            .iter()
+            .map(|l| {
+                let mut sites: [Option<PackedF32>; Site::ALL.len()] = Default::default();
+                for (site, weight) in [
+                    (Site::Q, Some(&l.wq)),
+                    (Site::K, Some(&l.wk)),
+                    (Site::V, Some(&l.wv)),
+                    (Site::O, Some(&l.wo)),
+                    (Site::Fc1, Some(&l.w_fc1)),
+                    (Site::Gate, l.w_gate.as_ref()),
+                    (Site::Fc2, Some(&l.w_fc2)),
+                ] {
+                    sites[site as usize] = weight.map(|m| PackedF32::pack(m));
+                }
+                sites
+            })
+            .collect();
+        Self { layers }
+    }
+
+    /// The packed weight of `(layer, site)`, `None` for a site the layer
+    /// does not have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range.
+    pub(crate) fn get(&self, layer: usize, site: Site) -> Option<&PackedF32> {
+        self.layers[layer][site as usize].as_ref()
+    }
+
+    /// Bytes the packed sites hold.
+    pub fn bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .flatten()
+            .flatten()
+            .map(PackedF32::bytes)
+            .sum()
     }
 }
 
@@ -350,7 +425,8 @@ impl<'m> From<&'m ReferenceModel> for ModelRef<'m> {
     fn from(m: &'m ReferenceModel) -> Self {
         Self {
             w: &m.w,
-            emb_t: &m.emb_t,
+            lm_head: &m.lm_head,
+            sites: &m.sites,
             calibrated: None,
         }
     }

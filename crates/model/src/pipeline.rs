@@ -42,12 +42,13 @@
 //! once per call instead of once per session.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use tender_metrics::model as metrics;
 use tender_quant::scheme::{QuantMatmul, Scheme};
-use tender_tensor::{ops, EvictError, Matrix};
+use tender_tensor::{ops, EvictError, Matrix, PackedF32};
 
-use crate::forward::Site;
+use crate::forward::{PackedSites, Site};
 use crate::kv::KvCache;
 use crate::shape::{Activation, ModelKind, ModelShape, NormKind};
 use crate::weights::TransformerWeights;
@@ -66,14 +67,18 @@ pub(crate) const LOGIT_SCALE: f32 = 2.5;
 
 /// A borrowed model — the pipeline's only view of one. The reference and a
 /// quantized model differ only in what runs at each weight site and at each
-/// act×act product: exact `f32` matmuls, or the calibrated operators and the
-/// scheme's act×act rule. Built `From` a `&ReferenceModel` or a
-/// `&QuantizedModel`.
+/// act×act product: exact `f32` products over the packed weights, or the
+/// calibrated operators and the scheme's act×act rule. Both run the packed
+/// LM head. Built `From` a `&ReferenceModel` or a `&QuantizedModel`.
 #[derive(Clone, Copy)]
 pub struct ModelRef<'m> {
     pub(crate) w: &'m TransformerWeights,
-    /// The LM head, transposed once at model build.
-    pub(crate) emb_t: &'m Matrix,
+    /// The LM head as the `d_model × vocab` product operand, packed once at
+    /// model build.
+    pub(crate) lm_head: &'m PackedF32,
+    /// The reference model's weight sites, packed by the first reference
+    /// weight product (the quantized arm never reads them).
+    pub(crate) sites: &'m OnceLock<PackedSites>,
     /// A quantized model's operators and its scheme, for act×act products;
     /// `None` for the exact reference.
     pub(crate) calibrated: Option<(&'m SiteOps, &'m dyn Scheme)>,
@@ -111,17 +116,20 @@ impl<'m> ModelRef<'m> {
     /// whole sequence (`QuantMatmul::forward`, the full pass); with them,
     /// its rows are independent tokens, row `r` at absolute sequence
     /// position `positions[r]` (`QuantMatmul::forward_rows`, the cached
-    /// pass).
+    /// pass). The reference's product is row-independent either way; its
+    /// first call packs every site ([`PackedSites::pack`]), and a call
+    /// racing it waits for that one pack.
     pub(crate) fn mm(
         &self,
         li: usize,
         site: Site,
         x: &Matrix,
-        weight: &Matrix,
         positions: Option<&[usize]>,
     ) -> Matrix {
         let Some((ops, _)) = self.calibrated else {
-            return x.matmul(weight).expect("weight shapes validated");
+            let sites = self.sites.get_or_init(|| PackedSites::pack(self.w));
+            let weight = sites.get(li, site).expect("the layer has this site");
+            return x.matmul_packed(weight).expect("weight shapes validated");
         };
         let op = ops
             .get(&(li, site))
@@ -203,11 +211,11 @@ pub(crate) fn embed(w: &TransformerWeights, tokens: &[usize], positions: &[usize
     })
 }
 
-/// Projects final hidden states through the (transposed) LM head.
+/// Projects final hidden states through the (packed) LM head.
 pub(crate) fn lm_head(model: ModelRef<'_>, hidden: &Matrix) -> Matrix {
     let scale = LOGIT_SCALE / (model.shape().d_model as f32).sqrt();
     hidden
-        .matmul(model.emb_t)
+        .matmul_packed(model.lm_head)
         .expect("LM head shape")
         .scale(scale)
 }
@@ -357,7 +365,7 @@ pub(crate) fn block(
     };
     let mut mm = |site: Site, x: &Matrix, weight: &Matrix| {
         row_macs += (x.cols() * weight.cols()) as u64;
-        model.mm(li, site, x, weight, positions)
+        model.mm(li, site, x, positions)
     };
 
     // Attention sub-block.

@@ -3,7 +3,9 @@
 //!
 //! Every dense product in the workspace is one of the free functions here:
 //! [`f32_block`], [`i32_block`] and [`i64_block`] (the row-at-a-time i-k-j
-//! loops behind `Matrix::matmul` / `IMatrix::matmul{,_wide}`), the two
+//! loops behind `Matrix::matmul` / `IMatrix::matmul{,_wide}`),
+//! [`f32_packed_block`] (the f32 product over a weight packed once, behind
+//! `Matrix::matmul_packed`), the two
 //! integer-domain KV-attention kernels [`kv_score_block`] and
 //! [`kv_attn_block`] with their checked reference walks
 //! [`kv_score_checked`] and [`kv_attn_checked`], and [`narrow_dot_block`].
@@ -35,9 +37,16 @@
 //! reference the check-free arm is tested against. Neither allocates:
 //! scratch comes from the caller.
 //!
-//! There is deliberately no tiled/packed variant of the `*_block` loops; see
+//! # Packed f32 weights
+//!
+//! [`f32_packed_block`] reads a weight that [`crate::PackedF32`] laid out
+//! once in `k × 8` column panels and keeps a row's output columns in
+//! registers down `k`, under the same chain rules, so it equals
+//! [`f32_block`] bit for bit by construction. There is deliberately no
+//! per-call packing and no row-tiled variant of the `*_block` loops; see
 //! DESIGN.md §10 for the measurements.
 
+use crate::packed::PANEL;
 use crate::pool;
 use crate::qrows::QuantRows;
 
@@ -273,6 +282,80 @@ fn ikj_block<A: Copy + Default + PartialEq, O>(
 /// under the module-level accumulation-chain rule.
 pub fn f32_block(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     ikj_block(a, k, b, n, out, |o, av, bv| *o += av * bv);
+}
+
+/// Panels of a [`PackedF32`](crate::PackedF32) one left row walks together
+/// in [`f32_packed_block`]: 32 output columns on eight 4-lane accumulators,
+/// which with the broadcast left operand and the loaded weights is what
+/// baseline x86-64's sixteen vector registers hold. Eight panels spill the
+/// accumulators every `k` (DESIGN.md §10).
+const WALK_PANELS: usize = 4;
+
+/// f32 block product over a packed weight: `a` is `rows × k` row-major,
+/// `panels` is a `k × n` weight as [`PackedF32::panels`](crate::PackedF32::panels)
+/// lays it out, and `out` (`rows × n`) receives `a · W`, each element
+/// written once.
+///
+/// One left row at a time walks [`WALK_PANELS`] panels down `k` ascending,
+/// each output element on its own accumulator starting at `+0.0`, skipping
+/// a zero left operand — the module-level chain, rule for rule, so every
+/// element equals [`f32_block`]'s bit for bit (a skipped term is absent even
+/// opposite a NaN or infinite weight). The last column group walks only the
+/// panels it has, and its padding columns are never written.
+///
+/// # Panics
+///
+/// Panics if the slice lengths are inconsistent with `k` and `n`.
+pub fn f32_packed_block(a: &[f32], k: usize, panels: &[f32], n: usize, out: &mut [f32]) {
+    let panel_len = k * PANEL;
+    assert_eq!(
+        panels.len(),
+        n.div_ceil(PANEL) * panel_len,
+        "packed weight must be k × n"
+    );
+    if n == 0 {
+        return;
+    }
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    assert_eq!(a.len() / k * n, out.len(), "output must be rows × n");
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (group, out_cols) in panels
+            .chunks(WALK_PANELS * panel_len)
+            .zip(out_row.chunks_mut(WALK_PANELS * PANEL))
+        {
+            match group.len() / panel_len {
+                WALK_PANELS => panel_walk::<WALK_PANELS>(a_row, group, out_cols),
+                1 => panel_walk::<1>(a_row, group, out_cols),
+                2 => panel_walk::<2>(a_row, group, out_cols),
+                _ => panel_walk::<3>(a_row, group, out_cols),
+            }
+        }
+    }
+}
+
+/// One row of [`f32_packed_block`] against `P` consecutive panels: `P · 8`
+/// accumulators down `k`, then the first `out_cols.len()` of them written.
+#[inline(always)]
+fn panel_walk<const P: usize>(a_row: &[f32], group: &[f32], out_cols: &mut [f32]) {
+    let k = a_row.len();
+    let panels: [&[[f32; PANEL]]; P] =
+        std::array::from_fn(|p| &group[p * k * PANEL..(p + 1) * k * PANEL].as_chunks().0[..k]);
+    let mut acc = [[0.0_f32; PANEL]; P];
+    for (kk, &av) in a_row.iter().enumerate() {
+        if av == 0.0 {
+            continue;
+        }
+        for p in 0..P {
+            let w = &panels[p][kk];
+            for j in 0..PANEL {
+                acc[p][j] += av * w[j];
+            }
+        }
+    }
+    out_cols.copy_from_slice(&acc.as_flattened()[..out_cols.len()]);
 }
 
 /// i32 block product (i32 accumulation, hardware datapath semantics); shapes
@@ -787,6 +870,8 @@ mod tests {
         let mut out: Vec<f32> = vec![];
         f32_block(&[], 0, &[], 4, &mut out);
         f32_block(&[1.0, 2.0], 2, &[], 0, &mut out);
+        f32_packed_block(&[], 0, &[], 4, &mut out);
+        f32_packed_block(&[1.0, 2.0], 2, &[], 0, &mut out);
         assert!(out.is_empty());
     }
 }

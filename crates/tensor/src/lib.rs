@@ -58,6 +58,7 @@ pub mod gemm;
 mod imatrix;
 mod matrix;
 pub mod ops;
+pub mod packed;
 pub mod pool;
 pub mod qrows;
 pub mod rng;
@@ -71,4 +72,5 @@ pub use dense::Dense;
 pub use error::ShapeError;
 pub use imatrix::IMatrix;
 pub use matrix::Matrix;
+pub use packed::PackedF32;
 pub use qrows::QuantRows;

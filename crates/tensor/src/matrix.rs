@@ -1,11 +1,12 @@
 //! The `f32` instantiation of the dense store: [`Matrix`] and its kernels.
 //!
 //! Everything shape- and layout-related is [`Dense<T>`]'s (`dense.rs`); this
-//! file adds only what needs `f32` arithmetic — the GEMM (a one-line call
-//! into [`crate::gemm::f32_block`]), scaling, `abs_max`, finiteness and
+//! file adds only what needs `f32` arithmetic — the GEMMs (one-line calls
+//! into [`crate::gemm::f32_block`], and into [`crate::gemm::f32_packed_block`]
+//! over a [`PackedF32`] weight), scaling, `abs_max`, finiteness and
 //! tolerance comparison — and the `Matrix(RxC)` `Debug` layout.
 
-use crate::{Dense, ShapeError};
+use crate::{Dense, PackedF32, ShapeError};
 use std::fmt;
 
 /// A dense, row-major matrix of `f32` values.
@@ -55,6 +56,27 @@ impl Dense<f32> {
         crate::gemm::dispatch_blocks(m, k, n, out.as_mut_slice(), |r0, rows, out_block| {
             let a = &self.as_slice()[r0 * k..(r0 + rows) * k];
             crate::gemm::f32_block(a, k, rhs.as_slice(), n, out_block);
+        });
+        Ok(out)
+    }
+
+    /// Matrix product `self * rhs` over a weight packed once
+    /// ([`crate::gemm::f32_packed_block`]): the same per-element chain as
+    /// [`Matrix::matmul`], so the same bits, split row-wise across threads
+    /// the same way and counted as one product.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `self.cols() != rhs.rows()`.
+    pub fn matmul_packed(&self, rhs: &PackedF32) -> Result<Matrix, ShapeError> {
+        if self.cols() != rhs.rows() {
+            return Err(ShapeError::new("matmul_packed", self.shape(), rhs.shape()));
+        }
+        let (m, (k, n)) = (self.rows(), rhs.shape());
+        let mut out = Matrix::zeros(m, n);
+        crate::gemm::dispatch_blocks(m, k, n, out.as_mut_slice(), |r0, rows, out_block| {
+            let a = &self.as_slice()[r0 * k..(r0 + rows) * k];
+            crate::gemm::f32_packed_block(a, k, rhs.panels(), n, out_block);
         });
         Ok(out)
     }

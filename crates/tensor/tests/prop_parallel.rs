@@ -12,11 +12,18 @@
 //! the kernels' zero-skip cannot flip a sign bit for finite inputs (a `+0.0`
 //! accumulator never becomes `-0.0` by adding signed-zero products under
 //! round-to-nearest).
+//!
+//! The packed f32 product (`Matrix::matmul_packed` over a `PackedF32`) is
+//! pinned the same way, against the chain written out — `k` ascending from
+//! `+0.0`, zero left operands skipped — with non-finite weights opposite
+//! zero activations, which only the skip keeps out of the result. The pool
+//! is process-global, so CI runs this file at `TENDER_THREADS` 1 and 4.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use tender_tensor::pool::PAR_THRESHOLD;
 use tender_tensor::rng::DetRng;
-use tender_tensor::{IMatrix, Matrix};
+use tender_tensor::{IMatrix, Matrix, PackedF32};
 
 /// Definition-order (i, j, k-ascending) f32 reference.
 fn naive_f32(a: &Matrix, b: &Matrix) -> Matrix {
@@ -59,6 +66,96 @@ fn naive_i64(a: &IMatrix, b: &IMatrix) -> Vec<i64> {
         }
     }
     out
+}
+
+/// The f32 accumulation chain written out: per element, `k` ascending from
+/// `+0.0`, a zero left operand skipped (a skipped term is absent, so a
+/// non-finite weight opposite it never reaches the sum).
+fn chain_f32(a: &Matrix, b: &Matrix) -> Matrix {
+    Matrix::from_fn(a.rows(), b.cols(), |r, c| {
+        let mut acc = 0.0_f32;
+        for k in 0..a.cols() {
+            if a[(r, k)] != 0.0 {
+                acc += a[(r, k)] * b[(k, c)];
+            }
+        }
+        acc
+    })
+}
+
+/// A left operand whose entries are `+0.0` / `-0.0` with probability
+/// `zero_rate` (half each) and Gaussian otherwise; every row in
+/// `zero_rows` is zero throughout, and so is every column in `zero_cols`.
+fn sparse_left(
+    rng: &mut DetRng,
+    rows: usize,
+    k: usize,
+    zero_rate: f64,
+    zero_rows: &[usize],
+    zero_cols: &[usize],
+) -> Matrix {
+    Matrix::from_fn(rows, k, |r, c| {
+        if zero_rows.contains(&r) || zero_cols.contains(&c) {
+            return if (r + c) % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let u = rng.below(1 << 20) as f64 / f64::from(1 << 20);
+        if u < zero_rate / 2.0 {
+            0.0
+        } else if u < zero_rate {
+            -0.0
+        } else {
+            rng.normal(0.0, 1.0)
+        }
+    })
+}
+
+/// A Gaussian weight with `-0.0` sprinkled in, and NaN / ±∞ planted in the
+/// rows listed in `poisoned_rows` (the rows a zero left column meets).
+fn poisoned_weight(rng: &mut DetRng, k: usize, n: usize, poisoned_rows: &[usize]) -> Matrix {
+    const POISON: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    Matrix::from_fn(k, n, |r, c| {
+        if poisoned_rows.contains(&r) {
+            POISON[(r + c) % POISON.len()]
+        } else if rng.below(8) == 0 {
+            -0.0
+        } else {
+            rng.normal(0.0, 1.0)
+        }
+    })
+}
+
+/// Packs `b`, checks the store reads back as `b`, and checks `a · b` over
+/// it against [`chain_f32`] and `Matrix::matmul` with `to_bits`.
+fn check_packed(a: &Matrix, b: &Matrix) -> Result<(), TestCaseError> {
+    let packed = PackedF32::pack(b);
+    prop_assert_eq!(packed.shape(), b.shape());
+    for r in 0..b.rows() {
+        for c in 0..b.cols() {
+            prop_assert_eq!(packed.get(r, c).to_bits(), b[(r, c)].to_bits());
+        }
+    }
+    let got = a.matmul_packed(&packed).unwrap();
+    let want = chain_f32(a, b);
+    let row_major = a.matmul(b).unwrap();
+    let (rows, k, n) = (a.rows(), a.cols(), b.cols());
+    for r in 0..rows {
+        for c in 0..n {
+            let bits = got[(r, c)].to_bits();
+            prop_assert_eq!(
+                bits,
+                want[(r, c)].to_bits(),
+                "({}, {}) of {}x{}x{} (parallel: {})",
+                r,
+                c,
+                rows,
+                k,
+                n,
+                rows * k * n >= PAR_THRESHOLD,
+            );
+            prop_assert_eq!(bits, row_major[(r, c)].to_bits());
+        }
+    }
+    Ok(())
 }
 
 fn int_matrix(rng: &mut DetRng, rows: usize, cols: usize) -> IMatrix {
@@ -166,5 +263,44 @@ proptest! {
         let ib = int_matrix(&mut rng, inner, cols);
         prop_assert_eq!(ia.matmul(&ib).unwrap(), naive_i32(&ia, &ib));
         prop_assert_eq!(ia.matmul_wide(&ib).unwrap(), naive_i64(&ia, &ib));
+    }
+
+    /// Packed f32 product, small shapes: `n` off the 8-column panel width
+    /// and the 32-column walk, `k` down to 0, ±0 in the left operand at
+    /// rates from none to all, an all-zero row, and NaN / ±∞ weights in the
+    /// rows a zero left column meets — equal to the chain and to
+    /// `Matrix::matmul` bit for bit, and the store reads back as its source.
+    #[test]
+    fn packed_matmul_is_the_chain_off_the_panel_width(
+        rows in 1_usize..12,
+        k in 0_usize..=40,
+        n in 1_usize..=70,
+        rate in 0_usize..5,
+        seed in any::<u64>(),
+    ) {
+        let zero_rate = [0.0, 0.25, 0.5, 0.9, 1.0][rate];
+        let mut rng = DetRng::new(seed);
+        let zero_row = rng.below(rows);
+        let zero_cols: Vec<usize> = (0..k).filter(|_| rng.below(5) == 0).collect();
+        let a = sparse_left(&mut rng, rows, k, zero_rate, &[zero_row], &zero_cols);
+        let b = poisoned_weight(&mut rng, k, n, &zero_cols);
+        check_packed(&a, &b)?;
+    }
+
+    /// Packed f32 product, row counts straddling `PAR_THRESHOLD` for the
+    /// drawn `k × n`: serial and pooled row splits both equal the chain.
+    #[test]
+    fn packed_matmul_bit_identical_across_threshold(
+        k in 30_usize..=40,
+        n in 50_usize..=70,
+        offset in -24_i64..24,
+        seed in any::<u64>(),
+    ) {
+        let rows = ((PAR_THRESHOLD / (k * n)) as i64 + offset) as usize;
+        let mut rng = DetRng::new(seed);
+        let zero_cols: Vec<usize> = (0..k).filter(|_| rng.below(6) == 0).collect();
+        let a = sparse_left(&mut rng, rows, k, 0.3, &[0], &zero_cols);
+        let b = poisoned_weight(&mut rng, k, n, &zero_cols);
+        check_packed(&a, &b)?;
     }
 }
