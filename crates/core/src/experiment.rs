@@ -200,7 +200,7 @@ mod tests {
         let exp = Experiment::new(&ModelShape::tiny_test(), ExperimentOptions::fast());
         let base = exp.reference_perplexity(CorpusKind::Wiki);
         let exact = exp.perplexity_of(Box::new(ExactScheme::new()), CorpusKind::Wiki);
-        assert!((base - exact).abs() / base < 1e-3);
+        assert_eq!(base.to_bits(), exact.to_bits());
     }
 
     #[test]

@@ -168,7 +168,7 @@ fn reference_packs_its_sites_on_the_first_product_once_for_every_clone() {
         1,
         "Experiment::new packs the LM head only"
     );
-    assert!(reference.packed_sites().is_none());
+    assert!(reference.sites().is_none());
     assert_eq!(reference.weight_bytes(), lm_head);
 
     let clone = reference.clone();
@@ -179,14 +179,9 @@ fn reference_packs_its_sites_on_the_first_product_once_for_every_clone() {
         2,
         "the first weight product packs every site"
     );
-    let sites = reference
-        .packed_sites()
-        .expect("built by the first product");
-    let shared = clone.packed_sites().expect("a clone sees the same store");
-    assert!(
-        std::ptr::eq(sites, shared),
-        "a clone shares the packed sites"
-    );
+    let sites = reference.sites().expect("built by the first product");
+    let shared = clone.sites().expect("a clone sees the same table");
+    assert!(std::ptr::eq(sites, shared), "a clone shares the site table");
     assert_eq!(sites.bytes(), packed_site_bytes(&shape));
     assert_eq!(clone.weight_bytes(), lm_head + packed_site_bytes(&shape));
 

@@ -9,16 +9,17 @@
 //! setup (the VPU handles those).
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe, RefUnwindSafe, UnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use tender_metrics::faults as fault_metrics;
 use tender_metrics::setup as setup_metrics;
 use tender_quant::granularity::{Granularity, GranularityScheme};
-use tender_quant::scheme::{Fp16Scheme, QuantMatmul, Scheme};
+use tender_quant::scheme::{ExactScheme, Fp16Scheme, QuantMatmul, Scheme};
 use tender_tensor::{pool, Matrix, PackedF32};
 
-use crate::pipeline::{forward_internal, CaptureMap, ModelRef, SiteKey, SiteOps};
+use crate::pipeline::{forward_internal, CaptureMap, ModelRef};
 use crate::weights::{ShapeError, TransformerWeights};
 
 /// A quantizable matmul site within a Transformer block.
@@ -58,13 +59,14 @@ impl Site {
 /// Its tensors are shared ([`TransformerWeights`]), so a clone is cheap and
 /// holds no new weight bytes. What it adds is its f32 products' store
 /// ([`PackedF32`], DESIGN.md §10): the LM head, packed when the model is
-/// built, and every weight site, packed on the model's first reference
-/// weight product and shared by all its clones.
+/// built, and its weight sites — [`ExactScheme`]'s operators, which pack
+/// their weights — built on the model's first weight product and shared by
+/// all its clones.
 #[derive(Debug, Clone)]
 pub struct ReferenceModel {
     w: TransformerWeights,
     lm_head: Arc<PackedF32>,
-    sites: Arc<OnceLock<PackedSites>>,
+    sites: Arc<OnceLock<SiteTable>>,
 }
 
 impl ReferenceModel {
@@ -99,15 +101,15 @@ impl ReferenceModel {
     }
 
     /// Weight bytes this model holds beyond the weights it was built from:
-    /// the packed LM head and, once its first weight product has run, the
-    /// packed weight sites (shared with every clone).
+    /// the packed LM head and, once its first weight product has run, its
+    /// weight sites' operators (shared with every clone).
     pub fn weight_bytes(&self) -> usize {
-        self.lm_head.bytes() + self.packed_sites().map_or(0, PackedSites::bytes)
+        self.lm_head.bytes() + self.sites().map_or(0, SiteTable::bytes)
     }
 
-    /// The weight sites packed for the reference product, if a weight
-    /// product of this model or of one of its clones has built them.
-    pub fn packed_sites(&self) -> Option<&PackedSites> {
+    /// The weight sites' operators, if a weight product of this model or of
+    /// one of its clones has built them.
+    pub fn sites(&self) -> Option<&SiteTable> {
         self.sites.get()
     }
 
@@ -165,60 +167,64 @@ impl ReferenceModel {
     }
 }
 
-/// Every weight site of a model packed for [`Matrix::matmul_packed`]:
-/// one [`PackedF32`] per (layer, site), `Gate` only for a gated FFN.
-#[derive(Debug)]
-pub struct PackedSites {
-    layers: Vec<[Option<PackedF32>; Site::ALL.len()]>,
+/// Every weight site of a model as a [`QuantMatmul`] operator, one slot
+/// per [`Site`] per layer (`Gate` only for a gated FFN): the exact products
+/// of a reference ([`SiteTable::exact`]) or a quantized model's calibrated
+/// operators.
+pub struct SiteTable {
+    layers: Vec<[Option<Box<dyn QuantMatmul>>; Site::ALL.len()]>,
 }
 
-impl PackedSites {
-    /// Packs every weight site of `w`, in one `setup.pack` span. Runs on
-    /// whichever thread makes the first reference weight product — a pool
-    /// worker inside the calibration capture, say — so it stays serial and
-    /// never dispatches to the pool (DESIGN.md §6).
-    pub(crate) fn pack(w: &TransformerWeights) -> Self {
+impl SiteTable {
+    /// [`ExactScheme`]'s operator at every weight site of `w`, in one
+    /// `setup.pack` span. Runs on whichever thread makes the first
+    /// reference weight product — a pool worker inside the calibration
+    /// capture, say — so it stays serial and never dispatches to the pool
+    /// (DESIGN.md §6). `prepare`, not `try_prepare`: a reference runs the
+    /// weights it holds, non-finite ones included.
+    pub(crate) fn exact(w: &TransformerWeights) -> Self {
         let _span = setup_metrics::PACK.span();
         let layers = w
             .layers
             .iter()
-            .map(|l| {
-                let mut sites: [Option<PackedF32>; Site::ALL.len()] = Default::default();
-                for (site, weight) in [
-                    (Site::Q, Some(&l.wq)),
-                    (Site::K, Some(&l.wk)),
-                    (Site::V, Some(&l.wv)),
-                    (Site::O, Some(&l.wo)),
-                    (Site::Fc1, Some(&l.w_fc1)),
-                    (Site::Gate, l.w_gate.as_ref()),
-                    (Site::Fc2, Some(&l.w_fc2)),
-                ] {
-                    sites[site as usize] = weight.map(|m| PackedF32::pack(m));
-                }
-                sites
-            })
+            .map(|l| Site::ALL.map(|site| Some(ExactScheme.prepare(&[], l.site(site)?))))
             .collect();
         Self { layers }
     }
 
-    /// The packed weight of `(layer, site)`, `None` for a site the layer
-    /// does not have.
+    /// The operator of `(layer, site)`, `None` for a site the layer does
+    /// not have.
     ///
     /// # Panics
     ///
     /// Panics if `layer` is out of range.
-    pub(crate) fn get(&self, layer: usize, site: Site) -> Option<&PackedF32> {
-        self.layers[layer][site as usize].as_ref()
+    pub(crate) fn get(&self, layer: usize, site: Site) -> Option<&dyn QuantMatmul> {
+        self.layers[layer][site as usize].as_deref()
     }
 
-    /// Bytes the packed sites hold.
+    /// Bytes the operators hold ([`QuantMatmul::resident_bytes`]).
     pub fn bytes(&self) -> usize {
         self.layers
             .iter()
             .flatten()
             .flatten()
-            .map(PackedF32::bytes)
+            .map(|op| op.resident_bytes())
             .sum()
+    }
+}
+
+// An operator's `forward` is a pure function of its input over state fixed
+// at calibration (`QuantMatmul`), so a panic inside one leaves nothing half
+// written: a `&ReferenceModel` may cross a `catch_unwind`.
+impl RefUnwindSafe for SiteTable {}
+impl UnwindSafe for SiteTable {}
+
+impl fmt::Debug for SiteTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SiteTable")
+            .field("layers", &self.layers.len())
+            .field("bytes", &self.bytes())
+            .finish()
     }
 }
 
@@ -303,7 +309,8 @@ fn prepare_with_ladder(
 /// operator per site.
 pub struct QuantizedModel {
     reference: ReferenceModel,
-    ops: SiteOps,
+    /// Filled at build, so a weight product never builds it.
+    sites: OnceLock<SiteTable>,
     scheme: Box<dyn Scheme>,
     degraded: Vec<DegradedSite>,
 }
@@ -345,39 +352,32 @@ impl QuantizedModel {
         captured: &HashMap<(usize, Site), Vec<Matrix>>,
     ) -> Self {
         let _span = setup_metrics::QUANTIZE.span();
-        let mut sites: Vec<(SiteKey, &Matrix)> = Vec::new();
-        for (li, layer) in reference.w.layers.iter().enumerate() {
-            sites.push(((li, Site::Q), &layer.wq));
-            sites.push(((li, Site::K), &layer.wk));
-            sites.push(((li, Site::V), &layer.wv));
-            sites.push(((li, Site::O), &layer.wo));
-            sites.push(((li, Site::Fc1), &layer.w_fc1));
-            if let Some(g) = &layer.w_gate {
-                sites.push(((li, Site::Gate), g));
-            }
-            sites.push(((li, Site::Fc2), &layer.w_fc2));
-        }
+        let layers = &reference.w.layers;
+        let sites: Vec<(usize, Site, &Matrix)> = (0..layers.len())
+            .flat_map(|li| Site::ALL.map(|site| (li, site)))
+            .filter_map(|(li, site)| Some((li, site, &**layers[li].site(site)?)))
+            .collect();
         // Per-site calibration is independent, so `prepare` fans out across
         // the pool; results come back in site order. Each site runs the
         // degradation ladder, so one bad site costs accuracy, not the run.
         let prepared = pool::par_map(sites.len(), |i| {
-            let ((li, site), weight) = sites[i];
+            let (li, site, weight) = sites[i];
             let acts = captured
                 .get(&(li, site))
                 .unwrap_or_else(|| panic!("no captured activations for layer {li} {site:?}"));
             prepare_with_ladder(scheme.as_ref(), acts, weight, li, site)
         });
-        let mut ops = SiteOps::new();
+        let mut table = SiteTable {
+            layers: layers.iter().map(|_| Default::default()).collect(),
+        };
         let mut degraded = Vec::new();
-        for (&(key, _), (op, deg)) in sites.iter().zip(prepared) {
-            ops.insert(key, op);
-            if let Some(d) = deg {
-                degraded.push(d);
-            }
+        for (&(li, site, _), (op, deg)) in sites.iter().zip(prepared) {
+            table.layers[li][site as usize] = Some(op);
+            degraded.extend(deg);
         }
         Self {
             reference: reference.clone(),
-            ops,
+            sites: OnceLock::from(table),
             scheme,
             degraded,
         }
@@ -387,7 +387,7 @@ impl QuantizedModel {
     /// over: its operators' calibrated state
     /// ([`QuantMatmul::resident_bytes`]).
     pub fn weight_bytes(&self) -> usize {
-        self.ops.values().map(|op| op.resident_bytes()).sum()
+        self.sites.get().map_or(0, SiteTable::bytes)
     }
 
     /// Sites the degradation ladder moved off the primary scheme, in
@@ -427,15 +427,17 @@ impl<'m> From<&'m ReferenceModel> for ModelRef<'m> {
             w: &m.w,
             lm_head: &m.lm_head,
             sites: &m.sites,
-            calibrated: None,
+            act_act: None,
         }
     }
 }
 
 impl<'m> From<&'m QuantizedModel> for ModelRef<'m> {
     fn from(m: &'m QuantizedModel) -> Self {
+        let scheme = m.scheme.as_ref();
         Self {
-            calibrated: Some((&m.ops, m.scheme.as_ref())),
+            sites: &m.sites,
+            act_act: scheme.quantizes_act_act().then_some(scheme),
             ..Self::from(&m.reference)
         }
     }
@@ -446,7 +448,6 @@ mod tests {
     use super::*;
     use crate::shape::{Activation, ModelShape, NormKind};
     use crate::synthetic::SyntheticLlm;
-    use tender_quant::scheme::ExactScheme;
     use tender_quant::tender::{TenderConfig, TenderScheme};
     use tender_tensor::stats::sqnr_db;
 
@@ -518,10 +519,7 @@ mod tests {
         let t = tokens(16, shape.vocab, 5);
         let lr = reference.forward(&t);
         let lq = qm.forward(&t);
-        assert!(
-            lr.approx_eq(&lq, lr.abs_max() * 1e-5),
-            "exact scheme must match"
-        );
+        assert_eq!(lr, lq, "the exact scheme runs the reference's product");
     }
 
     #[test]

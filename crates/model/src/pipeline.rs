@@ -45,18 +45,15 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use tender_metrics::model as metrics;
-use tender_quant::scheme::{QuantMatmul, Scheme};
+use tender_quant::scheme::Scheme;
 use tender_tensor::{ops, EvictError, Matrix, PackedF32};
 
-use crate::forward::{PackedSites, Site};
+use crate::forward::{Site, SiteTable};
 use crate::kv::KvCache;
 use crate::shape::{Activation, ModelKind, ModelShape, NormKind};
 use crate::weights::TransformerWeights;
 
-pub(crate) type SiteKey = (usize, Site);
-pub(crate) type CaptureMap = HashMap<SiteKey, Vec<Matrix>>;
-/// A quantized model's calibrated operators, one per (layer, site).
-pub(crate) type SiteOps = HashMap<SiteKey, Box<dyn QuantMatmul>>;
+pub(crate) type CaptureMap = HashMap<(usize, Site), Vec<Matrix>>;
 
 /// LM-head logit gain. With a random (untied) head, logits ≈ N(0, σ²) with
 /// σ ≈ `LOGIT_SCALE`; the value is chosen so the reference model's proxy
@@ -66,22 +63,24 @@ pub(crate) type SiteOps = HashMap<SiteKey, Box<dyn QuantMatmul>>;
 pub(crate) const LOGIT_SCALE: f32 = 2.5;
 
 /// A borrowed model — the pipeline's only view of one. The reference and a
-/// quantized model differ only in what runs at each weight site and at each
-/// act×act product: exact `f32` products over the packed weights, or the
-/// calibrated operators and the scheme's act×act rule. Both run the packed
-/// LM head. Built `From` a `&ReferenceModel` or a `&QuantizedModel`.
+/// quantized model differ only in the operators of their site tables and in
+/// their act×act rule; both run the packed LM head. Built `From` a
+/// `&ReferenceModel` or a `&QuantizedModel`.
 #[derive(Clone, Copy)]
 pub struct ModelRef<'m> {
     pub(crate) w: &'m TransformerWeights,
     /// The LM head as the `d_model × vocab` product operand, packed once at
     /// model build.
     pub(crate) lm_head: &'m PackedF32,
-    /// The reference model's weight sites, packed by the first reference
-    /// weight product (the quantized arm never reads them).
-    pub(crate) sites: &'m OnceLock<PackedSites>,
-    /// A quantized model's operators and its scheme, for act×act products;
-    /// `None` for the exact reference.
-    pub(crate) calibrated: Option<(&'m SiteOps, &'m dyn Scheme)>,
+    /// The weight sites' operators: a quantized model's, filled when it is
+    /// built, or the reference's [`ExactScheme`] operators, built by its
+    /// first weight product ([`SiteTable::exact`]).
+    ///
+    /// [`ExactScheme`]: tender_quant::scheme::ExactScheme
+    pub(crate) sites: &'m OnceLock<SiteTable>,
+    /// The scheme, when it quantizes activation×activation products
+    /// (`X_Q × X_K^T`, `X_S × X_V`); `None` when they are exact f32.
+    pub(crate) act_act: Option<&'m dyn Scheme>,
 }
 
 impl<'m> ModelRef<'m> {
@@ -116,9 +115,8 @@ impl<'m> ModelRef<'m> {
     /// whole sequence (`QuantMatmul::forward`, the full pass); with them,
     /// its rows are independent tokens, row `r` at absolute sequence
     /// position `positions[r]` (`QuantMatmul::forward_rows`, the cached
-    /// pass). The reference's product is row-independent either way; its
-    /// first call packs every site ([`PackedSites::pack`]), and a call
-    /// racing it waits for that one pack.
+    /// pass). A reference's first call builds its table, and a call racing
+    /// it waits for that one build.
     pub(crate) fn mm(
         &self,
         li: usize,
@@ -126,25 +124,15 @@ impl<'m> ModelRef<'m> {
         x: &Matrix,
         positions: Option<&[usize]>,
     ) -> Matrix {
-        let Some((ops, _)) = self.calibrated else {
-            let sites = self.sites.get_or_init(|| PackedSites::pack(self.w));
-            let weight = sites.get(li, site).expect("the layer has this site");
-            return x.matmul_packed(weight).expect("weight shapes validated");
-        };
-        let op = ops
-            .get(&(li, site))
+        let op = self
+            .sites
+            .get_or_init(|| SiteTable::exact(self.w))
+            .get(li, site)
             .unwrap_or_else(|| panic!("missing operator for layer {li} site {site:?}"));
         match positions {
             None => op.forward(x),
             Some(positions) => op.forward_rows(x, positions),
         }
-    }
-
-    /// The scheme, when it quantizes activation×activation products
-    /// (`X_Q × X_K^T`, `X_S × X_V`); `None` when they are exact f32.
-    fn act_act_quantizer(&self) -> Option<&'m dyn Scheme> {
-        let (_, scheme) = self.calibrated?;
-        scheme.quantizes_act_act().then_some(scheme)
     }
 }
 
@@ -363,20 +351,21 @@ pub(crate) fn block(
         Attend::Fresh { .. } => None,
         Attend::Cached { positions, .. } => Some(*positions),
     };
-    let mut mm = |site: Site, x: &Matrix, weight: &Matrix| {
-        row_macs += (x.cols() * weight.cols()) as u64;
-        model.mm(li, site, x, positions)
+    let mut mm = |site: Site, x: &Matrix| {
+        let y = model.mm(li, site, x, positions);
+        row_macs += (x.cols() * y.cols()) as u64;
+        y
     };
 
     // Attention sub-block.
     let a = apply_norm(&h, &layer.ln1_gamma, &layer.ln1_beta, shape.norm);
     attend.capture(li, &[Site::Q, Site::K, Site::V], &a);
     let a = attend.guard(li, a);
-    let q = mm(Site::Q, &a, &layer.wq).scale(scale);
-    let k = mm(Site::K, &a, &layer.wk);
-    let v = mm(Site::V, &a, &layer.wv);
+    let q = mm(Site::Q, &a).scale(scale);
+    let k = mm(Site::K, &a);
+    let v = mm(Site::V, &a);
 
-    let act_act = model.act_act_quantizer();
+    let act_act = model.act_act;
     let ao = match attend {
         Attend::Fresh { record, .. } => {
             if let Some(cache) = record {
@@ -412,7 +401,7 @@ pub(crate) fn block(
         }
     };
     attend.capture(li, &[Site::O], &ao);
-    let o = mm(Site::O, &ao, &layer.wo);
+    let o = mm(Site::O, &ao);
     let h = h.add(&o).expect("residual shapes");
 
     // FFN sub-block.
@@ -423,16 +412,15 @@ pub(crate) fn block(
     }
     let b = attend.guard(li, b);
     let f = match shape.activation {
-        Activation::Relu => ops::relu(&mm(Site::Fc1, &b, &layer.w_fc1)),
-        Activation::Gelu => ops::gelu(&mm(Site::Fc1, &b, &layer.w_fc1)),
+        Activation::Relu => ops::relu(&mm(Site::Fc1, &b)),
+        Activation::Gelu => ops::gelu(&mm(Site::Fc1, &b)),
         Activation::SiluGated => {
-            let gate_w = layer.w_gate.as_ref().expect("gated FFN has a gate weight");
-            let gated = ops::silu(&mm(Site::Gate, &b, gate_w));
-            elementwise_mul(&gated, &mm(Site::Fc1, &b, &layer.w_fc1))
+            let gated = ops::silu(&mm(Site::Gate, &b));
+            elementwise_mul(&gated, &mm(Site::Fc1, &b))
         }
     };
     attend.capture(li, &[Site::Fc2], &f);
-    let ffn_out = mm(Site::Fc2, &f, &layer.w_fc2);
+    let ffn_out = mm(Site::Fc2, &f);
     if let Attend::Cached { lanes, .. } = attend {
         for lane in lanes.iter_mut() {
             lane.macs += lane.rows as u64 * row_macs;

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use tender_tensor::Matrix;
 
+use crate::forward::Site;
 use crate::shape::ModelShape;
 
 /// A weight tensor whose dimensions contradict the model shape.
@@ -80,6 +81,23 @@ pub struct LayerWeights {
     pub w_gate: Option<Arc<Matrix>>,
     /// Second FFN projection, `ffn_dim × d_model`.
     pub w_fc2: Arc<Matrix>,
+}
+
+impl LayerWeights {
+    /// The weight of `site`, `None` for a site the layer does not have (the
+    /// gate of an ungated FFN) — the model's one map from a [`Site`] to its
+    /// weight.
+    pub fn site(&self, site: Site) -> Option<&Arc<Matrix>> {
+        match site {
+            Site::Q => Some(&self.wq),
+            Site::K => Some(&self.wk),
+            Site::V => Some(&self.wv),
+            Site::O => Some(&self.wo),
+            Site::Fc1 => Some(&self.w_fc1),
+            Site::Gate => self.w_gate.as_ref(),
+            Site::Fc2 => Some(&self.w_fc2),
+        }
+    }
 }
 
 /// Complete weights of a synthetic Transformer LM.

@@ -93,14 +93,10 @@ fn a_decode_step_is_its_public_composition_in_every_cache_mode() {
     let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(8));
     let mut ops = Ops::new();
     for (li, layer) in w.layers.iter().enumerate() {
-        for (site, weight) in [
-            (Site::Q, &layer.wq),
-            (Site::K, &layer.wk),
-            (Site::V, &layer.wv),
-            (Site::O, &layer.wo),
-            (Site::Fc1, &layer.w_fc1),
-            (Site::Fc2, &layer.w_fc2),
-        ] {
+        for site in Site::ALL {
+            let Some(weight) = layer.site(site) else {
+                continue;
+            };
             let op = scheme
                 .try_prepare(&captured[&(li, site)], weight)
                 .expect("healthy calibration");

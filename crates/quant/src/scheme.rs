@@ -8,7 +8,7 @@
 //! calibration samples (§III-B), and runtime only applies them.
 
 use std::fmt;
-use tender_tensor::Matrix;
+use tender_tensor::{Matrix, PackedF32};
 
 use crate::quantizer::round_to_f16;
 
@@ -283,7 +283,9 @@ impl Scheme for Fp16Scheme {
 }
 
 /// An exact `f32` reference scheme, used as the ground truth when measuring
-/// the error other schemes introduce.
+/// the error other schemes introduce. Its operator is the reference model's
+/// weight product: the weight packed once ([`PackedF32`]) and multiplied by
+/// [`Matrix::matmul_packed`], which sums in the order of [`Matrix::matmul`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactScheme;
 
@@ -295,12 +297,13 @@ impl ExactScheme {
 }
 
 struct ExactMatmul {
-    w: Matrix,
+    w: PackedF32,
 }
 
 impl QuantMatmul for ExactMatmul {
     fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w).expect("activation/weight shape mismatch")
+        x.matmul_packed(&self.w)
+            .expect("activation/weight shape mismatch")
     }
 
     fn weight_bits(&self) -> f32 {
@@ -312,7 +315,7 @@ impl QuantMatmul for ExactMatmul {
     }
 
     fn resident_bytes(&self) -> usize {
-        size_of_val(self.w.as_slice())
+        self.w.bytes()
     }
 }
 
@@ -322,7 +325,9 @@ impl Scheme for ExactScheme {
     }
 
     fn prepare(&self, _calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        Box::new(ExactMatmul { w: w.clone() })
+        Box::new(ExactMatmul {
+            w: PackedF32::pack(w),
+        })
     }
 }
 

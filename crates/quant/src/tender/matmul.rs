@@ -56,7 +56,6 @@
 //! revision only sampled the accumulator at group boundaries, silently
 //! missing exactly the mid-chunk excursions the hardware would corrupt.)
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -306,7 +305,7 @@ impl ChannelRows {
 /// What is static per (site, chunk) and read by every forward call: the
 /// bias-correction row and the flattened Index Buffer. [`super::TenderMatmul`]
 /// builds one per calibration chunk at prepare time; the free functions
-/// build the parts they touch per call ([`bias_row`], [`channel_rows`]).
+/// build them per call.
 #[derive(Debug, Clone)]
 pub(super) struct PreparedChunk {
     corr: Vec<f32>,
@@ -336,32 +335,6 @@ pub(super) fn prepare_chunks(
             rows: ChannelRows::new(cc, config),
         })
         .collect()
-}
-
-/// Chunk `ci`'s bias-correction row: the prepared one, or built on the fly.
-fn bias_row<'a>(
-    prepared: Option<&'a [PreparedChunk]>,
-    ci: usize,
-    cc: &ChunkCalibration,
-    w: &QuantizedWeight,
-) -> Cow<'a, [f32]> {
-    match prepared {
-        Some(chunks) => Cow::Borrowed(&chunks[ci].corr),
-        None => Cow::Owned(bias_correction(&cc.bias, w)),
-    }
-}
-
-/// Chunk `ci`'s per-channel rows: the prepared ones, or built on the fly.
-fn channel_rows<'a>(
-    prepared: Option<&'a [PreparedChunk]>,
-    ci: usize,
-    cc: &ChunkCalibration,
-    config: &TenderConfig,
-) -> Cow<'a, ChannelRows> {
-    match prepared {
-        Some(chunks) => Cow::Borrowed(&chunks[ci].rows),
-        None => Cow::Owned(ChannelRows::new(cc, config)),
-    }
 }
 
 /// The single dequantization of the implicit path: the integer accumulator
@@ -696,7 +669,8 @@ pub fn implicit_requant_matmul_at(
     calib: &TenderCalibration,
     config: &TenderConfig,
 ) -> MatmulStats {
-    implicit_runs(x, &contiguous(row0, x.rows()), w, calib, config, None)
+    let prepared = prepare_chunks(w, calib, config);
+    implicit_runs(x, &contiguous(row0, x.rows()), w, calib, config, &prepared)
 }
 
 /// The absolute positions of `rows` activation rows that follow one another
@@ -708,15 +682,15 @@ fn contiguous(row0: usize, rows: usize) -> Vec<usize> {
 /// Body of every implicit entry point, row `r` of `x` at absolute position
 /// `positions[r]`: each run of adjacent rows sharing a calibration chunk
 /// ([`chunk_runs`]) goes to the 32-bit kernel when the chunk's bound
-/// licenses it, otherwise through the checked `i64` loop. `prepared` holds
-/// [`prepare_chunks`] when the caller computed them ahead of time.
+/// licenses it, otherwise through the checked `i64` loop. `prepared` is
+/// [`prepare_chunks`] of `w`, `calib` and `config`.
 pub(super) fn implicit_runs(
     x: &Matrix,
     positions: &[usize],
     w: &QuantizedWeight,
     calib: &TenderCalibration,
     config: &TenderConfig,
-    prepared: Option<&[PreparedChunk]>,
+    prepared: &[PreparedChunk],
 ) -> MatmulStats {
     check_shapes(x, positions, w, calib);
     metrics::IMPLICIT_MATMULS.incr();
@@ -730,20 +704,18 @@ pub(super) fn implicit_runs(
     for (r0, r1) in chunk_runs(positions, calib.chunk_rows()) {
         let ci = calib.chunk_index_for_row(positions[r0]);
         let cc = &calib.chunks()[ci];
-        let corr = bias_row(prepared, ci, cc, w);
+        let PreparedChunk { corr, rows } = &prepared[ci];
         let out_chunk = &mut result.as_mut_slice()[r0 * n..r1 * n];
         let licensed = chunk_cannot_overflow(cc, w.bits, config);
         record_implicit_chunk(r1 - r0, cc, licensed);
         saturated_values += if licensed {
-            let channels = channel_rows(prepared, ci, cc, config);
-            licensed_chunk(x, r0..r1, cc, &channels, w, config, &corr, out_chunk)
+            licensed_chunk(x, r0..r1, cc, rows, w, config, corr, out_chunk)
         } else {
             let (acc, overflow, saturated) = accumulate_rows_checked(x, r0..r1, cc, w, config);
             overflow_events += overflow;
             let s_last = cc.scales[config.num_groups - 1];
             for (out_row, acc_row) in out_chunk.chunks_exact_mut(n).zip(acc.chunks_exact(n)) {
-                for (((o, &a), &ws), &c) in
-                    out_row.iter_mut().zip(acc_row).zip(&w.scales).zip(&*corr)
+                for (((o, &a), &ws), &c) in out_row.iter_mut().zip(acc_row).zip(&w.scales).zip(corr)
                 {
                     *o = dequant(a as f32, s_last, ws, c);
                 }

@@ -130,7 +130,7 @@ impl QuantMatmul for TenderMatmul {
             &self.weight,
             &self.calibration,
             &self.config,
-            Some(&self.prepared),
+            &self.prepared,
         )
         .result
     }
