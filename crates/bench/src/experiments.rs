@@ -299,7 +299,9 @@ pub fn table3() -> Vec<Table> {
         calib_seq,
         opts.seed ^ 0xCA11B,
     );
-    let captured = reference.capture_site_activations(&calib);
+    // ANT and OliVe read the samples; the other schemes their statistics.
+    let stats = reference.capture_site_stats(&calib);
+    let samples = reference.capture_site_activations(&calib);
 
     let mut headers: Vec<String> = vec!["Scheme".into()];
     for &s in &seq_lens {
@@ -345,7 +347,7 @@ pub fn table3() -> Vec<Table> {
                 }
             }
             Some(s) => {
-                let qm = QuantizedModel::build_with_capture(&reference, s, &captured);
+                let qm = QuantizedModel::build_with_capture(&reference, s, &stats, Some(&samples));
                 for (_, wiki, ptb) in &eval_sets {
                     row.push(fmt_ppl(perplexity(|tk| qm.forward(tk), wiki)));
                     row.push(fmt_ppl(perplexity(|tk| qm.forward(tk), ptb)));
@@ -399,7 +401,9 @@ pub fn table4() -> Vec<Table> {
         .take(opts.calib_samples.max(2))
         .map(|(tk, _)| tk.clone())
         .collect();
-    let captured = reference.capture_site_activations(&calib);
+    // ANT and OliVe read the samples; Tender its statistics.
+    let stats = reference.capture_site_stats(&calib);
+    let samples = reference.capture_site_activations(&calib);
 
     let mut headers: Vec<&str> = vec!["Scheme"];
     let names: Vec<String> = tasks.iter().map(|t| t.name().to_string()).collect();
@@ -420,7 +424,7 @@ pub fn table4() -> Vec<Table> {
                 }
             }
             Some(s) => {
-                let qm = QuantizedModel::build_with_capture(&reference, s, &captured);
+                let qm = QuantizedModel::build_with_capture(&reference, s, &stats, Some(&samples));
                 for (task, cents) in tasks.iter().zip(&centroids) {
                     row.push(fmt_acc(task.accuracy(|tk| qm.forward_hidden(tk), cents)));
                 }
@@ -740,7 +744,7 @@ pub fn table7() -> Vec<Table> {
             24,
             opts.seed,
         );
-        let captured = reference.capture_site_activations(&calib);
+        let stats = reference.capture_site_stats(&calib);
 
         let mut t = Table::new(
             format!("Table VII: zero-shot accuracy ({})", base.name),
@@ -752,13 +756,15 @@ pub fn table7() -> Vec<Table> {
                 QuantizedModel::build_with_capture(
                     &reference,
                     scheme_by_name(n).expect("registered"),
-                    &captured,
+                    &stats,
+                    None,
                 )
             })
             .chain(std::iter::once(QuantizedModel::build_with_capture(
                 &reference,
                 tender_scheme(4, 24, false),
-                &captured,
+                &stats,
+                None,
             )))
             .collect();
         for task in &tasks {

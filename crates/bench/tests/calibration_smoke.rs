@@ -1,12 +1,12 @@
 //! Calibration tripwire: building a site's calibration must cost about one
 //! pass over its captured samples, not a re-stacking of them.
 //!
-//! `TenderCalibration::from_samples` folds each chunk's statistics over the
-//! rows of every sample where they lie, so over 32 samples of 96 × 1,024 (a
-//! model site's capture at the eval preset) it must take ≤ 3× the time of
-//! `ChunkCalibration::from_activation` over the same rows already stacked —
-//! ≈ 1× on the development host. `stack_samples`, the baselines' global
-//! view, must take ≤ 3× the time of one `Vec::extend_from_slice` of the
+//! `TenderCalibration::from_samples` folds the samples into their
+//! `SiteStats` where they lie and calibrates from those, so over 32
+//! samples of 96 × 1,024 (a model site's capture at the eval preset) it
+//! must take ≤ 3× the time of `ChunkCalibration::from_activation` over the
+//! same rows already stacked. `stack_samples`, what ANT and OliVe read,
+//! must take ≤ 3× the time of one `Vec::extend_from_slice` of the
 //! same bytes into a fresh allocation. A pairwise `vstack` fold re-copies
 //! everything stacked so far on every append and reads ≈ 30× and ≈ 40×.
 //!

@@ -1,14 +1,14 @@
 //! End-to-end experiment harness: model generation → calibration →
 //! quantized inference → evaluation.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use tender_model::calibration::{token_batches, CorpusKind};
 use tender_model::eval::{perplexity, reference_perplexity, EvalSet};
-use tender_model::{ModelShape, QuantizedModel, ReferenceModel, Site, SyntheticLlm};
+use tender_model::{
+    ModelShape, QuantizedModel, ReferenceModel, SampleMap, SiteStatsMap, SyntheticLlm,
+};
 use tender_quant::scheme::Scheme;
-use tender_tensor::Matrix;
 
 /// Sizing knobs for an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,16 +63,20 @@ impl ExperimentOptions {
 
 /// A prepared experiment: one synthetic model, its FP32 reference and its
 /// calibration batches. The expensive parts are built on first use and then
-/// kept: the calibration capture by the first [`Experiment::quantize`], each
-/// evaluation set by the first [`Experiment::eval_set`] of its corpus. A run
-/// that never quantizes never captures, and one that never evaluates builds
-/// no evaluation set. Each part has its own seed, so the bits it holds do
-/// not depend on which part was built first.
+/// kept: every site's calibration statistics by the first
+/// [`Experiment::quantize`], the raw calibration samples by the first
+/// quantize under a scheme that reads them (ANT, OliVe), each evaluation
+/// set by the first [`Experiment::eval_set`] of its corpus. A run that
+/// never quantizes never captures, one whose schemes calibrate from
+/// statistics never keeps an activation, and one that never evaluates
+/// builds no evaluation set. Each part has its own seed, so the bits it
+/// holds do not depend on which part was built first.
 pub struct Experiment {
     model: SyntheticLlm,
     reference: ReferenceModel,
     calib: Vec<Vec<usize>>,
-    captured: OnceLock<HashMap<(usize, Site), Vec<Matrix>>>,
+    stats: OnceLock<SiteStatsMap>,
+    samples: OnceLock<SampleMap>,
     wiki: OnceLock<EvalSet>,
     ptb: OnceLock<EvalSet>,
     options: ExperimentOptions,
@@ -95,7 +99,8 @@ impl Experiment {
             model,
             reference,
             calib,
-            captured: OnceLock::new(),
+            stats: OnceLock::new(),
+            samples: OnceLock::new(),
             wiki: OnceLock::new(),
             ptb: OnceLock::new(),
             options,
@@ -150,15 +155,32 @@ impl Experiment {
     }
 
     /// Builds a quantized model under `scheme`, calibrated on this
-    /// experiment's calibration batches. The first call runs the one
-    /// reference capture pass that calibrates every scheme; a call racing it
-    /// waits for it instead of capturing again. The model shares the
-    /// reference's tensors.
+    /// experiment's calibration batches. The first call runs the reference
+    /// pass that folds every site's statistics, which calibrate every
+    /// scheme; the first call under a scheme that reads samples runs the
+    /// pass that keeps them. A call racing either waits for it instead of
+    /// capturing again. Each call builds its operators afresh from those and
+    /// the weights; the model shares the reference's tensors.
     pub fn quantize(&self, scheme: Box<dyn Scheme>) -> QuantizedModel {
-        let captured = self
-            .captured
-            .get_or_init(|| self.reference.capture_site_activations(&self.calib));
-        QuantizedModel::build_with_capture(&self.reference, scheme, captured)
+        let stats = self
+            .stats
+            .get_or_init(|| self.reference.capture_site_stats(&self.calib));
+        let samples = scheme.reads_samples().then(|| {
+            self.samples
+                .get_or_init(|| self.reference.capture_site_activations(&self.calib))
+        });
+        QuantizedModel::build_with_capture(&self.reference, scheme, stats, samples)
+    }
+
+    /// Every site's calibration statistics, if a quantize has folded them.
+    pub fn site_stats(&self) -> Option<&SiteStatsMap> {
+        self.stats.get()
+    }
+
+    /// The raw calibration samples, if a quantize under a scheme that
+    /// reads them has kept them.
+    pub fn samples(&self) -> Option<&SampleMap> {
+        self.samples.get()
     }
 
     /// Perplexity of a quantized model on both evaluation corpora

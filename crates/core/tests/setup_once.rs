@@ -6,6 +6,12 @@
 //! reference's packed f32 weight sites follow the same rule: built by its
 //! first weight product, once, and shared by its clones.
 //!
+//! The calibration capture keeps statistics, not activations: a quantize
+//! under a scheme that calibrates from statistics (Tender, `FP32`, the
+//! weight-only formats) never builds the raw-sample store; the first one
+//! under a scheme that reads samples (ANT, OliVe) builds it, once; and the
+//! sites that read one activation share one statistics allocation.
+//!
 //! The checks read the process-global `setup` timers' counts, so the tests
 //! serialize on a lock. The pool is sized to four threads, so the capture
 //! below a `par_map` task really runs nested under a busy pool.
@@ -16,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use tender::metrics::setup;
 use tender::model::calibration::CorpusKind;
 use tender::model::engine::DecodeSession;
-use tender::model::{ModelShape, TransformerWeights};
+use tender::model::{ModelShape, Site, TransformerWeights};
 use tender::quant::scheme::ExactScheme;
 use tender::{pool, scheme_by_name, Experiment, ExperimentOptions};
 
@@ -70,6 +76,70 @@ fn three_quantizes_capture_once() {
     let again = logit_bits(&exp, "Tender@8");
     assert_eq!(since(before), [1, 0, 3]);
     assert_eq!(t8, again, "a rebuild calibrates on the same capture");
+}
+
+#[test]
+fn stats_calibrated_quantizes_never_keep_the_samples() {
+    let _lock = serialized();
+    let exp = experiment();
+    let before = spans();
+    for scheme in [
+        "Tender@8",
+        "Tender@4",
+        "FP32",
+        "SMX4",
+        "MSFP12",
+        "SmoothQuant@8",
+    ] {
+        let _ = exp.quantize(scheme_by_name(scheme).expect("registry scheme"));
+        assert!(
+            exp.samples().is_none(),
+            "{scheme} built the raw-sample store"
+        );
+    }
+    assert_eq!(since(before), [1, 0, 6], "one capture: the statistics");
+}
+
+#[test]
+fn a_sample_reading_scheme_builds_the_sample_store_once() {
+    let _lock = serialized();
+    let exp = experiment();
+    let before = spans();
+    let ant = logit_bits(&exp, "ANT@8");
+    assert_eq!(since(before), [2, 0, 1], "the statistics, then the samples");
+    let samples = exp.samples().expect("built by ANT") as *const _;
+    let olive = logit_bits(&exp, "OliVe@4");
+    let _ = exp.quantize(scheme_by_name("Tender@8").expect("registry scheme"));
+    assert_eq!(
+        ant,
+        logit_bits(&exp, "ANT@8"),
+        "a rebuild calibrates on the same samples"
+    );
+    assert_eq!(since(before), [2, 0, 4]);
+    assert!(std::ptr::eq(samples, exp.samples().expect("kept")));
+    assert_ne!(ant, olive);
+}
+
+#[test]
+fn sites_that_read_one_activation_share_one_statistics_allocation() {
+    let _lock = serialized();
+    let exp = experiment();
+    let _ = exp.quantize(Box::new(ExactScheme::new()));
+    let stats = exp.site_stats().expect("built by the quantize");
+    let shape = ModelShape::tiny_test();
+    for li in 0..shape.layers {
+        let q = &stats[&(li, Site::Q)];
+        assert!(Arc::ptr_eq(q, &stats[&(li, Site::K)]), "layer {li} K");
+        assert!(Arc::ptr_eq(q, &stats[&(li, Site::V)]), "layer {li} V");
+        for site in [Site::O, Site::Fc1, Site::Fc2] {
+            assert!(!Arc::ptr_eq(q, &stats[&(li, site)]), "layer {li} {site:?}");
+        }
+        // A whole row position per calibration row, and nothing more.
+        assert_eq!(q.rows(), ExperimentOptions::fast().seq_len);
+        assert_eq!(q.samples(), ExperimentOptions::fast().calib_samples);
+        assert_eq!(q.bytes(), 2 * 4 * q.rows() * shape.d_model);
+    }
+    assert_eq!(stats.len(), shape.layers * 6, "Q, K, V, O, Fc1, Fc2");
 }
 
 #[test]

@@ -16,10 +16,10 @@ use std::sync::{Arc, OnceLock};
 use tender_metrics::faults as fault_metrics;
 use tender_metrics::setup as setup_metrics;
 use tender_quant::granularity::{Granularity, GranularityScheme};
-use tender_quant::scheme::{ExactScheme, Fp16Scheme, QuantMatmul, Scheme};
+use tender_quant::scheme::{CalibInput, ExactScheme, Fp16Scheme, QuantMatmul, Scheme, SiteStats};
 use tender_tensor::{pool, Matrix, PackedF32};
 
-use crate::pipeline::{forward_internal, CaptureMap, ModelRef};
+use crate::pipeline::{forward_internal, CaptureMap, ModelRef, StatsCapture};
 use crate::weights::{ShapeError, TransformerWeights};
 
 /// A quantizable matmul site within a Transformer block.
@@ -53,6 +53,15 @@ impl Site {
         Site::Fc2,
     ];
 }
+
+/// Every weight site's calibration statistics, keyed by `(layer, site)`.
+/// The sites that read one activation share one allocation: Q, K and V, and
+/// a gated FFN's Fc1 and Gate.
+pub type SiteStatsMap = HashMap<(usize, Site), Arc<SiteStats>>;
+
+/// Every weight site's captured input activations, keyed by
+/// `(layer, site)`: one matrix per calibration batch, in batch order.
+pub type SampleMap = HashMap<(usize, Site), Vec<Matrix>>;
 
 /// The FP32 reference model (the paper's "Base" rows, modulo FP16
 /// rounding, which [`tender_quant::scheme::Fp16Scheme`] models separately).
@@ -128,11 +137,49 @@ impl ReferenceModel {
         ModelRef::from(self).forward_hidden(tokens)
     }
 
-    /// Captures the activations entering every matmul site.
-    pub fn capture_site_activations(
-        &self,
-        batches: &[Vec<usize>],
-    ) -> HashMap<(usize, Site), Vec<Matrix>> {
+    /// Folds the activations entering every matmul site into that site's
+    /// statistics, batch `i` as sample `i`, while the reference pass runs:
+    /// no activation outlives its layer. The batches are split into one
+    /// contiguous run per pool thread, each run folds into its own
+    /// statistics, and the runs are merged; the folds are order-free
+    /// ([`SiteStats`]), so the result is the same at any thread count.
+    pub fn capture_site_stats(&self, batches: &[Vec<usize>]) -> SiteStatsMap {
+        let _span = setup_metrics::CAPTURE.span();
+        let n = batches.len();
+        let runs = pool::current_threads().clamp(1, n.max(1));
+        let parts = pool::par_map(runs, |run| {
+            let mut cap = StatsCapture::default();
+            let run_batches = batches.iter().enumerate();
+            for (i, batch) in run_batches.take((run + 1) * n / runs).skip(run * n / runs) {
+                cap.sample = i;
+                forward_internal(self.into(), batch, Some(&mut cap), None)
+                    .expect("forward without a kv cache cannot exhaust the arena");
+            }
+            cap.sites
+        });
+        let mut merged: HashMap<_, (Vec<Site>, SiteStats)> = HashMap::new();
+        for part in parts {
+            for (key, (sites, stats)) in part {
+                merged
+                    .entry(key)
+                    .and_modify(|(_, acc)| acc.merge(&stats))
+                    .or_insert((sites, stats));
+            }
+        }
+        let mut out = SiteStatsMap::new();
+        for ((li, _), (sites, stats)) in merged {
+            let stats = Arc::new(stats);
+            for site in sites {
+                out.insert((li, site), Arc::clone(&stats));
+            }
+        }
+        out
+    }
+
+    /// Captures the activations entering every matmul site: the samples
+    /// the schemes that read elements calibrate on
+    /// ([`Scheme::reads_samples`]).
+    pub fn capture_site_activations(&self, batches: &[Vec<usize>]) -> SampleMap {
         let _span = setup_metrics::CAPTURE.span();
         // One capture pass per batch across the pool; merging in batch
         // order keeps every site's activation list identical to the serial
@@ -246,16 +293,9 @@ pub struct DegradedSite {
 }
 
 /// Replaces non-finite elements with zero so fallback rungs of the
-/// degradation ladder always see valid inputs.
+/// degradation ladder always see a valid weight.
 fn sanitize(m: &Matrix) -> Matrix {
-    Matrix::from_fn(m.rows(), m.cols(), |r, c| {
-        let v = m[(r, c)];
-        if v.is_finite() {
-            v
-        } else {
-            0.0
-        }
-    })
+    m.map(|v| if v.is_finite() { v } else { 0.0 })
 }
 
 /// Calibrates one site, degrading Tender INT4/INT8 → per-tensor INT8 →
@@ -265,12 +305,12 @@ fn sanitize(m: &Matrix) -> Matrix {
 /// instead of aborting the whole experiment.
 fn prepare_with_ladder(
     scheme: &dyn Scheme,
-    acts: &[Matrix],
+    input: CalibInput<'_>,
     weight: &Matrix,
     layer: usize,
     site: Site,
 ) -> (Box<dyn QuantMatmul>, Option<DegradedSite>) {
-    let primary = catch_unwind(AssertUnwindSafe(|| scheme.try_prepare(acts, weight)));
+    let primary = catch_unwind(AssertUnwindSafe(|| scheme.try_calibrate(input, weight)));
     let reason = match primary {
         Ok(Ok(op)) => return (op, None),
         Ok(Err(e)) => e.to_string(),
@@ -278,9 +318,10 @@ fn prepare_with_ladder(
     };
     fault_metrics::DEGRADED_SITES.incr();
     let sw = sanitize(weight);
-    let sacts: Vec<Matrix> = acts.iter().map(sanitize).collect();
+    let sstats = input.stats.sanitized();
+    let sanitized = CalibInput::stats(&sstats);
     let int8 = GranularityScheme::new(8, Granularity::PerTensor);
-    if let Ok(Ok(op)) = catch_unwind(AssertUnwindSafe(|| int8.try_prepare(&sacts, &sw))) {
+    if let Ok(Ok(op)) = catch_unwind(AssertUnwindSafe(|| int8.try_calibrate(sanitized, &sw))) {
         fault_metrics::FALLBACK_INT8.incr();
         return (
             op,
@@ -294,7 +335,7 @@ fn prepare_with_ladder(
     }
     fault_metrics::FALLBACK_FP16.incr();
     (
-        Fp16Scheme::new().prepare(&sacts, &sw),
+        Fp16Scheme::new().calibrate(sanitized, &sw),
         Some(DegradedSite {
             layer,
             site,
@@ -317,8 +358,9 @@ pub struct QuantizedModel {
 
 impl QuantizedModel {
     /// Calibrates `scheme` on the given token batches (via a reference
-    /// forward pass that captures every site's input activations) and
-    /// builds the quantized model.
+    /// forward pass that folds every site's input statistics, and one that
+    /// keeps the activations if the scheme reads them) and builds the
+    /// quantized model.
     ///
     /// # Panics
     ///
@@ -333,23 +375,30 @@ impl QuantizedModel {
             "calibration requires at least one batch"
         );
         let reference = ReferenceModel::new(weights.clone());
-        let captured = reference.capture_site_activations(calib_batches);
-        Self::build_with_capture(&reference, scheme, &captured)
+        let stats = reference.capture_site_stats(calib_batches);
+        let samples = scheme
+            .reads_samples()
+            .then(|| reference.capture_site_activations(calib_batches));
+        Self::build_with_capture(&reference, scheme, &stats, samples.as_ref())
     }
 
     /// Like [`QuantizedModel::build`], but over an existing reference model
-    /// and reusing activations its
-    /// [`ReferenceModel::capture_site_activations`] captured — so one
-    /// reference pass can calibrate many schemes. The model shares the
-    /// reference's tensors; what it adds is its operators.
+    /// and reusing the statistics its [`ReferenceModel::capture_site_stats`]
+    /// folded — and, for a scheme that [reads samples](Scheme::reads_samples),
+    /// the activations its [`ReferenceModel::capture_site_activations`]
+    /// kept — so one reference pass can calibrate many schemes. Each
+    /// operator is built here from those and its weight. The model shares
+    /// the reference's tensors; what it adds is its operators.
     ///
     /// # Panics
     ///
-    /// Panics if `captured` is missing any site of this model.
+    /// Panics if `stats` (or, for a scheme that reads them, `samples`)
+    /// misses any site of this model.
     pub fn build_with_capture(
         reference: &ReferenceModel,
         scheme: Box<dyn Scheme>,
-        captured: &HashMap<(usize, Site), Vec<Matrix>>,
+        stats: &SiteStatsMap,
+        samples: Option<&SampleMap>,
     ) -> Self {
         let _span = setup_metrics::QUANTIZE.span();
         let layers = &reference.w.layers;
@@ -360,12 +409,21 @@ impl QuantizedModel {
         // Per-site calibration is independent, so `prepare` fans out across
         // the pool; results come back in site order. Each site runs the
         // degradation ladder, so one bad site costs accuracy, not the run.
+        let reads_samples = scheme.reads_samples();
         let prepared = pool::par_map(sites.len(), |i| {
             let (li, site, weight) = sites[i];
-            let acts = captured
+            let stats = stats
                 .get(&(li, site))
-                .unwrap_or_else(|| panic!("no captured activations for layer {li} {site:?}"));
-            prepare_with_ladder(scheme.as_ref(), acts, weight, li, site)
+                .unwrap_or_else(|| panic!("no calibration statistics for layer {li} {site:?}"));
+            let samples = reads_samples.then(|| {
+                let name = scheme.name();
+                samples
+                    .and_then(|m| m.get(&(li, site)))
+                    .unwrap_or_else(|| panic!("{name} reads samples; none for layer {li} {site:?}"))
+                    .as_slice()
+            });
+            let input = CalibInput { stats, samples };
+            prepare_with_ladder(scheme.as_ref(), input, weight, li, site)
         });
         let mut table = SiteTable {
             layers: layers.iter().map(|_| Default::default()).collect(),
@@ -622,15 +680,23 @@ mod tests {
     fn capture_covers_all_sites() {
         let (shape, model) = tiny();
         let reference = model.reference();
-        let cap = reference.capture_site_activations(&[tokens(8, shape.vocab, 10)]);
+        let batches = [tokens(8, shape.vocab, 10), tokens(5, shape.vocab, 11)];
+        let cap = reference.capture_site_activations(&batches);
+        let stats = reference.capture_site_stats(&batches);
         for li in 0..shape.layers {
             for site in [Site::Q, Site::K, Site::V, Site::O, Site::Fc1, Site::Fc2] {
                 assert!(cap.contains_key(&(li, site)), "missing {li} {site:?}");
+                // The folded statistics are those of the kept samples.
+                assert_eq!(
+                    *stats[&(li, site)],
+                    SiteStats::from_samples(&cap[&(li, site)])
+                );
             }
             assert!(
-                !cap.contains_key(&(li, Site::Gate)),
+                !cap.contains_key(&(li, Site::Gate)) && !stats.contains_key(&(li, Site::Gate)),
                 "ungated FFN has no Gate"
             );
+            assert!(Arc::ptr_eq(&stats[&(li, Site::Q)], &stats[&(li, Site::V)]));
         }
     }
 }

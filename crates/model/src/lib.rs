@@ -58,7 +58,7 @@ pub use engine::{
     demote_payload, greedy_token, BatchEngine, BatchError, DecodeSession, KvCache, KvCacheMode,
     KvTierStats, ModelRef, StepError,
 };
-pub use forward::{DegradedSite, QuantizedModel, ReferenceModel, Site};
+pub use forward::{DegradedSite, QuantizedModel, ReferenceModel, SampleMap, Site, SiteStatsMap};
 pub use shape::{Activation, ModelKind, ModelShape, NormKind};
 pub use synthetic::SyntheticLlm;
 pub use tender_tensor::{ArenaConfig, ArenaStats, EvictError, KvArena, PageTier};

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use tender_metrics::model as metrics;
-use tender_quant::scheme::Scheme;
+use tender_quant::scheme::{Scheme, SiteStats};
 use tender_tensor::{ops, EvictError, Matrix, PackedF32};
 
 use crate::forward::{Site, SiteTable};
@@ -53,7 +53,54 @@ use crate::kv::KvCache;
 use crate::shape::{Activation, ModelKind, ModelShape, NormKind};
 use crate::weights::TransformerWeights;
 
+/// Every site's captured input activations, one matrix per sample.
 pub(crate) type CaptureMap = HashMap<(usize, Site), Vec<Matrix>>;
+
+/// Where a calibration pass sends the input activation of each weight site:
+/// `m` enters every site of `sites` at layer `li`. The activation is the
+/// one the pass computed; a sink that keeps or folds it applies the fault
+/// plan first ([`capture_clone`]).
+pub(crate) trait Capture {
+    fn record(&mut self, li: usize, sites: &[Site], m: &Matrix);
+}
+
+/// The raw samples: one poisoned clone per record, under each of its sites.
+impl Capture for CaptureMap {
+    fn record(&mut self, li: usize, sites: &[Site], m: &Matrix) {
+        let clone = capture_clone(li, m);
+        let (&last, rest) = sites.split_last().expect("at least one site");
+        for &site in rest {
+            self.entry((li, site)).or_default().push(clone.clone());
+        }
+        self.entry((li, last)).or_default().push(clone);
+    }
+}
+
+/// The statistics of one pass's samples: every record is folded into the
+/// [`SiteStats`] of its sites (one per record site list, so Q/K/V and a
+/// gated FFN's Fc1/Gate share theirs) as sample number `sample`, and the
+/// activation is dropped with its layer.
+#[derive(Default)]
+pub(crate) struct StatsCapture {
+    /// The sample the next pass's records belong to.
+    pub(crate) sample: usize,
+    /// Per layer and first site: the record's sites and their statistics.
+    pub(crate) sites: HashMap<(usize, Site), (Vec<Site>, SiteStats)>,
+}
+
+impl Capture for StatsCapture {
+    fn record(&mut self, li: usize, sites: &[Site], m: &Matrix) {
+        let (_, stats) = self
+            .sites
+            .entry((li, sites[0]))
+            .or_insert_with(|| (sites.to_vec(), SiteStats::new(m.cols())));
+        if tender_faults::active() {
+            stats.fold(self.sample, &capture_clone(li, m));
+        } else {
+            stats.fold(self.sample, m);
+        }
+    }
+}
 
 /// LM-head logit gain. With a random (untied) head, logits ≈ N(0, σ²) with
 /// σ ≈ `LOGIT_SCALE`; the value is chosen so the reference model's proxy
@@ -274,11 +321,11 @@ pub(crate) enum Attend<'a, 'c> {
     /// Self-attention over the call's own K/V rows — the full-sequence
     /// pass: row by row through [`ops::attention_rows`] when act×act
     /// products are exact, per head through the scheme's kernel when it
-    /// quantizes them. `capture` records calibration activations;
+    /// quantizes them. `capture` receives calibration activations;
     /// `record` appends the K/V rows to a cache (prefill). Neither changes
     /// the returned hidden states.
     Fresh {
-        capture: Option<&'a mut CaptureMap>,
+        capture: Option<&'a mut dyn Capture>,
         record: Option<&'a mut KvCache>,
     },
     /// Row by row against the caches, each of which already holds every
@@ -295,18 +342,13 @@ pub(crate) enum Attend<'a, 'c> {
 }
 
 impl Attend<'_, '_> {
-    /// Calibration path: records a fault-plan clone of `m` under `sites`.
+    /// Calibration path: hands `m`, the input of `sites`, to the capture.
     fn capture(&mut self, li: usize, sites: &[Site], m: &Matrix) {
         if let Attend::Fresh {
             capture: Some(cap), ..
         } = self
         {
-            let clone = capture_clone(li, m);
-            let (&last, rest) = sites.split_last().expect("at least one site");
-            for &site in rest {
-                cap.entry((li, site)).or_default().push(clone.clone());
-            }
-            cap.entry((li, last)).or_default().push(clone);
+            cap.record(li, sites, m);
         }
     }
 
@@ -497,11 +539,11 @@ pub(crate) fn forward_cached(
 ///
 /// [`EvictError`] when the cache's arena reaches its eviction floor
 /// mid-prompt. Passes without a cache cannot fail.
-pub(crate) fn forward_internal(
+pub(crate) fn forward_internal<'a>(
     model: ModelRef<'_>,
     tokens: &[usize],
-    capture: Option<&mut CaptureMap>,
-    kv: Option<&mut KvCache>,
+    capture: Option<&'a mut dyn Capture>,
+    kv: Option<&'a mut KvCache>,
 ) -> Result<Matrix, EvictError> {
     let (w, shape) = (model.w, model.shape());
     let n = tokens.len();

@@ -9,7 +9,8 @@ use std::sync::Mutex;
 use tender_faults::{FaultPlan, PlanGuard};
 use tender_metrics as metrics;
 use tender_model::shape::ModelShape;
-use tender_model::{QuantizedModel, SyntheticLlm};
+use tender_model::{QuantizedModel, Site, SyntheticLlm};
+use tender_quant::scheme::{first_non_finite, CalibInput, PrepareError, Scheme};
 use tender_quant::tender::{TenderConfig, TenderScheme};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -66,6 +67,57 @@ fn injected_nan_activations_degrade_instead_of_panicking() {
         );
     }
     // Runtime forwards are never poisoned, so evaluation stays finite.
+    assert!(qm.forward(&tokens(12, shape.vocab, 25)).is_finite());
+}
+
+/// The capture folds each sample into its site's statistics as the layer
+/// runs, so the non-finite screen reads the statistics. It must report what
+/// screening the kept samples one by one reports — the first poisoned
+/// sample and its first non-finite `(row, col)` — and degrade exactly the
+/// sites that screen rejects.
+#[test]
+fn the_stats_screen_reports_what_the_sample_screen_did() {
+    let _lock = LOCK.lock().unwrap();
+    let shape = ModelShape::tiny_test();
+    let model = SyntheticLlm::generate(&shape, 11);
+    let reference = model.reference();
+    let calib: Vec<Vec<usize>> = (0..4).map(|i| tokens(16, shape.vocab, 40 + i)).collect();
+
+    let _guard = PlanGuard::install(FaultPlan::parse(13, "anan=0.05").unwrap());
+    let samples = reference.capture_site_activations(&calib);
+    let stats = reference.capture_site_stats(&calib);
+    let scheme = tender_int8();
+    let mut screened = Vec::new();
+    for (li, layer) in model.weights().layers.iter().enumerate() {
+        for site in Site::ALL {
+            let Some(w) = layer.site(site) else { continue };
+            let by_samples = samples[&(li, site)]
+                .iter()
+                .enumerate()
+                .find_map(|(sample, a)| {
+                    first_non_finite(a).map(|at| PrepareError::NonFiniteActivation { sample, at })
+                });
+            let by_stats = scheme
+                .try_calibrate(CalibInput::stats(&stats[&(li, site)]), w)
+                .err();
+            assert_eq!(by_stats, by_samples, "layer {li} {site:?}");
+            if let Some(PrepareError::NonFiniteActivation { sample, .. }) = by_samples {
+                screened.push((li, site, sample));
+            }
+        }
+    }
+    assert!(
+        screened.iter().any(|&(_, _, sample)| sample > 0),
+        "some site's first poisoned sample is a later one: {screened:?}"
+    );
+    let qm = QuantizedModel::build_with_capture(&reference, tender_int8(), &stats, None);
+    let degraded: Vec<(usize, Site)> = qm
+        .degraded_sites()
+        .iter()
+        .map(|d| (d.layer, d.site))
+        .collect();
+    let want: Vec<(usize, Site)> = screened.iter().map(|&(li, site, _)| (li, site)).collect();
+    assert_eq!(degraded, want);
     assert!(qm.forward(&tokens(12, shape.vocab, 25)).is_finite());
 }
 

@@ -292,9 +292,9 @@ fn shared_tensors_do_not_merge_models() {
     let shape = ModelShape::tiny_test();
     let llm = SyntheticLlm::generate(&shape, 29);
     let reference = llm.reference();
-    let captured = reference.capture_site_activations(&[tokens(24, shape.vocab, 2)]);
+    let stats = reference.capture_site_stats(&[tokens(24, shape.vocab, 2)]);
     let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(4));
-    let tender = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &captured);
+    let tender = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &stats, None);
     let (rw, tw) = (reference.weights(), tender.weights());
     assert!(Arc::ptr_eq(&rw.lm_head, &tw.lm_head));
     for (r, t) in rw.layers.iter().zip(&tw.layers) {

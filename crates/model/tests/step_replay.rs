@@ -88,7 +88,8 @@ fn a_decode_step_is_its_public_composition_in_every_cache_mode() {
     let llm = SyntheticLlm::generate(&shape, 41);
     let w = llm.weights();
     let reference = llm.reference();
-    let captured = reference.capture_site_activations(&[tokens(24, shape.vocab, 1)]);
+    let calib = [tokens(24, shape.vocab, 1)];
+    let captured = reference.capture_site_activations(&calib);
     // Row-chunked, so a step's position picks the calibration chunk.
     let scheme = TenderScheme::new(TenderConfig::int8().with_row_chunk(8));
     let mut ops = Ops::new();
@@ -103,7 +104,10 @@ fn a_decode_step_is_its_public_composition_in_every_cache_mode() {
             ops.insert((li, site), op);
         }
     }
-    let model = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &captured);
+    // The model calibrates from the capture's folded statistics, the
+    // replay's operators from the kept samples: the same operators.
+    let stats = reference.capture_site_stats(&calib);
+    let model = QuantizedModel::build_with_capture(&reference, Box::new(scheme), &stats, None);
     assert!(model.degraded_sites().is_empty());
 
     let prompt = tokens(12, shape.vocab, 2);

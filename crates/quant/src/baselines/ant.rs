@@ -11,7 +11,7 @@
 use tender_tensor::{stats, Matrix};
 
 use super::grid_quantize_value;
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{stack_samples, CalibInput, QuantMatmul, Scheme};
 
 /// Signed-magnitude linear grid for `bits`: `{0, 1, …, 2^(b-1)-1}` scaled so
 /// the maximum is 1.0.
@@ -117,8 +117,12 @@ impl Scheme for AntScheme {
         format!("ANT INT{}", self.bits)
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
+    fn reads_samples(&self) -> bool {
+        true
+    }
+
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        let stacked = stack_samples(input.samples());
         assert_eq!(
             stacked.cols(),
             w.rows(),

@@ -7,11 +7,11 @@
 //! the cost §II-C of the paper attributes to this approach and which
 //! `tender-sim`'s GPU model charges for in Figure 12.
 
-use tender_tensor::{stats, Matrix};
+use tender_tensor::Matrix;
 
 use crate::granularity::{fake_quantize_per_row, fake_quantize_weight_per_col};
 use crate::quantizer::round_to_f16;
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{CalibInput, QuantMatmul, Scheme};
 
 /// The LLM.int8()-style mixed-precision scheme.
 #[derive(Debug, Clone, Copy)]
@@ -100,14 +100,9 @@ impl Scheme for MixedPrecisionScheme {
         format!("LLM.int{}()", self.bits)
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
-        assert_eq!(
-            stacked.cols(),
-            w.rows(),
-            "activation channels must match weight rows"
-        );
-        let cmax = stats::col_abs_max(&stacked);
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        input.stats.assert_calibrates(w.rows());
+        let cmax = input.stats.col_abs_max();
         let (outlier_cols, normal_cols): (Vec<usize>, Vec<usize>) =
             (0..cmax.len()).partition(|&c| cmax[c] > self.threshold);
         let w_outlier = round_to_f16(&w.gather_rows(&outlier_cols));

@@ -11,7 +11,7 @@
 
 use tender_tensor::Matrix;
 
-use crate::scheme::{forward_each_row, QuantMatmul, Scheme};
+use crate::scheme::{forward_each_row, CalibInput, QuantMatmul, Scheme};
 
 /// Which MSFP blocking variant to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +170,7 @@ impl Scheme for MsfpScheme {
         self.variant.label().to_string()
     }
 
-    fn prepare(&self, _calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
+    fn calibrate(&self, _input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
         Box::new(MsfpMatmul {
             scheme: *self,
             wq: self.quantize_weight(w),

@@ -17,7 +17,7 @@
 use tender_tensor::Matrix;
 
 use super::grid_quantize_value;
-use crate::scheme::{QuantMatmul, Scheme};
+use crate::scheme::{CalibInput, QuantMatmul, Scheme};
 
 /// Which microscaling format to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +184,7 @@ impl Scheme for MxScheme {
         self.format.label().to_string()
     }
 
-    fn prepare(&self, _calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
+    fn calibrate(&self, _input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
         Box::new(MxMatmul {
             scheme: *self,
             wq: self.quantize_weight(w),

@@ -13,7 +13,7 @@
 use tender_tensor::{stats, Matrix};
 
 use crate::quantizer::{dequantize, qmax, quantize_value, symmetric_scale};
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{stack_samples, CalibInput, QuantMatmul, Scheme};
 
 /// The OliVe outlier-victim pair scheme.
 #[derive(Debug, Clone, Copy)]
@@ -164,8 +164,12 @@ impl Scheme for OliveScheme {
         format!("OliVe INT{}", self.bits)
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
+    fn reads_samples(&self) -> bool {
+        true
+    }
+
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        let stacked = stack_samples(input.samples());
         assert_eq!(
             stacked.cols(),
             w.rows(),

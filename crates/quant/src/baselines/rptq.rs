@@ -12,10 +12,10 @@
 //! assignment so the ablation harness can compare classification vs
 //! clustering head-to-head.
 
-use tender_tensor::{stats, Matrix};
+use tender_tensor::Matrix;
 
 use crate::quantizer::qmax;
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{CalibInput, QuantMatmul, Scheme};
 
 /// K-means over per-channel `(min, max)` feature pairs.
 ///
@@ -141,14 +141,9 @@ impl Scheme for RptqScheme {
         format!("RPTQ INT{} (k={})", self.bits, self.clusters)
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
-        assert_eq!(
-            stacked.cols(),
-            w.rows(),
-            "activation channels must match weight rows"
-        );
-        let min_max = stats::col_min_max(&stacked);
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        input.stats.assert_calibrates(w.rows());
+        let min_max = input.stats.col_min_max();
         let assign = kmeans_min_max(&min_max, self.clusters, 20);
         let k = qmax(self.bits) as f32;
         // Per-cluster asymmetric params from the cluster's pooled range.

@@ -15,7 +15,7 @@ use tender_tensor::{stats, Matrix};
 
 use crate::granularity::fake_quantize_per_row;
 use crate::quantizer::{fake_quantize, symmetric_scale};
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{CalibInput, QuantMatmul, Scheme};
 
 /// The SmoothQuant scheme.
 #[derive(Debug, Clone, Copy)]
@@ -94,14 +94,9 @@ impl Scheme for SmoothQuantScheme {
         format!("SmoothQuant INT{}", self.bits)
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
-        assert_eq!(
-            stacked.cols(),
-            w.rows(),
-            "activation channels must match weight rows"
-        );
-        let act_max = stats::col_abs_max(&stacked);
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        input.stats.assert_calibrates(w.rows());
+        let act_max = input.stats.col_abs_max();
         // Per-channel weight maxima along the *input* dimension = row maxima.
         let w_row_max = stats::row_abs_max(w);
         let factors = Self::smoothing_factors(&act_max, &w_row_max, self.alpha);

@@ -10,7 +10,7 @@
 use tender_tensor::{stats, Matrix};
 
 use crate::quantizer::{fake_quantize, quantize_value, symmetric_scale};
-use crate::scheme::{stack_samples, QuantMatmul, Scheme};
+use crate::scheme::{CalibInput, QuantMatmul, Scheme};
 
 /// How scale factors are shared across an activation tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,15 +140,12 @@ impl Scheme for GranularityScheme {
         format!("INT{} {}", self.bits, self.granularity.label())
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let stacked = stack_samples(calib_acts);
-        assert_eq!(
-            stacked.cols(),
-            w.rows(),
-            "calibration activations must match weight rows"
-        );
-        let tensor_scale = symmetric_scale(stacked.abs_max(), self.bits);
-        let col_scales = stats::col_abs_max(&stacked)
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        input.stats.assert_calibrates(w.rows());
+        let tensor_scale = symmetric_scale(input.stats.abs_max(), self.bits);
+        let col_scales = input
+            .stats
+            .col_abs_max()
             .into_iter()
             .map(|m| symmetric_scale(m, self.bits))
             .collect();

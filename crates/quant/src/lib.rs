@@ -18,8 +18,9 @@
 //!   outlier-victim pairs, MSFP12(±OL) block floating point, and
 //!   SMX4/MXFP4 microscaling formats.
 //! * **A uniform [`Scheme`] interface** ([`scheme`]) — every scheme exposes
-//!   "calibrate on sample activations, then perform approximate matmul", so
-//!   `tender-model` can swap schemes inside a Transformer forward pass.
+//!   "calibrate on a site's activation statistics (or, for ANT and OliVe,
+//!   the samples), then perform approximate matmul", so `tender-model` can
+//!   swap schemes inside a Transformer forward pass.
 //!
 //! # Example: quantized matmul with Tender
 //!
@@ -47,10 +48,11 @@ pub mod baselines;
 pub mod granularity;
 pub mod quantizer;
 pub mod scheme;
+mod site_stats;
 pub mod tender;
 
 pub use quantizer::{
     dequantize, qmax, quantize_matrix, quantize_row, quantize_value, quantize_value_saturating,
     symmetric_scale,
 };
-pub use scheme::{QuantMatmul, Scheme};
+pub use scheme::{CalibInput, QuantMatmul, Scheme, SiteStats};

@@ -1,16 +1,23 @@
 //! The uniform scheme interface every quantization method implements.
 //!
 //! A [`Scheme`] describes *how* to quantize one activation×weight matmul
-//! site in a model: given calibration activations and the site's weight, it
+//! site in a model: given the site's calibration input and its weight, it
 //! produces a [`QuantMatmul`] operator that performs the (approximately)
 //! quantized product at inference time. This mirrors the paper's static PTQ
 //! setting: scale factors, channel groups, and biases are pre-computed from
 //! calibration samples (§III-B), and runtime only applies them.
+//!
+//! The calibration input is the site's statistics ([`SiteStats`]) — all
+//! that every scheme except ANT and OliVe reads — plus, for a scheme that
+//! [reads the elements](Scheme::reads_samples), the samples themselves
+//! ([`CalibInput`]). [`Scheme::prepare`] over samples folds them into the
+//! same statistics and takes the same path.
 
 use std::fmt;
 use tender_tensor::{Matrix, PackedF32};
 
 use crate::quantizer::round_to_f16;
+pub use crate::site_stats::SiteStats;
 
 /// A calibrated, ready-to-run quantized matmul operator for one site.
 ///
@@ -133,16 +140,64 @@ impl fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-/// First non-finite element of `m`, if any.
+/// First non-finite element of `m`, if any, in row-major order.
 pub fn first_non_finite(m: &Matrix) -> Option<(usize, usize)> {
-    for r in 0..m.rows() {
-        for c in 0..m.cols() {
-            if !m[(r, c)].is_finite() {
-                return Some((r, c));
-            }
+    // Whole blocks are screened without an early exit, which vectorizes;
+    // only the block that fails is searched element by element.
+    const BLOCK: usize = 64;
+    let data = m.as_slice();
+    let block = data
+        .chunks(BLOCK)
+        .position(|b| !b.iter().fold(true, |ok, x| ok & x.is_finite()))?;
+    let i = block * BLOCK
+        + data[block * BLOCK..]
+            .iter()
+            .position(|x| !x.is_finite())
+            .expect("the block holds a non-finite element");
+    Some((i / m.cols(), i % m.cols()))
+}
+
+/// The typed screen of [`Scheme::try_calibrate`]: a non-finite weight, then
+/// the first non-finite calibration activation the statistics recorded.
+pub fn screen(stats: &SiteStats, w: &Matrix) -> Result<(), PrepareError> {
+    if let Some(at) = first_non_finite(w) {
+        return Err(PrepareError::NonFiniteWeight { at });
+    }
+    if let Some((sample, at)) = stats.non_finite() {
+        return Err(PrepareError::NonFiniteActivation { sample, at });
+    }
+    Ok(())
+}
+
+/// One site's calibration input: its statistics, and its samples when the
+/// scheme [reads them](Scheme::reads_samples).
+#[derive(Debug, Clone, Copy)]
+pub struct CalibInput<'a> {
+    /// The site's statistics, folded over every sample.
+    pub stats: &'a SiteStats,
+    /// The samples the statistics were folded from: `Some` whenever the
+    /// scheme reads samples, and wherever the caller holds them.
+    pub samples: Option<&'a [Matrix]>,
+}
+
+impl<'a> CalibInput<'a> {
+    /// Statistics alone.
+    pub fn stats(stats: &'a SiteStats) -> Self {
+        Self {
+            stats,
+            samples: None,
         }
     }
-    None
+
+    /// The samples a scheme that reads them calibrates on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the caller passed statistics alone.
+    pub fn samples(&self) -> &'a [Matrix] {
+        self.samples
+            .expect("this scheme reads the calibration samples (Scheme::reads_samples)")
+    }
 }
 
 /// A quantization scheme: a factory for calibrated [`QuantMatmul`] operators.
@@ -154,38 +209,75 @@ pub trait Scheme: Send + Sync + fmt::Debug {
     /// (e.g. `"Tender"`, `"SmoothQuant"`).
     fn name(&self) -> String;
 
-    /// Calibrates the scheme on sample activations for a matmul site with
-    /// weight `w`, returning the runtime operator.
-    ///
-    /// `calib_acts` holds one activation matrix per calibration sample; each
-    /// has the same column count as `w.rows()`.
+    /// Whether calibration reads the activation elements themselves, not
+    /// only their statistics: then every [`CalibInput`] it is given carries
+    /// the samples. Only ANT (a grid MSE over every element) and OliVe (a
+    /// magnitude quantile) do.
+    fn reads_samples(&self) -> bool {
+        false
+    }
+
+    /// Calibrates the scheme for a matmul site with weight `w` from the
+    /// site's calibration input, returning the runtime operator.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `calib_acts` is empty or if shapes are
-    /// inconsistent with `w`.
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul>;
+    /// Implementations panic if the input holds no sample, if shapes are
+    /// inconsistent with `w`, or if the scheme reads samples and the input
+    /// has none.
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul>;
 
     /// Fallible calibration: reports recoverable problems (non-finite
     /// inputs, corrupt calibration metadata) as a typed [`PrepareError`]
     /// instead of panicking, so callers can degrade the site to a fallback
-    /// scheme. The default screens both inputs for non-finite values and
-    /// then delegates to [`Scheme::prepare`]; schemes with their own
-    /// failure modes (e.g. Tender's serialized calibration blob) extend it.
+    /// scheme. The default [screens](screen) the weight and the statistics
+    /// for non-finite values and then delegates to [`Scheme::calibrate`];
+    /// schemes with their own failure modes (e.g. Tender's serialized
+    /// calibration blob) extend it.
+    fn try_calibrate(
+        &self,
+        input: CalibInput<'_>,
+        w: &Matrix,
+    ) -> Result<Box<dyn QuantMatmul>, PrepareError> {
+        screen(input.stats, w)?;
+        Ok(self.calibrate(input, w))
+    }
+
+    /// Calibrates on sample activations: `calib_acts` holds one activation
+    /// matrix per calibration sample, each `w.rows()` wide. The samples are
+    /// folded into their [`SiteStats`] and calibrated through
+    /// [`Scheme::calibrate`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Scheme::calibrate`]; also if the samples' column counts differ.
+    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
+        let stats = SiteStats::from_samples(calib_acts);
+        self.calibrate(
+            CalibInput {
+                stats: &stats,
+                samples: Some(calib_acts),
+            },
+            w,
+        )
+    }
+
+    /// [`Scheme::try_calibrate`] on sample activations, folded as
+    /// [`Scheme::prepare`] folds them: the screen reports the first
+    /// non-finite element in sample order.
     fn try_prepare(
         &self,
         calib_acts: &[Matrix],
         w: &Matrix,
     ) -> Result<Box<dyn QuantMatmul>, PrepareError> {
-        if let Some(at) = first_non_finite(w) {
-            return Err(PrepareError::NonFiniteWeight { at });
-        }
-        for (sample, a) in calib_acts.iter().enumerate() {
-            if let Some(at) = first_non_finite(a) {
-                return Err(PrepareError::NonFiniteActivation { sample, at });
-            }
-        }
-        Ok(self.prepare(calib_acts, w))
+        let stats = SiteStats::from_samples(calib_acts);
+        self.try_calibrate(
+            CalibInput {
+                stats: &stats,
+                samples: Some(calib_acts),
+            },
+            w,
+        )
     }
 
     /// Approximate product of two runtime activations (e.g. `X_Q × X_K^T`).
@@ -208,8 +300,9 @@ pub trait Scheme: Send + Sync + fmt::Debug {
     }
 }
 
-/// Stacks calibration samples into one tall matrix for global statistics,
-/// copying each sample once into a single allocation.
+/// Stacks calibration samples into one tall matrix, copying each sample
+/// once into a single allocation — for the schemes that read every element
+/// ([`Scheme::reads_samples`]); the others read [`SiteStats`].
 ///
 /// # Panics
 ///
@@ -277,7 +370,7 @@ impl Scheme for Fp16Scheme {
         "FP16".to_string()
     }
 
-    fn prepare(&self, _calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
+    fn calibrate(&self, _input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
         Box::new(Fp16Matmul { w: round_to_f16(w) })
     }
 }
@@ -324,7 +417,7 @@ impl Scheme for ExactScheme {
         "FP32".to_string()
     }
 
-    fn prepare(&self, _calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
+    fn calibrate(&self, _input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
         Box::new(ExactMatmul {
             w: PackedF32::pack(w),
         })

@@ -11,6 +11,7 @@ use tender_tensor::{stats, Matrix};
 
 use super::config::TenderConfig;
 use super::decompose::{classify_channels, group_scales, DecompositionError};
+use crate::scheme::SiteStats;
 
 /// Calibration metadata for one row chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,26 +36,22 @@ impl ChunkCalibration {
     ///
     /// Panics if `x` has no columns or the config is invalid.
     pub fn from_activation(x: &Matrix, config: &TenderConfig) -> Self {
-        Self::from_rows(x.cols(), x.iter_rows(), config)
+        Self::from_min_max(&stats::col_min_max(x), config)
     }
 
-    /// Computes calibration metadata from one chunk's calibration rows,
-    /// each `cols` wide, wherever they lie: the result is
-    /// [`from_activation`](Self::from_activation) of the matrix stacking
-    /// `rows` in order, bit for bit, without building that matrix.
+    /// Computes calibration metadata from one chunk's per-column
+    /// `(min, max)` ([`stats::col_min_max`] of its stacked rows): everything
+    /// a chunk's calibration reads of its rows.
     ///
     /// # Panics
     ///
-    /// Panics if `cols == 0`, a row is not `cols` wide, or the config is
-    /// invalid.
-    pub(crate) fn from_rows<'a>(
-        cols: usize,
-        rows: impl IntoIterator<Item = &'a [f32]>,
-        config: &TenderConfig,
-    ) -> Self {
+    /// Panics if `min_max` is empty or the config is invalid.
+    pub(crate) fn from_min_max(min_max: &[(f32, f32)], config: &TenderConfig) -> Self {
         config.validate();
-        assert!(cols > 0, "cannot calibrate an activation with no channels");
-        let min_max = stats::rows_min_max(cols, rows);
+        assert!(
+            !min_max.is_empty(),
+            "cannot calibrate an activation with no channels"
+        );
         let bias: Vec<f32> = if config.subtract_bias {
             min_max.iter().map(|&(lo, hi)| (lo + hi) / 2.0).collect()
         } else {
@@ -124,46 +121,45 @@ pub struct TenderCalibration {
 }
 
 impl TenderCalibration {
-    /// Calibrates from sample activations.
-    ///
-    /// Each sample is an `n × K` activation; rows at the same position
-    /// across samples belong to the same chunk, matching the paper's use of
-    /// fixed-sequence-length calibration data. A chunk's statistics fold
-    /// over its rows of every sample in sample order — the rows of the
-    /// stacked calibration set, read where they lie — so no sample is
-    /// copied. A sample shorter than a chunk's first row adds nothing to
-    /// it; the chunk count follows `samples[0]`.
+    /// Calibrates from sample activations: [`TenderCalibration::from_stats`]
+    /// of their [`SiteStats`].
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty or sample shapes are inconsistent.
     pub fn from_samples(samples: &[Matrix], config: &TenderConfig) -> Self {
+        Self::from_stats(&SiteStats::from_samples(samples), config)
+    }
+
+    /// Calibrates from a site's statistics.
+    ///
+    /// Each sample is an `n × K` activation; rows at the same position
+    /// across samples belong to the same chunk, matching the paper's use of
+    /// fixed-sequence-length calibration data. A chunk's calibration reads
+    /// only the per-column `(min, max)` of its rows of every sample, which
+    /// the statistics fold per row position. A sample shorter than a
+    /// chunk's first row adds nothing to it; the chunk count follows the
+    /// first sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the statistics hold no sample or a chunk holds no row.
+    pub fn from_stats(stats: &SiteStats, config: &TenderConfig) -> Self {
         assert!(
-            !samples.is_empty(),
+            stats.samples() > 0,
             "calibration requires at least one sample"
         );
-        let rows = samples[0].rows();
-        let cols = samples[0].cols();
-        for s in samples {
-            assert_eq!(
-                s.cols(),
-                cols,
-                "calibration samples must share channel count"
-            );
-        }
+        let rows = stats.first_rows();
         let chunk_rows = config.chunk_rows(rows);
         let n_chunks = rows.div_ceil(chunk_rows).max(1);
         let chunks = (0..n_chunks)
             .map(|c| {
                 let r0 = c * chunk_rows;
                 assert!(
-                    samples.iter().any(|s| s.rows() > r0),
+                    stats.rows() > r0,
                     "chunk must contain rows from at least one sample"
                 );
-                let rows = samples
-                    .iter()
-                    .flat_map(|s| s.iter_rows().skip(r0).take(chunk_rows));
-                ChunkCalibration::from_rows(cols, rows, config)
+                ChunkCalibration::from_min_max(&stats.min_max(r0..r0 + chunk_rows), config)
             })
             .collect();
         Self { chunks, chunk_rows }

@@ -107,18 +107,17 @@ pub struct QuantizedWeight {
 }
 
 impl QuantizedWeight {
-    /// Quantizes `w` symmetrically per output column at `bits`.
+    /// Quantizes `w` symmetrically per output column at `bits`: the code of
+    /// `w[(ch, j)]` is `quantize_value(w[(ch, j)], scales[j], bits)`.
     pub fn per_col(w: &Matrix, bits: u32) -> Self {
         let col_max = stats::col_abs_max(w);
         let scales: Vec<f32> = col_max.iter().map(|&m| symmetric_scale(m, bits)).collect();
-        let (k, n) = w.shape();
-        let code = |j: usize, ch: usize| quantize_value(w[(ch, j)], scales[j], bits);
         let codes = if bits <= 16 {
-            PackedCodes::I16(Dense::from_fn(n, k, |j, ch| {
-                i16::try_from(code(j, ch)).expect("|code| ≤ qmax(16) = i16::MAX")
+            PackedCodes::I16(transposed_codes(w, &scales, bits, |q| {
+                i16::try_from(q).expect("|code| ≤ qmax(16) = i16::MAX")
             }))
         } else {
-            PackedCodes::I32(Dense::from_fn(n, k, code))
+            PackedCodes::I32(transposed_codes(w, &scales, bits, |q| q))
         };
         Self {
             codes,
@@ -158,6 +157,35 @@ impl QuantizedWeight {
         };
         codes + size_of_val(self.scales.as_slice())
     }
+}
+
+/// The `n × k` store of a `k × n` weight's codes, narrowed by `narrow`. Each
+/// weight row is read once, in order, and quantized in one pass through
+/// [`quantize_row`] (exact against [`quantize_value`], no libm call); a
+/// block of rows' codes is then written out transposed, so the reads and
+/// the writes both stay within a cache-sized block.
+fn transposed_codes<T: Copy + Default>(
+    w: &Matrix,
+    scales: &[f32],
+    bits: u32,
+    narrow: impl Fn(i32) -> T,
+) -> Dense<T> {
+    const BLOCK_ROWS: usize = 32;
+    let (k, n) = w.shape();
+    let mut out = vec![T::default(); n * k];
+    let mut block = vec![0_i32; BLOCK_ROWS * n];
+    for ch0 in (0..k).step_by(BLOCK_ROWS) {
+        let rows = BLOCK_ROWS.min(k - ch0);
+        for (r, codes) in block.chunks_mut(n.max(1)).take(rows).enumerate() {
+            quantize_row(w.row(ch0 + r), 0.0_f32, scales, bits, codes);
+        }
+        for (j, column) in out.chunks_mut(k.max(1)).enumerate() {
+            for (r, code) in column[ch0..ch0 + rows].iter_mut().enumerate() {
+                *code = narrow(block[r * n + j]);
+            }
+        }
+    }
+    Dense::from_vec(n, k, out).expect("n × k codes")
 }
 
 /// Result of a decomposed matmul plus diagnostics.
@@ -227,10 +255,30 @@ pub fn codes_fit_i16(config: &TenderConfig) -> bool {
 /// (the "+ Bias × Weight" step in Figure 4). Column `j` sums `b · (code ·
 /// scale)` over its codes, input channels ascending, skipping zero biases.
 fn bias_correction(bias: &[f32], w: &QuantizedWeight) -> Vec<f32> {
-    let nonzero = || bias.iter().enumerate().filter(|&(_, &b)| b != 0.0);
-    let wd = |ch, j| w.codes.at(j, ch) as f32 * w.scales[j];
-    let column = |j| nonzero().fold(0.0_f32, |corr, (ch, &b)| corr + b * wd(ch, j));
-    (0..w.scales.len()).map(column).collect()
+    let nonzero: Vec<(usize, f32)> = bias
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, b)| b != 0.0)
+        .collect();
+    // Column `j`'s codes are row `j` of the store.
+    fn columns<T: Copy>(
+        codes: &Dense<T>,
+        scales: &[f32],
+        nonzero: &[(usize, f32)],
+        to_f32: impl Fn(T) -> f32,
+    ) -> Vec<f32> {
+        let column = |(row, &s): (&[T], &f32)| {
+            nonzero
+                .iter()
+                .fold(0.0_f32, |corr, &(ch, b)| corr + b * (to_f32(row[ch]) * s))
+        };
+        codes.iter_rows().zip(scales).map(column).collect()
+    }
+    match &w.codes {
+        PackedCodes::I16(c) => columns(c, &w.scales, &nonzero, f32::from),
+        PackedCodes::I32(c) => columns(c, &w.scales, &nonzero, |q| q as f32),
+    }
 }
 
 /// Row `r` of `x` quantized once against one chunk, for the walks that go
@@ -1611,6 +1659,89 @@ mod tests {
         let exact = a.matmul(&b).unwrap();
         let got = tender_dynamic_matmul(&a, &b, &TenderConfig::int8().with_row_chunk(0));
         assert!(sqnr_db(&exact, &got) > 25.0);
+    }
+
+    /// A weight that reaches every special case of the quantizer: NaN,
+    /// ±∞, `±0.0`, exact `.5` ties (columns whose scale is a power of two),
+    /// saturating and subnormal values, at a `k` that spans more than one
+    /// block of rows.
+    fn special_weight(k: usize, n: usize, seed: u64) -> Matrix {
+        let mut rng = DetRng::new(seed);
+        let mut w = rng.normal_matrix(k, n, 0.0, 0.4);
+        for ch in 0..k {
+            for j in 0..n {
+                w[(ch, j)] = match (ch * 7 + j * 3 + seed as usize) % 23 {
+                    0 if j % 5 == 1 => f32::NAN,
+                    1 if j % 5 == 2 => f32::INFINITY,
+                    2 if j % 5 == 2 => f32::NEG_INFINITY,
+                    3 => 0.0,
+                    4 => -0.0,
+                    // A tie at scale 2^-4 once column `j`'s max is 2^-4·qmax.
+                    5..=7 => (rng.below(9) as f32 - 4.0 + 0.5) * 0.0625,
+                    8 => f32::from_bits(1 + rng.below(1000) as u32),
+                    _ => w[(ch, j)],
+                };
+            }
+        }
+        w
+    }
+
+    /// `QuantizedWeight::per_col` quantizes each weight row in one pass
+    /// and writes the store transposed; the scalar definition reads each
+    /// column strided. Codes, scales and the bias-correction rows must
+    /// agree bit for bit, at every store width.
+    #[test]
+    fn per_col_store_is_the_scalar_definition() {
+        let (k, n) = (75, 13);
+        for (seed, bits) in [(1, 4), (2, 8), (3, 16), (4, 20)] {
+            let mut w = special_weight(k, n, seed);
+            // Half the columns get max = 2^-4 · qmax, so their scale is
+            // exactly 2^-4 and the tie values above round away from zero.
+            for j in (0..n).step_by(2) {
+                w[(k - 1, j)] = 0.0625 * qmax(bits) as f32;
+            }
+            let qw = QuantizedWeight::per_col(&w, bits);
+            let scales: Vec<f32> = stats::col_abs_max(&w)
+                .iter()
+                .map(|&m| symmetric_scale(m, bits))
+                .collect();
+            assert_eq!(
+                bits_of_slice(qw.scales()),
+                bits_of_slice(&scales),
+                "bits {bits}"
+            );
+            let want = IMatrix::from_fn(k, n, |ch, j| quantize_value(w[(ch, j)], scales[j], bits));
+            assert_eq!(qw.values(), want, "bits {bits}");
+            assert_eq!(matches!(qw.codes, PackedCodes::I16(_)), bits <= 16);
+
+            // Biases with zeros of both signs (skipped) and a NaN.
+            let bias: Vec<f32> = (0..k)
+                .map(|ch| match ch % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 if ch == 8 => f32::NAN,
+                    _ => (ch as f32 - 30.0) * 0.37,
+                })
+                .collect();
+            let definition: Vec<f32> = (0..n)
+                .map(|j| {
+                    (0..k)
+                        .filter(|&ch| bias[ch] != 0.0)
+                        .fold(0.0_f32, |corr, ch| {
+                            corr + bias[ch] * (qw.codes.at(j, ch) as f32 * qw.scales[j])
+                        })
+                })
+                .collect();
+            assert_eq!(
+                bits_of_slice(&bias_correction(&bias, &qw)),
+                bits_of_slice(&definition),
+                "bits {bits}"
+            );
+        }
+    }
+
+    fn bits_of_slice(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use serialize::{decode_calibration, encode_calibration, DecodeError};
 
 use tender_tensor::Matrix;
 
-use crate::scheme::{first_non_finite, PrepareError, QuantMatmul, Scheme};
+use crate::scheme::{screen, CalibInput, PrepareError, QuantMatmul, Scheme};
 
 /// The Tender quantization scheme (factory for calibrated operators).
 ///
@@ -163,8 +163,8 @@ impl Scheme for TenderScheme {
         }
     }
 
-    fn prepare(&self, calib_acts: &[Matrix], w: &Matrix) -> Box<dyn QuantMatmul> {
-        let calibration = TenderCalibration::from_samples(calib_acts, &self.config);
+    fn calibrate(&self, input: CalibInput<'_>, w: &Matrix) -> Box<dyn QuantMatmul> {
+        let calibration = TenderCalibration::from_stats(input.stats, &self.config);
         self.build_op(calibration, w)
     }
 
@@ -172,20 +172,13 @@ impl Scheme for TenderScheme {
     /// round-trips the calibration through its serialized blob when a fault
     /// plan is installed, so injected bit flips surface as a typed
     /// [`PrepareError::CorruptCalibration`] the model layer can degrade on.
-    fn try_prepare(
+    fn try_calibrate(
         &self,
-        calib_acts: &[Matrix],
+        input: CalibInput<'_>,
         w: &Matrix,
     ) -> Result<Box<dyn QuantMatmul>, PrepareError> {
-        if let Some(at) = first_non_finite(w) {
-            return Err(PrepareError::NonFiniteWeight { at });
-        }
-        for (sample, a) in calib_acts.iter().enumerate() {
-            if let Some(at) = first_non_finite(a) {
-                return Err(PrepareError::NonFiniteActivation { sample, at });
-            }
-        }
-        let mut calibration = TenderCalibration::from_samples(calib_acts, &self.config);
+        screen(input.stats, w)?;
+        let mut calibration = TenderCalibration::from_stats(input.stats, &self.config);
         if tender_faults::active() {
             if let Some(plan) = tender_faults::plan() {
                 // Serialize → (maybe) corrupt → decode. The site key is

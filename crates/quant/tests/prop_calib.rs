@@ -2,17 +2,33 @@
 //! property that licenses it.
 //!
 //! `TenderCalibration::from_samples` reads each chunk's rows of every sample
-//! in place. Its definition is the stacked one — rows `r0..r1` of every
-//! sample, in sample order, stacked into one matrix and handed to
-//! `ChunkCalibration::from_activation` — kept here as a test-local copy.
-//! Every chunk must match it bit for bit, over ragged samples (a sample may
-//! end before a later chunk starts, or run past the first sample) and over
-//! ±0, NaN, ±∞ and subnormal values, including a column that is NaN
-//! throughout. The rows fold under `stats::col_min_max` gets the same check,
-//! down to zero rows.
+//! through their `SiteStats`. Its definition is the stacked one — rows
+//! `r0..r1` of every sample, in sample order, stacked into one matrix and
+//! handed to `ChunkCalibration::from_activation` — kept here as a test-local
+//! copy. Every chunk must match it bit for bit, over ragged samples (a
+//! sample may end before a later chunk starts, or run past the first
+//! sample) and over ±0, NaN, ±∞ and subnormal values, including a column
+//! that is NaN throughout. The rows fold under `stats::col_min_max` gets the
+//! same check, down to zero rows.
+//!
+//! The calibration capture folds each batch into statistics of its own on
+//! the pool and merges them afterwards; that fold, run on pools of one and
+//! four threads and merged in batch order or in contiguous runs, must give
+//! the stacked definition's bits too — Tender's chunks, and every statistic
+//! the other stats-calibrated baselines read (`col_abs_max`, `abs_max`,
+//! `col_min_max` of the stacked samples), the screen's first non-finite
+//! element and the sanitized ranges the degradation ladder falls back on.
+//! Each migrated baseline then builds the same operator from the statistics
+//! as from the samples.
+
+use std::sync::{LazyLock, Mutex};
 
 use proptest::prelude::*;
-use tender_quant::tender::{ChunkCalibration, TenderCalibration, TenderConfig};
+use tender_quant::baselines::{MixedPrecisionScheme, RptqScheme, SmoothQuantScheme};
+use tender_quant::granularity::{Granularity, GranularityScheme};
+use tender_quant::scheme::{first_non_finite, stack_samples, CalibInput, Scheme, SiteStats};
+use tender_quant::tender::{ChunkCalibration, TenderCalibration, TenderConfig, TenderScheme};
+use tender_tensor::pool::Pool;
 use tender_tensor::rng::DetRng;
 use tender_tensor::{stats, Matrix};
 
@@ -41,12 +57,15 @@ fn stacked_definition(samples: &[Matrix], config: &TenderConfig) -> Vec<ChunkCal
         .collect()
 }
 
-/// One value: mostly normal draws, sometimes an IEEE special.
-fn draw(rng: &mut DetRng, specials: bool) -> f32 {
+/// One value of column `col`: mostly normal draws, sometimes an IEEE
+/// special. With specials, every fourth column is never below zero and the
+/// next never above it, so a chunk's minimum (or maximum) is often a zero
+/// of either sign: the case where an order-dependent fold would differ.
+fn draw(rng: &mut DetRng, specials: bool, col: usize) -> f32 {
     if !specials {
         return rng.normal(0.0, 4.0);
     }
-    match rng.below(48) {
+    let x = match rng.below(48) {
         0 => 0.0,
         1 => -0.0,
         2 => f32::NAN,
@@ -55,6 +74,12 @@ fn draw(rng: &mut DetRng, specials: bool) -> f32 {
         5 => f32::from_bits(1 + rng.below(0x007f_ffff) as u32),
         6 => -f32::from_bits(1 + rng.below(0x007f_ffff) as u32),
         _ => rng.normal(0.0, 4.0),
+    };
+    // Negation flips the sign of everything but the zero it keeps.
+    match col % 4 {
+        1 if x < 0.0 => -x,
+        2 if x > 0.0 => -x,
+        _ => x,
     }
 }
 
@@ -68,7 +93,7 @@ fn samples(seed: u64, lens: &[usize], cols: usize, specials: bool, nan_col: usiz
                 if c == nan_col {
                     f32::NAN
                 } else {
-                    draw(&mut rng, specials)
+                    draw(&mut rng, specials, c)
                 }
             })
         })
@@ -90,6 +115,50 @@ fn assert_same(got: &ChunkCalibration, want: &ChunkCalibration, chunk: usize) {
     );
     assert_eq!(got.group_of, want.group_of, "chunk {chunk} group_of");
     assert_eq!(got.order, want.order, "chunk {chunk} order");
+}
+
+/// Pools of one and four threads, shared by every case.
+static POOLS: LazyLock<[Pool; 2]> = LazyLock::new(|| [Pool::new(1), Pool::new(4)]);
+
+/// The capture's fold: each sample folded into statistics of its own on a
+/// pool (`four` threads or one), then merged — in sample order, or as
+/// contiguous runs folded in order and merged last run first.
+fn pooled_stats(samples: &[Matrix], cols: usize, four: bool, runs: bool) -> SiteStats {
+    let slots: Vec<Mutex<Option<SiteStats>>> = samples.iter().map(|_| Mutex::new(None)).collect();
+    POOLS[four as usize].run(samples.len(), &|i| {
+        let mut s = SiteStats::new(cols);
+        s.fold(i, &samples[i]);
+        *slots[i].lock().unwrap() = Some(s);
+    });
+    let parts: Vec<SiteStats> = slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap().expect("every sample folded"))
+        .collect();
+    let mut out = SiteStats::new(cols);
+    if runs {
+        let mid = parts.len() / 2;
+        for run in [&parts[mid..], &parts[..mid]] {
+            let mut acc = SiteStats::new(cols);
+            run.iter().for_each(|p| acc.merge(p));
+            out.merge(&acc);
+        }
+    } else {
+        parts.iter().for_each(|p| out.merge(p));
+    }
+    out
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn pair_bits(v: &[(f32, f32)]) -> Vec<(u32, u32)> {
+    v.iter().map(|&(l, h)| (l.to_bits(), h.to_bits())).collect()
+}
+
+/// The product of `op` on `x`, as bits.
+fn product_bits(op: &dyn tender_quant::QuantMatmul, x: &Matrix) -> Vec<u32> {
+    bits(op.forward(x).as_slice())
 }
 
 proptest! {
@@ -124,6 +193,97 @@ proptest! {
         prop_assert_eq!(cal.chunks().len(), want.len());
         for (c, (got, want)) in cal.chunks().iter().zip(&want).enumerate() {
             assert_same(got, want, c);
+        }
+    }
+
+    /// The capture's fold — per-sample statistics merged after a pool run,
+    /// at one and four threads, in order or as runs — gives the stacked
+    /// definition of every statistic the stats-calibrated schemes read.
+    #[test]
+    fn capture_fold_is_the_stacked_definition(
+        seed in any::<u64>(),
+        first in 1_usize..24,
+        tail in proptest::collection::vec(0_usize..30, 0..12),
+        cols in 1_usize..12,
+        specials in any::<bool>(),
+        nan_col in 0_usize..24,
+        chunk in 0_usize..3,
+        pool_mode in 0_usize..4,
+    ) {
+        // One or four threads; merged in sample order or as runs.
+        let (four, runs) = (pool_mode & 1 == 1, pool_mode & 2 == 2);
+        let mut lens = vec![first];
+        lens.extend(tail);
+        let samples = samples(seed, &lens, cols, specials, nan_col);
+        let config = match chunk {
+            0 => TenderConfig::int4(),
+            1 => TenderConfig::int8().with_row_chunk(4),
+            _ => TenderConfig::int8().with_row_chunk(0),
+        };
+        let folded = pooled_stats(&samples, cols, four, runs);
+        prop_assert_eq!(folded.samples(), samples.len());
+
+        let cal = TenderCalibration::from_stats(&folded, &config);
+        let want = stacked_definition(&samples, &config);
+        prop_assert_eq!(cal.chunks().len(), want.len());
+        for (c, (got, want)) in cal.chunks().iter().zip(&want).enumerate() {
+            assert_same(got, want, c);
+        }
+
+        let stacked = stack_samples(&samples);
+        prop_assert_eq!(pair_bits(&folded.col_min_max()), pair_bits(&stats::col_min_max(&stacked)));
+        prop_assert_eq!(bits(&folded.col_abs_max()), bits(&stats::col_abs_max(&stacked)));
+        prop_assert_eq!(folded.abs_max().to_bits(), stacked.abs_max().to_bits());
+        let screen = samples
+            .iter()
+            .enumerate()
+            .find_map(|(i, s)| first_non_finite(s).map(|at| (i, at)));
+        prop_assert_eq!(folded.non_finite(), screen);
+        let sanitized = stacked.map(|x| if x.is_finite() { x } else { 0.0 });
+        prop_assert_eq!(
+            pair_bits(&folded.sanitized().col_min_max()),
+            pair_bits(&stats::col_min_max(&sanitized))
+        );
+        prop_assert_eq!(folded.sanitized().non_finite(), None);
+    }
+
+    /// Each migrated baseline builds the operator from the capture's
+    /// statistics that it builds from the samples: the same product, bit
+    /// for bit.
+    #[test]
+    fn stats_calibrated_baselines_match_their_samples_path(
+        seed in any::<u64>(),
+        lens in proptest::collection::vec(1_usize..10, 1..5),
+        cols in 1_usize..12,
+        four in any::<bool>(),
+    ) {
+        // Finite values, ±0 and subnormals included: a non-finite sample
+        // is the screen's business, not the operator's.
+        let samples: Vec<Matrix> = samples(seed, &lens, cols, true, usize::MAX)
+            .into_iter()
+            .map(|s| s.map(|x| if x.is_finite() { x } else { -0.0 }))
+            .collect();
+        let mut rng = DetRng::new(seed ^ 0x5eed);
+        let w = rng.normal_matrix(cols, 5, 0.0, 0.3);
+        let x = rng.normal_matrix(3, cols, 0.0, 2.0);
+        let folded = pooled_stats(&samples, cols, four, true);
+        let schemes: Vec<Box<dyn Scheme>> = vec![
+            Box::new(SmoothQuantScheme::new(8)),
+            Box::new(MixedPrecisionScheme::new(8)),
+            Box::new(RptqScheme::new(4, 3)),
+            Box::new(GranularityScheme::new(8, Granularity::PerTensor)),
+            Box::new(GranularityScheme::new(4, Granularity::PerCol)),
+            Box::new(TenderScheme::new(TenderConfig::int4().with_row_chunk(4))),
+        ];
+        for scheme in &schemes {
+            prop_assert!(!scheme.reads_samples(), "{}", scheme.name());
+            let from_samples = scheme.prepare(&samples, &w);
+            let from_stats = scheme.calibrate(CalibInput::stats(&folded), &w);
+            prop_assert_eq!(
+                product_bits(from_samples.as_ref(), &x),
+                product_bits(from_stats.as_ref(), &x),
+                "{}", scheme.name()
+            );
         }
     }
 

@@ -31,8 +31,34 @@ pub fn col_min_max(m: &Matrix) -> Vec<(f32, f32)> {
     rows_min_max(m.cols(), m.iter_rows())
 }
 
+/// One step of a running minimum: `x` if it ranks below `lo`, else `lo`.
+/// A NaN `x` is skipped, as `f32::min` skips it, and `-0.0` ranks below
+/// `+0.0`, which `f32::min` leaves to the compiler. So a fold that starts
+/// at `+∞` is the minimum of its non-NaN inputs *as bits*, whatever their
+/// order and however the fold is split and merged.
+#[inline(always)]
+pub fn fold_min(lo: f32, x: f32) -> f32 {
+    if x < lo || (x == lo && x.is_sign_negative()) {
+        x
+    } else {
+        lo
+    }
+}
+
+/// One step of a running maximum, [`fold_min`]'s mirror: NaN is skipped and
+/// `+0.0` ranks above `-0.0`.
+#[inline(always)]
+pub fn fold_max(hi: f32, x: f32) -> f32 {
+    if x > hi || (x == hi && hi.is_sign_negative()) {
+        x
+    } else {
+        hi
+    }
+}
+
 /// [`col_min_max`] of the matrix whose rows, in order, are `rows`, without
-/// building it: a fold over `cols`-wide rows wherever they lie.
+/// building it: a fold over `cols`-wide rows wherever they lie
+/// ([`fold_min`] / [`fold_max`], so the row order does not matter).
 ///
 /// # Panics
 ///
@@ -43,8 +69,8 @@ pub fn rows_min_max<'a>(cols: usize, rows: impl IntoIterator<Item = &'a [f32]>) 
     for row in rows {
         assert_eq!(row.len(), cols, "min/max row width mismatch");
         for (o, &x) in out.iter_mut().zip(row) {
-            o.0 = o.0.min(x);
-            o.1 = o.1.max(x);
+            o.0 = fold_min(o.0, x);
+            o.1 = fold_max(o.1, x);
         }
         any_row = true;
     }
@@ -213,6 +239,34 @@ mod tests {
         // Bias = (max + min) / 2 recenters the channel.
         let bias: Vec<f32> = mm.iter().map(|(lo, hi)| (lo + hi) / 2.0).collect();
         assert_eq!(bias, vec![1.0, 6.0]);
+    }
+
+    #[test]
+    fn min_max_folds_rank_signed_zeros_and_skip_nan() {
+        let bits = |x: f32| x.to_bits();
+        for (a, b) in [(0.0, -0.0), (-0.0, 0.0)] {
+            assert_eq!(bits(fold_min(a, b)), bits(-0.0), "min({a}, {b})");
+            assert_eq!(bits(fold_max(a, b)), bits(0.0), "max({a}, {b})");
+        }
+        assert_eq!(fold_min(f32::INFINITY, f32::NAN), f32::INFINITY);
+        assert_eq!(fold_max(f32::NEG_INFINITY, f32::NAN), f32::NEG_INFINITY);
+        assert_eq!(fold_min(2.0, f32::NEG_INFINITY), f32::NEG_INFINITY);
+        assert_eq!(fold_max(-1.0, 3.0), 3.0);
+        // Any order of the same rows folds to the same bits.
+        let rows = [
+            [0.0, -0.0, f32::NAN],
+            [-0.0, 0.0, 1.0],
+            [0.0, 0.0, f32::NAN],
+        ];
+        let fwd = rows_min_max(3, rows.iter().map(|r| &r[..]));
+        let rev = rows_min_max(3, rows.iter().rev().map(|r| &r[..]));
+        let as_bits = |v: &[(f32, f32)]| {
+            v.iter()
+                .map(|&(l, h)| (bits(l), bits(h)))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(as_bits(&fwd), as_bits(&rev));
+        assert_eq!(as_bits(&fwd)[0], (bits(-0.0), bits(0.0)));
     }
 
     #[test]
